@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race verify trace torture chaos
+.PHONY: all build test vet race benchcheck verify bench trace torture chaos
 
 all: build
 
@@ -16,8 +16,20 @@ vet:
 race:
 	$(GO) test -race ./...
 
+# The datapath benchmark is a module of its own (benchmark/go.mod), so the
+# targets above never compile it. It wraps backend.Transport/Drive and calls
+# the realtime and core constructors directly: vet and test it against the
+# tree, so an API change that breaks it fails here and not in the pipeline.
+benchcheck:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+
 # Full pre-merge gate; same sequence as scripts/verify.sh.
-verify: build test vet race
+verify: build test vet race benchcheck
+
+# The datapath benchmark: all six workloads, untraced (benchmark/README.md;
+# pass flags with ARGS, e.g. `make bench ARGS="--workload rt-read-128k"`).
+bench:
+	bash benchmark/run.sh $(ARGS)
 
 # Demo: degraded-read trace, Perfetto-loadable JSON + flame summary.
 trace:

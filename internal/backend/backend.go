@@ -124,9 +124,20 @@ type Executor interface {
 //   - capsules whose command-level checksum fails on receive are dropped,
 //     as if lost (receiver-side CRC validation);
 //   - per-endpoint delivery order is FIFO per sender.
+//
+// Payload ownership: Send hands the payload on. The sender must not write to
+// it or Release it afterwards; the handler that receives the Message is the
+// one to Release it, and a transport that drops a message (down endpoint,
+// partition, checksum failure) releases the payload itself. Bytes are never
+// copied in between — the receiver may be handed the sender's very storage —
+// except for an injected duplicate, so that each delivery owns its own
+// bytes. Whether the receiver may also write into a payload is the
+// protocol's business (DESIGN.md "Payload ownership": command payloads are
+// slices the host lends read-only, completion and peer payloads move
+// outright).
 type Transport interface {
-	// Send transmits a capsule (and payload) from one endpoint to another.
-	// The payload must be treated as immutable after Send returns.
+	// Send transmits a capsule (and payload) from one endpoint to another,
+	// passing ownership of the payload with it.
 	Send(from, to NodeID, cmd nvmeof.Command, payload parity.Buffer)
 	// Register installs the endpoint-wide handler (servers).
 	Register(id NodeID, h Handler)
@@ -223,10 +234,17 @@ type Drive interface {
 	StoresData() bool
 	// Read fetches n bytes at off. cb receives the payload (zeros for
 	// never-written ranges) or an error; reads overlapping an unreadable
-	// media range complete with a *MediaError naming the overlap.
+	// media range complete with a *MediaError naming the overlap. The payload
+	// is a private copy of the media that cb's caller now owns exclusively:
+	// it may be mutated in place, handed on through Transport.Send, and must
+	// be Released by its last owner (drives may draw it from a free list).
 	Read(off, n int64, cb func(parity.Buffer, error))
 	// Write persists b at off. A successful write clears media-error state
-	// over its range (sector remap on program).
+	// over its range (sector remap on program). The drive borrows b until cb
+	// runs — bytes reach the media at completion, not at submission — so the
+	// caller must leave b unmodified and unreleased until then. (A drive may
+	// copy earlier; the simulated SSD does.) A failed drive never calls cb
+	// and so never gives the buffer back.
 	Write(off int64, b parity.Buffer, cb func(error))
 	// Trim discards [off, off+n): subsequent reads return zeros. Like a
 	// write, it clears media-error state over the range.
@@ -361,6 +379,13 @@ type MediaInjector interface {
 	SetLatentErrorRate(rate float64, seed int64)
 	// MediaErrorRanges returns the currently unreadable ranges.
 	MediaErrorRanges() []integrity.Span
+}
+
+// BufferAccounting is the optional leak-check surface of anything that owns
+// a parity.Pool (realtime drives, server controllers): after a run drains,
+// BufferStats().Outstanding() counts the buffers some owner never released.
+type BufferAccounting interface {
+	BufferStats() parity.PoolStats
 }
 
 // ErrUnsupported reports an operation the active backend cannot perform —

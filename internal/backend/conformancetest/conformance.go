@@ -17,6 +17,8 @@ import (
 	"time"
 
 	"draid"
+	"draid/internal/backend"
+	"draid/internal/raid"
 )
 
 // Factory builds an array for one backend under test. The suite passes the
@@ -46,11 +48,122 @@ func pattern(off int64, n int) []byte {
 	return out
 }
 
+// closeDrained ends a scenario that leaves its array idle: it drains the
+// runtime, asserts the quiescence leak check (every pooled buffer released or
+// handed off, no reduction left open), and closes the array. Scenarios that
+// deliberately abandon I/O in flight close their arrays directly instead.
+func closeDrained(t *testing.T, a *draid.Array) {
+	t.Helper()
+	defer a.Close()
+	if t.Failed() {
+		return
+	}
+	a.Run()
+	if err := a.Cluster().LeakCheck(); err != nil {
+		t.Errorf("after the scenario drained: %v", err)
+	}
+}
+
+// stallDrives installs, on every drive that can take one, a stall profile
+// that parks operations in the drive's queue — so a write's payload is still
+// being held by some server well after its capsule arrived.
+func stallDrives(t *testing.T, a *draid.Array) {
+	t.Helper()
+	for i := 0; i < a.DriveCount(); i++ {
+		err := a.Inject().SlowDrive(i, draid.SlowProfile{
+			Kind: draid.SlowStall, Stall: 5 * time.Millisecond, Period: 10 * time.Millisecond,
+		})
+		if err != nil && !errors.Is(err, draid.ErrUnsupported) {
+			t.Fatalf("stall member %d: %v", i, err)
+		}
+	}
+}
+
+// duplicateCommand arms a one-shot duplication of the next capsule from the
+// host to one member, and only that way round: the member executes the
+// command twice, the second time after the host may have acknowledged the op.
+// (Injector.DuplicateNext also duplicates the completion coming back, which
+// the host counts twice — fine for plain writes, but it lets a parity update
+// be acknowledged before its reducer has answered.)
+func duplicateCommand(t *testing.T, a *draid.Array, member int) {
+	t.Helper()
+	di, ok := a.Cluster().Fab.(backend.DuplicateInjector)
+	if !ok {
+		t.Skip("transport cannot duplicate capsules")
+	}
+	a.Cluster().Rt.Call(func() {
+		di.DuplicateNext(backend.HostID, a.Controller().MemberNode(member))
+	})
+}
+
+// calm clears the stall profiles, fences the strays a duplicated
+// capsule leaves behind on the servers (a second anchor or a late peer
+// contribution opens a reduction nothing will ever complete; only a fence or
+// an epoch bump severs it), and lets everything drain.
+func calm(t *testing.T, a *draid.Array) {
+	t.Helper()
+	for i := 0; i < a.DriveCount(); i++ {
+		if err := a.Inject().SlowDrive(i, draid.SlowProfile{}); err != nil && !errors.Is(err, draid.ErrUnsupported) {
+			t.Fatalf("clear stall on member %d: %v", i, err)
+		}
+	}
+	a.Run()
+	if _, err := a.FailoverHost(); err != nil {
+		t.Fatalf("fencing failover: %v", err)
+	}
+}
+
+// writeAndScribble writes want at off from a scratch buffer that the caller
+// overwrites the instant the write is acknowledged — inside the ack callback,
+// while duplicated or stalled capsules of the same write may still be alive.
+func writeAndScribble(t *testing.T, a *draid.Array, off int64, want []byte) {
+	t.Helper()
+	buf := append([]byte(nil), want...)
+	var werr error
+	a.Write(off, buf, func(err error) {
+		werr = err
+		for i := range buf {
+			buf[i] = 0xEE
+		}
+	})
+	a.Run()
+	if werr != nil {
+		t.Fatalf("write [%d,+%d): %v", off, len(want), werr)
+	}
+}
+
+// expectRead reads [off, off+len(want)) and compares.
+func expectRead(t *testing.T, a *draid.Array, off int64, want []byte, what string) []byte {
+	t.Helper()
+	got, err := a.ReadSync(off, int64(len(want)))
+	if err != nil {
+		t.Fatalf("%s: read [%d,+%d): %v", what, off, len(want), err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("%s: read [%d,+%d): payload mismatch", what, off, len(want))
+	}
+	return got
+}
+
+// expectParityCoherent scrubs the array and fails if any stripe's parity had
+// to be rewritten: the bytes the drives hold are not the bytes parity was
+// computed from.
+func expectParityCoherent(t *testing.T, a *draid.Array, what string) {
+	t.Helper()
+	st, err := a.ScrubNow()
+	if err != nil {
+		t.Fatalf("%s: scrub: %v", what, err)
+	}
+	if st.ParityRepairs != 0 || st.Errors != 0 {
+		t.Fatalf("%s: scrub repaired %d parity chunks, %d stripes unverifiable", what, st.ParityRepairs, st.Errors)
+	}
+}
+
 // Run executes the full conformance suite against one backend.
 func Run(t *testing.T, f Factory) {
 	t.Run("HealthyRoundTrip", func(t *testing.T) {
 		a := f(t, baseConfig())
-		defer a.Close()
+		defer closeDrained(t, a)
 		// Full-stripe, partial-stripe, and sub-chunk shapes.
 		for _, c := range []struct{ off, n int64 }{
 			{0, 64 << 10},        // full stripe
@@ -104,7 +217,7 @@ func Run(t *testing.T, f Factory) {
 
 	t.Run("DegradedReadAndWrite", func(t *testing.T) {
 		a := f(t, baseConfig())
-		defer a.Close()
+		defer closeDrained(t, a)
 		want := pattern(0, 128<<10)
 		if err := a.WriteSync(0, want); err != nil {
 			t.Fatalf("healthy write: %v", err)
@@ -132,7 +245,7 @@ func Run(t *testing.T, f Factory) {
 
 	t.Run("RebuildRestoresRedundancy", func(t *testing.T) {
 		a := f(t, baseConfig())
-		defer a.Close()
+		defer closeDrained(t, a)
 		want := pattern(4096, 96<<10)
 		if err := a.WriteSync(4096, want); err != nil {
 			t.Fatalf("write: %v", err)
@@ -158,7 +271,7 @@ func Run(t *testing.T, f Factory) {
 
 	t.Run("DoubleFaultFails", func(t *testing.T) {
 		a := f(t, baseConfig())
-		defer a.Close()
+		defer closeDrained(t, a)
 		if err := a.WriteSync(0, pattern(0, 64<<10)); err != nil {
 			t.Fatalf("write: %v", err)
 		}
@@ -173,7 +286,7 @@ func Run(t *testing.T, f Factory) {
 		cfg := baseConfig()
 		cfg.Integrity = true
 		a := f(t, cfg)
-		defer a.Close()
+		defer closeDrained(t, a)
 		want := pattern(0, 128<<10)
 		if err := a.WriteSync(0, want); err != nil {
 			t.Fatalf("write: %v", err)
@@ -199,7 +312,7 @@ func Run(t *testing.T, f Factory) {
 		cfg := baseConfig()
 		cfg.Integrity = true
 		a := f(t, cfg)
-		defer a.Close()
+		defer closeDrained(t, a)
 		want := pattern(0, 64<<10)
 		if err := a.WriteSync(0, want); err != nil {
 			t.Fatalf("write: %v", err)
@@ -223,7 +336,7 @@ func Run(t *testing.T, f Factory) {
 		cfg := baseConfig()
 		cfg.Hedge = draid.HedgeConfig{Policy: draid.HedgeFixedDelay, Delay: 10 * time.Millisecond}
 		a := f(t, cfg)
-		defer a.Close()
+		defer closeDrained(t, a)
 		// Four stripes, so member 1 serves data chunks in several of them no
 		// matter where the parity rotation places it.
 		want := pattern(0, 256<<10)
@@ -262,7 +375,7 @@ func Run(t *testing.T, f Factory) {
 		cfg.StageMB = 1
 		cfg.CacheMB = 1
 		a := f(t, cfg)
-		defer a.Close()
+		defer closeDrained(t, a)
 		base := pattern(0, 128<<10)
 		if err := a.WriteSync(0, base); err != nil {
 			t.Fatalf("priming write: %v", err)
@@ -321,7 +434,7 @@ func Run(t *testing.T, f Factory) {
 		cfg.Declustered = true
 		cfg.ClusterDrives = 5
 		a := f(t, cfg)
-		defer a.Close()
+		defer closeDrained(t, a)
 		want := pattern(0, 160<<10)
 		if err := a.WriteSync(0, want); err != nil {
 			t.Fatalf("write: %v", err)
@@ -361,7 +474,7 @@ func Run(t *testing.T, f Factory) {
 		cfg.StageMB = 1
 		cfg.OpDeadline = 50 * time.Millisecond
 		a := f(t, cfg)
-		defer a.Close()
+		defer closeDrained(t, a)
 		base := pattern(0, 128<<10)
 		if err := a.WriteSync(0, base); err != nil {
 			t.Fatalf("priming write: %v", err)
@@ -426,7 +539,7 @@ func Run(t *testing.T, f Factory) {
 		cfg.Declustered = true
 		cfg.ClusterDrives = 7
 		a := f(t, cfg)
-		defer a.Close()
+		defer closeDrained(t, a)
 		want := pattern(0, 160<<10)
 		if err := a.WriteSync(0, want); err != nil {
 			t.Fatalf("write: %v", err)
@@ -459,9 +572,139 @@ func Run(t *testing.T, f Factory) {
 		}
 	})
 
+	t.Run("AckedWriteSurvivesBufferReuse", func(t *testing.T) {
+		// Payload ownership, write side: once a write is acknowledged the
+		// caller's buffer is the caller's again. Full-stripe writes (plain
+		// Write capsules, host-side parity) with every capsule duplicated and
+		// every drive stalling: the duplicate and the stalled original read
+		// their payload after the ack, and must not see the scribble.
+		a := f(t, baseConfig())
+		defer closeDrained(t, a)
+		base := pattern(0, 256<<10)
+		if err := a.WriteSync(0, base); err != nil {
+			t.Fatalf("priming write: %v", err)
+		}
+		stallDrives(t, a)
+		for i := 0; i < a.DriveCount(); i++ {
+			if err := a.Inject().DuplicateNext(i); err != nil {
+				t.Fatalf("arm duplicate on member %d: %v", i, err)
+			}
+		}
+		want := pattern(7, 128<<10)
+		writeAndScribble(t, a, 64<<10, want)
+		calm(t, a)
+		expectRead(t, a, 64<<10, want, "after scribble")
+		expectParityCoherent(t, a, "after scribble")
+	})
+
+	t.Run("ReadBufferIsNeverRecycled", func(t *testing.T) {
+		// Payload ownership, read side: the buffer a read returns belongs to
+		// the caller for good. Drive-read buffers are recycled underneath;
+		// a result that aliased one would change under the next reads.
+		a := f(t, baseConfig())
+		defer closeDrained(t, a)
+		want := pattern(0, 64<<10)
+		if err := a.WriteSync(0, want); err != nil {
+			t.Fatalf("write: %v", err)
+		}
+		held := expectRead(t, a, 0, want, "first read")
+		other := pattern(3, 64<<10)
+		if err := a.WriteSync(0, other); err != nil {
+			t.Fatalf("overwrite: %v", err)
+		}
+		for i := 0; i < 1000; i++ {
+			off := int64(i%4) * (16 << 10)
+			expectRead(t, a, off, other[off:off+(16<<10)], "later read")
+		}
+		if !bytes.Equal(held, want) {
+			t.Fatal("a buffer returned by Read changed under later reads")
+		}
+	})
+
+	t.Run("InPlaceFoldsOwnTheirBuffers", func(t *testing.T) {
+		// The servers fold new data and peer contributions into drive-read
+		// buffers in place (RMW deltas, degraded-read reductions); that is
+		// only sound if each such buffer has one owner. Same scribble-after-
+		// ack pattern, on the paths that fold.
+		geo := raid.Geometry{Level: raid.Raid5, Width: baseConfig().Drives, ChunkSize: baseConfig().ChunkSize}
+		scenario := func(name string, run func(t *testing.T, a *draid.Array, model []byte, put func(off int64, p []byte))) {
+			t.Run(name, func(t *testing.T) {
+				a := f(t, baseConfig())
+				defer closeDrained(t, a)
+				model := pattern(0, 256<<10)
+				if err := a.WriteSync(0, model); err != nil {
+					t.Fatalf("priming write: %v", err)
+				}
+				run(t, a, model, func(off int64, p []byte) {
+					writeAndScribble(t, a, off, p)
+					copy(model[off:], p)
+				})
+			})
+		}
+		scenario("RMW", func(t *testing.T, a *draid.Array, model []byte, put func(int64, []byte)) {
+			// The sub-chunk write lands in chunk 0 of stripe 1: duplicate the
+			// PartialWrite capsule to the bdev holding it, so the old data is
+			// read, folded in place and forwarded twice, the second time
+			// around or after the ack. Only the bytes are asserted: the
+			// duplicate also earns a second completion, which can acknowledge
+			// the op while its reducer is stuck on the doubled delta — the
+			// protocol's open duplicate-tolerance defect, not ownership's.
+			for round := int64(0); round < 3; round++ {
+				stallDrives(t, a)
+				duplicateCommand(t, a, geo.DataDrive(1, 0))
+				put(70<<10, pattern(11+round, 3000))
+				calm(t, a)
+				expectRead(t, a, 0, model, "after RMW")
+			}
+		})
+		scenario("Degraded", func(t *testing.T, a *draid.Array, model []byte, put func(int64, []byte)) {
+			a.FailDrive(1)
+			stallDrives(t, a)
+			got := expectRead(t, a, 0, model, "degraded")
+			for i := range got {
+				got[i] = 0xEE // the result is the caller's: scribbling it must reach no one
+			}
+			put(20<<10, pattern(31, 5000)) // degraded read-modify-write
+			calm(t, a)
+			expectRead(t, a, 0, model, "degraded, after RMW")
+		})
+	})
+
+	t.Run("FailedPreloadFreesAccumulatorOnce", func(t *testing.T) {
+		// A read-modify-write whose Parity anchor is duplicated and whose
+		// stored parity is unreadable: both anchors share one reduction, both
+		// preloads fail, and the reduction must be severed — its accumulator
+		// returned, its table slot dropped — exactly once, whether the data
+		// bdev's contribution arrives before or after. The host re-drives the
+		// stripe through its fallback write. The closing leak check (after the
+		// fence in calm) is the assertion: a second sever would return the
+		// accumulator twice and drive the server's counts negative.
+		cfg := baseConfig()
+		geo := raid.Geometry{Level: raid.Raid5, Width: cfg.Drives, ChunkSize: cfg.ChunkSize}
+		a := f(t, cfg)
+		defer closeDrained(t, a)
+		model := pattern(0, 256<<10)
+		if err := a.WriteSync(0, model); err != nil {
+			t.Fatalf("priming write: %v", err)
+		}
+		p := geo.PDrive(1)
+		mi, ok := a.Cluster().Drives[p].(backend.MediaInjector)
+		if !ok {
+			t.Skip("drive cannot inject media errors")
+		}
+		mi.InjectMediaError(geo.DriveOffset(1), geo.ChunkSize)
+		duplicateCommand(t, a, p)
+		patch := pattern(41, 3000)
+		writeAndScribble(t, a, 70<<10, patch) // chunk 0 of stripe 1
+		copy(model[70<<10:], patch)
+		calm(t, a)
+		expectRead(t, a, 0, model, "after the re-driven write")
+		expectParityCoherent(t, a, "after the re-driven write")
+	})
+
 	t.Run("OutOfRange", func(t *testing.T) {
 		a := f(t, baseConfig())
-		defer a.Close()
+		defer closeDrained(t, a)
 		if _, err := a.ReadSync(a.Size(), 4096); !errors.Is(err, draid.ErrOutOfRange) {
 			t.Fatalf("read past device: got %v, want ErrOutOfRange", err)
 		}

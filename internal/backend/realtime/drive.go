@@ -26,9 +26,15 @@ const (
 // errors, bit rot, latent URE development). Completions are delivered on the
 // owning node's loop via the runtime; state is mutex-guarded because
 // injection calls arrive from other goroutines.
+//
+// Bytes cross the media boundary exactly once each way: a Write copies from
+// the borrowed payload into the pages when it completes, and a Read copies
+// the pages into a buffer from the drive's free list, which the buffer's
+// last owner — wherever the capsule carrying it ends up — releases back.
 type MemDrive struct {
 	rt       backend.Runtime
 	capacity int64
+	bufs     *parity.Pool // read buffers
 
 	mu         sync.Mutex
 	pages      map[int64][]byte // nil ⇒ SizeOnly (elided payloads)
@@ -51,7 +57,7 @@ type MemDrive struct {
 // NewMemDrive builds a drive of the given capacity. With storeData false the
 // drive tracks only sizes and returns elided payloads.
 func NewMemDrive(rt backend.Runtime, capacity int64, storeData bool) *MemDrive {
-	d := &MemDrive{rt: rt, capacity: capacity}
+	d := &MemDrive{rt: rt, capacity: capacity, bufs: parity.NewPool()}
 	if storeData {
 		d.pages = make(map[int64][]byte)
 	}
@@ -66,6 +72,9 @@ func (d *MemDrive) Stats() backend.DriveStats {
 	defer d.mu.Unlock()
 	return d.stats
 }
+
+// BufferStats implements backend.BufferAccounting for the read free list.
+func (d *MemDrive) BufferStats() parity.PoolStats { return d.bufs.Stats() }
 
 func (d *MemDrive) Fail() {
 	d.mu.Lock()
@@ -157,14 +166,18 @@ func (d *MemDrive) Read(off, n int64, cb func(parity.Buffer, error)) {
 		if _, hit := d.rot.Intersect(off, n); hit {
 			d.stats.CorruptReads++
 		}
-		b := d.loadLocked(off, n)
+		b := parity.Sized(int(n))
+		if d.pages != nil {
+			b = d.bufs.Get(int(n))
+			d.loadLocked(b.Data(), off)
+		}
 		d.mu.Unlock()
 		cb(b, nil)
 	})
 }
 
-// Write implements backend.Drive. Payload bytes are snapshotted at
-// submission (DMA semantics).
+// Write implements backend.Drive. The payload is borrowed until cb: its bytes
+// are copied into the pages at completion, with no intermediate snapshot.
 func (d *MemDrive) Write(off int64, b parity.Buffer, cb func(error)) {
 	n := int64(b.Len())
 	if off < 0 || off+n > d.capacity {
@@ -174,10 +187,6 @@ func (d *MemDrive) Write(off int64, b parity.Buffer, cb func(error)) {
 	if d.Failed() {
 		return
 	}
-	var snapshot []byte
-	if d.pages != nil && !b.Elided() {
-		snapshot = append([]byte(nil), b.Data()...)
-	}
 	d.complete(func() {
 		d.mu.Lock()
 		if d.failed {
@@ -186,8 +195,8 @@ func (d *MemDrive) Write(off int64, b parity.Buffer, cb func(error)) {
 		}
 		d.stats.WriteOps++
 		d.stats.WriteBytes += n
-		if snapshot != nil {
-			d.storeLocked(off, snapshot)
+		if d.pages != nil && !b.Elided() {
+			d.storeLocked(off, b.Data())
 		}
 		d.media.Remove(off, n)
 		d.rot.Remove(off, n)
@@ -226,11 +235,12 @@ func (d *MemDrive) Trim(off, n int64, cb func(error)) {
 func (d *MemDrive) PeekSync(off, n int64) []byte {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	b := d.loadLocked(off, n)
-	if b.Elided() {
+	if d.pages == nil {
 		return nil
 	}
-	return b.Data()
+	out := make([]byte, n)
+	d.loadLocked(out, off)
+	return out
 }
 
 // InjectMediaError implements backend.MediaInjector.
@@ -247,8 +257,8 @@ func (d *MemDrive) InjectBitRot(off, n int64) {
 	if d.pages == nil {
 		panic("realtime: InjectBitRot requires stored data")
 	}
-	buf := d.loadLocked(off, n)
-	data := buf.Data()
+	data := make([]byte, n)
+	d.loadLocked(data, off)
 	for i := range data {
 		data[i] ^= 0x5A
 	}
@@ -290,11 +300,10 @@ func (d *MemDrive) maybeDevelopLatentLocked(off, n int64) {
 	d.media.Add(pos, end-pos)
 }
 
-func (d *MemDrive) loadLocked(off, n int64) parity.Buffer {
-	if d.pages == nil {
-		return parity.Sized(int(n))
-	}
-	out := make([]byte, n)
+// loadLocked fills out (zeroed by the caller) with the stored bytes at off;
+// never-written pages are left as the zeros they read as.
+func (d *MemDrive) loadLocked(out []byte, off int64) {
+	n := int64(len(out))
 	for pos := int64(0); pos < n; {
 		pageNo := (off + pos) / memPageSize
 		pageOff := (off + pos) % memPageSize
@@ -307,7 +316,6 @@ func (d *MemDrive) loadLocked(off, n int64) parity.Buffer {
 		}
 		pos += span
 	}
-	return parity.FromBytes(out)
 }
 
 func (d *MemDrive) storeLocked(off int64, data []byte) {
@@ -363,6 +371,7 @@ type FileDrive struct {
 	f        *os.File
 	path     string
 	capacity int64
+	bufs     *parity.Pool // read buffers, released by their last owner
 
 	mu     sync.Mutex
 	failed bool
@@ -375,7 +384,7 @@ func NewFileDrive(rt backend.Runtime, path string, capacity int64) (*FileDrive, 
 	if err != nil {
 		return nil, err
 	}
-	return &FileDrive{rt: rt, f: f, path: path, capacity: capacity}, nil
+	return &FileDrive{rt: rt, f: f, path: path, capacity: capacity, bufs: parity.NewPool()}, nil
 }
 
 // Path returns the backing file's path.
@@ -392,6 +401,9 @@ func (d *FileDrive) Stats() backend.DriveStats {
 	defer d.mu.Unlock()
 	return d.stats
 }
+
+// BufferStats implements backend.BufferAccounting for the read free list.
+func (d *FileDrive) BufferStats() parity.PoolStats { return d.bufs.Stats() }
 
 func (d *FileDrive) Fail() {
 	d.mu.Lock()
@@ -441,17 +453,19 @@ func (d *FileDrive) Read(off, n int64, cb func(parity.Buffer, error)) {
 		d.stats.ReadOps++
 		d.stats.ReadBytes += n
 		d.mu.Unlock()
-		out := make([]byte, n)
-		if err := d.readAt(out, off); err != nil {
+		b := d.bufs.Get(int(n))
+		if err := d.readAt(b.Data(), off); err != nil {
+			b.Release()
 			cb(parity.Buffer{}, err)
 			return
 		}
-		cb(parity.FromBytes(out), nil)
+		cb(b, nil)
 	})
 }
 
-// Write implements backend.Drive. Elided payloads are rejected: a file-backed
-// drive cannot represent sizes without bytes.
+// Write implements backend.Drive, borrowing the payload until cb: pwrite
+// takes its bytes at completion. An elided payload stores zeros — a
+// file-backed drive cannot represent sizes without bytes.
 func (d *FileDrive) Write(off int64, b parity.Buffer, cb func(error)) {
 	n := int64(b.Len())
 	if off < 0 || off+n > d.capacity {
@@ -460,12 +474,6 @@ func (d *FileDrive) Write(off int64, b parity.Buffer, cb func(error)) {
 	}
 	if d.Failed() {
 		return
-	}
-	var snapshot []byte
-	if !b.Elided() {
-		snapshot = append([]byte(nil), b.Data()...)
-	} else {
-		snapshot = make([]byte, n) // elided payload: store zeros
 	}
 	d.rt.Defer(func() {
 		d.mu.Lock()
@@ -476,7 +484,11 @@ func (d *FileDrive) Write(off int64, b parity.Buffer, cb func(error)) {
 		d.stats.WriteOps++
 		d.stats.WriteBytes += n
 		d.mu.Unlock()
-		if _, err := d.f.WriteAt(snapshot, off); err != nil {
+		data := b.Data()
+		if b.Elided() {
+			data = make([]byte, n)
+		}
+		if _, err := d.f.WriteAt(data, off); err != nil {
 			cb(err)
 			return
 		}
@@ -519,8 +531,10 @@ func (d *FileDrive) PeekSync(off, n int64) []byte {
 }
 
 var (
-	_ backend.Drive         = (*MemDrive)(nil)
-	_ backend.MediaInjector = (*MemDrive)(nil)
-	_ backend.SlowInjector  = (*MemDrive)(nil)
-	_ backend.Drive         = (*FileDrive)(nil)
+	_ backend.Drive            = (*MemDrive)(nil)
+	_ backend.MediaInjector    = (*MemDrive)(nil)
+	_ backend.SlowInjector     = (*MemDrive)(nil)
+	_ backend.BufferAccounting = (*MemDrive)(nil)
+	_ backend.Drive            = (*FileDrive)(nil)
+	_ backend.BufferAccounting = (*FileDrive)(nil)
 )

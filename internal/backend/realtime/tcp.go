@@ -22,6 +22,11 @@ import (
 // on the simulated fabric — a mismatch drops the frame and the sender's op
 // deadline takes over), and the payload bytes.
 //
+// The socket is where a payload's bytes leave the sender: Send writes the
+// frame header and the payload straight from the sender's buffer with one
+// vectored write, then releases the payload as its last owner; the receiver
+// reads into a fresh buffer that its handler owns.
+//
 // Quiescence across the wire: the sender takes a foreground token before the
 // socket write and the receiver releases it after the delivery task runs (or
 // the frame is dropped). The tokens are a shared counter, so any release
@@ -34,12 +39,22 @@ type TCPTransport struct {
 	addrs map[backend.NodeID]string
 	lns   []net.Listener
 
-	connMu sync.Mutex
-	conns  map[[2]backend.NodeID]net.Conn
+	connMu sync.Mutex // guards conns
+	conns  map[[2]backend.NodeID]*tcpConn
 
 	corruptDrops int64
 	closed       atomic.Bool
 	wg           sync.WaitGroup
+}
+
+// tcpConn is one sender→receiver stream. mu serializes frames onto the
+// socket and guards the header scratch and write vector reused across them.
+type tcpConn struct {
+	mu   sync.Mutex
+	c    net.Conn
+	hdr  []byte
+	vec  [2][]byte
+	bufs net.Buffers // vec[:n] while a frame is being written; lives here so WriteTo's receiver does not escape per frame
 }
 
 // NewTCPTransport opens one loopback listener per endpoint and starts its
@@ -49,7 +64,7 @@ func NewTCPTransport(bed *Bed, width int) (*TCPTransport, error) {
 		endpoints: newEndpoints(width),
 		bed:       bed,
 		addrs:     make(map[backend.NodeID]string),
-		conns:     make(map[[2]backend.NodeID]net.Conn),
+		conns:     make(map[[2]backend.NodeID]*tcpConn),
 	}
 	ids := make([]backend.NodeID, 0, width+1)
 	ids = append(ids, backend.HostID)
@@ -84,10 +99,13 @@ func (t *TCPTransport) acceptLoop(id backend.NodeID, ln net.Listener) {
 
 // frame layout: u32 cmdLen | cmd | u32 checksum | i64 from | u8 elided |
 // u32 payloadLen | payload bytes (absent when elided).
+const frameTailBytes = 4 + 8 + 1 + 4 // checksum … payloadLen
+
 func (t *TCPTransport) readLoop(id backend.NodeID, c net.Conn) {
 	defer t.wg.Done()
 	defer c.Close()
 	var hdr [4]byte
+	var scratch []byte // capsule + frame tail; nvmeof.Decode keeps no reference
 	for {
 		if _, err := io.ReadFull(c, hdr[:]); err != nil {
 			return
@@ -96,7 +114,10 @@ func (t *TCPTransport) readLoop(id backend.NodeID, c net.Conn) {
 		if cmdLen > 1<<20 {
 			return // stream corrupt beyond recovery
 		}
-		rest := make([]byte, int(cmdLen)+4+8+1+4)
+		if need := int(cmdLen) + frameTailBytes; cap(scratch) < need {
+			scratch = make([]byte, need)
+		}
+		rest := scratch[:int(cmdLen)+frameTailBytes]
 		if _, err := io.ReadFull(c, rest); err != nil {
 			return
 		}
@@ -141,19 +162,20 @@ func (t *TCPTransport) readLoop(id backend.NodeID, c net.Conn) {
 }
 
 // dial returns (creating on demand) the from→to connection.
-func (t *TCPTransport) dial(from, to backend.NodeID) (net.Conn, error) {
+func (t *TCPTransport) dial(from, to backend.NodeID) (*tcpConn, error) {
 	t.connMu.Lock()
 	defer t.connMu.Unlock()
 	key := [2]backend.NodeID{from, to}
-	if c, ok := t.conns[key]; ok {
-		return c, nil
+	if tc, ok := t.conns[key]; ok {
+		return tc, nil
 	}
 	c, err := net.Dial("tcp", t.addrs[to])
 	if err != nil {
 		return nil, err
 	}
-	t.conns[key] = c
-	return c, nil
+	tc := &tcpConn{c: c}
+	t.conns[key] = tc
+	return tc, nil
 }
 
 // Send implements backend.Transport.
@@ -161,45 +183,41 @@ func (t *TCPTransport) Send(from, to backend.NodeID, cmd nvmeof.Command, payload
 	if from == to {
 		panic(fmt.Sprintf("realtime: send from %d to itself", from))
 	}
-	if t.closed.Load() || t.Down(from) {
+	defer payload.Release() // on the wire (or dropped) by the time Send returns
+	if t.closed.Load() {
 		return
 	}
-	cmdBytes := cmd.Encode()
-	wire := int64(len(cmdBytes)) + int64(payload.Len()) + wireHeaderBytes
-	t.countOut(from, backend.VolumeID(cmd.NSID), wire)
-	if t.Partitioned(from, to) {
-		return // cut by an injected partition after consuming send bandwidth
+	wire := int64(cmd.EncodedSize()) + int64(payload.Len()) + wireHeaderBytes
+	// 2 copies: the stream replays the frame back to back.
+	copies := t.admitSend(from, to, backend.VolumeID(cmd.NSID), wire)
+	if copies == 0 {
+		return
 	}
-
-	frame := make([]byte, 0, 4+len(cmdBytes)+4+8+1+4+payload.Len())
+	tc, err := t.dial(from, to)
+	if err != nil {
+		return
+	}
+	tc.mu.Lock()
+	defer tc.mu.Unlock()
 	le := binary.LittleEndian
-	frame = le.AppendUint32(frame, uint32(len(cmdBytes)))
-	frame = append(frame, cmdBytes...)
-	frame = le.AppendUint32(frame, cmd.Checksum())
-	frame = le.AppendUint64(frame, uint64(int64(from)))
+	hdr := append(tc.hdr[:0], 0, 0, 0, 0)
+	hdr = cmd.AppendEncode(hdr)
+	cmdBytes := hdr[4:]
+	le.PutUint32(hdr, uint32(len(cmdBytes)))
+	hdr = le.AppendUint32(hdr, integrity.Checksum(cmdBytes))
+	hdr = le.AppendUint64(hdr, uint64(int64(from)))
 	if payload.Elided() {
-		frame = append(frame, 1)
+		hdr = append(hdr, 1)
 	} else {
-		frame = append(frame, 0)
+		hdr = append(hdr, 0)
 	}
-	frame = le.AppendUint32(frame, uint32(payload.Len()))
-	if !payload.Elided() {
-		frame = append(frame, payload.Data()...)
-	}
-
-	copies := 1
-	if t.consumeDup(from, to) {
-		copies = 2 // the stream replays the frame back to back
-	}
+	hdr = le.AppendUint32(hdr, uint32(payload.Len()))
+	tc.hdr = hdr
 	for i := 0; i < copies; i++ {
 		t.bed.hold() // released by the receiver after delivery (or on error below)
-		c, err := t.dial(from, to)
-		if err == nil {
-			t.connMu.Lock()
-			_, err = c.Write(frame)
-			t.connMu.Unlock()
-		}
-		if err != nil {
+		tc.vec = [2][]byte{hdr, payload.Data()}
+		tc.bufs = tc.vec[:]
+		if _, err := tc.bufs.WriteTo(tc.c); err != nil {
 			t.bed.release()
 		}
 	}
@@ -219,8 +237,8 @@ func (t *TCPTransport) Close() error {
 		ln.Close()
 	}
 	t.connMu.Lock()
-	for _, c := range t.conns {
-		c.Close()
+	for _, tc := range t.conns {
+		tc.c.Close()
 	}
 	t.connMu.Unlock()
 	t.wg.Wait()

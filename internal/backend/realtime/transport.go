@@ -94,18 +94,6 @@ func (e *endpoints) DuplicateNext(from, to backend.NodeID) {
 	e.mu.Unlock()
 }
 
-// consumeDup reports and clears the pair's one-shot duplication.
-func (e *endpoints) consumeDup(from, to backend.NodeID) bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	key := [2]backend.NodeID{from, to}
-	if !e.dupOnce[key] {
-		return false
-	}
-	delete(e.dupOnce, key)
-	return true
-}
-
 func (e *endpoints) Register(id backend.NodeID, h backend.Handler) {
 	e.mu.Lock()
 	e.handlers[id] = h
@@ -132,16 +120,31 @@ func (e *endpoints) SetDown(id backend.NodeID, down bool) {
 	e.mu.Unlock()
 }
 
-// countOut books outbound host bytes at send time (NIC-counter semantics: a
-// message dropped downstream still consumed send bandwidth).
-func (e *endpoints) countOut(from backend.NodeID, vol backend.VolumeID, wire int64) {
-	if from != backend.HostID {
-		return
-	}
+// admitSend runs the sender-side checks and accounting of one capsule in a
+// single critical section and returns how many copies to deliver: 0 when the
+// sender is down or the pair is partitioned, 2 when a one-shot duplication
+// was armed (and is now consumed), else 1. Outbound host bytes are booked
+// before the partition check (NIC-counter semantics: a message cut
+// downstream still consumed send bandwidth).
+func (e *endpoints) admitSend(from, to backend.NodeID, vol backend.VolumeID, wire int64) int {
 	e.mu.Lock()
-	e.hostOut += wire
-	e.vol(vol).out += wire
-	e.mu.Unlock()
+	defer e.mu.Unlock()
+	if e.down[from] {
+		return 0
+	}
+	if from == backend.HostID {
+		e.hostOut += wire
+		e.vol(vol).out += wire
+	}
+	key := [2]backend.NodeID{from, to}
+	if e.partitions[key] {
+		return 0
+	}
+	if e.dupOnce[key] {
+		delete(e.dupOnce, key)
+		return 2
+	}
+	return 1
 }
 
 // accept runs the delivery-side checks and accounting, returning the handler
@@ -197,10 +200,12 @@ func (e *endpoints) ResetTraffic() {
 }
 
 // ChanTransport moves capsules between node loops in-process: a Send posts a
-// delivery task onto the destination's loop. The payload is cloned at send
-// time (DMA snapshot semantics — the sender may reuse its buffer), and the
-// message holds a foreground token until the handler returns, so Run()
-// observes in-flight messages exactly as the simulation's event count does.
+// delivery task onto the destination's loop. The payload is not copied — the
+// receiving handler gets the sender's buffer and owns it from then on
+// (backend.Transport's ownership rule); only an injected duplicate is cloned,
+// so each delivery can be released on its own. The message holds a
+// foreground token until the handler returns, so Run() observes in-flight
+// messages exactly as the simulation's event count does.
 type ChanTransport struct {
 	endpoints
 	bed *Bed
@@ -217,34 +222,28 @@ func (t *ChanTransport) Send(from, to backend.NodeID, cmd nvmeof.Command, payloa
 	if from == to {
 		panic(fmt.Sprintf("realtime: send from %d to itself", from))
 	}
-	if t.Down(from) {
-		return
+	wire := int64(cmd.EncodedSize()) + int64(payload.Len()) + wireHeaderBytes
+	switch t.admitSend(from, to, backend.VolumeID(cmd.NSID), wire) {
+	case 0:
+		payload.Release()
+	case 1:
+		t.post(from, to, cmd, payload, wire)
+	default:
+		dup := payload.Clone() // taken before the first delivery can release it
+		t.post(from, to, cmd, payload, wire)
+		t.post(from, to, cmd, dup, wire)
 	}
-	p := payload
-	if !p.Elided() {
-		p = p.Clone()
-	}
-	wire := int64(cmd.EncodedSize()) + int64(p.Len()) + wireHeaderBytes
-	vol := backend.VolumeID(cmd.NSID)
-	t.countOut(from, vol, wire)
-	if t.Partitioned(from, to) {
-		return // cut by an injected partition after consuming send bandwidth
-	}
-	copies := 1
-	if t.consumeDup(from, to) {
-		copies = 2
-	}
-	for i := 0; i < copies; i++ {
-		dp := p
-		if i > 0 && !dp.Elided() {
-			dp = dp.Clone() // each delivered copy owns its payload
+}
+
+// post queues one delivery on the destination's loop.
+func (t *ChanTransport) post(from, to backend.NodeID, cmd nvmeof.Command, payload parity.Buffer, wire int64) {
+	t.bed.postFG(t.bed.loopFor(to), func() {
+		if h := t.accept(to, backend.VolumeID(cmd.NSID), wire); h != nil {
+			h(backend.Message{Cmd: cmd, Payload: payload, From: from})
+		} else {
+			payload.Release()
 		}
-		t.bed.postFG(t.bed.loopFor(to), func() {
-			if h := t.accept(to, vol, wire); h != nil {
-				h(backend.Message{Cmd: cmd, Payload: dp, From: from})
-			}
-		})
-	}
+	})
 }
 
 var (

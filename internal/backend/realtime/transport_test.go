@@ -165,3 +165,91 @@ func TestDuplicatePerPair(t *testing.T) {
 		t.Fatalf("node 0 got %d messages, want the armed duplicate pair", rec0.count())
 	}
 }
+
+// TestTransportPayloadOwnership pins what each transport does with a pooled
+// payload: chan hands the sender's storage to the handler untouched, TCP
+// releases it once it is on the wire, a dropped message is released by the
+// transport, only an injected duplicate is copied — and a message cut by a
+// partition is still charged to the host NIC's out counter.
+func TestTransportPayloadOwnership(t *testing.T) {
+	host, n0 := backend.HostID, backend.NodeID(0)
+	run := func(t *testing.T, tr sendTransport, bed *Bed, sharesStorage bool) {
+		rec := newRecorder()
+		tr.Register(n0, rec.handler)
+		pool := parity.NewPool()
+		traffic := tr.(backend.Traffic)
+
+		// Delivered: the handler owns the payload and releases it.
+		sent := pool.Get(8)
+		copy(sent.Data(), "payload!")
+		tr.Send(host, n0, testCmd(1), sent)
+		if !rec.waitFor(1, 2*time.Second) {
+			t.Fatal("send never delivered")
+		}
+		bed.Run()
+		got := rec.msgs[0].Payload
+		if string(got.Data()) != "payload!" {
+			t.Fatalf("delivered payload %q", got.Data())
+		}
+		if same := &got.Data()[0] == &sent.Data()[0]; same != sharesStorage {
+			t.Fatalf("handler shares the sender's storage: %v, want %v", same, sharesStorage)
+		}
+		got.Release()
+		if st := pool.Stats(); st.Outstanding() != 0 || st.Puts != 1 {
+			t.Fatalf("after delivery and release: %+v", st)
+		}
+
+		// Cut by a partition: released by the transport, still counted out.
+		tr.InjectPartition(host, n0, backend.PartitionAToB)
+		outBefore, _ := traffic.HostBytes()
+		tr.Send(host, n0, testCmd(2), pool.Get(8))
+		if st := pool.Stats(); st.Outstanding() != 0 {
+			t.Fatalf("partitioned send kept its payload: %+v", st)
+		}
+		if out, _ := traffic.HostBytes(); out <= outBefore {
+			t.Fatal("a cut message must still be charged to the sender's NIC")
+		}
+		tr.HealPartition(host, n0, backend.PartitionAToB)
+
+		// Destination down: released at delivery time.
+		tr.SetDown(n0, true)
+		tr.Send(host, n0, testCmd(3), pool.Get(8))
+		bed.Run()
+		tr.SetDown(n0, false)
+		if st := pool.Stats(); st.Outstanding() != 0 {
+			t.Fatalf("send to a down endpoint kept its payload: %+v", st)
+		}
+
+		// Duplicate: two deliveries, two owners, one pooled buffer between them.
+		tr.DuplicateNext(host, n0)
+		tr.Send(host, n0, testCmd(4), pool.Get(8))
+		if !rec.waitFor(3, 2*time.Second) {
+			t.Fatalf("duplicate delivered %d copies", rec.count()-1)
+		}
+		bed.Run()
+		a, b := rec.msgs[1].Payload, rec.msgs[2].Payload
+		if &a.Data()[0] == &b.Data()[0] {
+			t.Fatal("duplicate deliveries share storage: neither could release it safely")
+		}
+		a.Release()
+		b.Release()
+		if st := pool.Stats(); st.Outstanding() != 0 || st.Gets != st.Puts {
+			t.Fatalf("after the duplicate pair released: %+v", st)
+		}
+	}
+	t.Run("chan", func(t *testing.T) {
+		bed := NewBed(1, 2)
+		defer bed.Close()
+		run(t, NewChanTransport(bed, 2), bed, true)
+	})
+	t.Run("tcp", func(t *testing.T) {
+		bed := NewBed(1, 2)
+		defer bed.Close()
+		tr, err := NewTCPTransport(bed, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tr.Close()
+		run(t, tr, bed, false)
+	})
+}

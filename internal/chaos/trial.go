@@ -148,7 +148,27 @@ func runTrial(mode Mode, seed int64, fault Fault, at, steps int) (trialResult, e
 	}
 	t.heal()
 	t.verify()
+	if len(t.vio) == 0 {
+		t.checkLeaks()
+	}
 	return t.trialResult, nil
+}
+
+// checkLeaks is the teardown invariant: a trial that kept every promise must
+// also leave nothing behind. The fault's strays — a reduction whose peer
+// contribution was cut off, a duplicated anchor's second reduction — stay open
+// on the servers until a fence or an epoch bump severs them, so the session is
+// retired first (a failover fences every bdev); after that every pooled
+// buffer must be back and every reduce table empty.
+func (t *trialState) checkLeaks() {
+	if _, err := t.a.FailoverHost(); err != nil {
+		t.violate("teardown failover: %v", err)
+		return
+	}
+	t.a.Run()
+	if err := t.a.Cluster().LeakCheck(); err != nil {
+		t.violate("teardown: %v", err)
+	}
 }
 
 func (t *trialState) violate(format string, args ...any) {

@@ -8,6 +8,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"strings"
 
 	"draid/internal/backend"
 	"draid/internal/core"
@@ -434,6 +435,37 @@ func (c *Cluster) FailTarget(i int) {
 func (c *Cluster) RecoverTarget(i int) {
 	c.Fab.SetDown(core.NodeID(i), false)
 	c.Drives[i].Recover()
+}
+
+// LeakCheck reports what a drained cluster still holds that an idle one must
+// not: pooled buffers some owner never released (every drive's read free list
+// and every server's accumulator pool must balance: gets = releases + handed
+// off), and reductions still open on a server. Call it after Run() has
+// drained, with no background I/O in flight. Reductions stranded by a
+// partition or a duplicated capsule are only severed by a fence or an epoch
+// bump, so a harness that injected such faults fences before it checks.
+func (c *Cluster) LeakCheck() error {
+	var leaks []string
+	pool := func(what string, i int, x any) {
+		if acct, ok := x.(backend.BufferAccounting); ok {
+			if st := acct.BufferStats(); st.Outstanding() != 0 {
+				leaks = append(leaks, fmt.Sprintf("%s %d: %d pooled buffers outstanding (%+v)", what, i, st.Outstanding(), st))
+			}
+		}
+	}
+	for i, d := range c.Drives {
+		pool("drive", i, d)
+	}
+	for i, s := range c.Servers {
+		pool("server", i, s)
+		if n := s.OpenReductions(); n != 0 {
+			leaks = append(leaks, fmt.Sprintf("server %d: %d reductions still open", i, n))
+		}
+	}
+	if len(leaks) > 0 {
+		return fmt.Errorf("cluster: leaked at quiescence: %s", strings.Join(leaks, "; "))
+	}
+	return nil
 }
 
 // TotalHostBytes reports the host NIC traffic (out, in) since the last

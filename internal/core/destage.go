@@ -248,11 +248,17 @@ func (st *stage) destageExtents(stripe int64, snap *destageSnap) ([]raid.Extent,
 // restoreSnap merges a failed destage's snapshot back into the live set:
 // snapshot ranges not overwritten by newer live writes are copied under
 // them. Runs while the stripe lock is still held.
+//
+// The snapshot's buffer itself never becomes live again. The failed destage
+// lent slices of it to its write capsules, and one of those may still be
+// parked in a stalled drive's queue, to read its bytes when it finally lands;
+// later user writes are copied into the live buffer, so the live buffer must
+// be storage no capsule borrows.
 func (st *stage) restoreSnap(stripe int64, s *stagedStripe, snap *destageSnap) {
 	sds := st.h.geo.StripeDataSize()
 	if s.set.Empty() && s.data.Len() == 0 {
-		// No newer writes: the snapshot simply becomes live again.
-		s.set, s.data, s.elided = snap.set, snap.data, snap.elided
+		// No newer writes: a copy of the snapshot becomes the live set.
+		s.set, s.data, s.elided = snap.set, snap.data.Clone(), snap.elided
 		return
 	}
 	// Both the snapshot and the live set hold a full-stripe buffer; merging

@@ -255,6 +255,7 @@ func (hr *hedgeRead) issuePrimary(i, attempt int) {
 		if !hr.settled[i] {
 			hr.asm.put(e.VOff, b)
 		}
+		b.Release()
 	}
 	op.onMediaErr = func(m int, _ nvmeof.Command) {
 		// Media recovery owns this extent now; the hedge must not race it
@@ -397,7 +398,7 @@ func (hr *hedgeRead) prefetchParity() {
 			hr.hedgeDead = true
 		},
 	)
-	op.onPayload = func(_ NodeID, _ nvmeof.Command, b parity.Buffer) { hr.parityBuf = b }
+	op.onPayload = func(_ NodeID, _ nvmeof.Command, b parity.Buffer) { hr.parityBuf = b.Disown() }
 	op.onMediaErr = func(int, nvmeof.Command) {
 		hr.parityOp = nil
 		hr.hedgeDead = true
@@ -550,6 +551,7 @@ func (hr *hedgeRead) resolve(i int) {
 		},
 	)
 	op.onPayload = func(from NodeID, _ nvmeof.Command, b parity.Buffer) {
+		b = b.Disown() // kept for the solve
 		if cv := byNode[from]; cv != nil {
 			cv.buf = b
 			return

@@ -281,7 +281,10 @@ type stripeOp struct {
 	failedFn  func(missing []NodeID)
 	doneFn    func()
 	timer     backend.Timer
-	// read assembly: completions carrying payloads are routed here.
+	// read assembly: completions carrying payloads are routed here. The hook
+	// becomes b's owner: it calls b.Release() once the bytes are copied out (a
+	// drive-read buffer then goes straight back to its drive's free list), or
+	// keeps b.Disown(). A hook that does neither shows up in LeakCheck.
 	onPayload func(from NodeID, cmd nvmeof.Command, b parity.Buffer)
 	// onMediaErr, when set, takes over after a StatusMediaError completion:
 	// the op is cancelled (no doneFn/failedFn) and the hook drives its own
@@ -613,86 +616,98 @@ func (h *HostController) trace(format string, args ...any) {
 	}
 }
 
-// handle processes completions arriving from targets.
+// handle processes completions arriving from targets. The host owns every
+// payload delivered here: one that no op takes is released on the spot.
 func (h *HostController) handle(m Message) {
 	if h.crashed {
+		m.Payload.Release()
 		return
 	}
 	h.cores.Exec(h.cfg.Costs.PerMsg, func() {
-		if h.crashed {
-			return
-		}
-		if m.Cmd.Opcode != nvmeof.OpCompletion {
-			panic(fmt.Sprintf("core: host received %v", m.Cmd.Opcode))
-		}
-		if m.Cmd.Epoch != h.cfg.Epoch {
-			// A completion echoing someone else's epoch: the answer to a
-			// command a predecessor issued. After a seize both sessions share
-			// the ID sequence, so without this check a zombie's completion
-			// could settle (or fail) the replacement's op of the same ID.
-			h.stats.ForeignCompletions++
-			h.trace("drop foreign-epoch completion id=%d epoch=%d (ours %d)",
-				m.Cmd.ID, m.Cmd.Epoch, h.cfg.Epoch)
-			return
-		}
-		sub, ok := h.inflight[m.Cmd.ID]
-		if !ok || sub.op.done {
-			return // late completion after timeout handling
-		}
-		op := sub.op
-		if op.responded == nil {
-			op.responded = make(map[NodeID]bool)
-		}
-		op.responded[m.From] = true
-		op.endRPC(m.From)
-		if m.Cmd.Status == nvmeof.StatusMediaError {
-			// Per-chunk erasure: the member is alive and answering, it just
-			// cannot read some sectors. That is OK-evidence for the health
-			// machinery (not a node fault), and the op either hands off to
-			// its media-recovery hook or fails blaming no member so write
-			// paths fall back and re-drive the stripe.
-			h.stats.MediaErrors++
-			member := h.memberOf(m.From)
-			h.trace("completion id=%d from t%d media-error [%d,+%d)",
-				m.Cmd.ID, int(m.From), m.Cmd.Offset, m.Cmd.Length)
-			h.reportOK(member)
-			if op.onMediaErr != nil {
-				hook := op.onMediaErr
-				h.cancelOp(op, "media-error")
-				hook(member, m.Cmd)
-				return
-			}
-			h.failOp(op, nil)
-			return
-		}
-		if m.Cmd.Status == nvmeof.StatusStaleEpoch {
-			// Positive confirmation of a takeover: the bdev is healthy, WE
-			// are the problem. Stand down (before failing the op, so its
-			// failure path reports the typed error) and never charge the
-			// bdev fault evidence for doing its job.
-			h.stats.StaleEpochRejects++
-			h.trace("completion id=%d from t%d stale-epoch: standing down", m.Cmd.ID, int(m.From))
-			h.reportOK(h.memberOf(m.From))
-			h.standDown(blockdev.ErrStaleEpoch)
-			h.failOp(op, nil)
-			return
-		}
-		if m.Cmd.Status != nvmeof.StatusSuccess {
-			h.trace("completion id=%d from t%d status=%v", m.Cmd.ID, int(m.From), m.Cmd.Status)
-			h.reportFault(h.memberOf(m.From), true)
-			h.failOp(op, []NodeID{m.From})
-			return
-		}
-		h.reportOK(h.memberOf(m.From))
-		if m.Payload.Len() > 0 && op.onPayload != nil {
-			op.onPayload(m.From, m.Cmd, m.Payload)
-		}
-		op.remaining--
-		h.trace("completion id=%d from t%d remaining=%d", m.Cmd.ID, int(m.From), op.remaining)
-		if op.remaining == 0 {
-			h.finishOp(op)
+		if !h.complete(m) {
+			m.Payload.Release()
 		}
 	})
+}
+
+// complete applies one completion to its op, reporting whether the op's
+// onPayload hook took (and so settled the fate of) the payload.
+func (h *HostController) complete(m Message) (tookPayload bool) {
+	if h.crashed {
+		return false
+	}
+	if m.Cmd.Opcode != nvmeof.OpCompletion {
+		panic(fmt.Sprintf("core: host received %v", m.Cmd.Opcode))
+	}
+	if m.Cmd.Epoch != h.cfg.Epoch {
+		// A completion echoing someone else's epoch: the answer to a
+		// command a predecessor issued. After a seize both sessions share
+		// the ID sequence, so without this check a zombie's completion
+		// could settle (or fail) the replacement's op of the same ID.
+		h.stats.ForeignCompletions++
+		h.trace("drop foreign-epoch completion id=%d epoch=%d (ours %d)",
+			m.Cmd.ID, m.Cmd.Epoch, h.cfg.Epoch)
+		return false
+	}
+	sub, ok := h.inflight[m.Cmd.ID]
+	if !ok || sub.op.done {
+		return false // late completion after timeout handling
+	}
+	op := sub.op
+	if op.responded == nil {
+		op.responded = make(map[NodeID]bool)
+	}
+	op.responded[m.From] = true
+	op.endRPC(m.From)
+	if m.Cmd.Status == nvmeof.StatusMediaError {
+		// Per-chunk erasure: the member is alive and answering, it just
+		// cannot read some sectors. That is OK-evidence for the health
+		// machinery (not a node fault), and the op either hands off to
+		// its media-recovery hook or fails blaming no member so write
+		// paths fall back and re-drive the stripe.
+		h.stats.MediaErrors++
+		member := h.memberOf(m.From)
+		h.trace("completion id=%d from t%d media-error [%d,+%d)",
+			m.Cmd.ID, int(m.From), m.Cmd.Offset, m.Cmd.Length)
+		h.reportOK(member)
+		if op.onMediaErr != nil {
+			hook := op.onMediaErr
+			h.cancelOp(op, "media-error")
+			hook(member, m.Cmd)
+			return false
+		}
+		h.failOp(op, nil)
+		return false
+	}
+	if m.Cmd.Status == nvmeof.StatusStaleEpoch {
+		// Positive confirmation of a takeover: the bdev is healthy, WE
+		// are the problem. Stand down (before failing the op, so its
+		// failure path reports the typed error) and never charge the
+		// bdev fault evidence for doing its job.
+		h.stats.StaleEpochRejects++
+		h.trace("completion id=%d from t%d stale-epoch: standing down", m.Cmd.ID, int(m.From))
+		h.reportOK(h.memberOf(m.From))
+		h.standDown(blockdev.ErrStaleEpoch)
+		h.failOp(op, nil)
+		return false
+	}
+	if m.Cmd.Status != nvmeof.StatusSuccess {
+		h.trace("completion id=%d from t%d status=%v", m.Cmd.ID, int(m.From), m.Cmd.Status)
+		h.reportFault(h.memberOf(m.From), true)
+		h.failOp(op, []NodeID{m.From})
+		return false
+	}
+	h.reportOK(h.memberOf(m.From))
+	tookPayload = m.Payload.Len() > 0 && op.onPayload != nil
+	if tookPayload {
+		op.onPayload(m.From, m.Cmd, m.Payload)
+	}
+	op.remaining--
+	h.trace("completion id=%d from t%d remaining=%d", m.Cmd.ID, int(m.From), op.remaining)
+	if op.remaining == 0 {
+		h.finishOp(op)
+	}
+	return tookPayload
 }
 
 func (h *HostController) finishOp(op *stripeOp) {
@@ -1105,7 +1120,10 @@ func (h *HostController) normalReadExtentAttempt(e raid.Extent, asm *assembler, 
 		func() { done() },
 		func(missing []NodeID) { h.readFailurePath(e, missing, asm, fail, done, attempt) },
 	)
-	op.onPayload = func(_ NodeID, _ nvmeof.Command, b parity.Buffer) { asm.put(e.VOff, b) }
+	op.onPayload = func(_ NodeID, _ nvmeof.Command, b parity.Buffer) {
+		asm.put(e.VOff, b)
+		b.Release()
+	}
 	op.onMediaErr = func(member int, _ nvmeof.Command) {
 		h.mediaRecoverExtent(e, member, asm, fail, done)
 	}
@@ -1248,6 +1266,7 @@ func (h *HostController) degradedReadStripe(stripe int64, failedExt raid.Extent,
 	}
 	reconVOff := failedExt.VOff
 	op.onPayload = func(from NodeID, cmd nvmeof.Command, b parity.Buffer) {
+		defer b.Release() // copied out (or not wanted) by the time the hook returns
 		// The completion subtype disambiguates the two §6.1 return paths.
 		if cmd.Subtype == nvmeof.SubNoRead && from == reducer {
 			asm.put(reconVOff, b)

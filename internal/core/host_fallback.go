@@ -126,6 +126,7 @@ func (h *HostController) hostFallbackRead(stripe int64, failedExt raid.Extent, n
 		},
 	)
 	op.onPayload = func(from NodeID, _ nvmeof.Command, b parity.Buffer) {
+		b = b.Disown() // kept for the solve
 		if pc := byMember[from]; pc != nil {
 			pc.buf = b
 		}

@@ -203,6 +203,7 @@ func (g *gatherState) attempt() {
 		},
 	)
 	op.onPayload = func(from NodeID, _ nvmeof.Command, b parity.Buffer) {
+		b = b.Disown() // kept for the solve
 		if m := h.memberOfAt(g.stripe, from); m >= 0 {
 			got[m] = b
 		}
@@ -535,6 +536,7 @@ func (h *HostController) salvageBlocks(stripe int64, member int, sLo, sHi int64,
 			})
 		op.onPayload = func(_ NodeID, _ nvmeof.Command, b parity.Buffer) {
 			dst.CopyAt(int(pLo-uLo), b)
+			b.Release()
 		}
 		op.onMediaErr = func(_ int, _ nvmeof.Command) {
 			h.recordLost(stripe, member, pLo, pHi)

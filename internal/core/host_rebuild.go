@@ -226,7 +226,7 @@ func (h *HostController) ReconstructStripeChunk(stripe int64, member int, cb fun
 			cb(parity.Buffer{}, fmt.Errorf("core: stripe %d reconstruction: %w", stripe, blockdev.ErrTimeout))
 		},
 	)
-	op.onPayload = func(from NodeID, _ nvmeof.Command, b parity.Buffer) { result = b }
+	op.onPayload = func(from NodeID, _ nvmeof.Command, b parity.Buffer) { result = b.Disown() }
 	op.onMediaErr = func(_ int, _ nvmeof.Command) {
 		// A survivor hit unreadable sectors mid-rebuild: switch to the
 		// media-hardened recovery, which solves through remaining redundancy
@@ -281,7 +281,7 @@ func (h *HostController) readChunk(stripe int64, member int, cb func(parity.Buff
 			cb(parity.Buffer{}, fmt.Errorf("core: stripe %d migrate read: %w", stripe, blockdev.ErrTimeout))
 		},
 	)
-	op.onPayload = func(_ NodeID, _ nvmeof.Command, b parity.Buffer) { result = b }
+	op.onPayload = func(_ NodeID, _ nvmeof.Command, b parity.Buffer) { result = b.Disown() }
 	h.send(op, target, nvmeof.Command{
 		Opcode: nvmeof.OpRead,
 		Offset: h.driveOff(stripe), Length: h.geo.ChunkSize,

@@ -135,7 +135,7 @@ func (h *HostController) resyncStripeLocked(stripe int64, cb func(error)) {
 		})
 	rOp.onPayload = func(from NodeID, _ nvmeof.Command, b parity.Buffer) {
 		_, idx := h.geo.Role(stripe, h.memberOfAt(stripe, from))
-		chunks[idx] = b
+		chunks[idx] = b.Disown()
 	}
 	for c := 0; c < k; c++ {
 		m := h.geo.DataDrive(stripe, c)

@@ -30,6 +30,12 @@ func (h *HostController) Write(off int64, data parity.Buffer, cb func(error)) {
 // full-stripe (host-side parity), disaggregated read-modify-write, or
 // disaggregated reconstruct-write (§5). Degraded stripes are handled per the
 // rules documented on stripeWrite.
+//
+// The caller gets its buffer back at the ack, but capsules carrying its bytes
+// may outlive the ack — a write duplicated by the fabric, or one stalled in a
+// slow drive's queue, reads its payload when it finally lands. So the
+// write-through path takes the datapath's one private copy of the caller's
+// bytes here, and every capsule is a slice of that copy.
 func (h *HostController) writeIO(off int64, data parity.Buffer, cb func(error)) {
 	if h.crashed {
 		return
@@ -56,6 +62,7 @@ func (h *HostController) writeIO(off int64, data parity.Buffer, cb func(error)) 
 		h.cores.Exec(h.cfg.Costs.PerUser, func() {})
 		return
 	}
+	data = data.Clone()
 	byStripe := raid.StripeExtents(h.geo.Split(off, n))
 	pending := len(byStripe)
 	var firstErr error
@@ -493,17 +500,17 @@ func (h *HostController) rcwWrite(stripe int64, exts []raid.Extent, data parity.
 		e := *hostContrib
 		parityCmd.FwdOffset = base + e.Off
 		parityCmd.FwdLength = e.Len
-		contribPayload = data.Slice(int(e.VOff), int(e.Len))
+		contribPayload = data.Slice(int(e.VOff), int(e.Len)) // lent read-only, like every command payload
 	}
 	if pDest != NoDest {
-		h.send(op, NodeID(pDest), parityCmd, contribPayload.Clone())
+		h.send(op, NodeID(pDest), parityCmd, contribPayload)
 	}
 	if qDest != NoDest {
 		qCmd := parityCmd
 		if hostContrib != nil {
 			qCmd.DataIdx = uint16(hostContrib.Chunk)
 		}
-		h.send(op, NodeID(qDest), qCmd, contribPayload.Clone())
+		h.send(op, NodeID(qDest), qCmd, contribPayload)
 	}
 }
 
@@ -663,6 +670,7 @@ func (h *HostController) hostFallbackWrite(stripe int64, exts []raid.Extent, dat
 		// Per-stripe reverse lookup: under a declustered layout the global
 		// node→drive map says nothing about which member of THIS stripe the
 		// endpoint served.
+		b = b.Disown() // kept until phase 2
 		m := h.memberOfAt(stripe, from)
 		if m == pDrive {
 			pOld = slot{buf: b, ok: true}

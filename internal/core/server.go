@@ -55,10 +55,11 @@ type ServerController struct {
 	core  backend.Executor
 	cfg   ServerConfig
 
-	// pool recycles reduce accumulators. Safe because the accumulator is
-	// private to this controller until it is either persisted (the drive
-	// snapshots the payload at submission) or handed to the host (in which
-	// case it is not recycled).
+	// pool recycles reduce accumulators. An accumulator is private to this
+	// controller for its whole pooled life: it goes back when the drive write
+	// that persists it calls back (the drive borrows it until then) or when
+	// its reduction is severed, and it is disowned — never recycled — when it
+	// leaves for the host as a reconstructed segment.
 	pool *parity.Pool
 
 	// Reduce-phase state (Algorithm 2), keyed by (volume, command ID). The
@@ -67,6 +68,9 @@ type ServerController struct {
 	// explicitly. The volume qualifier keeps co-tenant hosts — which assign
 	// op IDs independently — from colliding in one bdev's reduce table.
 	reduces map[reduceKey]*reduceState
+	// openReduces mirrors len(reduces) for readers outside the event loop
+	// (the quiescence leak check).
+	openReduces atomic.Int64
 
 	// integ holds the per-block protection information when cfg.Integrity
 	// is set; checksumErrors counts reads it failed (detected bit rot).
@@ -144,9 +148,11 @@ type reduceState struct {
 	// epoch is the host epoch the reduction was opened under; an epoch bump
 	// kills reductions of superseded epochs exactly as a fence does.
 	epoch uint64
-	// dead marks a reduction severed by a fence or an epoch bump: in-flight
-	// closures that still hold the state (a parity preload, a deferred
-	// contribution) must never complete it.
+	// dead marks a reduction that is over — finished, or severed by a fence
+	// or an epoch bump. In-flight closures that still hold the state (a
+	// duplicated anchor's parity preload, a deferred contribution) must
+	// neither complete it again nor fold into its accumulator, which by then
+	// is lent to the drive, on its way to the host, or back in the pool.
 	dead bool
 	// deferred holds contributions buffered by the BarrierReduce ablation.
 	deferred []func()
@@ -177,6 +183,15 @@ func NewServer(id NodeID, rt backend.Runtime, fab backend.Transport, drive backe
 
 // Drive returns the controller's drive (for tests and rebuild tooling).
 func (s *ServerController) Drive() backend.Drive { return s.drive }
+
+// BufferStats implements backend.BufferAccounting for the accumulator pool.
+func (s *ServerController) BufferStats() parity.PoolStats { return s.pool.Stats() }
+
+// OpenReductions reports how many reductions are waiting for contributions or
+// their anchor command — zero on a drained, healthy array; what a partition
+// or a duplicated capsule strands stays until a fence or epoch bump severs
+// it. Safe to call from any goroutine.
+func (s *ServerController) OpenReductions() int { return int(s.openReduces.Load()) }
 
 // ChecksumErrors reports how many reads failed end-to-end verification.
 func (s *ServerController) ChecksumErrors() int64 { return s.checksumErrors }
@@ -209,6 +224,7 @@ func (s *ServerController) readVerified(off, n int64, cb func(parity.Buffer, err
 			if badOff, badLen, ok := s.integ.Verify(off, n, s.drive.Capacity(), s.peek); !ok {
 				s.checksumErrors++
 				s.trace("checksum mismatch at [%d,+%d)", badOff, badLen)
+				b.Release()
 				cb(parity.Buffer{}, &backend.MediaError{Off: badOff, N: badLen})
 				return
 			}
@@ -351,6 +367,7 @@ func (s *ServerController) handle(m Message) {
 			// command still in the fabric when the fence arrived, or a peer
 			// contribution triggered by one. Drop it; its issuer is gone.
 			s.trace("drop fenced %v", m.Cmd.String())
+			m.Payload.Release()
 			return
 		}
 		if !s.admitEpoch(m) {
@@ -384,6 +401,7 @@ func (s *ServerController) admitEpoch(m Message) bool {
 		if m.Cmd.Opcode != nvmeof.OpPeer {
 			s.complete(m.From, vol, m.Cmd.ID, e, nvmeof.StatusStaleEpoch, 0, 0, parity.Buffer{})
 		}
+		m.Payload.Release()
 		return false
 	}
 	if hold, holding := s.epochHold[vol]; holding {
@@ -410,10 +428,9 @@ func (s *ServerController) admitEpoch(m Message) bool {
 func (s *ServerController) bumpEpoch(vol uint32, e uint64) {
 	s.trace("epoch bump vol %d: %d -> %d", vol, s.epochs[vol], e)
 	s.epochs[vol] = e
-	for key, st := range s.reduces {
-		if key.vol == vol && st.epoch < e {
-			st.dead = true
-			delete(s.reduces, key)
+	for _, st := range s.reduces {
+		if st.vol == vol && st.epoch < e {
+			s.sever(st)
 		}
 	}
 	if s.drive.Failed() {
@@ -502,10 +519,9 @@ func (s *ServerController) handleFence(m Message) {
 	if cur, ok := s.fenced[vol]; !ok || bound > cur {
 		s.fenced[vol] = bound
 	}
-	for key, st := range s.reduces {
-		if key.vol == vol && key.id <= bound {
-			st.dead = true
-			delete(s.reduces, key)
+	for _, st := range s.reduces {
+		if st.vol == vol && st.id <= bound {
+			s.sever(st)
 		}
 	}
 	done := func() {
@@ -554,15 +570,19 @@ func (s *ServerController) handleWrite(m Message) {
 }
 
 // sendContribution forwards a partial result to the P reducer and, for
-// RAID-6, the Q reducer named in the command. The contribution covers
-// [fo, fo+fl) absolute; union is quoted so a late-arriving anchor command
-// finds consistent state (§5.2).
+// RAID-6, the Q reducer named in the command, handing contrib off. The
+// contribution covers [fo, fo+fl) absolute; union is quoted so a
+// late-arriving anchor command finds consistent state (§5.2).
 func (s *ServerController) sendContribution(cmd nvmeof.Command, contrib parity.Buffer, fo, fl int64, unionOff, unionLen int64) {
 	peer := nvmeof.Command{
 		ID: cmd.ID, Opcode: nvmeof.OpPeer, NSID: cmd.NSID, Epoch: cmd.Epoch,
 		Offset: unionOff, Length: unionLen,
 		FwdOffset: fo, FwdLength: fl,
 		DataIdx: NoScale,
+	}
+	qContrib := contrib
+	if cmd.NextDest != NoDest && cmd.NextDest2 != NoDest {
+		qContrib = contrib.Clone() // two reducers: each owns its copy, taken before the first is handed off
 	}
 	if cmd.NextDest != NoDest {
 		s.trace("fwd contribution [%d,%d) to t%d", fo, fo+fl, cmd.NextDest)
@@ -572,7 +592,7 @@ func (s *ServerController) sendContribution(cmd nvmeof.Command, contrib parity.B
 		qPeer := peer
 		qPeer.DataIdx = cmd.DataIdx // reducer scales by g^DataIdx
 		s.trace("fwd Q contribution [%d,%d) to t%d", fo, fo+fl, cmd.NextDest2)
-		s.fab.Send(s.id, NodeID(cmd.NextDest2), qPeer, contrib.Clone())
+		s.fab.Send(s.id, NodeID(cmd.NextDest2), qPeer, qContrib)
 	}
 }
 
@@ -610,8 +630,8 @@ func (s *ServerController) handlePartialWrite(m Message) {
 			}
 			forward := func(next func()) {
 				s.core.Exec(s.cfg.Costs.Xor(int(cmd.Length)), func() {
-					// oldB is a private drive-read copy with no other reader;
-					// fold the new data in place instead of cloning.
+					// oldB is this bdev's own drive-read buffer; fold the new
+					// data in place and hand the result on.
 					delta := parity.XORInto(oldB, m.Payload)
 					s.sendContribution(cmd, delta, cmd.FwdOffset, cmd.FwdLength, union.Off, union.Len)
 					if next != nil {
@@ -669,9 +689,10 @@ func (s *ServerController) handlePartialWrite(m Message) {
 				s.complete(m.From, cmd.NSID, cmd.ID, cmd.Epoch, st, off, length, parity.Buffer{})
 				return
 			}
-			contrib := oldB // private drive-read copy; overlay in place
+			contrib := oldB // this bdev's own drive-read buffer; overlay in place
 			contrib.CopyAt(int(cmd.Offset-union.Off), m.Payload)
 			if m.Payload.Elided() {
+				contrib.Release()
 				contrib = parity.Sized(contrib.Len())
 			}
 			write := func() {
@@ -723,6 +744,7 @@ func (s *ServerController) stateFor(cmd nvmeof.Command, absOff, length int64) *r
 	if !ok {
 		st = &reduceState{vol: cmd.NSID, id: cmd.ID, epoch: cmd.Epoch, absOff: absOff, length: length, acc: s.pool.Get(int(length)), replyTo: HostID}
 		s.reduces[key] = st
+		s.openReduces.Add(1)
 	}
 	return st
 }
@@ -731,6 +753,9 @@ func (s *ServerController) stateFor(cmd nvmeof.Command, absOff, length int64) *r
 // scaled by g^dataIdx unless dataIdx is NoScale (Algorithm 2,
 // reduce_new_buffer — generalized to sub-ranges and RAID-6 Q).
 func (s *ServerController) reduceInto(st *reduceState, contrib parity.Buffer, fo, fl int64, dataIdx uint16) {
+	if st.dead {
+		return // over: the accumulator is no longer st's to write to
+	}
 	if fo < st.absOff || fo+fl > st.absOff+st.length {
 		panic(fmt.Sprintf("core: contribution [%d,%d) outside union [%d,%d)", fo, fo+fl, st.absOff, st.absOff+st.length))
 	}
@@ -742,7 +767,11 @@ func (s *ServerController) reduceInto(st *reduceState, contrib parity.Buffer, fo
 		merged = parity.MulAddInto(dst, contrib, parity.QCoeff(int(dataIdx)))
 	}
 	if merged.Elided() && !st.acc.Elided() {
-		// An elided contribution poisons the whole accumulator.
+		// An elided contribution poisons the whole accumulator. Its storage
+		// is written off to the collector rather than recycled: size-only
+		// runs have always paid one allocation per reduction here, and
+		// changing what they cost is a separate, separately measured change.
+		st.acc.Disown()
 		st.acc = parity.Sized(int(st.length))
 	}
 }
@@ -760,6 +789,7 @@ func (s *ServerController) handlePeer(m Message) {
 		}
 		s.core.Exec(cost, func() {
 			s.reduceInto(st, m.Payload, cmd.FwdOffset, cmd.FwdLength, cmd.DataIdx)
+			m.Payload.Release() // folded in: the contribution's last use
 			st.counter--
 			s.finish(st)
 		})
@@ -794,11 +824,12 @@ func (s *ServerController) handleParity(m Message) {
 			if err != nil {
 				cst, off, length := mediaStatus(err, st.absOff, st.length)
 				s.complete(st.replyTo, st.vol, st.id, st.epoch, cst, off, length, parity.Buffer{})
-				delete(s.reduces, reduceKey{vol: st.vol, id: st.id})
+				s.sever(st)
 				return
 			}
 			s.core.Exec(s.cfg.Costs.Xor(int(cmd.Length)), func() {
 				s.reduceInto(st, oldB, cmd.Offset, cmd.Length, NoScale)
+				oldB.Release()
 				hostContrib()
 				st.preloadPending = false
 				st.counter += int(cmd.WaitNum)
@@ -828,19 +859,47 @@ func (s *ServerController) drainDeferred(st *reduceState) {
 	}
 }
 
+// sever kills a reduction that will never complete — cut by a fence or an
+// epoch bump, or failed by its parity preload — and recycles its accumulator.
+// In-flight closures that still hold st see dead and leave it alone; severing
+// a reduction that is already over (a duplicated anchor's second preload
+// failing, a preload failing after a fence cut it or after the first anchor
+// finished it) does nothing, so the accumulator goes back at most once and
+// never while the drive still borrows it.
+func (s *ServerController) sever(st *reduceState) {
+	if s.closeReduce(st) {
+		s.pool.Put(st.acc)
+	}
+}
+
+// closeReduce ends a reduction: out of the table, and dead to any closure
+// still holding it. It reports false, and changes nothing, when st is already
+// over — by then the table slot may belong to a newer reduction of the same
+// key.
+func (s *ServerController) closeReduce(st *reduceState) bool {
+	if st.dead {
+		return false
+	}
+	st.dead = true
+	delete(s.reduces, reduceKey{vol: st.vol, id: st.id})
+	s.openReduces.Add(-1)
+	return true
+}
+
 // finish implements Algorithm 2's finish(): when every expected partial
 // result has been folded in (counter back to zero after the anchor's
 // WaitNum), persist or return the result.
 func (s *ServerController) finish(st *reduceState) {
 	if st.dead || s.fencedOut(st.vol, st.id) || s.superseded(st.vol, st.epoch) {
-		return // reduction severed by a fence or epoch bump: never persist or reply
+		return // already finished, or severed by a fence or epoch bump: never persist or reply
 	}
 	if !st.anchorArrived || st.preloadPending || st.counter != 0 {
 		return
 	}
-	delete(s.reduces, reduceKey{vol: st.vol, id: st.id})
+	s.closeReduce(st)
 	if st.writeBack {
 		s.writeDrive(st.absOff, st.acc, func(err error) {
+			s.pool.Put(st.acc) // the drive borrowed it until now
 			st2 := nvmeof.StatusSuccess
 			if err != nil {
 				st2 = nvmeof.StatusError
@@ -849,13 +908,13 @@ func (s *ServerController) finish(st *reduceState) {
 				s.complete(st.replyTo, st.vol, st.id, st.epoch, st2, st.absOff, st.length, parity.Buffer{})
 			})
 		})
-		// The drive snapshotted the accumulator at submission; recycle it.
-		s.pool.Put(st.acc)
 		return
 	}
-	// Reconstruction: return the rebuilt segment to the host directly.
+	// Reconstruction: return the rebuilt segment to the host directly. It
+	// leaves this controller for good, so it leaves the pool too.
+	rebuilt := st.acc.Disown()
 	s.core.Exec(s.cfg.Costs.PerIO, func() {
-		s.completeSub(st.replyTo, st.vol, st.id, st.epoch, nvmeof.StatusSuccess, nvmeof.SubNoRead, st.absOff, st.length, st.acc)
+		s.completeSub(st.replyTo, st.vol, st.id, st.epoch, nvmeof.StatusSuccess, nvmeof.SubNoRead, st.absOff, st.length, rebuilt)
 	})
 }
 
@@ -887,12 +946,13 @@ func (s *ServerController) handleReconstruction(m Message) {
 			s.complete(m.From, cmd.NSID, cmd.ID, cmd.Epoch, st, off, length, parity.Buffer{})
 			return
 		}
-		// Decoupled return path: normal-read data goes straight home.
+		// Decoupled return path: normal-read data goes straight home, as its
+		// own copy — b stays here for the reduction.
 		if cmd.Subtype == nvmeof.SubAlsoRead {
 			own := cmd.SGL[0]
+			ownB := b.Slice(int(own.Off-cmd.Offset), int(own.Len)).Clone()
 			s.core.Exec(s.cfg.Costs.PerIO, func() {
-				s.completeSub(m.From, cmd.NSID, cmd.ID, cmd.Epoch, nvmeof.StatusSuccess, nvmeof.SubAlsoRead, own.Off, own.Len,
-					b.Slice(int(own.Off-cmd.Offset), int(own.Len)).Clone())
+				s.completeSub(m.From, cmd.NSID, cmd.ID, cmd.Epoch, nvmeof.StatusSuccess, nvmeof.SubAlsoRead, own.Off, own.Len, ownB)
 			})
 		}
 		rPart := b.Slice(int(cmd.FwdOffset-cmd.Offset), int(cmd.FwdLength))
@@ -904,10 +964,18 @@ func (s *ServerController) handleReconstruction(m Message) {
 			}
 			s.core.Exec(cost, func() {
 				s.reduceInto(st, rPart, cmd.FwdOffset, cmd.FwdLength, cmd.DataIdx)
+				b.Release()
 				st.counter--
 				s.finish(st)
 			})
 			return
+		}
+		// The contribution is the drive-read buffer itself when the read
+		// covered exactly R; otherwise a copy of R's part of it.
+		contrib := b
+		if rPart.Len() != b.Len() {
+			contrib = rPart.Clone()
+			b.Release()
 		}
 		peer := nvmeof.Command{
 			ID: cmd.ID, Opcode: nvmeof.OpPeer, NSID: cmd.NSID, Epoch: cmd.Epoch,
@@ -916,6 +984,6 @@ func (s *ServerController) handleReconstruction(m Message) {
 			DataIdx: cmd.DataIdx,
 		}
 		s.trace("recon contribution [%d,%d) to t%d", cmd.FwdOffset, cmd.FwdOffset+cmd.FwdLength, cmd.NextDest)
-		s.fab.Send(s.id, NodeID(cmd.NextDest), peer, rPart.Clone())
+		s.fab.Send(s.id, NodeID(cmd.NextDest), peer, contrib)
 	})
 }

@@ -129,12 +129,16 @@ func (st *stage) write(off int64, data parity.Buffer, cb func(error)) {
 			cb(firstErr)
 		}
 	}
+	var private parity.Buffer // write-through groups share one copy of the caller's bytes (writeIO)
 	for _, stripe := range raid.StripeOrder(byStripe) {
 		stripe, group := stripe, byStripe[stripe]
 		if st.h.geo.DecideWriteMode(group) == raid.ModeFull || st.limit < st.h.geo.StripeDataSize() {
 			// Nothing to coalesce (or the stage cannot hold even one
 			// stripe): write through the normal path.
-			st.h.writeStripeGroup(off, stripe, group, data, part)
+			if private.Len() == 0 {
+				private = data.Clone()
+			}
+			st.h.writeStripeGroup(off, stripe, group, private, part)
 			continue
 		}
 		st.stageGroup(stripe, group, data, part)

@@ -210,7 +210,12 @@ func (c *Command) EncodedSize() int {
 
 // Encode serializes the capsule.
 func (c *Command) Encode() []byte {
-	out := make([]byte, 0, c.EncodedSize())
+	return c.AppendEncode(make([]byte, 0, c.EncodedSize()))
+}
+
+// AppendEncode appends the serialized capsule to out and returns the
+// extended slice, for senders that frame capsules into a reused buffer.
+func (c *Command) AppendEncode(out []byte) []byte {
 	le := binary.LittleEndian
 	out = le.AppendUint64(out, c.ID)
 	out = append(out, byte(c.Opcode))
@@ -227,9 +232,11 @@ func (c *Command) Encode() []byte {
 	out = append(out, byte(c.Status))
 	out = le.AppendUint16(out, uint16(len(c.SGL)))
 	out = le.AppendUint16(out, uint16(len(c.SGL2)))
-	for _, s := range append(append([]SGE(nil), c.SGL...), c.SGL2...) {
-		out = le.AppendUint64(out, uint64(s.Off))
-		out = le.AppendUint64(out, uint64(s.Len))
+	for _, sgl := range [2][]SGE{c.SGL, c.SGL2} {
+		for _, s := range sgl {
+			out = le.AppendUint64(out, uint64(s.Off))
+			out = le.AppendUint64(out, uint64(s.Len))
+		}
 	}
 	if c.Epoch != 0 {
 		out = le.AppendUint64(out, c.Epoch)

@@ -7,6 +7,11 @@
 // with real arithmetic; long bandwidth benchmarks may run elided to keep
 // memory flat. Any operation mixing an elided operand yields an elided
 // result of the correct size — timing and accounting are unaffected.
+//
+// Ownership: a materialized Buffer has exactly one owner at a time. Handing
+// it to a transport Send, or receiving it from a drive Read, moves ownership;
+// nobody but the owner may write to it, and the last owner calls Release once
+// the bytes have been copied out (DESIGN.md, "Payload ownership").
 package parity
 
 import (
@@ -20,6 +25,10 @@ import (
 type Buffer struct {
 	size int
 	data []byte // nil ⇒ elided
+	// home is the Pool the storage was drawn from; nil for plain allocations.
+	// Only the whole buffer carries it: Slice and Clone results never do, so
+	// a view or a copy can never recycle storage it does not own.
+	home *Pool
 }
 
 // FromBytes wraps b (no copy) as a Buffer.
@@ -40,7 +49,28 @@ func (b Buffer) Elided() bool { return b.data == nil }
 // Data returns the underlying bytes, or nil if elided.
 func (b Buffer) Data() []byte { return b.data }
 
-// Clone returns an independent copy (elided stays elided).
+// Release ends the owner's use of b: pooled storage goes back to its Pool for
+// reuse, anything else (plain allocations, slices, clones, elided buffers) is
+// left to the garbage collector. The caller must not touch b afterwards.
+func (b Buffer) Release() {
+	if b.home != nil {
+		b.home.Put(b)
+	}
+}
+
+// Disown takes b out of its Pool's custody for good and returns the same
+// bytes as a plain buffer: for an owner that keeps the storage indefinitely
+// or hands it to code that will never Release it (a user callback). The
+// garbage collector reclaims it; the Pool counts it as handed off, not lost.
+func (b Buffer) Disown() Buffer {
+	if b.home != nil {
+		b.home.disown()
+		b.home = nil
+	}
+	return b
+}
+
+// Clone returns an independent, unpooled copy (elided stays elided).
 func (b Buffer) Clone() Buffer {
 	if b.data == nil {
 		return Buffer{size: b.size}
@@ -89,24 +119,28 @@ func (b Buffer) Equal(other Buffer) bool {
 
 // XORInto computes dst ^= src, in place on dst's storage. Sizes must match.
 // If either side is elided, dst becomes elided. It returns the (possibly
-// re-headered) destination.
+// re-headered) destination; dst itself is consumed — its storage is the
+// result's, or is released when the result is elided.
 func XORInto(dst, src Buffer) Buffer {
 	if dst.size != src.size {
 		panic(fmt.Sprintf("parity: xor of %d and %d byte buffers", dst.size, src.size))
 	}
 	if dst.data == nil || src.data == nil {
+		dst.Release()
 		return Buffer{size: dst.size}
 	}
 	gf256.XORSlice(dst.data, src.data)
 	return dst
 }
 
-// MulAddInto computes dst ^= c·src over GF(2^8), in place. Sizes must match.
+// MulAddInto computes dst ^= c·src over GF(2^8), in place. Sizes must match;
+// dst is consumed as by XORInto.
 func MulAddInto(dst, src Buffer, c byte) Buffer {
 	if dst.size != src.size {
 		panic(fmt.Sprintf("parity: muladd of %d and %d byte buffers", dst.size, src.size))
 	}
 	if dst.data == nil || src.data == nil {
+		dst.Release()
 		return Buffer{size: dst.size}
 	}
 	gf256.MulAddSlice(dst.data, src.data, c)

@@ -19,8 +19,8 @@ func TestPoolGetReturnsZeroedReuse(t *testing.T) {
 			t.Fatalf("recycled buffer not zeroed at %d: %#x", i, v)
 		}
 	}
-	if p.Gets != 2 || p.Hits != 1 {
-		t.Fatalf("stats = %d gets / %d hits, want 2/1", p.Gets, p.Hits)
+	if st := p.Stats(); st.Gets != 2 || st.Hits != 1 || st.Puts != 1 || st.Outstanding() != 1 {
+		t.Fatalf("stats = %+v, want 2 gets / 1 hit / 1 put / 1 outstanding", st)
 	}
 }
 
@@ -31,7 +31,7 @@ func TestPoolSizesAreSegregated(t *testing.T) {
 	if b := p.Get(16); len(b.Data()) != 16 {
 		t.Fatalf("got %d-byte buffer, want 16", len(b.Data()))
 	}
-	if p.Hits != 0 {
+	if p.Stats().Hits != 0 {
 		t.Fatal("a different size must not hit the free list")
 	}
 	if c := p.Get(8); &c.Data()[0] != &a.Data()[0] {
@@ -39,25 +39,55 @@ func TestPoolSizesAreSegregated(t *testing.T) {
 	}
 }
 
-func TestPoolClone(t *testing.T) {
+// TestPoolOwnership pins the rules the realtime datapath leans on: Release
+// returns exactly the pool's own whole buffers; views, copies and foreign
+// buffers can never recycle storage; Disown balances the books without reuse.
+func TestPoolOwnership(t *testing.T) {
 	p := NewPool()
-	src := FromBytes([]byte{1, 2, 3, 4})
-	c := p.Clone(src)
-	if !c.Equal(src) {
-		t.Fatal("pooled clone differs from source")
+	a := p.Get(8)
+	a.Slice(0, 8).Release()
+	a.Clone().Release()
+	p.Put(FromBytes(make([]byte, 8)))
+	NewPool().Put(a)
+	if st := p.Stats(); st.Puts != 0 || st.Outstanding() != 1 {
+		t.Fatalf("slice/clone/foreign releases must be no-ops, got %+v", st)
 	}
-	c.Data()[0] = 9
-	if src.Data()[0] != 1 {
-		t.Fatal("pooled clone aliases its source")
-	}
-	p.Put(c)
-	d := p.Clone(src)
-	if &d.Data()[0] != &c.Data()[0] || !d.Equal(src) {
-		t.Fatal("Clone should reuse recycled storage and copy the bytes")
+	if b := p.Get(8); &b.Data()[0] == &a.Data()[0] {
+		t.Fatal("storage recycled without its owner releasing it")
 	}
 
-	if !p.Clone(Sized(5)).Elided() {
-		t.Fatal("clone of elided should stay elided")
+	kept := a.Disown()
+	kept.Release() // disowned: no longer the pool's to recycle
+	if st := p.Stats(); st.Disowned != 1 || st.Puts != 0 || st.Outstanding() != 1 {
+		t.Fatalf("after Disown: %+v", st)
+	}
+	if &kept.Data()[0] != &a.Data()[0] {
+		t.Fatal("Disown must keep the bytes")
+	}
+
+	d := p.Get(4)
+	d.Data()[0] = 7
+	d.Release()
+	if d2 := p.Get(4); &d2.Data()[0] != &d.Data()[0] || d2.Data()[0] != 0 {
+		t.Fatal("Get should hand back the released storage, zeroed")
+	}
+}
+
+// TestPoolLimit: past the cap a released buffer is dropped, not parked.
+func TestPoolLimit(t *testing.T) {
+	p := NewPool()
+	var bufs []Buffer
+	for i := 0; i < 3; i++ {
+		bufs = append(bufs, p.Get(poolLimit/2))
+	}
+	for _, b := range bufs {
+		b.Release()
+	}
+	for i := 0; i < 3; i++ {
+		p.Get(poolLimit / 2)
+	}
+	if st := p.Stats(); st.Puts != 3 || st.Hits != 2 {
+		t.Fatalf("stats = %+v, want 3 puts and only 2 hits under the cap", st)
 	}
 }
 
@@ -68,8 +98,8 @@ func TestPoolNilSafe(t *testing.T) {
 		t.Fatal("nil pool Get should allocate")
 	}
 	p.Put(b) // must not panic
-	if !p.Clone(b).Equal(b) {
-		t.Fatal("nil pool Clone should copy")
+	if p.Stats() != (PoolStats{}) {
+		t.Fatal("nil pool should report empty stats")
 	}
 }
 
@@ -79,7 +109,7 @@ func TestPoolIgnoresElidedPut(t *testing.T) {
 	if b := p.Get(8); b.Elided() {
 		t.Fatal("elided Put must not poison the free list")
 	}
-	if p.Hits != 0 {
+	if p.Stats().Hits != 0 {
 		t.Fatal("elided Put must not be reusable")
 	}
 }

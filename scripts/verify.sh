@@ -16,6 +16,10 @@ go build ./...
 go test ./...
 go vet ./...
 go test -race ./...
+# The datapath benchmark is its own module (benchmark/go.mod), invisible to
+# ./... above; it wraps backend.Transport/Drive and calls the realtime and
+# core constructors, so build, vet and test it against this tree here.
+(cd benchmark && go vet ./... && go test ./...)
 # Scrubber smoke under -race: background passes + repair-on-read are the
 # most callback-ordering-sensitive paths added by the integrity layer.
 go test -race -run '^TestScrub' . -count=1

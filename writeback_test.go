@@ -2,12 +2,14 @@ package draid_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
 	"time"
 
 	"draid"
+	"draid/internal/raid"
 )
 
 // wbArray builds a small write-back array: 5-wide RAID-5, 16 KB chunks
@@ -134,6 +136,76 @@ func TestWritebackFailoverAdoptsStage(t *testing.T) {
 	}
 	if !bytes.Equal(got, data) {
 		t.Fatal("adopted write lost after destage")
+	}
+}
+
+// TestWritebackFailedDestageKeepsLentBufferStill: a destage lends slices of
+// its snapshot to its write capsules. When the destage fails while one of
+// them is still parked in a stalled drive's queue (the realtime drives read a
+// write's bytes when it completes), the snapshot's storage must not become
+// the live stage buffer again — the next user write to the stripe would be
+// copied into bytes the straggler has yet to persist, and the drive would end
+// up holding data newer than anything the host computed parity from.
+func TestWritebackFailedDestageKeepsLentBufferStill(t *testing.T) {
+	arr, err := draid.New(draid.Config{
+		Backend: draid.BackendRealtime,
+		Drives:  5, ChunkSize: 16 << 10, DriveCapacity: 1 << 20, Seed: 17,
+		WriteBack: true, StageMB: 1, DestageIntervalMs: 10_000,
+		OpDeadline: 30 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer arr.Close()
+	geo := raid.Geometry{Level: raid.Raid5, Width: 5, ChunkSize: 16 << 10}
+	if err := arr.WriteSync(0, randBytes(31, 64<<10)); err != nil { // full stripe: written through
+		t.Fatal(err)
+	}
+	arr.Run()
+
+	// The member holding chunk 0 stalls for longer than the test needs: a
+	// destage that writes to it times out, retries, and fails.
+	const stall = 600 * time.Millisecond
+	d0 := geo.DataDrive(0, 0)
+	if err := arr.Inject().SlowDrive(d0, draid.SlowProfile{Kind: draid.SlowStall, Stall: stall, Period: time.Hour}); err != nil {
+		t.Fatal(err)
+	}
+	stalledAt := time.Now()
+	// Writes below return at the ack (a cancellable context), not at
+	// quiescence as WriteSync would — quiescence is after the stall.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+
+	// Version A of chunks 0 and 1 is staged (half a stripe: nothing destages
+	// on its own), then flushed; the flush reports the destage's failure.
+	a := randBytes(32, 32<<10)
+	if err := arr.WriteContext(ctx, 0, a); err != nil {
+		t.Fatal(err)
+	}
+	flushed := make(chan error, 1)
+	arr.Cluster().Rt.Call(func() {
+		arr.Controller().FlushStage(func(err error) { flushed <- err })
+	})
+	if err := <-flushed; err == nil {
+		t.Fatal("destage onto a stalled member succeeded")
+	}
+	if time.Since(stalledAt) >= stall {
+		t.Skip("the destage outlived the stall: nothing was left in flight to race")
+	}
+
+	// Version B of chunk 0 is staged while A's capsule is still parked in the
+	// stalled drive's queue, waiting to read its payload. B stays staged.
+	if err := arr.WriteContext(ctx, 0, randBytes(33, 16<<10)); err != nil {
+		t.Fatal(err)
+	}
+	arr.Run() // the stall ends, the straggler lands
+	if n := arr.Stats().DestageFullStripe + arr.Stats().DestageRCW; n != 1 {
+		t.Fatalf("%d destages ran, want only the failed one", n)
+	}
+
+	peek := arr.Cluster().Drives[d0].(interface{ PeekSync(off, n int64) []byte })
+	if got := peek.PeekSync(geo.DriveOffset(0), 16<<10); !bytes.Equal(got, a[:16<<10]) {
+		t.Fatal("the failed destage's straggler persisted bytes written after it was issued")
 	}
 }
 
