@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race benchcheck verify bench trace torture chaos
+.PHONY: all build test vet race benchcheck verify bench trace torture chaos loc
 
 all: build
 
@@ -25,6 +25,11 @@ benchcheck:
 
 # Full pre-merge gate; same sequence as scripts/verify.sh.
 verify: build test vet race benchcheck
+
+# Non-test vs test Go lines per package (benchmark/ and examples/ excluded):
+# the number a lattice-collapse PR reports before and after.
+loc:
+	sh scripts/loc.sh
 
 # The datapath benchmark: all six workloads, untraced (benchmark/README.md;
 # pass flags with ARGS, e.g. `make bench ARGS="--workload rt-read-128k"`).

@@ -94,7 +94,7 @@ func main() {
 
 	st := arr.RebuildStatus()
 	fmt.Printf("\nrebuild: active=%v rebuilt %d/%d stripes onto node %v\n",
-		st.Active, st.DoneStripes, st.TotalStripes, st.Dest)
+		st.Active, st.Done, st.Total, st.Dest)
 	fmt.Printf("health:  %v  (failed drives: %v, spares left: %d)\n",
 		arr.MemberHealth(), arr.FailedDrives(), arr.SparesAvailable())
 

@@ -139,6 +139,12 @@ func TestDeclusteredRemoveDriveDrains(t *testing.T) {
 	if err := arr.WriteSync(0, data); err != nil {
 		t.Fatal(err)
 	}
+	// A drive that does not exist is refused, and retires nothing.
+	for _, i := range []int{-1, arr.DriveCount()} {
+		if err := arr.RemoveDrive(i); !errors.Is(err, draid.ErrOutOfRange) {
+			t.Fatalf("RemoveDrive(%d) = %v, want ErrOutOfRange", i, err)
+		}
+	}
 	if err := arr.RemoveDrive(2); err != nil {
 		t.Fatal(err)
 	}
@@ -146,8 +152,8 @@ func TestDeclusteredRemoveDriveDrains(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := arr.CurrentRebalance()
-	if !st.Drain || st.Done != st.Total {
-		t.Fatalf("drain did %d/%d moves (drain=%v)", st.Done, st.Total, st.Drain)
+	if st.Label != "drain d2" || st.Done != st.Total {
+		t.Fatalf("drain did %d/%d moves (walk %q)", st.Done, st.Total, st.Label)
 	}
 	got, err := arr.ReadSync(0, int64(len(data)))
 	if err != nil || !bytes.Equal(got, data) {
@@ -176,7 +182,7 @@ func TestDeclusteredSupervisedRebuild(t *testing.T) {
 	before := arr.SparesAvailable()
 	arr.CrashDrive(4)
 	arr.RunFor(50 * time.Millisecond) // heartbeats notice; rebuild relocates chunks
-	if st := arr.RebuildStatus(); st.Active || st.DoneStripes != st.TotalStripes || st.TotalStripes == 0 {
+	if st := arr.RebuildStatus(); st.Active || st.Done != st.Total || st.Total == 0 {
 		t.Fatalf("declustered rebuild incomplete: %+v", st)
 	}
 	if got := arr.SparesAvailable(); got != before {

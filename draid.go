@@ -399,7 +399,7 @@ const (
 )
 
 // RebuildStatus re-exports the rebuild manager's progress snapshot.
-type RebuildStatus = repair.RebuildStatus
+type RebuildStatus = repair.Status
 
 // ScrubStatus re-exports the background scrubber's progress snapshot.
 type ScrubStatus = repair.ScrubStatus
@@ -565,7 +565,7 @@ type Array struct {
 	// adhocScrub serves ScrubNow on arrays without a supervisor.
 	adhocScrub *repair.Scrubber
 	// scrubRate paces ad-hoc scrub passes; seed feeds per-drive fault
-	// injection (SetLatentErrorRate).
+	// injection (Inject().LatentErrorRate).
 	scrubRate float64
 	seed      int64
 	// vol is non-nil for arrays opened through a Pool: traffic accounting is
@@ -574,10 +574,6 @@ type Array struct {
 	// realtime marks arrays on BackendRealtime: host state is then confined
 	// to the host event loop and accessed via call().
 	realtime bool
-	// rebalDone/rebalErr record the outcome of the last AddDrive/RemoveDrive
-	// background migration, read by WaitRebalance.
-	rebalDone bool
-	rebalErr  error
 }
 
 // withDefaults returns cfg with zero fields filled in.
@@ -730,7 +726,7 @@ func New(cfg Config) (*Array, error) {
 	host := cl.NewDRAID(hostCfg)
 	arr := &Array{cl: cl, host: host, dev: host, clientNode: cl.HostNode, hostCfg: hostCfg,
 		scrubRate: cfg.ScrubRateMBps, seed: cfg.Seed}
-	arr.attachSupervisor(cfg)
+	arr.attachSupervisor(cfg, nil)
 	if cfg.OffloadController {
 		clientNode := cl.Net.NewNode("client")
 		gbps := cfg.HostNICGbps
@@ -779,7 +775,7 @@ func newRealtime(cfg Config) (*Array, error) {
 	host := cl.NewDRAID(hostCfg)
 	arr := &Array{cl: cl, host: host, dev: loopDev{rt: cl.Rt, dev: host},
 		hostCfg: hostCfg, scrubRate: cfg.ScrubRateMBps, seed: cfg.Seed, realtime: true}
-	arr.attachSupervisor(cfg)
+	arr.attachSupervisor(cfg, nil)
 	return arr, nil
 }
 
@@ -835,8 +831,9 @@ func (cfg Config) applyWriteBack(hc *core.Config) {
 }
 
 // attachSupervisor builds the fault-supervision stack when the config asks
-// for one. Shared by both backends.
-func (a *Array) attachSupervisor(cfg Config) {
+// for one. Shared by both backends and by Pool volumes, whose rebuilds draw
+// on the pool's shared budget instead of a private one.
+func (a *Array) attachSupervisor(cfg Config, shared *repair.RateLimiter) {
 	if cfg.Spares == 0 && !cfg.Health.Detect && cfg.ScrubInterval == 0 {
 		return
 	}
@@ -855,7 +852,7 @@ func (a *Array) attachSupervisor(cfg Config) {
 	}
 	a.sup = repair.NewSupervisor(a.cl.Rt, a.host, repair.Config{
 		Detector: det,
-		Rebuild:  repair.RebuilderConfig{RateMBps: cfg.RebuildRateMBps},
+		Rebuild:  repair.RebuilderConfig{RateMBps: cfg.RebuildRateMBps, Limiter: shared},
 		Scrub: repair.ScrubberConfig{
 			Interval: sim.Duration(cfg.ScrubInterval),
 			RateMBps: cfg.ScrubRateMBps,
@@ -1109,127 +1106,62 @@ func (a *Array) FailedDrives() []int {
 	return out
 }
 
-// RebuildDrive reconstructs every stripe chunk of failed member i via the
-// disaggregated reconstruction path and writes the images to the (replaced)
-// drive, then returns the member to service. stripes bounds the work for
-// experiments; pass 0 to rebuild the full device.
+// RebuildDrive restores the redundancy lost with failed drive i through the
+// disaggregated reconstruction path, one chunk at a time under its stripe's
+// write lock — so a foreground write or destage can never strand stale data
+// behind a rebuilt chunk. How depends on the layout, and the controller
+// decides: a fixed array rebuilds in place onto the (replaced) drive and
+// returns the member to service; a declustered array relocates the drive's
+// chunks into the rows' distributed spare slots and retires the drive, which
+// stays failed. stripes bounds the work for experiments; pass 0 to rebuild
+// everything. Rebuilding a drive that is healthy, out of range or already
+// rebuilding is an error and touches nothing. The rebuild runs unthrottled on
+// a rebuilder of its own, next to whatever a supervisor is rebuilding.
 func (a *Array) RebuildDrive(i int, stripes int64) error {
-	var decl bool
-	a.call(func() { decl = a.host.Declustered() })
-	if decl {
-		return a.rebuildDeclustered(i, stripes)
-	}
-	if stripes <= 0 {
-		// Derive the stripe count from the device size, so a volume sharing
-		// its drives rebuilds only its own extent.
-		stripes = a.host.Size() / a.host.Geometry().StripeDataSize()
-	}
-	// The replacement drive accepts writes while reads still avoid it.
-	a.cl.RecoverTarget(i)
-	// Rebuild in place through the frontier machinery: each stripe is
-	// reconstructed and written under its stripe write lock, and foreground
-	// I/O (including write-back destages) below the advancing frontier treats
-	// the member as healthy again. Without the lock and frontier, a destage
-	// racing the rebuild could encode staged data into parity of an
-	// already-rebuilt stripe and strand it behind the stale replacement image.
-	var dupErr error
+	err := fmt.Errorf("draid: rebuild of drive %d stalled", i)
 	a.call(func() {
-		if _, _, ok := a.host.Rebuilding(i); ok {
-			dupErr = fmt.Errorf("draid: member %d already rebuilding", i)
-			return
+		reb := repair.NewRebuilder(a.cl.Rt, a.currentHost, repair.RebuilderConfig{}, nil, "rebuild")
+		perr := reb.Run(func(h *core.HostController) (core.Repair, error) {
+			return h.PlanRebuild(i, stripes, func() (core.NodeID, bool) {
+				// In place: the replacement drive sits behind the member's own
+				// endpoint and accepts writes while reads still avoid it.
+				a.cl.RecoverTarget(i)
+				return h.MemberNode(i), true
+			})
+		}, func(e error) { err = e })
+		if perr != nil {
+			err = fmt.Errorf("draid: %w", perr)
 		}
-		a.host.StartRebuild(i, a.host.MemberNode(i))
 	})
-	if dupErr != nil {
-		return dupErr
-	}
-	var rebuildErr error
-	for s := int64(0); s < stripes; s++ {
-		s := s
-		done := false
-		a.call(func() {
-			a.host.RebuildStripe(s, i, func(err error) {
-				if err != nil {
-					rebuildErr = fmt.Errorf("draid: rebuilding stripe %d: %w", s, err)
-				}
-				done = true
-			})
-		})
-		a.cl.Rt.Run()
-		if !done || rebuildErr != nil {
-			if rebuildErr == nil {
-				rebuildErr = fmt.Errorf("draid: rebuild of stripe %d stalled", s)
-			}
-			a.call(func() { a.host.AbortRebuild(i) })
-			return rebuildErr
-		}
-	}
-	a.call(func() { a.host.FinishRebuild(i) })
-	return nil
-}
-
-// rebuildDeclustered is the many-to-many rebuild behind RebuildDrive on a
-// declustered array: each chunk the layout places on drive i is
-// reconstructed into an idle spare slot of its own row, spreading reads
-// and writes over the whole cluster. The drive is not returned to service —
-// its chunks now live elsewhere — and is retired in the layout once empty.
-func (a *Array) rebuildDeclustered(drive int, stripes int64) error {
-	var slots []placement.Slot
-	a.call(func() { slots = a.host.PlacementSlots(drive) })
-	partial := false
-	if stripes > 0 && int64(len(slots)) > stripes {
-		slots, partial = slots[:stripes], true
-	}
-	var rebuildErr error
-	for _, sl := range slots {
-		sl := sl
-		done := false
-		a.call(func() {
-			a.host.RebuildSlot(sl.Stripe, drive, func(err error) {
-				if err != nil {
-					rebuildErr = fmt.Errorf("draid: rebuilding stripe %d: %w", sl.Stripe, err)
-				}
-				done = true
-			})
-		})
-		a.cl.Rt.Run()
-		if !done || rebuildErr != nil {
-			if rebuildErr == nil {
-				rebuildErr = fmt.Errorf("draid: rebuild of stripe %d stalled", sl.Stripe)
-			}
-			return rebuildErr
-		}
-	}
-	if !partial {
-		a.call(func() { a.host.RetireDrive(drive) })
-	}
-	return nil
+	a.cl.Rt.Run()
+	return err
 }
 
 // RebalanceStatus re-exports the rebalancer's progress snapshot.
-type RebalanceStatus = repair.RebalanceStatus
+type RebalanceStatus = repair.Status
 
 // AddDrive grows a declustered array by one drive: it claims an idle hot
 // spare endpoint (provisioned by Config.Spares), adds it to the layout,
 // and starts a background rebalance migrating a fair share of existing
-// chunks onto it, paced by Config.RebuildRateMBps alongside any rebuild.
+// chunks onto it, paced by Config.RebuildRateMBps — its own budget: on a
+// standalone array a rebuild running alongside draws from a separate bucket
+// at the same rate (only a Pool shares one budget across its walks).
 // The new drive index returns immediately; WaitRebalance (or Run plus
 // RebalanceStatus) observes convergence. Foreground I/O keeps serving
 // throughout — every migration runs under its stripe's write lock.
-func (a *Array) AddDrive() (int, error) {
+func (a *Array) AddDrive() (idx int, err error) {
 	if a.sup == nil {
 		return 0, fmt.Errorf("draid: AddDrive needs a supervisor (configure Spares): %w", ErrUnsupported)
 	}
-	var idx int
-	var err error
 	a.call(func() {
 		node, ok := a.cl.Spares.Claim()
 		if !ok {
 			err = fmt.Errorf("draid: no spare endpoint left to add")
 			return
 		}
-		a.rebalDone, a.rebalErr = false, nil
-		idx, err = a.sup.AddDrive(node, func(e error) { a.rebalErr, a.rebalDone = e, true })
+		if idx, err = a.sup.AddDrive(node); err != nil {
+			a.cl.Spares.Release(node) // never written: an aborted claim
+		}
 	})
 	return idx, err
 }
@@ -1237,19 +1169,11 @@ func (a *Array) AddDrive() (int, error) {
 // RemoveDrive drains every chunk off drive i onto the remaining drives'
 // spare slots and retires it from the layout — online shrink. Like
 // AddDrive it returns immediately; WaitRebalance observes the drain.
-func (a *Array) RemoveDrive(i int) error {
+func (a *Array) RemoveDrive(i int) (err error) {
 	if a.sup == nil {
 		return fmt.Errorf("draid: RemoveDrive needs a supervisor (configure Spares): %w", ErrUnsupported)
 	}
-	var err error
-	a.call(func() {
-		if i < 0 || i >= a.host.Drives() {
-			err = fmt.Errorf("draid: drive %d out of range", i)
-			return
-		}
-		a.rebalDone, a.rebalErr = false, nil
-		a.sup.RemoveDrive(i, func(e error) { a.rebalErr, a.rebalDone = e, true })
-	})
+	a.call(func() { err = a.sup.RemoveDrive(i) })
 	return err
 }
 
@@ -1257,13 +1181,11 @@ func (a *Array) RemoveDrive(i int) error {
 // last AddDrive/RemoveDrive converges, and returns its outcome.
 func (a *Array) WaitRebalance() error {
 	a.cl.Rt.Run()
-	var done bool
-	var err error
-	a.call(func() { done, err = a.rebalDone, a.rebalErr })
-	if !done {
+	st := a.CurrentRebalance()
+	if st.Active {
 		return fmt.Errorf("draid: rebalance stalled")
 	}
-	return err
+	return st.Err
 }
 
 // DriveCount returns the number of physical drives the layout addresses:
@@ -1278,11 +1200,14 @@ func (a *Array) DriveCount() int {
 // CurrentRebalance reports the in-flight (or last) rebalance/drain
 // progress; the zero value means none ever ran.
 func (a *Array) CurrentRebalance() RebalanceStatus {
-	if a.sup == nil {
-		return RebalanceStatus{}
+	return a.repairStatus((*repair.Supervisor).Rebalancer)
+}
+
+// repairStatus snapshots one of the supervisor's repair managers.
+func (a *Array) repairStatus(of func(*repair.Supervisor) *repair.Rebuilder) (st repair.Status) {
+	if a.sup != nil {
+		a.call(func() { st = of(a.sup).Status() })
 	}
-	var st RebalanceStatus
-	a.call(func() { st = a.sup.Rebalancer().Status() })
 	return st
 }
 
@@ -1311,16 +1236,9 @@ func (a *Array) MemberHealth() []MemberState {
 	return out
 }
 
-// RebuildStatus reports hot-spare rebuild progress (zero value when no
-// supervisor is configured or no rebuild is running).
-func (a *Array) RebuildStatus() RebuildStatus {
-	if a.sup == nil {
-		return RebuildStatus{}
-	}
-	var st RebuildStatus
-	a.call(func() { st = a.sup.Rebuilder().Status() })
-	return st
-}
+// RebuildStatus reports the supervisor's rebuild progress (zero value when
+// no supervisor is configured or it never rebuilt).
+func (a *Array) RebuildStatus() RebuildStatus { return a.repairStatus((*repair.Supervisor).Rebuilder) }
 
 // ScrubStatus reports background-scrubber progress: passes completed,
 // current position, and cumulative repair counts (zero value when no
@@ -1351,7 +1269,7 @@ func (a *Array) ScrubNow() (ScrubStatus, error) {
 		if a.sup != nil {
 			scr = a.sup.Scrubber()
 		} else if scr == nil {
-			scr = repair.NewScrubber(a.cl.Rt, a.host, repair.ScrubberConfig{RateMBps: a.scrubRate}, a.cl.Tracer)
+			scr = repair.NewScrubber(a.cl.Rt, a.currentHost, repair.ScrubberConfig{RateMBps: a.scrubRate}, a.cl.Tracer)
 			a.adhocScrub = scr
 		}
 		scr.RunPass(func(s repair.ScrubStatus, e error) { st, err, done = s, e, true })
@@ -1640,23 +1558,6 @@ func (a *Array) injectOnRange(off, n int64, fn func(backend.MediaInjector, int64
 	return err
 }
 
-// InjectMediaError plants a latent sector error under [off, off+n).
-//
-// Deprecated: use Inject().MediaError, which reports backend support instead
-// of silently assuming it.
-func (a *Array) InjectMediaError(off, n int64) { _ = a.Inject().MediaError(off, n) }
-
-// InjectBitRot silently corrupts the stored bytes under [off, off+n).
-//
-// Deprecated: use Inject().BitRot, which reports backend support instead of
-// panicking on size-only arrays.
-func (a *Array) InjectBitRot(off, n int64) { _ = a.Inject().BitRot(off, n) }
-
-// SetLatentErrorRate gives every member drive a spontaneous URE rate.
-//
-// Deprecated: use Inject().LatentErrorRate, which reports backend support.
-func (a *Array) SetLatentErrorRate(rate float64) { _ = a.Inject().LatentErrorRate(rate) }
-
 // HostEpoch returns the controller's cluster-granted membership epoch
 // (0 when Config.EpochFencing is off).
 func (a *Array) HostEpoch() uint64 {
@@ -1778,14 +1679,15 @@ func (a *Array) regrantEpoch() {
 	grantEpoch(a.cl, vol, &a.hostCfg, a.hostCfg.Lease)
 }
 
+// currentHost resolves the controller serving the array now — what repair
+// managers call per item, so that their walks outlive a host failover.
+func (a *Array) currentHost() *core.HostController { return a.host }
+
 // rebind points the array and its supervision stack at a replacement
 // controller. Runs inside call().
 func (a *Array) rebind(replacement *core.HostController) {
 	if a.sup != nil {
 		a.sup.Rebind(replacement)
-	}
-	if a.adhocScrub != nil {
-		a.adhocScrub.Rebind(replacement)
 	}
 	a.host = replacement
 	if a.realtime {

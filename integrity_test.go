@@ -22,6 +22,14 @@ func integrityArray(t *testing.T, cfg draid.Config) *draid.Array {
 	return smallArray(t, cfg)
 }
 
+// mustInject fails the test when a fault injection is refused.
+func mustInject(t *testing.T, err error) {
+	t.Helper()
+	if err != nil {
+		t.Fatalf("inject: %v", err)
+	}
+}
+
 // TestScrubRepairsBitRot is the scrub smoke test: silent corruption planted
 // under a virtual range is found by an on-demand pass, repaired in place, and
 // a second pass finds nothing.
@@ -31,7 +39,7 @@ func TestScrubRepairsBitRot(t *testing.T) {
 	if err := arr.WriteSync(0, ref); err != nil {
 		t.Fatal(err)
 	}
-	arr.InjectBitRot(100<<10, 8<<10)
+	mustInject(t, arr.Inject().BitRot(100<<10, 8<<10))
 
 	st, err := arr.ScrubNow()
 	if err != nil {
@@ -72,7 +80,7 @@ func TestScrubBackgroundPass(t *testing.T) {
 	if err := arr.WriteSync(0, ref); err != nil {
 		t.Fatal(err)
 	}
-	arr.InjectMediaError(300<<10, 4<<10)
+	mustInject(t, arr.Inject().MediaError(300<<10, 4<<10))
 
 	// Nothing reads the damaged range; only the background pass can find it.
 	arr.RunFor(10 * time.Millisecond)
@@ -107,7 +115,7 @@ func TestScrubEventsInRecoveryLog(t *testing.T) {
 	if err := arr.WriteSync(0, ref); err != nil {
 		t.Fatal(err)
 	}
-	arr.InjectBitRot(64<<10, 4<<10)
+	mustInject(t, arr.Inject().BitRot(64<<10, 4<<10))
 	arr.RunFor(10 * time.Millisecond)
 
 	kinds := map[string]int{}
@@ -131,7 +139,7 @@ func TestRepairOnRead(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	arr.InjectBitRot(40<<10, 12<<10)
+	mustInject(t, arr.Inject().BitRot(40<<10, 12<<10))
 	got, err := arr.ReadSync(32<<10, 32<<10)
 	if err != nil {
 		t.Fatalf("read through bit rot: %v", err)
@@ -165,7 +173,7 @@ func TestMediaErrorDegradedRead(t *testing.T) {
 	if err := arr.WriteSync(0, ref); err != nil {
 		t.Fatal(err)
 	}
-	arr.InjectMediaError(8<<10, 4<<10)
+	mustInject(t, arr.Inject().MediaError(8<<10, 4<<10))
 	arr.FailDrive(arr.Controller().Geometry().DataDrive(0, 1))
 
 	got, err := arr.ReadSync(0, 256<<10)
@@ -187,8 +195,8 @@ func TestMediaDoubleFaultTyped(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Two different data chunks of stripe 0: reconstruction needs both.
-	arr.InjectMediaError(4<<10, 4<<10)
-	arr.InjectMediaError(geo.ChunkSize+4<<10, 4<<10)
+	mustInject(t, arr.Inject().MediaError(4<<10, 4<<10))
+	mustInject(t, arr.Inject().MediaError(geo.ChunkSize+4<<10, 4<<10))
 
 	_, err := arr.ReadSync(0, geo.StripeDataSize())
 	if err == nil {
@@ -216,7 +224,7 @@ func rebuildWithURE(t *testing.T, cfg draid.Config, seed int64) (*draid.Array, [
 	// them over drives); every survivor chunk is read during rebuild, so
 	// each is guaranteed to be hit.
 	for _, s := range []int64{0, 3, 7} {
-		arr.InjectMediaError(s*geo.StripeDataSize()+int64(seed%4)<<10, 4<<10)
+		mustInject(t, arr.Inject().MediaError(s*geo.StripeDataSize()+int64(seed%4)<<10, 4<<10))
 	}
 	member := geo.DataDrive(0, 1)
 	arr.FailDrive(member)
@@ -445,9 +453,9 @@ func TestIntegrityTortureScrubUnderWrites(t *testing.T) {
 				cOff := rng.Int63n(size - 8<<10)
 				cLen := int64(1+rng.Intn(8)) << 10
 				if iter%2 == 0 {
-					arr.InjectBitRot(cOff, cLen)
+					mustInject(t, arr.Inject().BitRot(cOff, cLen))
 				} else {
-					arr.InjectMediaError(cOff, cLen)
+					mustInject(t, arr.Inject().MediaError(cOff, cLen))
 				}
 				// Random foreground write.
 				wLen := int64(1+rng.Intn(64)) << 10
@@ -509,7 +517,7 @@ func TestIntegrityTortureLatentErrors(t *testing.T) {
 			if err := arr.WriteSync(0, ref); err != nil {
 				t.Fatal(err)
 			}
-			arr.SetLatentErrorRate(0.02)
+			mustInject(t, arr.Inject().LatentErrorRate(0.02))
 			rng := rand.New(rand.NewSource(seed * 13))
 			for iter := 0; iter < 60; iter++ {
 				n := int64(1+rng.Intn(32)) << 10
@@ -528,7 +536,7 @@ func TestIntegrityTortureLatentErrors(t *testing.T) {
 					t.Fatalf("iter %d read diverged", iter)
 				}
 			}
-			arr.SetLatentErrorRate(0)
+			mustInject(t, arr.Inject().LatentErrorRate(0))
 			arr.RunFor(5 * time.Millisecond)
 			verifyHealedDevice(t, arr, ref, seed)
 		})
@@ -606,9 +614,9 @@ func TestIntegrityTortureHedgedReads(t *testing.T) {
 					cOff := rng.Int63n(size - 8<<10)
 					cLen := int64(1+rng.Intn(8)) << 10
 					if iter%2 == 0 {
-						arr.InjectBitRot(cOff, cLen)
+						mustInject(t, arr.Inject().BitRot(cOff, cLen))
 					} else {
-						arr.InjectMediaError(cOff, cLen)
+						mustInject(t, arr.Inject().MediaError(cOff, cLen))
 					}
 					// Read straight over the fresh damage: if the damaged chunk
 					// lives on the grey member, the hedge abandons the very read

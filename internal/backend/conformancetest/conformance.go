@@ -13,6 +13,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -700,6 +701,93 @@ func Run(t *testing.T, f Factory) {
 		calm(t, a)
 		expectRead(t, a, 0, model, "after the re-driven write")
 		expectParityCoherent(t, a, "after the re-driven write")
+	})
+
+	t.Run("RebuildDriveRejectsBadArguments", func(t *testing.T) {
+		// A rebuild of a drive that is healthy, does not exist, or is already
+		// rebuilding is refused on every layout and backend, and refused
+		// before anything moves: no drive written, no chunk relocated, no
+		// drive retired. The rebuild under way is not disturbed by the refusal
+		// — nor by losing its host controller.
+		declustered := baseConfig()
+		declustered.Drives, declustered.ClusterDrives, declustered.Declustered = 3, 5, true
+		for name, cfg := range map[string]draid.Config{"fixed": baseConfig(), "declustered": declustered} {
+			t.Run(name, func(t *testing.T) {
+				a := f(t, cfg)
+				defer closeDrained(t, a)
+				want := pattern(0, 160<<10)
+				if err := a.WriteSync(0, want); err != nil {
+					t.Fatalf("write: %v", err)
+				}
+				writes := func() (n int64) {
+					for _, d := range a.Cluster().Drives {
+						n += d.Stats().WriteOps
+					}
+					return n
+				}
+				before := writes()
+				for drive, want := range map[int]string{2: "draid: drive 2 is not failed", -1: "out of range", a.DriveCount(): "out of range"} {
+					if err := a.RebuildDrive(drive, 0); err == nil || !strings.Contains(err.Error(), want) {
+						t.Fatalf("RebuildDrive(%d) = %v, want an error containing %q", drive, err, want)
+					}
+				}
+				if err := a.RebuildDrive(a.DriveCount(), 0); !errors.Is(err, draid.ErrOutOfRange) {
+					t.Fatalf("out-of-range rebuild: %v does not wrap ErrOutOfRange", err)
+				}
+				if st := a.Stats(); st.RebuiltStripes != 0 || writes() != before || len(a.FailedDrives()) != 0 {
+					t.Fatalf("rejected rebuilds touched the array: %d relocated, %d drive writes (was %d), failed %v",
+						st.RebuiltStripes, writes(), before, a.FailedDrives())
+				}
+				// The healthy drive was not retired or drained behind our back:
+				// once it really fails, its chunks are all there to rebuild.
+				a.FailDrive(2)
+				if err := a.RebuildDrive(2, 0); err != nil || a.Stats().RebuiltStripes == 0 {
+					t.Fatalf("rebuild after a real failure: %v, %d chunks", err, a.Stats().RebuiltStripes)
+				}
+				expectRead(t, a, 0, want, "after the rebuild")
+			})
+			// The other cases start part-way through a supervised, throttled
+			// rebuild of drive 1, and end with it finished all the same.
+			rebuilding := func(t *testing.T) *draid.Array {
+				cfg.Spares, cfg.RebuildRateMBps = 1, 20
+				a := f(t, cfg)
+				if err := a.WriteSync(0, pattern(0, 160<<10)); err != nil {
+					t.Fatalf("write: %v", err)
+				}
+				a.FailDrive(1)
+				a.RunFor(2 * time.Millisecond)
+				if !a.RebuildStatus().Active {
+					t.Fatal("test setup: the supervised rebuild is not in flight")
+				}
+				return a
+			}
+			finished := func(t *testing.T, a *draid.Array, how string) {
+				a.Run()
+				if st := a.RebuildStatus(); st.Active || st.Done != st.Total {
+					t.Fatalf("supervised rebuild did not survive %s: %+v\n%v", how, st, a.RecoveryEvents())
+				}
+				expectRead(t, a, 0, pattern(0, 160<<10), "after "+how)
+			}
+			t.Run(name+"-already-rebuilding", func(t *testing.T) {
+				a := rebuilding(t)
+				defer closeDrained(t, a)
+				if err := a.RebuildDrive(1, 0); err == nil || !strings.Contains(err.Error(), "drive 1 is already rebuilding") {
+					t.Fatalf("RebuildDrive of a rebuilding drive = %v, want already-rebuilding", err)
+				}
+				finished(t, a, "the rejected call")
+			})
+			t.Run(name+"-failover-mid-rebuild", func(t *testing.T) {
+				// The host crashes under the walk — between two chunks or in
+				// the middle of one — and the replacement that adopts the
+				// array carries the same rebuild to its end.
+				a := rebuilding(t)
+				defer closeDrained(t, a)
+				if _, err := a.FailoverHost(); err != nil {
+					t.Fatalf("failover: %v", err)
+				}
+				finished(t, a, "the host failover")
+			})
+		}
 	})
 
 	t.Run("OutOfRange", func(t *testing.T) {

@@ -440,8 +440,10 @@ func (c *Cluster) RecoverTarget(i int) {
 // LeakCheck reports what a drained cluster still holds that an idle one must
 // not: pooled buffers some owner never released (every drive's read free list
 // and every server's accumulator pool must balance: gets = releases + handed
-// off), and reductions still open on a server. Call it after Run() has
-// drained, with no background I/O in flight. Reductions stranded by a
+// off), reductions still open on a server, and anything a volume's host
+// controller still holds (HostController.Quiescent: ops in flight, stripe
+// locks, dirty marks, open rebuilds, reserved layout slots). Call it after
+// Run() has drained, with no background I/O in flight. Reductions stranded by a
 // partition or a duplicated capsule are only severed by a fence or an epoch
 // bump, so a harness that injected such faults fences before it checks.
 func (c *Cluster) LeakCheck() error {
@@ -462,6 +464,13 @@ func (c *Cluster) LeakCheck() error {
 			leaks = append(leaks, fmt.Sprintf("server %d: %d reductions still open", i, n))
 		}
 	}
+	c.Rt.Call(func() {
+		for _, v := range c.volumes {
+			if err := v.Host.Quiescent(); err != nil {
+				leaks = append(leaks, err.Error())
+			}
+		}
+	})
 	if len(leaks) > 0 {
 		return fmt.Errorf("cluster: leaked at quiescence: %s", strings.Join(leaks, "; "))
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"draid/internal/backend"
 	"draid/internal/blockdev"
@@ -209,9 +210,12 @@ type HostController struct {
 	// entries; AddDrive appends. With the fixed layout drive index and
 	// stripe member index coincide.
 	memberNode []NodeID
-	// rebuilds tracks in-progress spare rebuilds by drive: stripes below
-	// the frontier already live on the spare and are routed there.
+	// rebuilds tracks open rebuilds by drive. For a spare rebuild, stripes
+	// below the frontier already live on the spare and are routed there.
 	rebuilds map[int]*rebuildState
+	// relocating lists the chunk relocations in flight, oldest first;
+	// orphans those a crashed predecessor left open (takeover → Fence).
+	relocating, orphans []*relocation
 
 	// dirty is the §5.4 write-intent bitmap: stripe → in-flight writes.
 	dirty map[int64]int
@@ -484,6 +488,9 @@ func (h *HostController) SetFailed(member int, failed bool) {
 		delete(h.failed, member)
 	}
 }
+
+// DriveFailed reports whether a drive is currently marked failed.
+func (h *HostController) DriveFailed(drive int) bool { return h.failed[drive] }
 
 // FailedMembers returns the sorted failed drive indices.
 func (h *HostController) FailedMembers() []int {
@@ -846,6 +853,31 @@ func (h *HostController) Crash() {
 // Crashed reports whether Crash was called.
 func (h *HostController) Crashed() bool { return h.crashed }
 
+// Quiescent reports what a drained controller still holds that an idle one
+// must not: an operation in flight, a stripe write lock, a write-intent
+// mark, a rebuild registered but neither finished nor abandoned, a layout
+// slot reserved by a relocation that never committed or released it. An
+// aborted repair must leave none of these behind.
+func (h *HostController) Quiescent() error {
+	var held []string
+	note := func(n int, what string) {
+		if n > 0 {
+			held = append(held, fmt.Sprintf("%d %s", n, what))
+		}
+	}
+	note(len(h.inflight), "op(s) in flight")
+	note(len(h.stripeQ), "stripe lock(s) held")
+	note(len(h.dirty), "stripe(s) marked dirty")
+	note(len(h.rebuilds), "rebuild(s) open")
+	if h.dyn != nil {
+		note(h.dyn.Reserved(), "layout slot(s) reserved")
+	}
+	if len(held) > 0 {
+		return fmt.Errorf("core: volume %d host not quiescent: %s", h.cfg.Volume, strings.Join(held, ", "))
+	}
+	return nil
+}
+
 // Adopt takes over a crashed predecessor's array state — failed members, the
 // member→endpoint mapping, and any rebuild in progress — and returns the
 // predecessor's dirty stripes: the exact set the replacement must resync
@@ -881,13 +913,21 @@ func (h *HostController) Fence(cb func(error)) {
 	for _, r := range h.rebuilds {
 		add(r.dest)
 	}
+	// The dead session is silenced: end the chunk relocations its crash left
+	// open. Each rolls back what it reserved in the shared layout and fails
+	// with ErrAbandoned, on which its walk redoes the chunk here.
+	fenced := func() {
+		for _, r := range h.orphans {
+			r.end(ErrAbandoned)
+		}
+		h.orphans = nil
+		cb(nil)
+	}
 	if len(targets) == 0 {
-		h.rt.Defer(func() { cb(nil) })
+		h.rt.Defer(fenced)
 		return
 	}
-	op := h.newStripeOp("fence", -1, len(targets), targets,
-		func() { cb(nil) },
-		func([]NodeID) { cb(nil) })
+	op := h.newStripeOp("fence", -1, len(targets), targets, fenced, func([]NodeID) { fenced() })
 	for _, n := range targets {
 		h.send(op, n, nvmeof.Command{Opcode: nvmeof.OpFence}, parity.Buffer{})
 	}

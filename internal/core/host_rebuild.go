@@ -1,23 +1,17 @@
 package core
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 
 	"draid/internal/backend"
 	"draid/internal/blockdev"
 	"draid/internal/gf256"
 	"draid/internal/nvmeof"
 	"draid/internal/parity"
-	"draid/internal/placement"
 	"draid/internal/raid"
 )
-
-// WriteMemberChunk writes a full chunk image directly to the drive holding
-// stripe member m — the delivery half of rebuilding onto a replacement
-// drive.
-func (h *HostController) WriteMemberChunk(stripe int64, member int, b parity.Buffer, cb func(error)) {
-	h.writeChunkToNode(stripe, h.nodeOf(h.layout.Drive(stripe, member)), b, cb)
-}
 
 // writeChunkToNode writes a full chunk image for stripe to an arbitrary
 // endpoint — a member's drive or a hot spare being rebuilt onto.
@@ -37,91 +31,179 @@ func (h *HostController) writeChunkToNode(stripe int64, to NodeID, b parity.Buff
 }
 
 // ---------------------------------------------------------------------------
-// Hot-spare rebuild bookkeeping. The rebuild manager (internal/repair) drives
-// stripes through RebuildStripe in order; the controller routes foreground
-// I/O below the advancing frontier to the spare, so the array sheds the
-// degraded path incrementally instead of all at once.
+// Repair plans. Every paced repair — rebuilding a failed drive, filling an
+// added one, draining a leaving one — is the same procedure: walk a work
+// list and relocate one chunk per item. The controller plans the walk (what
+// the items are, what relocating one means under this layout, how the whole
+// thing commits or aborts) and hands it to a repair manager
+// (internal/repair), which owns pacing, progress and stop-on-error. The
+// fixed-vs-declustered decision is made here, once, and nowhere above.
 
-// StartRebuild registers an in-progress rebuild of a drive onto endpoint
-// dest (a hot spare). The drive must currently be failed.
-func (h *HostController) StartRebuild(member int, dest NodeID) {
-	if !h.failed[member] {
-		panic(fmt.Sprintf("core: rebuilding healthy member %d", member))
-	}
-	if _, dup := h.rebuilds[member]; dup {
-		panic(fmt.Sprintf("core: member %d already rebuilding", member))
-	}
-	h.rebuilds[member] = &rebuildState{dest: dest}
+// Repair is one planned walk.
+type Repair struct {
+	// Label names the walk (trace span, recovery log); Unit is what Items
+	// counts: "stripes" of a spare rebuild, "chunks" of a relocation.
+	Label, Unit string
+	Drive       int    // drive being rebuilt, filled or drained
+	Dest        NodeID // spare endpoint rebuilt onto (fixed layout only)
+	Items       int64
+	ItemBytes   int64 // bytes one item moves: its cost against the rate budget
+	// Stripe names item i's stripe for error text and loss reports.
+	Stripe func(i int64) int64
+	// Do relocates item i. ErrSlotTaken means the item was skipped, not
+	// failed: the walk goes on. Finish closes the walk: commit on nil,
+	// abandon on error. Both take the controller serving the volume at that
+	// moment, not necessarily the planner: a walk outlives a host failover —
+	// the adopter inherits the rebuild entry and shares the layout.
+	Do     func(h *HostController, i int64, cb func(error))
+	Finish func(h *HostController, err error)
 }
 
-// Rebuilding returns the rebuild destination and frontier for member; ok is
-// false when no rebuild is in progress.
-func (h *HostController) Rebuilding(member int) (dest NodeID, frontier int64, ok bool) {
-	r, ok := h.rebuilds[member]
-	if !ok {
-		return 0, 0, false
+// ErrNoSpare reports that a rebuild needs a spare endpoint and none is free.
+var ErrNoSpare = errors.New("core: no spare endpoint available")
+
+// ErrAbandoned ends a relocation whose controller crashed under it; the
+// repair manager redoes the item on the successor.
+var ErrAbandoned = errors.New("core: relocation abandoned by a crashed controller")
+
+// ErrSlotTaken reports a planned move whose target slot was claimed by a
+// racing rebuild or migration; the chunk stays put and placement remains
+// valid, merely a little less balanced.
+var ErrSlotTaken = errors.New("core: target slot already claimed")
+
+func (h *HostController) newRepair(label, unit string, drive int, items int64) Repair {
+	return Repair{
+		Label: label, Unit: unit, Drive: drive, Items: items, ItemBytes: h.geo.ChunkSize,
+		Stripe: func(i int64) int64 { return i },
+		Finish: func(*HostController, error) {},
 	}
-	return r.dest, r.frontier, true
 }
 
-// RebuildStripe reconstructs member's chunk of one stripe and writes it to
-// the rebuild destination, then advances the frontier. The stripe write lock
-// is held across reconstruct+write, so no foreground write can interleave
-// and leave the rebuilt chunk stale.
-func (h *HostController) RebuildStripe(stripe int64, member int, cb func(error)) {
-	r, ok := h.rebuilds[member]
-	if !ok {
-		h.rt.Defer(func() { cb(fmt.Errorf("core: member %d has no rebuild in progress", member)) })
-		return
+// PlanRebuild plans the rebuild of a failed drive; limit > 0 bounds the work
+// (experiments). This is the one rebuild entry point and the one place its
+// arguments are checked: the drive must exist, be failed, and not already be
+// rebuilding — nothing is touched otherwise.
+//
+// A fixed layout rebuilds stripe by stripe onto the endpoint spare() hands
+// out (ErrNoSpare when it has none): foreground I/O below the advancing
+// frontier is routed there, so the array sheds the degraded path
+// incrementally, and on success the endpoint becomes the drive's. A
+// declustered layout never calls spare(): each chunk the layout places on
+// the drive is reconstructed into an idle slot of its own row — distributed
+// spare space — and committed to the layout at once, so both the reads and
+// the writes spread over the whole cluster; once a full walk has emptied the
+// drive it is retired from the layout and stays failed.
+func (h *HostController) PlanRebuild(drive int, limit int64, spare func() (NodeID, bool)) (Repair, error) {
+	switch {
+	case drive < 0 || drive >= len(h.memberNode):
+		return Repair{}, fmt.Errorf("drive %d out of range [0,%d): %w", drive, len(h.memberNode), blockdev.ErrOutOfRange)
+	case !h.failed[drive]:
+		return Repair{}, fmt.Errorf("drive %d is not failed", drive)
+	case h.rebuilds[drive] != nil:
+		return Repair{}, fmt.Errorf("drive %d is already rebuilding", drive)
 	}
-	mem := h.layout.Member(stripe, member)
-	if mem < 0 {
-		// The stripe holds no chunk on this drive (declustered layouts only)
-		// — nothing to rebuild; just advance the frontier.
-		h.rt.Defer(func() {
-			if r.frontier == stripe {
+	// Either way the open rebuild is registered in h.rebuilds: that is what
+	// refuses a second rebuild of the drive, what a failover replacement
+	// adopts, and what Quiescent reports if the walk never closes.
+	if h.dyn != nil {
+		slots := h.dyn.Slots(drive)
+		partial := limit > 0 && int64(len(slots)) > limit
+		if partial {
+			slots = slots[:limit]
+		}
+		h.rebuilds[drive] = &rebuildState{dest: h.memberNode[drive]} // reroutes nothing: frontier stays 0
+		p := h.newRepair(fmt.Sprintf("declustered rebuild d%d", drive), "chunks", drive, int64(len(slots)))
+		p.Stripe = func(i int64) int64 { return slots[i].Stripe }
+		p.Do = func(h *HostController, i int64, cb func(error)) { h.relocateSlot(slots[i].Stripe, drive, cb) }
+		p.Finish = func(h *HostController, err error) {
+			delete(h.rebuilds, drive)
+			if err == nil && !partial {
+				h.dyn.SetRemoved(drive, true)
+			}
+		}
+		return p, nil
+	}
+	dest, ok := spare()
+	if !ok {
+		return Repair{}, ErrNoSpare
+	}
+	stripes := h.size / h.geo.StripeDataSize()
+	if limit > 0 && limit < stripes {
+		stripes = limit
+	}
+	h.rebuilds[drive] = &rebuildState{dest: dest}
+	p := h.newRepair(fmt.Sprintf("rebuild m%d→n%d", drive, int(dest)), "stripes", drive, stripes)
+	p.Dest = dest
+	p.Do = func(h *HostController, stripe int64, cb func(error)) {
+		r := h.rebuilds[drive] // the adopter's copy after a failover
+		h.relocateChunk(stripe, h.layout.Member(stripe, drive), dest, func(err error) {
+			if err == nil && r.frontier == stripe {
 				r.frontier = stripe + 1
 			}
-			cb(nil)
-		})
-		return
+		}, cb)
 	}
+	// Abandoned, the drive stays failed and the partial spare content is
+	// discarded; committed, the spare becomes the drive's endpoint and the
+	// drive returns to full service.
+	p.Finish = func(h *HostController, err error) {
+		delete(h.rebuilds, drive)
+		if err == nil {
+			h.memberNode[drive] = dest
+			delete(h.failed, drive)
+		}
+	}
+	return p, nil
+}
+
+// relocation is one open chunk move; end closes it, once.
+type relocation struct{ end func(error) }
+
+// relocateChunk is the one chunk-relocation primitive. Under the stripe
+// write lock it obtains stripe member m's current image — read from its
+// drive, or reconstructed through §6 when that drive is failed — and writes
+// it to endpoint `to`. settle runs with the outcome while the lock is still
+// held: commit the new home on nil (advance a frontier, commit a placement),
+// roll back on error (release a reservation). Holding the lock across
+// read+write+commit is what keeps a foreground write or destage from
+// interleaving and leaving the relocated chunk stale.
+//
+// A relocation ends exactly once. While open it is listed in h.relocating: a
+// crash drops every operation callback, so the adopter ends it instead, with
+// ErrAbandoned (takeover, Fence) — else reservation and walk hang forever.
+func (h *HostController) relocateChunk(stripe int64, member int, to NodeID, settle, cb func(error)) {
+	r := &relocation{}
+	done := func(err error) {
+		i := slices.Index(h.relocating, r)
+		if i < 0 {
+			return
+		}
+		h.relocating = slices.Delete(h.relocating, i, i+1)
+		if err == nil {
+			h.stats.RebuiltStripes++
+		}
+		settle(err)
+		if !h.crashed {
+			h.releaseStripe(stripe)
+		}
+		cb(err)
+	}
+	r.end = done
+	h.relocating = append(h.relocating, r)
 	h.acquireStripe(stripe, func() {
-		h.ReconstructStripeChunk(stripe, mem, func(b parity.Buffer, err error) {
+		deliver := func(b parity.Buffer, err error) {
 			if err != nil {
-				h.releaseStripe(stripe)
-				cb(err)
+				done(err)
 				return
 			}
-			h.writeChunkToNode(stripe, r.dest, b, func(err error) {
-				if err == nil {
-					h.stats.RebuiltStripes++
-					if r.frontier == stripe {
-						r.frontier = stripe + 1
-					}
-				}
-				h.releaseStripe(stripe)
-				cb(err)
-			})
-		})
+			h.writeChunkToNode(stripe, to, b, done)
+		}
+		if h.memberFailed(stripe, member) {
+			h.ReconstructStripeChunk(stripe, member, deliver)
+		} else {
+			h.readChunk(stripe, member, deliver)
+		}
 	})
 }
-
-// FinishRebuild completes member's rebuild: the spare becomes the member's
-// endpoint and the member returns to full service.
-func (h *HostController) FinishRebuild(member int) {
-	r, ok := h.rebuilds[member]
-	if !ok {
-		panic(fmt.Sprintf("core: member %d has no rebuild to finish", member))
-	}
-	h.memberNode[member] = r.dest
-	delete(h.rebuilds, member)
-	delete(h.failed, member)
-}
-
-// AbortRebuild abandons member's rebuild; the member stays failed and the
-// partially written spare content is discarded.
-func (h *HostController) AbortRebuild(member int) { delete(h.rebuilds, member) }
 
 // ReconstructStripeChunk rebuilds the full chunk held by `member` in
 // `stripe` using the disaggregated reconstruction machinery (§6) and returns
@@ -250,26 +332,6 @@ func (h *HostController) ReconstructStripeChunk(stripe int64, member int, cb fun
 	}
 }
 
-// ---------------------------------------------------------------------------
-// Declustered (many-to-many) rebuild and chunk migration. A declustered
-// layout has no single spare endpoint: each chunk of the failed drive is
-// reconstructed and relocated into an idle slot of its own row —
-// distributed spare space — and the new placement is committed to the
-// layout. Once committed, the layout no longer maps the stripe's member
-// to the failed drive, so foreground I/O sheds the degraded path chunk by
-// chunk, and both the reads and the writes of the rebuild spread over the
-// whole cluster.
-
-// PlacementSlots lists the chunks currently placed on a drive, in stripe
-// order — the work list for a declustered rebuild or drive removal. Nil
-// for non-declustered layouts.
-func (h *HostController) PlacementSlots(drive int) []placement.Slot {
-	if h.dyn == nil {
-		return nil
-	}
-	return h.dyn.Slots(drive)
-}
-
 // readChunk reads the full current chunk image of stripe member m from its
 // healthy drive.
 func (h *HostController) readChunk(stripe int64, member int, cb func(parity.Buffer, error)) {
@@ -288,56 +350,28 @@ func (h *HostController) readChunk(stripe int64, member int, cb func(parity.Buff
 	}, parity.Buffer{})
 }
 
-// MigrateStripeChunk relocates stripe member m to physical drive `to`,
-// which must already be reserved in the layout (ClaimSpare/ClaimDrive or a
-// PlanAdd move). The whole relocation runs under the stripe write lock, so
-// no foreground write can interleave between the chunk read (or
-// reconstruction, when the source drive is failed) and the write+commit —
-// the same discipline destage and frontier rebuild use. On success the new
-// placement is committed; on failure the reservation is released and the
-// chunk stays where it was.
-func (h *HostController) MigrateStripeChunk(stripe int64, member, to int, cb func(error)) {
-	if h.dyn == nil {
-		h.rt.Defer(func() { cb(fmt.Errorf("core: layout does not support migration: %w", backend.ErrUnsupported)) })
-		return
-	}
-	h.acquireStripe(stripe, func() {
-		done := func(err error) {
-			if err != nil {
-				h.dyn.Release(stripe, to)
-			}
-			h.releaseStripe(stripe)
-			cb(err)
-		}
-		deliver := func(b parity.Buffer, err error) {
-			if err != nil {
-				done(err)
-				return
-			}
-			h.writeChunkToNode(stripe, h.nodeOf(to), b, func(err error) {
-				if err == nil {
-					h.dyn.Commit(stripe, member, to)
-					h.stats.RebuiltStripes++
-				}
-				done(err)
-			})
-		}
-		if h.memberFailed(stripe, member) {
-			h.ReconstructStripeChunk(stripe, member, deliver)
+// migrateChunk relocates stripe member m to physical drive `to`,
+// which must already be reserved in the layout (ClaimSpare/ClaimDrive). On
+// success the new placement is committed — the layout no longer maps the
+// member to its old drive, so foreground I/O follows at once; on failure the
+// reservation is released and the chunk stays where it was.
+func (h *HostController) migrateChunk(stripe int64, member, to int, cb func(error)) {
+	h.relocateChunk(stripe, member, h.nodeOf(to), func(err error) {
+		if err == nil {
+			h.dyn.Commit(stripe, member, to)
 		} else {
-			h.readChunk(stripe, member, deliver)
+			h.dyn.Release(stripe, to)
 		}
-	})
+	}, cb)
 }
 
-// RebuildSlot rebuilds one chunk of a failed drive into an idle slot of
-// its row: the declustered unit of rebuild work. A stripe whose chunk was
-// already relocated (by a racing rebalance) completes immediately.
-func (h *HostController) RebuildSlot(stripe int64, drive int, cb func(error)) {
-	if h.dyn == nil {
-		h.rt.Defer(func() { cb(fmt.Errorf("core: layout does not support slot rebuild: %w", backend.ErrUnsupported)) })
-		return
-	}
+// relocateSlot moves the chunk a stripe keeps on `drive` into an idle slot
+// of its row — the unit of work of a declustered rebuild (the drive is
+// failed: the chunk is reconstructed) and of a drain (it is read). The
+// drive itself is never a candidate: its slot in this row is the occupied
+// one. A stripe with no chunk left there (relocated by a racing walk)
+// completes immediately.
+func (h *HostController) relocateSlot(stripe int64, drive int, cb func(error)) {
 	member := h.dyn.Member(stripe, drive)
 	if member < 0 {
 		h.rt.Defer(func() { cb(nil) })
@@ -345,39 +379,22 @@ func (h *HostController) RebuildSlot(stripe int64, drive int, cb func(error)) {
 	}
 	to, ok := h.dyn.ClaimSpare(stripe, func(d int) bool { return h.failed[d] })
 	if !ok {
-		h.rt.Defer(func() { cb(fmt.Errorf("core: stripe %d: no spare slot for drive %d: %w", stripe, drive, blockdev.ErrIO)) })
+		h.rt.Defer(func() {
+			cb(fmt.Errorf("core: stripe %d: no idle slot to move drive %d's chunk into: %w", stripe, drive, blockdev.ErrIO))
+		})
 		return
 	}
-	h.MigrateStripeChunk(stripe, member, to, cb)
-}
-
-// EvictSlot migrates one chunk off a drive being removed, into an idle
-// slot of its row on the remaining drives.
-func (h *HostController) EvictSlot(stripe int64, drive int, cb func(error)) {
-	if h.dyn == nil {
-		h.rt.Defer(func() { cb(fmt.Errorf("core: layout does not support eviction: %w", backend.ErrUnsupported)) })
-		return
-	}
-	member := h.dyn.Member(stripe, drive)
-	if member < 0 {
-		h.rt.Defer(func() { cb(nil) })
-		return
-	}
-	to, ok := h.dyn.ClaimSpare(stripe, func(d int) bool { return d == drive || h.failed[d] })
-	if !ok {
-		h.rt.Defer(func() { cb(fmt.Errorf("core: stripe %d: no slot to evict drive %d into: %w", stripe, drive, blockdev.ErrIO)) })
-		return
-	}
-	h.MigrateStripeChunk(stripe, member, to, cb)
+	h.migrateChunk(stripe, member, to, cb)
 }
 
 // AddDrive grows a declustered volume's drive set by one: the layout gains
-// an (initially empty) drive and the controller maps it to fabric endpoint
-// node. Returns the new drive index. The caller rebalances existing chunks
-// onto it via the layout's PlanAdd and MigrateStripeChunk.
-func (h *HostController) AddDrive(node NodeID) (int, error) {
+// an (initially empty) drive mapped to fabric endpoint node. It returns the
+// new drive index and the plan that fills it: a fair share of existing
+// chunks, at most one per row, migrates onto the newcomer; a move whose
+// target slot has meanwhile been claimed is skipped.
+func (h *HostController) AddDrive(node NodeID) (int, Repair, error) {
 	if h.dyn == nil {
-		return 0, fmt.Errorf("core: layout does not support drive add: %w", backend.ErrUnsupported)
+		return 0, Repair{}, fmt.Errorf("core: layout does not support drive add: %w", backend.ErrUnsupported)
 	}
 	idx := h.dyn.AddDrive()
 	if idx != len(h.memberNode) {
@@ -386,14 +403,35 @@ func (h *HostController) AddDrive(node NodeID) (int, error) {
 		panic(fmt.Sprintf("core: layout drive %d != controller drive %d", idx, len(h.memberNode)))
 	}
 	h.memberNode = append(h.memberNode, node)
-	return idx, nil
+	moves := h.dyn.PlanAdd(idx)
+	p := h.newRepair(fmt.Sprintf("rebalance onto d%d", idx), "chunks", idx, int64(len(moves)))
+	p.Stripe = func(i int64) int64 { return moves[i].Stripe }
+	p.Do = func(h *HostController, i int64, cb func(error)) {
+		m := moves[i]
+		if !h.dyn.ClaimDrive(m.Stripe, m.To) {
+			cb(ErrSlotTaken)
+			return
+		}
+		h.migrateChunk(m.Stripe, m.Member, m.To, cb)
+	}
+	return idx, p, nil
 }
 
-// RetireDrive marks a drive removed in the layout: ClaimSpare and future
-// rebalances never target it again. Chunks must already be migrated off
-// (EvictSlot) or rebuilt elsewhere (RebuildSlot).
-func (h *HostController) RetireDrive(drive int) {
-	if h.dyn != nil {
-		h.dyn.SetRemoved(drive, true)
+// PlanDrain plans a drive's removal: every chunk on it migrates into idle
+// slots on the remaining drives. The drive is retired in the layout up
+// front, so no racing rebuild or rebalance places new chunks onto it
+// mid-drain, and stays retired afterwards.
+func (h *HostController) PlanDrain(drive int) (Repair, error) {
+	if h.dyn == nil {
+		return Repair{}, fmt.Errorf("core: layout does not support drive removal: %w", backend.ErrUnsupported)
 	}
+	if drive < 0 || drive >= len(h.memberNode) {
+		return Repair{}, fmt.Errorf("core: drive %d out of range [0,%d): %w", drive, len(h.memberNode), blockdev.ErrOutOfRange)
+	}
+	h.dyn.SetRemoved(drive, true)
+	slots := h.dyn.Slots(drive)
+	p := h.newRepair(fmt.Sprintf("drain d%d", drive), "chunks", drive, int64(len(slots)))
+	p.Stripe = func(i int64) int64 { return slots[i].Stripe }
+	p.Do = func(h *HostController, i int64, cb func(error)) { h.relocateSlot(slots[i].Stripe, drive, cb) }
+	return p, nil
 }

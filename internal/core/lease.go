@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"draid/internal/blockdev"
 	"draid/internal/sim"
@@ -107,6 +108,11 @@ func (h *HostController) takeover(prev *HostController) []int64 {
 	h.memberNode = append([]NodeID(nil), prev.memberNode...)
 	for m, r := range prev.rebuilds {
 		h.rebuilds[m] = &rebuildState{dest: r.dest, frontier: r.frontier}
+	}
+	if prev.crashed {
+		// A crash dropped the callbacks of the relocations it interrupted;
+		// Fence ends them once the dead session can no longer write.
+		h.orphans = slices.Clone(prev.relocating)
 	}
 	if h.stage != nil && prev.stage != nil {
 		// Replay the predecessor's intent log: acknowledged staged writes

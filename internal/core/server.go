@@ -932,8 +932,9 @@ func (s *ServerController) finish(st *reduceState) {
 func (s *ServerController) handleReconstruction(m Message) {
 	cmd := m.Cmd
 	isReducer := NodeID(cmd.NextDest) == s.id
+	var st *reduceState
 	if isReducer {
-		st := s.stateFor(cmd, cmd.FwdOffset, cmd.FwdLength)
+		st = s.stateFor(cmd, cmd.FwdOffset, cmd.FwdLength)
 		st.writeBack = false
 		st.replyTo = m.From
 		st.counter += int(cmd.WaitNum)
@@ -957,7 +958,9 @@ func (s *ServerController) handleReconstruction(m Message) {
 		}
 		rPart := b.Slice(int(cmd.FwdOffset-cmd.Offset), int(cmd.FwdLength))
 		if isReducer {
-			st := s.stateFor(cmd, cmd.FwdOffset, cmd.FwdLength)
+			// st as opened above, not looked up again: if a fence or an epoch
+			// bump severed it while the drive read was in flight, a second
+			// stateFor would open a reduction nobody ever finishes.
 			cost := s.cfg.Costs.Xor(int(cmd.FwdLength))
 			if cmd.DataIdx != NoScale {
 				cost = s.cfg.Costs.Gf(int(cmd.FwdLength))

@@ -182,6 +182,8 @@ func (d *Declustered) Release(stripe int64, drive int) {
 	delete(d.reserved, rowDrive{stripe / d.spr, drive})
 }
 
+func (d *Declustered) Reserved() int { return len(d.reserved) }
+
 func (d *Declustered) Slots(drive int) []Slot {
 	var out []Slot
 	for s := int64(0); s < d.stripes; s++ {
@@ -222,8 +224,6 @@ func (d *Declustered) PlanAdd(drive int) []Move {
 	}
 	return moves
 }
-
-func (d *Declustered) PlanRemove(drive int) []Slot { return d.Slots(drive) }
 
 func (d *Declustered) SetRemoved(drive int, removed bool) {
 	if removed {

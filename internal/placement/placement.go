@@ -73,6 +73,9 @@ type Dynamic interface {
 	Commit(stripe int64, member, drive int)
 	// Release cancels a reservation made by ClaimSpare/ClaimDrive.
 	Release(stripe int64, drive int)
+	// Reserved counts slots claimed but neither committed nor released: the
+	// relocations in flight. Zero on an idle volume.
+	Reserved() int
 	// Slots lists every chunk currently placed on the drive, in stripe
 	// order.
 	Slots(drive int) []Slot
@@ -84,9 +87,6 @@ type Dynamic interface {
 	// chunk per row moves there, chosen by seeded hash so the new drive
 	// converges to ~Stripes·Width/Drives chunks.
 	PlanAdd(drive int) []Move
-	// PlanRemove lists the chunks that must migrate off the drive before
-	// it can be retired (its current Slots).
-	PlanRemove(drive int) []Slot
 	// SetRemoved marks a drive retired: ClaimSpare and PlanAdd never
 	// target it again.
 	SetRemoved(drive int, removed bool)

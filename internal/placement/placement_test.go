@@ -171,7 +171,7 @@ func TestDeclusteredCommitAndClaim(t *testing.T) {
 
 // TestDeclusteredAddRemove exercises online expansion planning: AddDrive
 // grows the set, PlanAdd moves roughly a fair share onto the new drive
-// (at most one chunk per row), and after committing PlanRemove's moves
+// (at most one chunk per row), and after moving every one of Slots' chunks
 // the removed drive is empty.
 func TestDeclusteredAddRemove(t *testing.T) {
 	const width, drives, rows = 4, 6, 128
@@ -206,7 +206,7 @@ func TestDeclusteredAddRemove(t *testing.T) {
 	}
 
 	// Retire drive 0: migrate everything off it via ClaimSpare.
-	victims := d.PlanRemove(0)
+	victims := d.Slots(0)
 	d.SetRemoved(0, true)
 	for _, sl := range victims {
 		sp, ok := d.ClaimSpare(sl.Stripe, nil)

@@ -112,7 +112,7 @@ type memberHealth struct {
 // active heartbeat probing on top.
 type Detector struct {
 	eng     backend.Runtime
-	host    *core.HostController
+	host    func() *core.HostController
 	cfg     DetectorConfig
 	members []memberHealth
 	onFail  func(member int)
@@ -130,12 +130,12 @@ type Detector struct {
 // for a fixed layout, the whole cluster for a declustered one). onFail
 // fires (via the engine, never synchronously inside evidence delivery)
 // exactly once per healthy→failed transition.
-func NewDetector(eng backend.Runtime, host *core.HostController, cfg DetectorConfig, tracer *trace.Collector, onFail func(member int)) *Detector {
+func NewDetector(eng backend.Runtime, host func() *core.HostController, cfg DetectorConfig, tracer *trace.Collector, onFail func(member int)) *Detector {
 	d := &Detector{
 		eng:     eng,
 		host:    host,
 		cfg:     cfg.withDefaults(),
-		members: make([]memberHealth, host.Drives()),
+		members: make([]memberHealth, host().Drives()),
 		onFail:  onFail,
 		tracer:  tracer,
 	}
@@ -168,7 +168,7 @@ func (d *Detector) Start() {
 			if d.members[m].state == Failed {
 				continue
 			}
-			d.host.Probe(m, d.cfg.HeartbeatTimeout, func(bool) {})
+			d.host().Probe(m, d.cfg.HeartbeatTimeout, func(bool) {})
 		}
 		d.ticker = d.eng.AfterBG(d.cfg.HeartbeatEvery, tick)
 	}
@@ -182,10 +182,6 @@ func (d *Detector) Stop() {
 		d.ticker = nil
 	}
 }
-
-// Rebind points the detector (and future probes) at a replacement
-// controller after host failover.
-func (d *Detector) Rebind(h *core.HostController) { d.host = h }
 
 // Grow extends the detector to cover n drives — the online drive-add path.
 // Existing state is preserved; new drives start healthy.

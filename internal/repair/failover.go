@@ -13,24 +13,24 @@ import (
 // its in-flight drive writes, so no straggler can land later — then resyncs
 // exactly the stripes the write-intent bitmap marked dirty — never a
 // full-array scan — and resumes service. Stripes are resynced sequentially
-// (each one re-reads survivors and rewrites parity), and cb fires once all
-// are consistent.
+// (each one re-reads survivors and rewrites parity), unpaced, and cb fires
+// once all are consistent.
 func Failover(eng backend.Runtime, h *core.HostController, dirty []int64, cb func(error)) {
-	var step func(i int)
-	step = func(i int) {
-		if i >= len(dirty) {
-			cb(nil)
-			return
-		}
-		h.ResyncStripe(dirty[i], func(err error) {
-			if err != nil {
-				cb(fmt.Errorf("repair: resync stripe %d: %w", dirty[i], err))
-				return
-			}
-			step(i + 1)
-		})
-	}
+	w := walker{eng: eng}
 	eng.Defer(func() {
-		h.Fence(func(error) { step(0) })
+		h.Fence(func(error) {
+			w.walk(walkSpec{
+				n: int64(len(dirty)),
+				item: func(i int64, next func(error)) {
+					h.ResyncStripe(dirty[i], func(err error) {
+						if err != nil {
+							err = fmt.Errorf("repair: resync stripe %d: %w", dirty[i], err)
+						}
+						next(err)
+					})
+				},
+				done: cb,
+			})
+		})
 	})
 }

@@ -5,19 +5,21 @@ import (
 	"draid/internal/sim"
 )
 
-// RateLimiter is a token bucket shared by the rebuilders of every volume on
-// a cluster: one reconstruction-byte budget that all concurrent rebuilds
-// draw from, so two degraded volumes do not each consume a full rebuild
-// rate's worth of shared drive and NIC bandwidth. Reservations are granted
-// in call order (first claim drains the bucket first), which on the
-// deterministic engine makes the arbitration reproducible.
+// RateLimiter is the token bucket every repair walk is paced by. Shared by
+// the repair managers of every volume on a cluster it is one
+// reconstruction-byte budget all concurrent walks draw from, so two degraded
+// volumes do not each consume a full rebuild rate's worth of shared drive
+// and NIC bandwidth; a walk without a shared limiter gets a private one
+// (walker.walk). Reservations are granted in call order (first claim drains
+// the bucket first), which on the deterministic engine makes the
+// arbitration reproducible.
 type RateLimiter struct {
 	eng      backend.Runtime
 	rateMBps float64
 	nextFree sim.Time
 }
 
-// NewRateLimiter builds a shared limiter. rateMBps <= 0 means unlimited.
+// NewRateLimiter builds a limiter. rateMBps <= 0 means unlimited.
 func NewRateLimiter(eng backend.Runtime, rateMBps float64) *RateLimiter {
 	return &RateLimiter{eng: eng, rateMBps: rateMBps}
 }
@@ -27,7 +29,7 @@ func NewRateLimiter(eng backend.Runtime, rateMBps float64) *RateLimiter {
 // consumed immediately, so a concurrent caller's reservation lands after
 // this one.
 func (l *RateLimiter) Reserve(bytes int64) sim.Duration {
-	if l == nil || l.rateMBps <= 0 {
+	if l.rateMBps <= 0 {
 		return 0
 	}
 	now := l.eng.Now()

@@ -1,248 +1,136 @@
 package repair
 
 import (
+	"errors"
 	"fmt"
 
 	"draid/internal/backend"
 	"draid/internal/core"
-	"draid/internal/sim"
 	"draid/internal/trace"
 )
 
-// RebuilderConfig tunes rebuild throttling.
+// RebuilderConfig tunes repair throttling.
 type RebuilderConfig struct {
-	// RateMBps caps the rebuild at this many megabytes of reconstructed
-	// chunk data per second (the Figure 17 rebuild-vs-foreground knob).
-	// 0 means unthrottled: stripes are rebuilt back-to-back.
+	// RateMBps caps a walk at this many megabytes of relocated chunk data
+	// per second (the Figure 17 rebuild-vs-foreground knob). 0 means
+	// unthrottled: chunks move back-to-back.
 	RateMBps float64
 	// Limiter, when non-nil, replaces the private RateMBps bucket with a
 	// budget shared across volumes: every rebuilder on the cluster reserves
-	// its stripe bytes from the same bucket, so concurrent rebuilds split
+	// its chunk bytes from the same bucket, so concurrent rebuilds split
 	// the rate instead of each claiming it in full.
 	Limiter *RateLimiter
-	// OnLost, when non-nil, is called after any rebuilt stripe sacrificed
+	// OnLost, when non-nil, is called after any relocated stripe sacrificed
 	// data to a media double fault (a survivor URE past the parity budget —
-	// the RAID-5 rebuild hazard). The rebuild continues; the affected bytes
+	// the RAID-5 rebuild hazard). The walk continues; the affected bytes
 	// are in the host's lost-region list.
 	OnLost func(stripe int64)
 }
 
-// RebuildStatus is a snapshot of rebuild progress.
-type RebuildStatus struct {
-	Active       bool
-	Member       int
-	Dest         core.NodeID
-	DoneStripes  int64
-	TotalStripes int64
-	// LostRegions counts lost ranges recorded during this rebuild: nonzero
-	// means some stripes were rebuilt with unrecoverable holes.
+// Status is a snapshot of a Rebuilder's current (or last) walk.
+type Status struct {
+	Active bool
+	Label  string      // what the walk is, e.g. "rebuild m2→n5", "drain d3"
+	Drive  int         // drive being rebuilt, filled or drained
+	Dest   core.NodeID // spare endpoint rebuilt onto (fixed layout only)
+	// Done/Total count the walk's items: stripes of a spare rebuild, chunk
+	// relocations otherwise. Done includes skipped items.
+	Done, Total int64
+	// Skipped counts planned moves abandoned because their target slot was
+	// claimed by a racing rebuild or migration.
+	Skipped int64
+	// LostRegions counts lost ranges recorded during this walk: nonzero
+	// means some stripes were relocated with unrecoverable holes.
 	LostRegions int64
+	Err         error // what ended the walk, once it is no longer Active
 }
 
-// Rebuilder copies a failed member's chunks onto a hot spare stripe by
-// stripe, using the host's disaggregated reconstruction (§6) under the
-// per-stripe write lock, paced by a token-bucket rate limit so foreground
-// I/O keeps serving.
+// Rebuilder drives one host-planned repair (core.Repair) at a time through
+// the paced walker: the rebuild of a failed drive — onto a hot spare or into
+// distributed spare slots, the host decides — the fill of an added drive,
+// the drain of a leaving one. Every item relocates one chunk under its
+// stripe's write lock, so foreground I/O keeps serving throughout.
 type Rebuilder struct {
-	eng  backend.Runtime
-	host *core.HostController
-	cfg  RebuilderConfig
-
-	status RebuildStatus
-
-	track  trace.Track
-	tracer *trace.Collector
-	span   *trace.Op
+	w      walker
+	host   func() *core.HostController // the one serving now: a walk outlives a failover
+	cfg    RebuilderConfig
+	status Status
 }
 
-// NewRebuilder builds a rebuild manager for the host.
-func NewRebuilder(eng backend.Runtime, host *core.HostController, cfg RebuilderConfig, tracer *trace.Collector) *Rebuilder {
-	r := &Rebuilder{eng: eng, host: host, cfg: cfg, tracer: tracer}
-	if tracer.Enabled() {
-		r.track = tracer.Track("repair", "rebuild")
-		tracer.AddGauge(r.track, "rebuild progress", func() float64 {
-			if r.status.TotalStripes == 0 {
-				return 0
-			}
-			return float64(r.status.DoneStripes) / float64(r.status.TotalStripes)
-		})
-	}
+// ErrBusy refuses a walk while the manager's previous one is still running.
+var ErrBusy = errors.New("repair: previous walk still active")
+
+// NewRebuilder builds a repair manager whose walks show on the
+// "repair"/name trace timeline.
+func NewRebuilder(eng backend.Runtime, host func() *core.HostController, cfg RebuilderConfig, tracer *trace.Collector, name string) *Rebuilder {
+	r := &Rebuilder{w: newWalker(eng, cfg.RateMBps, cfg.Limiter, tracer, name), host: host, cfg: cfg}
+	tracer.AddGauge(r.w.track, name+" progress", func() float64 {
+		if r.w.total == 0 {
+			return 0
+		}
+		return float64(r.w.done) / float64(r.w.total)
+	})
 	return r
 }
 
-// Rebind points the rebuilder at a replacement controller after failover.
-func (r *Rebuilder) Rebind(h *core.HostController) { r.host = h }
-
-// Status returns a snapshot of the current rebuild.
-func (r *Rebuilder) Status() RebuildStatus { return r.status }
-
-// TotalStripes returns the number of stripes the array spans.
-func (r *Rebuilder) TotalStripes() int64 {
-	geo := r.host.Geometry()
-	return r.host.Size() / (int64(geo.DataChunks()) * geo.ChunkSize)
+// Status returns a snapshot of the current (or last) walk.
+func (r *Rebuilder) Status() Status {
+	st := r.status
+	st.Active, st.Done, st.Total = r.w.active, r.w.done, r.w.total
+	return st
 }
 
-// stripeGap returns the token-bucket spacing between stripe starts: the
-// virtual time one rebuilt chunk's bytes take at the configured rate.
-func (r *Rebuilder) stripeGap() sim.Duration {
-	if r.cfg.RateMBps <= 0 {
-		return 0
+// Run has the current controller plan a repair and walks it, reporting the
+// outcome to cb: the first item error aborts the walk (the plan's Finish
+// abandons whatever was half done), a clean walk commits. One walk at a
+// time, checked here and nowhere else: a busy manager returns ErrBusy without
+// calling plan, so nothing was claimed or changed. A planning error is
+// returned as is.
+func (r *Rebuilder) Run(plan func(*core.HostController) (core.Repair, error), cb func(error)) error {
+	if r.w.active {
+		return fmt.Errorf("%w: %s", ErrBusy, r.status.Label)
 	}
-	bytesPerNs := r.cfg.RateMBps * 1e6 / 1e9
-	return sim.Duration(float64(r.host.Geometry().ChunkSize) / bytesPerNs)
+	p, err := plan(r.host())
+	if err != nil {
+		return err
+	}
+	r.status = Status{Label: p.Label, Drive: p.Drive, Dest: p.Dest}
+	r.w.walk(walkSpec{
+		label: p.Label, unit: p.Unit, n: p.Items, cost: p.ItemBytes,
+		item: func(i int64, next func(error)) { r.relocate(p, i, next) },
+		done: func(err error) {
+			p.Finish(r.host(), err)
+			r.status.Err = err
+			cb(err)
+		},
+	})
+	return nil
 }
 
-// Rebuild reconstructs every stripe of member onto dest, then promotes dest
-// to be member's endpoint (FinishRebuild). On any stripe error the rebuild
-// aborts, the member stays failed, and the error is reported. Only one
-// rebuild may run at a time.
-func (r *Rebuilder) Rebuild(member int, dest core.NodeID, cb func(error)) {
-	if r.status.Active {
-		r.eng.Defer(func() { cb(fmt.Errorf("repair: rebuild of member %d already active", r.status.Member)) })
-		return
-	}
-	total := r.TotalStripes()
-	r.status = RebuildStatus{Active: true, Member: member, Dest: dest, TotalStripes: total}
-	r.host.StartRebuild(member, dest)
-	if r.tracer.Enabled() {
-		r.span = r.tracer.Begin(r.track, "repair", fmt.Sprintf("rebuild m%d→n%d", member, int(dest)),
-			trace.I64("stripes", total))
-	}
-	gap := r.stripeGap()
-	lastStart := r.eng.Now()
-
-	finish := func(err error) {
-		if err == nil {
-			r.host.FinishRebuild(member)
-		} else {
-			r.host.AbortRebuild(member)
-		}
-		if r.span != nil {
-			result := "ok"
-			if err != nil {
-				result = "aborted"
-			}
-			r.span.End(trace.Str("result", result))
-			r.span = nil
-		}
-		r.status.Active = false
-		cb(err)
-	}
-
-	var step func(stripe int64)
-	step = func(stripe int64) {
-		if stripe >= total {
-			finish(nil)
+// relocate runs item i of the plan on the current controller.
+func (r *Rebuilder) relocate(p core.Repair, i int64, next func(error)) {
+	h := r.host()
+	lostBefore := h.LostRegionsEver()
+	p.Do(h, i, func(err error) {
+		if err != nil && r.host() != h {
+			// The controller was replaced under the item (crashed and
+			// adopted, or fenced by a successor): redo it on the new one.
+			r.relocate(p, i, next)
 			return
 		}
-		run := func() {
-			lastStart = r.eng.Now()
-			lostBefore := r.host.LostRegionsEver()
-			r.host.RebuildStripe(stripe, member, func(err error) {
-				if delta := r.host.LostRegionsEver() - lostBefore; delta > 0 {
-					r.status.LostRegions += delta
-					if r.cfg.OnLost != nil {
-						r.cfg.OnLost(stripe)
-					}
-				}
-				if err != nil {
-					finish(fmt.Errorf("repair: member %d stripe %d: %w", member, stripe, err))
-					return
-				}
-				r.status.DoneStripes = stripe + 1
-				step(stripe + 1)
-			})
-		}
-		// Token bucket: the next stripe may not start before the previous
-		// one's bytes have "drained" at the configured rate. A shared
-		// limiter reserves from the cross-volume budget instead.
-		r.pace(&lastStart, gap, run)
-	}
-	step(0)
-}
-
-// pace schedules run according to the rebuild rate: reserving one chunk's
-// bytes from the shared limiter when configured, else spacing starts by the
-// private token-bucket gap anchored at *lastStart.
-func (r *Rebuilder) pace(lastStart *sim.Time, gap sim.Duration, run func()) {
-	if r.cfg.Limiter != nil {
-		if wait := r.cfg.Limiter.Reserve(r.host.Geometry().ChunkSize); wait > 0 {
-			r.eng.After(wait, run)
-		} else {
-			r.eng.Defer(run)
-		}
-		return
-	}
-	if wait := sim.Duration(*lastStart+sim.Time(gap)) - sim.Duration(r.eng.Now()); gap > 0 && wait > 0 {
-		r.eng.After(wait, run)
-	} else {
-		r.eng.Defer(run)
-	}
-}
-
-// RebuildDrive is the declustered many-to-many rebuild: every chunk the
-// layout places on the failed drive is reconstructed into an idle spare
-// slot of its own row, so both the reconstruction reads and the replacement
-// writes spread over the whole cluster and the rebuild shortens as the
-// cluster grows. There is no spare endpoint and no frontier — each
-// committed relocation immediately heals its stripe — and on success the
-// drive is retired in the layout, never to be placed on again. The same
-// rate budget paces it: one chunk's bytes per relocation.
-func (r *Rebuilder) RebuildDrive(drive int, cb func(error)) {
-	if r.status.Active {
-		r.eng.Defer(func() { cb(fmt.Errorf("repair: rebuild of member %d already active", r.status.Member)) })
-		return
-	}
-	slots := r.host.PlacementSlots(drive)
-	r.status = RebuildStatus{Active: true, Member: drive, TotalStripes: int64(len(slots))}
-	if r.tracer.Enabled() {
-		r.span = r.tracer.Begin(r.track, "repair", fmt.Sprintf("declustered rebuild d%d", drive),
-			trace.I64("chunks", int64(len(slots))))
-	}
-	gap := r.stripeGap()
-	lastStart := r.eng.Now()
-
-	finish := func(err error) {
-		if err == nil {
-			r.host.RetireDrive(drive)
-		}
-		if r.span != nil {
-			result := "ok"
-			if err != nil {
-				result = "aborted"
+		if delta := h.LostRegionsEver() - lostBefore; delta > 0 {
+			r.status.LostRegions += delta
+			if r.cfg.OnLost != nil {
+				r.cfg.OnLost(p.Stripe(i))
 			}
-			r.span.End(trace.Str("result", result))
-			r.span = nil
 		}
-		r.status.Active = false
-		cb(err)
-	}
-
-	var step func(i int)
-	step = func(i int) {
-		if i >= len(slots) {
-			finish(nil)
-			return
+		switch {
+		case errors.Is(err, core.ErrSlotTaken):
+			r.status.Skipped++
+			err = nil
+		case err != nil:
+			err = fmt.Errorf("repair: %s: stripe %d: %w", p.Label, p.Stripe(i), err)
 		}
-		run := func() {
-			lastStart = r.eng.Now()
-			lostBefore := r.host.LostRegionsEver()
-			r.host.RebuildSlot(slots[i].Stripe, drive, func(err error) {
-				if delta := r.host.LostRegionsEver() - lostBefore; delta > 0 {
-					r.status.LostRegions += delta
-					if r.cfg.OnLost != nil {
-						r.cfg.OnLost(slots[i].Stripe)
-					}
-				}
-				if err != nil {
-					finish(fmt.Errorf("repair: drive %d stripe %d: %w", drive, slots[i].Stripe, err))
-					return
-				}
-				r.status.DoneStripes = int64(i + 1)
-				step(i + 1)
-			})
-		}
-		r.pace(&lastStart, gap, run)
-	}
-	step(0)
+		next(err)
+	})
 }

@@ -6,9 +6,11 @@ import (
 	"math/rand"
 	"testing"
 
+	"draid/internal/blockdev"
 	"draid/internal/cluster"
 	"draid/internal/core"
 	"draid/internal/parity"
+	"draid/internal/placement"
 	"draid/internal/raid"
 	"draid/internal/repair"
 	"draid/internal/sim"
@@ -72,7 +74,7 @@ func detectorFixture(t *testing.T) (*cluster.Cluster, *core.HostController, *rep
 	t.Helper()
 	cl, h := testCluster(t, 5, 0, raid.Raid5)
 	var failed []int
-	det := repair.NewDetector(cl.Rt, h, repair.DetectorConfig{
+	det := repair.NewDetector(cl.Rt, hostOf(h), repair.DetectorConfig{
 		FailAfter: 3,
 		Grace:     10 * sim.Millisecond,
 	}, nil, func(m int) { failed = append(failed, m) })
@@ -163,7 +165,7 @@ func TestDetectorGraceDecaysStrikes(t *testing.T) {
 func TestHeartbeatDetectsDownNode(t *testing.T) {
 	cl, h := testCluster(t, 5, 0, raid.Raid5)
 	var failed []int
-	det := repair.NewDetector(cl.Rt, h, repair.DetectorConfig{
+	det := repair.NewDetector(cl.Rt, hostOf(h), repair.DetectorConfig{
 		HeartbeatEvery:   sim.Millisecond,
 		HeartbeatTimeout: 500 * sim.Microsecond,
 	}, nil, func(m int) { failed = append(failed, m) })
@@ -195,7 +197,7 @@ func TestHeartbeatDetectsDownNode(t *testing.T) {
 func TestHeartbeatDetectsAsymmetricDrop(t *testing.T) {
 	cl, h := testCluster(t, 5, 0, raid.Raid5)
 	var failed []int
-	det := repair.NewDetector(cl.Rt, h, repair.DetectorConfig{
+	det := repair.NewDetector(cl.Rt, hostOf(h), repair.DetectorConfig{
 		FailAfter:        3,
 		HeartbeatEvery:   sim.Millisecond,
 		HeartbeatTimeout: 500 * sim.Microsecond,
@@ -224,7 +226,7 @@ func TestHeartbeatDetectsAsymmetricDrop(t *testing.T) {
 // resumes, successful probes repair it back to healthy without escalation.
 func TestTransientDropRecoversToHealthy(t *testing.T) {
 	cl, h := testCluster(t, 5, 0, raid.Raid5)
-	det := repair.NewDetector(cl.Rt, h, repair.DetectorConfig{
+	det := repair.NewDetector(cl.Rt, hostOf(h), repair.DetectorConfig{
 		FailAfter:        4,
 		HeartbeatEvery:   sim.Millisecond,
 		HeartbeatTimeout: 500 * sim.Microsecond,
@@ -264,6 +266,31 @@ func seedDevice(t *testing.T, cl *cluster.Cluster, h *core.HostController, seed 
 	return ref
 }
 
+// planRebuild plans the rebuild of a failed drive onto the cluster's first
+// spare.
+func planRebuild(t *testing.T, cl *cluster.Cluster, h *core.HostController, drive int) core.Repair {
+	t.Helper()
+	plan, err := h.PlanRebuild(drive, 0, core.NewSparePool(cl.SpareIDs()).Claim)
+	if err != nil {
+		t.Fatalf("plan rebuild of drive %d: %v", drive, err)
+	}
+	return plan
+}
+
+// newRebuilder builds a rebuilder bound to h; planned hands it a plan made
+// beforehand.
+func newRebuilder(cl *cluster.Cluster, h *core.HostController, cfg repair.RebuilderConfig, name string) *repair.Rebuilder {
+	return repair.NewRebuilder(cl.Rt, hostOf(h), cfg, nil, name)
+}
+
+func hostOf(h *core.HostController) func() *core.HostController {
+	return func() *core.HostController { return h }
+}
+
+func planned(p core.Repair) func(*core.HostController) (core.Repair, error) {
+	return func(*core.HostController) (core.Repair, error) { return p, nil }
+}
+
 func TestRebuildCopiesMemberToSpare(t *testing.T) {
 	cl, h := testCluster(t, 5, 1, raid.Raid5)
 	ref := seedDevice(t, cl, h, 42)
@@ -272,9 +299,9 @@ func TestRebuildCopiesMemberToSpare(t *testing.T) {
 	cl.FailTarget(victim)
 	h.SetFailed(victim, true)
 
-	reb := repair.NewRebuilder(cl.Rt, h, repair.RebuilderConfig{}, nil)
+	reb := newRebuilder(cl, h, repair.RebuilderConfig{}, "rebuild")
 	rebErr := errors.New("not done")
-	reb.Rebuild(victim, cl.SpareIDs()[0], func(err error) { rebErr = err })
+	reb.Run(planned(planRebuild(t, cl, h, victim)), func(err error) { rebErr = err })
 	cl.Rt.Run()
 	if rebErr != nil {
 		t.Fatalf("rebuild: %v", rebErr)
@@ -285,8 +312,8 @@ func TestRebuildCopiesMemberToSpare(t *testing.T) {
 	if got := h.FailedMembers(); len(got) != 0 {
 		t.Fatalf("failed members after rebuild = %v, want none", got)
 	}
-	if got := h.Stats().RebuiltStripes; got != reb.TotalStripes() {
-		t.Fatalf("RebuiltStripes = %d, want %d", got, reb.TotalStripes())
+	if got := h.Stats().RebuiltStripes; got != reb.Status().Total {
+		t.Fatalf("RebuiltStripes = %d, want %d", got, reb.Status().Total)
 	}
 	// Full byte-exact sweep. The victim node is still down: every read of a
 	// rebuilt chunk must come from the promoted spare.
@@ -302,10 +329,10 @@ func TestRebuildThrottleRate(t *testing.T) {
 		seedDevice(t, cl, h, 7)
 		cl.FailTarget(2)
 		h.SetFailed(2, true)
-		reb := repair.NewRebuilder(cl.Rt, h, repair.RebuilderConfig{RateMBps: rateMBps}, nil)
+		reb := newRebuilder(cl, h, repair.RebuilderConfig{RateMBps: rateMBps}, "rebuild")
 		start := cl.Rt.Now()
 		rebErr := errors.New("not done")
-		reb.Rebuild(2, cl.SpareIDs()[0], func(err error) { rebErr = err })
+		reb.Run(planned(planRebuild(t, cl, h, 2)), func(err error) { rebErr = err })
 		cl.Rt.Run()
 		if rebErr != nil {
 			t.Fatalf("rebuild at %v MB/s: %v", rateMBps, rebErr)
@@ -325,6 +352,116 @@ func TestRebuildThrottleRate(t *testing.T) {
 	}
 	if unthrottled >= throttled {
 		t.Fatalf("unthrottled (%v) not faster than throttled (%v)", unthrottled, throttled)
+	}
+}
+
+// --- Aborted relocation ------------------------------------------------------
+
+// A relocation that fails mid-walk must leave nothing behind: the slot it
+// reserved in the layout is released, its stripe write lock is dropped, the
+// chunk stays where it was, and the walk stops there. The target of the
+// third move fail-stops (the controller is not told), so the move's write
+// times out after its read succeeded.
+func TestAbortedRelocationLeavesNothingBehind(t *testing.T) {
+	spec := cluster.DefaultSpec()
+	spec.Targets = 8
+	drv := ssd.DefaultSpec()
+	drv.Capacity = 2 << 20
+	spec.Drive = &drv
+	cl := cluster.New(spec)
+	h := cl.NewDRAID(core.Config{
+		Geometry: raid.Geometry{Level: raid.Raid5, Width: 4, ChunkSize: chunkSize},
+		Deadline: 5 * sim.Millisecond,
+		LayoutFor: func(base, extent int64) placement.Layout {
+			l, err := placement.NewDeclustered(base, extent, chunkSize, 4, 8, 17)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return l
+		},
+	})
+	dyn := h.Layout().(placement.Dynamic)
+	ref := seedDevice(t, cl, h, 31)
+
+	const leaving, failAt = 0, 2
+	plan, err := h.PlanDrain(leaving)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan.Items <= failAt+1 {
+		t.Fatalf("test setup: drive %d holds only %d chunks", leaving, plan.Items)
+	}
+	relocate := plan.Do
+	plan.Do = func(h *core.HostController, i int64, cb func(error)) {
+		if i == failAt {
+			// Slot choice is a pure function of layout state: claim and
+			// release to learn where this move is about to write.
+			to, ok := dyn.ClaimSpare(plan.Stripe(i), nil)
+			if !ok {
+				t.Fatalf("test setup: stripe %d has no idle slot", plan.Stripe(i))
+			}
+			dyn.Release(plan.Stripe(i), to)
+			cl.FailTarget(to)
+		}
+		relocate(h, i, cb)
+	}
+	reb := newRebuilder(cl, h, repair.RebuilderConfig{RateMBps: 400}, "rebalance")
+	walkErr := errors.New("not done")
+	reb.Run(planned(plan), func(err error) { walkErr = err })
+	cl.Rt.Run()
+
+	if !errors.Is(walkErr, blockdev.ErrTimeout) {
+		t.Fatalf("walk error = %v, want the failed move's write timeout", walkErr)
+	}
+	if st := reb.Status(); st.Active || st.Done != failAt || st.Total != plan.Items {
+		t.Fatalf("walk status after abort = %+v, want stopped at %d/%d", st, failAt, plan.Items)
+	}
+	if n := dyn.Reserved(); n != 0 {
+		t.Fatalf("%d layout slot(s) still reserved after the aborted move", n)
+	}
+	if err := h.Quiescent(); err != nil {
+		t.Fatalf("host after the aborted move: %v", err)
+	}
+	stripe := plan.Stripe(failAt)
+	if m := dyn.Member(stripe, leaving); m < 0 {
+		t.Fatalf("stripe %d lost its chunk on drive %d although the move failed", stripe, leaving)
+	}
+	// The stripe lock was dropped and the chunk is where the layout says: the
+	// stripe still takes writes and every byte still reads back.
+	stripeBytes := h.Geometry().StripeDataSize()
+	fresh := randBytes(32, int(stripeBytes))
+	mustWrite(t, cl, h, stripe*stripeBytes, fresh)
+	copy(ref[stripe*stripeBytes:], fresh)
+	if got := mustRead(t, cl, h, 0, h.Size()); !bytes.Equal(got, ref) {
+		t.Fatal("device image diverged after the aborted drain")
+	}
+}
+
+// --- Scrubber on the walker ---------------------------------------------------
+
+// Stop ends a periodic pass mid-walk: the stripe in flight finishes, no
+// further stripe starts, and no further pass is scheduled.
+func TestScrubberStopEndsPassMidWalk(t *testing.T) {
+	cl, h := testCluster(t, 5, 0, raid.Raid5)
+	seedDevice(t, cl, h, 3)
+	scr := repair.NewScrubber(cl.Rt, hostOf(h), repair.ScrubberConfig{
+		Interval: sim.Millisecond,
+		RateMBps: 200, // 5 × 64 KiB per stripe: one stripe every ~1.6 ms
+	}, nil)
+	scr.Start()
+	cl.Rt.RunFor(10 * sim.Millisecond)
+	mid := scr.Status()
+	if !mid.Active || mid.ScrubbedStripes == 0 || mid.ScrubbedStripes >= mid.TotalStripes {
+		t.Fatalf("test setup: pass not mid-walk after 10 ms: %+v", mid)
+	}
+	scr.Stop()
+	cl.Rt.RunFor(50 * sim.Millisecond)
+	st := scr.Status()
+	if st.Active || st.Passes != 1 {
+		t.Fatalf("after Stop: %+v, want the pass ended and none following", st)
+	}
+	if st.ScrubbedStripes > mid.ScrubbedStripes+1 {
+		t.Fatalf("pass kept walking after Stop: %d stripes scrubbed, was %d", st.ScrubbedStripes, mid.ScrubbedStripes)
 	}
 }
 
@@ -393,9 +530,9 @@ func TestForegroundServiceDuringRebuild(t *testing.T) {
 
 	cl.FailTarget(0)
 	h.SetFailed(0, true)
-	reb := repair.NewRebuilder(cl.Rt, h, repair.RebuilderConfig{RateMBps: 50}, nil)
+	reb := newRebuilder(cl, h, repair.RebuilderConfig{RateMBps: 50}, "rebuild")
 	rebErr := errors.New("not done")
-	reb.Rebuild(0, cl.SpareIDs()[0], func(err error) { rebErr = err })
+	reb.Run(planned(planRebuild(t, cl, h, 0)), func(err error) { rebErr = err })
 
 	// Interleave foreground reads with the rebuild: issue one read per
 	// virtual millisecond and require every one of them to complete.

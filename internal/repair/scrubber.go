@@ -52,44 +52,39 @@ type ScrubStatus struct {
 // Scrubber walks the array stripe by stripe in the background, verifying
 // checksum and parity coherence through core.ScrubStripe and repairing latent
 // errors in place — the proactive half of the integrity story (reactive
-// repair-on-read catches only sectors something reads). Pacing uses the same
-// token-bucket discipline as the rebuilder; periodic passes run on background
-// timers so an idle simulation can still drain.
+// repair-on-read catches only sectors something reads). It runs on the same
+// paced walker as the rebuilder, reserving a whole stripe's bytes per item;
+// periodic passes run on background timers so an idle simulation can still
+// drain.
 type Scrubber struct {
-	eng  backend.Runtime
-	host *core.HostController
+	w    walker
+	host func() *core.HostController // the controller serving now: a pass outlives a failover
 	cfg  ScrubberConfig
 
 	status  ScrubStatus
 	stopped bool
-
-	track  trace.Track
-	tracer *trace.Collector
-	span   *trace.Op
 }
 
 // NewScrubber builds a scrubber for the host. Call Start for periodic
 // passes, or RunPass for a single on-demand pass.
-func NewScrubber(eng backend.Runtime, host *core.HostController, cfg ScrubberConfig, tracer *trace.Collector) *Scrubber {
-	s := &Scrubber{eng: eng, host: host, cfg: cfg, tracer: tracer}
+func NewScrubber(eng backend.Runtime, host func() *core.HostController, cfg ScrubberConfig, tracer *trace.Collector) *Scrubber {
+	s := &Scrubber{w: newWalker(eng, cfg.RateMBps, cfg.Limiter, tracer, "scrub"), host: host, cfg: cfg}
 	s.status.Enabled = cfg.Interval > 0
-	if tracer.Enabled() {
-		s.track = tracer.Track("repair", "scrub")
-		tracer.AddGauge(s.track, "scrub progress", func() float64 {
-			if !s.status.Active || s.status.TotalStripes == 0 {
-				return 0
-			}
-			return float64(s.status.Stripe) / float64(s.status.TotalStripes)
-		})
-	}
+	tracer.AddGauge(s.w.track, "scrub progress", func() float64 {
+		if !s.w.active || s.w.total == 0 {
+			return 0
+		}
+		return float64(s.status.Stripe) / float64(s.w.total)
+	})
 	return s
 }
 
-// Rebind points the scrubber at a replacement controller after failover.
-func (s *Scrubber) Rebind(h *core.HostController) { s.host = h }
-
 // Status returns a snapshot of scrub progress.
-func (s *Scrubber) Status() ScrubStatus { return s.status }
+func (s *Scrubber) Status() ScrubStatus {
+	st := s.status
+	st.Active, st.TotalStripes = s.w.active, s.w.total
+	return st
+}
 
 // Start schedules the first periodic pass one interval from now. Passes run
 // entirely on background timers: they never keep the engine's Run from
@@ -99,7 +94,7 @@ func (s *Scrubber) Start() {
 		return
 	}
 	s.stopped = false
-	s.eng.AfterBG(s.cfg.Interval, func() { s.pass(true, nil) })
+	s.w.eng.AfterBG(s.cfg.Interval, func() { s.pass(true, nil) })
 }
 
 // Stop halts periodic scrubbing after the current stripe; an active pass
@@ -113,79 +108,30 @@ func (s *Scrubber) RunPass(cb func(ScrubStatus, error)) {
 	s.pass(false, cb)
 }
 
-// stripeGap returns the token-bucket spacing between stripe starts at the
-// private rate: a scrub touches every chunk of the stripe.
-func (s *Scrubber) stripeGap() sim.Duration {
-	if s.cfg.RateMBps <= 0 {
-		return 0
-	}
-	geo := s.host.Geometry()
-	stripeBytes := int64(geo.Width) * geo.ChunkSize
-	bytesPerNs := s.cfg.RateMBps * 1e6 / 1e9
-	return sim.Duration(float64(stripeBytes) / bytesPerNs)
-}
-
 // pass walks every stripe once. bg selects background timers (periodic
 // passes) vs foreground timers (RunPass).
 func (s *Scrubber) pass(bg bool, cb func(ScrubStatus, error)) {
-	if s.status.Active || (bg && s.stopped) {
+	if s.w.active || (bg && s.stopped) {
 		if cb != nil {
-			st := s.status
-			s.eng.Defer(func() { cb(st, fmt.Errorf("repair: scrub pass already active")) })
+			st := s.Status()
+			s.w.eng.Defer(func() { cb(st, fmt.Errorf("repair: scrub pass already active")) })
 		}
 		return
 	}
-	geo := s.host.Geometry()
-	total := s.host.Size() / (int64(geo.DataChunks()) * geo.ChunkSize)
-	s.status.Active = true
+	geo := s.host().Geometry()
+	total := s.host().Size() / geo.StripeDataSize()
 	s.status.Stripe = 0
-	s.status.TotalStripes = total
-	if s.tracer.Enabled() {
-		s.span = s.tracer.Begin(s.track, "repair", fmt.Sprintf("scrub pass %d", s.status.Passes),
-			trace.I64("stripes", total))
-	}
-	schedule := func(d sim.Duration, fn func()) {
-		if bg {
-			s.eng.AfterBG(d, fn)
-		} else if d > 0 {
-			s.eng.After(d, fn)
-		} else {
-			s.eng.Defer(fn)
-		}
-	}
-	gap := s.stripeGap()
-	stripeBytes := int64(geo.Width) * geo.ChunkSize
-	lastStart := s.eng.Now()
-
-	finish := func() {
-		s.status.Active = false
-		s.status.Passes++
-		if s.span != nil {
-			s.span.End(trace.Str("result", "ok"))
-			s.span = nil
-		}
-		s.event("scrub-pass", -1, fmt.Sprintf("pass %d: %d stripes, %d media repairs, %d parity repairs",
-			s.status.Passes, total, s.status.MediaRepairs, s.status.ParityRepairs))
-		if cb != nil {
-			cb(s.status, nil)
-		}
-		if bg && !s.stopped && s.cfg.Interval > 0 {
-			s.eng.AfterBG(s.cfg.Interval, func() { s.pass(true, nil) })
-		}
-	}
-
-	var step func(stripe int64)
-	step = func(stripe int64) {
-		if stripe >= total || (bg && s.stopped) {
-			finish()
-			return
-		}
-		run := func() {
-			lastStart = s.eng.Now()
+	s.w.walk(walkSpec{
+		label: fmt.Sprintf("scrub pass %d", s.status.Passes), unit: "stripes",
+		n: total, cost: int64(geo.Width) * geo.ChunkSize, // a scrub touches every chunk of the stripe
+		bg:   bg,
+		stop: func() bool { return bg && s.stopped },
+		item: func(stripe int64, next func(error)) {
 			s.status.Stripe = stripe
-			lostBefore := s.host.LostRegionsEver()
-			s.host.ScrubStripe(stripe, func(res core.ScrubResult, err error) {
-				if delta := s.host.LostRegionsEver() - lostBefore; delta > 0 {
+			h := s.host()
+			lostBefore := h.LostRegionsEver()
+			h.ScrubStripe(stripe, func(res core.ScrubResult, err error) {
+				if delta := h.LostRegionsEver() - lostBefore; delta > 0 {
 					s.event("lost-region", stripe, fmt.Sprintf("%d range(s) lost during scrub", delta))
 				}
 				switch {
@@ -204,20 +150,21 @@ func (s *Scrubber) pass(bg bool, cb func(ScrubStatus, error)) {
 							res.MediaRepairs, res.ParityRepairs))
 					}
 				}
-				step(stripe + 1)
+				next(nil)
 			})
-		}
-		if s.cfg.Limiter != nil {
-			schedule(s.cfg.Limiter.Reserve(stripeBytes), run)
-			return
-		}
-		if wait := sim.Duration(lastStart+sim.Time(gap)) - sim.Duration(s.eng.Now()); gap > 0 && wait > 0 {
-			schedule(wait, run)
-		} else {
-			schedule(0, run)
-		}
-	}
-	step(0)
+		},
+		done: func(error) {
+			s.status.Passes++
+			s.event("scrub-pass", -1, fmt.Sprintf("pass %d: %d stripes, %d media repairs, %d parity repairs",
+				s.status.Passes, total, s.status.MediaRepairs, s.status.ParityRepairs))
+			if cb != nil {
+				cb(s.Status(), nil)
+			}
+			if bg && !s.stopped && s.cfg.Interval > 0 {
+				s.w.eng.AfterBG(s.cfg.Interval, func() { s.pass(true, nil) })
+			}
+		},
+	})
 }
 
 func (s *Scrubber) event(kind string, stripe int64, detail string) {

@@ -1,6 +1,7 @@
 package repair
 
 import (
+	"errors"
 	"fmt"
 
 	"draid/internal/backend"
@@ -48,15 +49,16 @@ type Supervisor struct {
 	eng  backend.Runtime
 	host *core.HostController
 
-	det   *Detector
-	reb   *Rebuilder
-	rebal *Rebalancer
-	scrub *Scrubber
+	det *Detector
+	// reb rebuilds failed drives; rebal fills added drives and drains
+	// leaving ones. Two managers, so a failure mid-rebalance is rebuilt
+	// alongside it rather than behind it.
+	reb, rebal *Rebuilder
+	scrub      *Scrubber
 
-	spares  *core.SparePool
-	queue   []int // failed members awaiting a spare or the rebuilder
-	events  []Event
-	tracer  *trace.Collector
+	spares *core.SparePool
+	queue  []int // failed drives awaiting a spare or the rebuilder
+	events []Event
 }
 
 // NewSupervisor wires detector + rebuilder onto the host and installs the
@@ -66,21 +68,23 @@ func NewSupervisor(eng backend.Runtime, host *core.HostController, cfg Config, t
 	if pool == nil {
 		pool = core.NewSparePool(cfg.Spares)
 	}
-	s := &Supervisor{eng: eng, host: host, spares: pool, tracer: tracer}
+	s := &Supervisor{eng: eng, host: host, spares: pool}
+	rebalCfg := cfg.Rebuild
 	if cfg.Rebuild.OnLost == nil {
 		cfg.Rebuild.OnLost = func(stripe int64) {
-			s.log("lost-region", s.reb.Status().Member, fmt.Sprintf("stripe %d rebuilt with unrecoverable hole", stripe))
+			s.log("lost-region", s.reb.Status().Drive, fmt.Sprintf("stripe %d rebuilt with unrecoverable hole", stripe))
 		}
 	}
-	s.det = NewDetector(eng, host, cfg.Detector, tracer, s.handleFail)
-	s.reb = NewRebuilder(eng, host, cfg.Rebuild, tracer)
-	s.rebal = NewRebalancer(eng, host, cfg.Rebuild, tracer)
+	current := func() *core.HostController { return s.host }
+	s.det = NewDetector(eng, current, cfg.Detector, tracer, s.handleFail)
+	s.reb = NewRebuilder(eng, current, cfg.Rebuild, tracer, "rebuild")
+	s.rebal = NewRebuilder(eng, current, rebalCfg, tracer, "rebalance")
 	if cfg.Scrub.OnEvent == nil {
 		cfg.Scrub.OnEvent = func(kind string, stripe int64, detail string) {
 			s.log(kind, -1, detail)
 		}
 	}
-	s.scrub = NewScrubber(eng, host, cfg.Scrub, tracer)
+	s.scrub = NewScrubber(eng, current, cfg.Scrub, tracer)
 	host.SetHealth(s.det)
 	return s
 }
@@ -105,7 +109,7 @@ func (s *Supervisor) Detector() *Detector { return s.det }
 func (s *Supervisor) Rebuilder() *Rebuilder { return s.reb }
 
 // Rebalancer exposes the online-expansion migration manager.
-func (s *Supervisor) Rebalancer() *Rebalancer { return s.rebal }
+func (s *Supervisor) Rebalancer() *Rebuilder { return s.rebal }
 
 // Scrubber exposes the background scrubber.
 func (s *Supervisor) Scrubber() *Scrubber { return s.scrub }
@@ -122,13 +126,10 @@ func (s *Supervisor) Events() []Event { return append([]Event(nil), s.events...)
 func (s *Supervisor) NotifyFailed(member int) { s.det.ForceFail(member) }
 
 // Rebind moves the supervision stack onto a replacement controller after
-// host failover. The replacement must already have adopted the array.
+// host failover. The replacement must already have adopted the array; a
+// rebuild or rebalance under way carries on there from its next chunk.
 func (s *Supervisor) Rebind(h *core.HostController) {
 	s.host = h
-	s.det.Rebind(h)
-	s.reb.Rebind(h)
-	s.rebal.Rebind(h)
-	s.scrub.Rebind(h)
 	h.SetHealth(s.det)
 	s.log("failover", -1, "supervision rebound to replacement controller")
 }
@@ -139,38 +140,41 @@ func (s *Supervisor) log(kind string, member int, detail string) {
 
 // AddDrive grows a declustered volume onto a fresh fabric endpoint and
 // rebalances its fair share of chunks onto it in the background. Returns
-// the new drive index immediately; cb fires when the rebalance converges.
-func (s *Supervisor) AddDrive(node core.NodeID, cb func(error)) (int, error) {
-	idx, err := s.host.AddDrive(node)
-	if err != nil {
-		return 0, err
-	}
-	s.det.Grow(s.host.Drives())
-	s.log("drive-add", idx, fmt.Sprintf("node %d joined as drive %d; rebalancing", int(node), idx))
-	s.rebal.Fill(idx, func(err error) {
-		if err != nil {
-			s.log("rebalance-error", idx, err.Error())
-		} else {
-			st := s.rebal.Status()
-			s.log("rebalance-done", idx, fmt.Sprintf("%d chunk(s) moved, %d skipped", st.Done-st.Skipped, st.Skipped))
+// the new drive index immediately; the rebalancer's Status tells when the
+// rebalance has converged. Refused, changing nothing, while an earlier
+// rebalance is still running.
+func (s *Supervisor) AddDrive(node core.NodeID) (idx int, err error) {
+	err = s.rebalance(func(h *core.HostController) (plan core.Repair, err error) {
+		if idx, plan, err = h.AddDrive(node); err == nil {
+			s.det.Grow(h.Drives())
+			s.log("drive-add", idx, fmt.Sprintf("node %d joined as drive %d; rebalancing", int(node), idx))
 		}
-		cb(err)
+		return plan, err
 	})
-	return idx, nil
+	return idx, err
 }
 
 // RemoveDrive drains every chunk off a drive and retires it from the
-// layout; cb fires when the drive is empty. The endpoint itself is not
+// layout, in the background like AddDrive. The endpoint itself is not
 // touched — fencing or reusing it is the caller's business.
-func (s *Supervisor) RemoveDrive(drive int, cb func(error)) {
-	s.log("drive-remove", drive, "draining chunks onto remaining drives")
-	s.rebal.Drain(drive, func(err error) {
-		if err != nil {
-			s.log("rebalance-error", drive, err.Error())
-		} else {
-			s.log("rebalance-done", drive, fmt.Sprintf("%d chunk(s) evicted; drive retired", s.rebal.Status().Done))
+func (s *Supervisor) RemoveDrive(drive int) error {
+	return s.rebalance(func(h *core.HostController) (core.Repair, error) {
+		plan, err := h.PlanDrain(drive)
+		if err == nil {
+			s.log("drive-remove", drive, "draining chunks onto remaining drives")
 		}
-		cb(err)
+		return plan, err
+	})
+}
+
+func (s *Supervisor) rebalance(plan func(*core.HostController) (core.Repair, error)) error {
+	return s.rebal.Run(plan, func(err error) {
+		st := s.rebal.Status()
+		if err != nil {
+			s.log("rebalance-error", st.Drive, err.Error())
+		} else {
+			s.log("rebalance-done", st.Drive, fmt.Sprintf("%s: %d chunk(s) moved, %d skipped", st.Label, st.Done-st.Skipped, st.Skipped))
+		}
 	})
 }
 
@@ -184,49 +188,45 @@ func (s *Supervisor) handleFail(member int) {
 	s.tryRebuild()
 }
 
-// tryRebuild launches the next queued rebuild if a spare can be claimed and
-// the rebuilder is idle. With a shared pool, the claim races supervisors of
-// co-tenant volumes degraded by the same fault; engine order decides, and
-// the loser keeps its member queued until a spare frees up.
+// tryRebuild launches the next queued rebuild if the rebuilder is idle and
+// the host can plan it — which, for a layout that rebuilds onto a spare
+// endpoint, means one can be claimed. With a shared pool, the claim races
+// supervisors of co-tenant volumes degraded by the same fault; engine order
+// decides, and the loser keeps its drive queued until a spare frees up.
 func (s *Supervisor) tryRebuild() {
-	if len(s.queue) == 0 || s.reb.Status().Active {
+	if len(s.queue) == 0 {
 		return
 	}
-	if s.host.Declustered() {
-		// Many-to-many rebuild: the failed drive's chunks relocate into the
-		// rows' distributed spare slots — no spare endpoint is claimed, and
-		// the drive stays failed (and retired) afterwards, so the detector
-		// state is deliberately not reset.
-		drive := s.queue[0]
-		s.queue = s.queue[1:]
-		s.log("rebuild-start", drive, "declustered: relocating onto distributed spare slots")
-		s.reb.RebuildDrive(drive, func(err error) {
-			if err != nil {
-				s.log("rebuild-error", drive, err.Error())
-			} else {
-				s.log("rebuild-done", drive, "chunks relocated; drive retired")
-			}
-			s.tryRebuild()
-		})
-		return
-	}
-	spare, ok := s.spares.Claim()
-	if !ok {
-		return
-	}
-	member := s.queue[0]
-	s.queue = s.queue[1:]
-	s.log("rebuild-start", member, fmt.Sprintf("onto spare node %d", int(spare)))
-	s.reb.Rebuild(member, spare, func(err error) {
-		if err != nil {
-			// The spare may hold partial state; do not return it to the
-			// pool. The member stays failed (degraded service continues).
-			s.log("rebuild-error", member, err.Error())
-			s.tryRebuild()
-			return
+	drive := s.queue[0]
+	err := s.reb.Run(func(h *core.HostController) (core.Repair, error) {
+		plan, err := h.PlanRebuild(drive, 0, s.spares.Claim)
+		switch {
+		case errors.Is(err, core.ErrNoSpare):
+			return plan, err // stays queued
+		case err != nil:
+			s.log("rebuild-error", drive, err.Error())
+		default:
+			s.log("rebuild-start", drive, fmt.Sprintf("%s: %d %s", plan.Label, plan.Items, plan.Unit))
 		}
-		s.det.Reset(member)
-		s.log("rebuild-done", member, fmt.Sprintf("member now served by node %d", int(spare)))
+		s.queue = s.queue[1:]
+		return plan, err
+	}, func(err error) {
+		switch {
+		case err != nil:
+			// A claimed spare may hold partial state; do not return it to
+			// the pool. The drive stays failed (degraded service continues).
+			s.log("rebuild-error", drive, err.Error())
+		case s.host.DriveFailed(drive):
+			// Its chunks now live elsewhere; the drive itself stays failed
+			// (and retired), so the detector state is deliberately kept.
+			s.log("rebuild-done", drive, "chunks relocated; drive retired")
+		default:
+			s.det.Reset(drive)
+			s.log("rebuild-done", drive, fmt.Sprintf("drive now served by node %d", int(s.host.MemberNode(drive))))
+		}
 		s.tryRebuild()
 	})
+	if err != nil && !errors.Is(err, ErrBusy) && !errors.Is(err, core.ErrNoSpare) {
+		s.tryRebuild() // unplannable and dropped: on to the next
+	}
 }

@@ -237,29 +237,7 @@ func (p *Pool) OpenVolume(cfg VolumeConfig) (*Array, error) {
 		cl: p.cl, host: vol.Host, dev: vol.Host,
 		clientNode: p.cl.HostNode, hostCfg: vol.Cfg, vol: vol,
 	}
-	if p.cfg.Spares > 0 || cfg.Health.Detect {
-		det := repair.DetectorConfig{
-			FailAfter:        cfg.Health.FailAfter,
-			HeartbeatTimeout: sim.Duration(cfg.Health.HeartbeatTimeout),
-			Grace:            sim.Duration(cfg.Health.Grace),
-			DegradeAfter:     cfg.Health.DegradeAfter,
-			EvictAfter:       cfg.Health.EvictAfter,
-		}
-		if cfg.Health.Detect {
-			det.HeartbeatEvery = sim.Duration(cfg.Health.HeartbeatEvery)
-			if det.HeartbeatEvery <= 0 {
-				det.HeartbeatEvery = 10 * sim.Millisecond
-			}
-		}
-		arr.sup = repair.NewSupervisor(p.cl.Rt, vol.Host, repair.Config{
-			Detector: det,
-			Rebuild:  repair.RebuilderConfig{RateMBps: p.cfg.RebuildRateMBps, Limiter: p.limiter},
-			Pool:     p.cl.Spares,
-		}, p.cl.Tracer)
-		if cfg.Health.Detect {
-			arr.sup.Start()
-		}
-	}
+	arr.attachSupervisor(Config{Spares: p.cfg.Spares, Health: cfg.Health, RebuildRateMBps: p.cfg.RebuildRateMBps}, p.limiter)
 	p.arrays = append(p.arrays, arr)
 	return arr, nil
 }
@@ -304,35 +282,40 @@ func (p *Pool) FailDrive(i int) {
 // convergence. Fixed-layout volumes are unaffected — their windows stay
 // where they are.
 func (p *Pool) AddDrive() (int, error) {
-	var grow []*Array
-	for _, a := range p.arrays {
-		if a.host.Declustered() {
-			if a.sup == nil {
-				return 0, fmt.Errorf("draid: AddDrive: volume %q has no supervisor (configure PoolConfig.Spares)", a.vol.Name)
-			}
-			grow = append(grow, a)
-		}
-	}
-	if len(grow) == 0 {
-		return 0, fmt.Errorf("draid: AddDrive: pool has no declustered volumes: %w", ErrUnsupported)
+	grow, err := p.declustered("AddDrive")
+	if err != nil {
+		return 0, err
 	}
 	node, ok := p.cl.Spares.Claim()
 	if !ok {
 		return 0, fmt.Errorf("draid: no spare endpoint left to add")
 	}
 	idx := -1
-	p.pending = nil
+	p.pending = grow
 	for _, a := range grow {
-		arr := a
-		arr.rebalDone, arr.rebalErr = false, nil
-		i, err := arr.sup.AddDrive(node, func(e error) { arr.rebalErr, arr.rebalDone = e, true })
-		if err != nil {
+		if idx, err = a.sup.AddDrive(node); err != nil {
 			return 0, err
 		}
-		idx = i
-		p.pending = append(p.pending, arr)
 	}
 	return idx, nil
+}
+
+// declustered lists the volumes a drive add or removal acts on: every
+// declustered one, each of which needs a supervisor to run the migration.
+func (p *Pool) declustered(what string) (vols []*Array, err error) {
+	for _, a := range p.arrays {
+		if !a.host.Declustered() {
+			continue
+		}
+		if a.sup == nil {
+			return nil, fmt.Errorf("draid: %s: volume %q has no supervisor (configure PoolConfig.Spares)", what, a.vol.Name)
+		}
+		vols = append(vols, a)
+	}
+	if len(vols) == 0 {
+		return nil, fmt.Errorf("draid: %s: pool has no declustered volumes: %w", what, ErrUnsupported)
+	}
+	return vols, nil
 }
 
 // RemoveDrive drains drive i out of every declustered volume's layout and
@@ -345,23 +328,14 @@ func (p *Pool) RemoveDrive(i int) error {
 			return fmt.Errorf("draid: RemoveDrive: fixed-layout volume %q stripes over drive %d: %w", a.vol.Name, i, ErrUnsupported)
 		}
 	}
-	p.pending = nil
-	for _, a := range p.arrays {
-		if !a.host.Declustered() {
-			continue
+	drain, err := p.declustered("RemoveDrive")
+	p.pending = drain
+	for _, a := range drain {
+		if err = a.sup.RemoveDrive(i); err != nil {
+			break
 		}
-		if a.sup == nil {
-			return fmt.Errorf("draid: RemoveDrive: volume %q has no supervisor (configure PoolConfig.Spares)", a.vol.Name)
-		}
-		arr := a
-		arr.rebalDone, arr.rebalErr = false, nil
-		arr.sup.RemoveDrive(i, func(e error) { arr.rebalErr, arr.rebalDone = e, true })
-		p.pending = append(p.pending, arr)
 	}
-	if len(p.pending) == 0 {
-		return fmt.Errorf("draid: RemoveDrive: pool has no declustered volumes: %w", ErrUnsupported)
-	}
-	return nil
+	return err
 }
 
 // WaitRebalance advances the shared clock until every migration started by
@@ -369,11 +343,10 @@ func (p *Pool) RemoveDrive(i int) error {
 func (p *Pool) WaitRebalance() error {
 	p.cl.Eng.Run()
 	for _, a := range p.pending {
-		if !a.rebalDone {
+		if st := a.CurrentRebalance(); st.Active {
 			return fmt.Errorf("draid: rebalance of volume %q stalled", a.vol.Name)
-		}
-		if a.rebalErr != nil {
-			return a.rebalErr
+		} else if st.Err != nil {
+			return st.Err
 		}
 	}
 	return nil

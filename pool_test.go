@@ -219,6 +219,14 @@ func TestSharedRebuildRateLimiterArbitrates(t *testing.T) {
 	if both < solo*3/2 {
 		t.Fatalf("shared limiter not arbitrating: solo=%v both=%v", solo, both)
 	}
+	// The closed form behind that: each volume rebuilds 4 stripes, every
+	// stripe start reserves one chunk from the bucket, and reservations are
+	// granted one gap apart in call order — so a lone walk's last stripe
+	// starts 3 gaps in, and the interleaved pair's last one 7 gaps in.
+	gap := time.Duration(float64(64<<10) / 50e6 * 1e9)
+	if solo < 3*gap || solo >= 7*gap || both < 7*gap {
+		t.Fatalf("shared bucket spacing off: gap=%v solo=%v (want ≥3 gaps) both=%v (want ≥7 gaps)", gap, solo, both)
+	}
 }
 
 func TestMultivolExperimentDeterministic(t *testing.T) {

@@ -148,3 +148,116 @@ func TestRecoveryTraceDeterminism(t *testing.T) {
 		}
 	}
 }
+
+// TestFailoverMidRebuild: a supervised rebuild survives its controller. The
+// host fails over — crashed and adopted, or seized alive — while the walk is
+// between two chunks (paced) or in the middle of one (unthrottled: chunks run
+// back to back, and a crash drops the callbacks of the one in flight). The
+// replacement carries the same walk to the end: the drive heals, the spare
+// or the spare slots hold the right bytes, and nothing — rebuild entry,
+// layout reservation, stripe lock — is left open on it.
+func TestFailoverMidRebuild(t *testing.T) {
+	for _, tc := range []struct {
+		name        string
+		declustered bool
+		rateMBps    float64
+		into        time.Duration
+		seize       bool
+	}{
+		{"fixed/between-chunks", false, 50, 6 * time.Millisecond, false},
+		{"fixed/mid-chunk", false, 0, 700 * time.Microsecond, false},
+		{"fixed/mid-chunk-seized", false, 0, 700 * time.Microsecond, true},
+		{"declustered/between-chunks", true, 50, 6 * time.Millisecond, false},
+		{"declustered/mid-chunk", true, 0, 700 * time.Microsecond, false},
+		{"declustered/mid-chunk-seized", true, 0, 700 * time.Microsecond, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := draid.Config{
+				Drives: 5, DriveCapacity: 1 << 20, Spares: 1, Seed: 3,
+				RebuildRateMBps: tc.rateMBps, EpochFencing: tc.seize,
+			}
+			if tc.declustered {
+				cfg.Drives, cfg.ClusterDrives, cfg.Declustered = 3, 6, true
+			}
+			arr := smallArray(t, cfg)
+			ref := randBytes(51, int(arr.Size()))
+			if err := arr.WriteSync(0, ref); err != nil {
+				t.Fatal(err)
+			}
+			arr.FailDrive(1)
+			arr.RunFor(tc.into)
+			if st := arr.RebuildStatus(); !st.Active || st.Done == 0 || st.Done >= st.Total-1 {
+				t.Fatalf("test setup: rebuild not under way at failover: %+v", st)
+			}
+			takeover := arr.FailoverHost
+			if tc.seize {
+				takeover = arr.SeizeHost
+			}
+			if _, err := takeover(); err != nil {
+				t.Fatalf("takeover: %v", err)
+			}
+			arr.Run()
+			if st := arr.RebuildStatus(); st.Active || st.Done != st.Total {
+				t.Fatalf("rebuild did not finish on the replacement: %+v\n%v", st, arr.RecoveryEvents())
+			}
+			if failed := arr.FailedDrives(); tc.declustered != (len(failed) == 1) {
+				t.Fatalf("failed drives after the rebuild = %v", failed)
+			}
+			if err := arr.Cluster().LeakCheck(); err != nil {
+				t.Fatalf("replacement controller after the rebuild: %v", err)
+			}
+			// Every byte reads back, and the rebuilt chunks are coherent with
+			// their stripes' parity: a scrub finds nothing to repair.
+			got, err := arr.ReadSync(0, arr.Size())
+			if err != nil || !bytes.Equal(got, ref) {
+				t.Fatalf("device image after the rebuild: err=%v, equal=%v", err, bytes.Equal(got, ref))
+			}
+			if st, err := arr.ScrubNow(); err != nil || st.ParityRepairs+st.MediaRepairs+st.Errors+st.SkippedStripes != 0 {
+				t.Fatalf("scrub after the rebuild: %+v, %v", st, err)
+			}
+		})
+	}
+}
+
+// TestManualRebuildBesideSupervised: Array.RebuildDrive runs on a rebuilder
+// of its own, so on a supervised array it neither waits for nor blocks the
+// supervisor's. A RAID-6 array is rebuilding drive 1 onto its only spare,
+// paced, when drive 3 fails and queues for a spare that will not come; the
+// administrator swaps drive 3 and rebuilds it in place, next to the
+// supervised walk. Both finish, and the queued entry is dropped harmlessly.
+func TestManualRebuildBesideSupervised(t *testing.T) {
+	arr := smallArray(t, draid.Config{
+		Level: draid.Raid6, Drives: 6, DriveCapacity: 1 << 20, Spares: 1,
+		RebuildRateMBps: 50, Seed: 4,
+	})
+	ref := randBytes(61, int(arr.Size()))
+	if err := arr.WriteSync(0, ref); err != nil {
+		t.Fatal(err)
+	}
+	arr.FailDrive(1)
+	arr.RunFor(6 * time.Millisecond)
+	arr.FailDrive(3)
+	arr.RunFor(time.Millisecond)
+	if st := arr.RebuildStatus(); !st.Active || st.Drive != 1 || st.Done >= st.Total-1 {
+		t.Fatalf("test setup: supervised rebuild of drive 1 not under way: %+v", st)
+	}
+	if err := arr.RebuildDrive(3, 0); err != nil {
+		t.Fatalf("manual rebuild next to the supervised one: %v", err)
+	}
+	if st := arr.RebuildStatus(); st.Active || st.Drive != 1 || st.Done != st.Total {
+		t.Fatalf("supervised rebuild after the manual one returned: %+v", st)
+	}
+	if failed := arr.FailedDrives(); len(failed) != 0 {
+		t.Fatalf("failed drives after both rebuilds = %v\n%v", failed, arr.RecoveryEvents())
+	}
+	if err := arr.Cluster().LeakCheck(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := arr.ReadSync(0, arr.Size())
+	if err != nil || !bytes.Equal(got, ref) {
+		t.Fatalf("device image after both rebuilds: err=%v, equal=%v", err, bytes.Equal(got, ref))
+	}
+	if st, err := arr.ScrubNow(); err != nil || st.ParityRepairs+st.MediaRepairs+st.Errors+st.SkippedStripes != 0 {
+		t.Fatalf("scrub after both rebuilds: %+v, %v", st, err)
+	}
+}

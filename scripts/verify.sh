@@ -71,3 +71,6 @@ if [ "${FULL:-0}" = "1" ]; then
     go run ./cmd/draid-chaos -backend realtime -wb -seeds 2 -steps 3 -faults partition
     go run ./cmd/draid-chaos -backend realtime -tcp -seeds 1 -steps 2 -faults partition
 fi
+
+# Informational, never failing: the size of the tree, for the CHANGES.md line.
+sh scripts/loc.sh || true
