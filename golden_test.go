@@ -119,6 +119,11 @@ func TestGoldenExperimentReports(t *testing.T) {
 	}{
 		{"fig09", 1, "golden_fig09_quick.txt"},
 		{"fig12", 7, "golden_fig12_quick_seed7.txt"},
+		// Host-side decode paths (HostParityOnly fallback writer, RAID-6
+		// degraded read and write figures), captured before the decoder merge.
+		{"ablation-hostparity", 1, "golden_ablation_hostparity_quick.txt"},
+		{"fig28", 1, "golden_fig28_quick.txt"},
+		{"fig30", 1, "golden_fig30_quick.txt"},
 	} {
 		t.Run(tc.id, func(t *testing.T) {
 			got, err := experiments.Run(tc.id, experiments.Options{Quick: true, Seed: tc.seed})
