@@ -131,37 +131,46 @@ func TestScrubEventsInRecoveryLog(t *testing.T) {
 }
 
 // TestRepairOnRead proves a normal read through detected corruption succeeds
-// via reconstruction AND heals the drive: the damage is gone afterwards.
+// via reconstruction AND heals the drive: the damage is gone afterwards. On a
+// declustered layout the reporting drive's index is not its index in the
+// stripe; recovery must erase the member that reported, not its namesake.
 func TestRepairOnRead(t *testing.T) {
-	arr := integrityArray(t, draid.Config{Seed: 8})
-	ref := randBytes(12, 512<<10)
-	if err := arr.WriteSync(0, ref); err != nil {
-		t.Fatal(err)
-	}
+	for name, cfg := range map[string]draid.Config{
+		"fixed":       {Seed: 8},
+		"declustered": {Drives: 4, ClusterDrives: 8, Declustered: true, Seed: 8},
+	} {
+		t.Run(name, func(t *testing.T) {
+			arr := integrityArray(t, cfg)
+			ref := randBytes(12, 512<<10)
+			if err := arr.WriteSync(0, ref); err != nil {
+				t.Fatal(err)
+			}
 
-	mustInject(t, arr.Inject().BitRot(40<<10, 12<<10))
-	got, err := arr.ReadSync(32<<10, 32<<10)
-	if err != nil {
-		t.Fatalf("read through bit rot: %v", err)
-	}
-	if !bytes.Equal(got, ref[32<<10:64<<10]) {
-		t.Fatal("reconstructed read returned wrong bytes")
-	}
-	if arr.Stats().MediaErrors == 0 {
-		t.Fatal("checksum mismatch never surfaced as a media error")
-	}
-	arr.Run() // let the fire-and-forget in-place repair drain
-	if arr.Stats().RepairedRanges == 0 {
-		t.Fatal("no in-place repair recorded")
-	}
+			mustInject(t, arr.Inject().BitRot(40<<10, 12<<10))
+			got, err := arr.ReadSync(32<<10, 32<<10)
+			if err != nil {
+				t.Fatalf("read through bit rot: %v", err)
+			}
+			if !bytes.Equal(got, ref[32<<10:64<<10]) {
+				t.Fatal("reconstructed read returned wrong bytes")
+			}
+			if arr.Stats().MediaErrors == 0 {
+				t.Fatal("checksum mismatch never surfaced as a media error")
+			}
+			arr.Run() // let the fire-and-forget in-place repair drain
+			if arr.Stats().RepairedRanges == 0 {
+				t.Fatal("no in-place repair recorded")
+			}
 
-	// The repair rewrote the damaged sectors: a clean scrub proves it.
-	st, err := arr.ScrubNow()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.MediaRepairs != 0 {
-		t.Fatalf("damage survived repair-on-read: %+v", st)
+			// The repair rewrote the damaged sectors: a clean scrub proves it.
+			st, err := arr.ScrubNow()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.MediaRepairs != 0 {
+				t.Fatalf("damage survived repair-on-read: %+v", st)
+			}
+		})
 	}
 }
 
@@ -202,8 +211,8 @@ func TestMediaDoubleFaultTyped(t *testing.T) {
 	if err == nil {
 		t.Fatal("read across a media double fault returned data")
 	}
-	if !errors.Is(err, draid.ErrMediaError) {
-		t.Fatalf("double-fault error %v does not match ErrMediaError", err)
+	if !errors.Is(err, draid.ErrMediaError) || !errors.Is(err, draid.ErrDoubleFault) {
+		t.Fatalf("double-fault error %v does not match both ErrMediaError and ErrDoubleFault", err)
 	}
 }
 

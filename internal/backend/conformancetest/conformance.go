@@ -283,6 +283,49 @@ func Run(t *testing.T, f Factory) {
 		}
 	})
 
+	t.Run("Raid6DoubleDegradedIO", func(t *testing.T) {
+		// Two members down is inside RAID-6's parity budget: every write
+		// shape is accepted and every byte reads back, solved on the host,
+		// and both members rebuild to a coherent array.
+		cfg := baseConfig()
+		cfg.Level = draid.Raid6
+		cfg.Drives = 6 // 4 data chunks of 16 KiB per stripe
+		a := f(t, cfg)
+		defer closeDrained(t, a)
+		shadow := pattern(0, 256<<10) // four stripes
+		if err := a.WriteSync(0, shadow); err != nil {
+			t.Fatalf("priming write: %v", err)
+		}
+		a.FailDrive(1)
+		a.FailDrive(4)
+		for _, c := range []struct{ off, n int64 }{
+			{1000, 4 << 10},            // partial, inside one chunk
+			{16<<10 - 3000, 9000},      // straddling two chunks
+			{64 << 10, 64 << 10},       // full stripe
+			{128<<10 + 5000, 40 << 10}, // most of a stripe
+			{192<<10 - 8000, 24 << 10}, // crossing a stripe boundary
+			{192<<10 + 30000, 5 << 10}, // partial, second pass over a stripe
+		} {
+			p := pattern(c.off+3, int(c.n)) // +3: differs from the primer
+			if err := a.WriteSync(c.off, p); err != nil {
+				t.Fatalf("write [%d,+%d) with two members failed: %v", c.off, c.n, err)
+			}
+			copy(shadow[c.off:], p)
+			expectRead(t, a, c.off, p, "read-back with two members failed")
+		}
+		expectRead(t, a, 0, shadow, "whole range with two members failed")
+		for _, d := range []int{1, 4} {
+			if err := a.RebuildDrive(d, 0); err != nil {
+				t.Fatalf("rebuild of drive %d: %v", d, err)
+			}
+		}
+		if failed := a.FailedDrives(); len(failed) != 0 {
+			t.Fatalf("members still failed after both rebuilds: %v", failed)
+		}
+		expectParityCoherent(t, a, "after both rebuilds")
+		expectRead(t, a, 0, shadow, "whole range after both rebuilds")
+	})
+
 	t.Run("MediaErrorRepairOnRead", func(t *testing.T) {
 		cfg := baseConfig()
 		cfg.Integrity = true

@@ -7,7 +7,6 @@ import (
 	"draid/internal/blockdev"
 	"draid/internal/core"
 	"draid/internal/cpu"
-	"draid/internal/gf256"
 	"draid/internal/nvmeof"
 	"draid/internal/parity"
 	"draid/internal/raid"
@@ -300,27 +299,26 @@ func (h *Host) degradedReadExtent(e raid.Extent, put func(int64, parity.Buffer),
 	stripe := e.Stripe
 	rOff := h.geo.DriveOffset(stripe) + e.Off
 
-	pieces := make(map[int]*recPiece)
+	// Survivor segments land in chunk-index space as they arrive.
+	got := parity.Stripe{Data: make([]parity.Buffer, h.geo.DataChunks())}
 	var members []int
-	failedData := 0
-	for m := 0; m < h.geo.Width; m++ {
-		if kind, _ := h.geo.Role(stripe, m); h.failed[m] && kind == raid.KindData {
-			failedData++
+	var lostData []int
+	for c := 0; c < h.geo.DataChunks(); c++ {
+		if h.failed[h.geo.DataDrive(stripe, c)] {
+			lostData = append(lostData, c)
 		}
 	}
-	needQ := failedData > 1 || h.failed[h.geo.PDrive(stripe)]
+	needQ := len(lostData) > 1 || h.failed[h.geo.PDrive(stripe)]
 	for m := 0; m < h.geo.Width; m++ {
 		if h.failed[m] {
 			continue
 		}
-		kind, idx := h.geo.Role(stripe, m)
-		if kind == raid.KindQ && !needQ {
+		if kind, _ := h.geo.Role(stripe, m); kind == raid.KindQ && !needQ {
 			continue // Q not needed for single-failure recovery
 		}
-		pieces[m] = &recPiece{kind: kind, dataIdx: idx}
 		members = append(members, m)
 	}
-	if failedData+lostParity(h, stripe) > h.geo.Level.ParityCount() {
+	if len(lostData)+lostParity(h, stripe) > h.geo.Level.ParityCount() {
 		h.eng.Defer(func() {
 			done(fmt.Errorf("baseline: stripe %d: %w", stripe, blockdev.ErrDoubleFault))
 		})
@@ -334,8 +332,11 @@ func (h *Host) degradedReadExtent(e raid.Extent, put func(int64, parity.Buffer),
 				work += sim.Duration(pages) * h.cfg.Style.DegradedPerPage
 			}
 			h.worker(work, func() {
-				out := h.solve(stripe, e, pieces)
-				put(e.VOff, out)
+				if err := parity.SolveStripe(&got, lostData, false, false); err != nil {
+					done(fmt.Errorf("baseline: stripe %d: %v: %w", stripe, err, blockdev.ErrDoubleFault))
+					return
+				}
+				put(e.VOff, got.Data[e.Chunk])
 				done(nil)
 			})
 		},
@@ -345,8 +346,13 @@ func (h *Host) degradedReadExtent(e raid.Extent, put func(int64, parity.Buffer),
 		},
 	)
 	o.onPayload = func(from int, _, _ int64, b parity.Buffer) {
-		if p := pieces[from]; p != nil {
-			p.buf = b
+		switch kind, idx := h.geo.Role(stripe, from); kind {
+		case raid.KindP:
+			got.P = b
+		case raid.KindQ:
+			got.Q = b
+		default:
+			got.Data[idx] = b
 		}
 	}
 	for _, m := range members {
@@ -363,72 +369,4 @@ func lostParity(h *Host, stripe int64) int {
 		n++
 	}
 	return n
-}
-
-// recPiece is one survivor segment gathered to the host for reconstruction.
-type recPiece struct {
-	kind    raid.ChunkKind
-	dataIdx int
-	buf     parity.Buffer
-}
-
-// solve recovers extent e's data chunk from gathered survivor pieces using
-// XOR (single failure) or the RAID-6 GF solves.
-func (h *Host) solve(stripe int64, e raid.Extent, pieces map[int]*recPiece) parity.Buffer {
-	rLen := int(e.Len)
-	var pBuf, qBuf parity.Buffer
-	var dataBufs []parity.Buffer
-	var dataIdx []int
-	for _, p := range pieces {
-		if p.buf.Elided() {
-			return parity.Sized(rLen)
-		}
-		switch p.kind {
-		case raid.KindP:
-			pBuf = p.buf
-		case raid.KindQ:
-			qBuf = p.buf
-		default:
-			dataBufs = append(dataBufs, p.buf)
-			dataIdx = append(dataIdx, p.dataIdx)
-		}
-	}
-	var lostData []int
-	for m := range h.failed {
-		if k, idx := h.geo.Role(stripe, m); k == raid.KindData {
-			lostData = append(lostData, idx)
-		}
-	}
-	sort.Ints(lostData)
-
-	switch {
-	case len(lostData) == 1 && !pBuf.Elided() && pBuf.Len() == rLen:
-		acc := pBuf.Clone()
-		for _, d := range dataBufs {
-			acc = parity.XORInto(acc, d)
-		}
-		return acc
-	case len(lostData) == 1 && qBuf.Len() == rLen && !qBuf.Elided():
-		survivors := make([][]byte, len(dataBufs))
-		for i, d := range dataBufs {
-			survivors[i] = d.Data()
-		}
-		out := make([]byte, rLen)
-		gf256.RecoverOneDataFromQ(out, qBuf.Data(), survivors, dataIdx, e.Chunk)
-		return parity.FromBytes(out)
-	case len(lostData) == 2:
-		survivors := make([][]byte, len(dataBufs))
-		for i, d := range dataBufs {
-			survivors[i] = d.Data()
-		}
-		dx := make([]byte, rLen)
-		dy := make([]byte, rLen)
-		gf256.RecoverTwoData(dx, dy, pBuf.Data(), qBuf.Data(), survivors, dataIdx, lostData[0], lostData[1])
-		if e.Chunk == lostData[0] {
-			return parity.FromBytes(dx)
-		}
-		return parity.FromBytes(dy)
-	default:
-		return parity.Sized(rLen)
-	}
 }

@@ -453,18 +453,127 @@ func TestRaid6SingleFailureDegradedRead(t *testing.T) {
 	}
 }
 
+// A full-stripe read over two failed data chunks gathers each survivor once:
+// one host-side decode, the user's bytes inbound and little else.
 func TestRaid6DualDataFailureRead(t *testing.T) {
 	cl, h := testCluster(t, 6, raid.Raid6)
 	data := randBytes(30, 4*chunkSize) // full stripe
 	mustWrite(t, cl, h, 0, data)
 	failMember(cl, h, h.Geometry().DataDrive(0, 0))
 	failMember(cl, h, h.Geometry().DataDrive(0, 2))
+	cl.ResetTraffic()
 	got := mustRead(t, cl, h, 0, int64(len(data)))
 	if !bytes.Equal(got, data) {
 		t.Fatal("RAID-6 dual-data-failure read mismatch")
 	}
-	if h.Stats().HostFallbackReads == 0 {
-		t.Fatalf("stats = %+v, want host fallback reads", h.Stats())
+	if n := h.Stats().HostFallbackReads; n != 1 {
+		t.Fatalf("host fallback reads = %d, want one gather for the stripe", n)
+	}
+	_, in := cl.TotalHostBytes()
+	if ratio := float64(in) / float64(len(data)); ratio > 1.05 {
+		t.Fatalf("host inbound = %.2f× user bytes, want ≤ 1.05×", ratio)
+	}
+}
+
+// rebuildStripe0 brings failed member m back: its target recovers and stripe
+// 0 is rebuilt onto it in place.
+func rebuildStripe0(t *testing.T, cl *cluster.Cluster, h *core.HostController, m int) {
+	t.Helper()
+	cl.RecoverTarget(m)
+	plan, err := h.PlanRebuild(m, 1, func() (core.NodeID, bool) { return h.MemberNode(m), true })
+	if err != nil {
+		t.Fatalf("plan rebuild of member %d: %v", m, err)
+	}
+	rerr := errors.New("pending")
+	plan.Do(h, 0, func(err error) { rerr = err })
+	cl.Eng.Run()
+	plan.Finish(h, rerr)
+	if rerr != nil {
+		t.Fatalf("rebuild of member %d: %v", m, rerr)
+	}
+}
+
+// RAID-6 with two erasures in a stripe still takes every write: the fallback
+// writer solves the lost chunks' old content through whatever parity is left.
+func TestRaid6DoubleDegradedWrites(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		failed func(g raid.Geometry) []int // members the host knows are failed
+		silent func(g raid.Geometry) []int // members that crashed unannounced
+		off, n int64
+	}{
+		{"4k into a failed chunk, second data chunk failed",
+			func(g raid.Geometry) []int { return []int{g.DataDrive(0, 0), g.DataDrive(0, 2)} }, nil,
+			1000, 4 << 10},
+		{"straddling a healthy and a failed chunk, P failed",
+			func(g raid.Geometry) []int { return []int{g.DataDrive(0, 1), g.PDrive(0)} }, nil,
+			chunkSize - 3000, 9000},
+		{"timeout retry onto a doubly degraded stripe",
+			func(g raid.Geometry) []int { return []int{g.DataDrive(0, 0)} },
+			func(g raid.Geometry) []int { return []int{g.DataDrive(0, 2)} },
+			2*chunkSize + 500, 4 << 10},
+		{"full stripe over two failed data chunks",
+			func(g raid.Geometry) []int { return []int{g.DataDrive(0, 1), g.DataDrive(0, 3)} }, nil,
+			0, 4 * chunkSize},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cl, h := testCluster(t, 6, raid.Raid6)
+			want := randBytes(40, 4*chunkSize)
+			mustWrite(t, cl, h, 0, want)
+			down := tc.failed(h.Geometry())
+			for _, m := range down {
+				failMember(cl, h, m)
+			}
+			if tc.silent != nil {
+				for _, m := range tc.silent(h.Geometry()) {
+					cl.FailTarget(m)
+					down = append(down, m)
+				}
+			}
+			data := randBytes(41, int(tc.n))
+			copy(want[tc.off:], data)
+			mustWrite(t, cl, h, tc.off, data)
+			if tc.silent != nil && h.Stats().Retries == 0 {
+				t.Fatalf("stats = %+v, want a timeout-driven retry", h.Stats())
+			}
+			if !bytes.Equal(mustRead(t, cl, h, 0, int64(len(want))), want) {
+				t.Fatal("stripe read back wrong while doubly degraded")
+			}
+			for _, m := range down {
+				rebuildStripe0(t, cl, h, m)
+			}
+			verifyStripeParity(t, cl, h, 0)
+			if !bytes.Equal(mustRead(t, cl, h, 0, int64(len(want))), want) {
+				t.Fatal("stripe read back wrong after the members returned")
+			}
+		})
+	}
+}
+
+// Running out of parity budget through member failures alone is a plain
+// double fault: not a media error, and no bytes are recorded lost — whether
+// the third failure was known up front or a gather reader vanished.
+func TestGatherPastBudgetWithoutMediaIsPlainDoubleFault(t *testing.T) {
+	for _, silent := range []bool{false, true} {
+		cl, h := testCluster(t, 6, raid.Raid6)
+		mustWrite(t, cl, h, 0, randBytes(42, 4*chunkSize))
+		g := h.Geometry()
+		failMember(cl, h, g.DataDrive(0, 0))
+		failMember(cl, h, g.DataDrive(0, 1))
+		if silent {
+			cl.FailTarget(g.DataDrive(0, 3))
+		} else {
+			failMember(cl, h, g.QDrive(0))
+		}
+		rerr := errors.New("pending")
+		h.Read(0, 2*chunkSize, func(_ parity.Buffer, err error) { rerr = err })
+		cl.Eng.Run()
+		if !errors.Is(rerr, blockdev.ErrDoubleFault) || errors.Is(rerr, blockdev.ErrMediaError) {
+			t.Fatalf("silent=%v: read past the parity budget: %v, want ErrDoubleFault and not ErrMediaError", silent, rerr)
+		}
+		if lost := h.LostRegions(); len(lost) != 0 || h.LostRegionsEver() != 0 {
+			t.Fatalf("silent=%v: member failures recorded lost regions: %v", silent, lost)
+		}
 	}
 }
 

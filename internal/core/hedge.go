@@ -373,15 +373,7 @@ func (hr *hedgeRead) maybeResolve() {
 // without another round trip to the P member.
 func (hr *hedgeRead) prefetchParity() {
 	h := hr.h
-	lo, hi := hr.exts[0].Off, hr.exts[0].Off+hr.exts[0].Len
-	for _, e := range hr.exts[1:] {
-		if e.Off < lo {
-			lo = e.Off
-		}
-		if e.Off+e.Len > hi {
-			hi = e.Off + e.Len
-		}
-	}
+	lo, hi := unionRange(hr.exts)
 	pDrive := h.geo.PDrive(hr.stripe)
 	if h.memberFailed(hr.stripe, pDrive) {
 		return

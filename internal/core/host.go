@@ -213,8 +213,9 @@ type HostController struct {
 	// rebuilds tracks open rebuilds by drive. For a spare rebuild, stripes
 	// below the frontier already live on the spare and are routed there.
 	rebuilds map[int]*rebuildState
-	// relocating lists the chunk relocations in flight, oldest first;
-	// orphans those a crashed predecessor left open (takeover → Fence).
+	// relocating lists the lock-held repair steps in flight — chunk
+	// relocations, scrubs, resyncs — oldest first; orphans those a crashed
+	// predecessor left open (takeover → Fence).
 	relocating, orphans []*relocation
 
 	// dirty is the §5.4 write-intent bitmap: stripe → in-flight writes.
@@ -293,8 +294,9 @@ type stripeOp struct {
 	// onMediaErr, when set, takes over after a StatusMediaError completion:
 	// the op is cancelled (no doneFn/failedFn) and the hook drives its own
 	// recovery continuation. The completion's Offset/Length carry the
-	// precise unreadable drive range. When nil, the op fails blaming no
-	// member (media errors are not node-failure evidence).
+	// precise unreadable drive range; member is the reporter's index in the
+	// stripe. When nil, the op fails blaming no member (media errors are not
+	// node-failure evidence).
 	onMediaErr func(member int, cmd nvmeof.Command)
 	done       bool
 	// responded records endpoints that completed (any status), so a timeout
@@ -678,9 +680,11 @@ func (h *HostController) complete(m Message) (tookPayload bool) {
 			m.Cmd.ID, int(m.From), m.Cmd.Offset, m.Cmd.Length)
 		h.reportOK(member)
 		if op.onMediaErr != nil {
+			// Health evidence above is per drive; the hook works in the
+			// stripe's member space (skip sets, roles, repair addressing).
 			hook := op.onMediaErr
 			h.cancelOp(op, "media-error")
-			hook(member, m.Cmd)
+			hook(h.memberOfAt(op.stripe, m.From), m.Cmd)
 			return false
 		}
 		h.failOp(op, nil)
@@ -913,9 +917,9 @@ func (h *HostController) Fence(cb func(error)) {
 	for _, r := range h.rebuilds {
 		add(r.dest)
 	}
-	// The dead session is silenced: end the chunk relocations its crash left
-	// open. Each rolls back what it reserved in the shared layout and fails
-	// with ErrAbandoned, on which its walk redoes the chunk here.
+	// The dead session is silenced: end the repair steps its crash left open.
+	// Each rolls back what it reserved in the shared layout and fails with
+	// ErrAbandoned, on which its walk redoes the item here.
 	fenced := func() {
 		for _, r := range h.orphans {
 			r.end(ErrAbandoned)
@@ -1108,16 +1112,10 @@ func (h *HostController) readIO(off, n int64, cb func(parity.Buffer, error)) {
 			pending++
 			h.degradedReadStripe(stripe, failedExts[0], normal, asm, &fail, maybeDone)
 		default:
-			// Multiple failed data chunks in one stripe (RAID-6 dual
-			// failure): host-side GF solve per failed extent.
-			for i, fe := range failedExts {
-				pending++
-				n := normal
-				if i > 0 {
-					n = nil
-				}
-				h.hostFallbackRead(stripe, fe, n, asm, &fail, maybeDone)
-			}
+			// Several failed data chunks in one stripe (RAID-6 dual failure):
+			// one host-side gather solves them all.
+			pending++
+			h.hostReadGroup(stripe, failedExts, normal, -1, asm, &fail, maybeDone)
 		}
 	}
 	h.cores.Exec(h.cfg.Costs.PerUser, func() {})
@@ -1223,22 +1221,16 @@ func (h *HostController) degradedReadStripe(stripe int64, failedExt raid.Extent,
 	h.stats.Reconstructions++
 
 	// The peer-to-peer XOR reduction needs P plus every other data chunk of
-	// this stripe healthy; anything else goes through the host GF solve.
+	// this stripe healthy; anything else goes through the host GF solve,
+	// which also is where a stripe past its parity budget is refused.
 	failedData := 0
 	for c := 0; c < h.geo.DataChunks(); c++ {
 		if h.memberFailed(stripe, h.geo.DataDrive(stripe, c)) {
 			failedData++
 		}
 	}
-	if failedData+lostParityCount(h, stripe) > h.geo.Level.ParityCount() {
-		h.rt.Defer(func() {
-			*fail = fmt.Errorf("core: stripe %d: %w", stripe, blockdev.ErrDoubleFault)
-			done()
-		})
-		return
-	}
 	if failedData != 1 || h.memberFailed(stripe, h.geo.PDrive(stripe)) {
-		h.hostFallbackRead(stripe, failedExt, normal, asm, fail, done)
+		h.hostReadGroup(stripe, []raid.Extent{failedExt}, normal, -1, asm, fail, done)
 		return
 	}
 
@@ -1302,7 +1294,7 @@ func (h *HostController) degradedReadStripe(stripe int64, failedExt raid.Extent,
 		},
 	)
 	op.onMediaErr = func(member int, _ nvmeof.Command) {
-		h.mediaFallbackGroup(stripe, []raid.Extent{failedExt}, normal, member, asm, fail, done)
+		h.hostReadGroup(stripe, []raid.Extent{failedExt}, normal, member, asm, fail, done)
 	}
 	reconVOff := failedExt.VOff
 	op.onPayload = func(from NodeID, cmd nvmeof.Command, b parity.Buffer) {
@@ -1353,16 +1345,4 @@ func (h *HostController) degradedReadStripe(stripe int64, failedExt raid.Extent,
 		}
 		h.send(op, p.target, cmd, parity.Buffer{})
 	}
-}
-
-// lostParityCount counts failed parity members of a stripe.
-func lostParityCount(h *HostController, stripe int64) int {
-	n := 0
-	if h.memberFailed(stripe, h.geo.PDrive(stripe)) {
-		n++
-	}
-	if h.geo.Level == raid.Raid6 && h.memberFailed(stripe, h.geo.QDrive(stripe)) {
-		n++
-	}
-	return n
 }

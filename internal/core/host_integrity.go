@@ -7,12 +7,10 @@ import (
 	"sort"
 
 	"draid/internal/blockdev"
-	"draid/internal/gf256"
 	"draid/internal/integrity"
 	"draid/internal/nvmeof"
 	"draid/internal/parity"
 	"draid/internal/raid"
-	"draid/internal/sim"
 )
 
 // This file holds the host's media-error recovery machinery: when a server
@@ -76,13 +74,18 @@ func (h *HostController) recordLost(stripe int64, member int, lo, hi int64) {
 	h.trace("lost region: stripe %d member %d [%d,+%d)", stripe, member, lo, hi-lo)
 }
 
-// recordShortfall records the lost region named by a mediaShortfall error,
-// if the error is one and identifies a specific member range.
-func (h *HostController) recordShortfall(err error) {
+// recordShortfall reports whether err is a mediaShortfall — bytes given up to
+// unreadable sectors, not a timeout or a plain member double fault — and if
+// it names a specific member range, records that range lost.
+func (h *HostController) recordShortfall(err error) bool {
 	var sf *mediaShortfall
-	if errors.As(err, &sf) && sf.member >= 0 {
+	if !errors.As(err, &sf) {
+		return false
+	}
+	if sf.member >= 0 {
 		h.recordLost(sf.stripe, sf.member, sf.off, sf.off+sf.n)
 	}
+	return true
 }
 
 // mediaShortfall reports that reconstructing a chunk range failed because
@@ -107,231 +110,6 @@ func (e *mediaShortfall) Unwrap() []error {
 }
 
 // ---------------------------------------------------------------------------
-// Gather-and-solve: the generic erasure decoder behind every media path.
-
-// gatherSolveRange reads the chunk-relative range [lo,hi) of stripe from
-// every member that is neither failed nor in skip, then solves the content of
-// the unread members through the surviving redundancy. On success cb receives
-// got (member → read buffer) and solved (member → reconstructed buffer, one
-// entry per failed/skipped member, parity included). A member whose read
-// reports a media error is added to skip and the gather restarts — each
-// restart shrinks the reader set, so the recursion is bounded by Width. When
-// the erasures exceed the parity budget, cb receives a *mediaShortfall
-// carrying the budget-breaking member range.
-func (h *HostController) gatherSolveRange(stripe, lo, hi int64, skip map[int]bool, cb func(got, solved map[int]parity.Buffer, err error)) {
-	sk := make(map[int]bool, len(skip)+1)
-	for m, v := range skip {
-		if v {
-			sk[m] = true
-		}
-	}
-	g := &gatherState{h: h, stripe: stripe, lo: lo, hi: hi, skip: sk, cb: cb}
-	g.attempt()
-}
-
-// gatherState is one gather-solve across its media-error restarts.
-type gatherState struct {
-	h       *HostController
-	stripe  int64
-	lo, hi  int64
-	skip    map[int]bool
-	lastBad *mediaShortfall // most recent media report, for shortfall errors
-	cb      func(got, solved map[int]parity.Buffer, err error)
-}
-
-func (g *gatherState) attempt() {
-	h := g.h
-	n := g.hi - g.lo
-	base := h.driveOff(g.stripe)
-
-	var erased, readers []int
-	erasedData, availPar := 0, 0
-	for m := 0; m < h.geo.Width; m++ {
-		kind, _ := h.geo.Role(g.stripe, m)
-		if h.memberFailed(g.stripe, m) || g.skip[m] {
-			erased = append(erased, m)
-			if kind == raid.KindData {
-				erasedData++
-			}
-			continue
-		}
-		readers = append(readers, m)
-		if kind != raid.KindData {
-			availPar++
-		}
-	}
-	if erasedData > availPar {
-		sf := g.lastBad
-		if sf == nil {
-			sf = &mediaShortfall{stripe: g.stripe, member: -1}
-		}
-		h.rt.Defer(func() { g.cb(nil, nil, sf) })
-		return
-	}
-
-	got := make(map[int]parity.Buffer, len(readers))
-	watch := make([]NodeID, len(readers))
-	for i, m := range readers {
-		watch[i] = h.nodeAt(g.stripe, m)
-	}
-	op := h.newStripeOp("media-gather", g.stripe, len(readers), watch,
-		func() {
-			cost := h.cfg.Costs.Gf(int(n)) * sim.Duration(len(erased)+1)
-			h.cores.Exec(cost, func() {
-				solved, err := h.solveLost(g.stripe, n, erased, got)
-				if err != nil {
-					g.cb(nil, nil, err)
-					return
-				}
-				g.cb(got, solved, nil)
-			})
-		},
-		func(missing []NodeID) {
-			// A reader vanished mid-gather (crashed but not yet detected):
-			// escalate it exactly like the normal read path and re-solve with
-			// it erased — the budget check above decides between remaining
-			// redundancy and a typed loss. Each escalation permanently
-			// shrinks the reader set, so the restarts are bounded by Width.
-			if len(missing) == 0 {
-				g.cb(nil, nil, fmt.Errorf("core: stripe %d media gather: %w", g.stripe, blockdev.ErrTimeout))
-				return
-			}
-			for _, m := range missing {
-				h.failNode(m)
-			}
-			g.attempt()
-		},
-	)
-	op.onPayload = func(from NodeID, _ nvmeof.Command, b parity.Buffer) {
-		b = b.Disown() // kept for the solve
-		if m := h.memberOfAt(g.stripe, from); m >= 0 {
-			got[m] = b
-		}
-	}
-	op.onMediaErr = func(member int, cmd nvmeof.Command) {
-		// A latent error on another member: exclude it too and re-gather.
-		g.lastBad = &mediaShortfall{
-			stripe: g.stripe, member: member,
-			off: cmd.Offset - base, n: cmd.Length,
-		}
-		g.skip[member] = true
-		g.attempt()
-	}
-	for _, m := range readers {
-		h.send(op, h.nodeAt(g.stripe, m), nvmeof.Command{
-			Opcode: nvmeof.OpRead, Offset: base + g.lo, Length: n,
-		}, parity.Buffer{})
-	}
-}
-
-// solveLost reconstructs each erased member's content over an n-byte
-// chunk-relative range from the gathered survivor pieces: lost data chunks
-// through P and/or Q, lost parity chunks by recomputation from the (then
-// complete) data. The caller's budget check guarantees solvability.
-func (h *HostController) solveLost(stripe, n int64, erased []int, got map[int]parity.Buffer) (map[int]parity.Buffer, error) {
-	solved := make(map[int]parity.Buffer, len(erased))
-	if len(erased) == 0 {
-		return solved, nil
-	}
-	var lostData []int // lost data-chunk indices
-	memberByIdx := make(map[int]int)
-	lostP, lostQ := false, false
-	pMember, qMember := -1, -1
-	for _, m := range erased {
-		switch kind, idx := h.geo.Role(stripe, m); kind {
-		case raid.KindP:
-			lostP, pMember = true, m
-		case raid.KindQ:
-			lostQ, qMember = true, m
-		default:
-			lostData = append(lostData, idx)
-			memberByIdx[idx] = m
-		}
-	}
-
-	k := h.geo.DataChunks()
-	data := make([]parity.Buffer, k)
-	var pBuf, qBuf parity.Buffer
-	var sBufs [][]byte
-	var sIdx []int
-	for m := 0; m < h.geo.Width; m++ {
-		b, ok := got[m]
-		if !ok {
-			continue
-		}
-		if b.Elided() {
-			// Size-only payloads carry no content to decode; propagate.
-			for _, em := range erased {
-				solved[em] = parity.Sized(int(n))
-			}
-			return solved, nil
-		}
-		switch kind, idx := h.geo.Role(stripe, m); kind {
-		case raid.KindP:
-			pBuf = b
-		case raid.KindQ:
-			qBuf = b
-		default:
-			data[idx] = b
-			sBufs = append(sBufs, b.Data())
-			sIdx = append(sIdx, idx)
-		}
-	}
-
-	switch len(lostData) {
-	case 0:
-	case 1:
-		x := lostData[0]
-		var out parity.Buffer
-		switch {
-		case !lostP && pBuf.Len() > 0:
-			acc := pBuf.Clone()
-			for c := 0; c < k; c++ {
-				if c != x {
-					acc = parity.XORInto(acc, data[c])
-				}
-			}
-			out = acc
-		case !lostQ && qBuf.Len() > 0:
-			o := make([]byte, n)
-			gf256.RecoverOneDataFromQ(o, qBuf.Data(), sBufs, sIdx, x)
-			out = parity.FromBytes(o)
-		default:
-			return nil, fmt.Errorf("core: stripe %d: no surviving parity for chunk %d: %w",
-				stripe, x, blockdev.ErrDoubleFault)
-		}
-		data[x] = out
-		solved[memberByIdx[x]] = out
-	case 2:
-		if lostP || lostQ || pBuf.Len() == 0 || qBuf.Len() == 0 {
-			return nil, fmt.Errorf("core: stripe %d: dual data loss needs P and Q: %w",
-				stripe, blockdev.ErrDoubleFault)
-		}
-		dx := make([]byte, n)
-		dy := make([]byte, n)
-		gf256.RecoverTwoData(dx, dy, pBuf.Data(), qBuf.Data(), sBufs, sIdx, lostData[0], lostData[1])
-		data[lostData[0]] = parity.FromBytes(dx)
-		data[lostData[1]] = parity.FromBytes(dy)
-		solved[memberByIdx[lostData[0]]] = data[lostData[0]]
-		solved[memberByIdx[lostData[1]]] = data[lostData[1]]
-	default:
-		return nil, fmt.Errorf("core: stripe %d: %d data chunks erased: %w",
-			stripe, len(lostData), blockdev.ErrDoubleFault)
-	}
-
-	switch {
-	case lostP && lostQ:
-		p, q := parity.ComputePQ(data)
-		solved[pMember], solved[qMember] = p, q
-	case lostP:
-		solved[pMember] = parity.ComputeP(data)
-	case lostQ:
-		solved[qMember] = parity.ComputeQ(data, nil)
-	}
-	return solved, nil
-}
-
-// ---------------------------------------------------------------------------
 // Read-path recovery continuations (installed as stripeOp.onMediaErr hooks).
 
 // mediaRecoverExtent serves a normal read whose target reported unreadable
@@ -342,50 +120,15 @@ func (h *HostController) mediaRecoverExtent(e raid.Extent, member int, asm *asse
 	h.gatherSolveRange(e.Stripe, e.Off, e.Off+e.Len, map[int]bool{member: true},
 		func(got, solved map[int]parity.Buffer, err error) {
 			if err != nil {
-				h.recordLost(e.Stripe, member, e.Off, e.Off+e.Len)
-				h.recordShortfall(err)
+				if h.recordShortfall(err) {
+					h.recordLost(e.Stripe, member, e.Off, e.Off+e.Len)
+				}
 				*fail = fmt.Errorf("core: stripe %d read: %w", e.Stripe, err)
 				done()
 				return
 			}
 			asm.put(e.VOff, solved[member])
 			h.repairChunkRange(e.Stripe, member, e.Off, e.Off+e.Len, nil)
-			done()
-		})
-}
-
-// mediaFallbackGroup serves a reconstruction-group read (degraded read or
-// host fallback read) after one of its survivors reported unreadable
-// sectors: gather the union range of every extent in the group, solving both
-// the originally failed chunks and the media-erased survivor, then schedule
-// the survivor's repair.
-func (h *HostController) mediaFallbackGroup(stripe int64, failedExts, normal []raid.Extent, member int, asm *assembler, fail *error, done func()) {
-	all := append(append([]raid.Extent(nil), failedExts...), normal...)
-	uLo, uHi := unionRange(all)
-	h.gatherSolveRange(stripe, uLo, uHi, map[int]bool{member: true},
-		func(got, solved map[int]parity.Buffer, err error) {
-			if err != nil {
-				for _, fe := range failedExts {
-					h.recordLost(stripe, h.geo.DataDrive(stripe, fe.Chunk), fe.Off, fe.Off+fe.Len)
-				}
-				h.recordShortfall(err)
-				*fail = fmt.Errorf("core: stripe %d read: %w", stripe, err)
-				done()
-				return
-			}
-			for _, e := range all {
-				d := h.geo.DataDrive(stripe, e.Chunk)
-				b, ok := solved[d]
-				if !ok {
-					b = got[d]
-				}
-				if b.Elided() {
-					asm.put(e.VOff, parity.Sized(int(e.Len)))
-					continue
-				}
-				asm.put(e.VOff, b.Slice(int(e.Off-uLo), int(e.Len)))
-			}
-			h.repairChunkRange(stripe, member, uLo, uHi, nil)
 			done()
 		})
 }
@@ -725,11 +468,7 @@ func (h *HostController) ScrubStripe(stripe int64, cb func(ScrubResult, error)) 
 			return
 		}
 	}
-	h.acquireStripe(stripe, func() {
-		finish := func(err error) {
-			h.releaseStripe(stripe)
-			cb(res, err)
-		}
+	h.repairStep(stripe, func(finish func(error)) {
 		cs := h.geo.ChunkSize
 		base := h.driveOff(stripe)
 		h.gatherSolveRange(stripe, 0, cs, nil, func(got, solved map[int]parity.Buffer, err error) {
@@ -821,5 +560,5 @@ func (h *HostController) ScrubStripe(stripe int64, cb func(ScrubResult, error)) 
 				}
 			})
 		})
-	})
+	}, nil, func(err error) { cb(res, err) })
 }

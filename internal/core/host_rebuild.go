@@ -62,9 +62,9 @@ type Repair struct {
 // ErrNoSpare reports that a rebuild needs a spare endpoint and none is free.
 var ErrNoSpare = errors.New("core: no spare endpoint available")
 
-// ErrAbandoned ends a relocation whose controller crashed under it; the
+// ErrAbandoned ends a repair step whose controller crashed under it; the
 // repair manager redoes the item on the successor.
-var ErrAbandoned = errors.New("core: relocation abandoned by a crashed controller")
+var ErrAbandoned = errors.New("core: repair step abandoned by a crashed controller")
 
 // ErrSlotTaken reports a planned move whose target slot was claimed by a
 // racing rebuild or migration; the chunk stays put and placement remains
@@ -155,8 +155,37 @@ func (h *HostController) PlanRebuild(drive int, limit int64, spare func() (NodeI
 	return p, nil
 }
 
-// relocation is one open chunk move; end closes it, once.
+// relocation is one open repair step; end closes it, once.
 type relocation struct{ end func(error) }
+
+// repairStep runs one repair step — a chunk relocation, a scrub, a resync —
+// under stripe's write lock: body does the work and calls end exactly once.
+// end runs settle (optional) with the outcome while the lock is still held,
+// releases the lock, then reports to cb.
+//
+// A step ends exactly once. While open it is listed in h.relocating: a crash
+// drops every operation callback, so the adopter ends it instead, with
+// ErrAbandoned (takeover, Fence), on which its walk redoes the item on the
+// successor — else reservation, lock and walk hang forever.
+func (h *HostController) repairStep(stripe int64, body func(end func(error)), settle, cb func(error)) {
+	r := &relocation{}
+	r.end = func(err error) {
+		i := slices.Index(h.relocating, r)
+		if i < 0 {
+			return
+		}
+		h.relocating = slices.Delete(h.relocating, i, i+1)
+		if settle != nil {
+			settle(err)
+		}
+		if !h.crashed {
+			h.releaseStripe(stripe)
+		}
+		cb(err)
+	}
+	h.relocating = append(h.relocating, r)
+	h.acquireStripe(stripe, func() { body(r.end) })
+}
 
 // relocateChunk is the one chunk-relocation primitive. Under the stripe
 // write lock it obtains stripe member m's current image — read from its
@@ -166,43 +195,26 @@ type relocation struct{ end func(error) }
 // roll back on error (release a reservation). Holding the lock across
 // read+write+commit is what keeps a foreground write or destage from
 // interleaving and leaving the relocated chunk stale.
-//
-// A relocation ends exactly once. While open it is listed in h.relocating: a
-// crash drops every operation callback, so the adopter ends it instead, with
-// ErrAbandoned (takeover, Fence) — else reservation and walk hang forever.
 func (h *HostController) relocateChunk(stripe int64, member int, to NodeID, settle, cb func(error)) {
-	r := &relocation{}
-	done := func(err error) {
-		i := slices.Index(h.relocating, r)
-		if i < 0 {
-			return
-		}
-		h.relocating = slices.Delete(h.relocating, i, i+1)
-		if err == nil {
-			h.stats.RebuiltStripes++
-		}
-		settle(err)
-		if !h.crashed {
-			h.releaseStripe(stripe)
-		}
-		cb(err)
-	}
-	r.end = done
-	h.relocating = append(h.relocating, r)
-	h.acquireStripe(stripe, func() {
+	h.repairStep(stripe, func(end func(error)) {
 		deliver := func(b parity.Buffer, err error) {
 			if err != nil {
-				done(err)
+				end(err)
 				return
 			}
-			h.writeChunkToNode(stripe, to, b, done)
+			h.writeChunkToNode(stripe, to, b, end)
 		}
 		if h.memberFailed(stripe, member) {
 			h.ReconstructStripeChunk(stripe, member, deliver)
 		} else {
 			h.readChunk(stripe, member, deliver)
 		}
-	})
+	}, func(err error) {
+		if err == nil {
+			h.stats.RebuiltStripes++
+		}
+		settle(err)
+	}, cb)
 }
 
 // ReconstructStripeChunk rebuilds the full chunk held by `member` in
@@ -335,19 +347,11 @@ func (h *HostController) ReconstructStripeChunk(stripe int64, member int, cb fun
 // readChunk reads the full current chunk image of stripe member m from its
 // healthy drive.
 func (h *HostController) readChunk(stripe int64, member int, cb func(parity.Buffer, error)) {
-	target := h.nodeAt(stripe, member)
-	var result parity.Buffer
-	op := h.newStripeOp("migrate-read", stripe, 1, []NodeID{target},
-		func() { cb(result, nil) },
+	h.readMembers("migrate-read", stripe, 0, h.geo.ChunkSize, []int{member},
+		func(got map[int]parity.Buffer) { cb(got[member], nil) }, nil,
 		func([]NodeID) {
 			cb(parity.Buffer{}, fmt.Errorf("core: stripe %d migrate read: %w", stripe, blockdev.ErrTimeout))
-		},
-	)
-	op.onPayload = func(_ NodeID, _ nvmeof.Command, b parity.Buffer) { result = b.Disown() }
-	h.send(op, target, nvmeof.Command{
-		Opcode: nvmeof.OpRead,
-		Offset: h.driveOff(stripe), Length: h.geo.ChunkSize,
-	}, parity.Buffer{})
+		})
 }
 
 // migrateChunk relocates stripe member m to physical drive `to`,

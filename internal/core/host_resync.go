@@ -50,12 +50,7 @@ func (h *HostController) DirtyStripes() []int64 {
 // resync's reads and its parity write would otherwise have its fresh parity
 // overwritten by a recomputation from stale data.
 func (h *HostController) ResyncStripe(stripe int64, cb func(error)) {
-	h.acquireStripe(stripe, func() {
-		h.resyncStripeLocked(stripe, func(err error) {
-			h.releaseStripe(stripe)
-			cb(err)
-		})
-	})
+	h.repairStep(stripe, func(end func(error)) { h.resyncStripeLocked(stripe, end) }, nil, cb)
 }
 
 func (h *HostController) resyncStripeLocked(stripe int64, cb func(error)) {
@@ -77,8 +72,7 @@ func (h *HostController) resyncStripeLocked(stripe int64, cb func(error)) {
 	}
 
 	chunks := make([]parity.Buffer, k)
-	var watch []NodeID
-	reads := 0
+	var readers []int
 	for c := 0; c < k; c++ {
 		m := h.geo.DataDrive(stripe, c)
 		if h.memberFailed(stripe, m) {
@@ -88,16 +82,19 @@ func (h *HostController) resyncStripeLocked(stripe int64, cb func(error)) {
 			chunks[c] = parity.Alloc(int(cs))
 			continue
 		}
-		reads++
-		watch = append(watch, h.nodeAt(stripe, m))
+		readers = append(readers, m)
 	}
-	if reads == 0 {
+	if len(readers) == 0 {
 		h.rt.Defer(func() { cb(blockdev.ErrIO) })
 		return
 	}
 
-	rOp := h.newStripeOp("resync-read", stripe, reads, watch,
-		func() {
+	h.readMembers("resync-read", stripe, 0, cs, readers,
+		func(got map[int]parity.Buffer) {
+			for m, b := range got {
+				_, idx := h.geo.Role(stripe, m)
+				chunks[idx] = b
+			}
 			work := h.cfg.Costs.Xor(int(cs) * k)
 			if qAlive {
 				work += h.cfg.Costs.Gf(int(cs) * k)
@@ -130,20 +127,8 @@ func (h *HostController) resyncStripeLocked(stripe int64, cb func(error)) {
 				}
 			})
 		},
+		nil,
 		func([]NodeID) {
 			cb(fmt.Errorf("core: stripe %d resync read: %w", stripe, blockdev.ErrTimeout))
 		})
-	rOp.onPayload = func(from NodeID, _ nvmeof.Command, b parity.Buffer) {
-		_, idx := h.geo.Role(stripe, h.memberOfAt(stripe, from))
-		chunks[idx] = b.Disown()
-	}
-	for c := 0; c < k; c++ {
-		m := h.geo.DataDrive(stripe, c)
-		if h.memberFailed(stripe, m) {
-			continue
-		}
-		h.send(rOp, h.nodeAt(stripe, m), nvmeof.Command{
-			Opcode: nvmeof.OpRead, Offset: base, Length: cs,
-		}, parity.Buffer{})
-	}
 }

@@ -290,15 +290,7 @@ func (h *HostController) fullStripeWrite(stripe int64, data parity.Buffer, exts 
 		parityWork += h.cfg.Costs.Gf(int(cs) * k)
 	}
 	h.cores.Exec(parityWork, func() {
-		var pBuf, qBuf parity.Buffer
-		switch {
-		case pAlive && qAlive:
-			pBuf, qBuf = parity.ComputePQ(chunks)
-		case pAlive:
-			pBuf = parity.ComputeP(chunks)
-		case qAlive:
-			qBuf = parity.ComputeQ(chunks, nil)
-		}
+		pBuf, qBuf := parity.ComputeParity(chunks, pAlive, qAlive)
 		expect := len(targets)
 		if pAlive {
 			expect++
@@ -514,12 +506,13 @@ func (h *HostController) rcwWrite(stripe int64, exts []raid.Extent, data parity.
 	}
 }
 
-// hostFallbackWrite restores full stripe consistency centrally: fetch the
-// stripe's survivor state over the union range, compute new data and parity
-// on the host, and write everything back. Used for the §5.4 full-stripe
-// retry, for degraded corner cases, and for the HostParityOnly ablation.
-// Timeouts in either phase route through onTimeout, which owns the retry
-// budget.
+// hostFallbackWrite restores full stripe consistency centrally: bring every
+// data chunk's content over the union range to the host — read where the
+// member is alive, solved through surviving parity where it is not — overlay
+// the new data, recompute parity, and write everything back. Used for the
+// §5.4 full-stripe retry, for degraded corner cases, and for the
+// HostParityOnly ablation. Timeouts in either phase route through onTimeout,
+// which owns the retry budget.
 func (h *HostController) hostFallbackWrite(stripe int64, exts []raid.Extent, data parity.Buffer, onTimeout func([]NodeID), done func(error)) {
 	h.stats.HostFallbackWrites++
 	base := h.driveOff(stripe)
@@ -535,64 +528,22 @@ func (h *HostController) hostFallbackWrite(stripe int64, exts []raid.Extent, dat
 		qAlive = !h.memberFailed(stripe, qDrive)
 	}
 
-	// Phase 1: read the union range of every alive data chunk, plus P if we
-	// need to reconstruct a lost chunk's old content.
-	type slot struct {
-		buf parity.Buffer
-		ok  bool
+	dataMembers := make([]int, k)
+	for c := range dataMembers {
+		dataMembers[c] = h.geo.DataDrive(stripe, c)
 	}
-	dataOld := make([]slot, k)
-	var pOld slot
-	var lostIdx []int
-	var aliveIdx []int
-	for c := 0; c < k; c++ {
-		if h.memberFailed(stripe, h.geo.DataDrive(stripe, c)) {
-			lostIdx = append(lostIdx, c)
-		} else {
-			aliveIdx = append(aliveIdx, c)
-		}
-	}
-	if len(lostIdx) > 1 || (len(lostIdx) == 1 && !pAlive) {
-		// Two lost data chunks, or a lost chunk whose old content can no
-		// longer be recovered through P — reconstructable in principle via
-		// Q, but out of scope for the fallback writer.
+	readers, lost, ok := h.planDecode(stripe, dataMembers, nil)
+	if !ok {
 		h.rt.Defer(func() {
 			done(fmt.Errorf("core: stripe %d fallback write: %w", stripe, blockdev.ErrDoubleFault))
 		})
 		return
 	}
-	needP := len(lostIdx) == 1 && pAlive
 
-	reads := len(aliveIdx)
-	if needP {
-		reads++
-	}
-	var watch []NodeID
-	for _, c := range aliveIdx {
-		watch = append(watch, h.nodeAt(stripe, h.geo.DataDrive(stripe, c)))
-	}
-	if needP {
-		watch = append(watch, h.nodeAt(stripe, pDrive))
-	}
-
-	finishPhase2 := func() {
-		// Reconstruct the lost chunk's old content through P if present. The
-		// phase-1 read payloads are exclusively ours (fresh drive-read copies)
-		// and dead after this closure, so the old-P buffer doubles as the
-		// accumulator and the overlay below mutates the reads in place — no
-		// per-chunk clones.
-		if len(lostIdx) == 1 {
-			acc := pOld.buf
-			for _, c := range aliveIdx {
-				acc = parity.XORInto(acc, dataOld[c].buf)
-			}
-			dataOld[lostIdx[0]] = slot{buf: acc, ok: true}
-		}
-		// Overlay the new data.
-		newData := make([]parity.Buffer, k)
-		for c := 0; c < k; c++ {
-			newData[c] = dataOld[c].buf
-		}
+	// Phases 2 and 3, given every data chunk's pre-operation content. Those
+	// buffers are exclusively ours (fresh drive-read copies or solver output)
+	// and dead afterwards, so the overlay mutates them in place.
+	finish := func(newData []parity.Buffer) {
 		elided := data.Elided()
 		for _, e := range exts {
 			if elided {
@@ -606,15 +557,7 @@ func (h *HostController) hostFallbackWrite(stripe int64, exts []raid.Extent, dat
 			work += h.cfg.Costs.Gf(int(uLen) * k)
 		}
 		h.cores.Exec(work, func() {
-			var pNew, qNew parity.Buffer
-			switch {
-			case pAlive && qAlive:
-				pNew, qNew = parity.ComputePQ(newData)
-			case pAlive:
-				pNew = parity.ComputeP(newData)
-			case qAlive:
-				qNew = parity.ComputeQ(newData, nil)
-			}
+			pNew, qNew := parity.ComputeParity(newData, pAlive, qAlive)
 			// Phase 3: write back touched alive chunks + parity.
 			writes := 0
 			var wWatch []NodeID
@@ -661,53 +604,41 @@ func (h *HostController) hostFallbackWrite(stripe int64, exts []raid.Extent, dat
 		})
 	}
 
-	if reads == 0 {
-		h.rt.Defer(finishPhase2)
-		return
-	}
-	rOp := h.newStripeOp("fallback-read", stripe, reads, watch, finishPhase2, onTimeout)
-	rOp.onPayload = func(from NodeID, _ nvmeof.Command, b parity.Buffer) {
-		// Per-stripe reverse lookup: under a declustered layout the global
-		// node→drive map says nothing about which member of THIS stripe the
-		// endpoint served.
-		b = b.Disown() // kept until phase 2
-		m := h.memberOfAt(stripe, from)
-		if m == pDrive {
-			pOld = slot{buf: b, ok: true}
-			return
-		}
-		_, idx := h.geo.Role(stripe, m)
-		dataOld[idx] = slot{buf: b, ok: true}
-	}
-	rOp.onMediaErr = func(member int, _ nvmeof.Command) {
-		// A phase-1 read hit unreadable sectors. The fallback may be cleaning
-		// up after an aborted partial write whose siblings already committed
-		// while parity did not, so the bad member cannot simply be solved
-		// against the survivors' stored bytes — fallbackRecoverOld re-derives
-		// every chunk's pre-operation content through the write hole.
-		h.fallbackRecoverOld(stripe, exts, uLo, uHi, map[int]bool{member: true},
-			func(old []parity.Buffer, err error) {
-				if err != nil {
-					h.recordShortfall(err)
-					done(fmt.Errorf("core: stripe %d fallback write: %w", stripe, err))
-					return
+	// Phase 1: the data chunks alone when all are alive; otherwise every
+	// surviving data chunk plus the parity the solve needs.
+	h.readMembers("fallback-read", stripe, uLo, uHi, readers,
+		func(got map[int]parity.Buffer) {
+			solved, err := h.solveLost(stripe, lost, got)
+			if err != nil {
+				done(fmt.Errorf("core: stripe %d fallback write: %w", stripe, err))
+				return
+			}
+			old := make([]parity.Buffer, k)
+			for c, m := range dataMembers {
+				b, ok := got[m]
+				if !ok {
+					b = solved[m]
 				}
-				for c := 0; c < k; c++ {
-					dataOld[c] = slot{buf: old[c], ok: true}
-				}
-				lostIdx = nil // every chunk's old content is now in hand
-				h.repairChunkRange(stripe, member, uLo, uHi, nil)
-				finishPhase2()
-			})
-	}
-	for _, c := range aliveIdx {
-		h.send(rOp, h.nodeAt(stripe, h.geo.DataDrive(stripe, c)), nvmeof.Command{
-			Opcode: nvmeof.OpRead, Offset: base + uLo, Length: uLen,
-		}, parity.Buffer{})
-	}
-	if needP {
-		h.send(rOp, h.nodeAt(stripe, pDrive), nvmeof.Command{
-			Opcode: nvmeof.OpRead, Offset: base + uLo, Length: uLen,
-		}, parity.Buffer{})
-	}
+				old[c] = b
+			}
+			finish(old)
+		},
+		func(member int, _ nvmeof.Command) {
+			// A phase-1 read hit unreadable sectors. The fallback may be cleaning
+			// up after an aborted partial write whose siblings already committed
+			// while parity did not, so the bad member cannot simply be solved
+			// against the survivors' stored bytes — fallbackRecoverOld re-derives
+			// every chunk's pre-operation content through the write hole.
+			h.fallbackRecoverOld(stripe, exts, uLo, uHi, map[int]bool{member: true},
+				func(old []parity.Buffer, err error) {
+					if err != nil {
+						h.recordShortfall(err)
+						done(fmt.Errorf("core: stripe %d fallback write: %w", stripe, err))
+						return
+					}
+					h.repairChunkRange(stripe, member, uLo, uHi, nil)
+					finish(old)
+				})
+		},
+		onTimeout)
 }

@@ -229,6 +229,20 @@ func ComputePQ(chunks []Buffer) (p, q Buffer) {
 	return p, q
 }
 
+// ComputeParity returns the parities asked for — the fused pass when both —
+// and a zero Buffer for one that is not.
+func ComputeParity(chunks []Buffer, wantP, wantQ bool) (p, q Buffer) {
+	switch {
+	case wantP && wantQ:
+		return ComputePQ(chunks)
+	case wantP:
+		p = ComputeP(chunks)
+	case wantQ:
+		q = ComputeQ(chunks, nil)
+	}
+	return p, q
+}
+
 // Delta returns old ⊕ new — the RMW partial-parity seed for P. (For Q the
 // caller scales the delta by QCoeff of the chunk index.)
 func Delta(oldB, newB Buffer) Buffer {

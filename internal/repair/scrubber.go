@@ -128,30 +128,7 @@ func (s *Scrubber) pass(bg bool, cb func(ScrubStatus, error)) {
 		stop: func() bool { return bg && s.stopped },
 		item: func(stripe int64, next func(error)) {
 			s.status.Stripe = stripe
-			h := s.host()
-			lostBefore := h.LostRegionsEver()
-			h.ScrubStripe(stripe, func(res core.ScrubResult, err error) {
-				if delta := h.LostRegionsEver() - lostBefore; delta > 0 {
-					s.event("lost-region", stripe, fmt.Sprintf("%d range(s) lost during scrub", delta))
-				}
-				switch {
-				case err != nil:
-					// One bad stripe must not wedge the pass: note it, move on.
-					s.status.Errors++
-					s.event("scrub-error", stripe, err.Error())
-				case res.Skipped:
-					s.status.SkippedStripes++
-				default:
-					s.status.ScrubbedStripes++
-					if res.MediaRepairs > 0 || res.ParityRepairs > 0 {
-						s.status.MediaRepairs += int64(res.MediaRepairs)
-						s.status.ParityRepairs += int64(res.ParityRepairs)
-						s.event("scrub-repair", stripe, fmt.Sprintf("%d media, %d parity chunk(s) rewritten",
-							res.MediaRepairs, res.ParityRepairs))
-					}
-				}
-				next(nil)
-			})
+			s.scrub(stripe, next)
 		},
 		done: func(error) {
 			s.status.Passes++
@@ -164,6 +141,40 @@ func (s *Scrubber) pass(bg bool, cb func(ScrubStatus, error)) {
 				s.w.eng.AfterBG(s.cfg.Interval, func() { s.pass(true, nil) })
 			}
 		},
+	})
+}
+
+// scrub verifies one stripe on the current controller and books the outcome.
+func (s *Scrubber) scrub(stripe int64, next func(error)) {
+	h := s.host()
+	lostBefore := h.LostRegionsEver()
+	h.ScrubStripe(stripe, func(res core.ScrubResult, err error) {
+		if err != nil && s.host() != h {
+			// The controller was replaced under the stripe (crashed and
+			// adopted, or fenced by a successor): redo it on the new one.
+			s.scrub(stripe, next)
+			return
+		}
+		if delta := h.LostRegionsEver() - lostBefore; delta > 0 {
+			s.event("lost-region", stripe, fmt.Sprintf("%d range(s) lost during scrub", delta))
+		}
+		switch {
+		case err != nil:
+			// One bad stripe must not wedge the pass: note it, move on.
+			s.status.Errors++
+			s.event("scrub-error", stripe, err.Error())
+		case res.Skipped:
+			s.status.SkippedStripes++
+		default:
+			s.status.ScrubbedStripes++
+			if res.MediaRepairs > 0 || res.ParityRepairs > 0 {
+				s.status.MediaRepairs += int64(res.MediaRepairs)
+				s.status.ParityRepairs += int64(res.ParityRepairs)
+				s.event("scrub-repair", stripe, fmt.Sprintf("%d media, %d parity chunk(s) rewritten",
+					res.MediaRepairs, res.ParityRepairs))
+			}
+		}
+		next(nil)
 	})
 }
 

@@ -219,6 +219,55 @@ func TestFailoverMidRebuild(t *testing.T) {
 	}
 }
 
+// TestFailoverMidScrub: a scrub pass survives its controller. The host
+// crashes while a background pass has a stripe in flight — every callback of
+// that stripe is dropped with the crash. The replacement's fence ends the
+// stripe as abandoned, the scrubber redoes it there, and the pass walks on to
+// the end with nothing — stripe lock, operation — left open.
+func TestFailoverMidScrub(t *testing.T) {
+	for _, declustered := range []bool{false, true} {
+		name := "fixed"
+		cfg := draid.Config{
+			Drives: 5, DriveCapacity: 1 << 20, Seed: 3,
+			Integrity: true, ScrubInterval: 20 * time.Millisecond,
+		}
+		if declustered {
+			name = "declustered"
+			cfg.Drives, cfg.ClusterDrives, cfg.Declustered = 3, 6, true
+		}
+		t.Run(name, func(t *testing.T) {
+			arr := smallArray(t, cfg)
+			ref := randBytes(52, int(arr.Size()))
+			if err := arr.WriteSync(0, ref); err != nil {
+				t.Fatal(err)
+			}
+			arr.RunFor(20*time.Millisecond + 500*time.Microsecond - arr.Now()) // the first pass starts at 20 ms
+			st := arr.ScrubStatus()
+			if !st.Active || st.Stripe == 0 || st.Stripe >= st.TotalStripes-1 {
+				t.Fatalf("test setup: scrub pass not under way at failover: %+v", st)
+			}
+			if err := arr.Cluster().LeakCheck(); err == nil {
+				t.Fatal("test setup: no scrub stripe in flight at failover")
+			}
+			if _, err := arr.FailoverHost(); err != nil {
+				t.Fatalf("failover: %v", err)
+			}
+			arr.RunFor(10 * time.Millisecond)
+			st = arr.ScrubStatus()
+			if st.Active || st.Passes != 1 || st.ScrubbedStripes != st.TotalStripes || st.Errors+st.SkippedStripes != 0 {
+				t.Fatalf("scrub pass did not finish on the replacement: %+v", st)
+			}
+			if err := arr.Cluster().LeakCheck(); err != nil {
+				t.Fatalf("replacement controller after the pass: %v", err)
+			}
+			got, err := arr.ReadSync(0, arr.Size())
+			if err != nil || !bytes.Equal(got, ref) {
+				t.Fatalf("device image after the pass: err=%v, equal=%v", err, bytes.Equal(got, ref))
+			}
+		})
+	}
+}
+
 // TestManualRebuildBesideSupervised: Array.RebuildDrive runs on a rebuilder
 // of its own, so on a supervised array it neither waits for nor blocks the
 // supervisor's. A RAID-6 array is rebuilding drive 1 onto its only spare,

@@ -44,6 +44,9 @@ go run ./cmd/draid-chaos -seeds 2 -steps 4 -wb -teeth
 if [ "${FULL:-0}" = "1" ]; then
     make torture
     go test -run '^$' -bench . -benchtime 1x ./internal/gf256 ./internal/parity .
+    # The one erasure decoder under the fuzzer: random width, length and
+    # erasure set against the originals and ComputePQ.
+    go test -run '^$' -fuzz FuzzSolveStripe -fuzztime 10s ./internal/parity
     # Grey-failure smoke: hedged reads against an injected slow drive on the
     # sim and realtime backends, plus the greyfail figure in quick mode.
     go run ./cmd/draid-fio -hedge adaptive-p95 -slow 2=const:10 -ratio 1 -qd 16 -ramp 10ms -measure 40ms
