@@ -124,6 +124,12 @@ func TestGoldenExperimentReports(t *testing.T) {
 		{"ablation-hostparity", 1, "golden_ablation_hostparity_quick.txt"},
 		{"fig28", 1, "golden_fig28_quick.txt"},
 		{"fig30", 1, "golden_fig30_quick.txt"},
+		// Hedging, destage, declustered rebuild and QoS admission, captured
+		// before the stripe-op record they all sit on was rewritten.
+		{"greyfail", 1, "golden_greyfail_quick.txt"},
+		{"writeback", 1, "golden_writeback_quick.txt"},
+		{"decluster", 1, "golden_decluster_quick.txt"},
+		{"multivol-noisy", 1, "golden_multivol_noisy_quick.txt"},
 	} {
 		t.Run(tc.id, func(t *testing.T) {
 			got, err := experiments.Run(tc.id, experiments.Options{Quick: true, Seed: tc.seed})
