@@ -83,9 +83,7 @@ func stallDrives(t *testing.T, a *draid.Array) {
 // duplicateCommand arms a one-shot duplication of the next capsule from the
 // host to one member, and only that way round: the member executes the
 // command twice, the second time after the host may have acknowledged the op.
-// (Injector.DuplicateNext also duplicates the completion coming back, which
-// the host counts twice — fine for plain writes, but it lets a parity update
-// be acknowledged before its reducer has answered.)
+// (Injector.DuplicateNext also duplicates the completion coming back.)
 func duplicateCommand(t *testing.T, a *draid.Array, member int) {
 	t.Helper()
 	di, ok := a.Cluster().Fab.(backend.DuplicateInjector)
@@ -314,6 +312,14 @@ func Run(t *testing.T, f Factory) {
 			expectRead(t, a, c.off, p, "read-back with two members failed")
 		}
 		expectRead(t, a, 0, shadow, "whole range with two members failed")
+		// Stripe 1 keeps its P on drive 4 and data chunk 1 on drive 1: a read
+		// of that chunk is reconstructed on a peer through Q, not gathered to
+		// the host.
+		gathers := a.Stats().HostFallbackReads
+		expectRead(t, a, 80<<10, shadow[80<<10:96<<10], "data chunk lost together with its P")
+		if n := a.Stats().HostFallbackReads - gathers; n != 0 {
+			t.Fatalf("data+P degraded read took %d host gathers, want the Q-scaled peer reduction", n)
+		}
 		for _, d := range []int{1, 4} {
 			if err := a.RebuildDrive(d, 0); err != nil {
 				t.Fatalf("rebuild of drive %d: %v", d, err)
@@ -689,16 +695,19 @@ func Run(t *testing.T, f Factory) {
 			// The sub-chunk write lands in chunk 0 of stripe 1: duplicate the
 			// PartialWrite capsule to the bdev holding it, so the old data is
 			// read, folded in place and forwarded twice, the second time
-			// around or after the ack. Only the bytes are asserted: the
-			// duplicate also earns a second completion, which can acknowledge
-			// the op while its reducer is stuck on the doubled delta — the
-			// protocol's open duplicate-tolerance defect, not ownership's.
+			// around or after the ack. The duplicate also earns a second
+			// completion, which the host does not owe and drops: a reducer
+			// stuck on the doubled delta runs the op into its deadline and
+			// the fallback writer recomputes parity. (A duplicated
+			// contribution folding twice into a reduction that does finish
+			// is the server's open half of duplicate tolerance.)
 			for round := int64(0); round < 3; round++ {
 				stallDrives(t, a)
 				duplicateCommand(t, a, geo.DataDrive(1, 0))
 				put(70<<10, pattern(11+round, 3000))
 				calm(t, a)
 				expectRead(t, a, 0, model, "after RMW")
+				expectParityCoherent(t, a, "after RMW")
 			}
 		})
 		scenario("Degraded", func(t *testing.T, a *draid.Array, model []byte, put func(int64, []byte)) {

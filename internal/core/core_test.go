@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"draid/internal/backend"
 	"draid/internal/blockdev"
 	"draid/internal/cluster"
 	"draid/internal/core"
@@ -493,6 +494,15 @@ func rebuildStripe0(t *testing.T, cl *cluster.Cluster, h *core.HostController, m
 	}
 }
 
+// driveBytesRead sums the bytes every drive has served to reads.
+func driveBytesRead(cl *cluster.Cluster) int64 {
+	var n int64
+	for _, d := range cl.Drives {
+		n += d.Stats().ReadBytes
+	}
+	return n
+}
+
 // RAID-6 with two erasures in a stripe still takes every write: the fallback
 // writer solves the lost chunks' old content through whatever parity is left.
 func TestRaid6DoubleDegradedWrites(t *testing.T) {
@@ -501,20 +511,21 @@ func TestRaid6DoubleDegradedWrites(t *testing.T) {
 		failed func(g raid.Geometry) []int // members the host knows are failed
 		silent func(g raid.Geometry) []int // members that crashed unannounced
 		off, n int64
+		full   bool // a full-stripe write: host-side parity, nothing read
 	}{
 		{"4k into a failed chunk, second data chunk failed",
 			func(g raid.Geometry) []int { return []int{g.DataDrive(0, 0), g.DataDrive(0, 2)} }, nil,
-			1000, 4 << 10},
+			1000, 4 << 10, false},
 		{"straddling a healthy and a failed chunk, P failed",
 			func(g raid.Geometry) []int { return []int{g.DataDrive(0, 1), g.PDrive(0)} }, nil,
-			chunkSize - 3000, 9000},
+			chunkSize - 3000, 9000, false},
 		{"timeout retry onto a doubly degraded stripe",
 			func(g raid.Geometry) []int { return []int{g.DataDrive(0, 0)} },
 			func(g raid.Geometry) []int { return []int{g.DataDrive(0, 2)} },
-			2*chunkSize + 500, 4 << 10},
+			2*chunkSize + 500, 4 << 10, false},
 		{"full stripe over two failed data chunks",
 			func(g raid.Geometry) []int { return []int{g.DataDrive(0, 1), g.DataDrive(0, 3)} }, nil,
-			0, 4 * chunkSize},
+			0, 4 * chunkSize, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cl, h := testCluster(t, 6, raid.Raid6)
@@ -532,9 +543,16 @@ func TestRaid6DoubleDegradedWrites(t *testing.T) {
 			}
 			data := randBytes(41, int(tc.n))
 			copy(want[tc.off:], data)
+			before, readBefore := h.Stats(), driveBytesRead(cl)
 			mustWrite(t, cl, h, tc.off, data)
 			if tc.silent != nil && h.Stats().Retries == 0 {
 				t.Fatalf("stats = %+v, want a timeout-driven retry", h.Stats())
+			}
+			if st := h.Stats(); tc.full && (st.FullStripeWrites != before.FullStripeWrites+1 ||
+				st.HostFallbackWrites != before.HostFallbackWrites || driveBytesRead(cl) != readBefore) {
+				t.Fatalf("full-stripe write inside the parity budget: full=+%d fallback=+%d drive bytes read=%d; want +1, +0, 0",
+					st.FullStripeWrites-before.FullStripeWrites, st.HostFallbackWrites-before.HostFallbackWrites,
+					driveBytesRead(cl)-readBefore)
 			}
 			if !bytes.Equal(mustRead(t, cl, h, 0, int64(len(want))), want) {
 				t.Fatal("stripe read back wrong while doubly degraded")
@@ -577,15 +595,45 @@ func TestGatherPastBudgetWithoutMediaIsPlainDoubleFault(t *testing.T) {
 	}
 }
 
+// A failed data chunk whose P is failed too is still reconstructed on a peer
+// — the Q-scaled reduction — not gathered to the host: only the user's bytes
+// come in. A participant with unreadable sectors sends the read to the host
+// gather as ever, which here is past the parity budget and says so.
 func TestRaid6DataPlusPFailureRead(t *testing.T) {
-	cl, h := testCluster(t, 6, raid.Raid6)
-	data := randBytes(31, 4*chunkSize)
-	mustWrite(t, cl, h, 0, data)
-	failMember(cl, h, h.Geometry().DataDrive(0, 1))
-	failMember(cl, h, h.Geometry().PDrive(0))
-	got := mustRead(t, cl, h, chunkSize, chunkSize)
-	if !bytes.Equal(got, data[chunkSize:2*chunkSize]) {
-		t.Fatal("RAID-6 data+P failure read mismatch (Q recovery)")
+	for _, tc := range []struct {
+		name   string
+		off, n int64
+	}{
+		{"the failed chunk", chunkSize, chunkSize},
+		{"the failed chunk and riders either side", chunkSize / 2, 2 * chunkSize},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cl, h := testCluster(t, 6, raid.Raid6)
+			data := randBytes(31, 4*chunkSize)
+			mustWrite(t, cl, h, 0, data)
+			failMember(cl, h, h.Geometry().DataDrive(0, 1))
+			failMember(cl, h, h.Geometry().PDrive(0))
+			cl.ResetTraffic()
+			got := mustRead(t, cl, h, tc.off, tc.n)
+			if !bytes.Equal(got, data[tc.off:tc.off+tc.n]) {
+				t.Fatal("RAID-6 data+P failure read mismatch (Q recovery)")
+			}
+			if st := h.Stats(); st.HostFallbackReads != 0 || st.DegradedReads != 1 {
+				t.Fatalf("host fallback reads = %d, degraded reads = %d; want the peer reduction", st.HostFallbackReads, st.DegradedReads)
+			}
+			_, in := cl.TotalHostBytes()
+			if ratio := float64(in) / float64(tc.n); ratio > 1.05 {
+				t.Fatalf("host inbound = %.2f× user bytes, want ≤ 1.05×", ratio)
+			}
+
+			cl.Drives[h.Geometry().DataDrive(0, 2)].(backend.MediaInjector).InjectMediaError(h.Geometry().DriveOffset(0)+chunkSize-4096, 4096)
+			rerr := errors.New("pending")
+			h.Read(tc.off, tc.n, func(_ parity.Buffer, err error) { rerr = err })
+			cl.Eng.Run()
+			if !errors.Is(rerr, blockdev.ErrMediaError) || h.Stats().MediaErrors == 0 {
+				t.Fatalf("read over a third erasure: %v, want ErrMediaError from the host gather", rerr)
+			}
+		})
 	}
 }
 

@@ -287,28 +287,12 @@ func (st *stage) restoreSnap(stripe int64, s *stagedStripe, snap *destageSnap) {
 // parity); degraded or corner-case stripes fall back to the general
 // stripeWrite dispatch, which already encodes every degraded rule.
 func (h *HostController) destageWrite(stripe int64, exts []raid.Extent, data parity.Buffer, done func(error)) {
-	mode := h.geo.DecideWriteMode(exts)
-	healthy := !h.memberFailed(stripe, h.geo.PDrive(stripe))
-	if healthy {
-		for c := 0; c < h.geo.DataChunks(); c++ {
-			if h.memberFailed(stripe, h.geo.DataDrive(stripe, c)) {
-				healthy = false
-				break
-			}
-		}
-	}
-	qAlive := false
-	if h.geo.Level == raid.Raid6 {
-		qAlive = !h.memberFailed(stripe, h.geo.QDrive(stripe))
-		healthy = healthy && qAlive
-	}
-	if mode == raid.ModeFull || !healthy || h.cfg.HostParityOnly {
+	if h.geo.DecideWriteMode(exts) == raid.ModeFull || h.failedIn(stripe) > 0 || h.cfg.HostParityOnly {
 		h.stripeWrite(stripe, exts, data, 0, done)
 		return
 	}
 	h.stats.RCWWrites++
-	onTimeout := h.writeTimeoutHandler(stripe, exts, data, 0, done)
-	h.rcwWrite(stripe, exts, data, nil, true, qAlive, onTimeout, done)
+	h.rcwWrite(stripe, exts, data, nil, h.writeTimeoutHandler(stripe, exts, data, 0, done), done)
 }
 
 // flush destages every staged stripe and reports when all the kicked

@@ -5,9 +5,7 @@ import (
 	"sort"
 
 	"draid/internal/backend"
-	"draid/internal/blockdev"
 	"draid/internal/hist"
-	"draid/internal/nvmeof"
 	"draid/internal/parity"
 	"draid/internal/raid"
 	"draid/internal/recon"
@@ -177,6 +175,43 @@ func (h *HostController) observeSlow(drive int) {
 	}
 }
 
+// extentWatch is the hedging stage's view of one extent's plain read
+// (normalReadExtent / readFailurePath): the attempt in flight, so the stage
+// can cancel the loser, and who else has taken the extent over. The unhedged
+// read path passes a nil watch; every method is a no-op on nil.
+type extentWatch struct {
+	op    *stripeOp // plain-read attempt in flight
+	drive int       // the drive it reads, for the latency sample
+	sent  sim.Time
+	// settled: the extent is served — by its read, by recovery or by the
+	// stage — so a retry still backing off must not reissue it.
+	settled bool
+	// recovering: media recovery or the degraded path owns the extent; they
+	// read parity themselves and write the same assembler, so the stage must
+	// stand down.
+	recovering bool
+}
+
+func (w *extentWatch) issued(h *HostController, e raid.Extent, op *stripeOp) {
+	if w != nil {
+		w.op, w.sent = op, h.rt.Now()
+		w.drive = h.layout.Drive(e.Stripe, h.geo.DataDrive(e.Stripe, e.Chunk))
+	}
+}
+
+func (w *extentWatch) completed(h *HostController) {
+	if w != nil {
+		h.hedge.record(w.drive, sim.Duration(h.rt.Now()-w.sent))
+		w.op = nil
+	}
+}
+
+func (w *extentWatch) handOff() {
+	if w != nil {
+		w.op, w.recovering = nil, true
+	}
+}
+
 // hedgeRead coordinates the extents of one all-healthy stripe group so that
 // a single straggler can be solved through parity from the k completions
 // already in hand.
@@ -188,12 +223,7 @@ type hedgeRead struct {
 	fail   *error
 	done   func()
 
-	settled []bool
-	// recovering marks extents whose primary handed off to media recovery
-	// or the degraded path — those paths own the extent's completion and
-	// already read parity themselves, so the hedge must stand down.
-	recovering  []bool
-	ops         []*stripeOp
+	w           []extentWatch // one per extent
 	outstanding int
 
 	timer     backend.Timer
@@ -209,19 +239,17 @@ type hedgeRead struct {
 	parityLo    int64 // intra-chunk offset the prefetch covers
 }
 
-// hedgedReadStripe issues the group's primary reads and arms the hedge.
-// Calls done exactly once when every extent has settled (or failed, with
-// *fail set).
+// hedgedReadStripe issues the group's plain reads, each watched, and arms the
+// hedge. Calls done exactly once when every extent has settled (or failed,
+// with *fail set).
 func (h *HostController) hedgedReadStripe(stripe int64, exts []raid.Extent, asm *assembler, fail *error, done func()) {
 	hr := &hedgeRead{
 		h: h, stripe: stripe, exts: exts, asm: asm, fail: fail, done: done,
-		settled:     make([]bool, len(exts)),
-		recovering:  make([]bool, len(exts)),
-		ops:         make([]*stripeOp, len(exts)),
+		w:           make([]extentWatch, len(exts)),
 		outstanding: len(exts),
 	}
-	for i := range exts {
-		hr.issuePrimary(i, 0)
+	for i, e := range exts {
+		h.normalReadExtent(e, asm, fail, func() { hr.settle(i) }, 0, &hr.w[i])
 	}
 	if h.hedge.cfg.Policy == HedgeEagerParity {
 		hr.triggered = true
@@ -233,78 +261,12 @@ func (h *HostController) hedgedReadStripe(stripe int64, exts []raid.Extent, asm 
 	}
 }
 
-// issuePrimary sends the plain read for extent i (attempt counts retries).
-func (hr *hedgeRead) issuePrimary(i, attempt int) {
-	h := hr.h
-	e := hr.exts[i]
-	member := h.geo.DataDrive(e.Stripe, e.Chunk)
-	drive := h.layout.Drive(e.Stripe, member)
-	target := h.nodeAt(e.Stripe, member)
-	absOff := h.driveOff(e.Stripe) + e.Off
-	sent := h.rt.Now()
-	op := h.newStripeOp("read", e.Stripe, 1, []NodeID{target},
-		func() {
-			h.hedge.record(drive, sim.Duration(h.rt.Now()-sent))
-			hr.ops[i] = nil
-			hr.settle(i)
-		},
-		func(missing []NodeID) { hr.primaryFailed(i, missing, attempt) },
-	)
-	hr.ops[i] = op
-	op.onPayload = func(_ NodeID, _ nvmeof.Command, b parity.Buffer) {
-		if !hr.settled[i] {
-			hr.asm.put(e.VOff, b)
-		}
-		b.Release()
-	}
-	op.onMediaErr = func(m int, _ nvmeof.Command) {
-		// Media recovery owns this extent now; the hedge must not race it
-		// (it writes the same assembler), and abandoning the straggler here
-		// would be wrong anyway — the URE victim's data comes back through
-		// the parity gather inside recovery.
-		hr.ops[i] = nil
-		hr.recovering[i] = true
-		h.mediaRecoverExtent(e, m, hr.asm, hr.fail, func() { hr.settle(i) })
-	}
-	h.send(op, target, nvmeof.Command{Opcode: nvmeof.OpRead, Offset: absOff, Length: e.Len}, parity.Buffer{})
-}
-
-// primaryFailed mirrors readFailurePath for a hedged group's extent.
-func (hr *hedgeRead) primaryFailed(i int, missing []NodeID, attempt int) {
-	h := hr.h
-	e := hr.exts[i]
-	if hr.settled[i] || hr.finished {
-		return
-	}
-	if attempt >= h.maxRetries() {
-		*hr.fail = fmt.Errorf("core: stripe %d read: retries exhausted: %w", e.Stripe, blockdev.ErrTimeout)
-		hr.ops[i] = nil
-		hr.settle(i)
-		return
-	}
-	h.stats.Retries++
-	if len(missing) == 0 {
-		h.retryAfter(attempt, func() {
-			if !hr.settled[i] && !hr.finished {
-				hr.issuePrimary(i, attempt+1)
-			}
-		})
-		return
-	}
-	for _, m := range missing {
-		h.failNode(m)
-	}
-	hr.ops[i] = nil
-	hr.recovering[i] = true
-	h.degradedReadStripe(e.Stripe, e, nil, hr.asm, hr.fail, func() { hr.settle(i) })
-}
-
 // settle marks extent i complete; the last settle finishes the group.
 func (hr *hedgeRead) settle(i int) {
-	if hr.settled[i] || hr.finished {
+	if hr.w[i].settled || hr.finished {
 		return
 	}
-	hr.settled[i] = true
+	hr.w[i].settled = true
 	hr.outstanding--
 	if hr.outstanding == 0 {
 		hr.finish()
@@ -336,9 +298,8 @@ func (hr *hedgeRead) trigger() {
 }
 
 // maybeResolve hedges when the trigger has fired and exactly one extent is
-// still outstanding — the straggler condition. (With two or more stragglers
-// RAID-5 parity cannot solve them all; the §5.4 deadline handles genuine
-// multi-member trouble.)
+// still outstanding — the straggler condition. (Several stragglers are left
+// to the §5.4 deadline, which handles genuine multi-member trouble.)
 func (hr *hedgeRead) maybeResolve() {
 	if hr.finished || !hr.triggered || hr.hedgeDead || hr.resolving {
 		return
@@ -347,24 +308,19 @@ func (hr *hedgeRead) maybeResolve() {
 		return
 	}
 	i := -1
-	for j := range hr.settled {
-		if !hr.settled[j] {
+	for j := range hr.w {
+		if !hr.w[j].settled {
 			i = j
 			break
 		}
 	}
-	if i < 0 || hr.recovering[i] {
+	if i < 0 || hr.w[i].recovering {
 		return
 	}
-	h := hr.h
-	if h.memberFailed(hr.stripe, h.geo.PDrive(hr.stripe)) {
-		return // no parity to solve through
-	}
-	if h.hedge.cfg.Policy == HedgeEagerParity && hr.parityOp != nil && !hr.parityReady {
+	if hr.parityOp != nil && !hr.parityReady {
 		return // parity prefetch still in flight; its completion re-checks
 	}
 	hr.resolving = true
-	h.stats.HedgedReads++
 	hr.resolve(i)
 }
 
@@ -378,190 +334,89 @@ func (hr *hedgeRead) prefetchParity() {
 	if h.memberFailed(hr.stripe, pDrive) {
 		return
 	}
-	target := h.nodeAt(hr.stripe, pDrive)
-	op := h.newStripeOp("hedge-parity", hr.stripe, 1, []NodeID{target},
-		func() {
-			hr.parityOp = nil
-			hr.parityReady = true
+	hr.parityLo = lo
+	hr.parityOp = h.readMembers("hedge-parity", hr.stripe, lo, hi, []int{pDrive},
+		func(got map[int]parity.Buffer) {
+			hr.parityOp, hr.parityBuf, hr.parityReady = nil, got[pDrive], true
 			hr.maybeResolve()
 		},
-		func([]NodeID) {
-			hr.parityOp = nil
-			hr.hedgeDead = true
-		},
-	)
-	op.onPayload = func(_ NodeID, _ nvmeof.Command, b parity.Buffer) { hr.parityBuf = b.Disown() }
-	op.onMediaErr = func(int, nvmeof.Command) {
-		hr.parityOp = nil
-		hr.hedgeDead = true
-	}
-	hr.parityOp = op
-	hr.parityLo = lo
-	h.send(op, target, nvmeof.Command{
-		Opcode: nvmeof.OpRead, Offset: h.driveOff(hr.stripe) + lo, Length: hi - lo,
-	}, parity.Buffer{})
+		nil, // a URE on P fails the prefetch like a timeout does
+		func([]NodeID) { hr.parityOp, hr.hedgeDead = nil, true })
 }
 
-// resolve reads whatever the XOR solve still needs — the P chunk (unless
-// prefetched) and any data chunk not covered by a settled extent — then
-// solves the straggler's range and cancels the loser. For an aligned
+// held returns member m's bytes over the chunk-relative range [lo,hi) when
+// the group already has them: in the assembler, from a settled extent that
+// covers the range, or in the eager parity prefetch.
+func (hr *hedgeRead) held(m int, lo, hi int64) (parity.Buffer, bool) {
+	role, c := hr.h.geo.Role(hr.stripe, m)
+	if role == raid.KindP && hr.parityReady && hr.parityLo <= lo {
+		return hr.parityBuf.Slice(int(lo-hr.parityLo), int(hi-lo)), true
+	}
+	for j, e := range hr.exts {
+		if role == raid.KindData && e.Chunk == c && hr.w[j].settled && e.Off <= lo && e.Off+e.Len >= hi {
+			return hr.asm.result().Slice(int(e.VOff+lo-e.Off), int(hi-lo)), true
+		}
+	}
+	return parity.Buffer{}, false
+}
+
+// resolve treats the straggler as one more erasure: planDecode names whom
+// the solve needs, whatever the group does not already hold is fetched, and
+// the straggler's range is solved and the loser cancelled. For an aligned
 // full-stripe read every other data chunk is already in hand, so the hedge
-// costs exactly one extra parity read.
+// costs exactly one extra parity read (none after an eager prefetch).
 func (hr *hedgeRead) resolve(i int) {
-	h := hr.h
-	e := hr.exts[i]
-	stripe := hr.stripe
-	rOff, rLen := e.Off, e.Len
-	absOff := h.driveOff(stripe) + rOff
-
-	// Classify every other data chunk: covered by a settled extent (slice
-	// the assembler) or fetched by the hedge op.
-	type cover struct {
-		target NodeID
-		buf    parity.Buffer
+	h, e, w := hr.h, hr.exts[i], &hr.w[i]
+	lo, hi := e.Off, e.Off+e.Len
+	straggler := h.geo.DataDrive(hr.stripe, e.Chunk)
+	readers, lost, ok := h.planDecode(hr.stripe, []int{straggler}, map[int]bool{straggler: true})
+	if !ok {
+		// The stripe went degraded under us past what its parity can also
+		// solve the straggler through. Stand down.
+		hr.resolving, hr.hedgeDead = false, true
+		return
 	}
-	var settledSrcs []parity.Buffer
-	var fetches []*cover
-	byNode := make(map[NodeID]*cover)
-	for c := 0; c < h.geo.DataChunks(); c++ {
-		if c == e.Chunk {
-			continue
+	h.stats.HedgedReads++
+	got := make(map[int]parity.Buffer, len(readers))
+	var fetch []int
+	for _, m := range readers {
+		if b, ok := hr.held(m, lo, hi); ok {
+			got[m] = b
+		} else {
+			fetch = append(fetch, m)
 		}
-		d := h.geo.DataDrive(stripe, c)
-		if h.memberFailed(stripe, d) {
-			// The stripe went degraded under us (rebuild/eviction races);
-			// reconstruction through this path needs the full §6.1
-			// machinery, not a hedge. Stand down.
-			hr.resolving = false
-			hr.hedgeDead = true
-			return
-		}
-		var own *raid.Extent
-		for j := range hr.exts {
-			if hr.settled[j] && hr.exts[j].Chunk == c &&
-				hr.exts[j].Off <= rOff && hr.exts[j].Off+hr.exts[j].Len >= rOff+rLen {
-				own = &hr.exts[j]
-				break
-			}
-		}
-		if own != nil && !hr.asm.elided {
-			settledSrcs = append(settledSrcs,
-				hr.asm.buf.Slice(int(own.VOff+(rOff-own.Off)), int(rLen)))
-			continue
-		}
-		if own != nil && hr.asm.elided {
-			// Size-only mode: the data "exists", no bytes to slice.
-			continue
-		}
-		cv := &cover{target: h.nodeAt(stripe, d)}
-		fetches = append(fetches, cv)
-		byNode[cv.target] = cv
 	}
-
-	needParity := !(hr.parityReady && hr.parityLo <= rOff)
-	expect := len(fetches)
-	if needParity {
-		expect++
-	}
-	pTarget := h.nodeAt(stripe, h.geo.PDrive(stripe))
-
-	solve := func(pBuf parity.Buffer, elided bool) {
-		h.cores.Exec(h.cfg.Costs.Gf(int(rLen)), func() {
-			if hr.finished || hr.settled[i] || hr.recovering[i] {
+	solve := func(fetched map[int]parity.Buffer) {
+		for m, b := range fetched {
+			got[m] = b
+		}
+		h.cores.Exec(h.cfg.Costs.Gf(int(e.Len)), func() {
+			if hr.finished || w.settled || w.recovering {
 				return
 			}
-			var out parity.Buffer
-			if elided {
-				out = parity.Sized(int(rLen))
-			} else {
-				acc := pBuf.Clone()
-				for _, s := range settledSrcs {
-					acc = parity.XORInto(acc, s)
-				}
-				for _, cv := range fetches {
-					acc = parity.XORInto(acc, cv.buf)
-				}
-				out = acc
+			solved, err := h.solveLost(hr.stripe, lost, got)
+			if err != nil {
+				hr.hedgeDead = true
+				return
 			}
-			if op := hr.ops[i]; op != nil {
-				h.cancelOp(op, "hedged")
-				hr.ops[i] = nil
+			if w.op != nil {
+				h.cancelOp(w.op, "hedged")
+				w.op = nil
 			}
 			h.stats.HedgeWins++
-			h.observeSlow(h.layout.Drive(stripe, h.geo.DataDrive(stripe, e.Chunk)))
-			hr.asm.put(e.VOff, out)
+			h.observeSlow(h.layout.Drive(hr.stripe, straggler))
+			hr.asm.put(e.VOff, solved[straggler])
 			hr.settle(i)
 		})
 	}
-
-	if expect == 0 {
-		// Eager prefetch already delivered the parity and every data chunk
-		// is settled: solve straight away.
-		pBuf := hr.parityBuf
-		elided := hr.asm.elided || pBuf.Elided()
-		if !elided {
-			pBuf = pBuf.Slice(int(rOff-hr.parityLo), int(rLen))
-		}
-		solve(pBuf, elided)
+	if len(fetch) == 0 {
+		solve(nil)
 		return
 	}
-
-	watch := make([]NodeID, 0, expect)
-	if needParity {
-		watch = append(watch, pTarget)
-	}
-	for _, cv := range fetches {
-		watch = append(watch, cv.target)
-	}
-	var pPayload parity.Buffer
-	op := h.newStripeOp("hedge-read", stripe, expect, watch,
-		func() {
-			var pBuf parity.Buffer
-			if needParity {
-				pBuf = pPayload
-			} else {
-				pBuf = hr.parityBuf
-				if !pBuf.Elided() {
-					pBuf = pBuf.Slice(int(rOff-hr.parityLo), int(rLen))
-				}
-			}
-			elided := hr.asm.elided || pBuf.Elided()
-			if !elided {
-				for _, cv := range fetches {
-					if cv.buf.Elided() {
-						elided = true
-						break
-					}
-				}
-			}
-			solve(pBuf, elided)
-		},
-		func([]NodeID) {
-			// The hedge lost its own race (timeout, member loss). The
-			// primary straggler still owns correctness; just stand down.
-			hr.hedgeDead = true
-		},
-	)
-	op.onPayload = func(from NodeID, _ nvmeof.Command, b parity.Buffer) {
-		b = b.Disown() // kept for the solve
-		if cv := byNode[from]; cv != nil {
-			cv.buf = b
-			return
-		}
-		if from == pTarget {
-			pPayload = b
-		}
-	}
-	op.onMediaErr = func(int, nvmeof.Command) {
-		// A hedge source hit a URE: never solve from partial sources. The
-		// primary path (and repair-on-read, if the straggler itself faults)
-		// retains responsibility for this extent.
-		hr.hedgeDead = true
-	}
-	if needParity {
-		h.send(op, pTarget, nvmeof.Command{Opcode: nvmeof.OpRead, Offset: absOff, Length: rLen}, parity.Buffer{})
-	}
-	for _, cv := range fetches {
-		h.send(op, cv.target, nvmeof.Command{Opcode: nvmeof.OpRead, Offset: absOff, Length: rLen}, parity.Buffer{})
-	}
+	// A hedge that loses its own race (timeout, member loss) or meets a URE
+	// on a source (no media continuation: it fails the same way) just stands
+	// down: it never solves from partial sources, and the straggler's own
+	// read still owns correctness.
+	h.readMembers("hedge-read", hr.stripe, lo, hi, fetch, solve, nil,
+		func([]NodeID) { hr.hedgeDead = true })
 }

@@ -8,6 +8,7 @@ import (
 	"draid/internal/backend"
 	"draid/internal/blockdev"
 	"draid/internal/cpu"
+	"draid/internal/gf256"
 	"draid/internal/integrity"
 	"draid/internal/nvmeof"
 	"draid/internal/parity"
@@ -201,7 +202,7 @@ type HostController struct {
 	stripeQ map[int64]*stripeQueue
 
 	// inflight maps command IDs to their parent operation.
-	inflight map[uint64]*subOp
+	inflight map[uint64]*stripeOp
 
 	failed map[int]bool // physical drive index → failed
 
@@ -272,78 +273,6 @@ type rebuildState struct {
 	frontier int64 // stripes < frontier are already on dest
 }
 
-// subOp tracks one outstanding capsule exchange.
-type subOp struct {
-	op *stripeOp
-}
-
-// stripeOp is one stripe-granularity operation (a stripe write or a
-// degraded-read reconstruction group).
-type stripeOp struct {
-	id        uint64
-	stripe    int64
-	remaining int
-	failedFn  func(missing []NodeID)
-	doneFn    func()
-	timer     backend.Timer
-	// read assembly: completions carrying payloads are routed here. The hook
-	// becomes b's owner: it calls b.Release() once the bytes are copied out (a
-	// drive-read buffer then goes straight back to its drive's free list), or
-	// keeps b.Disown(). A hook that does neither shows up in LeakCheck.
-	onPayload func(from NodeID, cmd nvmeof.Command, b parity.Buffer)
-	// onMediaErr, when set, takes over after a StatusMediaError completion:
-	// the op is cancelled (no doneFn/failedFn) and the hook drives its own
-	// recovery continuation. The completion's Offset/Length carry the
-	// precise unreadable drive range; member is the reporter's index in the
-	// stripe. When nil, the op fails blaming no member (media errors are not
-	// node-failure evidence).
-	onMediaErr func(member int, cmd nvmeof.Command)
-	done       bool
-	// responded records endpoints that completed (any status), so a timeout
-	// implicates only the silent participants.
-	responded map[NodeID]bool
-	// span covers the whole operation; rpcs cover each capsule exchange, in
-	// send order (a slice, not a map, so close-out order is deterministic).
-	span *trace.Op
-	rpcs []rpcSpan
-}
-
-// rpcSpan is one in-flight capsule exchange's trace span.
-type rpcSpan struct {
-	target NodeID
-	span   *trace.Op
-}
-
-// endRPC closes the oldest open RPC span addressed to target.
-func (op *stripeOp) endRPC(target NodeID) {
-	for i := range op.rpcs {
-		if r := &op.rpcs[i]; r.target == target && r.span != nil {
-			r.span.End()
-			r.span = nil
-			return
-		}
-	}
-}
-
-// closeSpans ends the op span and any RPC spans still open (participants that
-// never send a completion, e.g. SubRWRead readers, or a timed-out exchange).
-func (op *stripeOp) closeSpans(result string) {
-	if op.span != nil {
-		if result == "" {
-			op.span.End()
-		} else {
-			op.span.End(trace.Str("result", result))
-		}
-		op.span = nil
-	}
-	for i := range op.rpcs {
-		if s := op.rpcs[i].span; s != nil {
-			s.End()
-			op.rpcs[i].span = nil
-		}
-	}
-}
-
 // NewHost creates the dRAID host controller on the transport's host
 // endpoint. It is backend-agnostic: on a simulation runtime the reactor pool
 // models CPU cost in virtual time; on any other runtime CPU work executes
@@ -391,7 +320,7 @@ func NewHost(rt backend.Runtime, fab backend.Transport, driveCapacity int64, cfg
 		layout:     cfg.Layout,
 		size:       cfg.Layout.Stripes() * cfg.Geometry.StripeDataSize(),
 		stripeQ:    make(map[int64]*stripeQueue),
-		inflight:   make(map[uint64]*subOp),
+		inflight:   make(map[uint64]*stripeOp),
 		failed:     make(map[int]bool),
 		memberNode: make([]NodeID, cfg.Layout.Drives()),
 		rebuilds:   make(map[int]*rebuildState),
@@ -625,197 +554,6 @@ func (h *HostController) trace(format string, args ...any) {
 	}
 }
 
-// handle processes completions arriving from targets. The host owns every
-// payload delivered here: one that no op takes is released on the spot.
-func (h *HostController) handle(m Message) {
-	if h.crashed {
-		m.Payload.Release()
-		return
-	}
-	h.cores.Exec(h.cfg.Costs.PerMsg, func() {
-		if !h.complete(m) {
-			m.Payload.Release()
-		}
-	})
-}
-
-// complete applies one completion to its op, reporting whether the op's
-// onPayload hook took (and so settled the fate of) the payload.
-func (h *HostController) complete(m Message) (tookPayload bool) {
-	if h.crashed {
-		return false
-	}
-	if m.Cmd.Opcode != nvmeof.OpCompletion {
-		panic(fmt.Sprintf("core: host received %v", m.Cmd.Opcode))
-	}
-	if m.Cmd.Epoch != h.cfg.Epoch {
-		// A completion echoing someone else's epoch: the answer to a
-		// command a predecessor issued. After a seize both sessions share
-		// the ID sequence, so without this check a zombie's completion
-		// could settle (or fail) the replacement's op of the same ID.
-		h.stats.ForeignCompletions++
-		h.trace("drop foreign-epoch completion id=%d epoch=%d (ours %d)",
-			m.Cmd.ID, m.Cmd.Epoch, h.cfg.Epoch)
-		return false
-	}
-	sub, ok := h.inflight[m.Cmd.ID]
-	if !ok || sub.op.done {
-		return false // late completion after timeout handling
-	}
-	op := sub.op
-	if op.responded == nil {
-		op.responded = make(map[NodeID]bool)
-	}
-	op.responded[m.From] = true
-	op.endRPC(m.From)
-	if m.Cmd.Status == nvmeof.StatusMediaError {
-		// Per-chunk erasure: the member is alive and answering, it just
-		// cannot read some sectors. That is OK-evidence for the health
-		// machinery (not a node fault), and the op either hands off to
-		// its media-recovery hook or fails blaming no member so write
-		// paths fall back and re-drive the stripe.
-		h.stats.MediaErrors++
-		member := h.memberOf(m.From)
-		h.trace("completion id=%d from t%d media-error [%d,+%d)",
-			m.Cmd.ID, int(m.From), m.Cmd.Offset, m.Cmd.Length)
-		h.reportOK(member)
-		if op.onMediaErr != nil {
-			// Health evidence above is per drive; the hook works in the
-			// stripe's member space (skip sets, roles, repair addressing).
-			hook := op.onMediaErr
-			h.cancelOp(op, "media-error")
-			hook(h.memberOfAt(op.stripe, m.From), m.Cmd)
-			return false
-		}
-		h.failOp(op, nil)
-		return false
-	}
-	if m.Cmd.Status == nvmeof.StatusStaleEpoch {
-		// Positive confirmation of a takeover: the bdev is healthy, WE
-		// are the problem. Stand down (before failing the op, so its
-		// failure path reports the typed error) and never charge the
-		// bdev fault evidence for doing its job.
-		h.stats.StaleEpochRejects++
-		h.trace("completion id=%d from t%d stale-epoch: standing down", m.Cmd.ID, int(m.From))
-		h.reportOK(h.memberOf(m.From))
-		h.standDown(blockdev.ErrStaleEpoch)
-		h.failOp(op, nil)
-		return false
-	}
-	if m.Cmd.Status != nvmeof.StatusSuccess {
-		h.trace("completion id=%d from t%d status=%v", m.Cmd.ID, int(m.From), m.Cmd.Status)
-		h.reportFault(h.memberOf(m.From), true)
-		h.failOp(op, []NodeID{m.From})
-		return false
-	}
-	h.reportOK(h.memberOf(m.From))
-	tookPayload = m.Payload.Len() > 0 && op.onPayload != nil
-	if tookPayload {
-		op.onPayload(m.From, m.Cmd, m.Payload)
-	}
-	op.remaining--
-	h.trace("completion id=%d from t%d remaining=%d", m.Cmd.ID, int(m.From), op.remaining)
-	if op.remaining == 0 {
-		h.finishOp(op)
-	}
-	return tookPayload
-}
-
-func (h *HostController) finishOp(op *stripeOp) {
-	if op.done {
-		return
-	}
-	op.done = true
-	if op.timer != nil {
-		op.timer.Stop()
-	}
-	delete(h.inflight, op.id)
-	op.closeSpans("")
-	op.doneFn()
-}
-
-// cancelOp retires an operation without firing doneFn or failedFn: used when
-// a media-error hook takes over the continuation.
-func (h *HostController) cancelOp(op *stripeOp, result string) {
-	if op.done {
-		return
-	}
-	op.done = true
-	if op.timer != nil {
-		op.timer.Stop()
-	}
-	delete(h.inflight, op.id)
-	op.closeSpans(result)
-}
-
-func (h *HostController) failOp(op *stripeOp, missing []NodeID) {
-	if op.done {
-		return
-	}
-	op.done = true
-	if op.timer != nil {
-		op.timer.Stop()
-	}
-	delete(h.inflight, op.id)
-	op.closeSpans("failed")
-	op.failedFn(missing)
-}
-
-// newStripeOp allocates an operation with the configured deadline. kind
-// names the operation on the trace ("rmw-write", "degraded-read", …);
-// targets listed in watch are the ones whose absence on timeout implicates
-// them.
-func (h *HostController) newStripeOp(kind string, stripe int64, expect int, watch []NodeID, done func(), failed func([]NodeID)) *stripeOp {
-	return h.newStripeOpDeadline(kind, stripe, expect, watch, h.cfg.Deadline, done, failed)
-}
-
-// newStripeOpDeadline is newStripeOp with an explicit deadline (heartbeat
-// probes run much tighter than data ops). On timeout every watched endpoint
-// that never completed is reported to the health sink — confirmed when its
-// node is observably down, suspect otherwise — before failedFn runs with the
-// down set.
-func (h *HostController) newStripeOpDeadline(kind string, stripe int64, expect int, watch []NodeID, deadline sim.Duration, done func(), failed func([]NodeID)) *stripeOp {
-	h.nextID++
-	op := &stripeOp{id: h.nextID, stripe: stripe, remaining: expect, doneFn: done, failedFn: failed}
-	h.inflight[op.id] = &subOp{op: op}
-	if t := h.cfg.Tracer; t.Enabled() {
-		op.span = t.Begin(h.opsTrack, "op", kind,
-			trace.I64("stripe", stripe), trace.I64("id", int64(op.id)))
-	}
-	op.timer = h.rt.After(deadline, func() {
-		if op.done {
-			return
-		}
-		h.stats.Timeouts++
-		h.trace("op id=%d timed out; suspects=%v", op.id, watch)
-		var down, silent []NodeID
-		for _, t := range watch {
-			if op.responded[t] {
-				continue
-			}
-			if h.fab.Down(t) {
-				down = append(down, t)
-			} else {
-				silent = append(silent, t)
-			}
-		}
-		// Evidence attribution: a confirmed-down participant explains the
-		// whole stall (peer chains run through it), so silent peers are NOT
-		// blamed — charging them unconfirmed strikes would let one dead node
-		// fail innocent members by collateral evidence.
-		for _, t := range down {
-			h.reportFault(h.memberOf(t), true)
-		}
-		if len(down) == 0 {
-			for _, t := range silent {
-				h.reportFault(h.memberOf(t), false)
-			}
-		}
-		h.failOp(op, down)
-	})
-	return op
-}
-
 // Probe sends a heartbeat capsule to the endpoint currently serving member.
 // Evidence reaches the health sink through the normal completion/deadline
 // paths; cb only observes the outcome (for rescheduling the next probe).
@@ -825,11 +563,11 @@ func (h *HostController) Probe(member int, timeout sim.Duration, cb func(ok bool
 	}
 	h.stats.Probes++
 	target := h.nodeOf(member)
-	op := h.newStripeOpDeadline("heartbeat", -1, 1, []NodeID{target}, timeout,
+	op := h.beginOpDeadline("heartbeat", -1, timeout,
 		func() { cb(true) },
 		func([]NodeID) { cb(false) },
 	)
-	h.send(op, target, nvmeof.Command{Opcode: nvmeof.OpHeartbeat}, parity.Buffer{})
+	h.send(op, target, oneReply, nvmeof.Command{Opcode: nvmeof.OpHeartbeat}, parity.Buffer{})
 }
 
 // Crash simulates host-controller death: every in-flight operation is
@@ -844,13 +582,7 @@ func (h *HostController) Crash() {
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	for _, id := range ids {
-		op := h.inflight[id].op
-		op.done = true
-		if op.timer != nil {
-			op.timer.Stop()
-		}
-		op.closeSpans("crashed")
-		delete(h.inflight, id)
+		h.cancelOp(h.inflight[id], "crashed")
 	}
 }
 
@@ -931,24 +663,10 @@ func (h *HostController) Fence(cb func(error)) {
 		h.rt.Defer(fenced)
 		return
 	}
-	op := h.newStripeOp("fence", -1, len(targets), targets, fenced, func([]NodeID) { fenced() })
+	op := h.beginOp("fence", -1, fenced, func([]NodeID) { fenced() })
 	for _, n := range targets {
-		h.send(op, n, nvmeof.Command{Opcode: nvmeof.OpFence}, parity.Buffer{})
+		h.send(op, n, oneReply, nvmeof.Command{Opcode: nvmeof.OpFence}, parity.Buffer{})
 	}
-}
-
-// send issues a capsule for an operation, stamped with the op ID, the
-// controller's volume, and its host epoch so servers and the fabric demux
-// can attribute (and, for the epoch, fence) it.
-func (h *HostController) send(op *stripeOp, to NodeID, cmd nvmeof.Command, payload parity.Buffer) {
-	cmd.ID = op.id
-	cmd.NSID = uint32(h.cfg.Volume)
-	cmd.Epoch = h.cfg.Epoch
-	if t := h.cfg.Tracer; t.Enabled() {
-		op.rpcs = append(op.rpcs, rpcSpan{target: to, span: t.Begin(h.rpcTrack, "rpc",
-			fmt.Sprintf("%s→t%d", cmd.SpanName(), int(to)), trace.I64("id", int64(op.id)))})
-	}
-	h.fab.Send(HostID, to, cmd, payload)
 }
 
 // ---------------------------------------------------------------------------
@@ -1106,7 +824,7 @@ func (h *HostController) readIO(off, n int64, cb func(parity.Buffer, error)) {
 			}
 			for _, e := range normal {
 				pending++
-				h.normalReadExtent(e, asm, &fail, maybeDone)
+				h.normalReadExtent(e, asm, &fail, maybeDone, 0, nil)
 			}
 		case len(failedExts) == 1:
 			pending++
@@ -1147,32 +865,39 @@ func (a *assembler) result() parity.Buffer {
 	return a.buf
 }
 
-func (h *HostController) normalReadExtent(e raid.Extent, asm *assembler, fail *error, done func()) {
-	h.normalReadExtentAttempt(e, asm, fail, done, 0)
-}
-
-func (h *HostController) normalReadExtentAttempt(e raid.Extent, asm *assembler, fail *error, done func(), attempt int) {
+// normalReadExtent issues one extent's plain NVMe-oF read. w, when non-nil, is
+// the hedging stage watching the extent (hedge.go); nil costs nothing.
+func (h *HostController) normalReadExtent(e raid.Extent, asm *assembler, fail *error, done func(), attempt int, w *extentWatch) {
+	if w != nil && w.settled {
+		return // the stage served the extent while this retry was backing off
+	}
 	target := h.nodeAt(e.Stripe, h.geo.DataDrive(e.Stripe, e.Chunk))
-	absOff := h.driveOff(e.Stripe) + e.Off
-	op := h.newStripeOp("read", e.Stripe, 1, []NodeID{target},
-		func() { done() },
-		func(missing []NodeID) { h.readFailurePath(e, missing, asm, fail, done, attempt) },
+	op := h.beginOp("read", e.Stripe,
+		func() {
+			w.completed(h)
+			done()
+		},
+		func(missing []NodeID) { h.readFailurePath(e, missing, asm, fail, done, attempt, w) },
 	)
 	op.onPayload = func(_ NodeID, _ nvmeof.Command, b parity.Buffer) {
 		asm.put(e.VOff, b)
 		b.Release()
 	}
 	op.onMediaErr = func(member int, _ nvmeof.Command) {
+		w.handOff()
 		h.mediaRecoverExtent(e, member, asm, fail, done)
 	}
-	h.send(op, target, nvmeof.Command{Opcode: nvmeof.OpRead, Offset: absOff, Length: e.Len}, parity.Buffer{})
+	w.issued(h, e, op)
+	h.send(op, target, oneReply, nvmeof.Command{
+		Opcode: nvmeof.OpRead, Offset: h.driveOff(e.Stripe) + e.Off, Length: e.Len,
+	}, parity.Buffer{})
 }
 
 // readFailurePath handles a normal read that timed out (§5.4): mark
 // truly-down members failed and take the degraded path; a transient timeout
 // (nothing down) retries the plain read, with deterministic backoff, until
 // the retry budget runs out.
-func (h *HostController) readFailurePath(e raid.Extent, missing []NodeID, asm *assembler, fail *error, done func(), attempt int) {
+func (h *HostController) readFailurePath(e raid.Extent, missing []NodeID, asm *assembler, fail *error, done func(), attempt int, w *extentWatch) {
 	if h.fenced {
 		*fail = h.fenceError(fmt.Sprintf("stripe %d read", e.Stripe))
 		done()
@@ -1186,24 +911,26 @@ func (h *HostController) readFailurePath(e raid.Extent, missing []NodeID, asm *a
 	h.stats.Retries++
 	if len(missing) == 0 {
 		h.retryAfter(attempt, func() {
-			h.normalReadExtentAttempt(e, asm, fail, done, attempt+1)
+			h.normalReadExtent(e, asm, fail, done, attempt+1, w)
 		})
 		return
 	}
 	for _, m := range missing {
 		h.failNode(m)
 	}
+	w.handOff()
 	h.degradedReadStripe(e.Stripe, e, nil, asm, fail, done)
 }
 
 // degradedReadStripe reconstructs failedExt while serving the stripe's
 // normal extents, per §6.1: one Reconstruction broadcast, a reducer
-// aggregating XOR contributions, and decoupled direct return of normal data.
+// aggregating the contributions, and decoupled direct return of normal data.
 func (h *HostController) degradedReadStripe(stripe int64, failedExt raid.Extent, normal []raid.Extent, asm *assembler, fail *error, done func()) {
+	member := h.geo.DataDrive(stripe, failedExt.Chunk)
 	// The chunk may have come back between the timeout and this retry — the
 	// rebuild frontier passed the stripe, so reads now route to the spare.
 	// Plain reads suffice; no reconstruction needed.
-	if !h.memberFailed(stripe, h.geo.DataDrive(stripe, failedExt.Chunk)) {
+	if !h.memberFailed(stripe, member) {
 		exts := append([]raid.Extent{failedExt}, normal...)
 		pending := len(exts)
 		part := func() {
@@ -1213,76 +940,22 @@ func (h *HostController) degradedReadStripe(stripe int64, failedExt raid.Extent,
 			}
 		}
 		for _, e := range exts {
-			h.normalReadExtent(e, asm, fail, part)
+			h.normalReadExtent(e, asm, fail, part, 0, nil)
 		}
 		return
 	}
 	h.stats.DegradedReads++
 	h.stats.Reconstructions++
-
-	// The peer-to-peer XOR reduction needs P plus every other data chunk of
-	// this stripe healthy; anything else goes through the host GF solve,
-	// which also is where a stripe past its parity budget is refused.
-	failedData := 0
-	for c := 0; c < h.geo.DataChunks(); c++ {
-		if h.memberFailed(stripe, h.geo.DataDrive(stripe, c)) {
-			failedData++
-		}
+	onHost := func(bad int) {
+		h.hostReadGroup(stripe, []raid.Extent{failedExt}, normal, bad, asm, fail, done)
 	}
-	if failedData != 1 || h.memberFailed(stripe, h.geo.PDrive(stripe)) {
-		h.hostReadGroup(stripe, []raid.Extent{failedExt}, normal, -1, asm, fail, done)
-		return
-	}
-
-	rOff := h.driveOff(stripe) + failedExt.Off
-	rLen := failedExt.Len
-
-	// Participants: every healthy member holding a data chunk of this
-	// stripe except the failed one, plus the P member. (Q is not needed for
-	// a single failure.)
-	type part struct {
-		target NodeID
-		own    *raid.Extent // normal-read extent served by this member
-	}
-	var parts []part
-	pDrive := h.geo.PDrive(stripe)
-	if !h.memberFailed(stripe, pDrive) {
-		parts = append(parts, part{target: h.nodeAt(stripe, pDrive)})
-	}
-	for c := 0; c < h.geo.DataChunks(); c++ {
-		d := h.geo.DataDrive(stripe, c)
-		if h.memberFailed(stripe, d) || c == failedExt.Chunk {
-			continue
-		}
-		p := part{target: h.nodeAt(stripe, d)}
-		for i := range normal {
-			if normal[i].Chunk == c {
-				p.own = &normal[i]
-			}
-		}
-		parts = append(parts, p)
-	}
-
-	candidates := make([]int, len(parts))
-	for i, p := range parts {
-		candidates[i] = int(p.target)
-	}
-	reducer := NodeID(h.cfg.Selector.Pick(candidates, rLen*int64(len(parts))))
-
-	// Expected host completions: reducer's reconstructed segment + one per
-	// AlsoRead direct return.
-	expect := 1
-	for _, p := range parts {
-		if p.own != nil {
-			expect++
-		}
-	}
-	watch := make([]NodeID, len(parts))
-	for i, p := range parts {
-		watch[i] = p.target
-	}
-	op := h.newStripeOp("degraded-read", stripe, expect, watch,
-		func() { done() },
+	if !h.reduceTree("degraded-read", stripe, member, failedExt.Off, failedExt.Off+failedExt.Len, normal, asm,
+		func(b parity.Buffer) {
+			asm.put(failedExt.VOff, b)
+			b.Release()
+			done()
+		},
+		func(bad int, _ nvmeof.Command) { onHost(bad) },
 		func(missing []NodeID) {
 			if len(missing) == 0 {
 				*fail = fmt.Errorf("core: stripe %d reconstruction: %w", stripe, blockdev.ErrTimeout)
@@ -1291,58 +964,147 @@ func (h *HostController) degradedReadStripe(stripe int64, failedExt raid.Extent,
 					stripe, missing, blockdev.ErrDegraded)
 			}
 			done()
+		}) {
+		// A second data chunk of the stripe is lost, or no parity is left: the
+		// host GF solve, which also is where a stripe past its parity budget
+		// is refused.
+		onHost(-1)
+	}
+}
+
+// reduceTree issues the §6 peer reduction that reconstructs stripe member
+// `member` over its chunk-relative range [lo,hi) and returns the segment to
+// the host — the one place a Reconstruction capsule is built. Works for data,
+// P and Q chunks:
+//
+//   - data chunk: XOR-reduce the surviving data chunks and P; if P is also
+//     lost (RAID-6), GF-reduce the survivors and Q and unscale on the host;
+//   - P chunk:    XOR-reduce all data chunks;
+//   - Q chunk:    GF-reduce all data chunks with their g^i coefficients.
+//
+// riders are the user read's normal extents on participating chunks: each
+// rides its member's capsule (AlsoRead, one combined drive read) and comes
+// straight back into asm. Exactly one continuation runs: done with the
+// segment, now the caller's; media when a participant reports unreadable
+// sectors; failed on the deadline. It reports false, having done nothing,
+// when a single tree cannot express the solve: another member of the stripe
+// is lost besides this one and the parity standing in for it.
+func (h *HostController) reduceTree(kind string, stripe int64, member int, lo, hi int64, riders []raid.Extent, asm *assembler,
+	done func(parity.Buffer), media func(member int, cmd nvmeof.Command), failed func(missing []NodeID)) bool {
+	type part struct {
+		target  NodeID
+		dataIdx uint16       // GF coefficient for this contribution
+		own     *raid.Extent // rider served by this member
+	}
+	var parts []part
+	addData := func(scale bool) {
+		for c := 0; c < h.geo.DataChunks(); c++ {
+			d := h.geo.DataDrive(stripe, c)
+			if d == member || h.memberFailed(stripe, d) {
+				continue
+			}
+			p := part{target: h.nodeAt(stripe, d), dataIdx: NoScale}
+			if scale {
+				p.dataIdx = uint16(c)
+			}
+			for i := range riders {
+				if riders[i].Chunk == c {
+					p.own = &riders[i]
+				}
+			}
+			parts = append(parts, p)
+		}
+	}
+	// unscale post-processes the reducer's result on the host (the Q-based
+	// single-data recovery needs a division by g^lost).
+	unscale := byte(1)
+	switch role, lostIdx := h.geo.Role(stripe, member); role {
+	case raid.KindData:
+		if p, q := h.parityAlive(stripe); p {
+			parts = append(parts, part{target: h.nodeAt(stripe, h.geo.PDrive(stripe)), dataIdx: NoScale})
+			addData(false)
+		} else if q {
+			// P lost too: D_lost = (Q ⊕ Σ g^i·D_i) / g^lost.
+			parts = append(parts, part{target: h.nodeAt(stripe, h.geo.QDrive(stripe)), dataIdx: NoScale})
+			addData(true)
+			unscale = gf256.Inv(parity.QCoeff(lostIdx))
+		}
+	case raid.KindP:
+		addData(false)
+	case raid.KindQ:
+		addData(true)
+	}
+	if len(parts) < h.geo.DataChunks() {
+		return false
+	}
+
+	candidates := make([]int, len(parts))
+	for i, p := range parts {
+		candidates[i] = int(p.target)
+	}
+	n := hi - lo
+	reducer := NodeID(h.cfg.Selector.Pick(candidates, n*int64(len(parts))))
+
+	var seg parity.Buffer // the reducer's result, held until every rider is in
+	op := h.beginOp(kind, stripe,
+		func() {
+			if unscale == 1 {
+				done(seg)
+				return
+			}
+			// seg is the reducer's accumulator, owned by us now; unscale it
+			// in place rather than into a fresh buffer.
+			h.cores.Exec(h.cfg.Costs.Gf(seg.Len()), func() { done(parity.Scale(seg, unscale)) })
+		},
+		func(missing []NodeID) {
+			seg.Release()
+			failed(missing)
 		},
 	)
-	op.onMediaErr = func(member int, _ nvmeof.Command) {
-		h.hostReadGroup(stripe, []raid.Extent{failedExt}, normal, member, asm, fail, done)
+	op.onMediaErr = func(m int, cmd nvmeof.Command) {
+		seg.Release()
+		media(m, cmd)
 	}
-	reconVOff := failedExt.VOff
 	op.onPayload = func(from NodeID, cmd nvmeof.Command, b parity.Buffer) {
-		defer b.Release() // copied out (or not wanted) by the time the hook returns
 		// The completion subtype disambiguates the two §6.1 return paths.
-		if cmd.Subtype == nvmeof.SubNoRead && from == reducer {
-			asm.put(reconVOff, b)
-			return
-		}
-		if cmd.Subtype != nvmeof.SubAlsoRead {
+		if cmd.Subtype == nvmeof.SubNoRead {
+			seg = b
 			return
 		}
 		for _, p := range parts {
 			if p.own != nil && p.target == from {
 				asm.put(p.own.VOff, b)
-				return
 			}
 		}
+		b.Release()
 	}
 
+	base := h.driveOff(stripe)
 	for _, p := range parts {
 		cmd := nvmeof.Command{
-			Opcode:    nvmeof.OpReconstruction,
-			Subtype:   nvmeof.SubNoRead,
-			FwdOffset: rOff, FwdLength: rLen,
+			Opcode:  nvmeof.OpReconstruction,
+			Subtype: nvmeof.SubNoRead,
+			Offset:  base + lo, Length: n,
+			FwdOffset: base + lo, FwdLength: n,
 			NextDest: uint16(reducer),
-			DataIdx:  NoScale,
+			DataIdx:  p.dataIdx,
 		}
-		// Combined drive read: union of own segment and R (§6.1 — also
-		// reads the gap between them to stay a single I/O).
-		readOff, readLen := rOff, rLen
+		owes := noReply
 		if p.own != nil {
+			// Combined drive read: union of own segment and R (§6.1 — also
+			// reads the gap between them to stay a single I/O).
+			ownOff := base + p.own.Off
 			cmd.Subtype = nvmeof.SubAlsoRead
-			ownOff := h.driveOff(stripe) + p.own.Off
 			cmd.SGL = []nvmeof.SGE{{Off: ownOff, Len: p.own.Len}}
-			lo, hi := readOff, readOff+readLen
-			if ownOff < lo {
-				lo = ownOff
-			}
-			if ownOff+p.own.Len > hi {
-				hi = ownOff + p.own.Len
-			}
-			readOff, readLen = lo, hi-lo
+			cmd.Offset = min(base+lo, ownOff)
+			cmd.Length = max(base+hi, ownOff+p.own.Len) - cmd.Offset
+			owes = riderReply
 		}
-		cmd.Offset, cmd.Length = readOff, readLen
 		if p.target == reducer {
 			cmd.WaitNum = uint16(len(parts))
+			owes |= reducedReply
 		}
-		h.send(op, p.target, cmd, parity.Buffer{})
+		h.send(op, p.target, owes, cmd, parity.Buffer{})
 	}
+	return true
 }

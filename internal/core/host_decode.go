@@ -24,30 +24,28 @@ import (
 // caller's to keep); media — optional — when a reader reports unreadable
 // sectors, with that member and the drive range in the completion; failed
 // on the deadline, with the readers observed down (also after a media report
-// when media is nil).
+// when media is nil). The op is returned for a caller that may cancel it.
 func (h *HostController) readMembers(kind string, stripe, lo, hi int64, members []int,
-	done func(got map[int]parity.Buffer), media func(member int, cmd nvmeof.Command), failed func(missing []NodeID)) {
+	done func(got map[int]parity.Buffer), media func(member int, cmd nvmeof.Command), failed func(missing []NodeID)) *stripeOp {
 	got := make(map[int]parity.Buffer, len(members))
-	watch := make([]NodeID, len(members))
 	// The reverse lookup is per stripe and fixed at issue: under a declustered
 	// layout the global node→drive map says nothing about which member of
 	// THIS stripe an endpoint served, and a migration may commit before the
 	// answer is back.
 	asked := make(map[NodeID]int, len(members))
-	for i, m := range members {
-		watch[i] = h.nodeAt(stripe, m)
-		asked[watch[i]] = m
-	}
-	op := h.newStripeOp(kind, stripe, len(members), watch, func() { done(got) }, failed)
+	op := h.beginOp(kind, stripe, func() { done(got) }, failed)
 	op.onPayload = func(from NodeID, _ nvmeof.Command, b parity.Buffer) {
 		got[asked[from]] = b.Disown() // kept by the caller
 	}
 	op.onMediaErr = media
-	for _, t := range watch {
-		h.send(op, t, nvmeof.Command{
+	for _, m := range members {
+		t := h.nodeAt(stripe, m)
+		asked[t] = m
+		h.send(op, t, oneReply, nvmeof.Command{
 			Opcode: nvmeof.OpRead, Offset: h.driveOff(stripe) + lo, Length: hi - lo,
 		}, parity.Buffer{})
 	}
+	return op
 }
 
 // planDecode decides whom a host-side decode of stripe reads. wanted lists
@@ -256,7 +254,7 @@ func (h *HostController) hostReadGroup(stripe int64, failedExts, normal []raid.E
 			riding = append(riding, e)
 		} else {
 			pending++
-			h.normalReadExtent(e, asm, fail, part)
+			h.normalReadExtent(e, asm, fail, part, 0, nil)
 		}
 	}
 	var skip map[int]bool

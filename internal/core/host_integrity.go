@@ -258,8 +258,6 @@ func (h *HostController) salvageSegment(stripe, sLo, sHi int64, out []parity.Buf
 // dst (whose origin is chunk-relative uLo), one protection block at a time;
 // unreadable blocks stay zero and are recorded lost.
 func (h *HostController) salvageBlocks(stripe int64, member int, sLo, sHi int64, dst parity.Buffer, uLo int64, cbDone func(error)) {
-	base := h.driveOff(stripe)
-	target := h.nodeAt(stripe, member)
 	pos := sLo
 	var step func()
 	step = func() {
@@ -273,21 +271,18 @@ func (h *HostController) salvageBlocks(stripe int64, member int, sLo, sHi int64,
 			pHi = sHi
 		}
 		pos = pHi
-		op := h.newStripeOp("salvage-read", stripe, 1, []NodeID{target}, func() { step() },
+		h.readMembers("salvage-read", stripe, pLo, pHi, []int{member},
+			func(got map[int]parity.Buffer) {
+				dst.CopyAt(int(pLo-uLo), got[member])
+				step()
+			},
+			func(int, nvmeof.Command) {
+				h.recordLost(stripe, member, pLo, pHi)
+				step()
+			},
 			func([]NodeID) {
 				cbDone(fmt.Errorf("core: stripe %d salvage read: %w", stripe, blockdev.ErrTimeout))
 			})
-		op.onPayload = func(_ NodeID, _ nvmeof.Command, b parity.Buffer) {
-			dst.CopyAt(int(pLo-uLo), b)
-			b.Release()
-		}
-		op.onMediaErr = func(_ int, _ nvmeof.Command) {
-			h.recordLost(stripe, member, pLo, pHi)
-			step()
-		}
-		h.send(op, target, nvmeof.Command{
-			Opcode: nvmeof.OpRead, Offset: base + pLo, Length: pHi - pLo,
-		}, parity.Buffer{})
 	}
 	step()
 }
@@ -318,43 +313,33 @@ func (h *HostController) repairChunkRange(stripe int64, member int, lo, hi int64
 			h.releaseStripe(stripe)
 			cb(err)
 		}
-		base := h.driveOff(stripe)
-		target := h.nodeAt(stripe, member)
-		op := h.newStripeOp("repair-verify", stripe, 1, []NodeID{target},
-			func() { release(nil) }, // reads clean now; nothing to repair
-			func([]NodeID) { release(fmt.Errorf("core: stripe %d repair verify: %w", stripe, blockdev.ErrTimeout)) },
-		)
-		op.onMediaErr = func(_ int, _ nvmeof.Command) {
-			h.gatherSolveRange(stripe, lo, hi, map[int]bool{member: true},
-				func(got, solved map[int]parity.Buffer, err error) {
-					if err != nil {
-						h.recordShortfall(err)
-						release(err)
-						return
-					}
-					buf, ok := solved[member]
-					if !ok {
-						release(nil)
-						return
-					}
-					wOp := h.newStripeOp("repair-write", stripe, 1, []NodeID{target},
-						func() {
-							h.stats.RepairedRanges++
-							h.trace("repaired stripe %d member %d [%d,+%d)", stripe, member, lo, hi-lo)
+		h.readMembers("repair-verify", stripe, lo, hi, []int{member},
+			func(map[int]parity.Buffer) { release(nil) }, // reads clean now; nothing to repair
+			func(int, nvmeof.Command) {
+				h.gatherSolveRange(stripe, lo, hi, map[int]bool{member: true},
+					func(got, solved map[int]parity.Buffer, err error) {
+						if err != nil {
+							h.recordShortfall(err)
+							release(err)
+							return
+						}
+						buf, ok := solved[member]
+						if !ok {
 							release(nil)
-						},
-						func([]NodeID) {
-							release(fmt.Errorf("core: stripe %d repair write: %w", stripe, blockdev.ErrTimeout))
-						},
-					)
-					h.send(wOp, target, nvmeof.Command{
-						Opcode: nvmeof.OpWrite, Offset: base + lo, Length: hi - lo,
-					}, buf)
-				})
-		}
-		h.send(op, target, nvmeof.Command{
-			Opcode: nvmeof.OpRead, Offset: base + lo, Length: hi - lo,
-		}, parity.Buffer{})
+							return
+						}
+						h.writeMembers("repair-write", stripe, []memberWrite{{member, lo, buf}},
+							func() {
+								h.stats.RepairedRanges++
+								h.trace("repaired stripe %d member %d [%d,+%d)", stripe, member, lo, hi-lo)
+								release(nil)
+							},
+							func([]NodeID) {
+								release(fmt.Errorf("core: stripe %d repair write: %w", stripe, blockdev.ErrTimeout))
+							})
+					})
+			},
+			func([]NodeID) { release(fmt.Errorf("core: stripe %d repair verify: %w", stripe, blockdev.ErrTimeout)) })
 	})
 }
 
@@ -461,16 +446,13 @@ func (h *HostController) ScrubStripe(stripe int64, cb func(ScrubResult, error)) 
 	if h.crashed {
 		return
 	}
-	for m := 0; m < h.geo.Width; m++ {
-		if h.memberFailed(stripe, m) {
-			res.Skipped = true
-			h.rt.Defer(func() { cb(res, nil) })
-			return
-		}
+	if h.failedIn(stripe) > 0 {
+		res.Skipped = true
+		h.rt.Defer(func() { cb(res, nil) })
+		return
 	}
 	h.repairStep(stripe, func(finish func(error)) {
 		cs := h.geo.ChunkSize
-		base := h.driveOff(stripe)
 		h.gatherSolveRange(stripe, 0, cs, nil, func(got, solved map[int]parity.Buffer, err error) {
 			if err != nil {
 				h.recordShortfall(err)
@@ -479,17 +461,13 @@ func (h *HostController) ScrubStripe(stripe int64, cb func(ScrubResult, error)) 
 			}
 			// Chunks the gather had to solve are exactly the latent errors:
 			// rewrite them. Then check parity coherence over the full data.
-			type fix struct {
-				member int
-				buf    parity.Buffer
-				media  bool
-			}
-			var fixes []fix
+			var fixes []memberWrite
 			for m := 0; m < h.geo.Width; m++ {
 				if b, ok := solved[m]; ok {
-					fixes = append(fixes, fix{member: m, buf: b, media: true})
+					fixes = append(fixes, memberWrite{m, 0, b})
 				}
 			}
+			media := len(fixes)
 			k := h.geo.DataChunks()
 			data := make([]parity.Buffer, k)
 			elided := false
@@ -504,27 +482,14 @@ func (h *HostController) ScrubStripe(stripe int64, cb func(ScrubResult, error)) 
 				}
 				data[c] = b
 			}
-			work := h.cfg.Costs.Xor(int(cs) * k)
-			if h.geo.Level == raid.Raid6 {
-				work += h.cfg.Costs.Gf(int(cs) * k)
-			}
-			h.cores.Exec(work, func() {
+			raid6 := h.geo.Level == raid.Raid6
+			h.cores.Exec(h.parityCost(cs, raid6), func() {
 				if !elided {
-					pd := h.geo.PDrive(stripe)
-					qd := -1
-					var pWant, qWant parity.Buffer
-					if h.geo.Level == raid.Raid6 {
-						qd = h.geo.QDrive(stripe)
-						pWant, qWant = parity.ComputePQ(data)
-					} else {
-						pWant = parity.ComputeP(data)
-					}
-					if b, ok := got[pd]; ok && !b.Elided() && !bytes.Equal(b.Data(), pWant.Data()) {
-						fixes = append(fixes, fix{member: pd, buf: pWant})
-					}
-					if qd >= 0 {
-						if b, ok := got[qd]; ok && !b.Elided() && !bytes.Equal(b.Data(), qWant.Data()) {
-							fixes = append(fixes, fix{member: qd, buf: qWant})
+					// Stored parity that disagrees with parity recomputed
+					// from the data is rewritten too.
+					for _, w := range h.parityWrites(nil, stripe, 0, data, true, raid6) {
+						if b, ok := got[w.member]; ok && !b.Elided() && !bytes.Equal(b.Data(), w.buf.Data()) {
+							fixes = append(fixes, w)
 						}
 					}
 				}
@@ -533,31 +498,16 @@ func (h *HostController) ScrubStripe(stripe int64, cb func(ScrubResult, error)) 
 					finish(nil)
 					return
 				}
-				watch := make([]NodeID, len(fixes))
-				for i, f := range fixes {
-					watch[i] = h.nodeAt(stripe, f.member)
-				}
-				op := h.newStripeOp("scrub-repair", stripe, len(fixes), watch,
+				h.writeMembers("scrub-repair", stripe, fixes,
 					func() {
-						for _, f := range fixes {
-							if f.media {
-								res.MediaRepairs++
-							} else {
-								res.ParityRepairs++
-							}
-							h.stats.RepairedRanges++
-						}
+						res.MediaRepairs += media
+						res.ParityRepairs += len(fixes) - media
+						h.stats.RepairedRanges += int64(len(fixes))
 						finish(nil)
 					},
-					func(missing []NodeID) {
+					func([]NodeID) {
 						finish(fmt.Errorf("core: stripe %d scrub repair: %w", stripe, blockdev.ErrTimeout))
-					},
-				)
-				for _, f := range fixes {
-					h.send(op, h.nodeAt(stripe, f.member), nvmeof.Command{
-						Opcode: nvmeof.OpWrite, Offset: base, Length: cs,
-					}, f.buf)
-				}
+					})
 			})
 		})
 	}, nil, func(err error) { cb(res, err) })

@@ -7,10 +7,8 @@ import (
 
 	"draid/internal/backend"
 	"draid/internal/blockdev"
-	"draid/internal/gf256"
 	"draid/internal/nvmeof"
 	"draid/internal/parity"
-	"draid/internal/raid"
 )
 
 // writeChunkToNode writes a full chunk image for stripe to an arbitrary
@@ -20,11 +18,11 @@ func (h *HostController) writeChunkToNode(stripe int64, to NodeID, b parity.Buff
 		h.rt.Defer(func() { cb(fmt.Errorf("core: chunk image is %d bytes, want %d", b.Len(), h.geo.ChunkSize)) })
 		return
 	}
-	op := h.newStripeOp("rebuild-write", stripe, 1, []NodeID{to},
+	op := h.beginOp("rebuild-write", stripe,
 		func() { cb(nil) },
 		func([]NodeID) { cb(fmt.Errorf("core: stripe %d rebuild write: %w", stripe, blockdev.ErrTimeout)) },
 	)
-	h.send(op, to, nvmeof.Command{
+	h.send(op, to, oneReply, nvmeof.Command{
 		Opcode: nvmeof.OpWrite,
 		Offset: h.driveOff(stripe), Length: h.geo.ChunkSize,
 	}, b)
@@ -218,129 +216,30 @@ func (h *HostController) relocateChunk(stripe int64, member int, to NodeID, sett
 }
 
 // ReconstructStripeChunk rebuilds the full chunk held by `member` in
-// `stripe` using the disaggregated reconstruction machinery (§6) and returns
-// it to the host — the unit of work for drive rebuild (Figure 17a). The
-// member must currently be marked failed. Works for data, P, and Q chunks:
-//
-//   - data chunk: XOR-reduce the surviving data chunks and P; if P is also
-//     lost (RAID-6), GF-reduce the survivors and Q and unscale on the host;
-//   - P chunk:    XOR-reduce all data chunks;
-//   - Q chunk:    GF-reduce all data chunks with their g^i coefficients.
+// `stripe` on a peer (reduceTree, §6) and returns it to the host — the unit
+// of work for drive rebuild (Figure 17a). The member must currently be marked
+// failed; data, P and Q chunks all work.
 func (h *HostController) ReconstructStripeChunk(stripe int64, member int, cb func(parity.Buffer, error)) {
 	if !h.memberFailed(stripe, member) {
 		h.rt.Defer(func() { cb(parity.Buffer{}, fmt.Errorf("core: member %d is not failed", member)) })
 		return
 	}
 	h.stats.Reconstructions++
-	kind, lostIdx := h.geo.Role(stripe, member)
-	base := h.driveOff(stripe)
-	cs := h.geo.ChunkSize
-
-	type part struct {
-		target  NodeID
-		dataIdx uint16 // GF coefficient for this contribution
-	}
-	var parts []part
-	addData := func(scale bool) {
-		for c := 0; c < h.geo.DataChunks(); c++ {
-			d := h.geo.DataDrive(stripe, c)
-			if d == member || h.memberFailed(stripe, d) {
-				continue
-			}
-			idx := NoScale
-			if scale {
-				idx = uint16(c)
-			}
-			parts = append(parts, part{target: h.nodeAt(stripe, d), dataIdx: idx})
-		}
-	}
-	// unscale post-processes the reducer's result on the host (the Q-based
-	// single-data recovery needs a division by g^lost).
-	unscale := byte(1)
-	switch kind {
-	case raid.KindData:
-		pDrive := h.geo.PDrive(stripe)
-		switch {
-		case !h.memberFailed(stripe, pDrive):
-			parts = append(parts, part{target: h.nodeAt(stripe, pDrive), dataIdx: NoScale})
-			addData(false)
-		case h.geo.Level == raid.Raid6 && !h.memberFailed(stripe, h.geo.QDrive(stripe)):
-			// P lost too: D_lost = (Q ⊕ Σ g^i·D_i) / g^lost.
-			parts = append(parts, part{target: h.nodeAt(stripe, h.geo.QDrive(stripe)), dataIdx: NoScale})
-			addData(true)
-			unscale = gf256.Inv(parity.QCoeff(lostIdx))
-		default:
-			h.rt.Defer(func() { cb(parity.Buffer{}, blockdev.ErrIO) })
-			return
-		}
-	case raid.KindP:
-		addData(false)
-	case raid.KindQ:
-		addData(true)
-	}
-	if len(parts) < h.geo.DataChunks() {
-		// A second member of this stripe is failed alongside the one being
-		// rebuilt (RAID-6 double fault). The single reduce tree cannot express
-		// that solve — it needs P and Q together with per-survivor
-		// coefficients outside the g^i form — so gather the survivors to the
-		// host and solve both erasures there: rebuild-through-Q. Stripes past
-		// the parity budget fail inside the recovery.
-		if h.geo.Level == raid.Raid6 {
-			h.rebuildRecoverChunk(stripe, member, cb)
-			return
-		}
-		h.rt.Defer(func() { cb(parity.Buffer{}, blockdev.ErrIO) })
-		return
-	}
-
-	candidates := make([]int, len(parts))
-	for i, p := range parts {
-		candidates[i] = int(p.target)
-	}
-	reducer := NodeID(h.cfg.Selector.Pick(candidates, cs*int64(len(parts))))
-
-	var result parity.Buffer
-	watch := make([]NodeID, len(parts))
-	for i, p := range parts {
-		watch[i] = p.target
-	}
-	op := h.newStripeOp("rebuild-reconstruct", stripe, 1, watch,
-		func() {
-			if unscale != 1 {
-				h.cores.Exec(h.cfg.Costs.Gf(result.Len()), func() {
-					// result is the reducer's accumulator, owned by us now;
-					// unscale it in place rather than into a fresh buffer.
-					cb(parity.Scale(result, unscale), nil)
-				})
-				return
-			}
-			cb(result, nil)
-		},
-		func(missing []NodeID) {
+	// A survivor hit unreadable sectors mid-rebuild, or a second member of the
+	// stripe is failed alongside this one (the single reduce tree cannot
+	// express that solve — it needs P and Q together with per-survivor
+	// coefficients outside the g^i form): gather the survivors to the host,
+	// which solves through whatever redundancy remains, degrades to
+	// lost-region accounting only past the parity budget, and refuses a
+	// stripe with more members failed than it has parity.
+	recoverOnHost := func() { h.rebuildRecoverChunk(stripe, member, cb) }
+	if !h.reduceTree("rebuild-reconstruct", stripe, member, 0, h.geo.ChunkSize, nil, nil,
+		func(b parity.Buffer) { cb(b.Disown(), nil) },
+		func(int, nvmeof.Command) { recoverOnHost() },
+		func([]NodeID) {
 			cb(parity.Buffer{}, fmt.Errorf("core: stripe %d reconstruction: %w", stripe, blockdev.ErrTimeout))
-		},
-	)
-	op.onPayload = func(from NodeID, _ nvmeof.Command, b parity.Buffer) { result = b.Disown() }
-	op.onMediaErr = func(_ int, _ nvmeof.Command) {
-		// A survivor hit unreadable sectors mid-rebuild: switch to the
-		// media-hardened recovery, which solves through remaining redundancy
-		// and degrades to lost-region accounting only past the parity budget.
-		h.rebuildRecoverChunk(stripe, member, cb)
-	}
-
-	for _, p := range parts {
-		cmd := nvmeof.Command{
-			Opcode:  nvmeof.OpReconstruction,
-			Subtype: nvmeof.SubNoRead,
-			Offset:  base, Length: cs,
-			FwdOffset: base, FwdLength: cs,
-			NextDest: uint16(reducer),
-			DataIdx:  p.dataIdx,
-		}
-		if p.target == reducer {
-			cmd.WaitNum = uint16(len(parts))
-		}
-		h.send(op, p.target, cmd, parity.Buffer{})
+		}) {
+		recoverOnHost()
 	}
 }
 

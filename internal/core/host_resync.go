@@ -5,9 +5,7 @@ import (
 	"sort"
 
 	"draid/internal/blockdev"
-	"draid/internal/nvmeof"
 	"draid/internal/parity"
-	"draid/internal/raid"
 )
 
 // §5.4 host-failure handling: like Linux MD, the controller keeps a
@@ -55,17 +53,9 @@ func (h *HostController) ResyncStripe(stripe int64, cb func(error)) {
 
 func (h *HostController) resyncStripeLocked(stripe int64, cb func(error)) {
 	h.stats.Resyncs++
-	base := h.driveOff(stripe)
 	cs := h.geo.ChunkSize
 	k := h.geo.DataChunks()
-
-	pDrive := h.geo.PDrive(stripe)
-	pAlive := !h.memberFailed(stripe, pDrive)
-	qDrive, qAlive := -1, false
-	if h.geo.Level == raid.Raid6 {
-		qDrive = h.geo.QDrive(stripe)
-		qAlive = !h.memberFailed(stripe, qDrive)
-	}
+	pAlive, qAlive := h.parityAlive(stripe)
 	if !pAlive && !qAlive {
 		h.rt.Defer(func() { cb(nil) }) // nothing to resync
 		return
@@ -95,36 +85,12 @@ func (h *HostController) resyncStripeLocked(stripe int64, cb func(error)) {
 				_, idx := h.geo.Role(stripe, m)
 				chunks[idx] = b
 			}
-			work := h.cfg.Costs.Xor(int(cs) * k)
-			if qAlive {
-				work += h.cfg.Costs.Gf(int(cs) * k)
-			}
-			h.cores.Exec(work, func() {
-				writes := 0
-				var wWatch []NodeID
-				if pAlive {
-					writes++
-					wWatch = append(wWatch, h.nodeAt(stripe, pDrive))
-				}
-				if qAlive {
-					writes++
-					wWatch = append(wWatch, h.nodeAt(stripe, qDrive))
-				}
-				wOp := h.newStripeOp("resync-write", stripe, writes, wWatch,
+			h.cores.Exec(h.parityCost(cs, qAlive), func() {
+				h.writeMembers("resync-write", stripe, h.parityWrites(nil, stripe, 0, chunks, pAlive, qAlive),
 					func() { cb(nil) },
 					func([]NodeID) {
 						cb(fmt.Errorf("core: stripe %d resync write: %w", stripe, blockdev.ErrTimeout))
 					})
-				if pAlive {
-					h.send(wOp, h.nodeAt(stripe, pDrive), nvmeof.Command{
-						Opcode: nvmeof.OpWrite, Offset: base, Length: cs,
-					}, parity.ComputeP(chunks))
-				}
-				if qAlive {
-					h.send(wOp, h.nodeAt(stripe, qDrive), nvmeof.Command{
-						Opcode: nvmeof.OpWrite, Offset: base, Length: cs,
-					}, parity.ComputeQ(chunks, nil))
-				}
 			})
 		},
 		nil,

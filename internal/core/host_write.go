@@ -7,6 +7,7 @@ import (
 	"draid/internal/nvmeof"
 	"draid/internal/parity"
 	"draid/internal/raid"
+	"draid/internal/sim"
 )
 
 // Write implements blockdev.Device: per-volume QoS admission when a shared
@@ -114,6 +115,8 @@ func (h *HostController) writeStripeGroup(off, stripe int64, group []raid.Extent
 
 // stripeWrite executes the write for one stripe. Degraded rules:
 //
+//   - a full-stripe write with no more members failed than the stripe has
+//     parity → full-stripe mode whichever they are: nothing needs reading;
 //   - no failed member in this stripe's chunk set → normal mode decision;
 //   - only parity member(s) failed → same flow minus the failed reducer(s);
 //     RAID-5 with P failed degenerates to plain data writes;
@@ -123,7 +126,7 @@ func (h *HostController) writeStripeGroup(off, stripe int64, group []raid.Extent
 //     host supplying the failed chunk's new data to the reducer(s), valid
 //     when that chunk's written range covers the whole union; otherwise, or
 //     with two failed data chunks touched, the host fallback restores
-//     consistency centrally.
+//     consistency centrally — or refuses a stripe past its parity budget.
 //
 // attempt counts §5.4 timeout-driven retries; any retry goes through the
 // host fallback path, which never depends on the expired operation's partial
@@ -135,23 +138,23 @@ func (h *HostController) stripeWrite(stripe int64, exts []raid.Extent, data pari
 		return
 	}
 
-	pDrive := h.geo.PDrive(stripe)
-	pAlive := !h.memberFailed(stripe, pDrive)
-	qDrive, qAlive := -1, false
-	if h.geo.Level == raid.Raid6 {
-		qDrive = h.geo.QDrive(stripe)
-		qAlive = !h.memberFailed(stripe, qDrive)
+	mode := h.geo.DecideWriteMode(exts)
+	pAlive, qAlive := h.parityAlive(stripe)
+	if mode == raid.ModeFull && h.failedIn(stripe) <= h.geo.Level.ParityCount() {
+		// Every data chunk is in hand, so parity is computed here and nothing
+		// is read — whichever members inside the parity budget are lost.
+		h.stats.FullStripeWrites++
+		h.fullStripeWrite(stripe, data, exts, pAlive, qAlive, onTimeout, done)
+		return
 	}
 
-	var touchedFailed, touchedAlive []raid.Extent
+	var touchedFailed []raid.Extent
 	anyFailedDataUntouched := false
 	touchedSet := make(map[int]bool)
 	for _, e := range exts {
 		touchedSet[e.Chunk] = true
 		if h.memberFailed(stripe, h.geo.DataDrive(stripe, e.Chunk)) {
 			touchedFailed = append(touchedFailed, e)
-		} else {
-			touchedAlive = append(touchedAlive, e)
 		}
 	}
 	for c := 0; c < h.geo.DataChunks(); c++ {
@@ -160,50 +163,59 @@ func (h *HostController) stripeWrite(stripe int64, exts []raid.Extent, data pari
 		}
 	}
 
-	mode := h.geo.DecideWriteMode(exts)
 	switch {
 	case len(touchedFailed) == 0 && !anyFailedDataUntouched:
 		// All data chunks of this stripe are healthy.
 		switch {
-		case mode == raid.ModeFull:
-			h.stats.FullStripeWrites++
-			h.fullStripeWrite(stripe, data, exts, pAlive, qAlive, onTimeout, done)
 		case !pAlive && h.geo.Level == raid.Raid5:
-			h.plainWrites(stripe, touchedAlive, data, onTimeout, done)
+			h.plainWrites(stripe, exts, data, onTimeout, done)
 		case h.cfg.HostParityOnly:
 			h.hostFallbackWrite(stripe, exts, data, onTimeout, done)
 		case mode == raid.ModeRMW:
 			h.stats.RMWWrites++
-			h.rmwWrite(stripe, exts, data, pAlive, qAlive, onTimeout, done)
+			h.rmwWrite(stripe, exts, data, onTimeout, done)
 		default:
 			h.stats.RCWWrites++
-			h.rcwWrite(stripe, exts, data, nil, pAlive, qAlive, onTimeout, done)
+			h.rcwWrite(stripe, exts, data, nil, onTimeout, done)
 		}
 	case len(touchedFailed) == 0:
 		// A failed data chunk exists but is untouched: RMW only.
 		if !pAlive && !qAlive {
-			h.plainWrites(stripe, touchedAlive, data, onTimeout, done)
+			h.plainWrites(stripe, exts, data, onTimeout, done)
 			return
 		}
 		h.stats.RMWWrites++
-		h.rmwWrite(stripe, exts, data, pAlive, qAlive, onTimeout, done)
+		h.rmwWrite(stripe, exts, data, onTimeout, done)
 	case len(touchedFailed) == 1 && !anyFailedDataUntouched && (pAlive || qAlive):
 		fe := touchedFailed[0]
-		uLo, uHi := unionRange(exts)
-		if fe.Off == uLo && fe.Off+fe.Len == uHi && mode != raid.ModeFull {
+		if uLo, uHi := unionRange(exts); fe.Off == uLo && fe.Off+fe.Len == uHi {
 			h.stats.RCWWrites++
-			h.rcwWrite(stripe, exts, data, &fe, pAlive, qAlive, onTimeout, done)
-			return
-		}
-		if mode == raid.ModeFull {
-			h.stats.FullStripeWrites++
-			h.fullStripeWrite(stripe, data, exts, pAlive, qAlive, onTimeout, done)
+			h.rcwWrite(stripe, exts, data, &fe, onTimeout, done)
 			return
 		}
 		h.hostFallbackWrite(stripe, exts, data, onTimeout, done)
 	default:
 		h.hostFallbackWrite(stripe, exts, data, onTimeout, done)
 	}
+}
+
+// parityAlive reports which of stripe's parity members are in service: P,
+// and — RAID-6 only — Q.
+func (h *HostController) parityAlive(stripe int64) (p, q bool) {
+	p = !h.memberFailed(stripe, h.geo.PDrive(stripe))
+	q = h.geo.Level == raid.Raid6 && !h.memberFailed(stripe, h.geo.QDrive(stripe))
+	return p, q
+}
+
+// failedIn counts stripe's failed members, data and parity alike.
+func (h *HostController) failedIn(stripe int64) int {
+	n := 0
+	for m := 0; m < h.geo.Width; m++ {
+		if h.memberFailed(stripe, m) {
+			n++
+		}
+	}
+	return n
 }
 
 // writeTimeoutHandler implements §5.4: after a timeout, the host waits for
@@ -255,101 +267,98 @@ func unionRange(exts []raid.Extent) (lo, hi int64) {
 	return lo, hi
 }
 
+// memberWrite is one plain write to a stripe member, chunk-relative.
+type memberWrite struct {
+	member int
+	off    int64
+	buf    parity.Buffer
+}
+
+// writeMembers is the one write fan-out: an OpWrite per entry, in order —
+// the caller has already left failed members out — and done once every one
+// is acknowledged, failed on the deadline or an error completion. Nothing to
+// write completes on the next turn.
+func (h *HostController) writeMembers(kind string, stripe int64, writes []memberWrite, done func(), failed func(missing []NodeID)) {
+	if len(writes) == 0 {
+		h.rt.Defer(done)
+		return
+	}
+	op := h.beginOp(kind, stripe, done, failed)
+	for _, w := range writes {
+		h.send(op, h.nodeAt(stripe, w.member), oneReply, nvmeof.Command{
+			Opcode: nvmeof.OpWrite, Offset: h.driveOff(stripe) + w.off, Length: int64(w.buf.Len()),
+		}, w.buf)
+	}
+}
+
+// extentWrites lists the data writes that put exts' bytes of data on their
+// members, leaving out the failed ones.
+func (h *HostController) extentWrites(stripe int64, exts []raid.Extent, data parity.Buffer) []memberWrite {
+	writes := make([]memberWrite, 0, h.geo.Width)
+	for _, e := range exts {
+		if m := h.geo.DataDrive(stripe, e.Chunk); !h.memberFailed(stripe, m) {
+			writes = append(writes, memberWrite{m, e.Off, data.Slice(int(e.VOff), int(e.Len))})
+		}
+	}
+	return writes
+}
+
+// parityWrites computes stripe's parity from chunks — every data chunk's
+// content at chunk-relative offset off — and appends its write to each parity
+// member in service. parityCost is the CPU time to charge first.
+func (h *HostController) parityWrites(writes []memberWrite, stripe, off int64, chunks []parity.Buffer, pAlive, qAlive bool) []memberWrite {
+	p, q := parity.ComputeParity(chunks, pAlive, qAlive)
+	if pAlive {
+		writes = append(writes, memberWrite{h.geo.PDrive(stripe), off, p})
+	}
+	if qAlive {
+		writes = append(writes, memberWrite{h.geo.QDrive(stripe), off, q})
+	}
+	return writes
+}
+
+func (h *HostController) parityCost(n int64, withQ bool) sim.Duration {
+	work := h.cfg.Costs.Xor(int(n) * h.geo.DataChunks())
+	if withQ {
+		work += h.cfg.Costs.Gf(int(n) * h.geo.DataChunks())
+	}
+	return work
+}
+
 // fullStripeWrite computes parity on the host (§3: disaggregation gains
 // nothing for full-stripe writes) and issues plain writes to every healthy
 // member.
 func (h *HostController) fullStripeWrite(stripe int64, data parity.Buffer, exts []raid.Extent, pAlive, qAlive bool, onTimeout func([]NodeID), done func(error)) {
-	k := h.geo.DataChunks()
 	cs := h.geo.ChunkSize
-	chunks := make([]parity.Buffer, k)
+	chunks := make([]parity.Buffer, h.geo.DataChunks())
 	for _, e := range exts {
 		if e.Off != 0 || e.Len != cs {
 			panic("core: full-stripe write with partial extent")
 		}
 		chunks[e.Chunk] = data.Slice(int(e.VOff), int(cs))
 	}
-	absOff := h.driveOff(stripe)
-
-	// Carry each target's chunk index forward: the reverse node→role lookup
-	// is ambiguous under a declustered layout (one endpoint can serve
-	// different members of different stripes), so it must not be re-derived
-	// from the completion's origin.
-	type dataTarget struct {
-		node  NodeID
-		chunk int
-	}
-	var targets []dataTarget
-	for c := 0; c < k; c++ {
-		d := h.geo.DataDrive(stripe, c)
-		if !h.memberFailed(stripe, d) {
-			targets = append(targets, dataTarget{node: h.nodeAt(stripe, d), chunk: c})
-		}
-	}
-	parityWork := h.cfg.Costs.Xor(int(cs) * k)
-	if h.geo.Level == raid.Raid6 && qAlive {
-		parityWork += h.cfg.Costs.Gf(int(cs) * k)
-	}
-	h.cores.Exec(parityWork, func() {
-		pBuf, qBuf := parity.ComputeParity(chunks, pAlive, qAlive)
-		expect := len(targets)
-		if pAlive {
-			expect++
-		}
-		if qAlive {
-			expect++
-		}
-		watch := make([]NodeID, 0, expect)
-		for _, t := range targets {
-			watch = append(watch, t.node)
-		}
-		if pAlive {
-			watch = append(watch, h.nodeAt(stripe, h.geo.PDrive(stripe)))
-		}
-		if qAlive {
-			watch = append(watch, h.nodeAt(stripe, h.geo.QDrive(stripe)))
-		}
-		op := h.newStripeOp("full-stripe-write", stripe, expect, watch, func() { done(nil) }, onTimeout)
-		for _, t := range targets {
-			h.send(op, t.node, nvmeof.Command{Opcode: nvmeof.OpWrite, Offset: absOff, Length: cs}, chunks[t.chunk])
-		}
-		if pAlive {
-			h.send(op, h.nodeAt(stripe, h.geo.PDrive(stripe)), nvmeof.Command{Opcode: nvmeof.OpWrite, Offset: absOff, Length: cs}, pBuf)
-		}
-		if qAlive {
-			h.send(op, h.nodeAt(stripe, h.geo.QDrive(stripe)), nvmeof.Command{Opcode: nvmeof.OpWrite, Offset: absOff, Length: cs}, qBuf)
-		}
+	writes := h.extentWrites(stripe, exts, data)
+	h.cores.Exec(h.parityCost(cs, qAlive), func() {
+		h.writeMembers("full-stripe-write", stripe, h.parityWrites(writes, stripe, 0, chunks, pAlive, qAlive),
+			func() { done(nil) }, onTimeout)
 	})
 }
 
 // plainWrites issues bare data writes with no parity maintenance — the
 // degenerate degraded mode when no parity member of the stripe survives.
 func (h *HostController) plainWrites(stripe int64, exts []raid.Extent, data parity.Buffer, onTimeout func([]NodeID), done func(error)) {
-	if len(exts) == 0 {
-		h.rt.Defer(func() { done(nil) })
-		return
-	}
-	watch := make([]NodeID, 0, len(exts))
-	for _, e := range exts {
-		watch = append(watch, h.nodeAt(stripe, h.geo.DataDrive(stripe, e.Chunk)))
-	}
-	op := h.newStripeOp("plain-write", stripe, len(exts), watch, func() { done(nil) }, onTimeout)
-	for _, e := range exts {
-		t := h.nodeAt(stripe, h.geo.DataDrive(stripe, e.Chunk))
-		h.send(op, t, nvmeof.Command{
-			Opcode: nvmeof.OpWrite,
-			Offset: h.driveOff(stripe) + e.Off, Length: e.Len,
-		}, data.Slice(int(e.VOff), int(e.Len)))
-	}
+	h.writeMembers("plain-write", stripe, h.extentWrites(stripe, exts, data), func() { done(nil) }, onTimeout)
 }
 
 // parityDests returns the NextDest/NextDest2 routing for a stripe. These are
 // wire-level node indices, so rebuild indirection applies.
-func (h *HostController) parityDests(stripe int64, pAlive, qAlive bool) (pDest, qDest uint16) {
+func (h *HostController) parityDests(stripe int64) (pDest, qDest uint16) {
 	pDest, qDest = NoDest, NoDest
-	if pAlive {
+	p, q := h.parityAlive(stripe)
+	if p {
 		pDest = uint16(h.nodeAt(stripe, h.geo.PDrive(stripe)))
 	}
-	if qAlive && h.geo.Level == raid.Raid6 {
+	if q {
 		qDest = uint16(h.nodeAt(stripe, h.geo.QDrive(stripe)))
 	}
 	return pDest, qDest
@@ -358,30 +367,17 @@ func (h *HostController) parityDests(stripe int64, pAlive, qAlive bool) (pDest, 
 // rmwWrite runs the disaggregated read-modify-write of §5: PartialWrite to
 // each written data bdev, Parity to the reducer(s), peer-to-peer delta
 // forwarding, non-blocking reduce.
-func (h *HostController) rmwWrite(stripe int64, exts []raid.Extent, data parity.Buffer, pAlive, qAlive bool, onTimeout func([]NodeID), done func(error)) {
+func (h *HostController) rmwWrite(stripe int64, exts []raid.Extent, data parity.Buffer, onTimeout func([]NodeID), done func(error)) {
 	base := h.driveOff(stripe)
 	uLo, uHi := unionRange(exts)
 	union := nvmeof.SGE{Off: base + uLo, Len: uHi - uLo}
-	pDest, qDest := h.parityDests(stripe, pAlive, qAlive)
+	pDest, qDest := h.parityDests(stripe)
+	op := h.beginOp("rmw-write", stripe, func() { done(nil) }, onTimeout)
 
-	expect := len(exts) // one bdevD callback per written chunk
-	var watch []NodeID
-	for _, e := range exts {
-		watch = append(watch, h.nodeAt(stripe, h.geo.DataDrive(stripe, e.Chunk)))
-	}
-	if pDest != NoDest {
-		expect++
-		watch = append(watch, NodeID(pDest))
-	}
-	if qDest != NoDest {
-		expect++
-		watch = append(watch, NodeID(qDest))
-	}
-	op := h.newStripeOp("rmw-write", stripe, expect, watch, func() { done(nil) }, onTimeout)
-
+	// One bdevD callback per written chunk, one per reducer.
 	for _, e := range exts {
 		t := h.nodeAt(stripe, h.geo.DataDrive(stripe, e.Chunk))
-		h.send(op, t, nvmeof.Command{
+		h.send(op, t, oneReply, nvmeof.Command{
 			Opcode:  nvmeof.OpPartialWrite,
 			Subtype: nvmeof.SubRMW,
 			Offset:  base + e.Off, Length: e.Len,
@@ -399,10 +395,10 @@ func (h *HostController) rmwWrite(stripe int64, exts []raid.Extent, data parity.
 		DataIdx: NoScale,
 	}
 	if pDest != NoDest {
-		h.send(op, NodeID(pDest), parityCmd, parity.Buffer{})
+		h.send(op, NodeID(pDest), oneReply, parityCmd, parity.Buffer{})
 	}
 	if qDest != NoDest {
-		h.send(op, NodeID(qDest), parityCmd, parity.Buffer{})
+		h.send(op, NodeID(qDest), oneReply, parityCmd, parity.Buffer{})
 	}
 }
 
@@ -411,11 +407,11 @@ func (h *HostController) rmwWrite(stripe int64, exts []raid.Extent, data parity.
 // parity is recomputed over the union with no old-parity preload.
 // hostContrib, when non-nil, is the failed chunk whose new data the host
 // contributes directly to the reducer(s) (degraded writes).
-func (h *HostController) rcwWrite(stripe int64, exts []raid.Extent, data parity.Buffer, hostContrib *raid.Extent, pAlive, qAlive bool, onTimeout func([]NodeID), done func(error)) {
+func (h *HostController) rcwWrite(stripe int64, exts []raid.Extent, data parity.Buffer, hostContrib *raid.Extent, onTimeout func([]NodeID), done func(error)) {
 	base := h.driveOff(stripe)
 	uLo, uHi := unionRange(exts)
 	union := nvmeof.SGE{Off: base + uLo, Len: uHi - uLo}
-	pDest, qDest := h.parityDests(stripe, pAlive, qAlive)
+	pDest, qDest := h.parityDests(stripe)
 
 	extByChunk := make(map[int]raid.Extent)
 	for _, e := range exts {
@@ -434,32 +430,11 @@ func (h *HostController) rcwWrite(stripe int64, exts []raid.Extent, data parity.
 			readers = append(readers, c)
 		}
 	}
+	op := h.beginOp("rcw-write", stripe, func() { done(nil) }, onTimeout)
 
-	expect := len(written)
-	var watch []NodeID
-	for _, c := range append(append([]int(nil), written...), readers...) {
-		watch = append(watch, h.nodeAt(stripe, h.geo.DataDrive(stripe, c)))
-	}
-	if pDest != NoDest {
-		expect++
-		watch = append(watch, NodeID(pDest))
-	}
-	if qDest != NoDest {
-		expect++
-		watch = append(watch, NodeID(qDest))
-	}
-	if expect == 0 {
-		h.rt.Defer(func() {
-			done(fmt.Errorf("core: stripe %d has no healthy participants: %w", stripe, blockdev.ErrDegraded))
-		})
-		return
-	}
-	op := h.newStripeOp("rcw-write", stripe, expect, watch, func() { done(nil) }, onTimeout)
-
-	waitNum := len(written) + len(readers)
 	for _, c := range written {
 		e := extByChunk[c]
-		h.send(op, h.nodeAt(stripe, h.geo.DataDrive(stripe, c)), nvmeof.Command{
+		h.send(op, h.nodeAt(stripe, h.geo.DataDrive(stripe, c)), oneReply, nvmeof.Command{
 			Opcode:  nvmeof.OpPartialWrite,
 			Subtype: nvmeof.SubRWWrite,
 			Offset:  base + e.Off, Length: e.Len,
@@ -470,7 +445,8 @@ func (h *HostController) rcwWrite(stripe int64, exts []raid.Extent, data parity.
 		}, data.Slice(int(e.VOff), int(e.Len)))
 	}
 	for _, c := range readers {
-		h.send(op, h.nodeAt(stripe, h.geo.DataDrive(stripe, c)), nvmeof.Command{
+		// A reader answers the reducer(s) only; their completions cover it.
+		h.send(op, h.nodeAt(stripe, h.geo.DataDrive(stripe, c)), noReply, nvmeof.Command{
 			Opcode:  nvmeof.OpPartialWrite,
 			Subtype: nvmeof.SubRWRead,
 			Offset:  union.Off, Length: 0,
@@ -484,7 +460,7 @@ func (h *HostController) rcwWrite(stripe int64, exts []raid.Extent, data parity.
 		Opcode:  nvmeof.OpParity,
 		Subtype: nvmeof.SubNone,
 		Offset:  union.Off, Length: union.Len,
-		WaitNum: uint16(waitNum),
+		WaitNum: uint16(len(written) + len(readers)),
 		DataIdx: NoScale,
 	}
 	var contribPayload parity.Buffer
@@ -495,14 +471,14 @@ func (h *HostController) rcwWrite(stripe int64, exts []raid.Extent, data parity.
 		contribPayload = data.Slice(int(e.VOff), int(e.Len)) // lent read-only, like every command payload
 	}
 	if pDest != NoDest {
-		h.send(op, NodeID(pDest), parityCmd, contribPayload)
+		h.send(op, NodeID(pDest), oneReply, parityCmd, contribPayload)
 	}
 	if qDest != NoDest {
 		qCmd := parityCmd
 		if hostContrib != nil {
 			qCmd.DataIdx = uint16(hostContrib.Chunk)
 		}
-		h.send(op, NodeID(qDest), qCmd, contribPayload)
+		h.send(op, NodeID(qDest), oneReply, qCmd, contribPayload)
 	}
 }
 
@@ -515,18 +491,11 @@ func (h *HostController) rcwWrite(stripe int64, exts []raid.Extent, data parity.
 // which owns the retry budget.
 func (h *HostController) hostFallbackWrite(stripe int64, exts []raid.Extent, data parity.Buffer, onTimeout func([]NodeID), done func(error)) {
 	h.stats.HostFallbackWrites++
-	base := h.driveOff(stripe)
 	uLo, uHi := unionRange(exts)
 	uLen := uHi - uLo
 	k := h.geo.DataChunks()
 
-	pDrive := h.geo.PDrive(stripe)
-	pAlive := !h.memberFailed(stripe, pDrive)
-	qDrive, qAlive := -1, false
-	if h.geo.Level == raid.Raid6 {
-		qDrive = h.geo.QDrive(stripe)
-		qAlive = !h.memberFailed(stripe, qDrive)
-	}
+	pAlive, qAlive := h.parityAlive(stripe)
 
 	dataMembers := make([]int, k)
 	for c := range dataMembers {
@@ -552,55 +521,10 @@ func (h *HostController) hostFallbackWrite(stripe int64, exts []raid.Extent, dat
 			}
 			newData[e.Chunk].CopyAt(int(e.Off-uLo), data.Slice(int(e.VOff), int(e.Len)))
 		}
-		work := h.cfg.Costs.Xor(int(uLen) * k)
-		if qAlive {
-			work += h.cfg.Costs.Gf(int(uLen) * k)
-		}
-		h.cores.Exec(work, func() {
-			pNew, qNew := parity.ComputeParity(newData, pAlive, qAlive)
+		h.cores.Exec(h.parityCost(uLen, qAlive), func() {
 			// Phase 3: write back touched alive chunks + parity.
-			writes := 0
-			var wWatch []NodeID
-			for _, e := range exts {
-				d := h.geo.DataDrive(stripe, e.Chunk)
-				if !h.memberFailed(stripe, d) {
-					writes++
-					wWatch = append(wWatch, h.nodeAt(stripe, d))
-				}
-			}
-			if pAlive {
-				writes++
-				wWatch = append(wWatch, h.nodeAt(stripe, pDrive))
-			}
-			if qAlive {
-				writes++
-				wWatch = append(wWatch, h.nodeAt(stripe, qDrive))
-			}
-			if writes == 0 {
-				done(nil)
-				return
-			}
-			wOp := h.newStripeOp("fallback-writeback", stripe, writes, wWatch,
-				func() { done(nil) }, onTimeout)
-			for _, e := range exts {
-				d := h.geo.DataDrive(stripe, e.Chunk)
-				if h.memberFailed(stripe, d) {
-					continue
-				}
-				h.send(wOp, h.nodeAt(stripe, d), nvmeof.Command{
-					Opcode: nvmeof.OpWrite, Offset: base + e.Off, Length: e.Len,
-				}, data.Slice(int(e.VOff), int(e.Len)))
-			}
-			if pAlive {
-				h.send(wOp, h.nodeAt(stripe, pDrive), nvmeof.Command{
-					Opcode: nvmeof.OpWrite, Offset: base + uLo, Length: uLen,
-				}, pNew)
-			}
-			if qAlive {
-				h.send(wOp, h.nodeAt(stripe, qDrive), nvmeof.Command{
-					Opcode: nvmeof.OpWrite, Offset: base + uLo, Length: uLen,
-				}, qNew)
-			}
+			writes := h.parityWrites(h.extentWrites(stripe, exts, data), stripe, uLo, newData, pAlive, qAlive)
+			h.writeMembers("fallback-writeback", stripe, writes, func() { done(nil) }, onTimeout)
 		})
 	}
 

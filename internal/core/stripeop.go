@@ -1,0 +1,312 @@
+package core
+
+import (
+	"fmt"
+	"math/bits"
+
+	"draid/internal/backend"
+	"draid/internal/blockdev"
+	"draid/internal/nvmeof"
+	"draid/internal/parity"
+	"draid/internal/sim"
+	"draid/internal/trace"
+)
+
+// The stripe-op engine: every exchange the host has with the targets — a
+// stripe write, a reduce tree, a gather, a probe, a fence — is one stripeOp,
+// and an op is what it sent. Each send declares the completions its capsule
+// earns; the watch set for the deadline, the number of answers to wait for
+// and the admission of each completion all derive from that one list, so no
+// caller counts anything. DESIGN.md, "Stripe-op engine", has the table of op
+// kinds.
+
+// replies is the set of completions one capsule earns its op, told apart by
+// completion subtype (bit 1<<Subtype).
+type replies uint8
+
+const (
+	// noReply: the target answers its peers, not the host (an RCW reader, a
+	// reconstruction participant). It is still watched for timeout blame.
+	noReply replies = 0
+	// oneReply: the plain completion of a read, write, partial write, parity
+	// anchor, heartbeat or fence.
+	oneReply replies = 1 << nvmeof.SubNone
+	// reducedReply: a reducer's reconstructed segment (§6.1).
+	reducedReply replies = 1 << nvmeof.SubNoRead
+	// riderReply: a reconstruction participant's own segment of the user read,
+	// returned directly (§6.1 AlsoRead). A reducer carrying a rider owes both.
+	riderReply replies = 1 << nvmeof.SubAlsoRead
+)
+
+// capsule is one command an op sent.
+type capsule struct {
+	to       NodeID
+	owes     replies   // completions still owed for it
+	answered bool      // a completion of any status came back: not to blame on timeout
+	span     *trace.Op // the open RPC span, when tracing
+}
+
+func (c *capsule) endSpan() {
+	if c.span != nil {
+		c.span.End()
+		c.span = nil
+	}
+}
+
+// stripeOp is one stripe-granularity operation (a stripe write or a
+// degraded-read reconstruction group).
+type stripeOp struct {
+	id     uint64
+	stripe int64
+	// sent lists the op's capsules in send order; owed counts the completions
+	// they still earn. The op finishes when owed returns to zero.
+	sent     []capsule
+	owed     int
+	failedFn func(missing []NodeID)
+	doneFn   func()
+	timer    backend.Timer
+	// read assembly: completions carrying payloads are routed here. The hook
+	// becomes b's owner: it calls b.Release() once the bytes are copied out (a
+	// drive-read buffer then goes straight back to its drive's free list), or
+	// keeps b.Disown(). A hook that does neither shows up in LeakCheck.
+	onPayload func(from NodeID, cmd nvmeof.Command, b parity.Buffer)
+	// onMediaErr, when set, takes over after a StatusMediaError completion:
+	// the op is cancelled (no doneFn/failedFn) and the hook drives its own
+	// recovery continuation. The completion's Offset/Length carry the
+	// precise unreadable drive range; member is the reporter's index in the
+	// stripe. When nil, the op fails blaming no member (media errors are not
+	// node-failure evidence).
+	onMediaErr func(member int, cmd nvmeof.Command)
+	done       bool
+	span       *trace.Op // covers the whole operation
+}
+
+// admit matches a completion to the capsule it answers, or returns nil when
+// the op does not owe it: a success is admitted only while that (endpoint,
+// subtype) reply is outstanding, so a duplicate can never stand in for a
+// participant that has not answered. Trouble is admitted from anyone the op
+// sent to — a zero-reply participant reports a media error this way.
+func (op *stripeOp) admit(from NodeID, cmd nvmeof.Command) *capsule {
+	for i := range op.sent {
+		c := &op.sent[i]
+		if c.to == from && (cmd.Status != nvmeof.StatusSuccess || c.owes&(1<<cmd.Subtype) != 0) {
+			return c
+		}
+	}
+	return nil
+}
+
+// closeSpans ends the op span and any RPC spans still open (participants that
+// never send a completion, e.g. SubRWRead readers, or a timed-out exchange).
+func (op *stripeOp) closeSpans(result string) {
+	if op.span != nil {
+		if result == "" {
+			op.span.End()
+		} else {
+			op.span.End(trace.Str("result", result))
+		}
+		op.span = nil
+	}
+	for i := range op.sent {
+		op.sent[i].endSpan()
+	}
+}
+
+// beginOp opens an operation with the configured deadline. kind names it on
+// the trace ("rmw-write", "degraded-read", …). The caller sends its capsules
+// before returning to the event loop; done runs once every completion they
+// earn is in.
+func (h *HostController) beginOp(kind string, stripe int64, done func(), failed func([]NodeID)) *stripeOp {
+	return h.beginOpDeadline(kind, stripe, h.cfg.Deadline, done, failed)
+}
+
+// beginOpDeadline is beginOp with an explicit deadline (heartbeat probes run
+// much tighter than data ops). On timeout every endpoint the op sent to that
+// never completed is reported to the health sink — confirmed when its node is
+// observably down, suspect otherwise — before failedFn runs with the down
+// set.
+func (h *HostController) beginOpDeadline(kind string, stripe int64, deadline sim.Duration, done func(), failed func([]NodeID)) *stripeOp {
+	h.nextID++
+	op := &stripeOp{id: h.nextID, stripe: stripe, doneFn: done, failedFn: failed}
+	h.inflight[op.id] = op
+	if t := h.cfg.Tracer; t.Enabled() {
+		op.span = t.Begin(h.opsTrack, "op", kind,
+			trace.I64("stripe", stripe), trace.I64("id", int64(op.id)))
+	}
+	op.timer = h.rt.After(deadline, func() {
+		if op.done {
+			return
+		}
+		h.stats.Timeouts++
+		var down, silent []NodeID
+		for _, c := range op.sent {
+			switch {
+			case c.answered:
+			case h.fab.Down(c.to):
+				down = append(down, c.to)
+			default:
+				silent = append(silent, c.to)
+			}
+		}
+		h.trace("op id=%d timed out; down=%v silent=%v", op.id, down, silent)
+		// Evidence attribution: a confirmed-down participant explains the
+		// whole stall (peer chains run through it), so silent peers are NOT
+		// blamed — charging them unconfirmed strikes would let one dead node
+		// fail innocent members by collateral evidence.
+		for _, t := range down {
+			h.reportFault(h.memberOf(t), true)
+		}
+		if len(down) == 0 {
+			for _, t := range silent {
+				h.reportFault(h.memberOf(t), false)
+			}
+		}
+		h.failOp(op, down)
+	})
+	return op
+}
+
+// send issues a capsule for an operation, stamped with the op ID, the
+// controller's volume, and its host epoch so servers and the fabric demux
+// can attribute (and, for the epoch, fence) it. owes declares the completions
+// the capsule earns the op.
+func (h *HostController) send(op *stripeOp, to NodeID, owes replies, cmd nvmeof.Command, payload parity.Buffer) {
+	cmd.ID = op.id
+	cmd.NSID = uint32(h.cfg.Volume)
+	cmd.Epoch = h.cfg.Epoch
+	if op.sent == nil {
+		op.sent = make([]capsule, 0, h.geo.Width)
+	}
+	c := capsule{to: to, owes: owes}
+	if t := h.cfg.Tracer; t.Enabled() {
+		c.span = t.Begin(h.rpcTrack, "rpc",
+			fmt.Sprintf("%s→t%d", cmd.SpanName(), int(to)), trace.I64("id", int64(op.id)))
+	}
+	op.sent = append(op.sent, c)
+	op.owed += bits.OnesCount8(uint8(owes))
+	h.fab.Send(HostID, to, cmd, payload)
+}
+
+// handle processes completions arriving from targets. The host owns every
+// payload delivered here: one that no op takes is released on the spot.
+func (h *HostController) handle(m Message) {
+	if h.crashed {
+		m.Payload.Release()
+		return
+	}
+	h.cores.Exec(h.cfg.Costs.PerMsg, func() {
+		if !h.complete(m) {
+			m.Payload.Release()
+		}
+	})
+}
+
+// complete applies one completion to its op, reporting whether the op's
+// onPayload hook took (and so settled the fate of) the payload.
+func (h *HostController) complete(m Message) (tookPayload bool) {
+	if h.crashed {
+		return false
+	}
+	if m.Cmd.Opcode != nvmeof.OpCompletion {
+		panic(fmt.Sprintf("core: host received %v", m.Cmd.Opcode))
+	}
+	if m.Cmd.Epoch != h.cfg.Epoch {
+		// A completion echoing someone else's epoch: the answer to a
+		// command a predecessor issued. After a seize both sessions share
+		// the ID sequence, so without this check a zombie's completion
+		// could settle (or fail) the replacement's op of the same ID.
+		h.stats.ForeignCompletions++
+		h.trace("drop foreign-epoch completion id=%d epoch=%d (ours %d)",
+			m.Cmd.ID, m.Cmd.Epoch, h.cfg.Epoch)
+		return false
+	}
+	op, ok := h.inflight[m.Cmd.ID]
+	if !ok {
+		return false // late completion after timeout handling
+	}
+	c := op.admit(m.From, m.Cmd)
+	if c == nil {
+		h.trace("drop completion id=%d from t%d sub=%v: not owed", m.Cmd.ID, int(m.From), m.Cmd.Subtype)
+		return false
+	}
+	c.answered = true
+	c.endSpan()
+	if m.Cmd.Status == nvmeof.StatusMediaError {
+		// Per-chunk erasure: the member is alive and answering, it just
+		// cannot read some sectors. That is OK-evidence for the health
+		// machinery (not a node fault), and the op either hands off to
+		// its media-recovery hook or fails blaming no member so write
+		// paths fall back and re-drive the stripe.
+		h.stats.MediaErrors++
+		member := h.memberOf(m.From)
+		h.trace("completion id=%d from t%d media-error [%d,+%d)",
+			m.Cmd.ID, int(m.From), m.Cmd.Offset, m.Cmd.Length)
+		h.reportOK(member)
+		if op.onMediaErr != nil {
+			// Health evidence above is per drive; the hook works in the
+			// stripe's member space (skip sets, roles, repair addressing).
+			hook := op.onMediaErr
+			h.cancelOp(op, "media-error")
+			hook(h.memberOfAt(op.stripe, m.From), m.Cmd)
+			return false
+		}
+		h.failOp(op, nil)
+		return false
+	}
+	if m.Cmd.Status == nvmeof.StatusStaleEpoch {
+		// Positive confirmation of a takeover: the bdev is healthy, WE
+		// are the problem. Stand down (before failing the op, so its
+		// failure path reports the typed error) and never charge the
+		// bdev fault evidence for doing its job.
+		h.stats.StaleEpochRejects++
+		h.trace("completion id=%d from t%d stale-epoch: standing down", m.Cmd.ID, int(m.From))
+		h.reportOK(h.memberOf(m.From))
+		h.standDown(blockdev.ErrStaleEpoch)
+		h.failOp(op, nil)
+		return false
+	}
+	if m.Cmd.Status != nvmeof.StatusSuccess {
+		h.trace("completion id=%d from t%d status=%v", m.Cmd.ID, int(m.From), m.Cmd.Status)
+		h.reportFault(h.memberOf(m.From), true)
+		h.failOp(op, []NodeID{m.From})
+		return false
+	}
+	h.reportOK(h.memberOf(m.From))
+	tookPayload = m.Payload.Len() > 0 && op.onPayload != nil
+	if tookPayload {
+		op.onPayload(m.From, m.Cmd, m.Payload)
+	}
+	c.owes &^= 1 << m.Cmd.Subtype
+	op.owed--
+	h.trace("completion id=%d from t%d owed=%d", m.Cmd.ID, int(m.From), op.owed)
+	if op.owed == 0 {
+		h.finishOp(op)
+	}
+	return tookPayload
+}
+
+// cancelOp retires an operation without firing doneFn or failedFn — a
+// media-error hook or a winning hedge owns the continuation — and reports
+// false when the op was already over.
+func (h *HostController) cancelOp(op *stripeOp, result string) bool {
+	if op.done {
+		return false
+	}
+	op.done = true
+	op.timer.Stop()
+	delete(h.inflight, op.id)
+	op.closeSpans(result)
+	return true
+}
+
+func (h *HostController) finishOp(op *stripeOp) {
+	if h.cancelOp(op, "") {
+		op.doneFn()
+	}
+}
+
+func (h *HostController) failOp(op *stripeOp, missing []NodeID) {
+	if h.cancelOp(op, "failed") {
+		op.failedFn(missing)
+	}
+}

@@ -20,6 +20,9 @@ go test -race ./...
 # ./... above; it wraps backend.Transport/Drive and calls the realtime and
 # core constructors, so build, vet and test it against this tree here.
 (cd benchmark && go vet ./... && go test ./...)
+# Completion admission: every op shape × participant pair with one completion
+# duplicated and one capsule cut must end through its deadline, repeatedly.
+go test -race -count=5 -run 'TestDuplicatedCompletionNeverStandsInForAMissingOne' ./internal/core
 # Scrubber smoke under -race: background passes + repair-on-read are the
 # most callback-ordering-sensitive paths added by the integrity layer.
 go test -race -run '^TestScrub' . -count=1
