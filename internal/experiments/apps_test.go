@@ -58,23 +58,10 @@ func TestAppFiguresQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("application figures load real datasets")
 	}
-	o := Options{Quick: true, Ramp: 10e6, Measure: 30e6}
-	for _, id := range []string{"fig19a", "fig19b", "fig20", "fig21"} {
-		fig, err := RunFigure(id, o)
-		if err != nil {
-			t.Fatal(err)
+	for _, id := range IDs() {
+		if appIDs[id] {
+			t.Run(id, func(t *testing.T) { checkQuickReport(t, id) })
 		}
-		if len(fig.Series) != 2 || len(fig.Series[0].Points) == 0 {
-			t.Fatalf("%s: malformed figure", id)
-		}
-		for _, s := range fig.Series {
-			for _, p := range s.Points {
-				if p.BW <= 0 {
-					t.Errorf("%s/%s: nonpositive KIOPS at %s", id, s.System, p.Label)
-				}
-			}
-		}
-		t.Logf("\n%s", fig.String())
 	}
 }
 

@@ -1,6 +1,9 @@
 package experiments
 
 import (
+	"flag"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -9,42 +12,48 @@ func quickOpts() Options {
 	return Options{Quick: true, Ramp: 10e6, Measure: 30e6} // 10ms/30ms windows
 }
 
+// update rewrites testdata/<id>_quick.txt from this tree instead of comparing.
+var update = flag.Bool("update", false, "rewrite the quick-report captures under testdata/")
+
+// appIDs are the §9.6 application figures. They load real datasets, so their
+// captures are compared by TestAppFiguresQuick; TestAllFiguresRunQuick takes
+// every other ID.
+var appIDs = map[string]bool{"fig19a": true, "fig19b": true, "fig20": true, "fig21": true}
+
+// checkQuickReport pins one experiment's quick report (quickOpts windows,
+// seed 1) byte for byte against testdata/<id>_quick.txt. The captures were
+// taken before the figure functions became rows of one sweep table, so any
+// drift here is a change in what a figure measures, not in how it is built.
+func checkQuickReport(t *testing.T, id string) {
+	t.Helper()
+	got, err := Run(id, quickOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join("testdata", id+"_quick.txt")
+	if *update {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("%s quick report drifted from its capture\n got:\n%s\nwant:\n%s", id, got, want)
+	}
+}
+
 func TestAllFiguresRunQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("figure smoke runs take a few seconds")
 	}
-	o := quickOpts()
-	figs := []Figure{
-		Fig09(o), Fig10(o), Fig11(o), Fig12(o), Fig13(o),
-		Fig14(o, "wo"), Fig14(o, "rw"),
-		Fig15(o), Fig16(o), Fig17a(o), Fig17b(o), Fig18(o),
-		Fig22(o), Fig23(o), Fig24(o), Fig25(o), Fig26(o),
-		Fig27(o, "wo"), Fig27(o, "rw"), Fig28(o), Fig29(o), Fig30(o),
-		Decluster(o),
-	}
-	seen := map[string]bool{}
-	for _, f := range figs {
-		if f.ID == "" || len(f.Series) == 0 {
-			t.Fatalf("figure %q empty", f.Title)
+	for _, id := range IDs() {
+		if !appIDs[id] {
+			t.Run(id, func(t *testing.T) { checkQuickReport(t, id) })
 		}
-		if seen[f.ID] {
-			t.Fatalf("duplicate figure id %s", f.ID)
-		}
-		seen[f.ID] = true
-		for _, s := range f.Series {
-			if len(s.Points) == 0 {
-				t.Fatalf("%s: series %s has no points", f.ID, s.System)
-			}
-			for _, p := range s.Points {
-				if p.BW <= 0 {
-					t.Errorf("%s/%s: nonpositive bandwidth at %v", f.ID, s.System, p.Label)
-				}
-			}
-		}
-		if !strings.Contains(f.String(), f.ID) {
-			t.Errorf("%s: String() missing id", f.ID)
-		}
-		t.Logf("\n%s", f.String())
 	}
 }
 
