@@ -1,5 +1,6 @@
-// Command draid-bench regenerates the paper's tables and figures on the
-// simulated testbed and prints the same rows/series the paper plots.
+// Command draid-bench regenerates the paper's tables and figures — on the
+// simulated testbed, or the dRAID series of them on the realtime backend —
+// and prints the same rows/series the paper plots.
 //
 // Usage:
 //
@@ -24,7 +25,7 @@ import (
 
 func main() {
 	var (
-		backendF = flag.String("backend", "sim", "sim | realtime (realtime reruns the dRAID sweeps on wall clocks; -list shows its subset)")
+		backendF = flag.String("backend", "sim", "sim | realtime (realtime reruns the dRAID series of any listed id on wall clocks; -list shows the ids it can run)")
 		fig      = flag.String("fig", "", "experiment id(s), comma-separated, or 'all'")
 		list     = flag.Bool("list", false, "list experiment ids and exit")
 		quick    = flag.Bool("quick", false, "shrink sweeps to endpoints (smoke run)")
@@ -42,12 +43,30 @@ func main() {
 		fmt.Fprintf(os.Stderr, "draid-bench: %v\n", err)
 		os.Exit(2)
 	}
-	allIDs := experiments.IDs
-	if kind == draid.BackendRealtime {
-		allIDs = experiments.RealtimeIDs
+	opts := experiments.Options{
+		Quick:    *quick,
+		Ramp:     sim.Duration(*ramp),
+		Measure:  sim.Duration(*measure),
+		Seed:     *seed,
+		Parallel: *parallel,
+		Backend:  kind,
+		Realtime: draid.RealtimeOptions{TCP: *rtTCP, Dir: *rtDir},
+	}
+	// runnable lists every ID the chosen backend can run; with say set it
+	// names the ones it cannot, and why.
+	runnable := func(say bool) []string {
+		var ids []string
+		for _, id := range experiments.IDs() {
+			if err := experiments.Supported(id, opts); err == nil {
+				ids = append(ids, id)
+			} else if say {
+				fmt.Printf("skipping %v\n", err)
+			}
+		}
+		return ids
 	}
 	if *list {
-		for _, id := range allIDs() {
+		for _, id := range runnable(false) {
 			fmt.Println(id)
 		}
 		return
@@ -56,27 +75,14 @@ func main() {
 		fmt.Fprintln(os.Stderr, "draid-bench: pass -fig <id>[,<id>...] or -list")
 		os.Exit(2)
 	}
-	opts := experiments.Options{
-		Quick:    *quick,
-		Ramp:     sim.Duration(*ramp),
-		Measure:  sim.Duration(*measure),
-		Seed:     *seed,
-		Parallel: *parallel,
-	}
 	ids := strings.Split(*fig, ",")
 	if *fig == "all" {
-		ids = allIDs()
+		ids = runnable(true)
 	}
 	for i, id := range ids {
 		ids[i] = strings.TrimSpace(id)
 	}
-	var reports []experiments.Report
-	if kind == draid.BackendRealtime {
-		ro := draid.RealtimeOptions{TCP: *rtTCP, Dir: *rtDir}
-		reports, err = experiments.RunAllRealtime(ids, opts, ro)
-	} else {
-		reports, err = experiments.RunAll(ids, opts)
-	}
+	reports, err := experiments.RunAll(ids, opts)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "draid-bench: %v\n", err)
 		os.Exit(1)

@@ -125,27 +125,40 @@ func main() {
 		os.Exit(2)
 	}
 
+	job := fio.Job{
+		Name:   string(sys),
+		IOSize: *iosize, ReadRatio: *ratio, QueueDepth: *qd,
+		Ramp: sim.Duration(*ramp), Measure: sim.Duration(*measure), Seed: *seed,
+	}
 	var res fio.Result
 	var out, in int64
 	var arr *draid.Array
-	if kind == draid.BackendRealtime {
-		if sys != experiments.DRAID {
-			fmt.Fprintf(os.Stderr, "draid-fio: the realtime backend runs the dRAID protocol only (got -system %s)\n", *system)
+	if sys != experiments.DRAID {
+		// The baselines are simulation models of host-centric RAID.
+		if kind != draid.BackendSim {
+			fmt.Fprintf(os.Stderr, "draid-fio: -system %s exists on the sim backend only (got -backend %s)\n", *system, kind)
 			os.Exit(2)
 		}
+		dev, cl := experiments.Build(experiments.Setup{
+			System: sys, Targets: *targets, Level: lvl, ChunkSize: *chunk,
+			FailedMembers: failed, Seed: *seed,
+		})
+		job.Dev, job.Eng = dev, cl.Eng
+		res = fio.Run(job)
+		out, in = cl.TotalHostBytes()
+	} else {
 		a, err := draid.New(draid.Config{
-			Backend:       draid.BackendRealtime,
-			Realtime:      draid.RealtimeOptions{TCP: *rtTCP, Dir: *rtDir},
-			Level:         lvl,
-			Drives:        *targets,
-			ChunkSize:     *chunk,
-			DriveCapacity: 1 << 30,
-			SizeOnly:      *rtDir == "", // file media need real bytes
-			Seed:          *seed,
-			Hedge:         hedgeCfg,
-			WriteBack:     *wb,
-			StageMB:       *stageMB,
-			CacheMB:       *cacheMB,
+			Backend:   kind,
+			Realtime:  draid.RealtimeOptions{TCP: *rtTCP, Dir: *rtDir},
+			Level:     lvl,
+			Drives:    *targets,
+			ChunkSize: *chunk,
+			SizeOnly:  *rtDir == "", // file media need real bytes
+			Seed:      *seed,
+			Hedge:     hedgeCfg,
+			WriteBack: *wb,
+			StageMB:   *stageMB,
+			CacheMB:   *cacheMB,
 		})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "draid-fio: %v\n", err)
@@ -162,55 +175,9 @@ func main() {
 		for _, m := range failed {
 			a.FailDrive(m)
 		}
-		res = fio.Run(fio.Job{
-			Name: string(sys) + "/rt", Dev: a.Controller(), Eng: a.Cluster().Rt,
-			IOSize: *iosize, ReadRatio: *ratio, QueueDepth: *qd,
-			Ramp: sim.Duration(*ramp), Measure: sim.Duration(*measure), Seed: *seed,
-		})
+		job.Dev, job.Eng = a.Controller(), a.Cluster().Rt
+		res = fio.Run(job)
 		out, in = a.HostTraffic()
-	} else if greyPath {
-		a, err := draid.New(draid.Config{
-			Level:     lvl,
-			Drives:    *targets,
-			ChunkSize: *chunk,
-			SizeOnly:  true,
-			Seed:      *seed,
-			Hedge:     hedgeCfg,
-			WriteBack: *wb,
-			StageMB:   *stageMB,
-			CacheMB:   *cacheMB,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "draid-fio: %v\n", err)
-			os.Exit(1)
-		}
-		arr = a
-		for _, e := range slows {
-			if err := a.Inject().SlowDrive(e.member, e.prof); err != nil {
-				fmt.Fprintf(os.Stderr, "draid-fio: %v\n", err)
-				os.Exit(1)
-			}
-		}
-		for _, m := range failed {
-			a.FailDrive(m)
-		}
-		res = fio.Run(fio.Job{
-			Name: string(sys), Dev: a.Controller(), Eng: a.Cluster().Rt,
-			IOSize: *iosize, ReadRatio: *ratio, QueueDepth: *qd,
-			Ramp: sim.Duration(*ramp), Measure: sim.Duration(*measure), Seed: *seed,
-		})
-		out, in = a.HostTraffic()
-	} else {
-		dev, cl := experiments.Build(experiments.Setup{
-			System: sys, Targets: *targets, Level: lvl, ChunkSize: *chunk,
-			FailedMembers: failed, Seed: *seed,
-		})
-		res = fio.Run(fio.Job{
-			Name: string(sys), Dev: dev, Eng: cl.Eng,
-			IOSize: *iosize, ReadRatio: *ratio, QueueDepth: *qd,
-			Ramp: sim.Duration(*ramp), Measure: sim.Duration(*measure), Seed: *seed,
-		})
-		out, in = cl.TotalHostBytes()
 	}
 	fmt.Println(res.String())
 	user := res.ReadBytes + res.WriteBytes

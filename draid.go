@@ -667,16 +667,58 @@ func (cfg Config) validate() error {
 	return nil
 }
 
-// New assembles the testbed and attaches the dRAID host controller.
+// New assembles the testbed — simulated or realtime, as cfg.Backend names —
+// and opens the array on it as the cluster's only volume.
 func New(cfg Config) (*Array, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Backend == BackendRealtime {
-		return newRealtime(cfg)
+	realtime := cfg.Backend == BackendRealtime
+	var cl *cluster.Cluster
+	if realtime {
+		capacity := cfg.DriveCapacity
+		if capacity == 0 {
+			// The sim's 1.6 TB default is sparse virtual capacity; realtime
+			// arrays move real bytes, so default to something rebuildable.
+			capacity = 256 << 20
+		}
+		var err error
+		cl, err = cluster.NewRealtime(cluster.RealtimeSpec{
+			Targets: cfg.clusterTargets(), Spares: cfg.Spares, Seed: cfg.Seed,
+			DriveCapacity: capacity, SizeOnly: cfg.SizeOnly, Integrity: cfg.Integrity,
+			Pipelined: true, TCP: cfg.Realtime.TCP, Dir: cfg.Realtime.Dir,
+		})
+		if err != nil {
+			return nil, err
+		}
+	} else {
+		cl = cluster.New(cfg.simSpec())
 	}
-	geo := raid.Geometry{Level: cfg.Level, Width: cfg.Drives, ChunkSize: cfg.ChunkSize}
+	arr, err := open(cl, cfg, "vol0", 0, 0, nil)
+	if err != nil {
+		cl.Close()
+		return nil, err
+	}
+	switch {
+	case realtime:
+		arr.realtime = true
+		arr.dev = loopDev{rt: cl.Rt, dev: arr.host}
+	case cfg.OffloadController:
+		clientNode := cl.Net.NewNode("client")
+		gbps := cfg.HostNICGbps
+		if gbps == 0 {
+			gbps = 100
+		}
+		clientNode.AddNIC("nic0", gbps)
+		arr.dev = core.NewOffload(cl.Eng, cl.Net, clientNode, arr.host, cl.Costs)
+		arr.clientNode = clientNode
+	}
+	return arr, nil
+}
+
+// simSpec sizes the simulated testbed a config asks for.
+func (cfg Config) simSpec() cluster.Spec {
 	spec := cluster.DefaultSpec()
 	spec.Targets = cfg.clusterTargets()
 	spec.Spares = cfg.Spares
@@ -699,84 +741,7 @@ func New(cfg Config) (*Array, error) {
 		drv.StoreData = !cfg.SizeOnly
 		spec.Drive = &drv
 	}
-	cl := cluster.New(spec)
-
-	hostCfg := core.Config{
-		Geometry:     geo,
-		MaxRetries:   cfg.MaxRetries,
-		RetryBackoff: sim.Duration(cfg.RetryBackoff),
-		Deadline:     sim.Duration(cfg.OpDeadline),
-		Hedge:        cfg.Hedge.toCore(),
-		LayoutFor:    cfg.layoutFor(),
-	}
-	cfg.applyWriteBack(&hostCfg)
-	switch cfg.ReducerPolicy {
-	case ReducerRandom:
-	case ReducerFixed:
-		hostCfg.Selector = recon.FixedSelector{}
-	case ReducerBWAware:
-		tr := recon.NewBandwidthTracker(cl.Eng, targetNICs(cl), 2*sim.Millisecond)
-		hostCfg.Selector = &recon.BWAwareSelector{Rng: cl.Eng.Rand(), Tracker: tr, Fanout: cfg.Drives - 2}
-	default:
-		return nil, fmt.Errorf("draid: unknown reducer policy %v", cfg.ReducerPolicy)
-	}
-	if cfg.EpochFencing {
-		grantEpoch(cl, 0, &hostCfg, sim.Duration(cfg.HostLease))
-	}
-	host := cl.NewDRAID(hostCfg)
-	arr := &Array{cl: cl, host: host, dev: host, clientNode: cl.HostNode, hostCfg: hostCfg,
-		scrubRate: cfg.ScrubRateMBps, seed: cfg.Seed}
-	arr.attachSupervisor(cfg, nil)
-	if cfg.OffloadController {
-		clientNode := cl.Net.NewNode("client")
-		gbps := cfg.HostNICGbps
-		if gbps == 0 {
-			gbps = 100
-		}
-		clientNode.AddNIC("nic0", gbps)
-		arr.dev = core.NewOffload(cl.Eng, cl.Net, clientNode, host, cl.Costs)
-		arr.clientNode = clientNode
-	}
-	return arr, nil
-}
-
-// newRealtime assembles an array on the realtime backend: node event loops,
-// channel or TCP transport, memory- or file-backed drives.
-func newRealtime(cfg Config) (*Array, error) {
-	capacity := cfg.DriveCapacity
-	if capacity == 0 {
-		// The sim's 1.6 TB default is sparse virtual capacity; realtime
-		// arrays move real bytes, so default to something rebuildable.
-		capacity = 256 << 20
-	}
-	cl, err := cluster.NewRealtime(cluster.RealtimeSpec{
-		Targets: cfg.clusterTargets(), Spares: cfg.Spares, Seed: cfg.Seed,
-		DriveCapacity: capacity, SizeOnly: cfg.SizeOnly, Integrity: cfg.Integrity,
-		Pipelined: true, TCP: cfg.Realtime.TCP, Dir: cfg.Realtime.Dir,
-	})
-	if err != nil {
-		return nil, err
-	}
-	hostCfg := core.Config{
-		Geometry:     raid.Geometry{Level: cfg.Level, Width: cfg.Drives, ChunkSize: cfg.ChunkSize},
-		MaxRetries:   cfg.MaxRetries,
-		RetryBackoff: sim.Duration(cfg.RetryBackoff),
-		Deadline:     sim.Duration(cfg.OpDeadline),
-		Hedge:        cfg.Hedge.toCore(),
-		LayoutFor:    cfg.layoutFor(),
-	}
-	cfg.applyWriteBack(&hostCfg)
-	if cfg.ReducerPolicy == ReducerFixed {
-		hostCfg.Selector = recon.FixedSelector{}
-	}
-	if cfg.EpochFencing {
-		grantEpoch(cl, 0, &hostCfg, sim.Duration(cfg.HostLease))
-	}
-	host := cl.NewDRAID(hostCfg)
-	arr := &Array{cl: cl, host: host, dev: loopDev{rt: cl.Rt, dev: host},
-		hostCfg: hostCfg, scrubRate: cfg.ScrubRateMBps, seed: cfg.Seed, realtime: true}
-	arr.attachSupervisor(cfg, nil)
-	return arr, nil
+	return spec
 }
 
 // clusterTargets returns the physical target count the testbed needs: the
@@ -788,21 +753,58 @@ func (cfg Config) clusterTargets() int {
 	return cfg.Drives
 }
 
-// layoutFor returns the declustered layout constructor for a host config,
-// or nil to keep the default fixed layout (byte-identical placement).
-func (cfg Config) layoutFor() func(base, extent int64) placement.Layout {
-	if !cfg.Declustered {
-		return nil
+// open is the one place public configuration becomes a core.Config. It
+// registers a volume called name over extent bytes of every drive of cl (0
+// claims what is left) and returns the Array serving it: New calls it on a
+// cluster of its own, Pool.OpenVolume on the shared one, with the volume's
+// QoS weight and the pool's shared rebuild budget. cfg is already defaulted
+// and validated, so nothing here depends on which backend cl runs on —
+// validate keeps ReducerBWAware, which reads simulated NIC queues, off the
+// realtime backend.
+func open(cl *cluster.Cluster, cfg Config, name string, extent int64, qosWeight float64, shared *repair.RateLimiter) (*Array, error) {
+	hc := core.Config{
+		Geometry:     raid.Geometry{Level: cfg.Level, Width: cfg.Drives, ChunkSize: cfg.ChunkSize},
+		MaxRetries:   cfg.MaxRetries,
+		RetryBackoff: sim.Duration(cfg.RetryBackoff),
+		Deadline:     sim.Duration(cfg.OpDeadline),
+		Hedge:        cfg.Hedge.toCore(),
+		QoSWeight:    qosWeight,
 	}
-	width, drives, chunk, seed := cfg.Drives, cfg.ClusterDrives, cfg.ChunkSize, cfg.Seed
-	return func(base, extent int64) placement.Layout {
-		l, err := placement.NewDeclustered(base, extent, chunk, width, drives, seed)
-		if err != nil {
-			// validate() enforced width ≥ 2, drives > width, extent ≥ chunk.
-			panic(err.Error())
+	switch cfg.ReducerPolicy {
+	case ReducerFixed:
+		hc.Selector = recon.FixedSelector{}
+	case ReducerBWAware:
+		hc.Selector = cl.BWAwareSelector(cfg.Drives)
+	}
+	if cfg.Declustered {
+		hc.LayoutFor = func(base, extent int64) placement.Layout {
+			l, err := placement.NewDeclustered(base, extent, cfg.ChunkSize, cfg.Drives, cfg.ClusterDrives, cfg.Seed)
+			if err != nil {
+				// validate() enforced width ≥ 2, drives > width, extent ≥ chunk.
+				panic(err.Error())
+			}
+			return l
 		}
-		return l
 	}
+	if cfg.WriteBack {
+		hc.WriteBack = true
+		hc.StageBytes = int64(cfg.StageMB) << 20
+		hc.CacheBytes = int64(cfg.CacheMB) << 20
+		hc.DestageInterval = sim.Duration(cfg.DestageIntervalMs) * sim.Millisecond
+	}
+	if cfg.EpochFencing {
+		// The registry assigns the next VolumeID sequentially, so the grant
+		// can name it before AddVolume runs.
+		grantEpoch(cl, core.VolumeID(len(cl.Volumes())), &hc, sim.Duration(cfg.HostLease))
+	}
+	vol, err := cl.AddVolume(name, extent, hc)
+	if err != nil {
+		return nil, err
+	}
+	arr := &Array{cl: cl, host: vol.Host, dev: vol.Host, clientNode: cl.HostNode, hostCfg: vol.Cfg,
+		scrubRate: cfg.ScrubRateMBps, seed: cfg.Seed}
+	arr.attachSupervisor(cfg, shared)
+	return arr, nil
 }
 
 // grantEpoch takes the next host epoch for a volume from the cluster's
@@ -817,17 +819,6 @@ func grantEpoch(cl *cluster.Cluster, vol core.VolumeID, hc *core.Config, lease s
 	if lease > 0 {
 		hc.RenewLease = func() bool { return cl.CurrentEpoch(vol) == epoch }
 	}
-}
-
-// applyWriteBack translates the public write-back knobs onto a host config.
-func (cfg Config) applyWriteBack(hc *core.Config) {
-	if !cfg.WriteBack {
-		return
-	}
-	hc.WriteBack = true
-	hc.StageBytes = int64(cfg.StageMB) << 20
-	hc.CacheBytes = int64(cfg.CacheMB) << 20
-	hc.DestageInterval = sim.Duration(cfg.DestageIntervalMs) * sim.Millisecond
 }
 
 // attachSupervisor builds the fault-supervision stack when the config asks
@@ -1672,11 +1663,7 @@ func (a *Array) regrantEpoch() {
 	if a.hostCfg.Epoch == 0 {
 		return
 	}
-	vol := core.VolumeID(0)
-	if a.vol != nil {
-		vol = a.vol.ID
-	}
-	grantEpoch(a.cl, vol, &a.hostCfg, a.hostCfg.Lease)
+	grantEpoch(a.cl, a.hostCfg.Volume, &a.hostCfg, a.hostCfg.Lease)
 }
 
 // currentHost resolves the controller serving the array now — what repair
@@ -1735,12 +1722,7 @@ func (a *Array) ResetTraffic() {
 
 // VolumeID returns the array's volume number on its cluster (0 for a
 // standalone draid.New array).
-func (a *Array) VolumeID() int {
-	if a.vol != nil {
-		return int(a.vol.ID)
-	}
-	return 0
-}
+func (a *Array) VolumeID() int { return int(a.hostCfg.Volume) }
 
 // Flush destages every staged write to the drives and advances time until
 // the stage has drained, reporting the first destage failure (failed stripes
@@ -1840,13 +1822,4 @@ func (a *Array) Benchmark(spec BenchmarkSpec) BenchmarkResult {
 		res.RCWFrac = rcw / total
 	}
 	return res
-}
-
-// targetNICs returns each target's first NIC, in member order.
-func targetNICs(cl *cluster.Cluster) []*simnet.NIC {
-	out := make([]*simnet.NIC, len(cl.Targets))
-	for i, t := range cl.Targets {
-		out[i] = t.NICs()[0]
-	}
-	return out
 }

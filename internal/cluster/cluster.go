@@ -14,6 +14,7 @@ import (
 	"draid/internal/core"
 	"draid/internal/cpu"
 	"draid/internal/raid"
+	"draid/internal/recon"
 	"draid/internal/sim"
 	"draid/internal/simnet"
 	"draid/internal/ssd"
@@ -420,6 +421,19 @@ func (c *Cluster) NewDRAID(cfg core.Config) *core.HostController {
 		panic(err.Error())
 	}
 	return v.Host
+}
+
+// BWAwareSelector returns the §6.2 bandwidth-aware reducer policy for an
+// array of the given width, tracking each target's first NIC in member
+// order. It samples simulated NIC queues, so it exists on the simulation
+// only.
+func (c *Cluster) BWAwareSelector(width int) *recon.BWAwareSelector {
+	nics := make([]*simnet.NIC, len(c.Targets))
+	for i, t := range c.Targets {
+		nics[i] = t.NICs()[0]
+	}
+	tr := recon.NewBandwidthTracker(c.Eng, nics, 2*sim.Millisecond)
+	return &recon.BWAwareSelector{Rng: c.Eng.Rand(), Tracker: tr, Fanout: width - 2}
 }
 
 // FailTarget fails a target end to end: the endpoint drops off the transport

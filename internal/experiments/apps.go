@@ -188,52 +188,43 @@ func loadKV(eng *sim.Engine, db *kvstore.DB, records uint64) {
 
 // appFigure runs a workload sweep for SPDK and dRAID (the paper's §9.6
 // comparison pair).
-func appFigure(id, title string, o Options, failed []int, run func(System, ycsb.Workload, []int, Options) AppResult) Figure {
-	o = o.withDefaults()
+func appFigure(id, title string, o Options, failed []int, run func(System, ycsb.Workload, []int, Options) AppResult) (Figure, error) {
 	wls := appWorkloads
 	if o.Quick {
 		wls = []ycsb.Workload{ycsb.WorkloadA, ycsb.WorkloadC}
 	}
 	systems := []System{SPDK, DRAID}
-	series := runGrid(o, systemNames(systems), len(wls), func(si, pi int) Point {
+	series, err := runGrid(o, systemNames(systems), len(wls), func(si, pi int) (Point, error) {
 		wl := wls[pi]
 		r := run(systems[si], wl, failed, o)
 		return Point{
 			X: float64(pi), Label: wl.Name,
 			BW: r.KIOPS, Lat: r.AvgLatUs, Extra: r.KIOPS,
-		}
+		}, nil
 	})
 	return Figure{
 		ID: id, Title: title, XLabel: "workload", Series: series,
 		Notes: []string{"BW column is KIOPS for application figures"},
-	}
+	}, err
 }
 
-// Fig19 — LSM KV store (RocksDB stand-in) on BlobFS, YCSB A-F.
-// variant: "normal" (Fig 19a) or "degraded" (Fig 19b).
-func Fig19(o Options, variant string) Figure {
-	var failed []int
-	if variant == "degraded" {
-		failed = []int{0}
+// fig19 — LSM KV store (RocksDB stand-in) on BlobFS, YCSB A-F: normal state
+// (Fig 19a), or degraded with the given members failed (Fig 19b).
+func fig19(o Options, failed []int) (Figure, error) {
+	id, state := "fig19a", "normal"
+	if failed != nil {
+		id, state = "fig19b", "degraded"
 	}
-	return appFigure("fig19"+suffix(variant),
-		fmt.Sprintf("KV store (LSM on BlobFS) YCSB throughput, %s state", variant),
+	return appFigure(id, fmt.Sprintf("KV store (LSM on BlobFS) YCSB throughput, %s state", state),
 		o, failed, YCSBKVStore)
 }
 
-// Fig20 — object store on the block layer, normal state.
-func Fig20(o Options) Figure {
+// fig20 — object store on the block layer, normal state.
+func fig20(o Options) (Figure, error) {
 	return appFigure("fig20", "Object store YCSB throughput, normal state", o, nil, YCSBObjectStore)
 }
 
-// Fig21 — object store, degraded state.
-func Fig21(o Options) Figure {
+// fig21 — object store, degraded state.
+func fig21(o Options) (Figure, error) {
 	return appFigure("fig21", "Object store YCSB throughput, degraded state", o, []int{0}, YCSBObjectStore)
-}
-
-func suffix(variant string) string {
-	if variant == "degraded" {
-		return "b"
-	}
-	return "a"
 }

@@ -115,7 +115,11 @@ func TestPaperClaims(t *testing.T) {
 // reproducible on any machine.
 func TestDeterminism(t *testing.T) {
 	run := func() Figure {
-		return Fig10(Options{Quick: true, Ramp: 10e6, Measure: 30e6, Seed: 42})
+		fig, err := RunFigure("fig10", Options{Quick: true, Ramp: 10e6, Measure: 30e6, Seed: 42})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fig
 	}
 	a, b := run(), run()
 	for i := range a.Series {

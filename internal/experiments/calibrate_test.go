@@ -18,7 +18,10 @@ func TestCalibrationSnapshot(t *testing.T) {
 
 	run := func(sys System, targets int, level raid.Level, failed []int, ratio float64, ioKB int64, qd int) (bw, lat float64) {
 		s := Setup{System: sys, Targets: targets, Level: level, FailedMembers: failed}
-		r := measure(s, o, ioKB<<10, ratio, qd)
+		r, err := measure(s, o, ioKB<<10, ratio, qd)
+		if err != nil {
+			t.Fatal(err)
+		}
 		t.Logf("%-6s t=%2d %v fail=%v ratio=%.2f io=%5dKB qd=%3d → bw=%8.1f MB/s lat=%8.1f us",
 			sys, targets, level, failed, ratio, ioKB, qd, r.BandwidthMBps(), r.AvgLatency())
 		return r.BandwidthMBps(), r.AvgLatency()

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"strings"
 
+	"draid"
 	"draid/internal/baseline"
 	"draid/internal/blockdev"
 	"draid/internal/cluster"
@@ -17,7 +18,6 @@ import (
 	"draid/internal/raid"
 	"draid/internal/recon"
 	"draid/internal/sim"
-	"draid/internal/simnet"
 )
 
 // System identifies a system under test.
@@ -50,11 +50,22 @@ type Options struct {
 	// and results are collected in input order, so any value produces output
 	// byte-identical to a serial run.
 	Parallel int
+	// Backend and Realtime name the substrate every point runs on, with the
+	// meaning they have on draid.Config (default: the simulation). On the
+	// realtime backend the windows are wall-clock, only the dRAID series
+	// exists — the baselines, NIC rates and CPU costs are simulation models —
+	// and points run serially whatever Parallel says; IDs that need
+	// simulation internals fail with draid.ErrUnsupported (see Supported).
+	Backend  draid.BackendKind
+	Realtime draid.RealtimeOptions
 }
 
-// parallel returns the effective worker count.
+func (o Options) realtime() bool { return o.Backend == draid.BackendRealtime }
+
+// parallel returns the effective worker count. A realtime point is a
+// wall-clock measurement and must not share the CPU with another.
 func (o Options) parallel() int {
-	if o.Parallel <= 1 {
+	if o.Parallel <= 1 || o.realtime() {
 		return 1
 	}
 	return o.Parallel
@@ -155,11 +166,42 @@ type Setup struct {
 	// HostParityOnly enables the host-parity ablation for dRAID.
 	HostParityOnly bool
 	Seed           int64
+	// Backend and Realtime select the substrate, as on draid.Config (default:
+	// the simulation). The realtime backend builds dRAID only, and only
+	// setups needsSim accepts.
+	Backend  draid.BackendKind
+	Realtime draid.RealtimeOptions
+}
+
+// needsSim says why a setup can only be built on the simulation ("" when the
+// realtime backend can build it too): everything but the dRAID protocol
+// itself is a simulation model.
+func (s Setup) needsSim() string {
+	switch {
+	case s.System != DRAID:
+		return "the " + string(s.System) + " baseline is a simulation model"
+	case s.TargetGbpsList != nil || s.Selector == "bwaware":
+		return "NIC line rates and queue occupancy are simulation models"
+	case s.BdevsPerServer > 1:
+		return "bdev co-location shares a simulated NIC and core"
+	case s.BarrierReduce:
+		return "the barrier ablation is a knob of the simulated servers"
+	}
+	return ""
 }
 
 // Build assembles the cluster and device for a setup. Every run gets a
-// fresh, independent simulation.
+// fresh, independent cluster; the caller Closes it (a no-op on the
+// simulation). It panics where build reports an error.
 func Build(s Setup) (blockdev.Device, *cluster.Cluster) {
+	dev, cl, err := build(s)
+	if err != nil {
+		panic(err.Error())
+	}
+	return dev, cl
+}
+
+func build(s Setup) (blockdev.Device, *cluster.Cluster, error) {
 	if s.ChunkSize == 0 {
 		s.ChunkSize = 512 << 10
 	}
@@ -169,18 +211,41 @@ func Build(s Setup) (blockdev.Device, *cluster.Cluster) {
 	if s.Seed == 0 {
 		s.Seed = 1
 	}
-	spec := cluster.DefaultSpec()
-	spec.Targets = s.Targets
-	spec.Elide = true
-	spec.Seed = s.Seed
-	spec.TargetGbpsList = s.TargetGbpsList
-	if s.PipelineSet {
-		spec.Pipelined = s.Pipelined
+	pipelined := !s.PipelineSet || s.Pipelined
+	var cl *cluster.Cluster
+	if s.Backend == draid.BackendRealtime {
+		if why := s.needsSim(); why != "" {
+			return nil, nil, fmt.Errorf("experiments: realtime backend: %s: %w", why, draid.ErrUnsupported)
+		}
+		var err error
+		cl, err = cluster.NewRealtime(cluster.RealtimeSpec{
+			Targets: s.Targets, Seed: s.Seed, DriveCapacity: 1 << 30,
+			SizeOnly:  s.Realtime.Dir == "", // file media need real bytes
+			Pipelined: pipelined, TCP: s.Realtime.TCP, Dir: s.Realtime.Dir,
+		})
+		if err != nil {
+			return nil, nil, err
+		}
+	} else {
+		spec := cluster.DefaultSpec()
+		spec.Targets = s.Targets
+		spec.Elide = true
+		spec.Seed = s.Seed
+		spec.TargetGbpsList = s.TargetGbpsList
+		spec.Pipelined = pipelined
+		spec.BarrierReduce = s.BarrierReduce
+		spec.BdevsPerServer = s.BdevsPerServer
+		cl = cluster.New(spec)
 	}
-	spec.BarrierReduce = s.BarrierReduce
-	spec.BdevsPerServer = s.BdevsPerServer
-	cl := cluster.New(spec)
 	geo := raid.Geometry{Level: s.Level, Width: s.Targets, ChunkSize: s.ChunkSize}
+	// fail pre-fails the setup's members end to end; the controller's half
+	// runs in its own execution domain (inline on the simulation).
+	fail := func(setFailed func(int, bool)) {
+		for _, m := range s.FailedMembers {
+			cl.FailTarget(m)
+			cl.Rt.Call(func() { setFailed(m, true) })
+		}
+	}
 
 	var dev blockdev.Device
 	switch s.System {
@@ -192,16 +257,12 @@ func Build(s Setup) (blockdev.Device, *cluster.Cluster) {
 		case "fixed":
 			cfg.Selector = recon.FixedSelector{}
 		case "bwaware":
-			tr := recon.NewBandwidthTracker(cl.Eng, firstNICs(cl), 2*sim.Millisecond)
-			cfg.Selector = &recon.BWAwareSelector{Rng: cl.Eng.Rand(), Tracker: tr, Fanout: s.Targets - 2}
+			cfg.Selector = cl.BWAwareSelector(s.Targets)
 		default:
 			panic("experiments: unknown selector " + s.Selector)
 		}
 		h := cl.NewDRAID(cfg)
-		for _, m := range s.FailedMembers {
-			cl.FailTarget(m)
-			h.SetFailed(m, true)
-		}
+		fail(h.SetFailed)
 		dev = h
 	case SPDK, Linux:
 		style := baseline.SPDKStyle()
@@ -211,37 +272,38 @@ func Build(s Setup) (blockdev.Device, *cluster.Cluster) {
 		h := baseline.NewHost(cl.Eng, cl.Fabric, cl.DriveCapacity(), baseline.Config{
 			Geometry: geo, Costs: cl.Costs, Style: style,
 		})
-		for _, m := range s.FailedMembers {
-			cl.FailTarget(m)
-			h.SetFailed(m, true)
-		}
+		fail(h.SetFailed)
 		dev = h
 	default:
 		panic("experiments: unknown system " + string(s.System))
 	}
-	return dev, cl
+	return dev, cl, nil
 }
 
-// firstNICs returns the first NIC of each target, in member order.
-func firstNICs(cl *cluster.Cluster) []*simnet.NIC {
-	out := make([]*simnet.NIC, len(cl.Targets))
-	for i, t := range cl.Targets {
-		out[i] = t.NICs()[0]
+// measure runs one fio point against a fresh setup on the backend o names,
+// then drains the ops the closed loop left in flight at the window's end and
+// closes the cluster. A point whose I/Os failed, or whose idle cluster still
+// holds buffers, reductions or stripe locks, is an error, not a data point.
+func measure(s Setup, o Options, ioSize int64, readRatio float64, qd int) (fio.Result, error) {
+	s.Backend, s.Realtime = o.Backend, o.Realtime
+	dev, cl, err := build(s)
+	if err != nil {
+		return fio.Result{}, err
 	}
-	return out
-}
-
-// measure runs one fio point against a fresh setup.
-func measure(s Setup, o Options, ioSize int64, readRatio float64, qd int) fio.Result {
-	dev, cl := Build(s)
+	defer cl.Close()
 	if qd == 0 {
 		qd = o.QueueDepth
 	}
-	return fio.Run(fio.Job{
-		Name: string(s.System), Dev: dev, Eng: cl.Eng,
+	r := fio.Run(fio.Job{
+		Name: string(s.System), Dev: dev, Eng: cl.Rt,
 		IOSize: ioSize, ReadRatio: readRatio, QueueDepth: qd,
 		Ramp: o.Ramp, Measure: o.Measure, Seed: o.Seed,
 	})
+	if r.Errors > 0 {
+		return r, fmt.Errorf("experiments: %s: %d I/Os failed", s.System, r.Errors)
+	}
+	cl.Rt.Run()
+	return r, cl.LeakCheck()
 }
 
 func toPoint(x float64, label string, r fio.Result) Point {

@@ -8,7 +8,7 @@ import (
 	"draid/internal/fio"
 )
 
-// Greyfail is the grey-failure experiment: one member of an 8-wide RAID-5
+// greyfail is the grey-failure experiment: one member of an 8-wide RAID-5
 // array is made deterministically slow (10× service-time inflation — it
 // answers correctly, just late) and a full-stripe random-read workload sweeps
 // queue depth under each hedging policy. The figure reports read p99 (Lat)
@@ -19,8 +19,7 @@ import (
 // so the grey member is eventually evicted and reads continue degraded at
 // zero extra cost — the "adaptive/no-evict" series isolates what eviction
 // buys. Notes carry the drive-read amplification each policy paid.
-func Greyfail(o Options) Figure {
-	o = o.withDefaults()
+func greyfail(o Options) (Figure, error) {
 	qds := []int{8, 16, 32}
 	policies := []greyfailPolicy{
 		{label: "off", policy: draid.HedgeOff},
@@ -33,46 +32,45 @@ func Greyfail(o Options) Figure {
 		qds = []int{16}
 		policies = policies[:3]
 	}
-
-	type cell struct {
-		p    Point
-		note string
+	// The simulated drive's slow profile scales a calibrated service time.
+	// The realtime drives' inflates a synthetic latency, so the penalty must
+	// clear wall-clock scheduling noise: 20x on a 500us base pins the
+	// straggler ~9.5ms late, far above any hedge path, and the fixed-delay
+	// trigger moves out of that noise with it.
+	slow := draid.SlowProfile{Kind: draid.SlowConstant, Factor: 10}
+	var fixedDelay time.Duration
+	if o.realtime() {
+		slow.Factor, slow.Base = 20, 500*time.Microsecond
+		fixedDelay = 2 * time.Millisecond
 	}
-	grid := parMap(o.parallel(), len(policies)*len(qds), func(idx int) cell {
-		pol := policies[idx/len(qds)]
-		qd := qds[idx%len(qds)]
-		r, note := greyfailPoint(o, pol, qd)
-		return cell{
-			p: Point{
-				X: float64(qd), Label: fmt.Sprintf("qd=%d", qd),
-				BW:  r.BandwidthMBps(),
-				Lat: r.ReadLat.P99 / 1e3, Extra: r.ReadLat.P999 / 1e3,
-			},
-			note: note,
+
+	names := make([]string, len(policies))
+	for i, pol := range policies {
+		names[i] = pol.label
+	}
+	notes := make([]string, len(policies)) // each policy's cost, read at its deepest queue
+	series, err := runGrid(o, names, len(qds), func(si, pi int) (Point, error) {
+		hedge := draid.HedgeConfig{Policy: policies[si].policy, Delay: fixedDelay}
+		r, note, err := greyfailPoint(o, policies[si], hedge, slow, qds[pi])
+		if pi == len(qds)-1 {
+			notes[si] = note
 		}
+		return Point{
+			X: float64(qds[pi]), Label: fmt.Sprintf("qd=%d", qds[pi]),
+			BW:  r.BandwidthMBps(),
+			Lat: r.ReadLat.P99 / 1e3, Extra: r.ReadLat.P999 / 1e3,
+		}, err
 	})
-
-	fig := Figure{
+	return Figure{
 		ID:     "greyfail",
-		Title:  "Grey failure: read p99 vs hedging policy (8-wide RAID-5, full-stripe reads, member 2 at 10x latency)",
+		Title:  fmt.Sprintf("Grey failure: read p99 vs hedging policy (8-wide RAID-5, full-stripe reads, member 2 at %gx latency)", slow.Factor),
 		XLabel: "queue depth",
-		Notes: []string{
+		Series: series,
+		Notes: append([]string{
 			"Lat column is read p99 in us; Extra (per-point) is p999",
-			"slow member injected via SlowProfile{const,10x}; hedge solves k-of-n through parity",
-		},
-	}
-	for pi, pol := range policies {
-		s := Series{System: pol.label}
-		for qi := range qds {
-			c := grid[pi*len(qds)+qi]
-			s.Points = append(s.Points, c.p)
-			if qi == len(qds)-1 {
-				fig.Notes = append(fig.Notes, c.note)
-			}
-		}
-		fig.Series = append(fig.Series, s)
-	}
-	return fig
+			fmt.Sprintf("slow member injected via SlowProfile{const,%gx}; hedge solves k-of-n through parity", slow.Factor),
+		}, notes...),
+	}, err
 }
 
 type greyfailPolicy struct {
@@ -85,14 +83,15 @@ type greyfailPolicy struct {
 // returns the fio result plus a note summarizing what the policy cost:
 // drive-read amplification over the user bytes, hedge counts, and whether
 // the detector evicted the grey member.
-func greyfailPoint(o Options, pol greyfailPolicy, qd int) (fio.Result, string) {
+func greyfailPoint(o Options, pol greyfailPolicy, hedge draid.HedgeConfig, slow draid.SlowProfile, qd int) (fio.Result, string, error) {
 	evictAfter := 0 // default (64)
 	if pol.noEvict {
 		evictAfter = -1
 	}
 	arr, err := draid.New(draid.Config{
+		Backend: o.Backend, Realtime: o.Realtime,
 		Drives: 8, ChunkSize: 64 << 10, SizeOnly: true, Seed: o.Seed,
-		Hedge: draid.HedgeConfig{Policy: pol.policy},
+		Hedge: hedge,
 		Health: draid.HealthConfig{
 			// The detector here consumes only slow strikes from the hedger;
 			// park the heartbeat prober far beyond the run so fault evidence
@@ -101,10 +100,11 @@ func greyfailPoint(o Options, pol greyfailPolicy, qd int) (fio.Result, string) {
 		},
 	})
 	if err != nil {
-		panic(err)
+		return fio.Result{}, "", err
 	}
-	if err := arr.Inject().SlowDrive(2, draid.SlowProfile{Kind: draid.SlowConstant, Factor: 10}); err != nil {
-		panic(err)
+	defer arr.Close()
+	if err := arr.Inject().SlowDrive(2, slow); err != nil {
+		return fio.Result{}, "", err
 	}
 	geo := arr.Controller().Geometry()
 	r := fio.Run(fio.Job{
@@ -130,62 +130,5 @@ func greyfailPoint(o Options, pol greyfailPolicy, qd int) (fio.Result, string) {
 	}
 	note := fmt.Sprintf("%s @qd=%d: %+.1f%% drive-read amplification, %d hedged / %d wins, %s",
 		pol.label, qd, amp, st.HedgedReads, st.HedgeWins, evicted)
-	return r, note
-}
-
-// RealtimeGreyfail is the realtime counterpart: the same grey-failure
-// scenario driven through the realtime backend's memory drives, whose slow
-// profile inflates a synthetic per-op latency instead of a modeled service
-// rate. One point per policy (off vs adaptive-p95) at a fixed queue depth —
-// wall-clock quantiles, so shapes matter, not magnitudes.
-func RealtimeGreyfail(o Options, ro draid.RealtimeOptions) (Figure, error) {
-	o = o.withDefaults()
-	if ro.Dir != "" {
-		return Figure{}, fmt.Errorf("experiments: greyfail needs slow-drive injection, unsupported on file-backed drives: %w", draid.ErrUnsupported)
-	}
-	policies := []draid.HedgeConfig{
-		{Policy: draid.HedgeOff},
-		{Policy: draid.HedgeFixedDelay, Delay: 2 * time.Millisecond},
-		{Policy: draid.HedgeAdaptiveP95},
-	}
-	s := Series{System: "dRAID (realtime)"}
-	for _, hc := range policies {
-		pol := hc.Policy
-		arr, err := draid.New(draid.Config{
-			Backend: draid.BackendRealtime, Realtime: ro,
-			Drives: 8, ChunkSize: 64 << 10, DriveCapacity: 256 << 20,
-			SizeOnly: true, Seed: o.Seed,
-			Hedge: hc,
-		})
-		if err != nil {
-			return Figure{}, err
-		}
-		// The realtime drives' slow profile inflates a synthetic latency, so
-		// the penalty must clear wall-clock scheduling noise: 20x on a 500us
-		// base pins the straggler ~9.5ms late, far above any hedge path.
-		if err := arr.Inject().SlowDrive(2, draid.SlowProfile{
-			Kind: draid.SlowConstant, Factor: 20, Base: 500 * time.Microsecond,
-		}); err != nil {
-			arr.Close()
-			return Figure{}, err
-		}
-		geo := arr.Controller().Geometry()
-		r := fio.Run(fio.Job{
-			Name: pol.String(), Dev: arr.Controller(), Eng: arr.Cluster().Rt,
-			IOSize: geo.StripeDataSize(), ReadRatio: 1, QueueDepth: 16,
-			Ramp: o.Ramp, Measure: o.Measure, Seed: o.Seed,
-		})
-		arr.Close()
-		s.Points = append(s.Points, Point{
-			X: float64(len(s.Points)), Label: pol.String(),
-			BW: r.BandwidthMBps(), Lat: r.ReadLat.P99 / 1e3, Extra: r.ReadLat.P999 / 1e3,
-		})
-	}
-	return Figure{
-		ID:     "greyfail",
-		Title:  "Grey failure: read p99 by hedging policy (8-wide RAID-5, member 2 at 20x, realtime backend)",
-		XLabel: "policy",
-		Series: []Series{s},
-		Notes:  []string{"Lat column is read p99 in us; Extra is p999 (wall clock)"},
-	}, nil
+	return r, note, nil
 }

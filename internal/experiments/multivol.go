@@ -9,15 +9,14 @@ import (
 	"draid/internal/raid"
 )
 
-// MultivolNoisy is the noisy-neighbor experiment over the volume layer: two
+// multivolNoisy is the noisy-neighbor experiment over the volume layer: two
 // dRAID volumes carved out of one cluster — same drives, same host NIC —
 // with a streaming sequential-write tenant (the aggressor) ramping up
 // against a small-random-write tenant (the victim). The sweep raises the
 // aggressor's queue depth from absent to saturating and reports both
 // tenants' bandwidth and latency, showing the interference a shared
 // substrate admits (the multi-app sharing question of §2/§7).
-func MultivolNoisy(o Options) Figure {
-	o = o.withDefaults()
+func multivolNoisy(o Options) (Figure, error) {
 	qds := []int{0, 4, 16, 32}
 	if o.Quick {
 		qds = []int{0, 32}
@@ -60,7 +59,7 @@ func MultivolNoisy(o Options) Figure {
 			"QoS series admit both volumes through the shared weighted-fair scheduler (1.5 MiB window) with the aggressor's token bucket provisioned at 200 MB/s",
 			"victim series carry write p99 (us) in the per-point Extra column",
 		}, notes...),
-	}
+	}, nil
 }
 
 // noisyPoint runs one measurement: the victim's closed loop plus, when

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -41,16 +42,22 @@ func parMap[T any](par, n int, fn func(i int) T) []T {
 
 // runGrid evaluates a series × point measurement grid — the shape of every
 // figure sweep — flattened into one parMap so a slow series cannot idle the
-// workers, then reassembles the series in declaration order.
-func runGrid(o Options, names []string, points int, eval func(series, point int) Point) []Series {
-	flat := parMap(o.parallel(), len(names)*points, func(i int) Point {
-		return eval(i/points, i%points)
+// workers, then reassembles the series in declaration order. A point that
+// fails fails the grid.
+func runGrid(o Options, names []string, points int, eval func(series, point int) (Point, error)) ([]Series, error) {
+	errs := make([]error, len(names)*points)
+	flat := parMap(o.parallel(), len(errs), func(i int) Point {
+		p, err := eval(i/points, i%points)
+		if err != nil {
+			errs[i] = fmt.Errorf("%s, point %d: %w", names[i/points], i%points, err)
+		}
+		return p
 	})
 	out := make([]Series, len(names))
 	for si, name := range names {
 		out[si] = Series{System: name, Points: flat[si*points : (si+1)*points : (si+1)*points]}
 	}
-	return out
+	return out, errors.Join(errs...)
 }
 
 // systemNames converts a system list to series names.
@@ -70,19 +77,17 @@ type Report struct {
 }
 
 // RunAll executes the given experiment IDs (figure IDs or "table1") and
-// returns their printable reports in input order. Unknown IDs are rejected
-// up front, before any experiment runs. With o.Parallel > 1 and several IDs,
+// returns their printable reports in input order. IDs that are unknown, or
+// that the backend o names cannot run, are rejected up front, before any
+// experiment runs. With o.Parallel > 1 and several IDs,
 // whole experiments run concurrently, each internally serial, so at most
 // o.Parallel simulations are in flight either way; a single ID keeps its
 // inner point-level parallelism. On failure the first error by input order
 // is returned.
 func RunAll(ids []string, o Options) ([]Report, error) {
 	for _, id := range ids {
-		if id == "table1" {
-			continue
-		}
-		if _, ok := registry[id]; !ok {
-			return nil, fmt.Errorf("experiments: unknown id %q (known: %v)", id, IDs())
+		if err := Supported(id, o); err != nil {
+			return nil, err
 		}
 	}
 	inner := o

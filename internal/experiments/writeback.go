@@ -8,7 +8,7 @@ import (
 	"draid/internal/sim"
 )
 
-// Writeback is the write-back staging experiment: a sequential small-write
+// writeback is the write-back staging experiment: a sequential small-write
 // stream (the RMW worst case fig10 sweeps) runs with and without the host
 // stage on an 8-wide RAID-5 array with 64 KB chunks, and each point reports
 // the DRIVE-BYTE AMPLIFICATION — total bytes the member drives wrote divided
@@ -17,71 +17,44 @@ import (
 // parity, ~2x); staged writes coalesce into full-stripe destages and pay
 // (k+parity)/k = 8/7 ~ 1.14x. The full-stripe point (448 KB) is the control:
 // both paths write full stripes and meet at ~1.14x. Extra carries the
-// amplification; BW is user goodput over the run.
-func Writeback(o Options) Figure {
-	o = o.withDefaults()
-	sizesKB := []int{16, 64, 448}
+// amplification — a byte count, so it reads the same on either backend; BW
+// is user goodput over the run.
+func writeback(o Options) (Figure, error) {
+	sizesKB := []int64{16, 64, 448}
 	if o.Quick {
-		sizesKB = []int{64}
+		sizesKB = []int64{64}
 	}
-	modes := []struct {
-		label  string
-		staged bool
-	}{{"unstaged", false}, {"staged", true}}
-
-	grid := parMap(o.parallel(), len(modes)*len(sizesKB), func(idx int) Point {
-		mode := modes[idx/len(sizesKB)]
-		kb := sizesKB[idx%len(sizesKB)]
-		return writebackPoint(o, int64(kb)<<10, mode.staged)
+	series, err := runGrid(o, []string{"unstaged", "staged"}, len(sizesKB), func(si, pi int) (Point, error) {
+		return writebackPoint(o, sizesKB[pi]<<10, si == 1)
 	})
-
-	fig := Figure{
+	return Figure{
 		ID:     "writeback",
 		Title:  "Write-back staging: small-write drive-byte amplification (8-wide RAID-5, 64 KB chunks, sequential writes + flush)",
 		XLabel: "write size",
+		Series: series,
 		Notes: []string{
 			"Extra column is drive-byte amplification (drive write bytes / user bytes, post-flush)",
 			"unstaged sub-chunk writes pay RMW (~2x); staged destage full stripes ((k+1)/k ~ 1.14x)",
 		},
-	}
-	for mi, mode := range modes {
-		s := Series{System: mode.label}
-		for si := range sizesKB {
-			s.Points = append(s.Points, grid[mi*len(sizesKB)+si])
-		}
-		fig.Series = append(fig.Series, s)
-	}
-	return fig
+	}, err
 }
 
-// writebackPoint writes a fixed sequential byte budget in `size` chunks at
-// queue depth 8 on a fresh array, flushes, and measures amplification from
-// the member drives' write counters.
-func writebackPoint(o Options, size int64, staged bool) Point {
-	cfg := draid.Config{
-		Drives: 8, ChunkSize: 64 << 10, SizeOnly: true, Seed: o.Seed,
+// writebackPoint streams 48 stripes of sequential bytes in `size`-sized
+// writes at queue depth 8 onto a fresh array, flushes the stage, and measures
+// amplification from the member drives' write counters.
+func writebackPoint(o Options, size int64, staged bool) (Point, error) {
+	arr, err := draid.New(draid.Config{
+		Backend: o.Backend, Realtime: o.Realtime,
+		Drives: 8, ChunkSize: 64 << 10, Seed: o.Seed,
+		SizeOnly:      !o.realtime() || o.Realtime.Dir == "", // file media need real bytes
 		DriveCapacity: 1 << 30,
-	}
-	if staged {
-		cfg.WriteBack = true
-	}
-	arr, err := draid.New(cfg)
+		WriteBack:     staged,
+	})
 	if err != nil {
-		panic(err)
+		return Point{}, err
 	}
-	bw, amp := writebackMeasure(arr, size, 48, false)
-	return Point{
-		X: float64(size >> 10), Label: fmt.Sprintf("%dKB", size>>10),
-		BW: bw, Extra: amp,
-	}
-}
-
-// writebackMeasure streams stripes*StripeDataSize() sequential bytes in
-// `size`-sized writes (QD 8), flushes the stage, and returns (user goodput
-// MB/s, drive-byte amplification). Shared with the realtime counterpart
-// (which must wait on completions instead of draining a virtual clock).
-func writebackMeasure(arr *draid.Array, size int64, stripes int64, realtime bool) (bw, amp float64) {
-	const qd = 8
+	defer arr.Close()
+	const qd, stripes = 8, 48
 	total := stripes * arr.Controller().Geometry().StripeDataSize()
 	count := (total + size - 1) / size
 	dev := arr.Controller()
@@ -89,6 +62,7 @@ func writebackMeasure(arr *draid.Array, size int64, stripes int64, realtime bool
 
 	allDone := make(chan struct{})
 	var next, completed int64
+	var werr error
 	inflight := 0
 	var issue func()
 	issue = func() {
@@ -101,11 +75,11 @@ func writebackMeasure(arr *draid.Array, size int64, stripes int64, realtime bool
 			}
 			inflight++
 			dev.Write(off, parity.Sized(int(n)), func(err error) {
-				if err != nil {
-					panic(fmt.Sprintf("writeback: write at %d: %v", off, err))
+				if err != nil && werr == nil {
+					werr = fmt.Errorf("writeback: write at %d: %w", off, err)
 				}
 				inflight--
-				if completed++; completed == count && realtime {
+				if completed++; completed == count {
 					close(allDone)
 				}
 				issue()
@@ -113,13 +87,16 @@ func writebackMeasure(arr *draid.Array, size int64, stripes int64, realtime bool
 		}
 	}
 	arr.Cluster().Rt.Call(issue)
-	if realtime {
-		<-allDone
+	if o.realtime() {
+		<-allDone // a wall clock cannot be drained, only waited on
 	} else {
 		arr.Run()
 	}
+	if werr != nil {
+		return Point{}, werr
+	}
 	if err := arr.Flush(); err != nil {
-		panic(fmt.Sprintf("writeback: flush: %v", err))
+		return Point{}, fmt.Errorf("writeback: flush: %w", err)
 	}
 	elapsed := arr.Now() - start
 
@@ -127,47 +104,12 @@ func writebackMeasure(arr *draid.Array, size int64, stripes int64, realtime bool
 	for _, d := range arr.Cluster().Drives {
 		driveBytes += d.Stats().WriteBytes
 	}
-	st := arr.Stats()
-	if st.UserBytesWritten > 0 {
-		amp = float64(driveBytes) / float64(st.UserBytesWritten)
+	pt := Point{X: float64(size >> 10), Label: fmt.Sprintf("%dKB", size>>10)}
+	if st := arr.Stats(); st.UserBytesWritten > 0 {
+		pt.Extra = float64(driveBytes) / float64(st.UserBytesWritten)
 	}
 	if elapsed > 0 {
-		bw = float64(total) / 1e6 / sim.Seconds(sim.Duration(elapsed))
+		pt.BW = float64(total) / 1e6 / sim.Seconds(sim.Duration(elapsed))
 	}
-	return bw, amp
-}
-
-// RealtimeWriteback is the realtime counterpart: the same sequential
-// small-write stream against the realtime backend's memory (or file) drives,
-// staged vs unstaged at one sub-chunk size. Amplification is a byte count,
-// not a timing, so it transfers exactly; the BW column is wall clock.
-func RealtimeWriteback(o Options, ro draid.RealtimeOptions) (Figure, error) {
-	o = o.withDefaults()
-	var series []Series
-	for _, mode := range []struct {
-		label  string
-		staged bool
-	}{{"unstaged", false}, {"staged", true}} {
-		arr, err := draid.New(draid.Config{
-			Backend: draid.BackendRealtime, Realtime: ro,
-			Drives: 8, ChunkSize: 64 << 10, DriveCapacity: 256 << 20,
-			SizeOnly: ro.Dir == "", Seed: o.Seed,
-			WriteBack: mode.staged,
-		})
-		if err != nil {
-			return Figure{}, err
-		}
-		bw, amp := writebackMeasure(arr, 64<<10, 16, true)
-		arr.Close()
-		series = append(series, Series{System: mode.label, Points: []Point{
-			{X: 64, Label: "64KB", BW: bw, Extra: amp},
-		}})
-	}
-	return Figure{
-		ID:     "writeback",
-		Title:  "Write-back staging: 64 KB write amplification (8-wide RAID-5, realtime backend)",
-		XLabel: "write size",
-		Series: series,
-		Notes:  []string{"Extra column is drive-byte amplification (drive write bytes / user bytes, post-flush)"},
-	}, nil
+	return pt, arr.Cluster().LeakCheck()
 }

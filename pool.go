@@ -6,12 +6,8 @@ import (
 
 	"draid/internal/cluster"
 	"draid/internal/core"
-	"draid/internal/placement"
-	"draid/internal/raid"
-	"draid/internal/recon"
 	"draid/internal/repair"
 	"draid/internal/sim"
-	"draid/internal/ssd"
 )
 
 // PoolConfig describes a shared cluster: drives, NICs, cores, and hot
@@ -71,6 +67,47 @@ type Pool struct {
 	pending []*Array
 }
 
+// volume returns the Config of one volume on this pool: the pool's half (the
+// physical substrate, which NewPool also sizes the shared cluster from) plus
+// the volume's own.
+func (c PoolConfig) volume(vc VolumeConfig) Config {
+	cfg := Config{
+		Drives:            c.Drives,
+		DriveCapacity:     c.DriveCapacity,
+		HostNICGbps:       c.HostNICGbps,
+		TargetNICGbps:     c.TargetNICGbps,
+		TargetNICGbpsList: c.TargetNICGbpsList,
+		DrivesPerServer:   c.DrivesPerServer,
+		SizeOnly:          c.SizeOnly,
+		Seed:              c.Seed,
+		Observe:           c.Observe,
+		Spares:            c.Spares,
+		RebuildRateMBps:   c.RebuildRateMBps,
+
+		Level:             vc.Level,
+		ChunkSize:         vc.ChunkSize,
+		ReducerPolicy:     vc.ReducerPolicy,
+		Hedge:             vc.Hedge,
+		Health:            vc.Health,
+		WriteBack:         vc.WriteBack,
+		StageMB:           vc.StageMB,
+		CacheMB:           vc.CacheMB,
+		DestageIntervalMs: vc.DestageIntervalMs,
+		EpochFencing:      vc.EpochFencing,
+		HostLease:         vc.HostLease,
+		MaxRetries:        vc.MaxRetries,
+		RetryBackoff:      vc.RetryBackoff,
+		OpDeadline:        vc.OpDeadline,
+	}
+	if vc.Drives != 0 {
+		cfg.Drives = vc.Drives
+	}
+	if vc.Declustered {
+		cfg.Declustered, cfg.ClusterDrives = true, c.Drives
+	}
+	return cfg.withDefaults()
+}
+
 // NewPool assembles the shared testbed.
 func NewPool(cfg PoolConfig) (*Pool, error) {
 	if cfg.Drives == 0 {
@@ -79,27 +116,7 @@ func NewPool(cfg PoolConfig) (*Pool, error) {
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
-	spec := cluster.DefaultSpec()
-	spec.Targets = cfg.Drives
-	spec.Spares = cfg.Spares
-	spec.Seed = cfg.Seed
-	spec.Elide = cfg.SizeOnly
-	if cfg.HostNICGbps != 0 {
-		spec.HostGbps = cfg.HostNICGbps
-	}
-	if cfg.TargetNICGbps != 0 {
-		spec.TargetGbps = cfg.TargetNICGbps
-	}
-	spec.TargetGbpsList = cfg.TargetNICGbpsList
-	spec.BdevsPerServer = cfg.DrivesPerServer
-	spec.Observe = cfg.Observe.Trace
-	spec.SampleEvery = sim.Duration(cfg.Observe.SampleEvery)
-	if cfg.DriveCapacity != 0 {
-		drv := ssd.DefaultSpec()
-		drv.Capacity = cfg.DriveCapacity
-		drv.StoreData = !cfg.SizeOnly
-		spec.Drive = &drv
-	}
+	spec := cfg.volume(VolumeConfig{}).simSpec()
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
@@ -170,74 +187,21 @@ type VolumeConfig struct {
 // OpenVolume registers a new volume on the pool and returns it as an Array.
 // The array shares the pool's engine, drives, NICs, and spares with its
 // co-tenants; HostTraffic reports only this volume's share of the host NIC.
-func (p *Pool) OpenVolume(cfg VolumeConfig) (*Array, error) {
-	if cfg.Level == 0 {
-		cfg.Level = Raid5
+// The volume's configuration is checked by the rules Config.Validate applies
+// to a standalone array.
+func (p *Pool) OpenVolume(vc VolumeConfig) (*Array, error) {
+	if vc.Name == "" {
+		vc.Name = fmt.Sprintf("vol%d", len(p.cl.Volumes()))
 	}
-	if cfg.Drives == 0 {
-		cfg.Drives = p.cfg.Drives
+	cfg := p.cfg.volume(vc)
+	if err := cfg.validate(); err != nil {
+		return nil, fmt.Errorf("volume %q: %w", vc.Name, err)
 	}
-	if cfg.ChunkSize == 0 {
-		cfg.ChunkSize = 512 << 10
-	}
-	if cfg.Name == "" {
-		cfg.Name = fmt.Sprintf("vol%d", len(p.cl.Volumes()))
-	}
-	if cfg.Declustered && cfg.Drives >= p.cfg.Drives {
-		return nil, fmt.Errorf("draid: declustered volume %q needs width (%d) below the pool's drive count (%d)",
-			cfg.Name, cfg.Drives, p.cfg.Drives)
-	}
-	geo := raid.Geometry{Level: cfg.Level, Width: cfg.Drives, ChunkSize: cfg.ChunkSize}
-	if err := geo.Validate(); err != nil {
-		return nil, err
-	}
-	hostCfg := core.Config{
-		Geometry:     geo,
-		MaxRetries:   cfg.MaxRetries,
-		RetryBackoff: sim.Duration(cfg.RetryBackoff),
-		Deadline:     sim.Duration(cfg.OpDeadline),
-		Hedge:        cfg.Hedge.toCore(),
-		QoSWeight:    cfg.QoSWeight,
-	}
-	Config{WriteBack: cfg.WriteBack, StageMB: cfg.StageMB, CacheMB: cfg.CacheMB,
-		DestageIntervalMs: cfg.DestageIntervalMs}.applyWriteBack(&hostCfg)
-	if cfg.Declustered {
-		width, drives, chunk, seed := cfg.Drives, p.cfg.Drives, cfg.ChunkSize, p.cfg.Seed
-		hostCfg.LayoutFor = func(base, extent int64) placement.Layout {
-			l, err := placement.NewDeclustered(base, extent, chunk, width, drives, seed)
-			if err != nil {
-				panic(err.Error()) // width/drive preconditions checked above
-			}
-			return l
-		}
-	}
-	switch cfg.ReducerPolicy {
-	case ReducerRandom:
-	case ReducerFixed:
-		hostCfg.Selector = recon.FixedSelector{}
-	case ReducerBWAware:
-		tr := recon.NewBandwidthTracker(p.cl.Eng, targetNICs(p.cl), 2*sim.Millisecond)
-		hostCfg.Selector = &recon.BWAwareSelector{Rng: p.cl.Eng.Rand(), Tracker: tr, Fanout: cfg.Drives - 2}
-	default:
-		return nil, fmt.Errorf("draid: unknown reducer policy %v", cfg.ReducerPolicy)
-	}
-	if cfg.HostLease < 0 || (cfg.HostLease > 0 && !cfg.EpochFencing) {
-		return nil, fmt.Errorf("draid: HostLease requires EpochFencing (renewal validates the epoch)")
-	}
-	if cfg.EpochFencing {
-		// The registry assigns the next VolumeID sequentially, so the grant
-		// can name it before AddVolume runs.
-		grantEpoch(p.cl, core.VolumeID(len(p.cl.Volumes())), &hostCfg, sim.Duration(cfg.HostLease))
-	}
-	vol, err := p.cl.AddVolume(cfg.Name, cfg.Extent, hostCfg)
+	arr, err := open(p.cl, cfg, vc.Name, vc.Extent, vc.QoSWeight, p.limiter)
 	if err != nil {
 		return nil, err
 	}
-	arr := &Array{
-		cl: p.cl, host: vol.Host, dev: vol.Host,
-		clientNode: p.cl.HostNode, hostCfg: vol.Cfg, vol: vol,
-	}
-	arr.attachSupervisor(Config{Spares: p.cfg.Spares, Health: cfg.Health, RebuildRateMBps: p.cfg.RebuildRateMBps}, p.limiter)
+	arr.vol = p.cl.VolumeByID(arr.hostCfg.Volume)
 	p.arrays = append(p.arrays, arr)
 	return arr, nil
 }

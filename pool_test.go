@@ -2,6 +2,8 @@ package draid_test
 
 import (
 	"bytes"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -244,5 +246,81 @@ func TestMultivolExperimentDeterministic(t *testing.T) {
 	}
 	if r1 == "" {
 		t.Fatal("empty report")
+	}
+}
+
+// TestFrontDoorsRejectTheSameConfigs: draid.New and Pool.OpenVolume translate
+// public configuration through one opener behind one validation, so whatever
+// Config.Validate rejects for a standalone array a pool volume must reject
+// too, for the same reason. (OpenVolume used to check a hand-picked subset.)
+func TestFrontDoorsRejectTheSameConfigs(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  draid.Config
+	}{
+		{"StageMB without WriteBack", draid.Config{StageMB: 4}},
+		{"CacheMB without WriteBack", draid.Config{CacheMB: 4}},
+		{"DestageIntervalMs without WriteBack", draid.Config{DestageIntervalMs: 5}},
+		{"negative write-back sizing", draid.Config{WriteBack: true, StageMB: -1}},
+		{"unknown hedge policy", draid.Config{Hedge: draid.HedgeConfig{Policy: 99}}},
+		{"unknown reducer policy", draid.Config{ReducerPolicy: 99}},
+		{"HostLease without EpochFencing", draid.Config{HostLease: time.Millisecond}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			want := tc.cfg.Validate()
+			if want == nil {
+				t.Fatal("Config.Validate accepts it")
+			}
+			if _, err := draid.New(tc.cfg); err == nil || err.Error() != want.Error() {
+				t.Errorf("draid.New: %v, want %v", err, want)
+			}
+			c := tc.cfg
+			_, err := newTestPool(t, draid.PoolConfig{}).OpenVolume(draid.VolumeConfig{
+				ReducerPolicy: c.ReducerPolicy, Hedge: c.Hedge,
+				WriteBack: c.WriteBack, StageMB: c.StageMB, CacheMB: c.CacheMB, DestageIntervalMs: c.DestageIntervalMs,
+				EpochFencing: c.EpochFencing, HostLease: c.HostLease,
+			})
+			if err == nil || !strings.Contains(err.Error(), want.Error()) {
+				t.Errorf("Pool.OpenVolume: %v, want %v", err, want)
+			}
+		})
+	}
+}
+
+// TestPoolVolumeInjectionFollowsPoolSeed: a pool volume's per-drive fault
+// injection is seeded from PoolConfig.Seed, as a standalone array's is from
+// Config.Seed. The same sequential read pass under the same latent-error rate
+// must develop its UREs in different places on pools that differ only in
+// seed, and in the same places on pools that do not. (Pool volumes used to
+// seed every drive from 0, whatever the pool's seed.)
+func TestPoolVolumeInjectionFollowsPoolSeed(t *testing.T) {
+	failedReads := func(seed int64) (bad []int64) {
+		p := newTestPool(t, draid.PoolConfig{Seed: seed})
+		arr, err := p.OpenVolume(draid.VolumeConfig{ChunkSize: 16 << 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := arr.WriteSync(0, pattern(int(arr.Size()), 3)); err != nil {
+			t.Fatal(err)
+		}
+		if err := arr.Inject().LatentErrorRate(0.05); err != nil {
+			t.Fatal(err)
+		}
+		for off := int64(0); off < arr.Size(); off += 16 << 10 {
+			if _, err := arr.ReadSync(off, 16<<10); err != nil {
+				bad = append(bad, off)
+			}
+		}
+		return bad
+	}
+	one, again, other := failedReads(1), failedReads(1), failedReads(2)
+	if len(one) == 0 {
+		t.Fatal("no read hit a latent error: the rate is too low to tell seeds apart")
+	}
+	if !reflect.DeepEqual(one, again) {
+		t.Errorf("same pool seed, different UREs: %v vs %v", one, again)
+	}
+	if reflect.DeepEqual(one, other) {
+		t.Errorf("pool seeds 1 and 2 developed identical UREs at %v: injection ignores PoolConfig.Seed", one)
 	}
 }

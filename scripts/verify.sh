@@ -32,6 +32,9 @@ go test -race -run '^TestScrub' . -count=1
 go test -race -count=1 ./internal/backend/...
 go run ./cmd/draid-fio -backend realtime -iosize 131072 -qd 8 -ramp 10ms -measure 40ms
 go run ./cmd/draid-fio -backend realtime -rt-tcp -iosize 65536 -qd 8 -ramp 10ms -measure 40ms
+# The one sweep table on the realtime backend: a plain, a degraded and a
+# RAID-6 row plus the write-back point function, dRAID series only.
+go run ./cmd/draid-bench -backend realtime -fig fig09,fig15,fig28,writeback -quick -ramp 5ms -measure 20ms
 # Declustered-placement smoke: rebuild + online expansion under -race, plus
 # the decluster figure (quick sim sweep) with its machine-checked
 # rebuild-shrinks-with-cluster-size expectations.
@@ -55,18 +58,17 @@ if [ "${FULL:-0}" = "1" ]; then
     go run ./cmd/draid-fio -hedge adaptive-p95 -slow 2=const:10 -ratio 1 -qd 16 -ramp 10ms -measure 40ms
     go run ./cmd/draid-fio -backend realtime -hedge fixed-delay -hedge-delay 2ms -slow '2=const:20' -ratio 1 -qd 16 -ramp 10ms -measure 40ms
     go run ./cmd/draid-bench -fig greyfail -quick -ramp 10ms -measure 40ms
-    go run ./cmd/draid-bench -backend realtime -fig greyfail -ramp 10ms -measure 40ms
     # Write-back staging smoke: staged small writes on both backends, plus
-    # the writeback amplification figure (quick sim sweep + realtime run)
-    # with its machine-checked ≤1.3×-staged vs ≥2×-unstaged expectations.
+    # the writeback amplification figure (quick sim sweep) with its
+    # machine-checked ≤1.3×-staged vs ≥2×-unstaged expectations.
     go run ./cmd/draid-fio -writeback -stage-mb 4 -cache-mb 2 -iosize 16384 -qd 16 -ramp 10ms -measure 40ms
     go run ./cmd/draid-fio -backend realtime -writeback -iosize 16384 -qd 16 -ramp 10ms -measure 40ms
     go run ./cmd/draid-bench -fig writeback -quick -ramp 10ms -measure 40ms
-    go run ./cmd/draid-bench -backend realtime -fig writeback -ramp 10ms -measure 40ms
-    # Declustered placement at full sweep: the rebuild-vs-cluster-size
-    # figure on sim (all cluster sizes) and realtime (endpoints).
+    # Declustered placement at full sweep (all cluster sizes).
     go run ./cmd/draid-bench -fig decluster -parallel 4
-    go run ./cmd/draid-bench -backend realtime -fig decluster
+    # Every ID the realtime backend can run, endpoints only; the sim-only
+    # ones are skipped with their reason.
+    go run ./cmd/draid-bench -backend realtime -fig all -quick
     # Membership chaos at full budget: every fault kind × 8 seeds × 6 steps
     # across fixed/declustered layouts with write-back on and off (sim), a
     # bounded sweep on both realtime transports (wall clocks), and the
