@@ -14,7 +14,7 @@ vet:
 	$(GO) vet ./...
 
 race:
-	$(GO) test -race ./...
+	$(GO) test -race -timeout 30m ./...
 
 # The datapath benchmark is a module of its own (benchmark/go.mod), so the
 # targets above never compile it. It wraps backend.Transport/Drive and calls

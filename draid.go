@@ -777,8 +777,9 @@ func open(cl *cluster.Cluster, cfg Config, name string, extent int64, qosWeight 
 		hc.Selector = cl.BWAwareSelector(cfg.Drives)
 	}
 	if cfg.Declustered {
+		width, drives, chunk, seed := cfg.Drives, cfg.ClusterDrives, cfg.ChunkSize, cfg.Seed
 		hc.LayoutFor = func(base, extent int64) placement.Layout {
-			l, err := placement.NewDeclustered(base, extent, cfg.ChunkSize, cfg.Drives, cfg.ClusterDrives, cfg.Seed)
+			l, err := placement.NewDeclustered(base, extent, chunk, width, drives, seed)
 			if err != nil {
 				// validate() enforced width ≥ 2, drives > width, extent ≥ chunk.
 				panic(err.Error())

@@ -128,7 +128,7 @@ var sweeps = []sweep{
 	{id: "fig24", title: "RAID-6 write vs chunk size (128 KB I/O)",
 		base: raid6(8), axis: chunkSizeAxis, values: chunksKB, ioKB: 128, qd: writeQD},
 	{id: "fig25", title: "RAID-6 write vs stripe width (128 KB, QD 64)",
-		base: raid6(0), axis: widthAxis, values: widths, ioKB: 128, qd: 64},
+		base: Setup{Level: raid.Raid6}, axis: widthAxis, values: widths, ioKB: 128, qd: 64},
 	{id: "fig26", title: "RAID-6 write vs read/write ratio (128 KB)",
 		base: raid6(8), axis: readRatioAxis, values: readPcts, ioKB: 128, qd: 16},
 	{id: "fig27a", reportID: "fig27wo", title: "RAID-6 latency vs bandwidth, write-only (18 targets)",
@@ -138,7 +138,7 @@ var sweeps = []sweep{
 	{id: "fig28", title: "RAID-6 degraded read vs I/O size (8 targets, 1 failed)",
 		base: raid6(8, 0), axis: ioSizeAxis, values: smallKB, readPct: 100, qd: readQD},
 	{id: "fig29", title: "RAID-6 degraded read vs stripe width (128 KB)",
-		base: raid6(0, 0), axis: widthAxis, values: widths, ioKB: 128, readPct: 100, qd: readQD},
+		base: Setup{Level: raid.Raid6, FailedMembers: []int{0}}, axis: widthAxis, values: widths, ioKB: 128, readPct: 100, qd: readQD},
 	{id: "fig30", title: "RAID-6 degraded write vs I/O size (8 targets, 1 failed)",
 		base: raid6(8, 0), axis: ioSizeAxis, values: smallKB, qd: writeQD},
 

@@ -15,7 +15,10 @@ cd "$(dirname "$0")/.."
 go build ./...
 go test ./...
 go vet ./...
-go test -race ./...
+# internal/experiments alone runs ~9 minutes under the race detector on two
+# shared cores (measured at this change and at its parent alike), so the
+# default 10-minute per-package limit is no margin at all.
+go test -race -timeout 30m ./...
 # The datapath benchmark is its own module (benchmark/go.mod), invisible to
 # ./... above; it wraps backend.Transport/Drive and calls the realtime and
 # core constructors, so build, vet and test it against this tree here.
