@@ -109,16 +109,24 @@ type Figure struct {
 	XLabel string
 	Series []Series
 	Notes  []string
+	// ExtraLabel names the third quantity the figure's points carry in
+	// Extra (e.g. "amp x", "p999 us"). When set, String prints that column
+	// for every series; a figure without one renders BW and Lat only.
+	ExtraLabel string
 }
 
 // String renders the figure as an aligned text table (one row per X, one
-// BW/Lat column pair per system) — the same rows the paper plots.
+// BW/Lat column pair per system, plus Extra where the figure names it) —
+// the same rows the paper plots.
 func (f Figure) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "== %s: %s ==\n", f.ID, f.Title)
 	fmt.Fprintf(&b, "%-12s", f.XLabel)
 	for _, s := range f.Series {
 		fmt.Fprintf(&b, " | %14s MB/s %9s us", s.System, "")
+		if f.ExtraLabel != "" {
+			fmt.Fprintf(&b, " %9s %s", "", f.ExtraLabel)
+		}
 	}
 	b.WriteString("\n")
 	if len(f.Series) > 0 {
@@ -132,6 +140,9 @@ func (f Figure) String() string {
 			for _, s := range f.Series {
 				if i < len(s.Points) {
 					fmt.Fprintf(&b, " | %14.1f      %9.1f   ", s.Points[i].BW, s.Points[i].Lat)
+					if f.ExtraLabel != "" {
+						fmt.Fprintf(&b, " %9.2f %*s", s.Points[i].Extra, len(f.ExtraLabel), "")
+					}
 				}
 			}
 			b.WriteString("\n")

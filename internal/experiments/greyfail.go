@@ -50,8 +50,7 @@ func greyfail(o Options) (Figure, error) {
 	}
 	notes := make([]string, len(policies)) // each policy's cost, read at its deepest queue
 	series, err := runGrid(o, names, len(qds), func(si, pi int) (Point, error) {
-		hedge := draid.HedgeConfig{Policy: policies[si].policy, Delay: fixedDelay}
-		r, note, err := greyfailPoint(o, policies[si], hedge, slow, qds[pi])
+		r, note, err := greyfailPoint(o, policies[si], fixedDelay, slow, qds[pi])
 		if pi == len(qds)-1 {
 			notes[si] = note
 		}
@@ -62,10 +61,11 @@ func greyfail(o Options) (Figure, error) {
 		}, err
 	})
 	return Figure{
-		ID:     "greyfail",
-		Title:  fmt.Sprintf("Grey failure: read p99 vs hedging policy (8-wide RAID-5, full-stripe reads, member 2 at %gx latency)", slow.Factor),
-		XLabel: "queue depth",
-		Series: series,
+		ID:         "greyfail",
+		Title:      fmt.Sprintf("Grey failure: read p99 vs hedging policy (8-wide RAID-5, full-stripe reads, member 2 at %gx latency)", slow.Factor),
+		XLabel:     "queue depth",
+		ExtraLabel: "p999 us",
+		Series:     series,
 		Notes: append([]string{
 			"Lat column is read p99 in us; Extra (per-point) is p999",
 			fmt.Sprintf("slow member injected via SlowProfile{const,%gx}; hedge solves k-of-n through parity", slow.Factor),
@@ -83,7 +83,7 @@ type greyfailPolicy struct {
 // returns the fio result plus a note summarizing what the policy cost:
 // drive-read amplification over the user bytes, hedge counts, and whether
 // the detector evicted the grey member.
-func greyfailPoint(o Options, pol greyfailPolicy, hedge draid.HedgeConfig, slow draid.SlowProfile, qd int) (fio.Result, string, error) {
+func greyfailPoint(o Options, pol greyfailPolicy, fixedDelay time.Duration, slow draid.SlowProfile, qd int) (fio.Result, string, error) {
 	evictAfter := 0 // default (64)
 	if pol.noEvict {
 		evictAfter = -1
@@ -91,7 +91,7 @@ func greyfailPoint(o Options, pol greyfailPolicy, hedge draid.HedgeConfig, slow 
 	arr, err := draid.New(draid.Config{
 		Backend: o.Backend, Realtime: o.Realtime,
 		Drives: 8, ChunkSize: 64 << 10, SizeOnly: true, Seed: o.Seed,
-		Hedge: hedge,
+		Hedge: draid.HedgeConfig{Policy: pol.policy, Delay: fixedDelay},
 		Health: draid.HealthConfig{
 			// The detector here consumes only slow strikes from the hedger;
 			// park the heartbeat prober far beyond the run so fault evidence

@@ -49,10 +49,11 @@ func multivolNoisy(o Options) (Figure, error) {
 		}
 	}
 	return Figure{
-		ID:     "multivol-noisy",
-		Title:  "Noisy neighbor: two volumes sharing one cluster (victim 16K random write vs. aggressor full-stripe sequential write)",
-		XLabel: "aggr qd",
-		Series: []Series{victim, aggr, victimQ, aggrQ},
+		ID:         "multivol-noisy",
+		Title:      "Noisy neighbor: two volumes sharing one cluster (victim 16K random write vs. aggressor full-stripe sequential write)",
+		XLabel:     "aggr qd",
+		ExtraLabel: "victim wr p99 us",
+		Series:     []Series{victim, aggr, victimQ, aggrQ},
 		Notes: append([]string{
 			"both volumes are RAID-5 over the same 8 drives and share the host NIC",
 			"victim holds qd=" + fmt.Sprint(o.QueueDepth) + " 16K random writes throughout",

@@ -28,10 +28,11 @@ func writeback(o Options) (Figure, error) {
 		return writebackPoint(o, sizesKB[pi]<<10, si == 1)
 	})
 	return Figure{
-		ID:     "writeback",
-		Title:  "Write-back staging: small-write drive-byte amplification (8-wide RAID-5, 64 KB chunks, sequential writes + flush)",
-		XLabel: "write size",
-		Series: series,
+		ID:         "writeback",
+		Title:      "Write-back staging: small-write drive-byte amplification (8-wide RAID-5, 64 KB chunks, sequential writes + flush)",
+		XLabel:     "write size",
+		ExtraLabel: "amp x",
+		Series:     series,
 		Notes: []string{
 			"Extra column is drive-byte amplification (drive write bytes / user bytes, post-flush)",
 			"unstaged sub-chunk writes pay RMW (~2x); staged destage full stripes ((k+1)/k ~ 1.14x)",
