@@ -143,7 +143,7 @@ func main() {
 			System: sys, Targets: *targets, Level: lvl, ChunkSize: *chunk,
 			FailedMembers: failed, Seed: *seed,
 		})
-		job.Dev, job.Eng = dev, cl.Eng
+		job.Dev, job.Eng = dev, cl.Rt
 		res = fio.Run(job)
 		out, in = cl.TotalHostBytes()
 	} else {

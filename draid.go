@@ -674,37 +674,16 @@ func New(cfg Config) (*Array, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	realtime := cfg.Backend == BackendRealtime
-	var cl *cluster.Cluster
-	if realtime {
-		capacity := cfg.DriveCapacity
-		if capacity == 0 {
-			// The sim's 1.6 TB default is sparse virtual capacity; realtime
-			// arrays move real bytes, so default to something rebuildable.
-			capacity = 256 << 20
-		}
-		var err error
-		cl, err = cluster.NewRealtime(cluster.RealtimeSpec{
-			Targets: cfg.clusterTargets(), Spares: cfg.Spares, Seed: cfg.Seed,
-			DriveCapacity: capacity, SizeOnly: cfg.SizeOnly, Integrity: cfg.Integrity,
-			Pipelined: true, TCP: cfg.Realtime.TCP, Dir: cfg.Realtime.Dir,
-		})
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		cl = cluster.New(cfg.simSpec())
+	cl, err := cfg.newCluster()
+	if err != nil {
+		return nil, err
 	}
 	arr, err := open(cl, cfg, "vol0", 0, 0, nil)
 	if err != nil {
 		cl.Close()
 		return nil, err
 	}
-	switch {
-	case realtime:
-		arr.realtime = true
-		arr.dev = loopDev{rt: cl.Rt, dev: arr.host}
-	case cfg.OffloadController:
+	if cfg.OffloadController {
 		clientNode := cl.Net.NewNode("client")
 		gbps := cfg.HostNICGbps
 		if gbps == 0 {
@@ -715,6 +694,30 @@ func New(cfg Config) (*Array, error) {
 		arr.clientNode = clientNode
 	}
 	return arr, nil
+}
+
+// newCluster assembles the testbed an already defaulted and validated config
+// asks for, on the backend it names: New's own, or the one a Pool's volumes
+// share.
+func (cfg Config) newCluster() (*cluster.Cluster, error) {
+	if cfg.Backend != BackendRealtime {
+		spec := cfg.simSpec()
+		if err := spec.Validate(); err != nil {
+			return nil, err
+		}
+		return cluster.New(spec), nil
+	}
+	capacity := cfg.DriveCapacity
+	if capacity == 0 {
+		// The sim's 1.6 TB default is sparse virtual capacity; realtime
+		// arrays move real bytes, so default to something rebuildable.
+		capacity = 256 << 20
+	}
+	return cluster.NewRealtime(cluster.RealtimeSpec{
+		Targets: cfg.clusterTargets(), Spares: cfg.Spares, Seed: cfg.Seed,
+		DriveCapacity: capacity, SizeOnly: cfg.SizeOnly, Integrity: cfg.Integrity,
+		Pipelined: true, TCP: cfg.Realtime.TCP, Dir: cfg.Realtime.Dir,
+	})
 }
 
 // simSpec sizes the simulated testbed a config asks for.
@@ -758,9 +761,10 @@ func (cfg Config) clusterTargets() int {
 // claims what is left) and returns the Array serving it: New calls it on a
 // cluster of its own, Pool.OpenVolume on the shared one, with the volume's
 // QoS weight and the pool's shared rebuild budget. cfg is already defaulted
-// and validated, so nothing here depends on which backend cl runs on —
-// validate keeps ReducerBWAware, which reads simulated NIC queues, off the
-// realtime backend.
+// and validated — validate keeps ReducerBWAware, which reads simulated NIC
+// queues, off the realtime backend — so the one thing here that depends on
+// which backend cl runs on is the entry point: on realtime, I/O is marshalled
+// onto the host's event loop.
 func open(cl *cluster.Cluster, cfg Config, name string, extent int64, qosWeight float64, shared *repair.RateLimiter) (*Array, error) {
 	hc := core.Config{
 		Geometry:     raid.Geometry{Level: cfg.Level, Width: cfg.Drives, ChunkSize: cfg.ChunkSize},
@@ -803,7 +807,10 @@ func open(cl *cluster.Cluster, cfg Config, name string, extent int64, qosWeight 
 		return nil, err
 	}
 	arr := &Array{cl: cl, host: vol.Host, dev: vol.Host, clientNode: cl.HostNode, hostCfg: vol.Cfg,
-		scrubRate: cfg.ScrubRateMBps, seed: cfg.Seed}
+		scrubRate: cfg.ScrubRateMBps, seed: cfg.Seed, realtime: cfg.Backend == BackendRealtime}
+	if arr.realtime {
+		arr.dev = loopDev{rt: cl.Rt, dev: arr.host}
+	}
 	arr.attachSupervisor(cfg, shared)
 	return arr, nil
 }

@@ -5,12 +5,22 @@ package main
 
 import (
 	"fmt"
+	"os"
 	"time"
 
 	"draid/internal/experiments"
 	"draid/internal/sim"
 	"draid/internal/ycsb"
 )
+
+func run(sys experiments.System, wl ycsb.Workload, failed []int, o experiments.Options) experiments.AppResult {
+	r, err := experiments.YCSB(experiments.ObjectStore, sys, wl, failed, o)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	return r
+}
 
 func main() {
 	o := experiments.Options{
@@ -25,8 +35,8 @@ func main() {
 		failed []int
 	}{{"normal", nil}, {"degraded", []int{0}}} {
 		for _, wl := range []ycsb.Workload{ycsb.WorkloadA, ycsb.WorkloadB, ycsb.WorkloadF} {
-			spdk := experiments.YCSBObjectStore(experiments.SPDK, wl, state.failed, o)
-			dr := experiments.YCSBObjectStore(experiments.DRAID, wl, state.failed, o)
+			spdk := run(experiments.SPDK, wl, state.failed, o)
+			dr := run(experiments.DRAID, wl, state.failed, o)
 			fmt.Printf("%-8s %-8s | %6.1f KIOPS | %6.1f KIOPS | %.2fx\n",
 				state.name, wl.Name, spdk.KIOPS, dr.KIOPS, dr.KIOPS/spdk.KIOPS)
 		}

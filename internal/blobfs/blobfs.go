@@ -11,9 +11,9 @@ import (
 	"fmt"
 	"sort"
 
+	"draid/internal/backend"
 	"draid/internal/blockdev"
 	"draid/internal/parity"
-	"draid/internal/sim"
 )
 
 // Errors returned by the filesystem.
@@ -44,7 +44,7 @@ type File struct {
 
 // FS is the filesystem.
 type FS struct {
-	eng     *sim.Engine
+	eng     backend.Runtime
 	dev     blockdev.Device
 	files   map[string]*File
 	next    int64 // bump allocator
@@ -54,7 +54,7 @@ type FS struct {
 }
 
 // New formats a filesystem over the device.
-func New(eng *sim.Engine, dev blockdev.Device) *FS {
+func New(eng backend.Runtime, dev blockdev.Device) *FS {
 	if dev.Size() <= dataStart {
 		panic(fmt.Sprintf("blobfs: device %d bytes too small", dev.Size()))
 	}

@@ -7,26 +7,45 @@ import (
 	"testing"
 	"testing/quick"
 
+	"draid/internal/backend"
+	"draid/internal/backend/realtime"
 	"draid/internal/blockdev"
 	"draid/internal/parity"
 	"draid/internal/sim"
 )
 
 // Property: an arbitrary interleaving of creates, appends, deletes, and
-// reads over several files behaves exactly like an in-memory shadow model.
+// reads over several files behaves exactly like an in-memory shadow model —
+// on the simulation engine and on a realtime bed's host loop alike.
 func TestPropertyShadowModel(t *testing.T) {
+	t.Run("sim", func(t *testing.T) {
+		checkShadowModel(t, func(seed int64) (backend.Runner, func() error) {
+			return backend.SimRunner(sim.NewEngine(seed)), func() error { return nil }
+		})
+	})
+	t.Run("realtime", func(t *testing.T) {
+		checkShadowModel(t, func(seed int64) (backend.Runner, func() error) {
+			bed := realtime.NewBed(seed, 0)
+			return bed, bed.Close
+		})
+	})
+}
+
+func checkShadowModel(t *testing.T, newRuntime func(seed int64) (backend.Runner, func() error)) {
 	f := func(seed int64, opsRaw []uint8) bool {
 		if len(opsRaw) > 80 {
 			opsRaw = opsRaw[:80]
 		}
-		eng := sim.NewEngine(seed)
-		dev := blockdev.NewMem(eng, 16<<20, sim.Microsecond)
-		fs := New(eng, dev)
+		rt, closeRuntime := newRuntime(seed)
+		defer closeRuntime()
+		fs := New(rt, blockdev.NewMem(rt, 16<<20, sim.Microsecond))
 		rng := rand.New(rand.NewSource(seed))
 
+		// The filesystem, the shadow and ok have one owner, the runtime: each
+		// op is issued inside Call and drained before the next.
 		shadow := map[string][]byte{}
 		ok := true
-		for _, op := range opsRaw {
+		issue := func(op uint8) {
 			name := fmt.Sprintf("f%d", rng.Intn(4))
 			switch op % 4 {
 			case 0: // create
@@ -41,14 +60,14 @@ func TestPropertyShadowModel(t *testing.T) {
 				})
 			case 1: // append
 				if _, exists := shadow[name]; !exists {
-					continue
+					return
 				}
 				data := make([]byte, 1+rng.Intn(5000))
 				rng.Read(data)
 				file, err := fs.Open(name)
 				if err != nil {
 					ok = false
-					continue
+					return
 				}
 				file.Append(parity.FromBytes(data), func(err error) {
 					if err != nil {
@@ -60,17 +79,15 @@ func TestPropertyShadowModel(t *testing.T) {
 			case 2: // read a random range
 				content, exists := shadow[name]
 				if !exists {
-					continue
+					return
 				}
 				file, err := fs.Open(name)
 				if err != nil {
 					ok = false
-					continue
+					return
 				}
-				eng.Run() // settle pending appends so sizes agree
-				content = shadow[name]
 				if len(content) == 0 {
-					continue
+					return
 				}
 				off := rng.Intn(len(content))
 				n := 1 + rng.Intn(len(content)-off)
@@ -88,9 +105,11 @@ func TestPropertyShadowModel(t *testing.T) {
 					delete(shadow, name)
 				})
 			}
-			eng.Run()
 		}
-		eng.Run()
+		for _, op := range opsRaw {
+			rt.Call(func() { issue(op) })
+			rt.Run()
+		}
 		// Final verification of every live file.
 		for name, content := range shadow {
 			file, err := fs.Open(name)
@@ -100,12 +119,14 @@ func TestPropertyShadowModel(t *testing.T) {
 			if len(content) == 0 {
 				continue
 			}
-			file.ReadAt(0, int64(len(content)), func(b parity.Buffer, err error) {
-				if err != nil || !bytes.Equal(b.Data(), content) {
-					ok = false
-				}
+			rt.Call(func() {
+				file.ReadAt(0, int64(len(content)), func(b parity.Buffer, err error) {
+					if err != nil || !bytes.Equal(b.Data(), content) {
+						ok = false
+					}
+				})
 			})
-			eng.Run()
+			rt.Run()
 		}
 		return ok
 	}

@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 
+	"draid/internal/backend"
 	"draid/internal/parity"
 	"draid/internal/sim"
 )
@@ -50,10 +51,10 @@ var (
 	ErrStaleEpoch = fmt.Errorf("%w: command carried stale host epoch", ErrFenced)
 )
 
-// Device is an asynchronous block device. Callbacks run on the simulation
-// engine; implementations must never invoke a callback synchronously from
-// Read/Write (use the engine's Defer), so callers can rely on stack-safe
-// completion ordering.
+// Device is an asynchronous block device. Callbacks run on the device's
+// runtime (the simulation engine, or the host's event loop); implementations
+// must never invoke a callback synchronously from Read/Write (use the
+// runtime's Defer), so callers can rely on stack-safe completion ordering.
 type Device interface {
 	// Size returns the device's capacity in bytes.
 	Size() int64
@@ -74,14 +75,14 @@ func CheckRange(off, n, size int64) error {
 // Mem is an in-memory Device with fixed per-op latency — the unit-test
 // substrate for the filesystem/object-store/KV layers.
 type Mem struct {
-	eng     *sim.Engine
+	eng     backend.Runtime
 	size    int64
 	data    []byte
 	latency sim.Duration
 }
 
 // NewMem creates an in-memory device.
-func NewMem(eng *sim.Engine, size int64, latency sim.Duration) *Mem {
+func NewMem(eng backend.Runtime, size int64, latency sim.Duration) *Mem {
 	return &Mem{eng: eng, size: size, data: make([]byte, size), latency: latency}
 }
 

@@ -5,12 +5,13 @@ import (
 	"errors"
 	"testing"
 
+	"draid/internal/backend"
 	"draid/internal/parity"
 	"draid/internal/sim"
 )
 
 func TestMemRoundTrip(t *testing.T) {
-	eng := sim.NewEngine(1)
+	eng := backend.SimRunner(sim.NewEngine(1))
 	d := NewMem(eng, 1024, 10)
 	var got []byte
 	d.Write(100, parity.FromBytes([]byte{1, 2, 3}), func(err error) {
@@ -26,7 +27,7 @@ func TestMemRoundTrip(t *testing.T) {
 }
 
 func TestMemLatency(t *testing.T) {
-	eng := sim.NewEngine(1)
+	eng := backend.SimRunner(sim.NewEngine(1))
 	d := NewMem(eng, 1024, 500)
 	var at sim.Time
 	d.Read(0, 1, func(parity.Buffer, error) { at = eng.Now() })
@@ -37,7 +38,7 @@ func TestMemLatency(t *testing.T) {
 }
 
 func TestMemOutOfRange(t *testing.T) {
-	eng := sim.NewEngine(1)
+	eng := backend.SimRunner(sim.NewEngine(1))
 	d := NewMem(eng, 100, 0)
 	var rErr, wErr error
 	d.Read(90, 20, func(_ parity.Buffer, err error) { rErr = err })
@@ -49,7 +50,7 @@ func TestMemOutOfRange(t *testing.T) {
 }
 
 func TestMemCallbacksAreAsync(t *testing.T) {
-	eng := sim.NewEngine(1)
+	eng := backend.SimRunner(sim.NewEngine(1))
 	d := NewMem(eng, 100, 0)
 	sync := true
 	d.Read(0, 1, func(parity.Buffer, error) { sync = false })
@@ -69,7 +70,7 @@ func TestMemCallbacksAreAsync(t *testing.T) {
 }
 
 func TestMemSnapshotsWriteBuffer(t *testing.T) {
-	eng := sim.NewEngine(1)
+	eng := backend.SimRunner(sim.NewEngine(1))
 	d := NewMem(eng, 100, 50)
 	buf := []byte{7}
 	d.Write(0, parity.FromBytes(buf), func(error) {})
@@ -84,7 +85,7 @@ func TestMemSnapshotsWriteBuffer(t *testing.T) {
 }
 
 func TestMemElidedWriteLeavesDataIntact(t *testing.T) {
-	eng := sim.NewEngine(1)
+	eng := backend.SimRunner(sim.NewEngine(1))
 	d := NewMem(eng, 100, 0)
 	d.Write(0, parity.FromBytes([]byte{5}), func(error) {})
 	eng.Run()

@@ -3,7 +3,10 @@ package experiments
 import (
 	"fmt"
 
+	"draid/internal/backend"
 	"draid/internal/blobfs"
+	"draid/internal/blockdev"
+	"draid/internal/cluster"
 	"draid/internal/hist"
 	"draid/internal/kvstore"
 	"draid/internal/objstore"
@@ -25,206 +28,245 @@ var appWorkloads = []ycsb.Workload{
 	ycsb.WorkloadA, ycsb.WorkloadB, ycsb.WorkloadC, ycsb.WorkloadD, ycsb.WorkloadF,
 }
 
-// ycsbLoop drives a closed-loop YCSB run against get/put closures and
-// returns KIOPS plus mean latency over the measurement window.
-func ycsbLoop(eng *sim.Engine, gen *ycsb.Generator, o Options, qd int,
-	get func(key uint64, cb func(error)),
-	put func(key uint64, cb func(error)),
-	scan func(key uint64, n int, cb func(error))) (float64, float64) {
+// AppStore is one of the paper's §9.6 application stacks: the dataset a YCSB
+// point loads into it and how to open it over a block device.
+type AppStore struct {
+	// keys is the loaded dataset; the load keeps batch puts in flight.
+	keys, batch uint64
+	// uniform overrides each workload's request distribution (the paper
+	// tunes the object-store runs to uniform keys).
+	uniform bool
+	open    func(rt backend.Runner, dev blockdev.Device) (appOps, error)
+}
 
-	start := eng.Now()
+// appOps are a store's operations as the YCSB loop issues them. All of them
+// run inside the runtime's execution domain.
+type appOps struct {
+	get, put func(key uint64, cb func(error))
+	// scan is nil where a store has no range read: a scan is then a get.
+	scan func(key uint64, n int, cb func(error))
+	// settle, when set, runs after the load's last put.
+	settle func()
+}
+
+// ObjectStore is the §9.6 object store: 128 KB objects in a hash store
+// directly on the block layer (20 000 of them, scaled from the paper's 200K
+// to keep the load fast), uniform key distribution.
+var ObjectStore = AppStore{
+	keys: 20000, batch: 64, uniform: true,
+	open: func(rt backend.Runner, dev blockdev.Device) (appOps, error) {
+		const objSize = 128 << 10
+		store := objstore.New(rt, dev, objSize)
+		return appOps{
+			get: func(key uint64, cb func(error)) {
+				store.Get(key, func(_ parity.Buffer, err error) { cb(err) })
+			},
+			put: func(key uint64, cb func(error)) {
+				store.Put(key, parity.Sized(objSize), cb)
+			},
+		}, nil
+	},
+}
+
+// KVStore is the §9.6 RocksDB stand-in: the LSM store on BlobFS, 50 000
+// records of 1 KB, zipfian/latest distributions as each workload specifies.
+var KVStore = AppStore{
+	keys: 50000, batch: 256,
+	open: func(rt backend.Runner, dev blockdev.Device) (appOps, error) {
+		db, err := kvstore.Open(rt, blobfs.New(rt, dev), kvstore.Config{})
+		if err != nil {
+			return appOps{}, err
+		}
+		return appOps{
+			get: func(key uint64, cb func(error)) {
+				db.Get(key, func(_ parity.Buffer, err error) {
+					if err == kvstore.ErrNotFound {
+						err = nil // unloaded insert-range key; count the probe
+					}
+					cb(err)
+				})
+			},
+			put: func(key uint64, cb func(error)) {
+				db.Put(key, parity.Sized(1000), cb)
+			},
+			scan: func(key uint64, n int, cb func(error)) {
+				db.Scan(key, n, func(_ int, err error) { cb(err) })
+			},
+			settle: db.Flush,
+		}, nil
+	},
+}
+
+// failMember fails target m end to end and tells dev's controller, in the
+// controller's execution domain (inline on the simulation).
+func failMember(cl *cluster.Cluster, dev blockdev.Device, m int) {
+	cl.FailTarget(m)
+	cl.Rt.Call(func() { dev.(interface{ SetFailed(int, bool) }).SetFailed(m, true) })
+}
+
+// load puts keys 0..keys-1 a batch at a time, draining the runtime after
+// every full batch, then settles the store and drains once more. The issue
+// order is pinned by the fig19/fig20 captures: the last, partial batch is
+// NOT drained before settle runs.
+func (s AppStore) load(rt backend.Runner, ops appOps) error {
+	var acked uint64
+	var failed error
+	var k uint64
+	for k < s.keys {
+		end := min(k+s.batch, s.keys)
+		full := end-k == s.batch
+		rt.Call(func() {
+			for ; k < end; k++ {
+				ops.put(k, func(err error) {
+					if err != nil && failed == nil {
+						failed = err
+					}
+					acked++
+				})
+			}
+		})
+		if full {
+			rt.Run()
+		}
+	}
+	if ops.settle != nil {
+		rt.Call(ops.settle)
+	}
+	rt.Run()
+	rt.Call(func() {
+		if failed == nil && acked != s.keys {
+			failed = fmt.Errorf("%d of %d puts completed", acked, s.keys)
+		}
+	})
+	return failed
+}
+
+// ycsbLoop drives a closed-loop YCSB run at depth qd and returns KIOPS plus
+// mean latency over the measurement window. It drains the ops the loop left
+// in flight at the window's end; any op that failed, inside the window or
+// out of it, fails the run.
+func ycsbLoop(rt backend.Runner, gen *ycsb.Generator, o Options, qd int, ops appOps) (kiops, latUs float64, err error) {
+	start := rt.Now()
 	measureStart := start + sim.Time(o.Ramp)
 	end := measureStart + sim.Time(o.Measure)
-	ops := int64(0)
+	var done, failed int64
+	var firstErr error
 	lat := hist.New()
 
 	var issue func()
 	issue = func() {
-		if eng.Now() >= end {
+		if rt.Now() >= end {
 			return
 		}
 		op := gen.Next()
-		issued := eng.Now()
+		issued := rt.Now()
 		record := func(err error) {
-			now := eng.Now()
-			if err == nil && now > measureStart && now <= end {
-				ops++
+			now := rt.Now()
+			if err != nil {
+				if failed++; firstErr == nil {
+					firstErr = err
+				}
+			} else if now > measureStart && now <= end {
+				done++
 				lat.Record(int64(now - issued))
 			}
 			issue()
 		}
 		switch op.Kind {
 		case ycsb.OpScan:
-			if scan != nil {
-				scan(op.Key, op.ScanLen, record)
+			if ops.scan != nil {
+				ops.scan(op.Key, op.ScanLen, record)
 			} else {
-				get(op.Key, record)
+				ops.get(op.Key, record)
 			}
 		case ycsb.OpRead:
-			get(op.Key, record)
+			ops.get(op.Key, record)
 		case ycsb.OpUpdate, ycsb.OpInsert:
-			put(op.Key, record)
+			ops.put(op.Key, record)
 		case ycsb.OpReadModifyWrite:
-			get(op.Key, func(err error) {
+			ops.get(op.Key, func(err error) {
 				if err != nil {
 					record(err)
 					return
 				}
-				put(op.Key, record)
+				ops.put(op.Key, record)
 			})
 		}
 	}
-	for i := 0; i < qd; i++ {
-		issue()
-	}
-	eng.RunUntil(end)
-	kiops := float64(ops) / sim.Seconds(o.Measure) / 1e3
-	return kiops, lat.Summarize().Mean / 1e3
-}
-
-// YCSBObjectStore reproduces the §9.6 object-store runs: 128 KB objects in
-// a hash store directly on the block layer, uniform key distribution.
-func YCSBObjectStore(sys System, wl ycsb.Workload, failed []int, o Options) AppResult {
-	o = o.withDefaults()
-	const objSize = 128 << 10
-	const objects = 20000 // scaled from the paper's 200K to keep load fast
-
-	// Load in a healthy array, then fail members (matching the paper:
-	// degrade after load).
-	dev, cl := Build(Setup{System: sys, Targets: 8, Seed: o.Seed})
-	store := objstore.New(cl.Eng, dev, objSize)
-	loadStore(cl.Eng, store, objects)
-	for _, m := range failed {
-		cl.FailTarget(m)
-		type failer interface{ SetFailed(int, bool) }
-		dev.(failer).SetFailed(m, true)
-	}
-
-	gen := ycsb.NewGenerator(wl.Uniform(), objects, o.Seed)
-	kiops, lat := ycsbLoop(cl.Eng, gen, o, 16,
-		func(key uint64, cb func(error)) {
-			store.Get(key, func(_ parity.Buffer, err error) { cb(err) })
-		},
-		func(key uint64, cb func(error)) {
-			store.Put(key, parity.Sized(objSize), cb)
-		},
-		nil)
-	return AppResult{System: string(sys), Workload: wl.Name, KIOPS: kiops, AvgLatUs: lat}
-}
-
-func loadStore(eng *sim.Engine, store *objstore.Store, objects uint64) {
-	pending := uint64(0)
-	for k := uint64(0); k < objects; k++ {
-		pending++
-		store.Put(k, parity.Sized(int(store.ObjectSize())), func(err error) {
-			if err != nil {
-				panic("experiments: object load failed: " + err.Error())
-			}
-			pending--
-		})
-		if pending >= 64 {
-			eng.Run()
+	// The loop's state has one owner, the runtime's execution domain: issue
+	// and read it there (inline on the simulation), as fio does.
+	rt.Call(func() {
+		for i := 0; i < qd; i++ {
+			issue()
 		}
-	}
-	eng.Run()
-}
-
-// YCSBKVStore reproduces the §9.6 RocksDB runs with the LSM stand-in on
-// BlobFS: 1 KB records, zipfian/latest distributions as each workload
-// specifies.
-func YCSBKVStore(sys System, wl ycsb.Workload, failed []int, o Options) AppResult {
-	o = o.withDefaults()
-	const records = 50000
-
-	dev, cl := Build(Setup{System: sys, Targets: 8, Seed: o.Seed})
-	fs := blobfs.New(cl.Eng, dev)
-	db, err := kvstore.Open(cl.Eng, fs, kvstore.Config{})
-	if err != nil {
-		panic(err)
-	}
-	loadKV(cl.Eng, db, records)
-	for _, m := range failed {
-		cl.FailTarget(m)
-		type failer interface{ SetFailed(int, bool) }
-		dev.(failer).SetFailed(m, true)
-	}
-
-	gen := ycsb.NewGenerator(wl, records, o.Seed)
-	kiops, lat := ycsbLoop(cl.Eng, gen, o, 16,
-		func(key uint64, cb func(error)) {
-			db.Get(key, func(_ parity.Buffer, err error) {
-				if err == kvstore.ErrNotFound {
-					err = nil // unloaded insert-range key; count the probe
-				}
-				cb(err)
-			})
-		},
-		func(key uint64, cb func(error)) {
-			db.Put(key, parity.Sized(1000), cb)
-		},
-		func(key uint64, n int, cb func(error)) {
-			db.Scan(key, n, func(_ int, err error) { cb(err) })
-		})
-	return AppResult{System: string(sys), Workload: wl.Name, KIOPS: kiops, AvgLatUs: lat}
-}
-
-func loadKV(eng *sim.Engine, db *kvstore.DB, records uint64) {
-	pending := uint64(0)
-	for k := uint64(0); k < records; k++ {
-		pending++
-		db.Put(k, parity.Sized(1000), func(err error) {
-			if err != nil {
-				panic("experiments: kv load failed: " + err.Error())
-			}
-			pending--
-		})
-		if pending >= 256 {
-			eng.Run()
-		}
-	}
-	db.Flush()
-	eng.Run()
-}
-
-// appFigure runs a workload sweep for SPDK and dRAID (the paper's §9.6
-// comparison pair).
-func appFigure(id, title string, o Options, failed []int, run func(System, ycsb.Workload, []int, Options) AppResult) (Figure, error) {
-	wls := appWorkloads
-	if o.Quick {
-		wls = []ycsb.Workload{ycsb.WorkloadA, ycsb.WorkloadC}
-	}
-	systems := []System{SPDK, DRAID}
-	series, err := runGrid(o, systemNames(systems), len(wls), func(si, pi int) (Point, error) {
-		wl := wls[pi]
-		r := run(systems[si], wl, failed, o)
-		return Point{
-			X: float64(pi), Label: wl.Name,
-			BW: r.KIOPS, Lat: r.AvgLatUs, Extra: r.KIOPS,
-		}, nil
 	})
-	return Figure{
-		ID: id, Title: title, XLabel: "workload", Series: series,
-		Notes: []string{"BW column is KIOPS for application figures"},
-	}, err
+	rt.RunUntil(end)
+	rt.Call(func() {
+		kiops = float64(done) / sim.Seconds(o.Measure) / 1e3
+		latUs = lat.Summarize().Mean / 1e3
+	})
+	rt.Run()
+	rt.Call(func() {
+		if failed > 0 {
+			err = fmt.Errorf("%d ops failed, the first with: %w", failed, firstErr)
+		}
+	})
+	return kiops, latUs, err
 }
 
-// fig19 — LSM KV store (RocksDB stand-in) on BlobFS, YCSB A-F: normal state
-// (Fig 19a), or degraded with the given members failed (Fig 19b).
-func fig19(o Options, failed []int) (Figure, error) {
-	id, state := "fig19a", "normal"
-	if failed != nil {
-		id, state = "fig19b", "degraded"
+// YCSB measures one application point on the backend o names: build an
+// 8-wide array, open the store on it, load the dataset while the array is
+// healthy, fail members (the paper degrades after load), run the workload
+// closed-loop at depth 16, drain, and close. As with measure, a point whose
+// ops failed or whose idle cluster still holds buffers, reductions or stripe
+// locks is an error, not a data point.
+func YCSB(store AppStore, sys System, wl ycsb.Workload, failed []int, o Options) (AppResult, error) {
+	o = o.withDefaults()
+	dev, cl, err := build(Setup{System: sys, Targets: 8, Seed: o.Seed, Backend: o.Backend, Realtime: o.Realtime})
+	if err != nil {
+		return AppResult{}, err
 	}
-	return appFigure(id, fmt.Sprintf("KV store (LSM on BlobFS) YCSB throughput, %s state", state),
-		o, failed, YCSBKVStore)
+	defer cl.Close()
+	ops, err := store.open(cl.Rt, dev)
+	if err != nil {
+		return AppResult{}, err
+	}
+	if err := store.load(cl.Rt, ops); err != nil {
+		return AppResult{}, fmt.Errorf("experiments: %s: load: %w", sys, err)
+	}
+	for _, m := range failed {
+		failMember(cl, dev, m)
+	}
+	if store.uniform {
+		wl = wl.Uniform()
+	}
+	kiops, lat, err := ycsbLoop(cl.Rt, ycsb.NewGenerator(wl, store.keys, o.Seed), o, 16, ops)
+	if err != nil {
+		return AppResult{}, fmt.Errorf("experiments: %s: %s: %w", sys, wl.Name, err)
+	}
+	return AppResult{System: string(sys), Workload: wl.Name, KIOPS: kiops, AvgLatUs: lat}, cl.LeakCheck()
 }
 
-// fig20 — object store on the block layer, normal state.
-func fig20(o Options) (Figure, error) {
-	return appFigure("fig20", "Object store YCSB throughput, normal state", o, nil, YCSBObjectStore)
-}
-
-// fig21 — object store, degraded state.
-func fig21(o Options) (Figure, error) {
-	return appFigure("fig21", "Object store YCSB throughput, degraded state", o, []int{0}, YCSBObjectStore)
+// appFigure is a workload sweep of one store: SPDK against dRAID (the
+// paper's §9.6 comparison pair) on the simulation, dRAID alone on realtime,
+// in normal state or degraded with the given members failed.
+func appFigure(id, title string, store AppStore, failed []int) func(Options) (Figure, error) {
+	return func(o Options) (Figure, error) {
+		wls := appWorkloads
+		if o.Quick {
+			wls = []ycsb.Workload{ycsb.WorkloadA, ycsb.WorkloadC}
+		}
+		systems := o.systems(SPDK, DRAID)
+		series, err := runGrid(o, systemNames(systems), len(wls), func(si, pi int) (Point, error) {
+			r, err := YCSB(store, systems[si], wls[pi], failed, o)
+			return Point{
+				X: float64(pi), Label: wls[pi].Name,
+				BW: r.KIOPS, Lat: r.AvgLatUs, Extra: r.KIOPS,
+			}, err
+		})
+		return Figure{
+			ID: id, Title: title, XLabel: "workload", Series: series,
+			Notes: []string{"BW column is KIOPS for application figures"},
+		}, err
+	}
 }

@@ -15,7 +15,14 @@ func TestApplicationShapes(t *testing.T) {
 	}
 	o := Options{Ramp: 20e6, Measure: 60e6}
 
-	ratio := func(run func(System) AppResult) float64 {
+	ratio := func(store AppStore, wl ycsb.Workload, failed []int) float64 {
+		run := func(sys System) AppResult {
+			r, err := YCSB(store, sys, wl, failed, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return r
+		}
 		s := run(SPDK)
 		d := run(DRAID)
 		t.Logf("%s: SPDK=%.1f KIOPS dRAID=%.1f KIOPS (%.2fx)", d.Workload, s.KIOPS, d.KIOPS, d.KIOPS/s.KIOPS)
@@ -23,8 +30,8 @@ func TestApplicationShapes(t *testing.T) {
 	}
 
 	// Object store, normal state: A (write-heavy) gains; C (read-only) ties.
-	objA := ratio(func(s System) AppResult { return YCSBObjectStore(s, ycsb.WorkloadA, nil, o) })
-	objC := ratio(func(s System) AppResult { return YCSBObjectStore(s, ycsb.WorkloadC, nil, o) })
+	objA := ratio(ObjectStore, ycsb.WorkloadA, nil)
+	objC := ratio(ObjectStore, ycsb.WorkloadC, nil)
 	if objA < 1.10 {
 		t.Errorf("object store YCSB-A gain = %.2fx, want > 1.1x (paper 1.7x)", objA)
 	}
@@ -33,16 +40,16 @@ func TestApplicationShapes(t *testing.T) {
 	}
 
 	// Object store, degraded: read-heavy B now gains too.
-	objBdeg := ratio(func(s System) AppResult { return YCSBObjectStore(s, ycsb.WorkloadB, []int{0}, o) })
+	objBdeg := ratio(ObjectStore, ycsb.WorkloadB, []int{0})
 	if objBdeg < 1.2 {
 		t.Errorf("degraded object store YCSB-B gain = %.2fx, want > 1.2x (paper ~2.35x)", objBdeg)
 	}
 
 	// KV store: read-heavy C roughly ties (CPU/cache-bound, like RocksDB);
 	// write-heavy A must not regress; degraded A widens.
-	kvC := ratio(func(s System) AppResult { return YCSBKVStore(s, ycsb.WorkloadC, nil, o) })
-	kvA := ratio(func(s System) AppResult { return YCSBKVStore(s, ycsb.WorkloadA, nil, o) })
-	kvAdeg := ratio(func(s System) AppResult { return YCSBKVStore(s, ycsb.WorkloadA, []int{0}, o) })
+	kvC := ratio(KVStore, ycsb.WorkloadC, nil)
+	kvA := ratio(KVStore, ycsb.WorkloadA, nil)
+	kvAdeg := ratio(KVStore, ycsb.WorkloadA, []int{0})
 	if kvC < 0.95 || kvC > 1.4 {
 		t.Errorf("KV YCSB-C gain = %.2fx, want near 1x", kvC)
 	}

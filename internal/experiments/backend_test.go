@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -12,8 +13,10 @@ import (
 )
 
 // simShape reads the series names and row labels of an ID's simulated quick
-// report from its capture under testdata/.
-func simShape(t *testing.T, id string) (series, rows []string) {
+// report from its capture under testdata/, plus the cells (series, row) whose
+// bandwidth is zero there — points that measure nothing by design, like
+// multivol-noisy's absent aggressor.
+func simShape(t *testing.T, id string) (series, rows []string, idle map[[2]string]bool) {
 	t.Helper()
 	b, err := os.ReadFile(filepath.Join("testdata", id+"_quick.txt"))
 	if err != nil {
@@ -23,34 +26,46 @@ func simShape(t *testing.T, id string) (series, rows []string) {
 	for _, col := range strings.Split(lines[1], " | ")[1:] {
 		series = append(series, strings.TrimSpace(col[:strings.Index(col, " MB/s")]))
 	}
+	idle = map[[2]string]bool{}
 	for _, l := range lines[2:] {
-		if label, _, ok := strings.Cut(l, " | "); ok {
-			rows = append(rows, strings.TrimSpace(label))
+		cols := strings.Split(l, " | ")
+		if len(cols) < 2 {
+			continue
 		}
-	}
-	return series, rows
-}
-
-// stalled reports whether some point of fig measured no completed I/O.
-func stalled(fig Figure) bool {
-	for _, s := range fig.Series {
-		for _, p := range s.Points {
-			if p.BW <= 0 {
-				return true
+		label := strings.TrimSpace(cols[0])
+		rows = append(rows, label)
+		for i, col := range cols[1:] {
+			if bw, err := strconv.ParseFloat(strings.Fields(col)[0], 64); err != nil {
+				t.Fatalf("%s capture, row %s: %v", id, label, err)
+			} else if bw == 0 {
+				idle[[2]string{series[i], label}] = true
 			}
 		}
 	}
-	return false
+	return series, rows, idle
 }
 
 // checkOnRealtime runs one ID on the realtime backend and asserts the shape
 // of what comes back: the simulated report's series minus the baselines, its
-// row labels, and a positive bandwidth everywhere. A point whose I/Os failed
-// or whose cluster leaked at quiescence fails the run itself (measure).
+// row labels, and a positive bandwidth everywhere the simulated run has one.
+// A point whose I/Os failed or whose cluster leaked at quiescence fails the
+// run itself (measure, YCSB, noisyPoint).
 func checkOnRealtime(t *testing.T, id string, o Options) Figure {
 	t.Helper()
+	simSeries, rows, idle := simShape(t, id)
+	// stalled lists the points of fig that measured no completed I/O.
+	stalled := func(fig Figure) (at []string) {
+		for _, s := range fig.Series {
+			for _, p := range s.Points {
+				if p.BW <= 0 && !idle[[2]string{s.System, p.Label}] {
+					at = append(at, s.System+" at "+p.Label)
+				}
+			}
+		}
+		return at
+	}
 	fig, err := RunFigure(id, o)
-	if err == nil && stalled(fig) {
+	if err == nil && stalled(fig) != nil {
 		// A loaded or race-instrumented machine may finish no op of a deep
 		// queue inside a 15 ms window: widen it once before calling that a
 		// failure.
@@ -60,7 +75,9 @@ func checkOnRealtime(t *testing.T, id string, o Options) Figure {
 	if err != nil {
 		t.Fatal(err)
 	}
-	simSeries, rows := simShape(t, id)
+	for _, at := range stalled(fig) {
+		t.Errorf("%s: nonpositive bandwidth for %s", id, at)
+	}
 	var want []string
 	for _, s := range simSeries {
 		if s != string(Linux) && s != string(SPDK) {
@@ -73,9 +90,6 @@ func checkOnRealtime(t *testing.T, id string, o Options) Figure {
 		var labels []string
 		for _, p := range s.Points {
 			labels = append(labels, p.Label)
-			if p.BW <= 0 {
-				t.Errorf("%s/%s: nonpositive bandwidth at %s", id, s.System, p.Label)
-			}
 		}
 		if !reflect.DeepEqual(labels, rows) {
 			t.Errorf("%s/%s: rows %v, the sim run has %v", id, s.System, labels, rows)
@@ -95,6 +109,18 @@ func TestEveryIDOnRealtimeBackend(t *testing.T) {
 		t.Skip("wall-clock sweeps")
 	}
 	rt := Options{Quick: true, Ramp: 5e6, Measure: 15e6, Backend: draid.BackendRealtime}
+	// Exactly the IDs that read a simulated quantity: a baseline, a NIC rate
+	// or queue, a shared simulated core, the simulated servers' barrier knob.
+	var simOnly []string
+	for _, id := range IDs() {
+		if Supported(id, rt) != nil {
+			simOnly = append(simOnly, id)
+		}
+	}
+	want := []string{"table1", "ablation-barrier", "ablation-colocate", "ablation-reducer", "fig17a", "fig17b"}
+	if !reflect.DeepEqual(simOnly, want) {
+		t.Errorf("simulation-only IDs %v, want %v", simOnly, want)
+	}
 	for _, id := range IDs() {
 		t.Run(id, func(t *testing.T) {
 			if Supported(id, Options{}) != nil {
@@ -114,7 +140,7 @@ func TestEveryIDOnRealtimeBackend(t *testing.T) {
 	}
 	tcp := rt
 	tcp.Realtime.TCP = true
-	for _, id := range []string{"fig09", "fig15", "writeback"} {
+	for _, id := range []string{"fig09", "fig15", "writeback", "fig20"} {
 		t.Run("tcp/"+id, func(t *testing.T) { checkOnRealtime(t, id, tcp) })
 	}
 }

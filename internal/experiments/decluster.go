@@ -54,33 +54,20 @@ func declusterPoint(o Options, drives int, declustered bool) (Point, error) {
 		spr := (drives - 1) / width
 		extent = int64((stripes+spr-1)/spr) * chunk
 	}
-	var arr *draid.Array
-	var err error
-	if o.realtime() {
-		// Pools are simulation-only, so the realtime control is the bare
-		// 4-drive array: its fixed series has no idle drives to ignore.
-		cfg := draid.Config{
-			Backend: o.Backend, Realtime: o.Realtime,
-			Drives: width, ChunkSize: chunk, DriveCapacity: extent, Seed: o.Seed,
-		}
-		if declustered {
-			cfg.Declustered, cfg.ClusterDrives = true, drives
-		}
-		arr, err = draid.New(cfg)
-	} else {
-		var p *draid.Pool
-		p, err = draid.NewPool(draid.PoolConfig{Drives: drives, DriveCapacity: extent, Seed: o.Seed})
-		if err != nil {
-			return Point{}, err
-		}
-		arr, err = p.OpenVolume(draid.VolumeConfig{
-			Name: "vol", Drives: width, ChunkSize: chunk, Declustered: declustered,
-		})
-	}
+	p, err := draid.NewPool(draid.PoolConfig{
+		Backend: o.Backend, Realtime: o.Realtime,
+		Drives: drives, DriveCapacity: extent, Seed: o.Seed,
+	})
 	if err != nil {
 		return Point{}, err
 	}
-	defer arr.Close()
+	defer p.Close()
+	arr, err := p.OpenVolume(draid.VolumeConfig{
+		Name: "vol", Drives: width, ChunkSize: chunk, Declustered: declustered,
+	})
+	if err != nil {
+		return Point{}, err
+	}
 	if err := arr.WriteSync(0, patternBytes(o.Seed, int(arr.Size()))); err != nil {
 		return Point{}, fmt.Errorf("decluster: fill: %w", err)
 	}

@@ -62,6 +62,16 @@ type Options struct {
 
 func (o Options) realtime() bool { return o.Backend == draid.BackendRealtime }
 
+// systems returns which of a figure's comparison systems exist on the
+// backend o names: all of them on the simulation, dRAID alone on realtime —
+// the baselines are simulation models.
+func (o Options) systems(all ...System) []System {
+	if o.realtime() {
+		return []System{DRAID}
+	}
+	return all
+}
+
 // parallel returns the effective worker count. A realtime point is a
 // wall-clock measurement and must not share the CPU with another.
 func (o Options) parallel() int {
@@ -219,44 +229,11 @@ func build(s Setup) (blockdev.Device, *cluster.Cluster, error) {
 	if s.Level == 0 {
 		s.Level = raid.Raid5
 	}
-	if s.Seed == 0 {
-		s.Seed = 1
-	}
-	pipelined := !s.PipelineSet || s.Pipelined
-	var cl *cluster.Cluster
-	if s.Backend == draid.BackendRealtime {
-		if why := s.needsSim(); why != "" {
-			return nil, nil, fmt.Errorf("experiments: realtime backend: %s: %w", why, draid.ErrUnsupported)
-		}
-		var err error
-		cl, err = cluster.NewRealtime(cluster.RealtimeSpec{
-			Targets: s.Targets, Seed: s.Seed, DriveCapacity: 1 << 30,
-			SizeOnly:  s.Realtime.Dir == "", // file media need real bytes
-			Pipelined: pipelined, TCP: s.Realtime.TCP, Dir: s.Realtime.Dir,
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-	} else {
-		spec := cluster.DefaultSpec()
-		spec.Targets = s.Targets
-		spec.Elide = true
-		spec.Seed = s.Seed
-		spec.TargetGbpsList = s.TargetGbpsList
-		spec.Pipelined = pipelined
-		spec.BarrierReduce = s.BarrierReduce
-		spec.BdevsPerServer = s.BdevsPerServer
-		cl = cluster.New(spec)
+	cl, err := newCluster(s)
+	if err != nil {
+		return nil, nil, err
 	}
 	geo := raid.Geometry{Level: s.Level, Width: s.Targets, ChunkSize: s.ChunkSize}
-	// fail pre-fails the setup's members end to end; the controller's half
-	// runs in its own execution domain (inline on the simulation).
-	fail := func(setFailed func(int, bool)) {
-		for _, m := range s.FailedMembers {
-			cl.FailTarget(m)
-			cl.Rt.Call(func() { setFailed(m, true) })
-		}
-	}
 
 	var dev blockdev.Device
 	switch s.System {
@@ -272,23 +249,50 @@ func build(s Setup) (blockdev.Device, *cluster.Cluster, error) {
 		default:
 			panic("experiments: unknown selector " + s.Selector)
 		}
-		h := cl.NewDRAID(cfg)
-		fail(h.SetFailed)
-		dev = h
+		dev = cl.NewDRAID(cfg)
 	case SPDK, Linux:
 		style := baseline.SPDKStyle()
 		if s.System == Linux {
 			style = baseline.LinuxStyle()
 		}
-		h := baseline.NewHost(cl.Eng, cl.Fabric, cl.DriveCapacity(), baseline.Config{
+		dev = baseline.NewHost(cl.Eng, cl.Fabric, cl.DriveCapacity(), baseline.Config{
 			Geometry: geo, Costs: cl.Costs, Style: style,
 		})
-		fail(h.SetFailed)
-		dev = h
 	default:
 		panic("experiments: unknown system " + string(s.System))
 	}
+	for _, m := range s.FailedMembers {
+		failMember(cl, dev, m)
+	}
 	return dev, cl, nil
+}
+
+// newCluster assembles the size-only testbed a setup runs on, on the backend
+// it names; only setups needsSim accepts exist on the realtime one.
+func newCluster(s Setup) (*cluster.Cluster, error) {
+	if s.Seed == 0 {
+		s.Seed = 1
+	}
+	pipelined := !s.PipelineSet || s.Pipelined
+	if s.Backend == draid.BackendRealtime {
+		if why := s.needsSim(); why != "" {
+			return nil, fmt.Errorf("experiments: realtime backend: %s: %w", why, draid.ErrUnsupported)
+		}
+		return cluster.NewRealtime(cluster.RealtimeSpec{
+			Targets: s.Targets, Seed: s.Seed, DriveCapacity: 1 << 30,
+			SizeOnly:  s.Realtime.Dir == "", // file media need real bytes
+			Pipelined: pipelined, TCP: s.Realtime.TCP, Dir: s.Realtime.Dir,
+		})
+	}
+	spec := cluster.DefaultSpec()
+	spec.Targets = s.Targets
+	spec.Elide = true
+	spec.Seed = s.Seed
+	spec.TargetGbpsList = s.TargetGbpsList
+	spec.Pipelined = pipelined
+	spec.BarrierReduce = s.BarrierReduce
+	spec.BdevsPerServer = s.BdevsPerServer
+	return cluster.New(spec), nil
 }
 
 // measure runs one fio point against a fresh setup on the backend o names,

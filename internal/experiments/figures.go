@@ -195,10 +195,7 @@ func (sw sweep) series(o Options) []variant {
 	if sw.variants != nil {
 		return sw.variants
 	}
-	systems := AllSystems
-	if o.realtime() {
-		systems = []System{DRAID}
-	}
+	systems := o.systems(AllSystems...)
 	out := make([]variant, len(systems))
 	for i, sys := range systems {
 		out[i] = variant{string(sys), sw.base}

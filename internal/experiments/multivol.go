@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"draid/internal/cluster"
 	"draid/internal/core"
 	"draid/internal/fio"
 	"draid/internal/raid"
@@ -28,13 +27,19 @@ func multivolNoisy(o Options) (Figure, error) {
 	var notes []string
 	var isoP99 float64
 	for _, qd := range qds {
-		vr, ar := noisyPoint(o, qd, false)
+		vr, ar, err := noisyPoint(o, qd, false)
+		if err != nil {
+			return Figure{}, err
+		}
 		label := fmt.Sprintf("qd=%d", qd)
 		vp := toPoint(float64(qd), label, vr)
 		vp.Extra = vr.WriteLat.P99 / 1e3 // victim tail is the story here
 		victim.Points = append(victim.Points, vp)
 		aggr.Points = append(aggr.Points, toPoint(float64(qd), label, ar))
-		vq, aq := noisyPoint(o, qd, true)
+		vq, aq, err := noisyPoint(o, qd, true)
+		if err != nil {
+			return Figure{}, err
+		}
 		vqp := toPoint(float64(qd), label, vq)
 		vqp.Extra = vq.WriteLat.P99 / 1e3
 		victimQ.Points = append(victimQ.Points, vqp)
@@ -72,12 +77,12 @@ func multivolNoisy(o Options) (Figure, error) {
 // window alone is work-conserving, which keeps one full-stripe op in the
 // device FIFOs at all times and holds the victim's p99 near 1.8× isolated;
 // only the rate cap's forced idle gaps recover the isolated tail.
-func noisyPoint(o Options, aggrQD int, qos bool) (victim, aggr fio.Result) {
-	spec := cluster.DefaultSpec()
-	spec.Targets = 8
-	spec.Elide = true
-	spec.Seed = o.Seed
-	cl := cluster.New(spec)
+func noisyPoint(o Options, aggrQD int, qos bool) (victim, aggr fio.Result, err error) {
+	cl, err := newCluster(Setup{System: DRAID, Targets: 8, Seed: o.Seed, Backend: o.Backend, Realtime: o.Realtime})
+	if err != nil {
+		return victim, aggr, err
+	}
+	defer cl.Close()
 	geo := raid.Geometry{Level: raid.Raid5, Width: 8, ChunkSize: 128 << 10}
 	aggrCfg := core.Config{Geometry: geo}
 	if qos {
@@ -88,36 +93,39 @@ func noisyPoint(o Options, aggrQD int, qos bool) (victim, aggr fio.Result) {
 	half := cl.DriveCapacity() / 2
 	vAggr, err := cl.AddVolume("seq-tenant", half, aggrCfg)
 	if err != nil {
-		panic(err)
+		return victim, aggr, err
 	}
 	vVictim, err := cl.AddVolume("rand-tenant", 0, core.Config{Geometry: geo})
 	if err != nil {
-		panic(err)
+		return victim, aggr, err
 	}
 
 	victimRun := fio.Start(fio.Job{
-		Name: "victim", Dev: vVictim.Host, Eng: cl.Eng,
+		Name: "victim", Dev: vVictim.Host, Eng: cl.Rt,
 		IOSize: 16 << 10, QueueDepth: o.QueueDepth,
 		Ramp: o.Ramp, Measure: o.Measure, Seed: o.Seed,
 	})
+	end := victimRun.End
 	var aggrRun *fio.Running
 	if aggrQD > 0 {
 		aggrRun = fio.Start(fio.Job{
-			Name: "aggressor", Dev: vAggr.Host, Eng: cl.Eng,
+			Name: "aggressor", Dev: vAggr.Host, Eng: cl.Rt,
 			IOSize: geo.StripeDataSize(), QueueDepth: aggrQD, Sequential: true,
 			Ramp: o.Ramp, Measure: o.Measure, Seed: o.Seed + 1,
 		})
+		end = max(end, aggrRun.End)
 	}
-	end := victimRun.End
-	if aggrRun != nil && aggrRun.End > end {
-		end = aggrRun.End
+	cl.Rt.RunUntil(end)
+	aggr = fio.Result{Name: "aggressor"}
+	cl.Rt.Call(func() {
+		victim = victimRun.Result()
+		if aggrRun != nil {
+			aggr = aggrRun.Result()
+		}
+	})
+	if n := victim.Errors + aggr.Errors; n > 0 {
+		return victim, aggr, fmt.Errorf("experiments: multivol-noisy: %d I/Os failed", n)
 	}
-	cl.Eng.RunUntil(end)
-	victim = victimRun.Result()
-	if aggrRun != nil {
-		aggr = aggrRun.Result()
-	} else {
-		aggr = fio.Result{Name: "aggressor"}
-	}
-	return victim, aggr
+	cl.Rt.Run()
+	return victim, aggr, cl.LeakCheck()
 }

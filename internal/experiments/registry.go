@@ -20,21 +20,20 @@ type experiment struct {
 // backend needs only: it is not a Figure, so it has no runner and Run
 // renders it itself.
 var registry = func() map[string]experiment {
-	const (
-		apps    = "the YCSB application stacks run on the simulation engine"
-		rebuild = "reconstruction against the SPDK baseline and simulated NIC rates"
-	)
+	const rebuild = "reconstruction against the SPDK baseline and simulated NIC rates"
 	r := map[string]experiment{
-		"table1":         {nil, "host-NIC overheads are read off the simulated fabric, and two of three rows are baselines"},
-		"fig17a":         {fig17a, rebuild},
-		"fig17b":         {fig17b, rebuild},
-		"fig19a":         {func(o Options) (Figure, error) { return fig19(o, nil) }, apps},
-		"fig19b":         {func(o Options) (Figure, error) { return fig19(o, []int{0}) }, apps},
-		"fig20":          {fig20, apps},
-		"fig21":          {fig21, apps},
+		"table1": {nil, "host-NIC overheads are read off the simulated fabric, and two of three rows are baselines"},
+		"fig17a": {fig17a, rebuild},
+		"fig17b": {fig17b, rebuild},
+		// §9.6: the LSM KV store (RocksDB stand-in) on BlobFS and the object
+		// store on the block layer, YCSB A-F, normal state and degraded.
+		"fig19a":         {run: appFigure("fig19a", "KV store (LSM on BlobFS) YCSB throughput, normal state", KVStore, nil)},
+		"fig19b":         {run: appFigure("fig19b", "KV store (LSM on BlobFS) YCSB throughput, degraded state", KVStore, []int{0})},
+		"fig20":          {run: appFigure("fig20", "Object store YCSB throughput, normal state", ObjectStore, nil)},
+		"fig21":          {run: appFigure("fig21", "Object store YCSB throughput, degraded state", ObjectStore, []int{0})},
 		"decluster":      {run: decluster},
 		"greyfail":       {run: greyfail},
-		"multivol-noisy": {multivolNoisy, "two volumes share one simulated cluster and its QoS scheduler"},
+		"multivol-noisy": {run: multivolNoisy},
 		"writeback":      {run: writeback},
 	}
 	for _, sw := range sweeps {

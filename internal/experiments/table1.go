@@ -7,7 +7,6 @@ import (
 
 	"draid/internal/baseline"
 	"draid/internal/blockdev"
-	"draid/internal/cluster"
 	"draid/internal/cpu"
 	"draid/internal/parity"
 	"draid/internal/raid"
@@ -62,22 +61,8 @@ func Table1(o Options) []Table1Row {
 				func() (int64, int64) { return sm.Client().BytesOut(), sm.Client().BytesIn() },
 				func() { sm.Client().ResetCounters() }, geo)
 		},
-		func() (float64, float64) { // distributed host-centric (SPDK-style)
-			dev, cl := buildSmall(SPDK, geo, o.Seed)
-			return measureOverheads(cl.Eng, dev, chunk, func(m int) {
-				dev.(*baseline.Host).SetFailed(m, true)
-			}, func() (int64, int64) { return cl.HostNode.BytesOut(), cl.HostNode.BytesIn() },
-				cl.ResetTraffic, geo)
-		},
-		func() (float64, float64) { // dRAID
-			dev, cl := buildSmall(DRAID, geo, o.Seed)
-			return measureOverheads(cl.Eng, dev, chunk, func(m int) {
-				type failer interface{ SetFailed(int, bool) }
-				dev.(failer).SetFailed(m, true)
-				cl.FailTarget(m)
-			}, func() (int64, int64) { return cl.HostNode.BytesOut(), cl.HostNode.BytesIn() },
-				cl.ResetTraffic, geo)
-		},
+		func() (float64, float64) { return clusterOverheads(SPDK, geo, o.Seed) }, // distributed host-centric
+		func() (float64, float64) { return clusterOverheads(DRAID, geo, o.Seed) },
 	}
 	type overheads struct{ w, r float64 }
 	measured := parMap(o.parallel(), len(measurers), func(i int) overheads {
@@ -90,8 +75,13 @@ func Table1(o Options) []Table1Row {
 	return rows
 }
 
-func buildSmall(sys System, geo raid.Geometry, seed int64) (blockdev.Device, *cluster.Cluster) {
-	return Build(Setup{System: sys, Targets: geo.Width, Level: geo.Level, ChunkSize: geo.ChunkSize, Seed: seed})
+// clusterOverheads measures one of the two fabric-attached architectures at
+// the simulated host NIC.
+func clusterOverheads(sys System, geo raid.Geometry, seed int64) (wOver, rOver float64) {
+	dev, cl := Build(Setup{System: sys, Targets: geo.Width, Level: geo.Level, ChunkSize: geo.ChunkSize, Seed: seed})
+	return measureOverheads(cl.Eng, dev, geo.ChunkSize, func(m int) { failMember(cl, dev, m) },
+		func() (int64, int64) { return cl.HostNode.BytesOut(), cl.HostNode.BytesIn() },
+		cl.ResetTraffic, geo)
 }
 
 // measureOverheads performs one single-chunk RMW write and one degraded

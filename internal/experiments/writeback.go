@@ -57,12 +57,10 @@ func writebackPoint(o Options, size int64, staged bool) (Point, error) {
 	defer arr.Close()
 	const qd, stripes = 8, 48
 	total := stripes * arr.Controller().Geometry().StripeDataSize()
-	count := (total + size - 1) / size
 	dev := arr.Controller()
 	start := arr.Now()
 
-	allDone := make(chan struct{})
-	var next, completed int64
+	var next int64
 	var werr error
 	inflight := 0
 	var issue func()
@@ -80,19 +78,12 @@ func writebackPoint(o Options, size int64, staged bool) (Point, error) {
 					werr = fmt.Errorf("writeback: write at %d: %w", off, err)
 				}
 				inflight--
-				if completed++; completed == count {
-					close(allDone)
-				}
 				issue()
 			})
 		}
 	}
 	arr.Cluster().Rt.Call(issue)
-	if o.realtime() {
-		<-allDone // a wall clock cannot be drained, only waited on
-	} else {
-		arr.Run()
-	}
+	arr.Run()
 	if werr != nil {
 		return Point{}, werr
 	}

@@ -1,4 +1,4 @@
-// Package fio is a flexible I/O tester for simulated block devices, modelled
+// Package fio is a flexible I/O tester for asynchronous block devices, modelled
 // on the tool the paper evaluates with: random reads/writes of a fixed I/O
 // size at a fixed queue depth (closed loop), with a ramp-up window excluded
 // from measurement, reporting bandwidth, IOPS, and latency percentiles.

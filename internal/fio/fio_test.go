@@ -4,11 +4,12 @@ import (
 	"strings"
 	"testing"
 
+	"draid/internal/backend"
 	"draid/internal/blockdev"
 	"draid/internal/sim"
 )
 
-func testJob(eng *sim.Engine, dev blockdev.Device) Job {
+func testJob(eng Engine, dev blockdev.Device) Job {
 	return Job{
 		Name: "test", Dev: dev, Eng: eng,
 		IOSize: 4096, QueueDepth: 4,
@@ -17,7 +18,7 @@ func testJob(eng *sim.Engine, dev blockdev.Device) Job {
 }
 
 func TestClosedLoopThroughput(t *testing.T) {
-	eng := sim.NewEngine(1)
+	eng := backend.SimRunner(sim.NewEngine(1))
 	dev := blockdev.NewMem(eng, 1<<20, 100*sim.Microsecond)
 	job := testJob(eng, dev)
 	job.ReadRatio = 1.0
@@ -35,7 +36,7 @@ func TestClosedLoopThroughput(t *testing.T) {
 }
 
 func TestLatencyMatchesDevice(t *testing.T) {
-	eng := sim.NewEngine(1)
+	eng := backend.SimRunner(sim.NewEngine(1))
 	dev := blockdev.NewMem(eng, 1<<20, 250*sim.Microsecond)
 	job := testJob(eng, dev)
 	job.ReadRatio = 1.0
@@ -46,7 +47,7 @@ func TestLatencyMatchesDevice(t *testing.T) {
 }
 
 func TestMixedRatioApproximatelyHonored(t *testing.T) {
-	eng := sim.NewEngine(1)
+	eng := backend.SimRunner(sim.NewEngine(1))
 	dev := blockdev.NewMem(eng, 1<<20, 10*sim.Microsecond)
 	job := testJob(eng, dev)
 	job.ReadRatio = 0.75
@@ -58,7 +59,7 @@ func TestMixedRatioApproximatelyHonored(t *testing.T) {
 }
 
 func TestRampExcluded(t *testing.T) {
-	eng := sim.NewEngine(1)
+	eng := backend.SimRunner(sim.NewEngine(1))
 	dev := blockdev.NewMem(eng, 1<<20, 100*sim.Microsecond)
 	job := testJob(eng, dev)
 	job.ReadRatio = 1
@@ -87,7 +88,7 @@ func TestBandwidthCalculation(t *testing.T) {
 }
 
 func TestStringContainsName(t *testing.T) {
-	eng := sim.NewEngine(1)
+	eng := backend.SimRunner(sim.NewEngine(1))
 	dev := blockdev.NewMem(eng, 1<<20, 10*sim.Microsecond)
 	res := Run(testJob(eng, dev))
 	if !strings.Contains(res.String(), "test") {
@@ -96,7 +97,7 @@ func TestStringContainsName(t *testing.T) {
 }
 
 func TestWorkingSetRestrictsOffsets(t *testing.T) {
-	eng := sim.NewEngine(1)
+	eng := backend.SimRunner(sim.NewEngine(1))
 	dev := blockdev.NewMem(eng, 1<<20, sim.Microsecond)
 	job := testJob(eng, dev)
 	job.WorkingSet = 64 << 10
@@ -107,7 +108,7 @@ func TestWorkingSetRestrictsOffsets(t *testing.T) {
 }
 
 func TestMaterializedPayload(t *testing.T) {
-	eng := sim.NewEngine(1)
+	eng := backend.SimRunner(sim.NewEngine(1))
 	dev := blockdev.NewMem(eng, 1<<20, sim.Microsecond)
 	job := testJob(eng, dev)
 	job.ReadRatio = 0
@@ -120,7 +121,7 @@ func TestMaterializedPayload(t *testing.T) {
 
 func TestDeterministicResults(t *testing.T) {
 	run := func() Result {
-		eng := sim.NewEngine(7)
+		eng := backend.SimRunner(sim.NewEngine(7))
 		dev := blockdev.NewMem(eng, 1<<20, 50*sim.Microsecond)
 		job := testJob(eng, dev)
 		job.Seed = 42
@@ -134,7 +135,7 @@ func TestDeterministicResults(t *testing.T) {
 }
 
 func TestTinyDevicePanics(t *testing.T) {
-	eng := sim.NewEngine(1)
+	eng := backend.SimRunner(sim.NewEngine(1))
 	dev := blockdev.NewMem(eng, 1024, 0)
 	job := testJob(eng, dev)
 	job.IOSize = 4096

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"sort"
 
+	"draid/internal/backend"
 	"draid/internal/blobfs"
 	"draid/internal/cpu"
 	"draid/internal/parity"
@@ -127,11 +128,13 @@ func (t *sstable) find(key uint64) int {
 	return -1
 }
 
-// DB is the store.
+// DB is the store. Like the controller underneath it, it is confined to its
+// runtime: every method but Open must be called from a runtime callback (or
+// inside Runner.Call).
 type DB struct {
-	eng  *sim.Engine
+	eng  backend.Runtime
 	fs   *blobfs.FS
-	core *cpu.Core
+	core backend.Executor
 	cfg  Config
 
 	mem    *memtable
@@ -143,7 +146,7 @@ type DB struct {
 	wal        *blobfs.File
 	walPending []func(error)
 	walBytes   int64
-	walTimer   *sim.Timer
+	walTimer   backend.Timer
 
 	compacting bool
 	stalledPut []func()
@@ -186,20 +189,32 @@ func (db *DB) dropFromCache(t *sstable) {
 	}
 }
 
-// Open creates a store on the filesystem.
-func Open(eng *sim.Engine, fs *blobfs.FS, cfg Config) (*DB, error) {
-	db := &DB{eng: eng, fs: fs, core: cpu.NewCore(eng), cfg: cfg.withDefaults(), mem: newMemtable(), cache: make(map[cacheKey]bool)}
-	var err error
-	done := false
-	fs.Create("wal-0", func(f *blobfs.File, e error) {
-		db.wal, err = f, e
-		done = true
+// Open creates a store on the filesystem, from outside the runtime: it runs
+// eng until the write-ahead log exists.
+func Open(eng backend.Runner, fs *blobfs.FS, cfg Config) (*DB, error) {
+	db := &DB{eng: eng, fs: fs, core: executor(eng), cfg: cfg.withDefaults(), mem: newMemtable(), cache: make(map[cacheKey]bool)}
+	err := errors.New("the runtime drained before the file was created")
+	eng.Call(func() {
+		fs.Create("wal-0", func(f *blobfs.File, e error) { db.wal, err = f, e })
 	})
 	eng.Run()
-	if !done || err != nil {
+	if err != nil {
 		return nil, fmt.Errorf("kvstore: creating wal: %w", err)
 	}
 	return db, nil
+}
+
+// executor picks the single instance's core the way core.NewHost picks the
+// host's: a modelled core where CPU time is simulated, the runtime's own
+// executor where real cores already cost real time.
+func executor(rt backend.Runtime) backend.Executor {
+	if ep, ok := rt.(backend.EngineProvider); ok {
+		return cpu.NewCore(ep.SimEngine())
+	}
+	if ex, ok := rt.(backend.Executor); ok {
+		return ex
+	}
+	panic("kvstore: runtime provides neither a sim engine nor an executor")
 }
 
 // Stats returns a snapshot of counters.

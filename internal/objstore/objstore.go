@@ -8,9 +8,9 @@ import (
 	"errors"
 	"fmt"
 
+	"draid/internal/backend"
 	"draid/internal/blockdev"
 	"draid/internal/parity"
-	"draid/internal/sim"
 )
 
 // Errors returned by the store.
@@ -21,7 +21,7 @@ var (
 
 // Store is a fixed-object-size hash store over a block device.
 type Store struct {
-	eng     *sim.Engine
+	eng     backend.Runtime
 	dev     blockdev.Device
 	objSize int64
 	slots   int64
@@ -32,7 +32,7 @@ type Store struct {
 }
 
 // New creates a store of objSize-byte objects covering the whole device.
-func New(eng *sim.Engine, dev blockdev.Device, objSize int64) *Store {
+func New(eng backend.Runtime, dev blockdev.Device, objSize int64) *Store {
 	if objSize <= 0 || objSize > dev.Size() {
 		panic(fmt.Sprintf("objstore: object size %d vs device %d", objSize, dev.Size()))
 	}

@@ -15,6 +15,12 @@ import (
 // physical-substrate half of Config; the per-volume half (level, width,
 // chunk size) moves to VolumeConfig.
 type PoolConfig struct {
+	// Backend and Realtime select the substrate the pool and every volume on
+	// it run on, as on Config (default: the simulation). A realtime pool
+	// rejects what a realtime array rejects — Observe.Trace, DrivesPerServer
+	// above 1, a volume's ReducerBWAware — and must be Closed.
+	Backend  BackendKind
+	Realtime RealtimeOptions
 	// Drives is the number of shared member drives (default 8). Every
 	// volume stripes over a prefix of these; a volume's width may not
 	// exceed it.
@@ -55,8 +61,9 @@ type PoolConfig struct {
 
 // Pool is a shared cluster plus the arbitration state volumes contend on
 // (spare pool, rebuild-rate budget). Open volumes with OpenVolume; all
-// volumes share one virtual clock, advanced by any volume's *Sync methods
-// or by Pool.Run.
+// volumes share one clock — on the simulation a virtual one, advanced by any
+// volume's *Sync methods or by Pool.Run. Like an Array, a Pool is driven from
+// one goroutine.
 type Pool struct {
 	cl      *cluster.Cluster
 	cfg     PoolConfig
@@ -72,6 +79,8 @@ type Pool struct {
 // the volume's own.
 func (c PoolConfig) volume(vc VolumeConfig) Config {
 	cfg := Config{
+		Backend:           c.Backend,
+		Realtime:          c.Realtime,
 		Drives:            c.Drives,
 		DriveCapacity:     c.DriveCapacity,
 		HostNICGbps:       c.HostNICGbps,
@@ -108,7 +117,9 @@ func (c PoolConfig) volume(vc VolumeConfig) Config {
 	return cfg.withDefaults()
 }
 
-// NewPool assembles the shared testbed.
+// NewPool assembles the shared testbed, simulated or realtime as cfg.Backend
+// names. The pool's half of the configuration is checked by the rules
+// Config.Validate applies to a standalone array's.
 func NewPool(cfg PoolConfig) (*Pool, error) {
 	if cfg.Drives == 0 {
 		cfg.Drives = 8
@@ -116,11 +127,15 @@ func NewPool(cfg PoolConfig) (*Pool, error) {
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
-	spec := cfg.volume(VolumeConfig{}).simSpec()
-	if err := spec.Validate(); err != nil {
+	substrate := cfg.volume(VolumeConfig{})
+	if err := substrate.validate(); err != nil {
 		return nil, err
 	}
-	p := &Pool{cl: cluster.New(spec), cfg: cfg}
+	cl, err := substrate.newCluster()
+	if err != nil {
+		return nil, err
+	}
+	p := &Pool{cl: cl, cfg: cfg}
 	if cfg.RebuildRateMBps > 0 {
 		p.limiter = repair.NewRateLimiter(p.cl.Rt, cfg.RebuildRateMBps)
 	}
@@ -133,6 +148,11 @@ func NewPool(cfg PoolConfig) (*Pool, error) {
 	}
 	return p, nil
 }
+
+// Close releases the shared testbed and every volume on it: a no-op on the
+// simulation; on the realtime backend it stops the node loops, closes the
+// transport and removes file-backed media.
+func (p *Pool) Close() error { return p.cl.Close() }
 
 // VolumeConfig describes one virtual array on a shared pool.
 type VolumeConfig struct {
@@ -213,29 +233,31 @@ func (p *Pool) Volumes() []*cluster.Volume { return p.cl.Volumes() }
 // Cluster exposes the shared testbed for fault injection and inspection.
 func (p *Pool) Cluster() *cluster.Cluster { return p.cl }
 
-// Run advances the shared virtual clock until all volumes' outstanding
-// work completes.
-func (p *Pool) Run() { p.cl.Eng.Run() }
+// Run blocks until all volumes' outstanding work completes (advancing the
+// shared virtual clock on the simulation).
+func (p *Pool) Run() { p.cl.Rt.Run() }
 
-// RunFor advances the shared virtual clock by d.
-func (p *Pool) RunFor(d time.Duration) { p.cl.Eng.RunFor(sim.Duration(d)) }
+// RunFor advances the shared clock by d.
+func (p *Pool) RunFor(d time.Duration) { p.cl.Rt.RunFor(sim.Duration(d)) }
 
-// Now returns the current virtual time.
-func (p *Pool) Now() time.Duration { return time.Duration(p.cl.Eng.Now()) }
+// Now returns the current time on the shared clock.
+func (p *Pool) Now() time.Duration { return time.Duration(p.cl.Rt.Now()) }
 
 // FailDrive takes shared drive i offline for every volume striped over it
 // and notifies each affected volume's controller and supervisor — one
 // physical fault degrading N tenants at once.
 func (p *Pool) FailDrive(i int) {
 	p.cl.FailTarget(i)
-	for _, a := range p.arrays {
-		if i < a.host.Drives() {
-			a.host.SetFailed(i, true)
-			if a.sup != nil {
-				a.sup.NotifyFailed(i)
+	p.cl.Rt.Call(func() {
+		for _, a := range p.arrays {
+			if i < a.host.Drives() {
+				a.host.SetFailed(i, true)
+				if a.sup != nil {
+					a.sup.NotifyFailed(i)
+				}
 			}
 		}
-	}
+	})
 }
 
 // AddDrive grows the pool by one drive: it claims an idle hot-spare
@@ -245,27 +267,30 @@ func (p *Pool) FailDrive(i int) {
 // Returns the new drive index immediately; WaitRebalance observes
 // convergence. Fixed-layout volumes are unaffected — their windows stay
 // where they are.
-func (p *Pool) AddDrive() (int, error) {
-	grow, err := p.declustered("AddDrive")
-	if err != nil {
-		return 0, err
-	}
-	node, ok := p.cl.Spares.Claim()
-	if !ok {
-		return 0, fmt.Errorf("draid: no spare endpoint left to add")
-	}
-	idx := -1
-	p.pending = grow
-	for _, a := range grow {
-		if idx, err = a.sup.AddDrive(node); err != nil {
-			return 0, err
+func (p *Pool) AddDrive() (idx int, err error) {
+	p.cl.Rt.Call(func() {
+		var grow []*Array
+		if grow, err = p.declustered("AddDrive"); err != nil {
+			return
 		}
-	}
-	return idx, nil
+		node, ok := p.cl.Spares.Claim()
+		if !ok {
+			err = fmt.Errorf("draid: no spare endpoint left to add")
+			return
+		}
+		p.pending = grow
+		for _, a := range grow {
+			if idx, err = a.sup.AddDrive(node); err != nil {
+				return
+			}
+		}
+	})
+	return idx, err
 }
 
 // declustered lists the volumes a drive add or removal acts on: every
 // declustered one, each of which needs a supervisor to run the migration.
+// Runs inside the host's execution domain.
 func (p *Pool) declustered(what string) (vols []*Array, err error) {
 	for _, a := range p.arrays {
 		if !a.host.Declustered() {
@@ -286,26 +311,30 @@ func (p *Pool) declustered(what string) (vols []*Array, err error) {
 // retires it — online shrink. Returns immediately; WaitRebalance observes
 // the drains. Fails if any volume's fixed window covers the drive, since a
 // fixed layout cannot give it up.
-func (p *Pool) RemoveDrive(i int) error {
-	for _, a := range p.arrays {
-		if !a.host.Declustered() && i < a.host.Drives() {
-			return fmt.Errorf("draid: RemoveDrive: fixed-layout volume %q stripes over drive %d: %w", a.vol.Name, i, ErrUnsupported)
+func (p *Pool) RemoveDrive(i int) (err error) {
+	p.cl.Rt.Call(func() {
+		for _, a := range p.arrays {
+			if !a.host.Declustered() && i < a.host.Drives() {
+				err = fmt.Errorf("draid: RemoveDrive: fixed-layout volume %q stripes over drive %d: %w", a.vol.Name, i, ErrUnsupported)
+				return
+			}
 		}
-	}
-	drain, err := p.declustered("RemoveDrive")
-	p.pending = drain
-	for _, a := range drain {
-		if err = a.sup.RemoveDrive(i); err != nil {
-			break
+		var drain []*Array
+		drain, err = p.declustered("RemoveDrive")
+		p.pending = drain
+		for _, a := range drain {
+			if err = a.sup.RemoveDrive(i); err != nil {
+				return
+			}
 		}
-	}
+	})
 	return err
 }
 
 // WaitRebalance advances the shared clock until every migration started by
 // the last AddDrive/RemoveDrive converges, returning the first error.
 func (p *Pool) WaitRebalance() error {
-	p.cl.Eng.Run()
+	p.cl.Rt.Run()
 	for _, a := range p.pending {
 		if st := a.CurrentRebalance(); st.Active {
 			return fmt.Errorf("draid: rebalance of volume %q stalled", a.vol.Name)

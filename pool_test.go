@@ -2,6 +2,7 @@ package draid_test
 
 import (
 	"bytes"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -251,20 +252,30 @@ func TestMultivolExperimentDeterministic(t *testing.T) {
 
 // TestFrontDoorsRejectTheSameConfigs: draid.New and Pool.OpenVolume translate
 // public configuration through one opener behind one validation, so whatever
-// Config.Validate rejects for a standalone array a pool volume must reject
-// too, for the same reason. (OpenVolume used to check a hand-picked subset.)
+// Config.Validate rejects for a standalone array a pool must reject too, for
+// the same reason — the pool's half in NewPool, the volume's in OpenVolume.
+// (OpenVolume used to check a hand-picked subset.)
 func TestFrontDoorsRejectTheSameConfigs(t *testing.T) {
+	realtime := func(c draid.Config) draid.Config {
+		c.Backend = draid.BackendRealtime
+		return c
+	}
 	for _, tc := range []struct {
-		name string
-		cfg  draid.Config
+		name        string
+		cfg         draid.Config
+		unsupported bool // the realtime rows: a simulation model the backend lacks
 	}{
-		{"StageMB without WriteBack", draid.Config{StageMB: 4}},
-		{"CacheMB without WriteBack", draid.Config{CacheMB: 4}},
-		{"DestageIntervalMs without WriteBack", draid.Config{DestageIntervalMs: 5}},
-		{"negative write-back sizing", draid.Config{WriteBack: true, StageMB: -1}},
-		{"unknown hedge policy", draid.Config{Hedge: draid.HedgeConfig{Policy: 99}}},
-		{"unknown reducer policy", draid.Config{ReducerPolicy: 99}},
-		{"HostLease without EpochFencing", draid.Config{HostLease: time.Millisecond}},
+		{name: "StageMB without WriteBack", cfg: draid.Config{StageMB: 4}},
+		{name: "CacheMB without WriteBack", cfg: draid.Config{CacheMB: 4}},
+		{name: "DestageIntervalMs without WriteBack", cfg: draid.Config{DestageIntervalMs: 5}},
+		{name: "negative write-back sizing", cfg: draid.Config{WriteBack: true, StageMB: -1}},
+		{name: "unknown hedge policy", cfg: draid.Config{Hedge: draid.HedgeConfig{Policy: 99}}},
+		{name: "unknown reducer policy", cfg: draid.Config{ReducerPolicy: 99}},
+		{name: "HostLease without EpochFencing", cfg: draid.Config{HostLease: time.Millisecond}},
+		{name: "unknown backend", cfg: draid.Config{Backend: "quantum"}},
+		{name: "realtime Observe.Trace", cfg: realtime(draid.Config{Observe: draid.Observe{Trace: true}}), unsupported: true},
+		{name: "realtime DrivesPerServer", cfg: realtime(draid.Config{DrivesPerServer: 2}), unsupported: true},
+		{name: "realtime ReducerBWAware", cfg: realtime(draid.Config{ReducerPolicy: draid.ReducerBWAware}), unsupported: true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			want := tc.cfg.Validate()
@@ -275,13 +286,23 @@ func TestFrontDoorsRejectTheSameConfigs(t *testing.T) {
 				t.Errorf("draid.New: %v, want %v", err, want)
 			}
 			c := tc.cfg
-			_, err := newTestPool(t, draid.PoolConfig{}).OpenVolume(draid.VolumeConfig{
-				ReducerPolicy: c.ReducerPolicy, Hedge: c.Hedge,
-				WriteBack: c.WriteBack, StageMB: c.StageMB, CacheMB: c.CacheMB, DestageIntervalMs: c.DestageIntervalMs,
-				EpochFencing: c.EpochFencing, HostLease: c.HostLease,
+			p, err := draid.NewPool(draid.PoolConfig{
+				Backend: c.Backend, Drives: 6, DriveCapacity: 1 << 20,
+				Observe: c.Observe, DrivesPerServer: c.DrivesPerServer,
 			})
+			if err == nil {
+				defer p.Close()
+				_, err = p.OpenVolume(draid.VolumeConfig{
+					ReducerPolicy: c.ReducerPolicy, Hedge: c.Hedge,
+					WriteBack: c.WriteBack, StageMB: c.StageMB, CacheMB: c.CacheMB, DestageIntervalMs: c.DestageIntervalMs,
+					EpochFencing: c.EpochFencing, HostLease: c.HostLease,
+				})
+			}
 			if err == nil || !strings.Contains(err.Error(), want.Error()) {
-				t.Errorf("Pool.OpenVolume: %v, want %v", err, want)
+				t.Errorf("NewPool/OpenVolume: %v, want %v", err, want)
+			}
+			if tc.unsupported != errors.Is(err, draid.ErrUnsupported) {
+				t.Errorf("NewPool/OpenVolume: %v; errors.Is(ErrUnsupported) should be %v", err, tc.unsupported)
 			}
 		})
 	}
@@ -322,5 +343,96 @@ func TestPoolVolumeInjectionFollowsPoolSeed(t *testing.T) {
 	}
 	if reflect.DeepEqual(one, other) {
 		t.Errorf("pool seeds 1 and 2 developed identical UREs at %v: injection ignores PoolConfig.Seed", one)
+	}
+}
+
+// TestPoolOnEveryBackend drives one pool through its whole surface on each
+// substrate: a fixed and a declustered width-4 volume share eight drives;
+// both are written, a drive they share fails under them, both read back
+// exactly while degraded, the supervisors rebuild (the fixed volume onto a
+// hot spare, the declustered one into its distributed spare slots), the pool
+// grows by a drive and rebalances, and at the end the per-volume host bytes
+// sum to the shared NIC's and the drained cluster holds nothing.
+func TestPoolOnEveryBackend(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  draid.PoolConfig
+	}{
+		{"sim", draid.PoolConfig{}},
+		{"realtime chan", draid.PoolConfig{Backend: draid.BackendRealtime}},
+		{"realtime tcp", draid.PoolConfig{Backend: draid.BackendRealtime, Realtime: draid.RealtimeOptions{TCP: true}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tc.cfg
+			// Two spares: the fixed volume's rebuild claims one, AddDrive the other.
+			cfg.Drives, cfg.DriveCapacity, cfg.Spares = 8, 4<<20, 2
+			p := newTestPool(t, cfg)
+			defer p.Close()
+			open := func(vc draid.VolumeConfig) *draid.Array {
+				vc.Drives, vc.ChunkSize, vc.Extent = 4, 64<<10, 1<<20
+				arr, err := p.OpenVolume(vc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return arr
+			}
+			vols := []*draid.Array{open(draid.VolumeConfig{Name: "fixed"}), open(draid.VolumeConfig{Name: "decl", Declustered: true})}
+			data := [][]byte{randBytes(31, 512<<10), randBytes(32, 512<<10)}
+			readBack := func(when string) {
+				t.Helper()
+				for i, arr := range vols {
+					got, err := arr.ReadSync(0, int64(len(data[i])))
+					if err != nil || !bytes.Equal(got, data[i]) {
+						t.Fatalf("volume %d %s: read back wrong bytes (err %v)", i, when, err)
+					}
+				}
+			}
+			for i, arr := range vols {
+				if err := arr.WriteSync(0, data[i]); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			const shared = 1 // inside the fixed window, populated in the declustered layout
+			p.FailDrive(shared)
+			readBack("degraded")
+			p.Run()
+			for i, arr := range vols {
+				if st := arr.RebuildStatus(); st.Active || st.Err != nil || st.Done == 0 {
+					t.Fatalf("volume %d: rebuild %+v", i, st)
+				}
+			}
+			if failed := vols[0].FailedDrives(); len(failed) != 0 {
+				t.Fatalf("fixed volume still degraded after its spare rebuild: %v", failed)
+			}
+			readBack("rebuilt")
+
+			if idx, err := p.AddDrive(); err != nil || idx != 8 {
+				t.Fatalf("AddDrive = %d, %v; want drive 8", idx, err)
+			}
+			if err := p.WaitRebalance(); err != nil {
+				t.Fatal(err)
+			}
+			if n := vols[1].DriveCount(); n != 9 {
+				t.Fatalf("declustered volume sees %d drives, want 9", n)
+			}
+			if p.SparesAvailable() != 0 {
+				t.Fatalf("%d spares left, want both claimed", p.SparesAvailable())
+			}
+			readBack("rebalanced")
+
+			var out, in int64
+			for _, arr := range vols {
+				o, i := p.VolumeHostTraffic(arr.VolumeID())
+				out, in = out+o, in+i
+			}
+			if totOut, totIn := p.TotalHostTraffic(); out == 0 || out != totOut || in != totIn {
+				t.Fatalf("volume traffic (%d, %d) does not sum to the host NIC's (%d, %d)", out, in, totOut, totIn)
+			}
+			p.Run()
+			if err := p.Cluster().LeakCheck(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
