@@ -251,7 +251,10 @@ func (c *Command) AppendEncode(out []byte) []byte {
 // §5.4 timeout/retry machinery takes over.
 func (c *Command) Checksum() uint32 { return integrity.Checksum(c.Encode()) }
 
-// Decode parses a capsule, returning an error on truncation.
+// Decode parses exactly one capsule: b must be what Encode produced, so that
+// Decode(b).Encode() equals b byte for byte. Truncation is an error, and so
+// is anything after the SG lists other than the 8-byte extension holding a
+// non-zero epoch.
 func Decode(b []byte) (Command, error) {
 	var c Command
 	if len(b) < fixedEncodedSize {
@@ -290,7 +293,13 @@ func Decode(b []byte) (Command, error) {
 	}
 	c.SGL = read(n1)
 	c.SGL2 = read(n2)
-	if len(rest) >= 8 {
+	switch {
+	case len(rest) == 0:
+	case len(rest) != 8:
+		return c, fmt.Errorf("nvmeof: %d trailing bytes after the sg-lists, want none or an 8-byte epoch", len(rest))
+	case le.Uint64(rest) == 0:
+		return c, fmt.Errorf("nvmeof: epoch extension present but zero")
+	default:
 		c.Epoch = le.Uint64(rest)
 	}
 	return c, nil
