@@ -46,11 +46,7 @@ var axisNames = [...]string{"io-size", "chunk-size", "width", "read-ratio", "loa
 // sweeps; run is the only loop over them.
 type sweep struct {
 	id, title string
-	// reportID heads the report where it is not id: the two load sweeps are
-	// registered under the paper's sub-figure letters but have always printed
-	// as "wo"/"rw", and their captures pin that.
-	reportID string
-	notes    []string
+	notes     []string
 	// base is the array every point builds, one series per comparison system
 	// (all of them on the simulation, dRAID alone on the realtime backend).
 	// variants, when set, replaces that with named setups: the ablations.
@@ -108,9 +104,9 @@ var sweeps = []sweep{
 		axis:  widthAxis, values: widths, ioKB: 128, qd: 64},
 	{id: "fig13", title: "RAID-5 write vs read/write ratio (128 KB, 8 targets)",
 		base: Setup{Targets: 8}, axis: readRatioAxis, values: readPcts, ioKB: 128, qd: 16},
-	{id: "fig14a", reportID: "fig14wo", title: "RAID-5 latency vs bandwidth, write-only (18 targets)",
+	{id: "fig14a", title: "RAID-5 latency vs bandwidth, write-only (18 targets)",
 		base: Setup{Targets: 18}, axis: loadAxis, values: loadQDs, quick: loadQuick, ioKB: 128},
-	{id: "fig14b", reportID: "fig14rw", title: "RAID-5 latency vs bandwidth, 50% read + 50% write (18 targets)",
+	{id: "fig14b", title: "RAID-5 latency vs bandwidth, 50% read + 50% write (18 targets)",
 		base: Setup{Targets: 18}, axis: loadAxis, values: loadQDs, quick: loadQuick, ioKB: 128, readPct: 50},
 	{id: "fig15", title: "RAID-5 degraded read vs I/O size (8 targets, 1 failed)",
 		notes: []string{"1 of 8 reads triggers reconstruction; dRAID ~95% of normal-state read"},
@@ -131,9 +127,9 @@ var sweeps = []sweep{
 		base: Setup{Level: raid.Raid6}, axis: widthAxis, values: widths, ioKB: 128, qd: 64},
 	{id: "fig26", title: "RAID-6 write vs read/write ratio (128 KB)",
 		base: raid6(8), axis: readRatioAxis, values: readPcts, ioKB: 128, qd: 16},
-	{id: "fig27a", reportID: "fig27wo", title: "RAID-6 latency vs bandwidth, write-only (18 targets)",
+	{id: "fig27a", title: "RAID-6 latency vs bandwidth, write-only (18 targets)",
 		base: raid6(18), axis: loadAxis, values: loadQDs, quick: loadQuick, ioKB: 128},
-	{id: "fig27b", reportID: "fig27rw", title: "RAID-6 latency vs bandwidth, 50% read + 50% write (18 targets)",
+	{id: "fig27b", title: "RAID-6 latency vs bandwidth, 50% read + 50% write (18 targets)",
 		base: raid6(18), axis: loadAxis, values: loadQDs, quick: loadQuick, ioKB: 128, readPct: 50},
 	{id: "fig28", title: "RAID-6 degraded read vs I/O size (8 targets, 1 failed)",
 		base: raid6(8, 0), axis: ioSizeAxis, values: smallKB, readPct: 100, qd: readQD},
@@ -255,11 +251,7 @@ func (sw sweep) run(o Options) (Figure, error) {
 		r, err := measure(s, o, ioKB<<10, float64(readPct)/100, qd)
 		return toPoint(float64(v), label, r), err
 	})
-	id := sw.reportID
-	if id == "" {
-		id = sw.id
-	}
-	return Figure{ID: id, Title: sw.title, XLabel: xlabel, Series: out, Notes: sw.notes}, err
+	return Figure{ID: sw.id, Title: sw.title, XLabel: xlabel, Series: out, Notes: sw.notes}, err
 }
 
 // rebuildRate measures full-drive reconstruction throughput: qd rebuild
