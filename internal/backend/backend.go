@@ -16,9 +16,12 @@
 //     doing actual I/O.
 //
 // internal/core, internal/cluster, and internal/repair speak only these
-// interfaces; nothing above this package may assume which substrate is
-// underneath (the simulation-only experiment harness and baselines are the
-// deliberate exception).
+// interfaces, and so do the application stacks, Pool and the experiment
+// harness: nothing above this package may assume which substrate is
+// underneath. The deliberate exception is what reads a simulated quantity —
+// the baselines, and the six experiment IDs built on them or on simulated
+// NICs and cores (table1, fig17a, fig17b, ablation-barrier, ablation-reducer,
+// ablation-colocate).
 package backend
 
 import (

@@ -42,7 +42,8 @@ type File struct {
 	size    int64
 }
 
-// FS is the filesystem.
+// FS is the filesystem. It and its files are confined to the device's
+// runtime: call them from a runtime callback (or inside Runner.Call).
 type FS struct {
 	eng     backend.Runtime
 	dev     blockdev.Device

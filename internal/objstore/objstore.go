@@ -19,7 +19,9 @@ var (
 	ErrFull     = errors.New("objstore: store full")
 )
 
-// Store is a fixed-object-size hash store over a block device.
+// Store is a fixed-object-size hash store over a block device. It is
+// confined to the device's runtime: call it from a runtime callback (or
+// inside Runner.Call).
 type Store struct {
 	eng     backend.Runtime
 	dev     blockdev.Device
