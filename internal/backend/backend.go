@@ -15,13 +15,12 @@
 //     fabric, and memory- or file-backed media — the same protocol code
 //     doing actual I/O.
 //
-// internal/core, internal/cluster, and internal/repair speak only these
-// interfaces, and so do the application stacks, Pool and the experiment
-// harness: nothing above this package may assume which substrate is
-// underneath. The deliberate exception is what reads a simulated quantity —
-// the baselines, and the six experiment IDs built on them or on simulated
-// NICs and cores (table1, fig17a, fig17b, ablation-barrier, ablation-reducer,
-// ablation-colocate).
+// internal/core, internal/cluster, internal/repair, the application stacks,
+// Pool and the experiment harness speak only these interfaces; nothing above
+// this package may assume which substrate is underneath. The deliberate
+// exception is what reads a simulated quantity: the baselines, and the six
+// experiment IDs built on them or on simulated NICs and cores (table1,
+// fig17a/b, ablation-barrier, ablation-reducer, ablation-colocate).
 package backend
 
 import (

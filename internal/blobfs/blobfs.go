@@ -209,8 +209,8 @@ func (f *File) ReadAt(off, n int64, cb func(parity.Buffer, error)) {
 			pos += e.len
 			continue
 		}
-		lo := max64(off, pos)
-		hi := min64(off+n, pos+e.len)
+		lo := max(off, pos)
+		hi := min(off+n, pos+e.len)
 		spans = append(spans, span{devOff: e.off + (lo - pos), len: hi - lo, outOff: lo - off})
 		pos += e.len
 	}
@@ -242,18 +242,4 @@ func (f *File) ReadAt(off, n int64, cb func(parity.Buffer, error)) {
 			}
 		})
 	}
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -106,26 +106,21 @@ func failMember(cl *cluster.Cluster, dev blockdev.Device, m int) {
 
 // load puts keys 0..keys-1 a batch at a time, draining the runtime after
 // every full batch, then settles the store and drains once more. The issue
-// order is pinned by the fig19/fig20 captures: the last, partial batch is
-// NOT drained before settle runs.
-func (s AppStore) load(rt backend.Runner, ops appOps) error {
-	var acked uint64
-	var failed error
-	var k uint64
-	for k < s.keys {
-		end := min(k+s.batch, s.keys)
-		full := end-k == s.batch
+// order is pinned by the fig19 captures: the last, partial batch is NOT
+// drained before settle runs.
+func (s AppStore) load(rt backend.Runner, ops appOps) (err error) {
+	for lo := uint64(0); lo < s.keys; lo += s.batch {
+		hi := min(lo+s.batch, s.keys)
 		rt.Call(func() {
-			for ; k < end; k++ {
-				ops.put(k, func(err error) {
-					if err != nil && failed == nil {
-						failed = err
+			for k := lo; k < hi; k++ {
+				ops.put(k, func(e error) {
+					if e != nil {
+						err = e
 					}
-					acked++
 				})
 			}
 		})
-		if full {
+		if hi-lo == s.batch {
 			rt.Run()
 		}
 	}
@@ -133,12 +128,7 @@ func (s AppStore) load(rt backend.Runner, ops appOps) error {
 		rt.Call(ops.settle)
 	}
 	rt.Run()
-	rt.Call(func() {
-		if failed == nil && acked != s.keys {
-			failed = fmt.Errorf("%d of %d puts completed", acked, s.keys)
-		}
-	})
-	return failed
+	return err
 }
 
 // ycsbLoop drives a closed-loop YCSB run at depth qd and returns KIOPS plus
@@ -150,7 +140,6 @@ func ycsbLoop(rt backend.Runner, gen *ycsb.Generator, o Options, qd int, ops app
 	measureStart := start + sim.Time(o.Ramp)
 	end := measureStart + sim.Time(o.Measure)
 	var done, failed int64
-	var firstErr error
 	lat := hist.New()
 
 	var issue func()
@@ -160,12 +149,11 @@ func ycsbLoop(rt backend.Runner, gen *ycsb.Generator, o Options, qd int, ops app
 		}
 		op := gen.Next()
 		issued := rt.Now()
-		record := func(err error) {
+		record := func(e error) {
 			now := rt.Now()
-			if err != nil {
-				if failed++; firstErr == nil {
-					firstErr = err
-				}
+			if e != nil {
+				failed++
+				err = fmt.Errorf("%d ops failed, the last with: %w", failed, e)
 			} else if now > measureStart && now <= end {
 				done++
 				lat.Record(int64(now - issued))
@@ -184,9 +172,9 @@ func ycsbLoop(rt backend.Runner, gen *ycsb.Generator, o Options, qd int, ops app
 		case ycsb.OpUpdate, ycsb.OpInsert:
 			ops.put(op.Key, record)
 		case ycsb.OpReadModifyWrite:
-			ops.get(op.Key, func(err error) {
-				if err != nil {
-					record(err)
+			ops.get(op.Key, func(e error) {
+				if e != nil {
+					record(e)
 					return
 				}
 				ops.put(op.Key, record)
@@ -206,11 +194,6 @@ func ycsbLoop(rt backend.Runner, gen *ycsb.Generator, o Options, qd int, ops app
 		latUs = lat.Summarize().Mean / 1e3
 	})
 	rt.Run()
-	rt.Call(func() {
-		if failed > 0 {
-			err = fmt.Errorf("%d ops failed, the first with: %w", failed, firstErr)
-		}
-	})
 	return kiops, latUs, err
 }
 

@@ -270,66 +270,48 @@ func rebuildRate(sys System, targets int, o Options, selector string, gbpsList [
 	}
 	lat := hist.New()
 
-	record := func(issued sim.Time) {
-		now := cl.Eng.Now()
-		if now > measureStart && now <= end {
-			res.ReadBytes += geo.ChunkSize
-			res.ReadOps++
-			lat.Record(int64(now - issued))
+	// reconstruct rebuilds the failed member's chunk of stripe s, or reports
+	// that it has nothing to issue there.
+	var reconstruct func(s int64, cb func(parity.Buffer, error)) bool
+	if h, ok := dev.(*core.HostController); ok {
+		reconstruct = func(s int64, cb func(parity.Buffer, error)) bool {
+			h.ReconstructStripeChunk(s, 0, cb)
+			return true
 		}
-	}
-
-	switch h := dev.(type) {
-	case *core.HostController:
-		var issue func()
-		issue = func() {
-			if cl.Eng.Now() >= end {
-				return
-			}
-			s := stripe
-			stripe++
-			issued := cl.Eng.Now()
-			h.ReconstructStripeChunk(s, 0, func(_ parity.Buffer, err error) {
-				if err == nil {
-					record(issued)
-				}
-				issue()
-			})
-		}
-		for i := 0; i < qd; i++ {
-			issue()
-		}
-	default:
-		// Host-centric rebuild: degraded reads of every chunk of the
-		// failed member (the host gathers survivors and XORs).
-		var issue func()
-		issue = func() {
-			if cl.Eng.Now() >= end {
-				return
-			}
-			s := stripe
-			stripe++
-			issued := cl.Eng.Now()
-			// Read the virtual range that maps to the failed member's
-			// chunk in stripe s, if it holds data there.
+	} else {
+		// Host-centric rebuild: a degraded read of the virtual range that maps
+		// to the failed member's chunk (the host gathers survivors and XORs),
+		// where the member holds data in that stripe.
+		reconstruct = func(s int64, cb func(parity.Buffer, error)) bool {
 			kind, idx := geo.Role(s, 0)
-			if kind != raid.KindData {
-				issue()
-				return
+			if kind == raid.KindData {
+				dev.Read(s*geo.StripeDataSize()+int64(idx)*geo.ChunkSize, geo.ChunkSize, cb)
 			}
-			vOff := s*geo.StripeDataSize() + int64(idx)*geo.ChunkSize
-			dev.Read(vOff, geo.ChunkSize, func(_ parity.Buffer, err error) {
-				if err == nil {
-					record(issued)
-				}
-				issue()
-			})
-		}
-		for i := 0; i < qd; i++ {
-			issue()
+			return kind == raid.KindData
 		}
 	}
-	cl.Eng.RunUntil(end)
+	var issue func()
+	issue = func() {
+		for cl.Rt.Now() < end {
+			s, issued := stripe, cl.Rt.Now()
+			stripe++
+			done := func(_ parity.Buffer, err error) {
+				if now := cl.Rt.Now(); err == nil && now > measureStart && now <= end {
+					res.ReadBytes += geo.ChunkSize
+					res.ReadOps++
+					lat.Record(int64(now - issued))
+				}
+				issue()
+			}
+			if reconstruct(s, done) {
+				return
+			}
+		}
+	}
+	for i := 0; i < qd; i++ {
+		issue()
+	}
+	cl.Rt.RunUntil(end)
 	res.ReadLat = lat.Summarize()
 	return res
 }

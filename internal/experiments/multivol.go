@@ -20,37 +20,29 @@ func multivolNoisy(o Options) (Figure, error) {
 	if o.Quick {
 		qds = []int{0, 32}
 	}
-	victim := Series{System: "victim rnd-wr"}
-	aggr := Series{System: "aggressor seq"}
-	victimQ := Series{System: "victim (QoS)"}
-	aggrQ := Series{System: "aggressor (QoS)"}
+	series := []Series{{System: "victim rnd-wr"}, {System: "aggressor seq"}, {System: "victim (QoS)"}, {System: "aggressor (QoS)"}}
 	var notes []string
 	var isoP99 float64
 	for _, qd := range qds {
-		vr, ar, err := noisyPoint(o, qd, false)
-		if err != nil {
-			return Figure{}, err
-		}
 		label := fmt.Sprintf("qd=%d", qd)
-		vp := toPoint(float64(qd), label, vr)
-		vp.Extra = vr.WriteLat.P99 / 1e3 // victim tail is the story here
-		victim.Points = append(victim.Points, vp)
-		aggr.Points = append(aggr.Points, toPoint(float64(qd), label, ar))
-		vq, aq, err := noisyPoint(o, qd, true)
-		if err != nil {
-			return Figure{}, err
+		var p99 [2]float64 // the victim's write tail: shared, then under QoS
+		for i, qos := range []bool{false, true} {
+			v, a, err := noisyPoint(o, qd, qos)
+			if err != nil {
+				return Figure{}, err
+			}
+			vp := toPoint(float64(qd), label, v)
+			vp.Extra = v.WriteLat.P99 / 1e3 // victim tail is the story here
+			series[2*i].Points = append(series[2*i].Points, vp)
+			series[2*i+1].Points = append(series[2*i+1].Points, toPoint(float64(qd), label, a))
+			p99[i] = v.WriteLat.P99
 		}
-		vqp := toPoint(float64(qd), label, vq)
-		vqp.Extra = vq.WriteLat.P99 / 1e3
-		victimQ.Points = append(victimQ.Points, vqp)
-		aggrQ.Points = append(aggrQ.Points, toPoint(float64(qd), label, aq))
 		if qd == 0 {
-			isoP99 = vr.WriteLat.P99
+			isoP99 = p99[0]
 		} else if qd == qds[len(qds)-1] {
 			notes = append(notes,
 				fmt.Sprintf("victim write p99 @qd=%d: isolated %.0fus, shared %.0fus (%.1fx), QoS %.0fus (%.1fx)",
-					qd, isoP99/1e3, vr.WriteLat.P99/1e3, vr.WriteLat.P99/isoP99,
-					vq.WriteLat.P99/1e3, vq.WriteLat.P99/isoP99))
+					qd, isoP99/1e3, p99[0]/1e3, p99[0]/isoP99, p99[1]/1e3, p99[1]/isoP99))
 		}
 	}
 	return Figure{
@@ -58,7 +50,7 @@ func multivolNoisy(o Options) (Figure, error) {
 		Title:      "Noisy neighbor: two volumes sharing one cluster (victim 16K random write vs. aggressor full-stripe sequential write)",
 		XLabel:     "aggr qd",
 		ExtraLabel: "victim wr p99 us",
-		Series:     []Series{victim, aggr, victimQ, aggrQ},
+		Series:     series,
 		Notes: append([]string{
 			"both volumes are RAID-5 over the same 8 drives and share the host NIC",
 			"victim holds qd=" + fmt.Sprint(o.QueueDepth) + " 16K random writes throughout",

@@ -80,8 +80,7 @@ func Table1(o Options) []Table1Row {
 func clusterOverheads(sys System, geo raid.Geometry, seed int64) (wOver, rOver float64) {
 	dev, cl := Build(Setup{System: sys, Targets: geo.Width, Level: geo.Level, ChunkSize: geo.ChunkSize, Seed: seed})
 	return measureOverheads(cl.Eng, dev, geo.ChunkSize, func(m int) { failMember(cl, dev, m) },
-		func() (int64, int64) { return cl.HostNode.BytesOut(), cl.HostNode.BytesIn() },
-		cl.ResetTraffic, geo)
+		cl.TotalHostBytes, cl.ResetTraffic, geo)
 }
 
 // measureOverheads performs one single-chunk RMW write and one degraded

@@ -47,7 +47,7 @@ func writebackPoint(o Options, size int64, staged bool) (Point, error) {
 	arr, err := draid.New(draid.Config{
 		Backend: o.Backend, Realtime: o.Realtime,
 		Drives: 8, ChunkSize: 64 << 10, Seed: o.Seed,
-		SizeOnly:      !o.realtime() || o.Realtime.Dir == "", // file media need real bytes
+		SizeOnly:      o.Realtime.Dir == "", // file media need real bytes
 		DriveCapacity: 1 << 30,
 		WriteBack:     staged,
 	})

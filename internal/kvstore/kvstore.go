@@ -211,10 +211,7 @@ func executor(rt backend.Runtime) backend.Executor {
 	if ep, ok := rt.(backend.EngineProvider); ok {
 		return cpu.NewCore(ep.SimEngine())
 	}
-	if ex, ok := rt.(backend.Executor); ok {
-		return ex
-	}
-	panic("kvstore: runtime provides neither a sim engine nor an executor")
+	return rt.(backend.Executor)
 }
 
 // Stats returns a snapshot of counters.
@@ -373,7 +370,7 @@ func (db *DB) writeSequential(f *blobfs.File, total int64, cb func(error)) {
 		db.eng.Defer(func() { cb(nil) })
 		return
 	}
-	n := min64(db.cfg.FlushChunk, total)
+	n := min(db.cfg.FlushChunk, total)
 	f.Append(parity.Sized(int(n)), func(err error) {
 		if err != nil {
 			cb(err)
@@ -391,7 +388,7 @@ func (db *DB) readSequential(f *blobfs.File, cb func(error)) {
 			cb(nil)
 			return
 		}
-		n := min64(db.cfg.FlushChunk, f.Size()-off)
+		n := min(db.cfg.FlushChunk, f.Size()-off)
 		f.ReadAt(off, n, func(_ parity.Buffer, err error) {
 			if err != nil {
 				cb(err)
@@ -551,10 +548,3 @@ func (db *DB) Flush() {
 
 // Levels reports (immutables, L0 tables, L1 tables) for tests.
 func (db *DB) Levels() (imm, l0, l1 int) { return len(db.imm), len(db.l0), len(db.l1) }
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}

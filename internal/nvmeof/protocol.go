@@ -293,13 +293,10 @@ func Decode(b []byte) (Command, error) {
 	}
 	c.SGL = read(n1)
 	c.SGL2 = read(n2)
-	switch {
-	case len(rest) == 0:
-	case len(rest) != 8:
-		return c, fmt.Errorf("nvmeof: %d trailing bytes after the sg-lists, want none or an 8-byte epoch", len(rest))
-	case le.Uint64(rest) == 0:
-		return c, fmt.Errorf("nvmeof: epoch extension present but zero")
-	default:
+	if len(rest) != 0 {
+		if len(rest) != 8 || le.Uint64(rest) == 0 {
+			return c, fmt.Errorf("nvmeof: %d bytes after the sg-lists, want none or a non-zero 8-byte epoch", len(rest))
+		}
 		c.Epoch = le.Uint64(rest)
 	}
 	return c, nil

@@ -17,8 +17,7 @@ import (
 type PoolConfig struct {
 	// Backend and Realtime select the substrate the pool and every volume on
 	// it run on, as on Config (default: the simulation). A realtime pool
-	// rejects what a realtime array rejects — Observe.Trace, DrivesPerServer
-	// above 1, a volume's ReducerBWAware — and must be Closed.
+	// rejects what a realtime array rejects, and must be Closed.
 	Backend  BackendKind
 	Realtime RealtimeOptions
 	// Drives is the number of shared member drives (default 8). Every
@@ -149,9 +148,7 @@ func NewPool(cfg PoolConfig) (*Pool, error) {
 	return p, nil
 }
 
-// Close releases the shared testbed and every volume on it: a no-op on the
-// simulation; on the realtime backend it stops the node loops, closes the
-// transport and removes file-backed media.
+// Close releases the shared testbed under every volume (see Array.Close).
 func (p *Pool) Close() error { return p.cl.Close() }
 
 // VolumeConfig describes one virtual array on a shared pool.
@@ -248,16 +245,11 @@ func (p *Pool) Now() time.Duration { return time.Duration(p.cl.Rt.Now()) }
 // physical fault degrading N tenants at once.
 func (p *Pool) FailDrive(i int) {
 	p.cl.FailTarget(i)
-	p.cl.Rt.Call(func() {
-		for _, a := range p.arrays {
-			if i < a.host.Drives() {
-				a.host.SetFailed(i, true)
-				if a.sup != nil {
-					a.sup.NotifyFailed(i)
-				}
-			}
+	for _, a := range p.arrays {
+		if i < a.DriveCount() {
+			a.FailDrive(i)
 		}
-	})
+	}
 }
 
 // AddDrive grows the pool by one drive: it claims an idle hot-spare
@@ -267,18 +259,19 @@ func (p *Pool) FailDrive(i int) {
 // Returns the new drive index immediately; WaitRebalance observes
 // convergence. Fixed-layout volumes are unaffected — their windows stay
 // where they are.
-func (p *Pool) AddDrive() (idx int, err error) {
-	p.cl.Rt.Call(func() {
-		var grow []*Array
-		if grow, err = p.declustered("AddDrive"); err != nil {
-			return
-		}
+func (p *Pool) AddDrive() (int, error) {
+	grow, err := p.declustered("AddDrive")
+	if err != nil {
+		return 0, err
+	}
+	idx := -1
+	p.pending = grow
+	p.cl.Rt.Call(func() { // the spare pool belongs to the supervisors' loop
 		node, ok := p.cl.Spares.Claim()
 		if !ok {
 			err = fmt.Errorf("draid: no spare endpoint left to add")
 			return
 		}
-		p.pending = grow
 		for _, a := range grow {
 			if idx, err = a.sup.AddDrive(node); err != nil {
 				return
@@ -290,7 +283,6 @@ func (p *Pool) AddDrive() (idx int, err error) {
 
 // declustered lists the volumes a drive add or removal acts on: every
 // declustered one, each of which needs a supervisor to run the migration.
-// Runs inside the host's execution domain.
 func (p *Pool) declustered(what string) (vols []*Array, err error) {
 	for _, a := range p.arrays {
 		if !a.host.Declustered() {
@@ -311,23 +303,19 @@ func (p *Pool) declustered(what string) (vols []*Array, err error) {
 // retires it — online shrink. Returns immediately; WaitRebalance observes
 // the drains. Fails if any volume's fixed window covers the drive, since a
 // fixed layout cannot give it up.
-func (p *Pool) RemoveDrive(i int) (err error) {
-	p.cl.Rt.Call(func() {
-		for _, a := range p.arrays {
-			if !a.host.Declustered() && i < a.host.Drives() {
-				err = fmt.Errorf("draid: RemoveDrive: fixed-layout volume %q stripes over drive %d: %w", a.vol.Name, i, ErrUnsupported)
-				return
-			}
+func (p *Pool) RemoveDrive(i int) error {
+	for _, a := range p.arrays {
+		if !a.host.Declustered() && i < a.DriveCount() {
+			return fmt.Errorf("draid: RemoveDrive: fixed-layout volume %q stripes over drive %d: %w", a.vol.Name, i, ErrUnsupported)
 		}
-		var drain []*Array
-		drain, err = p.declustered("RemoveDrive")
-		p.pending = drain
-		for _, a := range drain {
-			if err = a.sup.RemoveDrive(i); err != nil {
-				return
-			}
+	}
+	drain, err := p.declustered("RemoveDrive")
+	p.pending = drain
+	for _, a := range drain {
+		if err = a.RemoveDrive(i); err != nil {
+			break
 		}
-	})
+	}
 	return err
 }
 

@@ -24,7 +24,6 @@ var belowTheSeam = []string{
 	"internal/core/host.go", "internal/core/offload.go", "internal/core/fabric.go",
 	"draid.go:New", // the offload client (§7), a simulated node
 	"internal/experiments/experiments.go:build", // the SPDK/Linux baseline arm
-	"internal/experiments/figures.go:rebuildRate",
 	"internal/experiments/table1.go",
 }
 
