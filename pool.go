@@ -244,7 +244,7 @@ func (p *Pool) Now() time.Duration { return time.Duration(p.cl.Rt.Now()) }
 // and notifies each affected volume's controller and supervisor — one
 // physical fault degrading N tenants at once.
 func (p *Pool) FailDrive(i int) {
-	p.cl.FailTarget(i)
+	p.cl.FailTarget(i) // whether or not a volume stripes over it; failing twice is harmless
 	for _, a := range p.arrays {
 		if i < a.DriveCount() {
 			a.FailDrive(i)
