@@ -64,8 +64,6 @@ type Spec struct {
 	Seed int64
 	// Elide runs the data plane size-only (benchmark mode).
 	Elide bool
-	// Trace receives protocol events from all controllers when non-nil.
-	Trace func(format string, args ...any)
 	// Observe enables the structured virtual-time tracing subsystem: spans
 	// from NICs, drives, and controllers plus periodic gauge samples.
 	Observe bool
@@ -254,7 +252,6 @@ func New(spec Spec) *Cluster {
 			Pipelined:     spec.Pipelined,
 			BarrierReduce: spec.BarrierReduce,
 			Integrity:     spec.Integrity,
-			Trace:         spec.Trace,
 		}
 		if tracer.Enabled() {
 			scfg.Tracer = tracer
@@ -300,9 +297,6 @@ func (c *Cluster) resolveConfig(cfg core.Config) core.Config {
 	}
 	if cfg.Costs == (cpu.Costs{}) {
 		cfg.Costs = c.Costs
-	}
-	if cfg.Trace == nil {
-		cfg.Trace = c.spec.Trace
 	}
 	if cfg.Tracer == nil {
 		cfg.Tracer = c.Tracer

@@ -36,8 +36,6 @@ type RealtimeSpec struct {
 	Integrity bool
 	// Pipelined controls the §5.3 server-side pipeline.
 	Pipelined bool
-	// Trace receives protocol events from all controllers when non-nil.
-	Trace func(format string, args ...any)
 }
 
 // NewRealtime assembles a real-time cluster: a Bed of node loops, a channel
@@ -82,7 +80,7 @@ func NewRealtime(spec RealtimeSpec) (*Cluster, error) {
 		spec: Spec{
 			Targets: spec.Targets, Spares: spec.Spares, Seed: spec.Seed,
 			Pipelined: spec.Pipelined, Integrity: spec.Integrity,
-			Elide: spec.SizeOnly, Trace: spec.Trace,
+			Elide: spec.SizeOnly,
 		},
 	}
 
@@ -114,7 +112,7 @@ func NewRealtime(spec RealtimeSpec) (*Cluster, error) {
 		c.Drives = append(c.Drives, drive)
 		scfg := core.ServerConfig{
 			Costs: costs, Pipelined: spec.Pipelined,
-			Integrity: spec.Integrity, Trace: spec.Trace,
+			Integrity: spec.Integrity,
 		}
 		c.Servers = append(c.Servers, core.NewServer(core.NodeID(i), rt, fab, drive, rt, scfg))
 	}

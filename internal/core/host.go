@@ -114,8 +114,6 @@ type Config struct {
 	// lease must not be extended. Nil self-renews (the watchdog only fires
 	// on explicit revocation then).
 	RenewLease func() bool
-	// Trace, when non-nil, receives protocol events.
-	Trace func(format string, args ...any)
 	// Tracer, when enabled, records structured stripe-op and per-member RPC
 	// spans plus a host-core utilization gauge. Nil disables.
 	Tracer *trace.Collector
@@ -545,12 +543,6 @@ func (h *HostController) reportFault(member int, confirmed bool) {
 func (h *HostController) reportOK(member int) {
 	if h.health != nil && member >= 0 && member < len(h.memberNode) {
 		h.health.ObserveOK(member)
-	}
-}
-
-func (h *HostController) trace(format string, args ...any) {
-	if h.cfg.Trace != nil {
-		h.cfg.Trace("[host %8s] "+format, append([]any{h.rt.Now()}, args...)...)
 	}
 }
 

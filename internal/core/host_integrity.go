@@ -71,7 +71,6 @@ func (h *HostController) recordLost(stripe int64, member int, lo, hi int64) {
 	v := stripe*h.geo.StripeDataSize() + int64(idx)*h.geo.ChunkSize + lo
 	h.lost.Add(v, hi-lo)
 	h.lostEver++
-	h.trace("lost region: stripe %d member %d [%d,+%d)", stripe, member, lo, hi-lo)
 }
 
 // recordShortfall reports whether err is a mediaShortfall — bytes given up to
@@ -331,7 +330,6 @@ func (h *HostController) repairChunkRange(stripe int64, member int, lo, hi int64
 						h.writeMembers("repair-write", stripe, []memberWrite{{member, lo, buf}},
 							func() {
 								h.stats.RepairedRanges++
-								h.trace("repaired stripe %d member %d [%d,+%d)", stripe, member, lo, hi-lo)
 								release(nil)
 							},
 							func([]NodeID) {

@@ -245,7 +245,6 @@ func (h *HostController) writeTimeoutHandler(stripe int64, exts []raid.Extent, d
 		for _, m := range missing {
 			h.failNode(m)
 		}
-		h.trace("stripe %d write retry (down: %v)", stripe, missing)
 		h.retryAfter(attempt, func() {
 			h.stripeWrite(stripe, exts, data, attempt+1, done)
 		})

@@ -30,7 +30,6 @@ func (h *HostController) startLeaseWatchdog() {
 			expiry = h.rt.Now() + sim.Time(d)
 		} else if h.rt.Now() >= expiry {
 			h.stats.LeaseExpiries++
-			h.trace("lease expired; standing down")
 			h.standDown(blockdev.ErrFenced)
 			return
 		}
@@ -51,7 +50,6 @@ func (h *HostController) standDown(cause error) {
 	}
 	h.fenced = true
 	h.fenceErr = cause
-	h.trace("stood down: %v", cause)
 }
 
 // fenceError wraps the stand-down cause for one refused operation.

@@ -35,8 +35,6 @@ type ServerConfig struct {
 	// does not perturb timing until a fault is actually caught. Requires a
 	// data-storing drive.
 	Integrity bool
-	// Trace, when non-nil, receives protocol events.
-	Trace func(format string, args ...any)
 	// Tracer, when enabled, records capsule-arrival instants on TraceTrack
 	// (registered by the cluster wiring). Nil disables.
 	Tracer     *trace.Collector
@@ -223,7 +221,6 @@ func (s *ServerController) readVerified(off, n int64, cb func(parity.Buffer, err
 		if err == nil && s.integ != nil {
 			if badOff, badLen, ok := s.integ.Verify(off, n, s.drive.Capacity(), s.peek); !ok {
 				s.checksumErrors++
-				s.trace("checksum mismatch at [%d,+%d)", badOff, badLen)
 				b.Release()
 				cb(parity.Buffer{}, &backend.MediaError{Off: badOff, N: badLen})
 				return
@@ -348,16 +345,9 @@ func mediaStatus(err error, off, length int64) (nvmeof.Status, int64, int64) {
 	return nvmeof.StatusError, off, length
 }
 
-func (s *ServerController) trace(format string, args ...any) {
-	if s.cfg.Trace != nil {
-		s.cfg.Trace("[t%d %8s] "+format, append([]any{int(s.id), s.rt.Now()}, args...)...)
-	}
-}
-
 // handle dispatches an incoming capsule after per-message CPU processing.
 func (s *ServerController) handle(m Message) {
 	s.core.Exec(s.cfg.Costs.PerMsg, func() {
-		s.trace("recv %v from %d", m.Cmd.String(), int(m.From))
 		if t := s.cfg.Tracer; t.Enabled() {
 			t.Instant(s.cfg.TraceTrack, "rpc", m.Cmd.SpanName()+"←"+fromName(m.From),
 				trace.I64("id", int64(m.Cmd.ID)))
@@ -366,7 +356,6 @@ func (s *ServerController) handle(m Message) {
 			// A straggler from a fenced (dead) controller session — a
 			// command still in the fabric when the fence arrived, or a peer
 			// contribution triggered by one. Drop it; its issuer is gone.
-			s.trace("drop fenced %v", m.Cmd.String())
 			m.Payload.Release()
 			return
 		}
@@ -397,7 +386,6 @@ func (s *ServerController) admitEpoch(m Message) bool {
 		// another bdev relaying the stale host's work, and the stale host's
 		// own anchor command earns the typed answer.
 		atomic.AddInt64(&s.staleRejects, 1)
-		s.trace("reject stale epoch %d (current %d): %v", e, cur, m.Cmd.String())
 		if m.Cmd.Opcode != nvmeof.OpPeer {
 			s.complete(m.From, vol, m.Cmd.ID, e, nvmeof.StatusStaleEpoch, 0, 0, parity.Buffer{})
 		}
@@ -426,7 +414,6 @@ func (s *ServerController) admitEpoch(m Message) bool {
 // in flight, a barrier holds the volume's traffic until they land — the same
 // guarantee an explicit OpFence gives, without requiring one to arrive.
 func (s *ServerController) bumpEpoch(vol uint32, e uint64) {
-	s.trace("epoch bump vol %d: %d -> %d", vol, s.epochs[vol], e)
 	s.epochs[vol] = e
 	for _, st := range s.reduces {
 		if st.vol == vol && st.epoch < e {
@@ -585,13 +572,11 @@ func (s *ServerController) sendContribution(cmd nvmeof.Command, contrib parity.B
 		qContrib = contrib.Clone() // two reducers: each owns its copy, taken before the first is handed off
 	}
 	if cmd.NextDest != NoDest {
-		s.trace("fwd contribution [%d,%d) to t%d", fo, fo+fl, cmd.NextDest)
 		s.fab.Send(s.id, NodeID(cmd.NextDest), peer, contrib)
 	}
 	if cmd.NextDest2 != NoDest {
 		qPeer := peer
 		qPeer.DataIdx = cmd.DataIdx // reducer scales by g^DataIdx
-		s.trace("fwd Q contribution [%d,%d) to t%d", fo, fo+fl, cmd.NextDest2)
 		s.fab.Send(s.id, NodeID(cmd.NextDest2), qPeer, qContrib)
 	}
 }
@@ -986,7 +971,6 @@ func (s *ServerController) handleReconstruction(m Message) {
 			FwdOffset: cmd.FwdOffset, FwdLength: cmd.FwdLength,
 			DataIdx: cmd.DataIdx,
 		}
-		s.trace("recon contribution [%d,%d) to t%d", cmd.FwdOffset, cmd.FwdOffset+cmd.FwdLength, cmd.NextDest)
 		s.fab.Send(s.id, NodeID(cmd.NextDest), peer, contrib)
 	})
 }

@@ -148,7 +148,6 @@ func (h *HostController) beginOpDeadline(kind string, stripe int64, deadline sim
 				silent = append(silent, c.to)
 			}
 		}
-		h.trace("op id=%d timed out; down=%v silent=%v", op.id, down, silent)
 		// Evidence attribution: a confirmed-down participant explains the
 		// whole stall (peer chains run through it), so silent peers are NOT
 		// blamed — charging them unconfirmed strikes would let one dead node
@@ -216,8 +215,6 @@ func (h *HostController) complete(m Message) (tookPayload bool) {
 		// the ID sequence, so without this check a zombie's completion
 		// could settle (or fail) the replacement's op of the same ID.
 		h.stats.ForeignCompletions++
-		h.trace("drop foreign-epoch completion id=%d epoch=%d (ours %d)",
-			m.Cmd.ID, m.Cmd.Epoch, h.cfg.Epoch)
 		return false
 	}
 	op, ok := h.inflight[m.Cmd.ID]
@@ -226,7 +223,6 @@ func (h *HostController) complete(m Message) (tookPayload bool) {
 	}
 	c := op.admit(m.From, m.Cmd)
 	if c == nil {
-		h.trace("drop completion id=%d from t%d sub=%v: not owed", m.Cmd.ID, int(m.From), m.Cmd.Subtype)
 		return false
 	}
 	c.answered = true
@@ -239,8 +235,6 @@ func (h *HostController) complete(m Message) (tookPayload bool) {
 		// paths fall back and re-drive the stripe.
 		h.stats.MediaErrors++
 		member := h.memberOf(m.From)
-		h.trace("completion id=%d from t%d media-error [%d,+%d)",
-			m.Cmd.ID, int(m.From), m.Cmd.Offset, m.Cmd.Length)
 		h.reportOK(member)
 		if op.onMediaErr != nil {
 			// Health evidence above is per drive; the hook works in the
@@ -259,14 +253,12 @@ func (h *HostController) complete(m Message) (tookPayload bool) {
 		// failure path reports the typed error) and never charge the
 		// bdev fault evidence for doing its job.
 		h.stats.StaleEpochRejects++
-		h.trace("completion id=%d from t%d stale-epoch: standing down", m.Cmd.ID, int(m.From))
 		h.reportOK(h.memberOf(m.From))
 		h.standDown(blockdev.ErrStaleEpoch)
 		h.failOp(op, nil)
 		return false
 	}
 	if m.Cmd.Status != nvmeof.StatusSuccess {
-		h.trace("completion id=%d from t%d status=%v", m.Cmd.ID, int(m.From), m.Cmd.Status)
 		h.reportFault(h.memberOf(m.From), true)
 		h.failOp(op, []NodeID{m.From})
 		return false
@@ -278,7 +270,6 @@ func (h *HostController) complete(m Message) (tookPayload bool) {
 	}
 	c.owes &^= 1 << m.Cmd.Subtype
 	op.owed--
-	h.trace("completion id=%d from t%d owed=%d", m.Cmd.ID, int(m.From), op.owed)
 	if op.owed == 0 {
 		h.finishOp(op)
 	}
