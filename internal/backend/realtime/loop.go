@@ -9,13 +9,30 @@
 // written under; cross-node interaction happens only through the transport,
 // which posts deliveries onto the destination loop.
 //
+// Run queue: a loop's queue holds task records, not closures — a plain fn
+// (Defer, Exec, a fired timer) or a capsule delivery (destination, message,
+// wire size) — so queueing a task and delivering a capsule allocate nothing.
+// The loop goroutine takes the whole pending batch under the loop's mutex,
+// runs it unlocked, zeroes each slot as it goes (a drained slot must not pin
+// a payload or a user's read buffer) and keeps the emptied buffer as the
+// next spare; producers wake it only when they make an empty queue
+// non-empty. What protocol code may rely on is strict FIFO per loop: tasks
+// run in the order they were posted to that loop, whoever posted them, and a
+// task posted while a batch runs (a self-post included) runs in the next
+// batch, after everything queued before it. Exec and Defer therefore never
+// run fn before they return — callers finish their own bookkeeping first, as
+// on the simulation, which is why Exec is queued and not run inline.
+//
 // Quiescence: Run() must block exactly while protocol work is outstanding,
 // like the simulation's foreground event count. A shared foreground-token
 // counter implements this: every posted loop task, in-flight drive
 // operation, undelivered transport message, and armed foreground timer holds
-// one token from creation until its work completes. An operation on a failed
-// drive takes no token (it will never complete — its op deadline, itself a
-// foreground timer, is what keeps Run waiting). Background timers take none.
+// one token from creation until its work completes. The counter is atomic;
+// a loop returns the tokens of a batch in one step after the batch, and only
+// the step that brings the count to zero takes the lock Run() sleeps under.
+// An operation on a failed drive takes no token (it will never complete —
+// its op deadline, itself a foreground timer, is what keeps Run waiting).
+// Background timers take none.
 //
 // Unlike the simulation, nothing here is deterministic: goroutine
 // interleaving, wall-clock jitter, and TCP scheduling vary run to run. Only
@@ -26,28 +43,44 @@ package realtime
 import (
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"draid/internal/backend"
 	"draid/internal/sim"
 )
 
-// loop is one node's event loop: a goroutine draining a FIFO task queue.
+// task is one queued unit of loop work: a plain fn, or — when ep is set — the
+// delivery of msg to endpoint 'to' of that transport. fg marks a task that
+// carries a foreground token, which the loop returns after the task's batch.
+type task struct {
+	fn   func()
+	ep   *endpoints
+	to   backend.NodeID
+	wire int64
+	msg  backend.Message
+	fg   bool
+}
+
+// loop is one node's event loop: a goroutine draining a FIFO queue of task
+// records in batches.
 type loop struct {
+	bed    *Bed
 	mu     sync.Mutex
 	cond   *sync.Cond
-	q      []func()
+	q      []task // pending, in post order
 	closed bool
 }
 
-func newLoop() *loop {
-	l := &loop{}
+func newLoop(b *Bed) *loop {
+	l := &loop{bed: b}
 	l.cond = sync.NewCond(&l.mu)
 	go l.run()
 	return l
 }
 
 func (l *loop) run() {
+	var batch []task // the buffer drained last turn, empty: next turn's l.q
 	for {
 		l.mu.Lock()
 		for len(l.q) == 0 && !l.closed {
@@ -57,23 +90,37 @@ func (l *loop) run() {
 			l.mu.Unlock()
 			return
 		}
-		fn := l.q[0]
-		l.q = l.q[1:]
+		batch, l.q = l.q, batch[:0]
 		l.mu.Unlock()
-		fn()
+		fg := 0
+		for i := range batch {
+			t := &batch[i]
+			if t.ep != nil {
+				t.ep.deliver(t.to, t.msg, t.wire)
+			} else {
+				t.fn()
+			}
+			if t.fg {
+				fg++
+			}
+			*t = task{}
+		}
+		l.bed.release(fg)
 	}
 }
 
-// post enqueues fn, reporting false when the loop is closed (the caller must
-// release any foreground token it meant the task to carry).
-func (l *loop) post(fn func()) bool {
+// push enqueues t, reporting false when the loop is closed. Only the push
+// that makes the queue non-empty signals: the loop sleeps on nothing else.
+func (l *loop) push(t task) bool {
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()
 		return false
 	}
-	l.q = append(l.q, fn)
-	l.cond.Signal()
+	l.q = append(l.q, t)
+	if len(l.q) == 1 {
+		l.cond.Signal()
+	}
 	l.mu.Unlock()
 	return true
 }
@@ -92,9 +139,10 @@ func (l *loop) close() {
 type Bed struct {
 	start time.Time
 
-	mu     sync.Mutex
+	fg atomic.Int64 // foreground tokens outstanding
+
+	mu     sync.Mutex // guards closed; Run sleeps on cond under it
 	cond   *sync.Cond
-	fg     int
 	closed bool
 
 	host  *NodeRuntime
@@ -109,10 +157,10 @@ func NewBed(seed int64, n int) *Bed {
 	}
 	b := &Bed{start: time.Now()}
 	b.cond = sync.NewCond(&b.mu)
-	b.host = &NodeRuntime{bed: b, loop: newLoop(), rng: rand.New(rand.NewSource(seed))}
+	b.host = &NodeRuntime{bed: b, loop: newLoop(b), rng: rand.New(rand.NewSource(seed))}
 	for i := 0; i < n; i++ {
 		b.nodes = append(b.nodes, &NodeRuntime{
-			bed: b, loop: newLoop(), rng: rand.New(rand.NewSource(seed + int64(i) + 1)),
+			bed: b, loop: newLoop(b), rng: rand.New(rand.NewSource(seed + int64(i) + 1)),
 		})
 	}
 	return b
@@ -129,30 +177,38 @@ func (b *Bed) NodeRuntime(id backend.NodeID) *NodeRuntime {
 
 func (b *Bed) loopFor(id backend.NodeID) *loop { return b.NodeRuntime(id).loop }
 
-// hold takes a foreground token; release returns it, waking Run when the
-// count reaches zero.
-func (b *Bed) hold() {
-	b.mu.Lock()
-	b.fg++
-	b.mu.Unlock()
-}
+// hold takes a foreground token.
+func (b *Bed) hold() { b.fg.Add(1) }
 
-func (b *Bed) release() {
-	b.mu.Lock()
-	b.fg--
-	if b.fg <= 0 {
+// release returns n tokens. Only the return that empties the counter takes
+// mu, and it broadcasts under it: Run checks the counter under the same lock
+// before it sleeps, so it cannot miss the wake-up.
+func (b *Bed) release(n int) {
+	if n > 0 && b.fg.Add(-int64(n)) == 0 {
+		b.mu.Lock()
 		b.cond.Broadcast()
+		b.mu.Unlock()
 	}
-	b.mu.Unlock()
 }
 
-// postFG posts fn to l as foreground work: a token is held until the task
-// finishes (or is dropped because the loop closed).
+// post queues t on l. A foreground record travels with a token its poster
+// already holds; on a closed loop the record is dropped here — the token
+// returned, a delivery's payload released.
+func (b *Bed) post(l *loop, t task) {
+	if l.push(t) {
+		return
+	}
+	if t.fg {
+		b.release(1)
+	}
+	t.msg.Payload.Release()
+}
+
+// postFG posts fn to l as foreground work: a token is held until the batch
+// that ran the task finishes (or the task is dropped because the loop closed).
 func (b *Bed) postFG(l *loop, fn func()) {
 	b.hold()
-	if !l.post(func() { fn(); b.release() }) {
-		b.release()
-	}
+	b.post(l, task{fn: fn, fg: true})
 }
 
 // rtTimer is a wall-clock timer whose callback runs on its node's loop. The
@@ -182,14 +238,7 @@ func (b *Bed) newTimer(l *loop, d sim.Duration, fn func(), fg bool) backend.Time
 		tm.out = true
 		tm.mu.Unlock()
 		// The token transfers from "armed" to "queued task" without a gap.
-		if !l.post(func() {
-			fn()
-			if fg {
-				b.release()
-			}
-		}) && fg {
-			b.release()
-		}
+		b.post(l, task{fn: fn, fg: fg})
 	})
 	return tm
 }
@@ -204,7 +253,7 @@ func (tm *rtTimer) Stop() bool {
 	tm.mu.Unlock()
 	tm.t.Stop()
 	if tm.fg {
-		tm.bed.release()
+		tm.bed.release(1)
 	}
 	return true
 }
@@ -218,9 +267,9 @@ type NodeRuntime struct {
 	rng  *rand.Rand
 }
 
-func (n *NodeRuntime) Now() sim.Time     { return sim.Time(time.Since(n.bed.start)) }
-func (n *NodeRuntime) Defer(fn func())   { n.bed.postFG(n.loop, fn) }
-func (n *NodeRuntime) Rand() *rand.Rand  { return n.rng }
+func (n *NodeRuntime) Now() sim.Time    { return sim.Time(time.Since(n.bed.start)) }
+func (n *NodeRuntime) Defer(fn func())  { n.bed.postFG(n.loop, fn) }
+func (n *NodeRuntime) Rand() *rand.Rand { return n.rng }
 
 func (n *NodeRuntime) After(d sim.Duration, fn func()) backend.Timer {
 	return n.bed.newTimer(n.loop, d, fn, true)
@@ -246,7 +295,7 @@ func (b *Bed) Exec(d sim.Duration, fn func())                  { b.host.Exec(d, 
 // Run blocks until no foreground work remains (or the bed is closed).
 func (b *Bed) Run() {
 	b.mu.Lock()
-	for b.fg > 0 && !b.closed {
+	for b.fg.Load() > 0 && !b.closed {
 		b.cond.Wait()
 	}
 	b.mu.Unlock()
@@ -273,8 +322,8 @@ func (b *Bed) RunUntil(t sim.Time) {
 func (b *Bed) Call(fn func()) {
 	done := make(chan struct{})
 	b.hold()
-	if !b.host.loop.post(func() { fn(); close(done); b.release() }) {
-		b.release()
+	if !b.host.loop.push(task{fn: func() { fn(); close(done) }, fg: true}) {
+		b.release(1)
 		fn()
 		return
 	}

@@ -28,10 +28,11 @@ import (
 // reads into a fresh buffer that its handler owns.
 //
 // Quiescence across the wire: the sender takes a foreground token before the
-// socket write and the receiver releases it after the delivery task runs (or
-// the frame is dropped). The tokens are a shared counter, so any release
-// pairs with any hold; what matters is that a frame buffered in the kernel
-// still counts as outstanding work.
+// socket write; the receiver hands it to the delivery record it queues, and
+// the destination loop returns it after the batch that ran the delivery (a
+// dropped frame returns it at once). The tokens are a shared counter, so any
+// release pairs with any hold; what matters is that a frame buffered in the
+// kernel still counts as outstanding work.
 type TCPTransport struct {
 	endpoints
 	bed *Bed
@@ -139,25 +140,21 @@ func (t *TCPTransport) readLoop(id backend.NodeID, c net.Conn) {
 		}
 		if integrity.Checksum(cmdBytes) != sum {
 			atomic.AddInt64(&t.corruptDrops, 1)
-			t.bed.release() // the sender's hold for this frame
+			t.bed.release(1) // the sender's hold for this frame
 			continue
 		}
 		cmd, err := nvmeof.Decode(cmdBytes)
 		if err != nil {
 			atomic.AddInt64(&t.corruptDrops, 1)
-			t.bed.release()
+			t.bed.release(1)
 			continue
 		}
-		wire := int64(len(cmdBytes)) + int64(payloadLen) + wireHeaderBytes
-		vol := backend.VolumeID(cmd.NSID)
-		// The sender's token transfers to the delivery task; postFG takes its
-		// own, so release the sender's once the task (or drop) is accounted.
-		t.bed.postFG(t.bed.loopFor(id), func() {
-			if h := t.accept(id, vol, wire); h != nil {
-				h(backend.Message{Cmd: cmd, Payload: payload, From: from})
-			}
+		// The sender's token travels on with the delivery record.
+		t.bed.post(t.bed.loopFor(id), task{
+			ep: &t.endpoints, to: id, fg: true,
+			wire: int64(len(cmdBytes)) + int64(payloadLen) + wireHeaderBytes,
+			msg:  backend.Message{Cmd: cmd, Payload: payload, From: from},
 		})
-		t.bed.release()
 	}
 }
 
@@ -214,11 +211,11 @@ func (t *TCPTransport) Send(from, to backend.NodeID, cmd nvmeof.Command, payload
 	hdr = le.AppendUint32(hdr, uint32(payload.Len()))
 	tc.hdr = hdr
 	for i := 0; i < copies; i++ {
-		t.bed.hold() // released by the receiver after delivery (or on error below)
+		t.bed.hold() // returned by the destination loop after delivery (or on error below)
 		tc.vec = [2][]byte{hdr, payload.Data()}
 		tc.bufs = tc.vec[:]
 		if _, err := tc.bufs.WriteTo(tc.c); err != nil {
-			t.bed.release()
+			t.bed.release(1)
 		}
 	}
 }

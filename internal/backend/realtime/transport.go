@@ -165,6 +165,18 @@ func (e *endpoints) accept(to backend.NodeID, vol backend.VolumeID, wire int64) 
 	return e.handlers[to]
 }
 
+// deliver runs one queued delivery on the destination's loop, for either
+// transport: the handler takes the message and owns its payload, or — the
+// destination went down after admission, or has no handler — the message
+// vanishes and the transport, its last owner, releases the payload.
+func (e *endpoints) deliver(to backend.NodeID, m backend.Message, wire int64) {
+	if h := e.accept(to, backend.VolumeID(m.Cmd.NSID), wire); h != nil {
+		h(m)
+	} else {
+		m.Payload.Release()
+	}
+}
+
 // vol returns (creating on demand) a volume's traffic record. Callers hold mu.
 func (e *endpoints) vol(id backend.VolumeID) *volTraffic {
 	t, ok := e.volBytes[id]
@@ -199,8 +211,8 @@ func (e *endpoints) ResetTraffic() {
 	e.mu.Unlock()
 }
 
-// ChanTransport moves capsules between node loops in-process: a Send posts a
-// delivery task onto the destination's loop. The payload is not copied — the
+// ChanTransport moves capsules between node loops in-process: a Send queues a
+// delivery record on the destination's loop. The payload is not copied — the
 // receiving handler gets the sender's buffer and owns it from then on
 // (backend.Transport's ownership rule); only an injected duplicate is cloned,
 // so each delivery can be released on its own. The message holds a
@@ -237,12 +249,10 @@ func (t *ChanTransport) Send(from, to backend.NodeID, cmd nvmeof.Command, payloa
 
 // post queues one delivery on the destination's loop.
 func (t *ChanTransport) post(from, to backend.NodeID, cmd nvmeof.Command, payload parity.Buffer, wire int64) {
-	t.bed.postFG(t.bed.loopFor(to), func() {
-		if h := t.accept(to, backend.VolumeID(cmd.NSID), wire); h != nil {
-			h(backend.Message{Cmd: cmd, Payload: payload, From: from})
-		} else {
-			payload.Release()
-		}
+	t.bed.hold()
+	t.bed.post(t.bed.loopFor(to), task{
+		ep: &t.endpoints, to: to, wire: wire, fg: true,
+		msg: backend.Message{Cmd: cmd, Payload: payload, From: from},
 	})
 }
 

@@ -253,3 +253,55 @@ func TestTransportPayloadOwnership(t *testing.T) {
 		run(t, tr, bed, false)
 	})
 }
+
+// TestTransportsDropAlike: a capsule whose destination goes down after the
+// sender was admitted, or has no handler at all, vanishes the same way on
+// both transports — no handler runs, the pooled payload goes back, and the
+// message's token is returned so Run() does not wait for it.
+func TestTransportsDropAlike(t *testing.T) {
+	host, n0, n1 := backend.HostID, backend.NodeID(0), backend.NodeID(1)
+	run := func(t *testing.T, tr sendTransport, bed *Bed) {
+		rec := newRecorder()
+		tr.Register(n0, rec.handler) // n1 stays unregistered
+		pool := parity.NewPool()
+		for _, c := range []struct {
+			what string
+			to   backend.NodeID
+			down bool
+		}{
+			{"destination down after admission", n0, true},
+			{"destination has no handler", n1, false},
+		} {
+			// Hold the destination's loop so the delivery is still queued
+			// when the endpoint goes down.
+			gate := make(chan struct{})
+			bed.NodeRuntime(c.to).Defer(func() { <-gate })
+			tr.Send(host, c.to, testCmd(1), pool.Get(8))
+			tr.SetDown(c.to, c.down)
+			close(gate)
+			runReturns(t, bed, c.what)
+			tr.SetDown(c.to, false)
+			if st := pool.Stats(); st.Outstanding() != 0 {
+				t.Errorf("%s: payload not released: %+v", c.what, st)
+			}
+			if rec.count() != 0 {
+				t.Errorf("%s: %d messages reached a handler", c.what, rec.count())
+			}
+		}
+	}
+	t.Run("chan", func(t *testing.T) {
+		bed := NewBed(1, 2)
+		defer bed.Close()
+		run(t, NewChanTransport(bed, 2), bed)
+	})
+	t.Run("tcp", func(t *testing.T) {
+		bed := NewBed(1, 2)
+		defer bed.Close()
+		tr, err := NewTCPTransport(bed, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tr.Close()
+		run(t, tr, bed)
+	})
+}
