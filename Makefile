@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race benchcheck verify bench trace torture chaos loc
+.PHONY: all build test vet race benchcheck verify bench trace torture chaos loc allocs
 
 all: build
 
@@ -35,6 +35,17 @@ loc:
 # pass flags with ARGS, e.g. `make bench ARGS="--workload rt-read-128k"`).
 bench:
 	bash benchmark/run.sh $(ARGS)
+
+# Where the hot path's heap objects come from: the tier-1 alloc test (128 KiB
+# reads, full-stripe writes, random 4 KiB writes on the realtime datapath)
+# under a 4 KiB-rate heap profile, top 25 sites by objects allocated. The test
+# binary and the profile go to a temp dir; nothing is written into the tree.
+# An object-count PR starts from this table, not from a guess.
+allocs:
+	@d=$$(mktemp -d) && trap 'rm -rf "$$d"' EXIT && \
+	$(GO) test -count=1 -run 'TestRealtimeAllocBytesPerUserByte$$' -o "$$d/draid.test" \
+		-memprofile "$$d/mem.prof" -memprofilerate 4096 . && \
+	$(GO) tool pprof -sample_index=alloc_objects -top -nodecount 25 "$$d/draid.test" "$$d/mem.prof"
 
 # Demo: degraded-read trace, Perfetto-loadable JSON + flame summary.
 trace:

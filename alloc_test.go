@@ -1,6 +1,7 @@
 package draid_test
 
 import (
+	"math/rand"
 	"runtime"
 	"testing"
 
@@ -13,13 +14,16 @@ import (
 // a write takes — and every other hop hands buffers on or recycles them.
 // Clone a payload at one more hop and the ratio for that direction rises by
 // 1.0, well past these ceilings (steady state measures ≈1.05 and ≈1.2; the
-// stripe-write ceiling also covers the 1/7 parity chunk).
+// stripe-write ceiling also covers the 1/7 parity chunk; random 4 KiB writes
+// measure ≈2.15, the per-op records weighing more against so small a payload).
 //
 // It guards the object count the same way: heap objects allocated per user
 // op (runtime.MemStats.Mallocs), ceilings 20 % over what this tree measures
-// (≈109 per 128 KiB read, ≈296 per full-stripe write), so a per-op map,
-// closure or capsule copy added to the hot path fails here — and a claim to
-// have removed some starts from a floor the suite can see.
+// (≈59 per 128 KiB read, ≈106 per full-stripe write, ≈63 per random 4 KiB
+// write — the read-modify-write path, 5 capsules an op and almost no
+// payload), so a per-op map, a closure or wrapper per queued task, an eager
+// format or a capsule copy added to the message path fails here — and a
+// claim to have removed some starts from a floor the suite can see.
 func TestRealtimeAllocBytesPerUserByte(t *testing.T) {
 	if testing.Short() {
 		t.Skip("drives ~90 MiB through a realtime array")
@@ -30,6 +34,8 @@ func TestRealtimeAllocBytesPerUserByte(t *testing.T) {
 		stripes = 64
 		readLen = 128 << 10
 		reads   = 256
+		small   = 4 << 10
+		smalls  = 1024
 	)
 	arr, err := draid.New(draid.Config{
 		Backend: draid.BackendRealtime, Drives: 8, ChunkSize: chunk, DriveCapacity: stripes * chunk,
@@ -54,6 +60,15 @@ func TestRealtimeAllocBytesPerUserByte(t *testing.T) {
 			}
 		}
 	}
+	smallData := randBytes(10, small)
+	smallAll := func() {
+		rng := rand.New(rand.NewSource(11))
+		for i := 0; i < smalls; i++ {
+			if err := arr.WriteSync(rng.Int63n(stripes*stripe/small)*small, smallData); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
 	// allocated runs fn and returns the heap bytes it allocated per user byte
 	// and the heap objects per op.
 	allocated := func(userBytes, ops int64, fn func()) (perByte, perOp float64) {
@@ -69,6 +84,7 @@ func TestRealtimeAllocBytesPerUserByte(t *testing.T) {
 	// lists; steady state is what the rule is about.
 	writeAll()
 	readAll()
+	smallAll()
 
 	for _, c := range []struct {
 		what      string
@@ -77,8 +93,9 @@ func TestRealtimeAllocBytesPerUserByte(t *testing.T) {
 		ceiling   float64 // heap bytes per user byte
 		objects   float64 // heap objects per op
 	}{
-		{"128 KiB reads", reads * readLen, reads, readAll, 1.25, 131},
-		{"full-stripe writes", stripes * stripe, stripes, writeAll, 1.40, 355},
+		{"128 KiB reads", reads * readLen, reads, readAll, 1.25, 71},
+		{"full-stripe writes", stripes * stripe, stripes, writeAll, 1.40, 128},
+		{"random 4 KiB writes", smalls * small, smalls, smallAll, 2.60, 76},
 	} {
 		got, objs := allocated(c.user, c.ops, c.run)
 		t.Logf("%s: %.3f heap bytes allocated per user byte, %.1f heap objects per op", c.what, got, objs)

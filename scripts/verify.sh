@@ -53,7 +53,7 @@ go run ./cmd/draid-chaos -seeds 2 -steps 4 -wb -teeth
 
 if [ "${FULL:-0}" = "1" ]; then
     make torture
-    go test -run '^$' -bench . -benchtime 1x ./internal/gf256 ./internal/parity .
+    go test -run '^$' -bench . -benchtime 1x ./internal/gf256 ./internal/parity ./internal/backend/realtime .
     # The one erasure decoder under the fuzzer: random width, length and
     # erasure set against the originals and ComputePQ.
     go test -run '^$' -fuzz FuzzSolveStripe -fuzztime 10s ./internal/parity
