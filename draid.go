@@ -1622,16 +1622,17 @@ func (a *Array) FailoverHost() (int, error) {
 	if _, offloaded := a.dev.(*core.OffloadClient); offloaded {
 		return 0, fmt.Errorf("draid: host failover with an offloaded controller is not supported")
 	}
-	var dirty []int64
+	var wait func() (int, error)
 	a.call(func() {
 		old := a.host
 		old.Crash()
 		a.regrantEpoch()
 		replacement := a.cl.NewDRAID(a.hostCfg) // takes over the fabric endpoint
-		dirty = replacement.Adopt(old)
+		dirty := replacement.Adopt(old)
 		a.rebind(replacement)
+		wait = a.resyncDirty(dirty)
 	})
-	return a.resyncDirty(dirty)
+	return wait()
 }
 
 // SeizeHost brings up a replacement controller WITHOUT crashing the current
@@ -1654,15 +1655,16 @@ func (a *Array) SeizeHost() (int, error) {
 	if a.hostCfg.Epoch == 0 {
 		return 0, fmt.Errorf("draid: SeizeHost requires EpochFencing: %w", ErrUnsupported)
 	}
-	var dirty []int64
+	var wait func() (int, error)
 	a.call(func() {
 		old := a.host
 		a.regrantEpoch()
 		replacement := a.cl.NewDRAID(a.hostCfg) // takes over the fabric endpoint
-		dirty = replacement.Seize(old)
+		dirty := replacement.Seize(old)
 		a.rebind(replacement)
+		wait = a.resyncDirty(dirty)
 	})
-	return a.resyncDirty(dirty)
+	return wait()
 }
 
 // regrantEpoch advances the stored host config to the next cluster-granted
@@ -1692,16 +1694,22 @@ func (a *Array) rebind(replacement *core.HostController) {
 	}
 }
 
-// resyncDirty runs the §5.4 failover resync over the adopted dirty stripes.
-func (a *Array) resyncDirty(dirty []int64) (int, error) {
+// resyncDirty starts the §5.4 failover resync over the adopted dirty stripes
+// and returns the wait for it. It runs inside call(), in the turn that
+// rebound the array, so the fence is out before anything else — a repair
+// walk's timer, another goroutine's I/O — can reach the replacement; wait
+// runs outside it.
+func (a *Array) resyncDirty(dirty []int64) (wait func() (int, error)) {
 	var ferr error
 	done := false
 	repair.Failover(a.cl.Rt, a.host, dirty, func(err error) { ferr, done = err, true })
-	a.cl.Rt.Run()
-	if !done {
-		return 0, fmt.Errorf("draid: failover resync stalled")
+	return func() (int, error) {
+		a.cl.Rt.Run()
+		if !done {
+			return 0, fmt.Errorf("draid: failover resync stalled")
+		}
+		return len(dirty), ferr
 	}
-	return len(dirty), ferr
 }
 
 // HostTraffic returns the client-side NIC (outbound, inbound) bytes since

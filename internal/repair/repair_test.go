@@ -566,6 +566,41 @@ func TestForegroundServiceDuringRebuild(t *testing.T) {
 
 // --- Host failover ----------------------------------------------------------
 
+// TestFailoverFencesBeforeItServes: the fence is out by the time Failover
+// returns, so whatever reaches the replacement next — here a degraded read,
+// in the field the next chunk of a supervised rebuild, asked of the new
+// controller by a timer — gets an ID above the fence's. Issued ahead of the
+// fence, its reduction would be severed with the dead session's ("every ID
+// below mine") and the op would time out unanswered.
+func TestFailoverFencesBeforeItServes(t *testing.T) {
+	cl, h := testCluster(t, 5, 0, raid.Raid5)
+	geo := h.Geometry()
+	stripeBytes := int64(geo.DataChunks()) * chunkSize
+	ref := randBytes(21, int(2*stripeBytes))
+	mustWrite(t, cl, h, 0, ref)
+	cl.FailTarget(1)
+	h.SetFailed(1, true)
+	h.Crash()
+	h2 := cl.NewDRAID(core.Config{Geometry: geo, Deadline: 5 * sim.Millisecond})
+	adopted := h2.Adopt(h)
+
+	ferr := errors.New("not done")
+	repair.Failover(cl.Rt, h2, adopted, func(err error) { ferr = err })
+	var got []byte
+	rdErr := errors.New("not done")
+	h2.Read(0, 2*stripeBytes, func(b parity.Buffer, err error) { got, rdErr = b.Data(), err })
+	cl.Rt.Run()
+	if ferr != nil {
+		t.Fatalf("failover: %v", ferr)
+	}
+	if rdErr != nil || !bytes.Equal(got, ref) {
+		t.Fatalf("degraded read issued right behind the fence: err %v, right bytes %v", rdErr, bytes.Equal(got, ref))
+	}
+	if st := h2.Stats(); st.Timeouts != 0 {
+		t.Fatalf("%d ops of the replacement timed out: its own fence cut them down", st.Timeouts)
+	}
+}
+
 // A controller crash mid-write loses in-flight state; the replacement adopts
 // the array, resyncs exactly the stripes the write-intent bitmap marked
 // dirty, and resumes service with parity consistent.
