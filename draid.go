@@ -74,7 +74,8 @@ var (
 	// satisfy. Reads overlapping a recorded lost region also match it.
 	ErrMediaError = blockdev.ErrMediaError
 	// ErrUnsupported reports an operation the array's backend cannot perform —
-	// for example, media-fault injection on file-backed realtime drives.
+	// for example, a timing-model feature on the realtime backend, a fabric
+	// fault on a transport without the hook, or bit rot on a SizeOnly array.
 	ErrUnsupported = backend.ErrUnsupported
 	// ErrNoCapacity reports a volume allocation that exceeds the drives'
 	// remaining capacity (Pool.OpenVolume past the allocation cursor).
@@ -123,8 +124,9 @@ type RealtimeOptions struct {
 	// command checksum verification) instead of in-process channels.
 	TCP bool
 	// Dir backs each drive with a sparse file under this directory instead
-	// of memory. File-backed drives do not support media-fault injection:
-	// the injection APIs return ErrUnsupported. Ignored with SizeOnly.
+	// of memory — the only memory/file selector. A file-backed drive has the
+	// same fault model as a memory one and takes every injection. Ignored
+	// with SizeOnly.
 	Dir string
 }
 
@@ -259,9 +261,9 @@ type SlowProfile struct {
 	// for Stall out of every Period.
 	Period, Stall time.Duration
 	// Base overrides the synthetic per-op latency the realtime backend
-	// inflates (its memory drives complete instantly otherwise). Default
-	// 100µs. Ignored by the simulation, which inflates its calibrated
-	// drive model instead.
+	// inflates (its drives, memory- or file-backed, have no timing model and
+	// complete on the next loop turn otherwise). Default 100µs. Ignored by
+	// the simulation, which inflates its calibrated drive model instead.
 	Base time.Duration
 	// Jitter scales the inflation by ±Jitter uniformly at random (seeded).
 	Jitter float64
@@ -1291,8 +1293,10 @@ func (a *Array) LostRegions() []LostRegion {
 }
 
 // Injector is the fault-injection surface of an array, obtained from
-// Array.Inject. Media-level injections report ErrUnsupported on backends
-// whose drives lack media hooks (for example, file-backed realtime drives).
+// Array.Inject. Drive faults — media errors, bit rot, latent errors, slow
+// drives — work on every backend, because every drive runs on the same
+// media model; only BitRot on a SizeOnly array and the fabric faults on a
+// transport without the hook report ErrUnsupported.
 type Injector struct {
 	a *Array
 }
@@ -1304,22 +1308,20 @@ func (a *Array) Inject() Injector { return Injector{a: a} }
 // [off, off+n): the member drives backing those bytes fail reads of the
 // affected sectors with a media-error status until something rewrites them.
 // With Integrity enabled, array reads still succeed via parity
-// reconstruction and the damage is repaired in place (repair-on-read).
+// reconstruction and the damage is repaired in place (repair-on-read). A
+// range outside the device reports ErrOutOfRange and injects nothing.
 func (in Injector) MediaError(off, n int64) error {
-	return in.a.injectOnRange(off, n, func(mi backend.MediaInjector, dOff, dLen int64) {
-		mi.InjectMediaError(dOff, dLen)
-	}, false)
+	return in.a.injectOnRange(off, n, false, backend.Drive.InjectMediaError)
 }
 
 // BitRot silently corrupts the stored bytes under the virtual byte range
 // [off, off+n). Without Integrity the rot is served to readers as-is (the
 // silent-corruption baseline); with Integrity the per-block checksums catch
 // it and reads are satisfied via reconstruction, then repaired. Requires
-// stored data: on a SizeOnly array it reports ErrUnsupported.
+// stored data: on a SizeOnly array it reports ErrUnsupported. A range
+// outside the device reports ErrOutOfRange and injects nothing.
 func (in Injector) BitRot(off, n int64) error {
-	return in.a.injectOnRange(off, n, func(mi backend.MediaInjector, dOff, dLen int64) {
-		mi.InjectBitRot(dOff, dLen)
-	}, true)
+	return in.a.injectOnRange(off, n, true, backend.Drive.InjectBitRot)
 }
 
 // LatentErrorRate gives every member drive a spontaneous URE rate: each
@@ -1329,19 +1331,12 @@ func (in Injector) BitRot(off, n int64) error {
 // Config.Seed, so runs are reproducible. Pass 0 to stop.
 func (in Injector) LatentErrorRate(rate float64) error {
 	a := in.a
-	var err error
 	a.call(func() {
 		for m := 0; m < a.host.Drives(); m++ {
-			node := int(a.host.MemberNode(m))
-			mi, ok := a.cl.Drives[node].(backend.MediaInjector)
-			if !ok {
-				err = fmt.Errorf("draid: latent-error injection: %w", ErrUnsupported)
-				return
-			}
-			mi.SetLatentErrorRate(rate, a.seed+int64(m)*7919)
+			a.cl.Drives[int(a.host.MemberNode(m))].SetLatentErrorRate(rate, a.seed+int64(m)*7919)
 		}
 	})
-	return err
+	return nil
 }
 
 // SlowDrive installs (or, with a SlowNone profile, clears) a deterministic
@@ -1350,8 +1345,6 @@ func (in Injector) LatentErrorRate(rate float64) error {
 // profile scales the calibrated drive model's service rate and access
 // latency; on the realtime backend it inflates a synthetic per-op latency
 // (see SlowProfile.Base). Jitter is seeded per drive from Config.Seed.
-// Reports ErrUnsupported on backends whose drives lack the hook (for
-// example, file-backed realtime drives).
 func (in Injector) SlowDrive(i int, p SlowProfile) error {
 	a := in.a
 	var err error
@@ -1360,12 +1353,7 @@ func (in Injector) SlowDrive(i int, p SlowProfile) error {
 			err = fmt.Errorf("draid: slow-drive injection: member %d out of range", i)
 			return
 		}
-		si, ok := a.cl.Drives[int(a.host.MemberNode(i))].(backend.SlowInjector)
-		if !ok {
-			err = fmt.Errorf("draid: slow-drive injection: %w", ErrUnsupported)
-			return
-		}
-		si.SetSlowProfile(p.toBackend(), a.seed+int64(i)*7919+104729)
+		a.cl.Drives[int(a.host.MemberNode(i))].SetSlowProfile(p.toBackend(), a.seed+int64(i)*7919+104729)
 	})
 	return err
 }
@@ -1529,32 +1517,26 @@ func (in Injector) FailDrive(i int) { in.a.FailDrive(i) }
 func (in Injector) CrashDrive(i int) { in.a.CrashDrive(i) }
 
 // injectOnRange maps a virtual byte range to the member drives and per-drive
-// offsets backing it, following rebuild-time member moves onto spares. It
-// reports ErrUnsupported — without partial effect — when any backing drive
-// lacks media hooks (or stored data, when needStore is set).
-func (a *Array) injectOnRange(off, n int64, fn func(backend.MediaInjector, int64, int64), needStore bool) error {
-	var err error
+// offsets backing it, following rebuild-time member moves onto spares, and
+// applies fn to each piece. A range outside the device — which the layout
+// would map onto other volumes' extents — reports ErrOutOfRange, and drives
+// without stored data report ErrUnsupported when needStore is set; either
+// way nothing is injected.
+func (a *Array) injectOnRange(off, n int64, needStore bool, fn func(backend.Drive, int64, int64)) error {
+	if off < 0 || n < 0 || n > a.Size()-off {
+		return fmt.Errorf("draid: fault injection [%d,+%d) outside the %d-byte device: %w", off, n, a.Size(), ErrOutOfRange)
+	}
+	if needStore && !a.cl.Drives[0].StoresData() {
+		return fmt.Errorf("draid: bit-rot injection without stored data: %w", ErrUnsupported)
+	}
 	a.call(func() {
-		geo := a.host.Geometry()
-		lay := a.host.Layout()
-		extents := geo.Split(off, n)
-		targets := make([]backend.MediaInjector, len(extents))
-		for i, e := range extents {
-			member := geo.DataDrive(e.Stripe, e.Chunk)
-			drive := lay.Drive(e.Stripe, member)
-			d := a.cl.Drives[int(a.host.MemberNode(drive))]
-			mi, ok := d.(backend.MediaInjector)
-			if !ok || (needStore && !d.StoresData()) {
-				err = fmt.Errorf("draid: media-fault injection: %w", ErrUnsupported)
-				return
-			}
-			targets[i] = mi
-		}
-		for i, e := range extents {
-			fn(targets[i], lay.StripeBase(e.Stripe)+e.Off, e.Len)
+		geo, lay := a.host.Geometry(), a.host.Layout()
+		for _, e := range geo.Split(off, n) {
+			drive := lay.Drive(e.Stripe, geo.DataDrive(e.Stripe, e.Chunk))
+			fn(a.cl.Drives[int(a.host.MemberNode(drive))], lay.StripeBase(e.Stripe)+e.Off, e.Len)
 		}
 	})
-	return err
+	return nil
 }
 
 // HostEpoch returns the controller's cluster-granted membership epoch

@@ -15,6 +15,10 @@
 //     fabric, and memory- or file-backed media — the same protocol code
 //     doing actual I/O.
 //
+// Both backends' drives are a timing model over the one Medium defined here
+// — what a drive holds and how it fails — so every drive on every backend
+// takes every drive-fault injection with the same semantics.
+//
 // internal/core, internal/cluster, internal/repair, the application stacks,
 // Pool and the experiment harness speak only these interfaces; nothing above
 // this package may assume which substrate is underneath. The deliberate
@@ -246,7 +250,8 @@ type Drive interface {
 	// runs — bytes reach the media at completion, not at submission — so the
 	// caller must leave b unmodified and unreleased until then. (A drive may
 	// copy earlier; the simulated SSD does.) A failed drive never calls cb
-	// and so never gives the buffer back.
+	// and so never gives the buffer back. An elided b stores nothing: the
+	// range keeps the bytes it held.
 	Write(off int64, b parity.Buffer, cb func(error))
 	// Trim discards [off, off+n): subsequent reads return zeros. Like a
 	// write, it clears media-error state over the range.
@@ -262,6 +267,24 @@ type Drive interface {
 	Failed() bool
 	// Stats returns operation counters.
 	Stats() DriveStats
+
+	// InjectMediaError marks [off, off+n) unreadable until rewritten.
+	InjectMediaError(off, n int64)
+	// InjectBitRot silently corrupts the stored bytes of [off, off+n).
+	// Requires stored data.
+	InjectBitRot(off, n int64)
+	// SetLatentErrorRate gives each read op probability rate of developing
+	// a new unreadable range; the draw uses a private source seeded here.
+	SetLatentErrorRate(rate float64, seed int64)
+	// MediaErrorRanges returns the currently unreadable ranges.
+	MediaErrorRanges() []integrity.Span
+	// SetSlowProfile installs (or, with Kind SlowNone, clears) the drive's
+	// latency-inflation profile. seed feeds the profile's private jitter
+	// source so injection stays reproducible.
+	SetSlowProfile(p SlowProfile, seed int64)
+	// SlowProfileInstalled returns the active profile (Kind SlowNone when
+	// healthy).
+	SlowProfileInstalled() SlowProfile
 }
 
 // SlowKind names a grey-failure latency profile: the drive keeps answering
@@ -353,36 +376,6 @@ func (p SlowProfile) BaseLatency() sim.Duration {
 	return 100 * sim.Microsecond
 }
 
-// SlowInjector is the optional grey-failure surface of a Drive: backends
-// that cannot model latency inflation (for example the file-backed realtime
-// drive) simply do not implement it, and callers surface ErrUnsupported
-// after a failed type assertion.
-type SlowInjector interface {
-	// SetSlowProfile installs (or, with Kind SlowNone, clears) the drive's
-	// latency-inflation profile. seed feeds the profile's private jitter
-	// source so injection stays reproducible.
-	SetSlowProfile(p SlowProfile, seed int64)
-	// SlowProfileInstalled returns the active profile (Kind SlowNone when
-	// healthy).
-	SlowProfileInstalled() SlowProfile
-}
-
-// MediaInjector is the optional fault-injection surface of a Drive. Backends
-// without media-error hooks (for example the file-backed real-time drive)
-// simply do not implement it; callers detect that with a type assertion and
-// surface ErrUnsupported.
-type MediaInjector interface {
-	// InjectMediaError marks [off, off+n) unreadable until rewritten.
-	InjectMediaError(off, n int64)
-	// InjectBitRot silently corrupts the stored bytes of [off, off+n).
-	InjectBitRot(off, n int64)
-	// SetLatentErrorRate gives each read op probability rate of developing
-	// a new unreadable range; the draw uses a private source seeded here.
-	SetLatentErrorRate(rate float64, seed int64)
-	// MediaErrorRanges returns the currently unreadable ranges.
-	MediaErrorRanges() []integrity.Span
-}
-
 // BufferAccounting is the optional leak-check surface of anything that owns
 // a parity.Pool (realtime drives, server controllers): after a run drains,
 // BufferStats().Outstanding() counts the buffers some owner never released.
@@ -391,7 +384,8 @@ type BufferAccounting interface {
 }
 
 // ErrUnsupported reports an operation the active backend cannot perform —
-// for example, media-error injection on a drive without media hooks.
+// a fabric fault on a transport without the hook, or bit rot on drives that
+// store no bytes.
 var ErrUnsupported = errors.New("backend: operation not supported by this backend")
 
 // ErrMediaError is an unrecoverable read error (URE): the drive is alive and

@@ -1,12 +1,13 @@
 // Package conformancetest is the cross-backend contract suite: every
 // Transport/Drive backend must expose identical application-visible
 // semantics — healthy round trips, degraded reads, rebuild, media errors,
-// context cancellation — even though the substrates (virtual time vs.
-// goroutines and wall clocks) share no code below the protocol layer.
+// bit rot, slow drives, context cancellation — even though the substrates
+// (virtual time vs. goroutines and wall clocks) share nothing below the
+// protocol layer but the drives' media model (backend.Medium).
 //
-// Backends that cannot support a scenario (for example, media-fault
-// injection on file-backed drives) must report draid.ErrUnsupported from the
-// injection APIs; the suite then skips that scenario rather than failing it.
+// Every drive-fault scenario runs on every backend. The fabric faults are
+// the one exception: a transport without partition or duplication hooks
+// reports draid.ErrUnsupported, and the suite skips what needs them.
 package conformancetest
 
 import (
@@ -65,16 +66,16 @@ func closeDrained(t *testing.T, a *draid.Array) {
 	}
 }
 
-// stallDrives installs, on every drive that can take one, a stall profile
-// that parks operations in the drive's queue — so a write's payload is still
-// being held by some server well after its capsule arrived.
+// stallDrives installs, on every drive, a stall profile that parks
+// operations in the drive's queue — so a write's payload is still being held
+// by some server well after its capsule arrived.
 func stallDrives(t *testing.T, a *draid.Array) {
 	t.Helper()
 	for i := 0; i < a.DriveCount(); i++ {
 		err := a.Inject().SlowDrive(i, draid.SlowProfile{
 			Kind: draid.SlowStall, Stall: 5 * time.Millisecond, Period: 10 * time.Millisecond,
 		})
-		if err != nil && !errors.Is(err, draid.ErrUnsupported) {
+		if err != nil {
 			t.Fatalf("stall member %d: %v", i, err)
 		}
 	}
@@ -102,7 +103,7 @@ func duplicateCommand(t *testing.T, a *draid.Array, member int) {
 func calm(t *testing.T, a *draid.Array) {
 	t.Helper()
 	for i := 0; i < a.DriveCount(); i++ {
-		if err := a.Inject().SlowDrive(i, draid.SlowProfile{}); err != nil && !errors.Is(err, draid.ErrUnsupported) {
+		if err := a.Inject().SlowDrive(i, draid.SlowProfile{}); err != nil {
 			t.Fatalf("clear stall on member %d: %v", i, err)
 		}
 	}
@@ -344,9 +345,6 @@ func Run(t *testing.T, f Factory) {
 		// Stay within one chunk: a range crossing members of one stripe
 		// would be a genuine double fault on every backend.
 		if err := a.Inject().MediaError(8<<10, 4<<10); err != nil {
-			if errors.Is(err, draid.ErrUnsupported) {
-				t.Skipf("backend does not support media injection: %v", err)
-			}
 			t.Fatalf("inject media error: %v", err)
 		}
 		got, err := a.ReadSync(0, int64(len(want)))
@@ -368,9 +366,6 @@ func Run(t *testing.T, f Factory) {
 			t.Fatalf("write: %v", err)
 		}
 		if err := a.Inject().BitRot(4<<10, 8<<10); err != nil {
-			if errors.Is(err, draid.ErrUnsupported) {
-				t.Skipf("backend does not support bit-rot injection: %v", err)
-			}
 			t.Fatalf("inject bit rot: %v", err)
 		}
 		got, err := a.ReadSync(0, int64(len(want)))
@@ -400,9 +395,6 @@ func Run(t *testing.T, f Factory) {
 		if err := a.Inject().SlowDrive(1, draid.SlowProfile{
 			Kind: draid.SlowStall, Stall: 2 * time.Second, Period: 2 * time.Second,
 		}); err != nil {
-			if errors.Is(err, draid.ErrUnsupported) {
-				t.Skipf("backend does not support slow-drive injection: %v", err)
-			}
 			t.Fatalf("inject slow drive: %v", err)
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), 500*time.Millisecond)
@@ -741,11 +733,7 @@ func Run(t *testing.T, f Factory) {
 			t.Fatalf("priming write: %v", err)
 		}
 		p := geo.PDrive(1)
-		mi, ok := a.Cluster().Drives[p].(backend.MediaInjector)
-		if !ok {
-			t.Skip("drive cannot inject media errors")
-		}
-		mi.InjectMediaError(geo.DriveOffset(1), geo.ChunkSize)
+		a.Cluster().Drives[p].InjectMediaError(geo.DriveOffset(1), geo.ChunkSize)
 		duplicateCommand(t, a, p)
 		patch := pattern(41, 3000)
 		writeAndScribble(t, a, 70<<10, patch) // chunk 0 of stripe 1

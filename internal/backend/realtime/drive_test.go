@@ -24,7 +24,7 @@ func TestDriveReadBuffersRecycle(t *testing.T) {
 	defer file.Close()
 	for name, d := range map[string]backend.Drive{"mem": NewMemDrive(rt, 1<<20, true), "file": file} {
 		t.Run(name, func(t *testing.T) {
-			const n = 96 << 10 // one and a half MemDrive pages
+			const n = 96 << 10 // one and a half pages of the memory store
 			read := func(off int64) parity.Buffer {
 				var got parity.Buffer
 				d.Read(off, n, func(b parity.Buffer, err error) {

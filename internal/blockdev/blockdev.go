@@ -13,9 +13,10 @@ import (
 	"draid/internal/sim"
 )
 
-// Errors common to all devices.
+// Errors common to all devices. ErrOutOfRange is the drives' own
+// (backend.ErrOutOfRange): one sentinel for an access past any capacity.
 var (
-	ErrOutOfRange = errors.New("blockdev: access beyond device size")
+	ErrOutOfRange = backend.ErrOutOfRange
 	ErrIO         = errors.New("blockdev: i/o error")
 	ErrTimeout    = errors.New("blockdev: operation timed out")
 )

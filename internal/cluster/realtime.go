@@ -26,9 +26,9 @@ type RealtimeSpec struct {
 	// TCP routes capsules over loopback TCP sockets instead of in-process
 	// channels.
 	TCP bool
-	// Dir stores each drive as a sparse file under this directory; empty
-	// keeps media in memory. File-backed drives do not support media-fault
-	// injection (backend.ErrUnsupported). Ignored when SizeOnly.
+	// Dir stores each drive's bytes in a sparse file under this directory;
+	// empty keeps them in memory. Either way the drive has the same fault
+	// model and takes every injection. Ignored when SizeOnly.
 	Dir string
 	// SizeOnly elides payload bytes (benchmark mode).
 	SizeOnly bool
@@ -84,28 +84,28 @@ func NewRealtime(spec RealtimeSpec) (*Cluster, error) {
 		},
 	}
 
-	var files []*realtime.FileDrive
+	path := func(i int) string { return filepath.Join(spec.Dir, fmt.Sprintf("drive%d.img", i)) }
+	var files []*realtime.Drive // drive i's file is path(i)
 	cleanup := func() {
 		if closeTransport != nil {
 			closeTransport()
 		}
 		bed.Close()
-		for _, fd := range files {
-			fd.Close()
-			os.Remove(fd.Path())
+		for i, d := range files {
+			d.Close()
+			os.Remove(path(i))
 		}
 	}
 	for i := 0; i < width; i++ {
 		rt := bed.NodeRuntime(backend.NodeID(i))
-		var drive backend.Drive
+		var drive *realtime.Drive
 		if spec.Dir != "" && !spec.SizeOnly {
-			fd, err := realtime.NewFileDrive(rt, filepath.Join(spec.Dir, fmt.Sprintf("drive%d.img", i)), spec.DriveCapacity)
-			if err != nil {
+			var err error
+			if drive, err = realtime.NewFileDrive(rt, path(i), spec.DriveCapacity); err != nil {
 				cleanup()
 				return nil, fmt.Errorf("cluster: file drive %d: %w", i, err)
 			}
-			files = append(files, fd)
-			drive = fd
+			files = append(files, drive)
 		} else {
 			drive = realtime.NewMemDrive(rt, spec.DriveCapacity, !spec.SizeOnly)
 		}

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"draid/internal/backend"
 	"draid/internal/blockdev"
 	"draid/internal/cluster"
 	"draid/internal/core"
@@ -626,7 +625,7 @@ func TestRaid6DataPlusPFailureRead(t *testing.T) {
 				t.Fatalf("host inbound = %.2f× user bytes, want ≤ 1.05×", ratio)
 			}
 
-			cl.Drives[h.Geometry().DataDrive(0, 2)].(backend.MediaInjector).InjectMediaError(h.Geometry().DriveOffset(0)+chunkSize-4096, 4096)
+			cl.Drives[h.Geometry().DataDrive(0, 2)].InjectMediaError(h.Geometry().DriveOffset(0)+chunkSize-4096, 4096)
 			rerr := errors.New("pending")
 			h.Read(tc.off, tc.n, func(_ parity.Buffer, err error) { rerr = err })
 			cl.Eng.Run()

@@ -46,7 +46,7 @@ func TestHedgeSolvesStragglerThroughRemainingParity(t *testing.T) {
 				failMember(cl, h, h.Geometry().PDrive(0))
 			}
 			slow := h.Geometry().DataDrive(0, 1)
-			cl.Drives[slow].(backend.SlowInjector).SetSlowProfile(backend.SlowProfile{Kind: backend.SlowConstant, Factor: 100}, 1)
+			cl.Drives[slow].SetSlowProfile(backend.SlowProfile{Kind: backend.SlowConstant, Factor: 100}, 1)
 			reads := driveReadOps(cl)
 			got := mustRead(t, cl, h, tc.off, tc.n)
 			if !bytes.Equal(got, data[tc.off:tc.off+tc.n]) {

@@ -1,7 +1,10 @@
 // Package ssd models an NVMe solid-state drive at the fidelity the dRAID
-// evaluation needs: a finite service rate that reads and writes share, a
-// per-operation access latency that overlaps across queued operations, real
-// byte storage for correctness tests, and fault injection.
+// evaluation needs: a finite service rate that reads and writes share, and a
+// per-operation access latency that overlaps across queued operations. What
+// the drive holds and how it fails — bytes, fail state, media errors, bit
+// rot, latent errors, the grey-failure profile — is the backend.Medium it
+// embeds, the same one the realtime drives run on; this package adds only
+// time.
 //
 // Service time (size/rate) occupies the drive's internal bandwidth FIFO;
 // access latency is added after service and does not consume bandwidth, so
@@ -9,12 +12,9 @@
 package ssd
 
 import (
-	"errors"
 	"fmt"
-	"math/rand"
 
 	"draid/internal/backend"
-	"draid/internal/integrity"
 	"draid/internal/parity"
 	"draid/internal/sim"
 	"draid/internal/trace"
@@ -43,62 +43,22 @@ func DefaultSpec() Spec {
 	}
 }
 
-// Errors reported through operation callbacks. The media-error types live in
-// the backend package (they are part of the Drive interface contract shared
-// by every backend); the names here are aliases kept for existing callers.
-var (
-	ErrOutOfRange = errors.New("ssd: access beyond capacity")
-	ErrFailed     = errors.New("ssd: drive failed")
-	// ErrMediaError is an unrecoverable read error (URE): the drive is alive
-	// and keeps serving other LBAs, but this range is gone. Unlike Fail, the
-	// operation completes — with this error instead of data.
-	ErrMediaError = backend.ErrMediaError
-)
-
-// MediaError reports the precise unreadable sub-range of a failed read. It
-// unwraps to ErrMediaError.
-type MediaError = backend.MediaError
-
-const pageSize = 64 << 10 // sparse backing-store granularity
-
-// Stats counts completed operations.
-type Stats = backend.DriveStats
-
-// Drive is one simulated SSD. All methods must be called from engine
-// callbacks (single-threaded simulation discipline).
+// Drive is one simulated SSD: the timing model over a backend.Medium. All
+// methods must be called from engine callbacks (single-threaded simulation
+// discipline).
+//
+// A slow profile scales the service rate and access latency by its factor —
+// slowness serializes inside the device, so queue depth compounds it — while
+// a stall delays completions without consuming bandwidth.
 type Drive struct {
-	eng    *sim.Engine
-	spec   Spec
-	pages  map[int64][]byte
-	busy   sim.Time // FIFO bandwidth reservation
-	failed bool
-	stats  Stats
+	*backend.Medium
+	eng  *sim.Engine
+	spec Spec
+	busy sim.Time // FIFO bandwidth reservation
 	// inflight counts submitted-but-incomplete operations (queue depth).
 	inflight int
 	tracer   *trace.Collector
 	track    trace.Track
-
-	// media holds the unreadable byte ranges (injected UREs and latent
-	// errors). rot holds ranges whose stored bytes were silently flipped;
-	// it only feeds the CorruptReads counter — the payload damage itself
-	// lives in the page store. A successful write clears both over its
-	// range: flash remaps bad sectors on program.
-	media integrity.RangeSet
-	rot   integrity.RangeSet
-	// latentRate is the per-read probability of developing a new URE; it
-	// draws from its own seeded source so enabling it on one drive does not
-	// perturb the engine RNG stream shared by everything else.
-	latentRate float64
-	latentRng  *rand.Rand
-
-	// slow is the grey-failure latency profile (SlowNone when healthy):
-	// constant/fading profiles scale the drive's service and access latency
-	// — slowness serializes inside the device, so queue depth compounds it
-	// — while stall profiles delay completions without consuming bandwidth.
-	// The jitter draw uses its own seeded source, like latentRng.
-	slow      backend.SlowProfile
-	slowSince sim.Time
-	slowRng   *rand.Rand
 }
 
 // SetTracer enables per-operation service spans on the given track and a
@@ -110,335 +70,105 @@ func (d *Drive) SetTracer(c *trace.Collector, tr trace.Track) {
 	}
 }
 
-// QueueDepth reports the number of in-flight operations.
-func (d *Drive) QueueDepth() int { return d.inflight }
-
 // New creates a drive.
 func New(eng *sim.Engine, spec Spec) *Drive {
 	if spec.Capacity <= 0 || spec.ReadBps <= 0 || spec.WriteBps <= 0 {
 		panic(fmt.Sprintf("ssd: invalid spec %+v", spec))
 	}
-	d := &Drive{eng: eng, spec: spec}
-	if spec.StoreData {
-		d.pages = make(map[int64][]byte)
-	}
-	return d
+	return &Drive{Medium: backend.NewMedium(eng.Now, spec.Capacity, spec.StoreData), eng: eng, spec: spec}
 }
 
-// Spec returns the drive's specification.
-func (d *Drive) Spec() Spec { return d.spec }
-
-// Capacity returns the drive size in bytes.
-func (d *Drive) Capacity() int64 { return d.spec.Capacity }
-
-// StoresData reports whether payload bytes are materialized.
-func (d *Drive) StoresData() bool { return d.spec.StoreData }
-
-// Stats returns operation counters.
-func (d *Drive) Stats() Stats { return d.stats }
-
-// Fail puts the drive into a failed state: in-flight and future operations
-// never complete (their callbacks are never invoked), as with a dead device
-// on a real fabric. Callers are expected to detect this via timeouts.
-func (d *Drive) Fail() { d.failed = true }
-
-// Recover returns the drive to service. Stored data is retained (a
-// transient failure); for a replaced drive, create a new Drive.
-func (d *Drive) Recover() { d.failed = false }
-
-// Failed reports the failure state.
-func (d *Drive) Failed() bool { return d.failed }
-
-// InjectMediaError marks [off, off+n) unreadable: reads overlapping the
-// range complete with a *MediaError naming the overlap. A later write over
-// the range clears it (sector remap on program).
-func (d *Drive) InjectMediaError(off, n int64) { d.media.Add(off, n) }
-
-// InjectBitRot silently flips the stored bytes of [off, off+n): reads
-// succeed and return the damaged payload. Requires StoreData — rot with no
-// bytes to rot is meaningless.
-func (d *Drive) InjectBitRot(off, n int64) {
-	if d.pages == nil {
-		panic("ssd: InjectBitRot requires StoreData")
+// issue admits an op of size bytes at the given rate and access latency and
+// reserves its service: it returns when service starts and when the op
+// completes, or false on a failed drive (the op never completes).
+func (d *Drive) issue(size, rate int64, lat sim.Duration) (start, end sim.Time, ok bool) {
+	slow, ok := d.Admit()
+	if !ok {
+		return 0, 0, false
 	}
-	buf := d.load(off, n)
-	data := buf.Data()
-	for i := range data {
-		data[i] ^= 0x5A
+	if slow.Factor > 1 {
+		rate = int64(float64(rate) / slow.Factor)
+		lat = sim.Duration(float64(lat) * slow.Factor)
 	}
-	d.store(off, data)
-	d.rot.Add(off, n)
-}
-
-// MediaErrorRanges returns the currently unreadable ranges (tests, status).
-func (d *Drive) MediaErrorRanges() []integrity.Span { return d.media.Spans() }
-
-// SetLatentErrorRate enables spontaneous URE development: each read op
-// grows, with probability rate, a new sectorSize-aligned media-error range
-// inside the range it reads (and then fails on it). The draw uses a private
-// source seeded here, keeping the engine's RNG stream untouched.
-func (d *Drive) SetLatentErrorRate(rate float64, seed int64) {
-	d.latentRate = rate
-	d.latentRng = rand.New(rand.NewSource(seed))
-}
-
-// SetSlowProfile installs (or, with Kind SlowNone, clears) a grey-failure
-// latency profile. seed feeds the profile's private jitter source.
-func (d *Drive) SetSlowProfile(p backend.SlowProfile, seed int64) {
-	d.slow = p
-	d.slowSince = d.eng.Now()
-	d.slowRng = rand.New(rand.NewSource(seed))
-}
-
-// SlowProfileInstalled returns the active slow profile.
-func (d *Drive) SlowProfileInstalled() backend.SlowProfile { return d.slow }
-
-// slowFactor returns the current latency multiplier (1 when healthy).
-func (d *Drive) slowFactor() float64 {
-	if d.slow.Kind == backend.SlowNone {
-		return 1
-	}
-	return d.slow.FactorAt(d.eng.Now(), d.slowSince, d.slowRng)
-}
-
-// slowStall returns the extra completion delay of an op issued now.
-func (d *Drive) slowStall() sim.Duration {
-	if d.slow.Kind != backend.SlowStall {
-		return 0
-	}
-	return d.slow.StallDelay(d.eng.Now(), d.slowSince)
-}
-
-const latentSector = 4096 // granularity of a spontaneously developed URE
-
-// maybeDevelopLatent rolls the latent-error dice for a read of [off, off+n).
-func (d *Drive) maybeDevelopLatent(off, n int64) {
-	if d.latentRate <= 0 || d.latentRng == nil || n <= 0 {
-		return
-	}
-	if d.latentRng.Float64() >= d.latentRate {
-		return
-	}
-	pos := off + d.latentRng.Int63n(n)
-	pos -= pos % latentSector
-	end := pos + latentSector
-	if end > d.spec.Capacity {
-		end = d.spec.Capacity
-	}
-	if pos < off {
-		pos = off
-	}
-	d.media.Add(pos, end-pos)
-}
-
-func (d *Drive) reserve(size int64, rate int64) (start, done sim.Time) {
-	start = d.eng.Now()
-	if d.busy > start {
-		start = d.busy
-	}
+	start = max(d.eng.Now(), d.busy)
 	d.busy = start + sim.Time(float64(size)/(float64(rate)/1e9))
-	return start, d.busy
+	d.inflight++
+	return start, d.busy + sim.Time(lat) + sim.Time(slow.Stall), true
 }
 
 // Read fetches n bytes at off. cb receives the payload (zeros for
 // never-written ranges; elided when StoreData is false).
 func (d *Drive) Read(off, n int64, cb func(parity.Buffer, error)) {
-	if off < 0 || n < 0 || off+n > d.spec.Capacity {
-		d.eng.Defer(func() { cb(parity.Buffer{}, ErrOutOfRange) })
+	if err := d.Check(off, n); err != nil {
+		d.eng.Defer(func() { cb(parity.Buffer{}, err) })
 		return
 	}
-	if d.failed {
+	start, end, ok := d.issue(n, d.spec.ReadBps, d.spec.ReadLatency)
+	if !ok {
 		return
-	}
-	rate, lat := d.spec.ReadBps, d.spec.ReadLatency
-	if d.slow.Kind != backend.SlowNone {
-		if f := d.slowFactor(); f > 1 {
-			rate = int64(float64(rate) / f)
-			lat = sim.Duration(float64(lat) * f)
-		}
-	}
-	start, done := d.reserve(n, rate)
-	d.inflight++
-	end := done + sim.Time(lat)
-	if s := d.slowStall(); s > 0 {
-		end += sim.Time(s)
 	}
 	d.eng.At(end, func() {
 		d.inflight--
-		if d.failed {
+		b, ok, err := d.Medium.Read(off, n, nil)
+		if !ok {
 			return
 		}
-		d.stats.ReadOps++
-		d.stats.ReadBytes += n
 		if t := d.tracer; t.Enabled() {
 			t.Span(d.track, "drive", "read", start, end, trace.I64("bytes", n))
 		}
-		d.maybeDevelopLatent(off, n)
-		if bad, hit := d.media.Intersect(off, n); hit {
-			d.stats.MediaErrors++
-			cb(parity.Buffer{}, &MediaError{Off: bad.Off, N: bad.Len})
-			return
-		}
-		if _, hit := d.rot.Intersect(off, n); hit {
-			d.stats.CorruptReads++
-		}
-		cb(d.load(off, n), nil)
+		cb(b, err)
 	})
 }
 
 // Write persists b at off. cb receives nil on success.
 func (d *Drive) Write(off int64, b parity.Buffer, cb func(error)) {
 	n := int64(b.Len())
-	if off < 0 || off+n > d.spec.Capacity {
-		d.eng.Defer(func() { cb(ErrOutOfRange) })
+	if err := d.Check(off, n); err != nil {
+		d.eng.Defer(func() { cb(err) })
 		return
 	}
-	if d.failed {
+	start, end, ok := d.issue(n, d.spec.WriteBps, d.spec.WriteLatency)
+	if !ok {
 		return
 	}
 	// Capture payload bytes at submission time (DMA semantics): the caller
 	// may reuse its buffer immediately after Write returns.
-	var snapshot []byte
-	if d.pages != nil && !b.Elided() {
-		snapshot = append([]byte(nil), b.Data()...)
-	}
-	rate, lat := d.spec.WriteBps, d.spec.WriteLatency
-	if d.slow.Kind != backend.SlowNone {
-		if f := d.slowFactor(); f > 1 {
-			rate = int64(float64(rate) / f)
-			lat = sim.Duration(float64(lat) * f)
-		}
-	}
-	start, done := d.reserve(n, rate)
-	d.inflight++
-	end := done + sim.Time(lat)
-	if s := d.slowStall(); s > 0 {
-		end += sim.Time(s)
+	snapshot := parity.Sized(int(n))
+	if d.StoresData() && !b.Elided() {
+		snapshot = parity.FromBytes(append([]byte(nil), b.Data()...))
 	}
 	d.eng.At(end, func() {
 		d.inflight--
-		if d.failed {
+		ok, err := d.Medium.Write(off, snapshot)
+		if !ok {
 			return
 		}
-		d.stats.WriteOps++
-		d.stats.WriteBytes += n
 		if t := d.tracer; t.Enabled() {
 			t.Span(d.track, "drive", "write", start, end, trace.I64("bytes", n))
 		}
-		if snapshot != nil {
-			d.store(off, snapshot)
-		}
-		d.media.Remove(off, n)
-		d.rot.Remove(off, n)
-		cb(nil)
+		cb(err)
 	})
 }
 
 // Trim discards [off, off+n): subsequent reads return zeros. Modeled as a
-// metadata operation — per-op write latency, no bandwidth reservation. Like
-// a write, it clears media-error and rot state over its range.
+// metadata operation — per-op write latency, no bandwidth reservation, no
+// slow profile. Like a write, it clears media-error and rot state over its
+// range.
 func (d *Drive) Trim(off, n int64, cb func(error)) {
-	if off < 0 || n < 0 || off+n > d.spec.Capacity {
-		d.eng.Defer(func() { cb(ErrOutOfRange) })
+	if err := d.Check(off, n); err != nil {
+		d.eng.Defer(func() { cb(err) })
 		return
 	}
-	if d.failed {
+	if d.Failed() {
 		return
 	}
 	d.inflight++
 	d.eng.After(d.spec.WriteLatency, func() {
 		d.inflight--
-		if d.failed {
-			return
+		if ok, err := d.Medium.Trim(off, n); ok {
+			cb(err)
 		}
-		d.stats.TrimOps++
-		d.discard(off, n)
-		d.media.Remove(off, n)
-		d.rot.Remove(off, n)
-		cb(nil)
 	})
 }
 
-// discard zeroes [off, off+n) in the page store, dropping whole pages.
-func (d *Drive) discard(off, n int64) {
-	if d.pages == nil {
-		return
-	}
-	for pos := int64(0); pos < n; {
-		pageNo := (off + pos) / pageSize
-		pageOff := (off + pos) % pageSize
-		span := pageSize - pageOff
-		if span > n-pos {
-			span = n - pos
-		}
-		if page, ok := d.pages[pageNo]; ok {
-			if span == pageSize {
-				delete(d.pages, pageNo)
-			} else {
-				clearTo := page[pageOff : pageOff+span]
-				for i := range clearTo {
-					clearTo[i] = 0
-				}
-			}
-		}
-		pos += span
-	}
-}
-
-// load copies [off, off+n) out of the sparse page store.
-func (d *Drive) load(off, n int64) parity.Buffer {
-	if d.pages == nil {
-		return parity.Sized(int(n))
-	}
-	out := make([]byte, n)
-	for pos := int64(0); pos < n; {
-		pageNo := (off + pos) / pageSize
-		pageOff := (off + pos) % pageSize
-		span := pageSize - pageOff
-		if span > n-pos {
-			span = n - pos
-		}
-		if page, ok := d.pages[pageNo]; ok {
-			copy(out[pos:pos+span], page[pageOff:pageOff+span])
-		}
-		pos += span
-	}
-	return parity.FromBytes(out)
-}
-
-func (d *Drive) store(off int64, data []byte) {
-	n := int64(len(data))
-	for pos := int64(0); pos < n; {
-		pageNo := (off + pos) / pageSize
-		pageOff := (off + pos) % pageSize
-		span := pageSize - pageOff
-		if span > n-pos {
-			span = n - pos
-		}
-		page, ok := d.pages[pageNo]
-		if !ok {
-			page = make([]byte, pageSize)
-			d.pages[pageNo] = page
-		}
-		copy(page[pageOff:pageOff+span], data[pos:pos+span])
-		pos += span
-	}
-}
-
-// PeekSync reads stored bytes immediately, bypassing timing — for test
-// assertions only.
-func (d *Drive) PeekSync(off, n int64) []byte {
-	b := d.load(off, n)
-	if b.Elided() {
-		return nil
-	}
-	return b.Data()
-}
-
-// The simulated drive is the deterministic backend.Drive implementation and
-// supports the full fault-injection surface.
-var (
-	_ backend.Drive         = (*Drive)(nil)
-	_ backend.MediaInjector = (*Drive)(nil)
-	_ backend.SlowInjector  = (*Drive)(nil)
-)
+var _ backend.Drive = (*Drive)(nil)

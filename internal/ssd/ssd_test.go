@@ -2,7 +2,6 @@ package ssd
 
 import (
 	"bytes"
-	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -11,44 +10,12 @@ import (
 	"draid/internal/sim"
 )
 
+// The timing model's tests. What the drive holds and how it fails is the
+// drive contract in contract_test.go, which runs on every backend's drive.
+
 // testSpec: 1 GB/s read and write (1 byte/ns), zero latency, 1 MB capacity.
 func testSpec() Spec {
 	return Spec{Capacity: 1 << 20, ReadBps: 1e9, WriteBps: 1e9, StoreData: true}
-}
-
-func TestWriteThenReadRoundTrip(t *testing.T) {
-	eng := sim.NewEngine(1)
-	d := New(eng, testSpec())
-	payload := []byte("hello, raid world")
-	var got []byte
-	d.Write(100, parity.FromBytes(payload), func(err error) {
-		if err != nil {
-			t.Errorf("write: %v", err)
-		}
-		d.Read(100, int64(len(payload)), func(b parity.Buffer, err error) {
-			if err != nil {
-				t.Errorf("read: %v", err)
-			}
-			got = b.Data()
-		})
-	})
-	eng.Run()
-	if !bytes.Equal(got, payload) {
-		t.Fatalf("got %q, want %q", got, payload)
-	}
-}
-
-func TestUnwrittenRangeReadsZeros(t *testing.T) {
-	eng := sim.NewEngine(1)
-	d := New(eng, testSpec())
-	var got []byte
-	d.Read(5000, 10, func(b parity.Buffer, err error) { got = b.Data() })
-	eng.Run()
-	for _, v := range got {
-		if v != 0 {
-			t.Fatal("unwritten range not zero")
-		}
-	}
 }
 
 func TestServiceTimeAndLatency(t *testing.T) {
@@ -110,34 +77,6 @@ func TestThroughputSaturatesAtRate(t *testing.T) {
 	}
 }
 
-func TestOutOfRange(t *testing.T) {
-	eng := sim.NewEngine(1)
-	d := New(eng, testSpec())
-	var rErr, wErr error
-	d.Read(1<<20-5, 10, func(_ parity.Buffer, err error) { rErr = err })
-	d.Write(-1, parity.Sized(1), func(err error) { wErr = err })
-	eng.Run()
-	if rErr != ErrOutOfRange || wErr != ErrOutOfRange {
-		t.Fatalf("rErr=%v wErr=%v, want ErrOutOfRange", rErr, wErr)
-	}
-}
-
-func TestFailedDriveNeverCompletes(t *testing.T) {
-	eng := sim.NewEngine(1)
-	d := New(eng, testSpec())
-	d.Fail()
-	completed := false
-	d.Read(0, 10, func(parity.Buffer, error) { completed = true })
-	d.Write(0, parity.Sized(10), func(error) { completed = true })
-	eng.Run()
-	if completed {
-		t.Fatal("operation completed on failed drive")
-	}
-	if !d.Failed() {
-		t.Fatal("Failed() false after Fail()")
-	}
-}
-
 func TestFailDropsInFlightOps(t *testing.T) {
 	eng := sim.NewEngine(1)
 	spec := testSpec()
@@ -149,21 +88,6 @@ func TestFailDropsInFlightOps(t *testing.T) {
 	eng.Run()
 	if completed {
 		t.Fatal("in-flight op completed after drive failed")
-	}
-}
-
-func TestRecoverRetainsData(t *testing.T) {
-	eng := sim.NewEngine(1)
-	d := New(eng, testSpec())
-	d.Write(0, parity.FromBytes([]byte{42}), func(error) {})
-	eng.Run()
-	d.Fail()
-	d.Recover()
-	var got []byte
-	d.Read(0, 1, func(b parity.Buffer, err error) { got = b.Data() })
-	eng.Run()
-	if len(got) != 1 || got[0] != 42 {
-		t.Fatalf("data lost across transient failure: %v", got)
 	}
 }
 
@@ -179,42 +103,13 @@ func TestWriteSnapshotsBuffer(t *testing.T) {
 	}
 }
 
-func TestElidedMode(t *testing.T) {
-	eng := sim.NewEngine(1)
-	spec := testSpec()
-	spec.StoreData = false
-	d := New(eng, spec)
-	var got parity.Buffer
-	d.Write(0, parity.FromBytes([]byte{1, 2, 3}), func(error) {})
-	d.Read(0, 3, func(b parity.Buffer, err error) { got = b })
-	eng.Run()
-	if !got.Elided() || got.Len() != 3 {
-		t.Fatalf("elided drive returned %+v", got)
-	}
-	if d.PeekSync(0, 3) != nil {
-		t.Fatal("PeekSync on elided drive should be nil")
-	}
-}
-
-func TestStats(t *testing.T) {
-	eng := sim.NewEngine(1)
-	d := New(eng, testSpec())
-	d.Write(0, parity.Sized(100), func(error) {})
-	d.Read(0, 50, func(parity.Buffer, error) {})
-	d.Read(0, 50, func(parity.Buffer, error) {})
-	eng.Run()
-	s := d.Stats()
-	if s.WriteOps != 1 || s.WriteBytes != 100 || s.ReadOps != 2 || s.ReadBytes != 100 {
-		t.Fatalf("stats = %+v", s)
-	}
-}
-
 // Property: arbitrary sequences of page-crossing writes followed by reads
 // return exactly what was last written (sparse page store correctness).
 func TestPropertySparseStoreConsistency(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		eng := sim.NewEngine(seed)
+		const pageSize = 64 << 10 // the page store's granularity
 		d := New(eng, Spec{Capacity: 4 * pageSize, ReadBps: 1e9, WriteBps: 1e9, StoreData: true})
 		shadow := make([]byte, 4*pageSize)
 		for i := 0; i < 20; i++ {
@@ -259,135 +154,5 @@ func TestDefaultSpecSane(t *testing.T) {
 	}
 	if !s.StoreData {
 		t.Fatal("default should store data")
-	}
-}
-
-func TestMediaErrorReadCompletesWithError(t *testing.T) {
-	eng := sim.NewEngine(1)
-	d := New(eng, testSpec())
-	d.Write(0, parity.FromBytes(make([]byte, 8192)), nil2(t))
-	eng.Run()
-	d.InjectMediaError(4096, 512)
-
-	// A read missing the bad range succeeds.
-	var okRead bool
-	d.Read(0, 4096, func(b parity.Buffer, err error) { okRead = err == nil })
-	eng.Run()
-	if !okRead {
-		t.Fatal("read outside media error should succeed")
-	}
-
-	// A read overlapping it completes (does not hang) with a typed error
-	// naming the overlap.
-	var gotErr error
-	d.Read(0, 8192, func(b parity.Buffer, err error) { gotErr = err })
-	eng.Run()
-	var me *MediaError
-	if !errors.As(gotErr, &me) || !errors.Is(gotErr, ErrMediaError) {
-		t.Fatalf("read error = %v, want MediaError", gotErr)
-	}
-	if me.Off != 4096 || me.N != 512 {
-		t.Fatalf("bad range = [%d,+%d), want [4096,+512)", me.Off, me.N)
-	}
-	if s := d.Stats(); s.MediaErrors != 1 {
-		t.Fatalf("MediaErrors = %d, want 1", s.MediaErrors)
-	}
-
-	// Writing over the range remaps the sectors: the error clears.
-	d.Write(4096, parity.FromBytes(make([]byte, 512)), nil2(t))
-	eng.Run()
-	gotErr = errors.New("sentinel")
-	d.Read(0, 8192, func(b parity.Buffer, err error) { gotErr = err })
-	eng.Run()
-	if gotErr != nil {
-		t.Fatalf("read after rewrite = %v, want nil", gotErr)
-	}
-}
-
-func TestBitRotSilentlyCorrupts(t *testing.T) {
-	eng := sim.NewEngine(1)
-	d := New(eng, testSpec())
-	payload := []byte("integrity matters")
-	d.Write(100, parity.FromBytes(payload), nil2(t))
-	eng.Run()
-	d.InjectBitRot(100, 4)
-
-	var got []byte
-	var gotErr error
-	d.Read(100, int64(len(payload)), func(b parity.Buffer, err error) { got, gotErr = b.Data(), err })
-	eng.Run()
-	if gotErr != nil {
-		t.Fatalf("rotted read must succeed silently, got %v", gotErr)
-	}
-	if bytes.Equal(got, payload) {
-		t.Fatal("payload not corrupted")
-	}
-	if bytes.Equal(got[4:], payload[4:]) == false {
-		t.Fatal("rot leaked outside injected range")
-	}
-	if s := d.Stats(); s.CorruptReads != 1 {
-		t.Fatalf("CorruptReads = %d, want 1", s.CorruptReads)
-	}
-
-	// Rewriting restores clean data and stops counting corrupt reads.
-	d.Write(100, parity.FromBytes(payload), nil2(t))
-	eng.Run()
-	d.Read(100, int64(len(payload)), func(b parity.Buffer, err error) { got = b.Data() })
-	eng.Run()
-	if !bytes.Equal(got, payload) {
-		t.Fatal("rewrite did not restore data")
-	}
-	if s := d.Stats(); s.CorruptReads != 1 {
-		t.Fatal("clean read after rewrite still counted as corrupt")
-	}
-}
-
-func TestLatentErrorRateDevelopsUREs(t *testing.T) {
-	eng := sim.NewEngine(1)
-	d := New(eng, testSpec())
-	d.SetLatentErrorRate(0.2, 42)
-	errs := 0
-	for i := 0; i < 200; i++ {
-		d.Read(0, 1<<20, func(b parity.Buffer, err error) {
-			if err != nil {
-				if !errors.Is(err, ErrMediaError) {
-					t.Errorf("latent error has wrong type: %v", err)
-				}
-				errs++
-			}
-		})
-		eng.Run()
-	}
-	if errs == 0 {
-		t.Fatal("no latent errors developed at 20% per read")
-	}
-	if len(d.MediaErrorRanges()) == 0 {
-		t.Fatal("no media ranges recorded")
-	}
-	// Determinism: a second drive with the same seed develops the same map.
-	eng2 := sim.NewEngine(1)
-	d2 := New(eng2, testSpec())
-	d2.SetLatentErrorRate(0.2, 42)
-	for i := 0; i < 200; i++ {
-		d2.Read(0, 1<<20, func(parity.Buffer, error) {})
-		eng2.Run()
-	}
-	a, b := d.MediaErrorRanges(), d2.MediaErrorRanges()
-	if len(a) != len(b) {
-		t.Fatalf("latent maps diverged: %v vs %v", a, b)
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("latent maps diverged at %d: %v vs %v", i, a[i], b[i])
-		}
-	}
-}
-
-// nil2 adapts a must-succeed write callback.
-func nil2(t *testing.T) func(error) {
-	return func(err error) {
-		if err != nil {
-			t.Errorf("write: %v", err)
-		}
 	}
 }

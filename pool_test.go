@@ -346,6 +346,53 @@ func TestPoolVolumeInjectionFollowsPoolSeed(t *testing.T) {
 	}
 }
 
+// TestInjectionOutsideTheVolume: Injector.MediaError and BitRot take a
+// virtual range from outside the program. One that leaves the volume is
+// refused with ErrOutOfRange and injects nothing. (The range used to go
+// straight to the geometry: an overhang was mapped past the volume's extent —
+// in a pool, onto the next volume's bytes — and a negative offset or length
+// panicked, on realtime on the host loop's goroutine.)
+func TestInjectionOutsideTheVolume(t *testing.T) {
+	p := newTestPool(t, draid.PoolConfig{})
+	vol0, err := p.OpenVolume(draid.VolumeConfig{Name: "v0", ChunkSize: 64 << 10, Extent: 512 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	vol1, err := p.OpenVolume(draid.VolumeConfig{Name: "v1", ChunkSize: 64 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := pattern(512<<10, 5)
+	if err := vol1.WriteSync(0, want); err != nil {
+		t.Fatal(err)
+	}
+	stripe := vol0.Controller().Geometry().StripeDataSize()
+	if err := vol0.Inject().BitRot(vol0.Size()-4096, stripe+4096); !errors.Is(err, draid.ErrOutOfRange) {
+		t.Fatalf("bit rot overhanging volume 0 by a stripe: %v, want ErrOutOfRange", err)
+	}
+	if got, err := vol1.ReadSync(0, int64(len(want))); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("volume 1 after an injection into volume 0: err %v, bytes equal %v", err, bytes.Equal(got, want))
+	}
+
+	arr, err := draid.New(draid.Config{Drives: 5, ChunkSize: 16 << 10, DriveCapacity: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer arr.Close()
+	for _, r := range []struct{ off, n int64 }{{-4096, 8192}, {0, -1}, {arr.Size() - 4096, 8192}, {arr.Size(), 1}} {
+		for name, inject := range map[string]func(off, n int64) error{"MediaError": arr.Inject().MediaError, "BitRot": arr.Inject().BitRot} {
+			if err := inject(r.off, r.n); !errors.Is(err, draid.ErrOutOfRange) {
+				t.Errorf("%s(%d, %d) = %v, want ErrOutOfRange", name, r.off, r.n, err)
+			}
+		}
+	}
+	for i, d := range arr.Cluster().Drives {
+		if bad := d.MediaErrorRanges(); len(bad) != 0 {
+			t.Errorf("drive %d has media errors %v after refused injections", i, bad)
+		}
+	}
+}
+
 // TestPoolOnEveryBackend drives one pool through its whole surface on each
 // substrate: a fixed and a declustered width-4 volume share eight drives;
 // both are written, a drive they share fails under them, both read back

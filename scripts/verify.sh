@@ -60,6 +60,9 @@ if [ "${FULL:-0}" = "1" ]; then
     # The one parser that faces the wire: arbitrary frames never panic, and
     # an accepted frame re-encodes to itself byte for byte.
     go test -run '^$' -fuzz FuzzDecode -fuzztime 10s ./internal/nvmeof
+    # The one drive medium: the page store and the file store against a
+    # flat reference under random writes, trims, injections and reads.
+    go test -run '^$' -fuzz FuzzMedium -fuzztime 10s ./internal/backend
     # Grey-failure smoke: hedged reads against an injected slow drive on the
     # sim and realtime backends, plus the greyfail figure in quick mode.
     go run ./cmd/draid-fio -hedge adaptive-p95 -slow 2=const:10 -ratio 1 -qd 16 -ramp 10ms -measure 40ms
