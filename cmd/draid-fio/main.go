@@ -186,12 +186,12 @@ func main() {
 			float64(out)/float64(user), float64(in)/float64(user))
 	}
 	if arr != nil && hedgePolicy != draid.HedgeOff {
-		st := arr.Stats()
+		st := arr.Status().Counters
 		fmt.Printf("hedging (%s): %d hedged reads, %d hedge wins\n",
 			hedgePolicy, st.HedgedReads, st.HedgeWins)
 	}
 	if arr != nil && *wb {
-		st := arr.Stats()
+		st := arr.Status().Counters
 		fmt.Printf("writeback: %d staged writes, %d full-stripe destages, %d RCW destages, %d cache hits\n",
 			st.StagedWrites, st.DestageFullStripe, st.DestageRCW, st.CacheHits)
 	}

@@ -9,12 +9,14 @@
 //	draid-rebuild -level 6 -drives 7   # RAID-6 under the same crash
 //	draid-rebuild -rate 100            # throttle the rebuild to 100 MB/s
 //	draid-rebuild -chrome reb.json     # Chrome trace of the whole recovery
+//	draid-rebuild -v                   # the array's full status as JSON
 //
 // The entire scenario runs in virtual time: same seed, same trace, every run.
 package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
@@ -33,7 +35,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "workload and simulation seed")
 	victim := flag.Int("victim", 2, "member index to crash")
 	chrome := flag.String("chrome", "", "write a Chrome trace_event JSON of the recovery")
-	verbose := flag.Bool("v", false, "print per-event recovery log with timestamps")
+	verbose := flag.Bool("v", false, "print the array's status, recovery log included, as indented JSON")
 	flag.Parse()
 
 	lvl := draid.Raid5
@@ -92,23 +94,21 @@ func main() {
 	fmt.Printf("T=%v  quiesced: %d foreground reads served during recovery (%d failed)\n",
 		arr.Now(), 32-inflight-failed, failed)
 
-	st := arr.RebuildStatus()
+	st := arr.Status()
 	fmt.Printf("\nrebuild: active=%v rebuilt %d/%d stripes onto node %v\n",
-		st.Active, st.Done, st.Total, st.Dest)
-	fmt.Printf("health:  %v  (failed drives: %v, spares left: %d)\n",
-		arr.MemberHealth(), arr.FailedDrives(), arr.SparesAvailable())
-
+		st.Rebuild.Active, st.Rebuild.Done, st.Rebuild.Total, st.Rebuild.Dest)
+	fmt.Printf("health:  %v  (failed drives: %v, spares left: %d)\n", st.Health, st.Failed, st.Spares)
+	fmt.Printf("stats:   probes=%d rebuiltStripes=%d degradedReads=%d\n",
+		st.Counters.Probes, st.Counters.RebuiltStripes, st.Counters.DegradedReads)
+	if n := len(st.Events); n > 0 {
+		fmt.Printf("events:  %d logged, the last: %v  (-v for the full status)\n", n, st.Events[n-1])
+	}
 	if *verbose {
-		fmt.Println("\nrecovery event log (virtual time):")
-		for _, e := range arr.RecoveryEvents() {
-			fmt.Printf("  %v\n", e)
+		enc := json.NewEncoder(os.Stdout)
+		enc.SetIndent("", "  ")
+		if err := enc.Encode(st); err != nil {
+			log.Fatal(err)
 		}
-	} else {
-		kinds := make([]string, 0, 4)
-		for _, e := range arr.RecoveryEvents() {
-			kinds = append(kinds, e.Kind)
-		}
-		fmt.Printf("events:  %v  (-v for timestamps)\n", kinds)
 	}
 
 	got, err := arr.ReadSync(0, arr.Size())
@@ -119,10 +119,6 @@ func main() {
 		log.Fatal("FAIL: device image diverged after recovery")
 	}
 	fmt.Printf("\nverify:  full %d MB read back byte-exact after recovery\n", len(ref)>>20)
-
-	s := arr.Stats()
-	fmt.Printf("stats:   probes=%d rebuiltStripes=%d degradedReads=%d\n",
-		s.Probes, s.RebuiltStripes, s.DegradedReads)
 
 	if *chrome != "" {
 		f, err := os.Create(*chrome)

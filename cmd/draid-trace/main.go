@@ -102,6 +102,6 @@ func main() {
 	}
 
 	out, in := arr.HostTraffic()
-	say("\nhost stats: %+v", arr.Stats())
+	say("\nhost stats: %+v", arr.Status().Counters)
 	say("host NIC totals: out=%d bytes in=%d bytes (peer parity traffic bypasses the host)", out, in)
 }

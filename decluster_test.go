@@ -48,8 +48,8 @@ func TestDeclusteredRoundTrip(t *testing.T) {
 	if !bytes.Equal(got, data) {
 		t.Fatal("round-trip mismatch")
 	}
-	if n := arr.DriveCount(); n != 8 {
-		t.Fatalf("DriveCount = %d, want 8", n)
+	if n := arr.Status().Drives; n != 8 {
+		t.Fatalf("Status().Drives = %d, want 8", n)
 	}
 }
 
@@ -110,15 +110,15 @@ func TestDeclusteredAddDriveRebalances(t *testing.T) {
 	if err := arr.WaitRebalance(); err != nil {
 		t.Fatal(err)
 	}
-	st := arr.CurrentRebalance()
+	st := arr.Status().Rebalance
 	if st.Active {
 		t.Fatal("rebalance still active after WaitRebalance")
 	}
 	if st.Done == 0 || st.Done != st.Total {
 		t.Fatalf("rebalance did %d/%d moves", st.Done, st.Total)
 	}
-	if n := arr.DriveCount(); n != 9 {
-		t.Fatalf("DriveCount = %d, want 9", n)
+	if n := arr.Status().Drives; n != 9 {
+		t.Fatalf("Status().Drives = %d, want 9", n)
 	}
 	got, err := arr.ReadSync(0, int64(len(data)))
 	if err != nil || !bytes.Equal(got, data) {
@@ -140,7 +140,7 @@ func TestDeclusteredRemoveDriveDrains(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A drive that does not exist is refused, and retires nothing.
-	for _, i := range []int{-1, arr.DriveCount()} {
+	for _, i := range []int{-1, arr.Status().Drives} {
 		if err := arr.RemoveDrive(i); !errors.Is(err, draid.ErrOutOfRange) {
 			t.Fatalf("RemoveDrive(%d) = %v, want ErrOutOfRange", i, err)
 		}
@@ -151,7 +151,7 @@ func TestDeclusteredRemoveDriveDrains(t *testing.T) {
 	if err := arr.WaitRebalance(); err != nil {
 		t.Fatal(err)
 	}
-	st := arr.CurrentRebalance()
+	st := arr.Status().Rebalance
 	if st.Label != "drain d2" || st.Done != st.Total {
 		t.Fatalf("drain did %d/%d moves (walk %q)", st.Done, st.Total, st.Label)
 	}
@@ -179,13 +179,13 @@ func TestDeclusteredSupervisedRebuild(t *testing.T) {
 	if err := arr.WriteSync(0, data); err != nil {
 		t.Fatal(err)
 	}
-	before := arr.SparesAvailable()
+	before := arr.Status().Spares
 	arr.CrashDrive(4)
 	arr.RunFor(50 * time.Millisecond) // heartbeats notice; rebuild relocates chunks
-	if st := arr.RebuildStatus(); st.Active || st.Done != st.Total || st.Total == 0 {
+	if st := arr.Status().Rebuild; st.Active || st.Done != st.Total || st.Total == 0 {
 		t.Fatalf("declustered rebuild incomplete: %+v", st)
 	}
-	if got := arr.SparesAvailable(); got != before {
+	if got := arr.Status().Spares; got != before {
 		t.Fatalf("declustered rebuild consumed a spare endpoint (%d → %d)", before, got)
 	}
 	arr.FailDrive(1)
@@ -257,10 +257,10 @@ func TestPoolAddDriveGrowsDeclusteredVolumes(t *testing.T) {
 	if err := p.WaitRebalance(); err != nil {
 		t.Fatal(err)
 	}
-	if n := decl.DriveCount(); n != 8 {
+	if n := decl.Status().Drives; n != 8 {
 		t.Fatalf("declustered volume sees %d drives, want 8", n)
 	}
-	if n := fixed.DriveCount(); n != 5 {
+	if n := fixed.Status().Drives; n != 5 {
 		t.Fatalf("fixed volume sees %d drives, want 5", n)
 	}
 	got, err := decl.ReadSync(0, int64(len(dData)))
@@ -335,10 +335,10 @@ func TestDeclusterTortureRebalance(t *testing.T) {
 			if err := arr.WaitRebalance(); err != nil {
 				t.Fatal(err)
 			}
-			if st := arr.CurrentRebalance(); st.Active || st.Done+st.Skipped != st.Total {
+			if st := arr.Status().Rebalance; st.Active || st.Done+st.Skipped != st.Total {
 				t.Fatalf("rebalance did not converge: %+v", st)
 			}
-			if rb := arr.RebuildStatus(); rb.Active {
+			if rb := arr.Status().Rebuild; rb.Active {
 				t.Fatalf("rebuild still active after Run: %+v", rb)
 			}
 			if err := arr.Flush(); err != nil {
@@ -394,7 +394,7 @@ func TestAddDriveLiveTrafficP99(t *testing.T) {
 		t.Fatal(err)
 	}
 	during := arr.Benchmark(spec)
-	if st := arr.CurrentRebalance(); !st.Active {
+	if st := arr.Status().Rebalance; !st.Active {
 		t.Fatalf("rebalance finished before the measurement window: %+v", st)
 	}
 	if lim := 2 * before.P99Latency; during.P99Latency > lim {

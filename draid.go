@@ -406,13 +406,67 @@ type RebuildStatus = repair.Status
 // ScrubStatus re-exports the background scrubber's progress snapshot.
 type ScrubStatus = repair.ScrubStatus
 
+// RebalanceStatus re-exports the rebalancer's progress snapshot.
+type RebalanceStatus = repair.Status
+
 // LostRegion is one virtual byte range sacrificed to a media double fault
-// (for example, a survivor URE during a RAID-5 rebuild). See
-// Array.LostRegions.
+// (for example, a survivor URE during a RAID-5 rebuild). See Status.Lost.
 type LostRegion = core.LostRegion
 
-// RecoveryEvent is one entry of the supervisor's recovery log.
+// RecoveryEvent is one entry of an array's recovery log (Status.Events).
 type RecoveryEvent = repair.Event
+
+// Status is a snapshot of everything an operator asks of an array: who owns
+// it, which members are failed or suspect, what its repair walks are doing,
+// what data it has lost and how it got there. Array.Status reads it in one
+// step. Every field marshals to JSON.
+type Status struct {
+	// Volume is the array's volume number on its cluster (0 for a
+	// standalone draid.New array).
+	Volume int
+	// Epoch is the controller's cluster-granted membership epoch (0 when
+	// Config.EpochFencing is off). Fenced reports that the controller has
+	// stood down — its lease lapsed or a storage server rejected it with a
+	// stale-epoch status — and fails all further I/O with
+	// ErrFenced/ErrStaleEpoch; bring up a successor with SeizeHost or
+	// FailoverHost.
+	Epoch  uint64
+	Fenced bool
+	// Drives is the number of physical drives the layout addresses: the
+	// stripe width for a fixed layout, the (possibly grown) cluster for a
+	// declustered one.
+	Drives int
+	// Failed lists the members the controller treats as failed. Health is
+	// every member's detection state; without a detector (Config.Health),
+	// failed members report Failed and the rest Healthy.
+	Failed []int
+	Health []MemberState
+	// Spares is how many hot spares the cluster still has to claim.
+	Spares int
+	// Rebuild is the supervisor's rebuild, Rebalance the walk of the last
+	// AddDrive/RemoveDrive, Scrub the scrubber's progress; each is the zero
+	// value when it never ran.
+	Rebuild   RebuildStatus
+	Rebalance RebalanceStatus
+	Scrub     ScrubStatus
+	// Lost lists virtual byte ranges sacrificed to media double faults —
+	// latent errors past the parity budget, the classic RAID-5 rebuild
+	// hazard. Reads overlapping a lost region fail fast with ErrMediaError
+	// instead of returning fabricated bytes; a full rewrite of the range
+	// clears it.
+	Lost []LostRegion
+	// StaleRejects totals the commands the storage servers refused for
+	// carrying a superseded host epoch — each one a write or read a
+	// fenced-out predecessor attempted after a takeover.
+	StaleRejects int64
+	// Counters are the host controller's operation counters.
+	Counters core.Stats
+	// Events is the recovery log, oldest first: failures, rebuilds, scrub
+	// passes and repairs, lost regions, drive adds and removals, and host
+	// takeovers with their epochs. It keeps the newest repair.LogCapacity
+	// entries.
+	Events []RecoveryEvent
+}
 
 // Config describes a dRAID array and its testbed.
 type Config struct {
@@ -564,8 +618,12 @@ type Array struct {
 	// sup is the fault-supervision stack (nil unless Spares, Health.Detect,
 	// or ScrubInterval was configured).
 	sup *repair.Supervisor
-	// adhocScrub serves ScrubNow on arrays without a supervisor.
-	adhocScrub *repair.Scrubber
+	// scrub serves ScrubNow: the supervisor's scrubber, or on an array
+	// without one, a scrubber built by the first ScrubNow.
+	scrub *repair.Scrubber
+	// log is the recovery log the supervisor, the scrubber and every
+	// rebuilder write to.
+	log *repair.Log
 	// scrubRate paces ad-hoc scrub passes; seed feeds per-drive fault
 	// injection (Inject().LatentErrorRate).
 	scrubRate float64
@@ -809,7 +867,7 @@ func open(cl *cluster.Cluster, cfg Config, name string, extent int64, qosWeight 
 		return nil, err
 	}
 	arr := &Array{cl: cl, host: vol.Host, dev: vol.Host, clientNode: cl.HostNode, hostCfg: vol.Cfg,
-		scrubRate: cfg.ScrubRateMBps, seed: cfg.Seed, realtime: cfg.Backend == BackendRealtime}
+		log: repair.NewLog(cl.Rt), scrubRate: cfg.ScrubRateMBps, seed: cfg.Seed, realtime: cfg.Backend == BackendRealtime}
 	if arr.realtime {
 		arr.dev = loopDev{rt: cl.Rt, dev: arr.host}
 	}
@@ -859,7 +917,8 @@ func (a *Array) attachSupervisor(cfg Config, shared *repair.RateLimiter) {
 			RateMBps: cfg.ScrubRateMBps,
 		},
 		Pool: a.cl.Spares,
-	}, a.cl.Tracer)
+	}, a.cl.Tracer, a.log)
+	a.scrub = a.sup.Scrubber()
 	if cfg.Health.Detect || cfg.ScrubInterval > 0 {
 		a.sup.Start()
 	}
@@ -1100,13 +1159,6 @@ func (a *Array) RecoverDrive(i int) {
 	a.call(func() { a.host.SetFailed(i, false) })
 }
 
-// FailedDrives lists degraded members.
-func (a *Array) FailedDrives() []int {
-	var out []int
-	a.call(func() { out = a.host.FailedMembers() })
-	return out
-}
-
 // RebuildDrive restores the redundancy lost with failed drive i through the
 // disaggregated reconstruction path, one chunk at a time under its stripe's
 // write lock — so a foreground write or destage can never strand stale data
@@ -1121,7 +1173,7 @@ func (a *Array) FailedDrives() []int {
 func (a *Array) RebuildDrive(i int, stripes int64) error {
 	err := fmt.Errorf("draid: rebuild of drive %d stalled", i)
 	a.call(func() {
-		reb := repair.NewRebuilder(a.cl.Rt, a.currentHost, repair.RebuilderConfig{}, nil, "rebuild")
+		reb := repair.NewRebuilder(a.cl.Rt, a.currentHost, repair.RebuilderConfig{}, nil, a.log, "rebuild")
 		perr := reb.Run(func(h *core.HostController) (core.Repair, error) {
 			return h.PlanRebuild(i, stripes, func() (core.NodeID, bool) {
 				// In place: the replacement drive sits behind the member's own
@@ -1138,9 +1190,6 @@ func (a *Array) RebuildDrive(i int, stripes int64) error {
 	return err
 }
 
-// RebalanceStatus re-exports the rebalancer's progress snapshot.
-type RebalanceStatus = repair.Status
-
 // AddDrive grows a declustered array by one drive: it claims an idle hot
 // spare endpoint (provisioned by Config.Spares), adds it to the layout,
 // and starts a background rebalance migrating a fair share of existing
@@ -1148,7 +1197,7 @@ type RebalanceStatus = repair.Status
 // standalone array a rebuild running alongside draws from a separate bucket
 // at the same rate (only a Pool shares one budget across its walks).
 // The new drive index returns immediately; WaitRebalance (or Run plus
-// RebalanceStatus) observes convergence. Foreground I/O keeps serving
+// Status().Rebalance) observes convergence. Foreground I/O keeps serving
 // throughout — every migration runs under its stripe's write lock.
 func (a *Array) AddDrive() (idx int, err error) {
 	if a.sup == nil {
@@ -1182,75 +1231,42 @@ func (a *Array) RemoveDrive(i int) (err error) {
 // last AddDrive/RemoveDrive converges, and returns its outcome.
 func (a *Array) WaitRebalance() error {
 	a.cl.Rt.Run()
-	st := a.CurrentRebalance()
+	st := a.Status().Rebalance
 	if st.Active {
 		return fmt.Errorf("draid: rebalance stalled")
 	}
 	return st.Err
 }
 
-// DriveCount returns the number of physical drives the layout addresses:
-// the stripe width for a fixed layout, the (possibly grown) cluster for a
-// declustered one.
-func (a *Array) DriveCount() int {
-	var n int
-	a.call(func() { n = a.host.Drives() })
-	return n
-}
-
-// CurrentRebalance reports the in-flight (or last) rebalance/drain
-// progress; the zero value means none ever ran.
-func (a *Array) CurrentRebalance() RebalanceStatus {
-	return a.repairStatus((*repair.Supervisor).Rebalancer)
-}
-
-// repairStatus snapshots one of the supervisor's repair managers.
-func (a *Array) repairStatus(of func(*repair.Supervisor) *repair.Rebuilder) (st repair.Status) {
-	if a.sup != nil {
-		a.call(func() { st = of(a.sup).Status() })
-	}
-	return st
-}
-
-// Stats exposes host-controller counters.
-func (a *Array) Stats() core.Stats {
-	var st core.Stats
-	a.call(func() { st = a.host.Stats() })
-	return st
-}
-
-// MemberHealth returns every member's detection state. Without a configured
-// detector, members the controller has marked failed report Failed and the
-// rest Healthy.
-func (a *Array) MemberHealth() []MemberState {
-	var out []MemberState
+// Status takes a snapshot of the array's state in one step: inline on the
+// simulation, one host-loop turn on the realtime backend, so no field is
+// newer than another. It only reads — it starts nothing and arms no timer.
+// Like every method that runs on the host loop, it must not be called from
+// inside an I/O callback: on the realtime backend callbacks run on that
+// loop, and the call would wait on itself.
+func (a *Array) Status() Status {
+	var st Status
 	a.call(func() {
+		h := a.host
+		st = Status{
+			Volume: int(a.hostCfg.Volume), Epoch: h.Epoch(), Fenced: h.Fenced(), Drives: h.Drives(),
+			Failed: h.FailedMembers(), Spares: a.cl.Spares.Available(),
+			Lost: h.LostRegions(), Counters: h.Stats(), Events: a.log.Events(),
+		}
+		for _, s := range a.cl.Servers {
+			st.StaleRejects += s.StaleRejects()
+		}
+		if a.scrub != nil {
+			st.Scrub = a.scrub.Status()
+		}
 		if a.sup != nil {
-			out = a.sup.Detector().States()
+			st.Health = a.sup.Detector().States()
+			st.Rebuild, st.Rebalance = a.sup.Rebuilder().Status(), a.sup.Rebalancer().Status()
 			return
 		}
-		out = make([]MemberState, a.host.Drives())
-		for _, m := range a.host.FailedMembers() {
-			out[m] = Failed
-		}
-	})
-	return out
-}
-
-// RebuildStatus reports the supervisor's rebuild progress (zero value when
-// no supervisor is configured or it never rebuilt).
-func (a *Array) RebuildStatus() RebuildStatus { return a.repairStatus((*repair.Supervisor).Rebuilder) }
-
-// ScrubStatus reports background-scrubber progress: passes completed,
-// current position, and cumulative repair counts (zero value when no
-// scrubbing has been configured or run).
-func (a *Array) ScrubStatus() ScrubStatus {
-	var st ScrubStatus
-	a.call(func() {
-		if a.sup != nil {
-			st = a.sup.Scrubber().Status()
-		} else if a.adhocScrub != nil {
-			st = a.adhocScrub.Status()
+		st.Health = make([]MemberState, st.Drives)
+		for _, m := range st.Failed {
+			st.Health[m] = Failed
 		}
 	})
 	return st
@@ -1266,30 +1282,16 @@ func (a *Array) ScrubNow() (ScrubStatus, error) {
 	var err error
 	done := false
 	a.call(func() {
-		scr := a.adhocScrub
-		if a.sup != nil {
-			scr = a.sup.Scrubber()
-		} else if scr == nil {
-			scr = repair.NewScrubber(a.cl.Rt, a.currentHost, repair.ScrubberConfig{RateMBps: a.scrubRate}, a.cl.Tracer)
-			a.adhocScrub = scr
+		if a.scrub == nil {
+			a.scrub = repair.NewScrubber(a.cl.Rt, a.currentHost, repair.ScrubberConfig{RateMBps: a.scrubRate}, a.cl.Tracer, a.log)
 		}
-		scr.RunPass(func(s repair.ScrubStatus, e error) { st, err, done = s, e, true })
+		a.scrub.RunPass(func(s repair.ScrubStatus, e error) { st, err, done = s, e, true })
 	})
 	a.cl.Rt.Run()
 	if !done {
 		return st, fmt.Errorf("draid: scrub pass stalled")
 	}
 	return st, err
-}
-
-// LostRegions lists virtual byte ranges sacrificed to media double faults —
-// latent errors past the parity budget, the classic RAID-5 rebuild hazard.
-// Reads overlapping a lost region fail fast with ErrMediaError instead of
-// returning fabricated bytes; a full rewrite of the range clears it.
-func (a *Array) LostRegions() []LostRegion {
-	var out []LostRegion
-	a.call(func() { out = a.host.LostRegions() })
-	return out
 }
 
 // Injector is the fault-injection surface of an array, obtained from
@@ -1539,60 +1541,6 @@ func (a *Array) injectOnRange(off, n int64, needStore bool, fn func(backend.Driv
 	return nil
 }
 
-// HostEpoch returns the controller's cluster-granted membership epoch
-// (0 when Config.EpochFencing is off).
-func (a *Array) HostEpoch() uint64 {
-	var e uint64
-	a.call(func() { e = a.host.Epoch() })
-	return e
-}
-
-// HostFenced reports whether the controller has stood down — its lease
-// lapsed or a storage server rejected it with a stale-epoch status. A fenced
-// controller fails all further I/O with ErrFenced/ErrStaleEpoch; bring up a
-// successor with SeizeHost or FailoverHost.
-func (a *Array) HostFenced() bool {
-	var f bool
-	a.call(func() { f = a.host.Fenced() })
-	return f
-}
-
-// StaleRejects returns the total number of commands the storage servers
-// refused for carrying a superseded host epoch — each one a write or read a
-// fenced-out predecessor attempted after a takeover.
-func (a *Array) StaleRejects() int64 {
-	var n int64
-	for _, s := range a.cl.Servers {
-		n += s.StaleRejects()
-	}
-	return n
-}
-
-// SparesAvailable returns how many hot spares remain in the pool.
-func (a *Array) SparesAvailable() int {
-	if a.sup == nil {
-		return 0
-	}
-	var n int
-	a.call(func() { n = a.sup.SparesAvailable() })
-	return n
-}
-
-// RecoveryEvents returns the supervisor's recovery log: detection, rebuild,
-// and failover milestones in virtual-time order.
-func (a *Array) RecoveryEvents() []RecoveryEvent {
-	if a.sup == nil {
-		return nil
-	}
-	var out []RecoveryEvent
-	a.call(func() { out = a.sup.Events() })
-	return out
-}
-
-// Supervisor exposes the fault-supervision stack for advanced scenarios
-// (nil unless Spares or Health.Detect was configured).
-func (a *Array) Supervisor() *repair.Supervisor { return a.sup }
-
 // FailoverHost crashes the current host controller and brings up a
 // replacement that adopts the array: it inherits the member map and rebuild
 // state, consumes the crashed controller's write-intent bitmap, resyncs
@@ -1600,22 +1548,7 @@ func (a *Array) Supervisor() *repair.Supervisor { return a.sup }
 // service. Outstanding I/O on the old controller is abandoned (its callbacks
 // never fire), exactly as a real controller crash loses in-flight requests.
 // Returns the number of stripes resynced.
-func (a *Array) FailoverHost() (int, error) {
-	if _, offloaded := a.dev.(*core.OffloadClient); offloaded {
-		return 0, fmt.Errorf("draid: host failover with an offloaded controller is not supported")
-	}
-	var wait func() (int, error)
-	a.call(func() {
-		old := a.host
-		old.Crash()
-		a.regrantEpoch()
-		replacement := a.cl.NewDRAID(a.hostCfg) // takes over the fabric endpoint
-		dirty := replacement.Adopt(old)
-		a.rebind(replacement)
-		wait = a.resyncDirty(dirty)
-	})
-	return wait()
-}
+func (a *Array) FailoverHost() (int, error) { return a.takeover("crash failover", true) }
 
 // SeizeHost brings up a replacement controller WITHOUT crashing the current
 // one — the partitioned-zombie takeover. Requires EpochFencing: the
@@ -1631,68 +1564,58 @@ func (a *Array) FailoverHost() (int, error) {
 // an isolated predecessor with no lease retries its stale destages forever,
 // and the deterministic backends' run-to-quiescence sync ops wait for it.
 func (a *Array) SeizeHost() (int, error) {
-	if _, offloaded := a.dev.(*core.OffloadClient); offloaded {
-		return 0, fmt.Errorf("draid: host takeover with an offloaded controller is not supported")
-	}
 	if a.hostCfg.Epoch == 0 {
 		return 0, fmt.Errorf("draid: SeizeHost requires EpochFencing: %w", ErrUnsupported)
 	}
-	var wait func() (int, error)
-	a.call(func() {
-		old := a.host
-		a.regrantEpoch()
-		replacement := a.cl.NewDRAID(a.hostCfg) // takes over the fabric endpoint
-		dirty := replacement.Seize(old)
-		a.rebind(replacement)
-		wait = a.resyncDirty(dirty)
-	})
-	return wait()
+	return a.takeover("seize", false)
 }
 
-// regrantEpoch advances the stored host config to the next cluster-granted
-// epoch before a takeover builds the replacement. No-op with fencing off.
-func (a *Array) regrantEpoch() {
-	if a.hostCfg.Epoch == 0 {
-		return
+// takeover replaces the host controller — crashing it first, or seizing the
+// array from it alive — and resyncs the dirty stripes the replacement
+// inherits. Crash, epoch grant, adoption, rebind and the resync's fence all
+// run in one host-loop turn, so the fence is out before anything else — a
+// repair walk's timer, another goroutine's I/O — can reach the replacement;
+// only the wait for the resync runs outside it. The takeover is logged with
+// how it happened, the epoch granted and the dirty stripes inherited.
+func (a *Array) takeover(how string, crash bool) (int, error) {
+	if _, offloaded := a.dev.(*core.OffloadClient); offloaded {
+		return 0, fmt.Errorf("draid: %s with an offloaded controller is not supported", how)
 	}
-	grantEpoch(a.cl, a.hostCfg.Volume, &a.hostCfg, a.hostCfg.Lease)
+	var dirty []int64
+	var ferr error
+	done := false
+	a.call(func() {
+		old, adopt := a.host, (*core.HostController).Seize
+		if crash {
+			old.Crash()
+			adopt = (*core.HostController).Adopt
+		}
+		if a.hostCfg.Epoch != 0 {
+			grantEpoch(a.cl, a.hostCfg.Volume, &a.hostCfg, a.hostCfg.Lease)
+		}
+		h := a.cl.NewDRAID(a.hostCfg) // takes over the fabric endpoint
+		dirty = adopt(h, old)
+		a.log.Add("failover", -1, fmt.Sprintf("%s: replacement controller at epoch %d, %d dirty stripe(s) to resync",
+			how, h.Epoch(), len(dirty)))
+		if a.sup != nil {
+			a.sup.Rebind(h)
+		}
+		a.host, a.dev = h, h
+		if a.realtime {
+			a.dev = loopDev{rt: a.cl.Rt, dev: h}
+		}
+		repair.Failover(a.cl.Rt, h, dirty, func(err error) { ferr, done = err, true })
+	})
+	a.cl.Rt.Run()
+	if !done {
+		return 0, fmt.Errorf("draid: failover resync stalled")
+	}
+	return len(dirty), ferr
 }
 
 // currentHost resolves the controller serving the array now — what repair
 // managers call per item, so that their walks outlive a host failover.
 func (a *Array) currentHost() *core.HostController { return a.host }
-
-// rebind points the array and its supervision stack at a replacement
-// controller. Runs inside call().
-func (a *Array) rebind(replacement *core.HostController) {
-	if a.sup != nil {
-		a.sup.Rebind(replacement)
-	}
-	a.host = replacement
-	if a.realtime {
-		a.dev = loopDev{rt: a.cl.Rt, dev: replacement}
-	} else {
-		a.dev = replacement
-	}
-}
-
-// resyncDirty starts the §5.4 failover resync over the adopted dirty stripes
-// and returns the wait for it. It runs inside call(), in the turn that
-// rebound the array, so the fence is out before anything else — a repair
-// walk's timer, another goroutine's I/O — can reach the replacement; wait
-// runs outside it.
-func (a *Array) resyncDirty(dirty []int64) (wait func() (int, error)) {
-	var ferr error
-	done := false
-	repair.Failover(a.cl.Rt, a.host, dirty, func(err error) { ferr, done = err, true })
-	return func() (int, error) {
-		a.cl.Rt.Run()
-		if !done {
-			return 0, fmt.Errorf("draid: failover resync stalled")
-		}
-		return len(dirty), ferr
-	}
-}
 
 // HostTraffic returns the client-side NIC (outbound, inbound) bytes since
 // the last ResetTraffic — the controller node's NIC normally, the thin
@@ -1717,10 +1640,6 @@ func (a *Array) ResetTraffic() {
 		a.clientNode.ResetCounters()
 	}
 }
-
-// VolumeID returns the array's volume number on its cluster (0 for a
-// standalone draid.New array).
-func (a *Array) VolumeID() int { return int(a.hostCfg.Volume) }
 
 // Flush destages every staged write to the drives and advances time until
 // the stage has drained, reporting the first destage failure (failed stripes
@@ -1789,14 +1708,14 @@ func (a *Array) Benchmark(spec BenchmarkSpec) BenchmarkResult {
 	if spec.Measure == 0 {
 		spec.Measure = 100 * time.Millisecond
 	}
-	before := a.Stats()
+	before := a.Status().Counters
 	r := fio.Run(fio.Job{
 		Name: "draid", Dev: a.dev, Eng: a.cl.Rt,
 		IOSize: spec.IOSizeBytes, ReadRatio: spec.ReadRatio,
 		QueueDepth: spec.QueueDepth,
 		Ramp:       sim.Duration(spec.Ramp), Measure: sim.Duration(spec.Measure),
 	})
-	after := a.Stats()
+	after := a.Status().Counters
 	worse := func(rd, wr float64) time.Duration {
 		if wr > rd {
 			return time.Duration(wr)

@@ -61,7 +61,7 @@ func TestDegradedReadThroughPublicAPI(t *testing.T) {
 		t.Fatal(err)
 	}
 	arr.FailDrive(1)
-	if got := arr.FailedDrives(); len(got) != 1 || got[0] != 1 {
+	if got := arr.Status().Failed; len(got) != 1 || got[0] != 1 {
 		t.Fatalf("failed drives = %v", got)
 	}
 	got, err := arr.ReadSync(0, int64(len(data)))
@@ -83,7 +83,7 @@ func TestRebuildDriveRestoresRedundancy(t *testing.T) {
 	if err := arr.RebuildDrive(2, 4); err != nil {
 		t.Fatal(err)
 	}
-	if len(arr.FailedDrives()) != 0 {
+	if len(arr.Status().Failed) != 0 {
 		t.Fatal("drive still marked failed after rebuild")
 	}
 	// Fail a DIFFERENT drive: reads must now lean on the rebuilt one.
@@ -175,7 +175,7 @@ func TestWriteMixAccountsEveryWrite(t *testing.T) {
 		put(s*sds+4096, 8<<10) // sub-chunk partial → RMW
 		put(s*sds+cs, 3*cs)    // most-of-stripe partial → RCW
 	}
-	st := arr.Stats()
+	st := arr.Status().Counters
 	if st.Writes != int64(writes) {
 		t.Fatalf("Writes = %d, issued %d", st.Writes, writes)
 	}

@@ -34,7 +34,7 @@ func Example() {
 	if err := arr.RebuildDrive(0, 1); err != nil {
 		panic(err)
 	}
-	fmt.Printf("failed drives after rebuild: %d\n", len(arr.FailedDrives()))
+	fmt.Printf("failed drives after rebuild: %d\n", len(arr.Status().Failed))
 	// Output:
 	// degraded read: "the bytes survive the drive"
 	// failed drives after rebuild: 0

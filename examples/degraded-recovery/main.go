@@ -40,7 +40,7 @@ func main() {
 	if err != nil || !bytes.Equal(got, content) {
 		log.Fatalf("degraded read failed (err=%v)", err)
 	}
-	fmt.Printf("degraded reads OK; reconstructions so far: %d\n", arr.Stats().Reconstructions)
+	fmt.Printf("degraded reads OK; reconstructions so far: %d\n", arr.Status().Counters.Reconstructions)
 
 	// Writes keep working too — parity absorbs updates to the lost chunk.
 	update := make([]byte, chunk)
@@ -55,7 +55,7 @@ func main() {
 	if err := arr.RebuildDrive(2, 16); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("rebuild complete; failed drives now: %v\n", arr.FailedDrives())
+	fmt.Printf("rebuild complete; failed drives now: %v\n", arr.Status().Failed)
 
 	// Prove redundancy is back: lose a DIFFERENT drive and read everything.
 	arr.FailDrive(0)
@@ -64,5 +64,5 @@ func main() {
 		log.Fatalf("read after second failure mismatch (err=%v)", err)
 	}
 	fmt.Println("second failure survived — redundancy fully restored")
-	fmt.Printf("virtual time: %v, host stats: %+v\n", arr.Now(), arr.Stats())
+	fmt.Printf("virtual time: %v, host stats: %+v\n", arr.Now(), arr.Status().Counters)
 }

@@ -54,7 +54,7 @@ func main() {
 	_, in = arr.HostTraffic()
 	fmt.Printf("degraded read: host received %.2fx requested bytes — reconstruction stayed peer-to-peer\n",
 		float64(in)/float64(len(payload)))
-	fmt.Printf("stats: %+v\n", arr.Stats())
+	fmt.Printf("stats: %+v\n", arr.Status().Counters)
 
 	// A quick bandwidth check (virtual time, so it completes instantly).
 	res := arr.Benchmark(draid.BenchmarkSpec{

@@ -75,7 +75,7 @@ func TestGoldenSingleVolumeTraceAndStats(t *testing.T) {
 	}
 
 	o, in := arr.HostTraffic()
-	stats := arr.Stats()
+	stats := arr.Status().Counters
 	summary := fmt.Sprintf("hostOut=%d hostIn=%d writes=%d reads=%d degraded=%d rmw=%d full=%d\n",
 		o, in, stats.Writes, stats.Reads, stats.DegradedReads, stats.RMWWrites, stats.FullStripeWrites)
 	if want := golden(t, "golden_single_volume_stats.txt"); summary != string(want) {
@@ -97,13 +97,13 @@ func TestGoldenIntegrityDisabledByteIdentical(t *testing.T) {
 		t.Errorf("integrity-disabled trace not byte-identical to golden (%d bytes vs %d)",
 			len(got), len(want))
 	}
-	if n := arr.Stats().MediaErrors; n != 0 {
+	if n := arr.Status().Counters.MediaErrors; n != 0 {
 		t.Errorf("integrity disabled but host counted %d media errors", n)
 	}
-	if lost := arr.LostRegions(); len(lost) != 0 {
+	if lost := arr.Status().Lost; len(lost) != 0 {
 		t.Errorf("integrity disabled but lost regions recorded: %v", lost)
 	}
-	if st := arr.ScrubStatus(); st.Enabled || st.Passes != 0 || st.MediaRepairs != 0 {
+	if st := arr.Status().Scrub; st.Enabled || st.Passes != 0 || st.MediaRepairs != 0 {
 		t.Errorf("integrity disabled but scrubber reports activity: %+v", st)
 	}
 }

@@ -84,7 +84,7 @@ func TestScrubBackgroundPass(t *testing.T) {
 
 	// Nothing reads the damaged range; only the background pass can find it.
 	arr.RunFor(10 * time.Millisecond)
-	st := arr.ScrubStatus()
+	st := arr.Status().Scrub
 	if !st.Enabled {
 		t.Fatal("scrubber not enabled despite ScrubInterval")
 	}
@@ -102,13 +102,13 @@ func TestScrubBackgroundPass(t *testing.T) {
 	if !bytes.Equal(got, ref) {
 		t.Fatal("data corrupt after background scrub")
 	}
-	if arr.Stats().MediaErrors == 0 {
+	if arr.Status().Counters.MediaErrors == 0 {
 		t.Fatal("host never saw a media-error completion")
 	}
 }
 
 // TestScrubEventsInRecoveryLog checks scrub life-cycle events land in the
-// supervisor's recovery log alongside detection/rebuild milestones.
+// array's recovery log alongside detection/rebuild milestones.
 func TestScrubEventsInRecoveryLog(t *testing.T) {
 	arr := integrityArray(t, draid.Config{Seed: 7, ScrubInterval: time.Millisecond})
 	ref := randBytes(11, 256<<10)
@@ -119,7 +119,7 @@ func TestScrubEventsInRecoveryLog(t *testing.T) {
 	arr.RunFor(10 * time.Millisecond)
 
 	kinds := map[string]int{}
-	for _, e := range arr.RecoveryEvents() {
+	for _, e := range arr.Status().Events {
 		kinds[e.Kind]++
 	}
 	if kinds["scrub-pass"] == 0 {
@@ -154,11 +154,11 @@ func TestRepairOnRead(t *testing.T) {
 			if !bytes.Equal(got, ref[32<<10:64<<10]) {
 				t.Fatal("reconstructed read returned wrong bytes")
 			}
-			if arr.Stats().MediaErrors == 0 {
+			if arr.Status().Counters.MediaErrors == 0 {
 				t.Fatal("checksum mismatch never surfaced as a media error")
 			}
 			arr.Run() // let the fire-and-forget in-place repair drain
-			if arr.Stats().RepairedRanges == 0 {
+			if arr.Status().Counters.RepairedRanges == 0 {
 				t.Fatal("no in-place repair recorded")
 			}
 
@@ -251,7 +251,7 @@ func TestIntegrityTortureRebuildURE(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		t.Run(fmt.Sprintf("raid6/seed=%d", seed), func(t *testing.T) {
 			arr, ref, _ := rebuildWithURE(t, draid.Config{Level: draid.Raid6, Drives: 6}, seed)
-			if lost := arr.LostRegions(); len(lost) != 0 {
+			if lost := arr.Status().Lost; len(lost) != 0 {
 				t.Fatalf("RAID-6 rebuild lost data despite double parity: %v", lost)
 			}
 			got, err := arr.ReadSync(0, arr.Size())
@@ -264,7 +264,7 @@ func TestIntegrityTortureRebuildURE(t *testing.T) {
 		})
 		t.Run(fmt.Sprintf("raid5/seed=%d", seed), func(t *testing.T) {
 			arr, ref, _ := rebuildWithURE(t, draid.Config{Level: draid.Raid5, Drives: 5}, seed)
-			lost := arr.LostRegions()
+			lost := arr.Status().Lost
 			if len(lost) == 0 {
 				t.Fatal("RAID-5 rebuild across UREs recorded no lost regions")
 			}
@@ -307,7 +307,7 @@ func TestIntegrityTortureRebuildURE(t *testing.T) {
 					t.Fatalf("rewrite at %d: %v", off, err)
 				}
 			}
-			if lost := arr.LostRegions(); len(lost) != 0 {
+			if lost := arr.Status().Lost; len(lost) != 0 {
 				t.Fatalf("lost regions survived a full rewrite: %v", lost)
 			}
 			got, err := arr.ReadSync(0, arr.Size())
@@ -346,7 +346,7 @@ func verifyWithLoss(t *testing.T, arr *draid.Array, model []byte) {
 			t.Fatal("verifyWithLoss: no progress")
 		}
 		var next *draid.LostRegion
-		for _, lr := range arr.LostRegions() {
+		for _, lr := range arr.Status().Lost {
 			if lr.Off+lr.Len > pos {
 				lr := lr
 				next = &lr
@@ -370,7 +370,7 @@ func verifyWithLoss(t *testing.T, arr *draid.Array, model []byte) {
 			if !errors.Is(err, draid.ErrMediaError) {
 				t.Fatalf("read [%d,+%d): %v", pos, end-pos, err)
 			}
-			if !overlapsLost(arr.LostRegions(), pos, end-pos) {
+			if !overlapsLost(arr.Status().Lost, pos, end-pos) {
 				t.Fatalf("read [%d,+%d) failed without recording loss: %v", pos, end-pos, err)
 			}
 			continue // lost list grew; rescan
@@ -389,7 +389,7 @@ func verifyWithLoss(t *testing.T, arr *draid.Array, model []byte) {
 func healLostRegions(t *testing.T, arr *draid.Array, model []byte, seed int64) {
 	t.Helper()
 	for round := 0; round < 20; round++ {
-		lost := arr.LostRegions()
+		lost := arr.Status().Lost
 		if len(lost) == 0 {
 			return
 		}
@@ -401,7 +401,7 @@ func healLostRegions(t *testing.T, arr *draid.Array, model []byte, seed int64) {
 			copy(model[lr.Off:], fresh)
 		}
 	}
-	t.Fatalf("lost regions survive overwriting: %v", arr.LostRegions())
+	t.Fatalf("lost regions survive overwriting: %v", arr.Status().Lost)
 }
 
 // verifyHealedDevice drives the array back to a fully readable, model-exact
@@ -486,7 +486,7 @@ func TestIntegrityTortureScrubUnderWrites(t *testing.T) {
 					if !errors.Is(err, draid.ErrMediaError) {
 						t.Fatalf("iter %d read [%d,+%d): %v", iter, rOff, rLen, err)
 					}
-					if !overlapsLost(arr.LostRegions(), rOff, rLen) {
+					if !overlapsLost(arr.Status().Lost, rOff, rLen) {
 						t.Fatalf("iter %d read [%d,+%d) failed outside lost regions: %v", iter, rOff, rLen, err)
 					}
 				case !bytes.Equal(got, model[rOff:rOff+rLen]):
@@ -497,11 +497,11 @@ func TestIntegrityTortureScrubUnderWrites(t *testing.T) {
 			}
 
 			arr.RunFor(5 * time.Millisecond) // final passes sweep leftovers
-			st := arr.ScrubStatus()
+			st := arr.Status().Scrub
 			if st.Passes == 0 {
 				t.Fatalf("no background scrub pass completed: %+v", st)
 			}
-			if lost := arr.LostRegions(); len(lost) != 0 {
+			if lost := arr.Status().Lost; len(lost) != 0 {
 				t.Logf("write-hole losses (reported, never served): %v", lost)
 			}
 			verifyHealedDevice(t, arr, model, seed)
@@ -611,7 +611,7 @@ func TestIntegrityTortureHedgedReads(t *testing.T) {
 						if !errors.Is(err, draid.ErrMediaError) {
 							t.Fatalf("iter %d read [%d,+%d): %v", iter, rOff, rLen, err)
 						}
-						if !overlapsLost(arr.LostRegions(), rOff, rLen) {
+						if !overlapsLost(arr.Status().Lost, rOff, rLen) {
 							t.Fatalf("iter %d read [%d,+%d) failed outside lost regions: %v", iter, rOff, rLen, err)
 						}
 					case !bytes.Equal(got, model[rOff:rOff+rLen]):
@@ -652,13 +652,13 @@ func TestIntegrityTortureHedgedReads(t *testing.T) {
 				}
 
 				arr.RunFor(20 * time.Millisecond) // rebuild + final scrub passes drain
-				if st := arr.RebuildStatus(); st.Active {
+				if st := arr.Status().Rebuild; st.Active {
 					t.Fatalf("rebuild still active at end: %+v", st)
 				}
-				if got := arr.FailedDrives(); len(got) != 0 {
+				if got := arr.Status().Failed; len(got) != 0 {
 					t.Fatalf("failed drives after rebuild = %v, want none", got)
 				}
-				if arr.Stats().HedgedReads == 0 {
+				if arr.Status().Counters.HedgedReads == 0 {
 					t.Fatal("torture ran without a single hedged read; injection or policy wiring broken")
 				}
 				verifyHealedDevice(t, arr, model, seed)
@@ -697,7 +697,7 @@ func TestWireCorruptionRetries(t *testing.T) {
 	if fab.CorruptDrops() == 0 {
 		t.Fatal("no corrupted frame was ever dropped (injection ineffective)")
 	}
-	if arr.Stats().Retries == 0 {
+	if arr.Status().Counters.Retries == 0 {
 		t.Fatal("corruption recovered without any retry (should be impossible)")
 	}
 }
@@ -728,8 +728,8 @@ func TestWireCorruptionDirectional(t *testing.T) {
 	if !bytes.Equal(got, ref) {
 		t.Fatal("one-way corruption leaked wrong bytes")
 	}
-	if cl.Fabric.CorruptDrops() == 0 || arr.Stats().Retries == 0 {
+	if cl.Fabric.CorruptDrops() == 0 || arr.Status().Counters.Retries == 0 {
 		t.Fatalf("injection ineffective: drops=%d retries=%d",
-			cl.Fabric.CorruptDrops(), arr.Stats().Retries)
+			cl.Fabric.CorruptDrops(), arr.Status().Counters.Retries)
 	}
 }

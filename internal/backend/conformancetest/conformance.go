@@ -71,7 +71,7 @@ func closeDrained(t *testing.T, a *draid.Array) {
 // by some server well after its capsule arrived.
 func stallDrives(t *testing.T, a *draid.Array) {
 	t.Helper()
-	for i := 0; i < a.DriveCount(); i++ {
+	for i, n := 0, a.Status().Drives; i < n; i++ {
 		err := a.Inject().SlowDrive(i, draid.SlowProfile{
 			Kind: draid.SlowStall, Stall: 5 * time.Millisecond, Period: 10 * time.Millisecond,
 		})
@@ -102,7 +102,7 @@ func duplicateCommand(t *testing.T, a *draid.Array, member int) {
 // an epoch bump severs it), and lets everything drain.
 func calm(t *testing.T, a *draid.Array) {
 	t.Helper()
-	for i := 0; i < a.DriveCount(); i++ {
+	for i, n := 0, a.Status().Drives; i < n; i++ {
 		if err := a.Inject().SlowDrive(i, draid.SlowProfile{}); err != nil {
 			t.Fatalf("clear stall on member %d: %v", i, err)
 		}
@@ -254,7 +254,7 @@ func Run(t *testing.T, f Factory) {
 		if err := a.RebuildDrive(2, 0); err != nil {
 			t.Fatalf("rebuild: %v", err)
 		}
-		if failed := a.FailedDrives(); len(failed) != 0 {
+		if failed := a.Status().Failed; len(failed) != 0 {
 			t.Fatalf("members still failed after rebuild: %v", failed)
 		}
 		// The rebuilt member must carry real redundancy: fail a different
@@ -316,9 +316,9 @@ func Run(t *testing.T, f Factory) {
 		// Stripe 1 keeps its P on drive 4 and data chunk 1 on drive 1: a read
 		// of that chunk is reconstructed on a peer through Q, not gathered to
 		// the host.
-		gathers := a.Stats().HostFallbackReads
+		gathers := a.Status().Counters.HostFallbackReads
 		expectRead(t, a, 80<<10, shadow[80<<10:96<<10], "data chunk lost together with its P")
-		if n := a.Stats().HostFallbackReads - gathers; n != 0 {
+		if n := a.Status().Counters.HostFallbackReads - gathers; n != 0 {
 			t.Fatalf("data+P degraded read took %d host gathers, want the Q-scaled peer reduction", n)
 		}
 		for _, d := range []int{1, 4} {
@@ -326,7 +326,7 @@ func Run(t *testing.T, f Factory) {
 				t.Fatalf("rebuild of drive %d: %v", d, err)
 			}
 		}
-		if failed := a.FailedDrives(); len(failed) != 0 {
+		if failed := a.Status().Failed; len(failed) != 0 {
 			t.Fatalf("members still failed after both rebuilds: %v", failed)
 		}
 		expectParityCoherent(t, a, "after both rebuilds")
@@ -406,7 +406,7 @@ func Run(t *testing.T, f Factory) {
 		if !bytes.Equal(got, want) {
 			t.Fatal("hedged read: payload mismatch (parity solve wrong)")
 		}
-		if a.Stats().HedgedReads == 0 {
+		if a.Status().Counters.HedgedReads == 0 {
 			t.Fatal("read completed without hedging; expected a hedged parity solve")
 		}
 	})
@@ -555,7 +555,7 @@ func Run(t *testing.T, f Factory) {
 		if _, err := a.SeizeHost(); err != nil {
 			t.Fatalf("seize host: %v", err)
 		}
-		if got := a.HostEpoch(); got != 2 {
+		if got := a.Status().Epoch; got != 2 {
 			t.Fatalf("replacement epoch: got %d, want 2", got)
 		}
 		if err := a.Flush(); err != nil {
@@ -627,7 +627,7 @@ func Run(t *testing.T, f Factory) {
 			t.Fatalf("priming write: %v", err)
 		}
 		stallDrives(t, a)
-		for i := 0; i < a.DriveCount(); i++ {
+		for i, n := 0, a.Status().Drives; i < n; i++ {
 			if err := a.Inject().DuplicateNext(i); err != nil {
 				t.Fatalf("arm duplicate on member %d: %v", i, err)
 			}
@@ -766,23 +766,27 @@ func Run(t *testing.T, f Factory) {
 					return n
 				}
 				before := writes()
-				for drive, want := range map[int]string{2: "draid: drive 2 is not failed", -1: "out of range", a.DriveCount(): "out of range"} {
+				drives := a.Status().Drives
+				for drive, want := range map[int]string{2: "draid: drive 2 is not failed", -1: "out of range", drives: "out of range"} {
 					if err := a.RebuildDrive(drive, 0); err == nil || !strings.Contains(err.Error(), want) {
 						t.Fatalf("RebuildDrive(%d) = %v, want an error containing %q", drive, err, want)
 					}
 				}
-				if err := a.RebuildDrive(a.DriveCount(), 0); !errors.Is(err, draid.ErrOutOfRange) {
+				if err := a.RebuildDrive(drives, 0); !errors.Is(err, draid.ErrOutOfRange) {
 					t.Fatalf("out-of-range rebuild: %v does not wrap ErrOutOfRange", err)
 				}
-				if st := a.Stats(); st.RebuiltStripes != 0 || writes() != before || len(a.FailedDrives()) != 0 {
+				if st := a.Status(); st.Counters.RebuiltStripes != 0 || writes() != before || len(st.Failed) != 0 {
 					t.Fatalf("rejected rebuilds touched the array: %d relocated, %d drive writes (was %d), failed %v",
-						st.RebuiltStripes, writes(), before, a.FailedDrives())
+						st.Counters.RebuiltStripes, writes(), before, st.Failed)
 				}
 				// The healthy drive was not retired or drained behind our back:
 				// once it really fails, its chunks are all there to rebuild.
 				a.FailDrive(2)
-				if err := a.RebuildDrive(2, 0); err != nil || a.Stats().RebuiltStripes == 0 {
-					t.Fatalf("rebuild after a real failure: %v, %d chunks", err, a.Stats().RebuiltStripes)
+				if err := a.RebuildDrive(2, 0); err != nil {
+					t.Fatalf("rebuild after a real failure: %v", err)
+				}
+				if n := a.Status().Counters.RebuiltStripes; n == 0 {
+					t.Fatal("rebuild after a real failure relocated no chunks")
 				}
 				expectRead(t, a, 0, want, "after the rebuild")
 			})
@@ -796,15 +800,27 @@ func Run(t *testing.T, f Factory) {
 				}
 				a.FailDrive(1)
 				a.RunFor(2 * time.Millisecond)
-				if !a.RebuildStatus().Active {
+				if !a.Status().Rebuild.Active {
 					t.Fatal("test setup: the supervised rebuild is not in flight")
 				}
 				return a
 			}
+			// The recovery log tells the same story on every backend: the
+			// failure, the rebuild's start and its end, in that order.
 			finished := func(t *testing.T, a *draid.Array, how string) {
 				a.Run()
-				if st := a.RebuildStatus(); st.Active || st.Done != st.Total {
-					t.Fatalf("supervised rebuild did not survive %s: %+v\n%v", how, st, a.RecoveryEvents())
+				st := a.Status()
+				if st.Rebuild.Active || st.Rebuild.Done != st.Rebuild.Total {
+					t.Fatalf("supervised rebuild did not survive %s: %+v\n%v", how, st.Rebuild, st.Events)
+				}
+				want := []string{"failed", "rebuild-start", "rebuild-done"}
+				for _, e := range st.Events {
+					if len(want) > 0 && e.Member == 1 && e.Kind == want[0] {
+						want = want[1:]
+					}
+				}
+				if len(want) > 0 {
+					t.Fatalf("recovery log after %s lacks %q in order:\n%v", how, want, st.Events)
 				}
 				expectRead(t, a, 0, pattern(0, 160<<10), "after "+how)
 			}

@@ -155,10 +155,18 @@ type Violation struct {
 	Fault  Fault
 	Step   int
 	Detail string
+	// Events is the tail of the array's recovery log when the breach was
+	// found, oldest first.
+	Events []draid.RecoveryEvent
 }
 
 func (v Violation) String() string {
-	return fmt.Sprintf("%s seed=%d fault=%s step=%d: %s", v.Mode, v.Seed, v.Fault, v.Step, v.Detail)
+	var b strings.Builder
+	fmt.Fprintf(&b, "%s seed=%d fault=%s step=%d: %s", v.Mode, v.Seed, v.Fault, v.Step, v.Detail)
+	for _, e := range v.Events {
+		fmt.Fprintf(&b, "\n\t%v", e)
+	}
+	return b.String()
 }
 
 // Report aggregates a sweep.

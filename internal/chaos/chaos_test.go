@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"strings"
 	"testing"
 
 	"draid"
@@ -78,6 +79,17 @@ func TestTeethCatchStaleDestage(t *testing.T) {
 	}
 	if len(teeth.Violations) < teeth.Trials {
 		t.Errorf("only %d/%d teeth trials caught the stale destage", len(teeth.Violations), teeth.Trials)
+	}
+	// Each report carries the log tail that localises the breach: the
+	// takeover the zombie's stale destage raced.
+	for _, v := range teeth.Violations {
+		seized := false
+		for _, e := range v.Events {
+			seized = seized || e.Kind == "failover" && strings.HasPrefix(e.Detail, "seize:")
+		}
+		if !seized {
+			t.Errorf("teeth violation without the seize in its log tail: %s", v)
+		}
 	}
 	opts.Mode.Teeth = false
 	fenced, err := Run(opts)

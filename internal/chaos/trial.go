@@ -18,6 +18,9 @@ const (
 	// OpDeadline × retries) or retries of stripes stranded by a partition
 	// overlap and the sim engine never quiesces.
 	destageTick = 500 * time.Millisecond
+	// logTail is how many of the newest recovery-log entries a violation
+	// carries.
+	logTail = 8
 )
 
 // span is a half-open byte range [off, off+n) of the work region.
@@ -42,12 +45,12 @@ type trialState struct {
 	fault Fault
 	at    int
 
-	a          *draid.Array
-	rng        *rand.Rand
-	model      []byte
-	region     int64
-	stripeData int64
-	ambiguous  []span
+	a            *draid.Array
+	rng          *rand.Rand
+	model        []byte
+	region       int64
+	stripeData   int64
+	ambiguous    []span
 	member       int
 	member2      int
 	zombieDone   chan error
@@ -171,10 +174,16 @@ func (t *trialState) checkLeaks() {
 	}
 }
 
+// violate records a breach together with the tail of the array's recovery
+// log, which places it among the takeovers, rebuilds and scrubs before it.
 func (t *trialState) violate(format string, args ...any) {
+	events := t.a.Status().Events
+	if len(events) > logTail {
+		events = events[len(events)-logTail:]
+	}
 	t.vio = append(t.vio, Violation{
 		Mode: t.mode, Seed: t.seed, Fault: t.fault, Step: t.at,
-		Detail: fmt.Sprintf(format, args...),
+		Detail: fmt.Sprintf(format, args...), Events: events,
 	})
 }
 
@@ -284,7 +293,7 @@ func (t *trialState) execStep(i int) {
 // errors for the sweep to skip; invariant problems go through violate.
 func (t *trialState) inject() error {
 	inj := t.a.Inject()
-	n := t.a.DriveCount()
+	n := t.a.Status().Drives
 	t.member = t.rng.Intn(n)
 	t.member2 = (t.member + 1 + t.rng.Intn(n-1)) % n
 	switch t.fault {
@@ -328,12 +337,12 @@ func (t *trialState) inject() error {
 	case FaultPartitionPeers:
 		return inj.PartitionPeers(t.member, t.member2, draid.PartitionBoth)
 	case FaultCrashFailover:
-		before := t.a.HostEpoch()
+		before := t.a.Status().Epoch
 		if _, err := t.a.FailoverHost(); err != nil {
 			t.violate("crash failover: %v", err)
 			return nil
 		}
-		if got := t.a.HostEpoch(); got <= before {
+		if got := t.a.Status().Epoch; got <= before {
 			t.violate("failover did not advance the epoch: %d -> %d", before, got)
 		}
 	case FaultDelay:
@@ -355,12 +364,12 @@ func (t *trialState) heal() {
 			t.violate("heal isolation: %v", err)
 			return
 		}
-		before := t.a.HostEpoch()
+		before := t.a.Status().Epoch
 		if _, err := t.a.SeizeHost(); err != nil {
 			t.violate("seize after heal: %v", err)
 			return
 		}
-		if got := t.a.HostEpoch(); got <= before {
+		if got := t.a.Status().Epoch; got <= before {
 			t.violate("seize did not advance the epoch: %d -> %d", before, got)
 		}
 	case FaultPartitionMember:
@@ -390,7 +399,7 @@ func (t *trialState) verify() {
 	// budget their chunks may hold writes they missed (applied degraded), so
 	// rebuild them from the survivors. Past the budget nothing can have been
 	// acknowledged degraded during the cut — the drives return as they were.
-	failed := t.a.FailedDrives()
+	failed := t.a.Status().Failed
 	budget := 1 // Raid5
 	if len(failed) > 0 && len(failed) <= budget {
 		for _, d := range failed {
@@ -472,5 +481,5 @@ func (t *trialState) verify() {
 	if d := s2.ParityRepairs - s1.ParityRepairs; d > 0 {
 		t.violate("parity still diverging on second scrub: %d repairs", d)
 	}
-	t.staleRejects = t.a.StaleRejects()
+	t.staleRejects = t.a.Status().StaleRejects
 }

@@ -38,6 +38,7 @@ type tortureDevice interface {
 // write-intent bitmap) and the final sweep excludes NOTHING.
 type tortureRecovery struct {
 	sup *repair.Supervisor
+	log *repair.Log
 }
 
 func runTorture(t *testing.T, seed int64, level raid.Level, targets int, dev tortureDevice, cl *cluster.Cluster, failDrive bool, rec *tortureRecovery) {
@@ -206,13 +207,13 @@ func runTorture(t *testing.T, seed int64, level raid.Level, targets int, dev tor
 			t.Fatalf("rebuild still active after drain: %+v", st)
 		}
 		rebuildDone := false
-		for _, e := range rec.sup.Events() {
+		for _, e := range rec.log.Events() {
 			if e.Kind == "rebuild-done" && e.Member == victim {
 				rebuildDone = true
 			}
 		}
 		if !rebuildDone {
-			t.Fatalf("no rebuild-done event for victim %d; events:\n%v", victim, rec.sup.Events())
+			t.Fatalf("no rebuild-done event for victim %d; events:\n%v", victim, rec.log.Events())
 		}
 		if got := dev.FailedMembers(); len(got) != 0 {
 			t.Fatalf("failed members after rebuild = %v, want none (spare promoted)", got)
@@ -322,6 +323,7 @@ func TestTortureRebuild(t *testing.T) {
 					Geometry: raid.Geometry{Level: tc.level, Width: tc.targets, ChunkSize: 16 << 10},
 					Deadline: 10 * sim.Millisecond,
 				})
+				log := repair.NewLog(cl.Rt)
 				sup := repair.NewSupervisor(cl.Rt, h, repair.Config{
 					Detector: repair.DetectorConfig{
 						HeartbeatEvery:   sim.Millisecond,
@@ -329,10 +331,10 @@ func TestTortureRebuild(t *testing.T) {
 					},
 					Rebuild: repair.RebuilderConfig{RateMBps: 400},
 					Spares:  cl.SpareIDs(),
-				}, nil)
+				}, nil, log)
 				sup.Start()
 				defer sup.Stop()
-				runTorture(t, seed, tc.level, tc.targets, h, cl, true, &tortureRecovery{sup: sup})
+				runTorture(t, seed, tc.level, tc.targets, h, cl, true, &tortureRecovery{sup: sup, log: log})
 			})
 		}
 	}

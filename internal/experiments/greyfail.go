@@ -117,13 +117,14 @@ func greyfailPoint(o Options, pol greyfailPolicy, fixedDelay time.Duration, slow
 	for _, d := range arr.Cluster().Drives {
 		driveBytes += d.Stats().ReadBytes
 	}
-	st := arr.Stats()
+	status := arr.Status()
+	st := status.Counters
 	amp := 0.0
 	if st.UserBytesRead > 0 {
 		amp = 100 * (float64(driveBytes)/float64(st.UserBytesRead) - 1)
 	}
 	evicted := "grey member still in service"
-	if h := arr.MemberHealth(); h[2] == draid.Failed {
+	if h := status.Health; h[2] == draid.Failed {
 		evicted = "grey member evicted"
 	} else if h[2] == draid.Degraded || h[2] == draid.Suspect {
 		evicted = "grey member " + h[2].String()

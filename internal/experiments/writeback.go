@@ -97,7 +97,7 @@ func writebackPoint(o Options, size int64, staged bool) (Point, error) {
 		driveBytes += d.Stats().WriteBytes
 	}
 	pt := Point{X: float64(size >> 10), Label: fmt.Sprintf("%dKB", size>>10)}
-	if st := arr.Stats(); st.UserBytesWritten > 0 {
+	if st := arr.Status().Counters; st.UserBytesWritten > 0 {
 		pt.Extra = float64(driveBytes) / float64(st.UserBytesWritten)
 	}
 	if elapsed > 0 {

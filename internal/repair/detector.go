@@ -46,6 +46,10 @@ func (s MemberState) String() string {
 	return fmt.Sprintf("MemberState(%d)", int(s))
 }
 
+// MarshalText renders the state as its name, so status JSON reads "failed"
+// rather than 3.
+func (s MemberState) MarshalText() ([]byte, error) { return []byte(s.String()), nil }
+
 // DetectorConfig tunes the failure detector.
 type DetectorConfig struct {
 	// FailAfter is how many unconfirmed strikes (op timeouts, missed
@@ -118,8 +122,8 @@ type Detector struct {
 	onFail  func(member int)
 	ticker  backend.Timer
 
-	track   trace.Track
-	tracer  *trace.Collector
+	track  trace.Track
+	tracer *trace.Collector
 	// Transition counters, exposed for tests and the demo.
 	DegradeTransitions int64
 	SuspectTransitions int64

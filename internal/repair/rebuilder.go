@@ -1,6 +1,7 @@
 package repair
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 
@@ -20,11 +21,6 @@ type RebuilderConfig struct {
 	// its chunk bytes from the same bucket, so concurrent rebuilds split
 	// the rate instead of each claiming it in full.
 	Limiter *RateLimiter
-	// OnLost, when non-nil, is called after any relocated stripe sacrificed
-	// data to a media double fault (a survivor URE past the parity budget —
-	// the RAID-5 rebuild hazard). The walk continues; the affected bytes
-	// are in the host's lost-region list.
-	OnLost func(stripe int64)
 }
 
 // Status is a snapshot of a Rebuilder's current (or last) walk.
@@ -45,15 +41,32 @@ type Status struct {
 	Err         error // what ended the walk, once it is no longer Active
 }
 
+// MarshalJSON renders Err as its message ("" for none): an error value has
+// no exported fields and would otherwise marshal as {}.
+func (s Status) MarshalJSON() ([]byte, error) {
+	type fields Status // the same fields without this method
+	msg := ""
+	if s.Err != nil {
+		msg = s.Err.Error()
+	}
+	return json.Marshal(struct {
+		fields
+		Err string
+	}{fields(s), msg})
+}
+
 // Rebuilder drives one host-planned repair (core.Repair) at a time through
 // the paced walker: the rebuild of a failed drive — onto a hot spare or into
 // distributed spare slots, the host decides — the fill of an added drive,
 // the drain of a leaving one. Every item relocates one chunk under its
-// stripe's write lock, so foreground I/O keeps serving throughout.
+// stripe's write lock, so foreground I/O keeps serving throughout. A stripe
+// relocated with data lost to a media double fault (a survivor URE past the
+// parity budget — the RAID-5 rebuild hazard) is logged as "lost-region"; the
+// walk continues, and the affected bytes are in the host's lost-region list.
 type Rebuilder struct {
 	w      walker
 	host   func() *core.HostController // the one serving now: a walk outlives a failover
-	cfg    RebuilderConfig
+	log    *Log
 	status Status
 }
 
@@ -61,9 +74,9 @@ type Rebuilder struct {
 var ErrBusy = errors.New("repair: previous walk still active")
 
 // NewRebuilder builds a repair manager whose walks show on the
-// "repair"/name trace timeline.
-func NewRebuilder(eng backend.Runtime, host func() *core.HostController, cfg RebuilderConfig, tracer *trace.Collector, name string) *Rebuilder {
-	r := &Rebuilder{w: newWalker(eng, cfg.RateMBps, cfg.Limiter, tracer, name), host: host, cfg: cfg}
+// "repair"/name trace timeline and whose lost stripes go to log.
+func NewRebuilder(eng backend.Runtime, host func() *core.HostController, cfg RebuilderConfig, tracer *trace.Collector, log *Log, name string) *Rebuilder {
+	r := &Rebuilder{w: newWalker(eng, cfg.RateMBps, cfg.Limiter, tracer, name), host: host, log: log}
 	tracer.AddGauge(r.w.track, name+" progress", func() float64 {
 		if r.w.total == 0 {
 			return 0
@@ -120,9 +133,7 @@ func (r *Rebuilder) relocate(p core.Repair, i int64, next func(error)) {
 		}
 		if delta := h.LostRegionsEver() - lostBefore; delta > 0 {
 			r.status.LostRegions += delta
-			if r.cfg.OnLost != nil {
-				r.cfg.OnLost(p.Stripe(i))
-			}
+			r.log.Add("lost-region", p.Drive, fmt.Sprintf("stripe %d relocated with unrecoverable hole", p.Stripe(i)))
 		}
 		switch {
 		case errors.Is(err, core.ErrSlotTaken):

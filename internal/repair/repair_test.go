@@ -280,7 +280,7 @@ func planRebuild(t *testing.T, cl *cluster.Cluster, h *core.HostController, driv
 // newRebuilder builds a rebuilder bound to h; planned hands it a plan made
 // beforehand.
 func newRebuilder(cl *cluster.Cluster, h *core.HostController, cfg repair.RebuilderConfig, name string) *repair.Rebuilder {
-	return repair.NewRebuilder(cl.Rt, hostOf(h), cfg, nil, name)
+	return repair.NewRebuilder(cl.Rt, hostOf(h), cfg, nil, nil, name)
 }
 
 func hostOf(h *core.HostController) func() *core.HostController {
@@ -447,7 +447,7 @@ func TestScrubberStopEndsPassMidWalk(t *testing.T) {
 	scr := repair.NewScrubber(cl.Rt, hostOf(h), repair.ScrubberConfig{
 		Interval: sim.Millisecond,
 		RateMBps: 200, // 5 × 64 KiB per stripe: one stripe every ~1.6 ms
-	}, nil)
+	}, nil, nil)
 	scr.Start()
 	cl.Rt.RunFor(10 * sim.Millisecond)
 	mid := scr.Status()
@@ -474,13 +474,14 @@ func TestSupervisorAutoRecovery(t *testing.T) {
 	cl, h := testCluster(t, 5, 1, raid.Raid5)
 	ref := seedDevice(t, cl, h, 99)
 
+	log := repair.NewLog(cl.Rt)
 	sup := repair.NewSupervisor(cl.Rt, h, repair.Config{
 		Detector: repair.DetectorConfig{
 			HeartbeatEvery:   sim.Millisecond,
 			HeartbeatTimeout: 500 * sim.Microsecond,
 		},
-		Spares: cl.SpareIDs(),
-	}, nil)
+		Pool: cl.Spares,
+	}, nil, log)
 	sup.Start()
 	defer sup.Stop()
 
@@ -498,11 +499,11 @@ func TestSupervisorAutoRecovery(t *testing.T) {
 	if got := h.FailedMembers(); len(got) != 0 {
 		t.Fatalf("failed members after auto-recovery = %v, want none", got)
 	}
-	if sup.SparesAvailable() != 0 {
-		t.Fatalf("spare pool = %d, want 0 (consumed)", sup.SparesAvailable())
+	if n := cl.Spares.Available(); n != 0 {
+		t.Fatalf("spare pool = %d, want 0 (consumed)", n)
 	}
 	kinds := []string{}
-	for _, e := range sup.Events() {
+	for _, e := range log.Events() {
 		if e.Member == 3 {
 			kinds = append(kinds, e.Kind)
 		}
@@ -608,7 +609,7 @@ func TestHostFailoverResyncsDirtyStripes(t *testing.T) {
 	cl, h := testCluster(t, 5, 0, raid.Raid5)
 	geo := h.Geometry()
 	stripeBytes := int64(geo.DataChunks()) * chunkSize
-	ref := randBytes(11, int(4 * stripeBytes))
+	ref := randBytes(11, int(4*stripeBytes))
 	mustWrite(t, cl, h, 0, ref)
 
 	// Start writes over two stripes, then crash mid-flight.

@@ -22,11 +22,6 @@ type ScrubberConfig struct {
 	// cluster-shared repair budget, so concurrent scrubs and rebuilds split
 	// one rate instead of each claiming their own.
 	Limiter *RateLimiter
-	// OnEvent, when non-nil, receives scrub life-cycle notifications:
-	// "scrub-repair" (a stripe was fixed), "scrub-error" (a stripe could not
-	// be verified), "lost-region" (data was sacrificed to a media double
-	// fault), and "scrub-pass" (a full pass completed).
-	OnEvent func(kind string, stripe int64, detail string)
 }
 
 // ScrubStatus is a snapshot of scrubber progress.
@@ -55,20 +50,23 @@ type ScrubStatus struct {
 // repair-on-read catches only sectors something reads). It runs on the same
 // paced walker as the rebuilder, reserving a whole stripe's bytes per item;
 // periodic passes run on background timers so an idle simulation can still
-// drain.
+// drain. It logs "scrub-repair" for a stripe it fixed, "scrub-error" for one
+// it could not verify, "lost-region" for data sacrificed to a media double
+// fault, and "scrub-pass" for every completed pass.
 type Scrubber struct {
 	w    walker
 	host func() *core.HostController // the controller serving now: a pass outlives a failover
 	cfg  ScrubberConfig
+	log  *Log
 
 	status  ScrubStatus
 	stopped bool
 }
 
-// NewScrubber builds a scrubber for the host. Call Start for periodic
-// passes, or RunPass for a single on-demand pass.
-func NewScrubber(eng backend.Runtime, host func() *core.HostController, cfg ScrubberConfig, tracer *trace.Collector) *Scrubber {
-	s := &Scrubber{w: newWalker(eng, cfg.RateMBps, cfg.Limiter, tracer, "scrub"), host: host, cfg: cfg}
+// NewScrubber builds a scrubber for the host, logging to log. Call Start for
+// periodic passes, or RunPass for a single on-demand pass.
+func NewScrubber(eng backend.Runtime, host func() *core.HostController, cfg ScrubberConfig, tracer *trace.Collector, log *Log) *Scrubber {
+	s := &Scrubber{w: newWalker(eng, cfg.RateMBps, cfg.Limiter, tracer, "scrub"), host: host, cfg: cfg, log: log}
 	s.status.Enabled = cfg.Interval > 0
 	tracer.AddGauge(s.w.track, "scrub progress", func() float64 {
 		if !s.w.active || s.w.total == 0 {
@@ -132,7 +130,7 @@ func (s *Scrubber) pass(bg bool, cb func(ScrubStatus, error)) {
 		},
 		done: func(error) {
 			s.status.Passes++
-			s.event("scrub-pass", -1, fmt.Sprintf("pass %d: %d stripes, %d media repairs, %d parity repairs",
+			s.log.Add("scrub-pass", -1, fmt.Sprintf("pass %d: %d stripes, %d media repairs, %d parity repairs",
 				s.status.Passes, total, s.status.MediaRepairs, s.status.ParityRepairs))
 			if cb != nil {
 				cb(s.Status(), nil)
@@ -156,13 +154,13 @@ func (s *Scrubber) scrub(stripe int64, next func(error)) {
 			return
 		}
 		if delta := h.LostRegionsEver() - lostBefore; delta > 0 {
-			s.event("lost-region", stripe, fmt.Sprintf("%d range(s) lost during scrub", delta))
+			s.log.Add("lost-region", -1, fmt.Sprintf("stripe %d: %d range(s) lost during scrub", stripe, delta))
 		}
 		switch {
 		case err != nil:
 			// One bad stripe must not wedge the pass: note it, move on.
 			s.status.Errors++
-			s.event("scrub-error", stripe, err.Error())
+			s.log.Add("scrub-error", -1, fmt.Sprintf("stripe %d: %v", stripe, err))
 		case res.Skipped:
 			s.status.SkippedStripes++
 		default:
@@ -170,16 +168,10 @@ func (s *Scrubber) scrub(stripe int64, next func(error)) {
 			if res.MediaRepairs > 0 || res.ParityRepairs > 0 {
 				s.status.MediaRepairs += int64(res.MediaRepairs)
 				s.status.ParityRepairs += int64(res.ParityRepairs)
-				s.event("scrub-repair", stripe, fmt.Sprintf("%d media, %d parity chunk(s) rewritten",
-					res.MediaRepairs, res.ParityRepairs))
+				s.log.Add("scrub-repair", -1, fmt.Sprintf("stripe %d: %d media, %d parity chunk(s) rewritten",
+					stripe, res.MediaRepairs, res.ParityRepairs))
 			}
 		}
 		next(nil)
 	})
-}
-
-func (s *Scrubber) event(kind string, stripe int64, detail string) {
-	if s.cfg.OnEvent != nil {
-		s.cfg.OnEvent(kind, stripe, detail)
-	}
 }

@@ -6,7 +6,6 @@ import (
 
 	"draid/internal/backend"
 	"draid/internal/core"
-	"draid/internal/sim"
 	"draid/internal/trace"
 )
 
@@ -27,18 +26,6 @@ type Config struct {
 	Pool *core.SparePool
 }
 
-// Event is one entry of the supervisor's recovery log.
-type Event struct {
-	Time   sim.Time
-	Kind   string // "suspect", "failed", "rebuild-start", "rebuild-done", "rebuild-error", "failover", "scrub-pass", "scrub-repair", "scrub-error", "lost-region", "drive-add", "drive-remove", "rebalance-done", "rebalance-error"
-	Member int
-	Detail string
-}
-
-func (e Event) String() string {
-	return fmt.Sprintf("%-10v %-13s m%d %s", e.Time, e.Kind, e.Member, e.Detail)
-}
-
 // Supervisor ties detection to recovery: it installs a Detector as the
 // host's health sink, and on each confirmed failure marks the member failed
 // on the controller and — when a spare is available — launches a throttled
@@ -46,7 +33,6 @@ func (e Event) String() string {
 // finishes. It is the subsystem that turns "a node stopped answering" into
 // "the array healed itself".
 type Supervisor struct {
-	eng  backend.Runtime
 	host *core.HostController
 
 	det *Detector
@@ -58,33 +44,23 @@ type Supervisor struct {
 
 	spares *core.SparePool
 	queue  []int // failed drives awaiting a spare or the rebuilder
-	events []Event
+	log    *Log
 }
 
 // NewSupervisor wires detector + rebuilder onto the host and installs the
-// health sink. Call Start to begin heartbeat probing.
-func NewSupervisor(eng backend.Runtime, host *core.HostController, cfg Config, tracer *trace.Collector) *Supervisor {
+// health sink. Its recovery milestones, and those of its rebuilders and
+// scrubber, go to log. Call Start to begin heartbeat probing.
+func NewSupervisor(eng backend.Runtime, host *core.HostController, cfg Config, tracer *trace.Collector, log *Log) *Supervisor {
 	pool := cfg.Pool
 	if pool == nil {
 		pool = core.NewSparePool(cfg.Spares)
 	}
-	s := &Supervisor{eng: eng, host: host, spares: pool}
-	rebalCfg := cfg.Rebuild
-	if cfg.Rebuild.OnLost == nil {
-		cfg.Rebuild.OnLost = func(stripe int64) {
-			s.log("lost-region", s.reb.Status().Drive, fmt.Sprintf("stripe %d rebuilt with unrecoverable hole", stripe))
-		}
-	}
+	s := &Supervisor{host: host, spares: pool, log: log}
 	current := func() *core.HostController { return s.host }
 	s.det = NewDetector(eng, current, cfg.Detector, tracer, s.handleFail)
-	s.reb = NewRebuilder(eng, current, cfg.Rebuild, tracer, "rebuild")
-	s.rebal = NewRebuilder(eng, current, rebalCfg, tracer, "rebalance")
-	if cfg.Scrub.OnEvent == nil {
-		cfg.Scrub.OnEvent = func(kind string, stripe int64, detail string) {
-			s.log(kind, -1, detail)
-		}
-	}
-	s.scrub = NewScrubber(eng, current, cfg.Scrub, tracer)
+	s.reb = NewRebuilder(eng, current, cfg.Rebuild, tracer, log, "rebuild")
+	s.rebal = NewRebuilder(eng, current, cfg.Rebuild, tracer, log, "rebalance")
+	s.scrub = NewScrubber(eng, current, cfg.Scrub, tracer, log)
 	host.SetHealth(s.det)
 	return s
 }
@@ -114,13 +90,6 @@ func (s *Supervisor) Rebalancer() *Rebuilder { return s.rebal }
 // Scrubber exposes the background scrubber.
 func (s *Supervisor) Scrubber() *Scrubber { return s.scrub }
 
-// SparesAvailable returns how many spares remain in the pool (shared with
-// other supervisors when the pool is).
-func (s *Supervisor) SparesAvailable() int { return s.spares.Available() }
-
-// Events returns the recovery log in order.
-func (s *Supervisor) Events() []Event { return append([]Event(nil), s.events...) }
-
 // NotifyFailed is the administrative failure path (draid.FailDrive): the
 // member is declared failed without waiting for evidence.
 func (s *Supervisor) NotifyFailed(member int) { s.det.ForceFail(member) }
@@ -131,11 +100,6 @@ func (s *Supervisor) NotifyFailed(member int) { s.det.ForceFail(member) }
 func (s *Supervisor) Rebind(h *core.HostController) {
 	s.host = h
 	h.SetHealth(s.det)
-	s.log("failover", -1, "supervision rebound to replacement controller")
-}
-
-func (s *Supervisor) log(kind string, member int, detail string) {
-	s.events = append(s.events, Event{Time: s.eng.Now(), Kind: kind, Member: member, Detail: detail})
 }
 
 // AddDrive grows a declustered volume onto a fresh fabric endpoint and
@@ -147,7 +111,7 @@ func (s *Supervisor) AddDrive(node core.NodeID) (idx int, err error) {
 	err = s.rebalance(func(h *core.HostController) (plan core.Repair, err error) {
 		if idx, plan, err = h.AddDrive(node); err == nil {
 			s.det.Grow(h.Drives())
-			s.log("drive-add", idx, fmt.Sprintf("node %d joined as drive %d; rebalancing", int(node), idx))
+			s.log.Add("drive-add", idx, fmt.Sprintf("node %d joined as drive %d; rebalancing", int(node), idx))
 		}
 		return plan, err
 	})
@@ -161,7 +125,7 @@ func (s *Supervisor) RemoveDrive(drive int) error {
 	return s.rebalance(func(h *core.HostController) (core.Repair, error) {
 		plan, err := h.PlanDrain(drive)
 		if err == nil {
-			s.log("drive-remove", drive, "draining chunks onto remaining drives")
+			s.log.Add("drive-remove", drive, "draining chunks onto remaining drives")
 		}
 		return plan, err
 	})
@@ -171,16 +135,16 @@ func (s *Supervisor) rebalance(plan func(*core.HostController) (core.Repair, err
 	return s.rebal.Run(plan, func(err error) {
 		st := s.rebal.Status()
 		if err != nil {
-			s.log("rebalance-error", st.Drive, err.Error())
+			s.log.Add("rebalance-error", st.Drive, err.Error())
 		} else {
-			s.log("rebalance-done", st.Drive, fmt.Sprintf("%s: %d chunk(s) moved, %d skipped", st.Label, st.Done-st.Skipped, st.Skipped))
+			s.log.Add("rebalance-done", st.Drive, fmt.Sprintf("%s: %d chunk(s) moved, %d skipped", st.Label, st.Done-st.Skipped, st.Skipped))
 		}
 	})
 }
 
 // handleFail runs (deferred) on each healthy/suspect → failed transition.
 func (s *Supervisor) handleFail(member int) {
-	s.log("failed", member, "detector confirmed failure")
+	s.log.Add("failed", member, "detector confirmed failure")
 	// The data path may already have marked it via §5.4; make it definitive
 	// either way so no new I/O targets the dead member.
 	s.host.SetFailed(member, true)
@@ -204,9 +168,9 @@ func (s *Supervisor) tryRebuild() {
 		case errors.Is(err, core.ErrNoSpare):
 			return plan, err // stays queued
 		case err != nil:
-			s.log("rebuild-error", drive, err.Error())
+			s.log.Add("rebuild-error", drive, err.Error())
 		default:
-			s.log("rebuild-start", drive, fmt.Sprintf("%s: %d %s", plan.Label, plan.Items, plan.Unit))
+			s.log.Add("rebuild-start", drive, fmt.Sprintf("%s: %d %s", plan.Label, plan.Items, plan.Unit))
 		}
 		s.queue = s.queue[1:]
 		return plan, err
@@ -215,14 +179,14 @@ func (s *Supervisor) tryRebuild() {
 		case err != nil:
 			// A claimed spare may hold partial state; do not return it to
 			// the pool. The drive stays failed (degraded service continues).
-			s.log("rebuild-error", drive, err.Error())
+			s.log.Add("rebuild-error", drive, err.Error())
 		case s.host.DriveFailed(drive):
 			// Its chunks now live elsewhere; the drive itself stays failed
 			// (and retired), so the detector state is deliberately kept.
-			s.log("rebuild-done", drive, "chunks relocated; drive retired")
+			s.log.Add("rebuild-done", drive, "chunks relocated; drive retired")
 		default:
 			s.det.Reset(drive)
-			s.log("rebuild-done", drive, fmt.Sprintf("drive now served by node %d", int(s.host.MemberNode(drive))))
+			s.log.Add("rebuild-done", drive, fmt.Sprintf("drive now served by node %d", int(s.host.MemberNode(drive))))
 		}
 		s.tryRebuild()
 	})

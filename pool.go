@@ -246,7 +246,7 @@ func (p *Pool) Now() time.Duration { return time.Duration(p.cl.Rt.Now()) }
 func (p *Pool) FailDrive(i int) {
 	p.cl.FailTarget(i) // whether or not a volume stripes over it; failing twice is harmless
 	for _, a := range p.arrays {
-		if i < a.DriveCount() {
+		if i < a.Status().Drives {
 			a.FailDrive(i)
 		}
 	}
@@ -305,7 +305,7 @@ func (p *Pool) declustered(what string) (vols []*Array, err error) {
 // fixed layout cannot give it up.
 func (p *Pool) RemoveDrive(i int) error {
 	for _, a := range p.arrays {
-		if !a.host.Declustered() && i < a.DriveCount() {
+		if !a.host.Declustered() && i < a.Status().Drives {
 			return fmt.Errorf("draid: RemoveDrive: fixed-layout volume %q stripes over drive %d: %w", a.vol.Name, i, ErrUnsupported)
 		}
 	}
@@ -324,7 +324,7 @@ func (p *Pool) RemoveDrive(i int) error {
 func (p *Pool) WaitRebalance() error {
 	p.cl.Rt.Run()
 	for _, a := range p.pending {
-		if st := a.CurrentRebalance(); st.Active {
+		if st := a.Status().Rebalance; st.Active {
 			return fmt.Errorf("draid: rebalance of volume %q stalled", a.vol.Name)
 		} else if st.Err != nil {
 			return st.Err
@@ -347,5 +347,9 @@ func (p *Pool) ResetTraffic() { p.cl.ResetTraffic() }
 // Trace returns the shared trace collector (nil unless Observe).
 func (p *Pool) Trace() *Tracer { return p.cl.Tracer }
 
-// SparesAvailable returns how many shared hot spares remain claimable.
-func (p *Pool) SparesAvailable() int { return p.cl.Spares.Available() }
+// SparesAvailable returns how many shared hot spares remain claimable. The
+// count is read on the supervisors' loop, where they claim spares.
+func (p *Pool) SparesAvailable() (n int) {
+	p.cl.Rt.Call(func() { n = p.cl.Spares.Available() })
+	return n
+}

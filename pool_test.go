@@ -114,9 +114,35 @@ func TestMixedLevelsSharedDrivesDegradedReads(t *testing.T) {
 	if !bytes.Equal(got6, want6) {
 		t.Fatal("raid6 degraded read returned wrong data")
 	}
-	if r5.Stats().DegradedReads == 0 || r6.Stats().DegradedReads == 0 {
+	if r5.Status().Counters.DegradedReads == 0 || r6.Status().Counters.DegradedReads == 0 {
 		t.Fatalf("expected degraded reads on both volumes: r5=%d r6=%d",
-			r5.Stats().DegradedReads, r6.Stats().DegradedReads)
+			r5.Status().Counters.DegradedReads, r6.Status().Counters.DegradedReads)
+	}
+}
+
+// TestPoolSparesAvailableDuringClaim polls the spare count from the test
+// goroutine across the window in which a realtime volume's supervisor claims
+// the spare on the host loop. Every read must be ordered with that claim; the
+// race detector reports one that is not.
+func TestPoolSparesAvailableDuringClaim(t *testing.T) {
+	p := newTestPool(t, draid.PoolConfig{Backend: draid.BackendRealtime, Spares: 1})
+	defer p.Close()
+	v, err := p.OpenVolume(draid.VolumeConfig{ChunkSize: 64 << 10, Extent: 256 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := v.WriteSync(0, pattern(128<<10, 3)); err != nil {
+		t.Fatal(err)
+	}
+	p.FailDrive(1)
+	for deadline := time.Now().Add(10 * time.Second); p.SparesAvailable() != 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("the supervisor never claimed the spare")
+		}
+	}
+	p.Run()
+	if st := v.Status(); st.Rebuild.Active || len(st.Failed) != 0 {
+		t.Fatalf("rebuild onto the claimed spare did not finish: %+v\n%v", st.Rebuild, st.Events)
 	}
 }
 
@@ -150,26 +176,26 @@ func TestSharedSpareFirstClaimArbitration(t *testing.T) {
 		t.Fatalf("spare not claimed: %d available", p.SparesAvailable())
 	}
 	doneA, doneB := 0, 0
-	for _, e := range a.RecoveryEvents() {
+	for _, e := range a.Status().Events {
 		if e.Kind == "rebuild-done" {
 			doneA++
 		}
 	}
-	for _, e := range b.RecoveryEvents() {
+	for _, e := range b.Status().Events {
 		if e.Kind == "rebuild-done" {
 			doneB++
 		}
 	}
 	if doneA != 1 {
-		t.Fatalf("winner rebuilt %d times, want 1\nevents: %v", doneA, a.RecoveryEvents())
+		t.Fatalf("winner rebuilt %d times, want 1\nevents: %v", doneA, a.Status().Events)
 	}
 	if doneB != 0 {
 		t.Fatalf("loser should stay queued, rebuilt %d times", doneB)
 	}
-	if len(a.FailedDrives()) != 0 {
-		t.Fatalf("winner still degraded: %v", a.FailedDrives())
+	if len(a.Status().Failed) != 0 {
+		t.Fatalf("winner still degraded: %v", a.Status().Failed)
 	}
-	if len(b.FailedDrives()) == 0 {
+	if len(b.Status().Failed) == 0 {
 		t.Fatal("loser should still be degraded")
 	}
 	// The loser's data stays reachable through reconstruction.
@@ -210,8 +236,8 @@ func TestSharedRebuildRateLimiterArbitrates(t *testing.T) {
 		p.FailDrive(1)
 		p.Run()
 		for _, v := range vols {
-			if len(v.FailedDrives()) != 0 {
-				t.Fatalf("rebuild incomplete: %v", v.FailedDrives())
+			if len(v.Status().Failed) != 0 {
+				t.Fatalf("rebuild incomplete: %v", v.Status().Failed)
 			}
 		}
 		return p.Now() - start
@@ -445,11 +471,11 @@ func TestPoolOnEveryBackend(t *testing.T) {
 			readBack("degraded")
 			p.Run()
 			for i, arr := range vols {
-				if st := arr.RebuildStatus(); st.Active || st.Err != nil || st.Done == 0 {
+				if st := arr.Status().Rebuild; st.Active || st.Err != nil || st.Done == 0 {
 					t.Fatalf("volume %d: rebuild %+v", i, st)
 				}
 			}
-			if failed := vols[0].FailedDrives(); len(failed) != 0 {
+			if failed := vols[0].Status().Failed; len(failed) != 0 {
 				t.Fatalf("fixed volume still degraded after its spare rebuild: %v", failed)
 			}
 			readBack("rebuilt")
@@ -460,7 +486,7 @@ func TestPoolOnEveryBackend(t *testing.T) {
 			if err := p.WaitRebalance(); err != nil {
 				t.Fatal(err)
 			}
-			if n := vols[1].DriveCount(); n != 9 {
+			if n := vols[1].Status().Drives; n != 9 {
 				t.Fatalf("declustered volume sees %d drives, want 9", n)
 			}
 			if p.SparesAvailable() != 0 {
@@ -470,7 +496,7 @@ func TestPoolOnEveryBackend(t *testing.T) {
 
 			var out, in int64
 			for _, arr := range vols {
-				o, i := p.VolumeHostTraffic(arr.VolumeID())
+				o, i := p.VolumeHostTraffic(arr.Status().Volume)
 				out, in = out+o, in+i
 			}
 			if totOut, totIn := p.TotalHostTraffic(); out == 0 || out != totOut || in != totIn {

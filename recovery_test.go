@@ -41,31 +41,31 @@ func TestAutoRecovery(t *testing.T) {
 	}
 
 	arr.CrashDrive(2) // fail-stop: the controller is not told
-	if h := arr.MemberHealth(); h[2] != draid.Healthy {
+	if h := arr.Status().Health; h[2] != draid.Healthy {
 		t.Fatalf("member 2 = %v before detection window, want healthy", h[2])
 	}
 	arr.RunFor(5 * time.Millisecond) // heartbeats notice and escalate
 	arr.Run()                        // the launched rebuild drains
 
-	if got := arr.FailedDrives(); len(got) != 0 {
+	if got := arr.Status().Failed; len(got) != 0 {
 		t.Fatalf("failed drives after auto-recovery = %v, want none", got)
 	}
-	if got := arr.SparesAvailable(); got != 0 {
+	if got := arr.Status().Spares; got != 0 {
 		t.Fatalf("spares = %d, want 0 (consumed by rebuild)", got)
 	}
-	if st := arr.RebuildStatus(); st.Active {
+	if st := arr.Status().Rebuild; st.Active {
 		t.Fatalf("rebuild still active: %+v", st)
 	}
-	if h := arr.MemberHealth(); h[2] != draid.Healthy {
+	if h := arr.Status().Health; h[2] != draid.Healthy {
 		t.Fatalf("member 2 = %v after rebuild, want healthy (served by spare)", h[2])
 	}
 	kinds := map[string]int{}
-	for _, e := range arr.RecoveryEvents() {
+	for _, e := range arr.Status().Events {
 		kinds[e.Kind]++
 	}
 	for _, want := range []string{"failed", "rebuild-start", "rebuild-done"} {
 		if kinds[want] != 1 {
-			t.Fatalf("recovery log %v: want exactly one %q event", arr.RecoveryEvents(), want)
+			t.Fatalf("recovery log %v: want exactly one %q event", arr.Status().Events, want)
 		}
 	}
 
@@ -101,7 +101,7 @@ func TestFailoverHost(t *testing.T) {
 	if resynced == 0 {
 		t.Fatal("failover resynced nothing; expected dirty stripes from the in-flight writes")
 	}
-	if got := arr.Stats().Resyncs; got != int64(resynced) {
+	if got := arr.Status().Counters.Resyncs; got != int64(resynced) {
 		t.Fatalf("stats resyncs = %d, want %d", got, resynced)
 	}
 
@@ -128,7 +128,7 @@ func TestRecoveryTraceDeterminism(t *testing.T) {
 		arr.CrashDrive(1)
 		arr.RunFor(5 * time.Millisecond)
 		arr.Run()
-		if got := arr.FailedDrives(); len(got) != 0 {
+		if got := arr.Status().Failed; len(got) != 0 {
 			t.Fatalf("recovery incomplete: failed = %v", got)
 		}
 		var buf bytes.Buffer
@@ -186,7 +186,7 @@ func TestFailoverMidRebuild(t *testing.T) {
 			}
 			arr.FailDrive(1)
 			arr.RunFor(tc.into)
-			if st := arr.RebuildStatus(); !st.Active || st.Done == 0 || st.Done >= st.Total-1 {
+			if st := arr.Status().Rebuild; !st.Active || st.Done == 0 || st.Done >= st.Total-1 {
 				t.Fatalf("test setup: rebuild not under way at failover: %+v", st)
 			}
 			takeover := arr.FailoverHost
@@ -197,10 +197,10 @@ func TestFailoverMidRebuild(t *testing.T) {
 				t.Fatalf("takeover: %v", err)
 			}
 			arr.Run()
-			if st := arr.RebuildStatus(); st.Active || st.Done != st.Total {
-				t.Fatalf("rebuild did not finish on the replacement: %+v\n%v", st, arr.RecoveryEvents())
+			if st := arr.Status().Rebuild; st.Active || st.Done != st.Total {
+				t.Fatalf("rebuild did not finish on the replacement: %+v\n%v", st, arr.Status().Events)
 			}
-			if failed := arr.FailedDrives(); tc.declustered != (len(failed) == 1) {
+			if failed := arr.Status().Failed; tc.declustered != (len(failed) == 1) {
 				t.Fatalf("failed drives after the rebuild = %v", failed)
 			}
 			if err := arr.Cluster().LeakCheck(); err != nil {
@@ -242,7 +242,7 @@ func TestFailoverMidScrub(t *testing.T) {
 				t.Fatal(err)
 			}
 			arr.RunFor(20*time.Millisecond + 500*time.Microsecond - arr.Now()) // the first pass starts at 20 ms
-			st := arr.ScrubStatus()
+			st := arr.Status().Scrub
 			if !st.Active || st.Stripe == 0 || st.Stripe >= st.TotalStripes-1 {
 				t.Fatalf("test setup: scrub pass not under way at failover: %+v", st)
 			}
@@ -253,7 +253,7 @@ func TestFailoverMidScrub(t *testing.T) {
 				t.Fatalf("failover: %v", err)
 			}
 			arr.RunFor(10 * time.Millisecond)
-			st = arr.ScrubStatus()
+			st = arr.Status().Scrub
 			if st.Active || st.Passes != 1 || st.ScrubbedStripes != st.TotalStripes || st.Errors+st.SkippedStripes != 0 {
 				t.Fatalf("scrub pass did not finish on the replacement: %+v", st)
 			}
@@ -287,17 +287,17 @@ func TestManualRebuildBesideSupervised(t *testing.T) {
 	arr.RunFor(6 * time.Millisecond)
 	arr.FailDrive(3)
 	arr.RunFor(time.Millisecond)
-	if st := arr.RebuildStatus(); !st.Active || st.Drive != 1 || st.Done >= st.Total-1 {
+	if st := arr.Status().Rebuild; !st.Active || st.Drive != 1 || st.Done >= st.Total-1 {
 		t.Fatalf("test setup: supervised rebuild of drive 1 not under way: %+v", st)
 	}
 	if err := arr.RebuildDrive(3, 0); err != nil {
 		t.Fatalf("manual rebuild next to the supervised one: %v", err)
 	}
-	if st := arr.RebuildStatus(); st.Active || st.Drive != 1 || st.Done != st.Total {
+	if st := arr.Status().Rebuild; st.Active || st.Drive != 1 || st.Done != st.Total {
 		t.Fatalf("supervised rebuild after the manual one returned: %+v", st)
 	}
-	if failed := arr.FailedDrives(); len(failed) != 0 {
-		t.Fatalf("failed drives after both rebuilds = %v\n%v", failed, arr.RecoveryEvents())
+	if failed := arr.Status().Failed; len(failed) != 0 {
+		t.Fatalf("failed drives after both rebuilds = %v\n%v", failed, arr.Status().Events)
 	}
 	if err := arr.Cluster().LeakCheck(); err != nil {
 		t.Fatal(err)

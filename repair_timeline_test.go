@@ -31,7 +31,7 @@ func (l *timelineLog) record(step string, arr *draid.Array, extra string) {
 		h.Write(d.PeekSync(0, d.Capacity()))
 	}
 	out, in := arr.HostTraffic()
-	st := arr.Stats()
+	st := arr.Status().Counters
 	fmt.Fprintf(&l.b, "%-28s end=%dns rebuilt=%d recon=%d resyncs=%d hostOut=%d hostIn=%d drives=%x %s\n",
 		step, int64(arr.Now()), st.RebuiltStripes, st.Reconstructions, st.Resyncs, out, in, h.Sum(nil)[:8], extra)
 }
@@ -48,7 +48,7 @@ func (l *timelineLog) must(err error) {
 // whatever foreground timer Run drained last) does not show.
 func (l *timelineLog) doneAt(arr *draid.Array, kind string) string {
 	at := int64(-1)
-	for _, e := range arr.RecoveryEvents() {
+	for _, e := range arr.Status().Events {
 		if e.Kind == kind {
 			at = int64(e.Time)
 		}
@@ -86,7 +86,7 @@ func TestRepairTimelineGolden(t *testing.T) {
 	l.record("fixed-rebuild-4-stripes", arr, "")
 	arr.FailDrive(2)
 	l.must(arr.RebuildDrive(2, 0))
-	l.record("fixed-rebuild-full", arr, fmt.Sprintf("failed=%v", arr.FailedDrives()))
+	l.record("fixed-rebuild-full", arr, fmt.Sprintf("failed=%v", arr.Status().Failed))
 
 	// Supervised rebuild onto a hot spare, paced at 400 MB/s, traced.
 	cfg := fixed
@@ -94,9 +94,9 @@ func TestRepairTimelineGolden(t *testing.T) {
 	arr = open(cfg, 2)
 	arr.FailDrive(1)
 	arr.Run()
-	rs := arr.RebuildStatus()
+	rs := arr.Status().Rebuild
 	l.record("supervised-spare-400MBps", arr, fmt.Sprintf("failed=%v done=%d/%d %s %s",
-		arr.FailedDrives(), rs.Done, rs.Total, l.doneAt(arr, "rebuild-done"), l.traceHash(arr)))
+		arr.Status().Failed, rs.Done, rs.Total, l.doneAt(arr, "rebuild-done"), l.traceHash(arr)))
 
 	// Declustered many-to-many rebuild through Array.RebuildDrive (no
 	// supervisor): a bounded prefix of another drive, then a full drive.
@@ -107,7 +107,7 @@ func TestRepairTimelineGolden(t *testing.T) {
 	arr.RecoverDrive(5)
 	arr.FailDrive(3)
 	l.must(arr.RebuildDrive(3, 0))
-	l.record("declustered-rebuild-full", arr, fmt.Sprintf("failed=%v", arr.FailedDrives()))
+	l.record("declustered-rebuild-full", arr, fmt.Sprintf("failed=%v", arr.Status().Failed))
 
 	// Supervised declustered: a failure heals itself into spare slots, then
 	// the cluster grows by a drive and shrinks by another, all paced.
@@ -116,17 +116,17 @@ func TestRepairTimelineGolden(t *testing.T) {
 	arr = open(cfg, 4)
 	arr.FailDrive(6)
 	arr.Run()
-	rs = arr.RebuildStatus()
+	rs = arr.Status().Rebuild
 	l.record("supervised-declustered", arr, fmt.Sprintf("done=%d/%d %s", rs.Done, rs.Total, l.doneAt(arr, "rebuild-done")))
 	idx, err := arr.AddDrive()
 	l.must(err)
 	l.must(arr.WaitRebalance())
-	rb := arr.CurrentRebalance()
+	rb := arr.Status().Rebalance
 	l.record("add-drive-fill", arr, fmt.Sprintf("drive=%d done=%d/%d skipped=%d %s",
 		idx, rb.Done, rb.Total, rb.Skipped, l.doneAt(arr, "rebalance-done")))
 	l.must(arr.RemoveDrive(0))
 	l.must(arr.WaitRebalance())
-	rb = arr.CurrentRebalance()
+	rb = arr.Status().Rebalance
 	l.record("remove-drive-drain", arr, fmt.Sprintf("done=%d/%d %s %s",
 		rb.Done, rb.Total, l.doneAt(arr, "rebalance-done"), l.traceHash(arr)))
 
@@ -166,7 +166,7 @@ func TestRepairTimelineGolden(t *testing.T) {
 	p.Run()
 	for i, v := range vols {
 		l.record(fmt.Sprintf("pool-shared-50MBps-vol%d", i), v,
-			fmt.Sprintf("failed=%v %s", v.FailedDrives(), l.doneAt(v, "rebuild-done")))
+			fmt.Sprintf("failed=%v %s", v.Status().Failed, l.doneAt(v, "rebuild-done")))
 	}
 
 	const path = "testdata/golden/repair_timeline.txt"

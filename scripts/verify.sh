@@ -50,6 +50,9 @@ go run ./cmd/draid-bench -fig decluster -quick
 # stale-destage corruption (draid-chaos inverts its exit code under -teeth).
 go run ./cmd/draid-chaos -seeds 2 -steps 4 -wb
 go run ./cmd/draid-chaos -seeds 2 -steps 4 -wb -teeth
+# Status smoke: crash, detect and rebuild onto a spare, then print the
+# array's status (recovery log included) as JSON.
+go run ./cmd/draid-rebuild -v
 
 if [ "${FULL:-0}" = "1" ]; then
     make torture

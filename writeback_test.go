@@ -36,7 +36,7 @@ func TestWritebackReadYourWrites(t *testing.T) {
 	if err := arr.WriteSync(4<<10, data); err != nil {
 		t.Fatal(err)
 	}
-	st := arr.Stats()
+	st := arr.Status().Counters
 	if st.StagedWrites == 0 {
 		t.Fatalf("sub-stripe write was not staged: %+v", st)
 	}
@@ -61,7 +61,7 @@ func TestWritebackReadYourWrites(t *testing.T) {
 	if err := arr.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	st = arr.Stats()
+	st = arr.Status().Counters
 	if st.DestageFullStripe+st.DestageRCW == 0 {
 		t.Fatalf("flush destaged nothing: %+v", st)
 	}
@@ -89,7 +89,7 @@ func TestWritebackFullCoverageDestagesImmediately(t *testing.T) {
 		}
 	}
 	arr.Run()
-	st := arr.Stats()
+	st := arr.Status().Counters
 	if st.DestageFullStripe == 0 {
 		t.Fatalf("full coverage did not destage as a full stripe: %+v", st)
 	}
@@ -114,7 +114,7 @@ func TestWritebackFailoverAdoptsStage(t *testing.T) {
 	if err := arr.WriteSync(8<<10, data); err != nil {
 		t.Fatal(err)
 	}
-	if arr.Stats().StagedWrites == 0 {
+	if arr.Status().Counters.StagedWrites == 0 {
 		t.Fatal("write was not staged")
 	}
 	if _, err := arr.FailoverHost(); err != nil {
@@ -199,8 +199,8 @@ func TestWritebackFailedDestageKeepsLentBufferStill(t *testing.T) {
 		t.Fatal(err)
 	}
 	arr.Run() // the stall ends, the straggler lands
-	if n := arr.Stats().DestageFullStripe + arr.Stats().DestageRCW; n != 1 {
-		t.Fatalf("%d destages ran, want only the failed one", n)
+	if st := arr.Status().Counters; st.DestageFullStripe+st.DestageRCW != 1 {
+		t.Fatalf("%d destages ran, want only the failed one", st.DestageFullStripe+st.DestageRCW)
 	}
 
 	peek := arr.Cluster().Drives[d0].(interface{ PeekSync(off, n int64) []byte })
@@ -294,7 +294,7 @@ func TestWritebackTortureCrashMidDestage(t *testing.T) {
 			if err := arr.Flush(); err != nil {
 				t.Fatal(err)
 			}
-			st := arr.Stats()
+			st := arr.Status().Counters
 			if st.StagedWrites == 0 || st.DestageFullStripe+st.DestageRCW == 0 {
 				t.Fatalf("torture never exercised the stage: %+v", st)
 			}
@@ -338,7 +338,7 @@ func TestWritebackReadCache(t *testing.T) {
 	if _, err := arr.ReadSync(0, 64<<10); err != nil { // fills the cache
 		t.Fatal(err)
 	}
-	before := arr.Stats().CacheHits
+	before := arr.Status().Counters.CacheHits
 	got, err := arr.ReadSync(8<<10, 16<<10)
 	if err != nil {
 		t.Fatal(err)
@@ -346,7 +346,7 @@ func TestWritebackReadCache(t *testing.T) {
 	if !bytes.Equal(got, ref[8<<10:24<<10]) {
 		t.Fatal("cached read returned wrong data")
 	}
-	st := arr.Stats()
+	st := arr.Status().Counters
 	if st.CacheHits == before {
 		t.Fatalf("repeat read missed the cache: %+v", st)
 	}
@@ -381,7 +381,7 @@ func TestGoldenWritebackDisabledByteIdentical(t *testing.T) {
 		t.Errorf("writeback-disabled trace not byte-identical to golden (%d bytes vs %d)",
 			len(got), len(want))
 	}
-	st := arr.Stats()
+	st := arr.Status().Counters
 	if st.StagedWrites != 0 || st.DestageFullStripe != 0 || st.DestageRCW != 0 ||
 		st.CacheHits != 0 || st.CacheBytes != 0 {
 		t.Errorf("writeback disabled but staging counters moved: %+v", st)
@@ -436,10 +436,10 @@ func TestWritebackPoolVolume(t *testing.T) {
 	if err := plain.WriteSync(0, data); err != nil {
 		t.Fatal(err)
 	}
-	if staged.Stats().StagedWrites == 0 {
+	if staged.Status().Counters.StagedWrites == 0 {
 		t.Fatal("pool volume did not stage")
 	}
-	if plain.Stats().StagedWrites != 0 {
+	if plain.Status().Counters.StagedWrites != 0 {
 		t.Fatal("co-tenant volume staged without WriteBack")
 	}
 	if err := staged.Flush(); err != nil {
