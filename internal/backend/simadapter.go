@@ -19,7 +19,7 @@ type EngineProvider interface {
 // the adapter is byte-identical to one against the bare engine.
 //
 // An adapter (rather than methods on Engine itself) is needed because
-// Engine's After/AfterBG return the concrete *sim.Timer, which does not
+// Engine's After/AfterBG return the concrete sim.Timer value, which does not
 // satisfy the interface's `Timer` return type.
 func SimRunner(e *sim.Engine) Runner { return simRunner{e} }
 

@@ -133,7 +133,7 @@ type op struct {
 	doneFn    func()
 	failedFn  func(missing []int)
 	onPayload func(from int, off, length int64, b parity.Buffer)
-	timer     *sim.Timer
+	timer     sim.Timer
 	done      bool
 	watch     []int
 }

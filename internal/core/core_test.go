@@ -169,6 +169,42 @@ func TestRCWWrite(t *testing.T) {
 	verifyStripeParity(t, cl, h, 0)
 }
 
+// TestPoisonedAccumulatorGoesBackToThePool: over drives that store no bytes,
+// a reconstruct-write's parity reduction folds the written members' real
+// bytes first and the untouched members' elided reads after. The first
+// elided one poisons the accumulator, whose storage must go back to the
+// server's pool rather than be written off, so the next reduction reuses it.
+func TestPoisonedAccumulatorGoesBackToThePool(t *testing.T) {
+	spec := cluster.DefaultSpec()
+	drv := ssd.DefaultSpec()
+	drv.Capacity = 64 << 20
+	drv.StoreData = false
+	spec.Drive = &drv
+	cl := cluster.New(spec)
+	h := cl.NewDRAID(core.Config{Geometry: raid.Geometry{Level: raid.Raid5, Width: 8, ChunkSize: chunkSize}})
+	data := randBytes(6, 3*chunkSize)
+	for i := 0; i < 2; i++ {
+		mustWrite(t, cl, h, chunkSize, data) // 3 of 7 chunks: reconstruct-write
+	}
+	if h.Stats().RCWWrites != 2 {
+		t.Fatalf("stats = %+v, want 2 RCW writes", h.Stats())
+	}
+	var total parity.PoolStats
+	for _, s := range cl.Servers {
+		st := s.BufferStats()
+		total.Gets += st.Gets
+		total.Hits += st.Hits
+		total.Puts += st.Puts
+		total.Disowned += st.Disowned
+	}
+	if total.Gets != 2 || total.Hits != 1 || total.Puts != 2 || total.Disowned != 0 {
+		t.Fatalf("server accumulator pools %+v, want 2 gets (1 recycled), 2 puts, none disowned", total)
+	}
+	if err := cl.LeakCheck(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestMultiStripeWrite(t *testing.T) {
 	cl, h := testCluster(t, 4, raid.Raid5) // k=3, stripe 192 KB
 	data := randBytes(7, 5*chunkSize)      // crosses stripe boundary

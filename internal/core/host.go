@@ -831,28 +831,38 @@ func (h *HostController) readIO(off, n int64, cb func(parity.Buffer, error)) {
 	h.cores.Exec(h.cfg.Costs.PerUser, func() {})
 }
 
-// assembler collects read pieces into the user buffer.
+// assembler collects read pieces into the user buffer. The buffer is
+// allocated by the first materialized piece, or by result if it is asked for
+// first, so a read whose pieces are all elided never allocates one.
 type assembler struct {
 	n      int64
 	buf    parity.Buffer
 	elided bool
 }
 
-func newAssembler(n int64) *assembler {
-	return &assembler{n: n, buf: parity.Alloc(int(n))}
-}
+func newAssembler(n int64) *assembler { return &assembler{n: n} }
 
 func (a *assembler) put(vOff int64, b parity.Buffer) {
 	if b.Elided() {
 		a.elided = true
 		return
 	}
-	a.buf.CopyAt(int(vOff), b)
+	a.materialize().CopyAt(int(vOff), b)
 }
 
+// result returns the assembled buffer, elided if any piece was. Called before
+// every piece has arrived (a hedge reading settled extents), it returns the
+// buffer the remaining pieces will land in.
 func (a *assembler) result() parity.Buffer {
 	if a.elided {
 		return parity.Sized(int(a.n))
+	}
+	return a.materialize()
+}
+
+func (a *assembler) materialize() parity.Buffer {
+	if a.buf.Elided() {
+		a.buf = parity.Alloc(int(a.n))
 	}
 	return a.buf
 }

@@ -129,7 +129,10 @@ type reduceKey struct {
 type reduceState struct {
 	absOff int64
 	length int64
+	// acc is taken by the first contribution folded in (folded set), or by
+	// finish if none was.
 	acc    parity.Buffer
+	folded bool
 	// counter implements the paper's wait_num trick: each Peer contribution
 	// decrements it; the anchoring Parity/Reconstruction command adds its
 	// WaitNum. The reduction completes when the anchor has arrived, any
@@ -727,7 +730,7 @@ func (s *ServerController) stateFor(cmd nvmeof.Command, absOff, length int64) *r
 	key := reduceKey{vol: cmd.NSID, id: cmd.ID}
 	st, ok := s.reduces[key]
 	if !ok {
-		st = &reduceState{vol: cmd.NSID, id: cmd.ID, epoch: cmd.Epoch, absOff: absOff, length: length, acc: s.pool.Get(int(length)), replyTo: HostID}
+		st = &reduceState{vol: cmd.NSID, id: cmd.ID, epoch: cmd.Epoch, absOff: absOff, length: length, replyTo: HostID}
 		s.reduces[key] = st
 		s.openReduces.Add(1)
 	}
@@ -737,12 +740,27 @@ func (s *ServerController) stateFor(cmd nvmeof.Command, absOff, length int64) *r
 // reduceInto folds a contribution at [fo, fo+fl) into the accumulator,
 // scaled by g^dataIdx unless dataIdx is NoScale (Algorithm 2,
 // reduce_new_buffer — generalized to sub-ranges and RAID-6 Q).
+//
+// The first contribution decides what the accumulator is: a zeroed pool
+// buffer if it is materialized, a size-only one if it is elided, so a
+// size-only run never allocates one.
 func (s *ServerController) reduceInto(st *reduceState, contrib parity.Buffer, fo, fl int64, dataIdx uint16) {
 	if st.dead {
 		return // over: the accumulator is no longer st's to write to
 	}
 	if fo < st.absOff || fo+fl > st.absOff+st.length {
 		panic(fmt.Sprintf("core: contribution [%d,%d) outside union [%d,%d)", fo, fo+fl, st.absOff, st.absOff+st.length))
+	}
+	if !st.folded {
+		st.folded = true
+		if contrib.Elided() {
+			st.acc = parity.Sized(int(st.length))
+		} else {
+			st.acc = s.pool.Get(int(st.length))
+		}
+	}
+	if st.acc.Elided() {
+		return // poisoned: the result is size-only whatever else arrives
 	}
 	dst := st.acc.Slice(int(fo-st.absOff), int(fl))
 	var merged parity.Buffer
@@ -751,12 +769,10 @@ func (s *ServerController) reduceInto(st *reduceState, contrib parity.Buffer, fo
 	} else {
 		merged = parity.MulAddInto(dst, contrib, parity.QCoeff(int(dataIdx)))
 	}
-	if merged.Elided() && !st.acc.Elided() {
-		// An elided contribution poisons the whole accumulator. Its storage
-		// is written off to the collector rather than recycled: size-only
-		// runs have always paid one allocation per reduction here, and
-		// changing what they cost is a separate, separately measured change.
-		st.acc.Disown()
+	if merged.Elided() {
+		// An elided contribution poisons the whole accumulator. Nothing else
+		// holds its storage, so it goes back to the pool.
+		s.pool.Put(st.acc)
 		st.acc = parity.Sized(int(st.length))
 	}
 }
@@ -882,6 +898,9 @@ func (s *ServerController) finish(st *reduceState) {
 		return
 	}
 	s.closeReduce(st)
+	if !st.folded {
+		st.acc = s.pool.Get(int(st.length)) // nothing folded: the result is zeros
+	}
 	if st.writeBack {
 		s.writeDrive(st.absOff, st.acc, func(err error) {
 			s.pool.Put(st.acc) // the drive borrowed it until now

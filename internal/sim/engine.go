@@ -7,7 +7,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 	"time"
@@ -35,56 +34,45 @@ func Seconds(d Duration) float64 { return float64(d) / float64(Second) }
 // String renders a Time using time.Duration formatting.
 func (t Time) String() string { return time.Duration(t).String() }
 
-type event struct {
+// entry is one queued event as the heap holds it: the (at, seq) key it fires
+// in and the slot that holds its callback. Entries are values, so queueing an
+// event allocates nothing once the heap and the slot table have grown.
+type entry struct {
 	at   Time
 	seq  uint64 // tie-breaker: FIFO among same-time events
+	slot uint32
+}
+
+func (a entry) before(b entry) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
+}
+
+// slot holds a queued event's callback. A slot goes back on the free list
+// when its event fires or its cancelled entry is reaped; gen counts those
+// reuses, so a Timer naming an earlier use cancels nothing.
+type slot struct {
 	fn   func()
-	idx  int // heap index, -1 once popped or cancelled
-	dead bool
+	gen  uint64
 	bg   bool // background: does not keep Run from returning
-}
-
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].idx = i
-	h[j].idx = j
-}
-func (h *eventHeap) Push(x any) {
-	e := x.(*event)
-	e.idx = len(*h)
-	*h = append(*h, e)
-}
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.idx = -1
-	*h = old[:n-1]
-	return e
+	dead bool // cancelled; its entry is reaped when it reaches the heap top
 }
 
 // Engine is a discrete-event simulation engine. The zero value is not ready
 // for use; call NewEngine.
 type Engine struct {
-	now     Time
-	queue   eventHeap
+	now Time
+	// queue is a 4-ary min-heap on (at, seq) over indexes into slots; free
+	// lists the slots no queued entry names.
+	queue   []entry
+	slots   []slot
+	free    []uint32
 	seq     uint64
 	rng     *rand.Rand
 	stopped bool
 	// processed counts executed events, exposed for tests and debugging.
 	processed uint64
 	// live counts scheduled events that are neither fired nor cancelled —
-	// unlike len(queue), it ignores dead timers awaiting heap reaping.
+	// unlike len(queue), it ignores dead entries awaiting heap reaping.
 	live int
 	// liveFG counts live foreground events only. Run returns when it reaches
 	// zero; pending background events (periodic health probes, maintenance
@@ -121,21 +109,30 @@ func (e *Engine) Rand() *rand.Rand { return e.rng }
 // Processed reports how many events have been executed so far.
 func (e *Engine) Processed() uint64 { return e.processed }
 
-// Timer is a handle to a scheduled event that can be cancelled.
+// Timer is a handle to a scheduled event that can be cancelled. It is a
+// value: the event's slot and the generation the slot had when the event was
+// scheduled. The zero Timer names no event.
 type Timer struct {
-	eng *Engine
-	ev  *event
+	eng  *Engine
+	slot uint32
+	gen  uint64
 }
 
 // Stop cancels the timer. It reports whether the event had not yet fired.
-// Stopping an already-fired or already-stopped timer is a no-op.
-func (t *Timer) Stop() bool {
-	if t == nil || t.ev == nil || t.ev.dead || t.ev.idx < 0 {
+// Stopping an already-fired or already-stopped timer is a no-op, and so is
+// stopping a handle whose slot has since been reused by another event.
+func (t Timer) Stop() bool {
+	if t.eng == nil {
 		return false
 	}
-	t.ev.dead = true
+	s := &t.eng.slots[t.slot]
+	if s.gen != t.gen || s.dead {
+		return false
+	}
+	s.dead = true
+	s.fn = nil
 	t.eng.live--
-	if !t.ev.bg {
+	if !s.bg {
 		t.eng.liveFG--
 	}
 	return true
@@ -143,24 +140,19 @@ func (t *Timer) Stop() bool {
 
 // At schedules fn to run at absolute virtual time at. Scheduling in the past
 // panics: it always indicates a logic error in a causal simulation.
-func (e *Engine) At(at Time, fn func()) *Timer {
+func (e *Engine) At(at Time, fn func()) Timer {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", at, e.now))
 	}
-	ev := &event{at: at, seq: e.seq, fn: fn}
-	e.seq++
-	e.live++
-	e.liveFG++
-	heap.Push(&e.queue, ev)
-	return &Timer{eng: e, ev: ev}
+	return e.schedule(at, fn, false)
 }
 
 // After schedules fn to run d nanoseconds from now.
-func (e *Engine) After(d Duration, fn func()) *Timer {
+func (e *Engine) After(d Duration, fn func()) Timer {
 	if d < 0 {
 		d = 0
 	}
-	return e.At(e.now+Time(d), fn)
+	return e.schedule(e.now+Time(d), fn, false)
 }
 
 // AfterBG schedules fn as a background event d nanoseconds from now: it runs
@@ -168,23 +160,95 @@ func (e *Engine) After(d Duration, fn func()) *Timer {
 // keep Run from returning. Periodic maintenance (heartbeat probing, repair
 // tickers) uses it so an otherwise-idle simulation still quiesces; drive
 // background work forward with RunFor/RunUntil.
-func (e *Engine) AfterBG(d Duration, fn func()) *Timer {
+func (e *Engine) AfterBG(d Duration, fn func()) Timer {
 	if d < 0 {
 		d = 0
 	}
-	at := e.now + Time(d)
-	ev := &event{at: at, seq: e.seq, fn: fn, bg: true}
-	e.seq++
-	e.live++
-	heap.Push(&e.queue, ev)
-	return &Timer{eng: e, ev: ev}
+	return e.schedule(e.now+Time(d), fn, true)
 }
 
 // Defer schedules fn to run at the current time, after all events already
 // queued for this instant. It is the simulation analogue of "post to the
 // event loop" and is the usual way to break call-stack recursion between
 // components.
-func (e *Engine) Defer(fn func()) *Timer { return e.After(0, fn) }
+func (e *Engine) Defer(fn func()) Timer { return e.schedule(e.now, fn, false) }
+
+func (e *Engine) schedule(at Time, fn func(), bg bool) Timer {
+	var i uint32
+	if n := len(e.free); n > 0 {
+		i = e.free[n-1]
+		e.free = e.free[:n-1]
+	} else {
+		i = uint32(len(e.slots))
+		e.slots = append(e.slots, slot{})
+	}
+	s := &e.slots[i]
+	s.fn, s.bg, s.dead = fn, bg, false
+	e.push(entry{at: at, seq: e.seq, slot: i})
+	e.seq++
+	e.live++
+	if !bg {
+		e.liveFG++
+	}
+	return Timer{eng: e, slot: i, gen: s.gen}
+}
+
+// release returns slot i to the free list; handles to its last use go stale.
+func (e *Engine) release(i uint32) {
+	s := &e.slots[i]
+	s.fn = nil
+	s.gen++
+	e.free = append(e.free, i)
+}
+
+// push adds x to the heap, sifting it up from the last leaf.
+func (e *Engine) push(x entry) {
+	q := append(e.queue, x)
+	i := len(q) - 1
+	for i > 0 {
+		p := (i - 1) / 4
+		if !x.before(q[p]) {
+			break
+		}
+		q[i] = q[p]
+		i = p
+	}
+	q[i] = x
+	e.queue = q
+}
+
+// pop removes and returns the heap's minimum, sifting the last leaf down
+// from the root into its place.
+func (e *Engine) pop() entry {
+	q := e.queue
+	top := q[0]
+	n := len(q) - 1
+	x := q[n]
+	q = q[:n]
+	if n > 0 {
+		i := 0
+		for {
+			c := 4*i + 1
+			if c >= n {
+				break
+			}
+			m := c
+			for j := c + 1; j < c+4 && j < n; j++ {
+				if q[j].before(q[m]) {
+					m = j
+				}
+			}
+			if !q[m].before(x) {
+				break
+			}
+			q[i] = q[m]
+			i = m
+		}
+		q[i] = x
+	}
+	e.queue = q
+	return top
+}
 
 // Stop makes Run return after the currently executing event completes.
 func (e *Engine) Stop() { e.stopped = true }
@@ -240,17 +304,21 @@ func (e *Engine) RunFor(d Duration) { e.RunUntil(e.now + Time(d)) }
 func (e *Engine) Call(fn func()) { fn() }
 
 func (e *Engine) step() {
-	ev := heap.Pop(&e.queue).(*event)
-	if ev.dead {
+	top := e.pop()
+	s := &e.slots[top.slot]
+	if s.dead {
+		e.release(top.slot)
 		return
 	}
+	fn, bg := s.fn, s.bg
+	e.release(top.slot) // before fn runs: fn may schedule into this slot
 	e.live--
-	if !ev.bg {
+	if !bg {
 		e.liveFG--
 	}
-	e.now = ev.at
+	e.now = top.at
 	e.processed++
-	ev.fn()
+	fn()
 }
 
 // Pending reports the number of events in the queue, including cancelled

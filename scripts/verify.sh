@@ -15,9 +15,10 @@ cd "$(dirname "$0")/.."
 go build ./...
 go test ./...
 go vet ./...
-# internal/experiments alone runs ~9 minutes under the race detector on two
-# shared cores (measured at this change and at its parent alike), so the
-# default 10-minute per-package limit is no margin at all.
+# internal/experiments alone runs ~3 minutes under the race detector on two
+# shared cores (~35 s without it); it took 6 before the event engine stopped
+# allocating per event. The 30-minute limit is headroom for a loaded machine,
+# where the default 10-minute per-package limit would be little margin.
 go test -race -timeout 30m ./...
 # The datapath benchmark is its own module (benchmark/go.mod), invisible to
 # ./... above; it wraps backend.Transport/Drive and calls the realtime and
@@ -56,7 +57,7 @@ go run ./cmd/draid-rebuild -v
 
 if [ "${FULL:-0}" = "1" ]; then
     make torture
-    go test -run '^$' -bench . -benchtime 1x ./internal/gf256 ./internal/parity ./internal/backend/realtime .
+    go test -run '^$' -bench . -benchtime 1x ./internal/gf256 ./internal/parity ./internal/backend/realtime ./internal/sim .
     # The one erasure decoder under the fuzzer: random width, length and
     # erasure set against the originals and ComputePQ.
     go test -run '^$' -fuzz FuzzSolveStripe -fuzztime 10s ./internal/parity
