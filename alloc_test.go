@@ -15,17 +15,20 @@ import (
 // byte is allocated about once — the buffer a read returns, the private copy
 // a write takes — and every other hop hands buffers on or recycles them.
 // Clone a payload at one more hop and the ratio for that direction rises by
-// 1.0, well past these ceilings (steady state measures ≈1.05 and ≈1.2; the
+// 1.0, well past these ceilings (steady state measures ≈1.02 and ≈1.16; the
 // stripe-write ceiling also covers the 1/7 parity chunk; random 4 KiB writes
-// measure ≈2.15, the per-op records weighing more against so small a payload).
+// measure ≈1.88, the per-op records weighing more against so small a payload).
 //
 // It guards the object count the same way: heap objects allocated per user
-// op (runtime.MemStats.Mallocs), ceilings 20 % over what this tree measures
-// (≈59 per 128 KiB read, ≈106 per full-stripe write, ≈63 per random 4 KiB
-// write — the read-modify-write path, 5 capsules an op and almost no
-// payload), so a per-op map, a closure or wrapper per queued task, an eager
-// format or a capsule copy added to the message path fails here — and a
-// claim to have removed some starts from a floor the suite can see.
+// op (runtime.MemStats.Mallocs), ceilings at most 20 % over what this tree
+// measures (≈46 per 128 KiB read, ≈73 per full-stripe write, ≈52 per random
+// 4 KiB write — the read-modify-write path, 5 capsules an op and almost no
+// payload), so a per-op map, a closure or wrapper per queued task or
+// delivered capsule, a timer per op, an eager format or a capsule copy added
+// to the message path fails here — and a claim to have removed some starts
+// from a floor the suite can see. Before the controllers queued delivered
+// capsules in an inbox and timed ops out from one deadline heap, the tree
+// measured ≈59 / ≈106 / ≈63 and failed every one of these ceilings.
 func TestRealtimeAllocBytesPerUserByte(t *testing.T) {
 	if testing.Short() {
 		t.Skip("drives ~90 MiB through a realtime array")
@@ -95,9 +98,9 @@ func TestRealtimeAllocBytesPerUserByte(t *testing.T) {
 		ceiling   float64 // heap bytes per user byte
 		objects   float64 // heap objects per op
 	}{
-		{"128 KiB reads", reads * readLen, reads, readAll, 1.25, 71},
-		{"full-stripe writes", stripes * stripe, stripes, writeAll, 1.40, 128},
-		{"random 4 KiB writes", smalls * small, smalls, smallAll, 2.60, 76},
+		{"128 KiB reads", reads * readLen, reads, readAll, 1.25, 55},
+		{"full-stripe writes", stripes * stripe, stripes, writeAll, 1.40, 87},
+		{"random 4 KiB writes", smalls * small, smalls, smallAll, 2.60, 62},
 	} {
 		got, objs := allocated(c.user, c.ops, c.run)
 		t.Logf("%s: %.3f heap bytes allocated per user byte, %.1f heap objects per op", c.what, got, objs)
@@ -117,9 +120,11 @@ func TestRealtimeAllocBytesPerUserByte(t *testing.T) {
 // closures, event records. A read that materializes its user buffer, or a
 // reduction that zeroes an accumulator only to have an elided contribution
 // poison it, costs ≈1 byte per byte on its own: while both did, this test
-// measured 1.08 (writes) and 1.18 (reads). Now ≈0.05 and ≈0.04. Objects per
-// op have ceilings 20 % over what this tree measures (≈79 per RMW write, ≈55
-// per read).
+// measured 1.08 (writes) and 1.18 (reads). Now ≈0.03 and ≈0.02. Objects per
+// op have ceilings at most 20 % over what this tree measures (≈46 per RMW
+// write, ≈32 per read). With three closures per capsule on the simulated
+// fabric and one per delivered capsule in the controllers, the tree measured
+// ≈79 and ≈55 and failed both.
 func TestSizeOnlySimAllocBytesPerUserByte(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulates ~1 GB of size-only I/O")
@@ -152,8 +157,8 @@ func TestSizeOnlySimAllocBytesPerUserByte(t *testing.T) {
 		ceiling   float64 // heap bytes per user byte
 		objects   float64 // heap objects per op
 	}{
-		{"128 KiB RMW writes", 0, false, 0.25, 95},
-		{"128 KiB reads, one member failed", 1, true, 0.25, 67},
+		{"128 KiB RMW writes", 0, false, 0.25, 55},
+		{"128 KiB reads, one member failed", 1, true, 0.25, 38},
 	} {
 		if c.fail {
 			arr.FailDrive(2)

@@ -83,6 +83,8 @@ type Fabric struct {
 	// their command-level CRC32C (nvmeof.Command.Checksum) failed after
 	// injected wire corruption. The sender sees a timeout and retries.
 	corruptDrops int64
+	// free holds send records no message is using.
+	free []*sendRec
 }
 
 // volKey addresses a volume-scoped handler on one endpoint.
@@ -308,12 +310,9 @@ func (f *Fabric) Send(from, to NodeID, cmd nvmeof.Command, payload parity.Buffer
 		if srcNode.Down() {
 			return
 		}
-		f.net.Eng.Defer(func() {
-			if dstNode.Down() {
-				return
-			}
-			f.deliver(to, Message{Cmd: cmd, Payload: payload, From: from})
-		})
+		r := f.newSendRec(from, to, cmd, payload)
+		r.pending = 1
+		f.net.Eng.Defer(r.localFn)
 		return
 	}
 	c := f.conn(from, to)
@@ -327,20 +326,83 @@ func (f *Fabric) Send(from, to NodeID, cmd nvmeof.Command, payload parity.Buffer
 		// dropped downstream still consumed host NIC bandwidth.
 		f.vol(VolumeID(cmd.NSID)).out += wire
 	}
-	c.SendChecked(srcNode, size, func(corrupted bool) {
-		if to == HostID {
-			f.vol(VolumeID(cmd.NSID)).in += wire
-		}
-		if corrupted {
-			// The receiving NIC validates the capsule's CRC32C before
-			// accepting it; a corrupted capsule (or one guarding a corrupted
-			// payload) is discarded here, and the sender's §5.4 deadline
-			// fires as if the message had been lost.
-			f.corruptDrops++
-			return
-		}
-		f.deliver(to, Message{Cmd: cmd, Payload: payload, From: from})
-	})
+	r := f.newSendRec(from, to, cmd, payload)
+	r.wire = wire
+	if r.pending = c.SendChecked(srcNode, size, r.arriveFn); r.pending == 0 {
+		f.freeSendRec(r)
+	}
+}
+
+// sendRec is one capsule on its way through the fabric. Records are pooled by
+// the Fabric, and arriveFn and localFn are bound once per record, so sending
+// a capsule allocates nothing. A message the network loses after sending
+// never comes back for its record, which is then left to the collector.
+type sendRec struct {
+	f        *Fabric
+	from, to NodeID
+	cmd      nvmeof.Command
+	payload  parity.Buffer
+	wire     int64
+	// pending counts the deliveries still to come: 2 for a duplicated
+	// capsule, whose record is freed only after the second.
+	pending int
+
+	arriveFn func(corrupted bool)
+	localFn  func()
+}
+
+func (f *Fabric) newSendRec(from, to NodeID, cmd nvmeof.Command, payload parity.Buffer) *sendRec {
+	var r *sendRec
+	if k := len(f.free); k > 0 {
+		r = f.free[k-1]
+		f.free = f.free[:k-1]
+	} else {
+		r = &sendRec{f: f}
+		r.arriveFn, r.localFn = r.arrive, r.local
+	}
+	r.from, r.to, r.cmd, r.payload = from, to, cmd, payload
+	return r
+}
+
+func (f *Fabric) freeSendRec(r *sendRec) {
+	r.cmd, r.payload = nvmeof.Command{}, parity.Buffer{}
+	f.free = append(f.free, r)
+}
+
+// take returns one delivery's message, freeing the record after the last.
+func (r *sendRec) take() Message {
+	m := Message{Cmd: r.cmd, Payload: r.payload, From: r.from}
+	if r.pending--; r.pending == 0 {
+		r.f.freeSendRec(r)
+	}
+	return m
+}
+
+// arrive is a NIC delivery. The receiving NIC validates the capsule's CRC32C
+// before accepting it: a corrupted capsule (or one guarding a corrupted
+// payload) is discarded there, and the sender's §5.4 deadline fires as if the
+// message had been lost.
+func (r *sendRec) arrive(corrupted bool) {
+	f, to, wire := r.f, r.to, r.wire
+	m := r.take()
+	if to == HostID {
+		f.vol(VolumeID(m.Cmd.NSID)).in += wire
+	}
+	if corrupted {
+		f.corruptDrops++
+		return
+	}
+	f.deliver(to, m)
+}
+
+// local is a delivery between co-located bdevs.
+func (r *sendRec) local() {
+	f, to := r.f, r.to
+	m := r.take()
+	if f.Node(to).Down() {
+		return
+	}
+	f.deliver(to, m)
 }
 
 // CorruptDrops reports how many capsules were discarded after failing the

@@ -3,6 +3,7 @@ package core_test
 import (
 	"testing"
 
+	"draid/internal/cluster"
 	"draid/internal/core"
 	"draid/internal/nvmeof"
 	"draid/internal/parity"
@@ -120,4 +121,58 @@ func TestConnectionLookupSymmetry(t *testing.T) {
 	if c1 == nil || c1 != c2 {
 		t.Fatal("mesh connection lookup not symmetric")
 	}
+}
+
+// TestFabricSendAllocatesNothing: once the fabric's send records, the
+// network's flight records and the engine's slots are warm, a capsule sent
+// and delivered costs no heap object — over a NIC, from the host, and between
+// co-located bdevs.
+func TestFabricSendAllocatesNothing(t *testing.T) {
+	cl, _ := colocatedCluster(t, 6, 2)
+	delivered := 0
+	for _, id := range []core.NodeID{0, 1, 2} {
+		cl.Fabric.Register(id, func(m core.Message) { delivered++ })
+	}
+	for _, c := range []struct {
+		what     string
+		from, to core.NodeID
+	}{
+		{"NIC path", 0, 2},
+		{"host NIC path", core.HostID, 0},
+		{"co-located path", 0, 1},
+	} {
+		delivered = 0
+		if n := testing.AllocsPerRun(100, func() {
+			for i := 0; i < 32; i++ {
+				cl.Fabric.Send(c.from, c.to, nvmeof.Command{Opcode: nvmeof.OpPeer, Length: 4096}, parity.Sized(4096))
+			}
+			cl.Eng.Run()
+		}); n != 0 {
+			t.Errorf("%s: 32 capsules allocate %.1f objects, want 0", c.what, n)
+		}
+		if delivered != 101*32 {
+			t.Errorf("%s: %d of %d capsules delivered", c.what, delivered, 101*32)
+		}
+	}
+}
+
+// BenchmarkFabricSend measures the simulated fabric's message path: a 4 KiB
+// capsule from one target to another, 32 in flight, through send, both NIC
+// pipes and delivery.
+func BenchmarkFabricSend(b *testing.B) {
+	spec := cluster.DefaultSpec()
+	spec.Targets = 4
+	cl := cluster.New(spec)
+	cl.Fabric.Register(1, func(core.Message) {})
+	cmd := nvmeof.Command{Opcode: nvmeof.OpPeer, Length: 4096}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cl.Fabric.Send(0, 1, cmd, parity.Sized(4096))
+		if i%32 == 31 {
+			cl.Eng.Run()
+		}
+	}
+	cl.Eng.Run()
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "msgs/s")
 }

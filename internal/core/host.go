@@ -199,8 +199,15 @@ type HostController struct {
 	// lock-free (§8 optimization over the SPDK POC).
 	stripeQ map[int64]*stripeQueue
 
-	// inflight maps command IDs to their parent operation.
-	inflight map[uint64]*stripeOp
+	// inflight maps command IDs to their parent operation; deadlines times
+	// them out (deadline.go).
+	inflight  map[uint64]*stripeOp
+	deadlines deadlines
+
+	// inbox queues delivered completions for nextMsg (inbox.go), which is
+	// bound once so that dispatching one allocates nothing.
+	inbox   inbox
+	nextMsg func()
 
 	failed map[int]bool // physical drive index → failed
 
@@ -324,6 +331,7 @@ func NewHost(rt backend.Runtime, fab backend.Transport, driveCapacity int64, cfg
 		rebuilds:   make(map[int]*rebuildState),
 		health:     cfg.Health,
 	}
+	h.nextMsg = h.applyNext
 	h.dyn, _ = cfg.Layout.(placement.Dynamic)
 	for m := range h.memberNode {
 		h.memberNode[m] = NodeID(m)

@@ -53,6 +53,11 @@ type ServerController struct {
 	core  backend.Executor
 	cfg   ServerConfig
 
+	// inbox queues delivered capsules for nextMsg (inbox.go), which is bound
+	// once so that dispatching one allocates nothing.
+	inbox   inbox
+	nextMsg func()
+
 	// pool recycles reduce accumulators. An accumulator is private to this
 	// controller for its whole pooled life: it goes back when the drive write
 	// that persists it calls back (the drive borrows it until then) or when
@@ -178,6 +183,7 @@ func NewServer(id NodeID, rt backend.Runtime, fab backend.Transport, drive backe
 		}
 		s.integ = integrity.NewStore(integrity.DefaultBlockSize)
 	}
+	s.nextMsg = s.applyNext
 	fab.Register(id, s.handle)
 	return s
 }
@@ -348,25 +354,31 @@ func mediaStatus(err error, off, length int64) (nvmeof.Status, int64, int64) {
 	return nvmeof.StatusError, off, length
 }
 
-// handle dispatches an incoming capsule after per-message CPU processing.
+// handle queues an incoming capsule in the inbox for its per-message CPU
+// slot.
 func (s *ServerController) handle(m Message) {
-	s.core.Exec(s.cfg.Costs.PerMsg, func() {
-		if t := s.cfg.Tracer; t.Enabled() {
-			t.Instant(s.cfg.TraceTrack, "rpc", m.Cmd.SpanName()+"←"+fromName(m.From),
-				trace.I64("id", int64(m.Cmd.ID)))
-		}
-		if m.Cmd.Opcode != nvmeof.OpFence && s.fencedOut(m.Cmd.NSID, m.Cmd.ID) {
-			// A straggler from a fenced (dead) controller session — a
-			// command still in the fabric when the fence arrived, or a peer
-			// contribution triggered by one. Drop it; its issuer is gone.
-			m.Payload.Release()
-			return
-		}
-		if !s.admitEpoch(m) {
-			return
-		}
-		s.dispatch(m)
-	})
+	s.inbox.push(m)
+	s.core.Exec(s.cfg.Costs.PerMsg, s.nextMsg)
+}
+
+// applyNext dispatches the oldest capsule in the inbox.
+func (s *ServerController) applyNext() {
+	m := s.inbox.pop()
+	if t := s.cfg.Tracer; t.Enabled() {
+		t.Instant(s.cfg.TraceTrack, "rpc", m.Cmd.SpanName()+"←"+fromName(m.From),
+			trace.I64("id", int64(m.Cmd.ID)))
+	}
+	if m.Cmd.Opcode != nvmeof.OpFence && s.fencedOut(m.Cmd.NSID, m.Cmd.ID) {
+		// A straggler from a fenced (dead) controller session — a command
+		// still in the fabric when the fence arrived, or a peer contribution
+		// triggered by one. Drop it; its issuer is gone.
+		m.Payload.Release()
+		return
+	}
+	if !s.admitEpoch(m) {
+		return
+	}
+	s.dispatch(m)
 }
 
 // admitEpoch enforces the per-volume host epoch on an arriving command.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/bits"
 
-	"draid/internal/backend"
 	"draid/internal/blockdev"
 	"draid/internal/nvmeof"
 	"draid/internal/parity"
@@ -64,7 +63,10 @@ type stripeOp struct {
 	owed     int
 	failedFn func(missing []NodeID)
 	doneFn   func()
-	timer    backend.Timer
+	// expires is when the op fails unless it has finished; hidx is its index
+	// in the host's deadline heap (deadline.go).
+	expires sim.Time
+	hidx    int
 	// read assembly: completions carrying payloads are routed here. The hook
 	// becomes b's owner: it calls b.Release() once the bytes are copied out (a
 	// drive-read buffer then goes straight back to its drive's free list), or
@@ -121,47 +123,18 @@ func (h *HostController) beginOp(kind string, stripe int64, done func(), failed 
 }
 
 // beginOpDeadline is beginOp with an explicit deadline (heartbeat probes run
-// much tighter than data ops). On timeout every endpoint the op sent to that
-// never completed is reported to the health sink — confirmed when its node is
-// observably down, suspect otherwise — before failedFn runs with the down
-// set.
+// much tighter than data ops). An op still open when its deadline passes
+// fails through timeout (deadline.go).
 func (h *HostController) beginOpDeadline(kind string, stripe int64, deadline sim.Duration, done func(), failed func([]NodeID)) *stripeOp {
 	h.nextID++
-	op := &stripeOp{id: h.nextID, stripe: stripe, doneFn: done, failedFn: failed}
+	op := &stripeOp{id: h.nextID, stripe: stripe, doneFn: done, failedFn: failed,
+		expires: h.rt.Now() + sim.Time(max(deadline, 0))}
 	h.inflight[op.id] = op
 	if t := h.cfg.Tracer; t.Enabled() {
 		op.span = t.Begin(h.opsTrack, "op", kind,
 			trace.I64("stripe", stripe), trace.I64("id", int64(op.id)))
 	}
-	op.timer = h.rt.After(deadline, func() {
-		if op.done {
-			return
-		}
-		h.stats.Timeouts++
-		var down, silent []NodeID
-		for _, c := range op.sent {
-			switch {
-			case c.answered:
-			case h.fab.Down(c.to):
-				down = append(down, c.to)
-			default:
-				silent = append(silent, c.to)
-			}
-		}
-		// Evidence attribution: a confirmed-down participant explains the
-		// whole stall (peer chains run through it), so silent peers are NOT
-		// blamed — charging them unconfirmed strikes would let one dead node
-		// fail innocent members by collateral evidence.
-		for _, t := range down {
-			h.reportFault(h.memberOf(t), true)
-		}
-		if len(down) == 0 {
-			for _, t := range silent {
-				h.reportFault(h.memberOf(t), false)
-			}
-		}
-		h.failOp(op, down)
-	})
+	h.watch(op)
 	return op
 }
 
@@ -186,18 +159,23 @@ func (h *HostController) send(op *stripeOp, to NodeID, owes replies, cmd nvmeof.
 	h.fab.Send(HostID, to, cmd, payload)
 }
 
-// handle processes completions arriving from targets. The host owns every
-// payload delivered here: one that no op takes is released on the spot.
+// handle takes completions arriving from targets: each waits in the inbox for
+// its per-message CPU slot. The host owns every payload delivered here: one
+// that no op takes is released on the spot.
 func (h *HostController) handle(m Message) {
 	if h.crashed {
 		m.Payload.Release()
 		return
 	}
-	h.cores.Exec(h.cfg.Costs.PerMsg, func() {
-		if !h.complete(m) {
-			m.Payload.Release()
-		}
-	})
+	h.inbox.push(m)
+	h.cores.Exec(h.cfg.Costs.PerMsg, h.nextMsg)
+}
+
+// applyNext applies the oldest completion in the inbox.
+func (h *HostController) applyNext() {
+	if m := h.inbox.pop(); !h.complete(m) {
+		m.Payload.Release()
+	}
 }
 
 // complete applies one completion to its op, reporting whether the op's
@@ -284,7 +262,7 @@ func (h *HostController) cancelOp(op *stripeOp, result string) bool {
 		return false
 	}
 	op.done = true
-	op.timer.Stop()
+	h.unwatch(op)
 	delete(h.inflight, op.id)
 	op.closeSpans(result)
 	return true

@@ -124,3 +124,58 @@ func TestDefaultCostsParityIsCheap(t *testing.T) {
 		t.Fatalf("xor of 512KB = %v ns, implausible", xor)
 	}
 }
+
+// TestEqualCostWorkFinishesInSubmissionOrder pins the invariant the
+// controllers' message inboxes rely on: on a pool of 1–4 cores, work items of
+// one cost complete in the order they were submitted, however work of other
+// costs is interleaved with them — submitted at scattered instants, several
+// at one instant, and from inside completions. A finish time is max(now,
+// earliest core free) + d; neither term ever decreases, and equal finish
+// times run in scheduling order.
+func TestEqualCostWorkFinishesInSubmissionOrder(t *testing.T) {
+	costs := []sim.Duration{0, 600, 700, 1500, 13 * sim.Microsecond}
+	for seed := int64(1); seed <= 200; seed++ {
+		eng := sim.NewEngine(seed)
+		rng := eng.Rand()
+		p := NewPool(eng, 1+rng.Intn(4))
+		submitted := make([]int, len(costs)) // per cost: items submitted so far
+		finished := make([]int, len(costs))  // per cost: items finished so far
+		left := 400
+		var submit func()
+		submit = func() {
+			if left == 0 {
+				return
+			}
+			left--
+			k := rng.Intn(len(costs))
+			n := submitted[k]
+			submitted[k]++
+			p.Exec(costs[k], func() {
+				if finished[k] != n {
+					t.Fatalf("seed %d, %d cores: item %d of cost %d finished after %d others of its cost",
+						seed, len(p.Cores()), n, costs[k], finished[k])
+				}
+				finished[k]++
+				if rng.Intn(3) == 0 {
+					submit() // a completion submitting more work
+				}
+			})
+		}
+		for left > 0 {
+			switch rng.Intn(3) {
+			case 0:
+				submit()
+			case 1:
+				eng.After(sim.Duration(rng.Intn(2000)), submit)
+			default:
+				eng.RunFor(sim.Duration(rng.Intn(3000)))
+			}
+		}
+		eng.Run()
+		for k := range costs {
+			if finished[k] != submitted[k] {
+				t.Fatalf("seed %d: %d of %d items of cost %d finished", seed, finished[k], submitted[k], costs[k])
+			}
+		}
+	}
+}

@@ -49,6 +49,8 @@ type Network struct {
 	cfg    Config
 	nodes  map[string]*Node
 	tracer *trace.Collector
+	// free holds flight records no message is using.
+	free []*flight
 }
 
 // SetTracer enables per-NIC serialization spans. Call before adding nodes so
@@ -339,18 +341,27 @@ func (c *Conn) Peer(from *Node) *Node {
 // Send transmits size payload bytes from `from` to the opposite endpoint and
 // runs deliver at the receiver when the last byte arrives. Dropped messages
 // (down node or injected fault) consume sender bandwidth but never deliver.
-// Size 0 is allowed (pure control message); header bytes still apply.
+// Size 0 is allowed (pure control message); header bytes still apply. It is
+// SendChecked for callers that ignore corruption.
 func (c *Conn) Send(from *Node, size int64, deliver func()) {
 	c.SendChecked(from, size, func(bool) { deliver() })
 }
 
-// SendChecked is Send for transports that checksum their payloads end to
-// end: deliver receives whether fault injection corrupted the message in
-// flight, so the receiver can model checksum validation (typically by
-// discarding the message and letting the sender's timeout fire). Callers
-// that ignore the flag get plain Send semantics — corruption passes through
-// silently, as on a real link with no end-to-end check.
-func (c *Conn) SendChecked(from *Node, size int64, deliver func(corrupted bool)) {
+// SendChecked transmits size payload bytes from `from` to the opposite
+// endpoint for transports that checksum their payloads end to end: deliver
+// receives whether fault injection corrupted the message in flight, so the
+// receiver can model checksum validation (typically by discarding the message
+// and letting the sender's timeout fire). Callers that ignore the flag get
+// plain Send semantics — corruption passes through silently, as on a real
+// link with no end-to-end check.
+//
+// It returns how many times deliver will run if both nodes stay up: 0 for a
+// message dropped at send (down node, partition, injected drop), 2 for an
+// injected duplicate, else 1. A node that goes down before the message
+// arrives cancels every copy. deliver should be a function value the caller
+// keeps, not a closure made per message: the in-flight state lives in a
+// pooled record, so a message then costs no allocation.
+func (c *Conn) SendChecked(from *Node, size int64, deliver func(corrupted bool)) (copies int) {
 	if size < 0 {
 		panic("simnet: negative message size")
 	}
@@ -369,35 +380,88 @@ func (c *Conn) SendChecked(from *Node, size int64, deliver func(corrupted bool))
 		t.Span(src.txTrack, "net", "tx→"+to.name, txStart, sent, trace.I64("bytes", wire))
 	}
 	if from.down || to.down {
-		return // consumed sender bandwidth; vanishes in the fabric
+		return 0 // consumed sender bandwidth; vanishes in the fabric
 	}
 	if c.partitioned[d] {
-		return // cut by an injected partition; no RNG draw, stream untouched
+		return 0 // cut by an injected partition; no RNG draw, stream untouched
 	}
 	if c.dropProb[d] > 0 && eng.Rand().Float64() < c.dropProb[d] {
-		return
+		return 0
 	}
+	fl := c.net.newFlight()
+	fl.from, fl.to, fl.dst, fl.wire, fl.deliver = from, to, dst, wire, deliver
 	// Sampled only when injection is armed, so the engine RNG stream — and
 	// with it every existing seeded scenario — is untouched by default.
-	corrupted := c.corruptProb[d] > 0 && eng.Rand().Float64() < c.corruptProb[d]
-	copies := 1
+	fl.corrupted = c.corruptProb[d] > 0 && eng.Rand().Float64() < c.corruptProb[d]
+	fl.copies = 1
 	if c.duplicate[d] {
 		c.duplicate[d] = false
-		copies = 2
+		fl.copies = 2
 	}
-	arrive := sent + sim.Time(c.net.cfg.PropDelay+c.net.cfg.PerMsgDelay+c.delay[d])
-	eng.At(arrive, func() {
-		if to.down || from.down {
-			return
+	fl.left = fl.copies
+	eng.At(sent+sim.Time(c.net.cfg.PropDelay+c.net.cfg.PerMsgDelay+c.delay[d]), fl.arriveFn)
+	return fl.copies
+}
+
+// flight is one message between leaving its sender's NIC and its last copy's
+// delivery. Records are pooled by the Network, and arriveFn and doneFn are
+// bound once per record, so a message in flight allocates nothing.
+type flight struct {
+	net       *Network
+	from, to  *Node
+	dst       *NIC
+	wire      int64
+	corrupted bool
+	// copies is how many times the message is delivered (2 when duplicated);
+	// left counts the deliveries still to run.
+	copies, left int
+	deliver      func(corrupted bool)
+
+	arriveFn, doneFn func()
+}
+
+func (n *Network) newFlight() *flight {
+	if k := len(n.free); k > 0 {
+		fl := n.free[k-1]
+		n.free = n.free[:k-1]
+		return fl
+	}
+	fl := &flight{net: n}
+	fl.arriveFn, fl.doneFn = fl.arrive, fl.done
+	return fl
+}
+
+func (n *Network) freeFlight(fl *flight) {
+	fl.from, fl.to, fl.dst, fl.deliver = nil, nil, nil, nil
+	n.free = append(n.free, fl)
+}
+
+// arrive runs when the message's last byte reaches the receiver's NIC: each
+// copy queues behind the NIC's inbound pipe.
+func (fl *flight) arrive() {
+	n := fl.net
+	if fl.to.down || fl.from.down {
+		n.freeFlight(fl)
+		return
+	}
+	eng := n.Eng
+	for i := 0; i < fl.copies; i++ {
+		rxStart, done := fl.dst.pipeIn().reserve(eng.Now(), fl.wire)
+		if t := n.tracer; t.Enabled() {
+			t.Span(fl.dst.rxTrack, "net", "rx←"+fl.from.name, rxStart, done, trace.I64("bytes", fl.wire))
 		}
-		for i := 0; i < copies; i++ {
-			rxStart, done := dst.pipeIn().reserve(eng.Now(), wire)
-			if t := c.net.tracer; t.Enabled() {
-				t.Span(dst.rxTrack, "net", "rx←"+from.name, rxStart, done, trace.I64("bytes", wire))
-			}
-			eng.At(done, func() { deliver(corrupted) })
-		}
-	})
+		eng.At(done, fl.doneFn)
+	}
+}
+
+// done delivers one copy; the last one frees the record first, so the
+// receiver may send on a recycled record.
+func (fl *flight) done() {
+	deliver, corrupted := fl.deliver, fl.corrupted
+	if fl.left--; fl.left == 0 {
+		fl.net.freeFlight(fl)
+	}
+	deliver(corrupted)
 }
 
 func (c *NIC) pipeOut() *pipe { return &c.out }

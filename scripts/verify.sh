@@ -57,7 +57,7 @@ go run ./cmd/draid-rebuild -v
 
 if [ "${FULL:-0}" = "1" ]; then
     make torture
-    go test -run '^$' -bench . -benchtime 1x ./internal/gf256 ./internal/parity ./internal/backend/realtime ./internal/sim .
+    go test -run '^$' -bench . -benchtime 1x ./internal/gf256 ./internal/parity ./internal/backend/realtime ./internal/sim ./internal/simnet ./internal/core .
     # The one erasure decoder under the fuzzer: random width, length and
     # erasure set against the originals and ComputePQ.
     go test -run '^$' -fuzz FuzzSolveStripe -fuzztime 10s ./internal/parity
