@@ -15,20 +15,23 @@ import (
 // byte is allocated about once — the buffer a read returns, the private copy
 // a write takes — and every other hop hands buffers on or recycles them.
 // Clone a payload at one more hop and the ratio for that direction rises by
-// 1.0, well past these ceilings (steady state measures ≈1.02 and ≈1.16; the
+// 1.0, well past these ceilings (steady state measures ≈1.02 and ≈1.15; the
 // stripe-write ceiling also covers the 1/7 parity chunk; random 4 KiB writes
-// measure ≈1.88, the per-op records weighing more against so small a payload).
+// measure ≈1.35, the per-op records weighing more against so small a payload;
+// a degraded 64 KiB read measures ≈2.03: the rebuilt segment leaves the
+// reducer's pool for the host, and the user's buffer is assembled from it).
 //
 // It guards the object count the same way: heap objects allocated per user
 // op (runtime.MemStats.Mallocs), ceilings at most 20 % over what this tree
-// measures (≈46 per 128 KiB read, ≈73 per full-stripe write, ≈52 per random
+// measures (≈36 per 128 KiB read, ≈33 per full-stripe write, ≈25 per random
 // 4 KiB write — the read-modify-write path, 5 capsules an op and almost no
-// payload), so a per-op map, a closure or wrapper per queued task or
-// delivered capsule, a timer per op, an eager format or a capsule copy added
-// to the message path fails here — and a claim to have removed some starts
-// from a floor the suite can see. Before the controllers queued delivered
-// capsules in an inbox and timed ops out from one deadline heap, the tree
-// measured ≈59 / ≈106 / ≈63 and failed every one of these ceilings.
+// payload — and ≈40 per 64 KiB read rebuilt on a peer), so a per-op map, a
+// closure per drive I/O, CPU slot, queued task or delivered capsule, a timer
+// per op, an eager format or a capsule copy added to the message path fails
+// here — and a claim to have removed some starts from a floor the suite can
+// see. Before the servers ran each capsule as a pooled command record and the
+// drives completed through pooled op records, the tree measured ≈46 / ≈73 /
+// ≈52 / ≈101 and failed every one of these ceilings.
 func TestRealtimeAllocBytesPerUserByte(t *testing.T) {
 	if testing.Short() {
 		t.Skip("drives ~90 MiB through a realtime array")
@@ -74,6 +77,25 @@ func TestRealtimeAllocBytesPerUserByte(t *testing.T) {
 			}
 		}
 	}
+	// degradedAll reads the chunks the failed member held, each rebuilt by a
+	// reduction on a peer: the reconstruction path end to end.
+	const failed = 2
+	var lost []int64
+	g := arr.Controller().Geometry()
+	for s := int64(0); s < stripes; s++ {
+		for c := 0; c < g.DataChunks(); c++ {
+			if g.DataDrive(s, c) == failed {
+				lost = append(lost, s*stripe+int64(c)*chunk)
+			}
+		}
+	}
+	degradedAll := func() {
+		for i := 0; i < reads; i++ {
+			if _, err := arr.ReadSync(lost[i%len(lost)], chunk); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
 	// allocated runs fn and returns the heap bytes it allocated per user byte
 	// and the heap objects per op.
 	allocated := func(userBytes, ops int64, fn func()) (perByte, perOp float64) {
@@ -95,13 +117,19 @@ func TestRealtimeAllocBytesPerUserByte(t *testing.T) {
 		what      string
 		user, ops int64
 		run       func()
+		fail      bool
 		ceiling   float64 // heap bytes per user byte
 		objects   float64 // heap objects per op
 	}{
-		{"128 KiB reads", reads * readLen, reads, readAll, 1.25, 55},
-		{"full-stripe writes", stripes * stripe, stripes, writeAll, 1.40, 87},
-		{"random 4 KiB writes", smalls * small, smalls, smallAll, 2.60, 62},
+		{"128 KiB reads", reads * readLen, reads, readAll, false, 1.25, 43},
+		{"full-stripe writes", stripes * stripe, stripes, writeAll, false, 1.40, 39},
+		{"random 4 KiB writes", smalls * small, smalls, smallAll, false, 2.60, 30},
+		{"64 KiB reads, one member failed", reads * chunk, reads, degradedAll, true, 2.40, 48},
 	} {
+		if c.fail {
+			arr.FailDrive(failed)
+			c.run() // warm up: the reconstruction path's free lists fill
+		}
 		got, objs := allocated(c.user, c.ops, c.run)
 		t.Logf("%s: %.3f heap bytes allocated per user byte, %.1f heap objects per op", c.what, got, objs)
 		if got > c.ceiling {
@@ -120,11 +148,11 @@ func TestRealtimeAllocBytesPerUserByte(t *testing.T) {
 // closures, event records. A read that materializes its user buffer, or a
 // reduction that zeroes an accumulator only to have an elided contribution
 // poison it, costs ≈1 byte per byte on its own: while both did, this test
-// measured 1.08 (writes) and 1.18 (reads). Now ≈0.03 and ≈0.02. Objects per
-// op have ceilings at most 20 % over what this tree measures (≈46 per RMW
-// write, ≈32 per read). With three closures per capsule on the simulated
-// fabric and one per delivered capsule in the controllers, the tree measured
-// ≈79 and ≈55 and failed both.
+// measured 1.08 (writes) and 1.18 (reads). Now ≈0.01 and ≈0.01. Objects per
+// op have ceilings at most 20 % over what this tree measures (≈18 per RMW
+// write, ≈20 per read). With a closure chain per drive I/O and CPU slot in
+// the servers and one closure per simulated drive op, the tree measured ≈46
+// and ≈32 and failed both.
 func TestSizeOnlySimAllocBytesPerUserByte(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulates ~1 GB of size-only I/O")
@@ -157,8 +185,8 @@ func TestSizeOnlySimAllocBytesPerUserByte(t *testing.T) {
 		ceiling   float64 // heap bytes per user byte
 		objects   float64 // heap objects per op
 	}{
-		{"128 KiB RMW writes", 0, false, 0.25, 55},
-		{"128 KiB reads, one member failed", 1, true, 0.25, 38},
+		{"128 KiB RMW writes", 0, false, 0.25, 22},
+		{"128 KiB reads, one member failed", 1, true, 0.25, 23},
 	} {
 		if c.fail {
 			arr.FailDrive(2)

@@ -451,9 +451,10 @@ func (c *Cluster) RecoverTarget(i int) {
 // off), reductions still open on a server, and anything a volume's host
 // controller still holds (HostController.Quiescent: ops in flight, stripe
 // locks, dirty marks, open rebuilds, reserved layout slots). Call it after
-// Run() has drained, with no background I/O in flight. Reductions stranded by a
-// partition or a duplicated capsule are only severed by a fence or an epoch
-// bump, so a harness that injected such faults fences before it checks.
+// Run() has drained, with no background I/O in flight. A media error strands
+// no reduction (the failing participant still reports in); only a partition
+// or a duplicated capsule does, and those are only severed by a fence or an
+// epoch bump, so a harness that injected such faults fences before it checks.
 func (c *Cluster) LeakCheck() error {
 	var leaks []string
 	pool := func(what string, i int, x any) {

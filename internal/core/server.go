@@ -57,12 +57,14 @@ type ServerController struct {
 	// once so that dispatching one allocates nothing.
 	inbox   inbox
 	nextMsg func()
+	// free holds command records no capsule is using (servercmd.go).
+	free []*cmdRec
 
 	// pool recycles reduce accumulators. An accumulator is private to this
 	// controller for its whole pooled life: it goes back when the drive write
 	// that persists it calls back (the drive borrows it until then) or when
-	// its reduction is severed, and it is disowned — never recycled — when it
-	// leaves for the host as a reconstructed segment.
+	// its reduction is severed or fails, and it is disowned — never recycled
+	// — when it leaves for the host as a reconstructed segment.
 	pool *parity.Pool
 
 	// Reduce-phase state (Algorithm 2), keyed by (volume, command ID). The
@@ -85,7 +87,7 @@ type ServerController struct {
 	// dead controller session and are discarded on arrival, and their
 	// not-yet-submitted drive writes are dropped (§5.4 failover fencing).
 	fenced map[uint32]uint64
-	// wseq/wpending track drive writes in flight through writeDrive;
+	// wseq/wpending track drive writes in flight through cmdRec.write;
 	// fences barrier on the writes pending at their arrival.
 	wseq     uint64
 	wpending map[uint64]struct{}
@@ -154,14 +156,20 @@ type reduceState struct {
 	// epoch is the host epoch the reduction was opened under; an epoch bump
 	// kills reductions of superseded epochs exactly as a fence does.
 	epoch uint64
+	// failed marks a reduction one of whose parts could not be read — a
+	// participant's Peer came with a failing status, or this bdev's own read
+	// (parity preload, reducer's segment) failed. It still counts every part
+	// in, so it ends like any other, but finish recycles the accumulator and
+	// neither writes nor replies: the host already has the media error.
+	failed bool
 	// dead marks a reduction that is over — finished, or severed by a fence
-	// or an epoch bump. In-flight closures that still hold the state (a
-	// duplicated anchor's parity preload, a deferred contribution) must
+	// or an epoch bump. In-flight command records that still hold the state
+	// (a duplicated anchor's parity preload, a deferred contribution) must
 	// neither complete it again nor fold into its accumulator, which by then
 	// is lent to the drive, on its way to the host, or back in the pool.
 	dead bool
-	// deferred holds contributions buffered by the BarrierReduce ablation.
-	deferred []func()
+	// deferred holds the Peer records the BarrierReduce ablation buffers.
+	deferred []*cmdRec
 }
 
 // NewServer creates a server-side controller and registers it on the
@@ -195,9 +203,10 @@ func (s *ServerController) Drive() backend.Drive { return s.drive }
 func (s *ServerController) BufferStats() parity.PoolStats { return s.pool.Stats() }
 
 // OpenReductions reports how many reductions are waiting for contributions or
-// their anchor command — zero on a drained, healthy array; what a partition
-// or a duplicated capsule strands stays until a fence or epoch bump severs
-// it. Safe to call from any goroutine.
+// their anchor command — zero on a drained array. A media error does not
+// strand one (the failing participant still reports in); only a partition or
+// a duplicated capsule does, until a fence or epoch bump severs it. Safe to
+// call from any goroutine.
 func (s *ServerController) OpenReductions() int { return int(s.openReduces.Load()) }
 
 // ChecksumErrors reports how many reads failed end-to-end verification.
@@ -220,74 +229,6 @@ func (s *ServerController) SetEpochChecks(on bool) { s.epochChecksOff.Store(!on)
 
 // peek adapts the drive's synchronous byte access for the checksum store.
 func (s *ServerController) peek(off, n int64) []byte { return s.drive.PeekSync(off, n) }
-
-// readVerified reads [off, off+n) and, when integrity is on, verifies the
-// covering block checksums before handing the payload up: detected bit rot
-// surfaces as a *backend.MediaError, indistinguishable from a drive URE, so
-// one host-side recovery path serves both.
-func (s *ServerController) readVerified(off, n int64, cb func(parity.Buffer, error)) {
-	s.drive.Read(off, n, func(b parity.Buffer, err error) {
-		if err == nil && s.integ != nil {
-			if badOff, badLen, ok := s.integ.Verify(off, n, s.drive.Capacity(), s.peek); !ok {
-				s.checksumErrors++
-				b.Release()
-				cb(parity.Buffer{}, &backend.MediaError{Off: badOff, N: badLen})
-				return
-			}
-		}
-		cb(b, err)
-	})
-}
-
-// writeDrive writes and, when integrity is on, refreshes the covering block
-// checksums from the stored bytes once the write lands.
-//
-// Edge blocks only partially covered by the write keep slack bytes the
-// writer never saw. Recomputing their checksum blindly would absorb any
-// corruption sitting in that slack into a "valid" checksum — laundering bit
-// rot into data every later read trusts. So those blocks are verified
-// against their pre-write content first, and a block that fails stays
-// poisoned after the write: reads keep reporting it, and the host's
-// block-aligned repair path rewrites it whole with reconstructed bytes.
-func (s *ServerController) writeDrive(off int64, b parity.Buffer, cb func(error)) {
-	n := int64(b.Len())
-	var stale []int64
-	if s.integ != nil && n > 0 {
-		capacity := s.drive.Capacity()
-		bs := s.integ.BlockSize()
-		check := func(blk int64) {
-			bEnd := blk + bs
-			if bEnd > capacity {
-				bEnd = capacity
-			}
-			if blk >= off && bEnd <= off+n {
-				return // fully covered: the write defines the whole block
-			}
-			if _, _, ok := s.integ.Verify(blk, bEnd-blk, capacity, s.peek); !ok {
-				stale = append(stale, blk)
-			}
-		}
-		head := off - off%bs
-		tail := (off + n - 1) - (off+n-1)%bs
-		check(head)
-		if tail != head {
-			check(tail)
-		}
-	}
-	s.wseq++
-	seq := s.wseq
-	s.wpending[seq] = struct{}{}
-	s.drive.Write(off, b, func(err error) {
-		if err == nil && s.integ != nil {
-			s.integ.Update(off, n, s.drive.Capacity(), s.peek)
-			for _, blk := range stale {
-				s.integ.Invalidate(blk)
-			}
-		}
-		s.writeLanded(seq)
-		cb(err)
-	})
-}
 
 // writeLanded retires one drive write and releases any fence or epoch
 // barrier whose pre-barrier writes have all landed. Barriers are detached
@@ -457,28 +398,35 @@ func (s *ServerController) bumpEpoch(vol uint32, e uint64) {
 	}})
 }
 
-// dispatch routes an admitted command to its opcode handler.
+// dispatch routes an admitted command to its opcode handler. Data-path
+// commands run as steps on a command record (servercmd.go).
 func (s *ServerController) dispatch(m Message) {
 	switch m.Cmd.Opcode {
-	case nvmeof.OpRead:
-		s.handleRead(m)
-	case nvmeof.OpWrite:
-		s.handleWrite(m)
-	case nvmeof.OpPartialWrite:
-		s.handlePartialWrite(m)
-	case nvmeof.OpParity:
-		s.handleParity(m)
-	case nvmeof.OpReconstruction:
-		s.handleReconstruction(m)
-	case nvmeof.OpPeer:
-		s.handlePeer(m)
 	case nvmeof.OpHeartbeat:
 		s.handleHeartbeat(m)
+		return
 	case nvmeof.OpFence:
 		s.handleFence(m)
+		return
+	}
+	r := s.newRec(m)
+	switch m.Cmd.Opcode {
+	case nvmeof.OpRead:
+		r.handleRead()
+	case nvmeof.OpWrite:
+		r.handleWrite()
+	case nvmeof.OpPartialWrite:
+		r.handlePartialWrite()
+	case nvmeof.OpParity:
+		r.handleParity()
+	case nvmeof.OpReconstruction:
+		r.handleReconstruction()
+	case nvmeof.OpPeer:
+		r.handlePeer()
 	default:
 		panic(fmt.Sprintf("core: server %d: unexpected opcode %v", s.id, m.Cmd.Opcode))
 	}
+	r.done()
 }
 
 // complete sends a completion capsule (optionally with payload) to dst. The
@@ -545,39 +493,15 @@ func (s *ServerController) handleFence(m Message) {
 	s.barriers = append(s.barriers, &fenceBarrier{seq: s.wseq, remaining: len(s.wpending), fire: done})
 }
 
-// handleRead serves a standard NVMe-oF read.
-func (s *ServerController) handleRead(m Message) {
-	s.readVerified(m.Cmd.Offset, m.Cmd.Length, func(b parity.Buffer, err error) {
-		s.core.Exec(s.cfg.Costs.PerIO, func() {
-			st, off, length := nvmeof.StatusSuccess, m.Cmd.Offset, m.Cmd.Length
-			if err != nil {
-				st, off, length = mediaStatus(err, m.Cmd.Offset, m.Cmd.Length)
-			}
-			s.complete(m.From, m.Cmd.NSID, m.Cmd.ID, m.Cmd.Epoch, st, off, length, b)
-		})
-	})
-}
-
-// handleWrite serves a standard NVMe-oF write.
-func (s *ServerController) handleWrite(m Message) {
-	s.writeDrive(m.Cmd.Offset, m.Payload, func(err error) {
-		s.core.Exec(s.cfg.Costs.PerIO, func() {
-			st := nvmeof.StatusSuccess
-			if err != nil {
-				st = nvmeof.StatusError
-			}
-			s.complete(m.From, m.Cmd.NSID, m.Cmd.ID, m.Cmd.Epoch, st, m.Cmd.Offset, int64(m.Payload.Len()), parity.Buffer{})
-		})
-	})
-}
-
 // sendContribution forwards a partial result to the P reducer and, for
 // RAID-6, the Q reducer named in the command, handing contrib off. The
 // contribution covers [fo, fo+fl) absolute; union is quoted so a
-// late-arriving anchor command finds consistent state (§5.2).
-func (s *ServerController) sendContribution(cmd nvmeof.Command, contrib parity.Buffer, fo, fl int64, unionOff, unionLen int64) {
+// late-arriving anchor command finds consistent state (§5.2). A failing
+// status with no payload tells the reducers this bdev's part could not be
+// read.
+func (s *ServerController) sendContribution(cmd *nvmeof.Command, st nvmeof.Status, contrib parity.Buffer, fo, fl int64, unionOff, unionLen int64) {
 	peer := nvmeof.Command{
-		ID: cmd.ID, Opcode: nvmeof.OpPeer, NSID: cmd.NSID, Epoch: cmd.Epoch,
+		ID: cmd.ID, Opcode: nvmeof.OpPeer, NSID: cmd.NSID, Epoch: cmd.Epoch, Status: st,
 		Offset: unionOff, Length: unionLen,
 		FwdOffset: fo, FwdLength: fl,
 		DataIdx: NoScale,
@@ -596,149 +520,8 @@ func (s *ServerController) sendContribution(cmd nvmeof.Command, contrib parity.B
 	}
 }
 
-// handlePartialWrite implements Algorithm 1 (HandleDataChunk).
-//
-// Capsule conventions (all offsets absolute drive offsets):
-//   - Offset/Length + Payload: the write segment (Length 0 for RW_READ)
-//   - FwdOffset/FwdLength: this bdev's contribution segment
-//     (== write segment for RMW; == union for RW_WRITE/RW_READ)
-//   - SGL[0]: the union segment, quoted in Peer messages
-//   - NextDest / NextDest2 / DataIdx: reducer routing
-func (s *ServerController) handlePartialWrite(m Message) {
-	cmd := m.Cmd
-	if len(cmd.SGL) != 1 {
-		panic("core: PartialWrite without union SGL")
-	}
-	union := cmd.SGL[0]
-
-	writeDone := func() {
-		s.core.Exec(s.cfg.Costs.PerIO, func() {
-			// §5.3: the data bdev reports its own completion so the drive
-			// write need not gate parity forwarding.
-			s.complete(m.From, cmd.NSID, cmd.ID, cmd.Epoch, nvmeof.StatusSuccess, cmd.Offset, cmd.Length, parity.Buffer{})
-		})
-	}
-
-	switch cmd.Subtype {
-	case nvmeof.SubRMW:
-		// Read old data over the write segment; delta = old ⊕ new.
-		s.readVerified(cmd.Offset, cmd.Length, func(oldB parity.Buffer, err error) {
-			if err != nil {
-				st, off, length := mediaStatus(err, cmd.Offset, cmd.Length)
-				s.complete(m.From, cmd.NSID, cmd.ID, cmd.Epoch, st, off, length, parity.Buffer{})
-				return
-			}
-			forward := func(next func()) {
-				s.core.Exec(s.cfg.Costs.Xor(int(cmd.Length)), func() {
-					// oldB is this bdev's own drive-read buffer; fold the new
-					// data in place and hand the result on.
-					delta := parity.XORInto(oldB, m.Payload)
-					s.sendContribution(cmd, delta, cmd.FwdOffset, cmd.FwdLength, union.Off, union.Len)
-					if next != nil {
-						next()
-					}
-				})
-			}
-			write := func(next func()) {
-				if s.fencedOut(cmd.NSID, cmd.ID) || s.superseded(cmd.NSID, cmd.Epoch) {
-					return // fenced or superseded mid-command: the write must not land
-				}
-				s.writeDrive(cmd.Offset, m.Payload, func(werr error) {
-					if werr != nil {
-						s.complete(m.From, cmd.NSID, cmd.ID, cmd.Epoch, nvmeof.StatusError, cmd.Offset, cmd.Length, parity.Buffer{})
-						return
-					}
-					writeDone()
-					if next != nil {
-						next()
-					}
-				})
-			}
-			if s.cfg.Pipelined {
-				// Drive write and parity generation/forwarding overlap.
-				forward(nil)
-				write(nil)
-			} else {
-				forward(func() { write(nil) })
-			}
-		})
-
-	case nvmeof.SubRWWrite:
-		// Contribution = stored data over the union, overlaid with the new
-		// write segment. Skip the drive read when the write covers the
-		// whole union.
-		buildAndGo := func(contrib parity.Buffer) {
-			s.core.Exec(s.cfg.Costs.Xor(int(union.Len)), func() {
-				s.sendContribution(cmd, contrib, cmd.FwdOffset, cmd.FwdLength, union.Off, union.Len)
-			})
-		}
-		if cmd.Offset == union.Off && cmd.Length == union.Len {
-			buildAndGo(m.Payload.Clone())
-			s.writeDrive(cmd.Offset, m.Payload, func(err error) {
-				if err != nil {
-					s.complete(m.From, cmd.NSID, cmd.ID, cmd.Epoch, nvmeof.StatusError, cmd.Offset, cmd.Length, parity.Buffer{})
-					return
-				}
-				writeDone()
-			})
-			return
-		}
-		s.readVerified(union.Off, union.Len, func(oldB parity.Buffer, err error) {
-			if err != nil {
-				st, off, length := mediaStatus(err, union.Off, union.Len)
-				s.complete(m.From, cmd.NSID, cmd.ID, cmd.Epoch, st, off, length, parity.Buffer{})
-				return
-			}
-			contrib := oldB // this bdev's own drive-read buffer; overlay in place
-			contrib.CopyAt(int(cmd.Offset-union.Off), m.Payload)
-			if m.Payload.Elided() {
-				contrib.Release()
-				contrib = parity.Sized(contrib.Len())
-			}
-			write := func() {
-				if s.fencedOut(cmd.NSID, cmd.ID) || s.superseded(cmd.NSID, cmd.Epoch) {
-					return // fenced or superseded mid-command: the write must not land
-				}
-				s.writeDrive(cmd.Offset, m.Payload, func(werr error) {
-					if werr != nil {
-						s.complete(m.From, cmd.NSID, cmd.ID, cmd.Epoch, nvmeof.StatusError, cmd.Offset, cmd.Length, parity.Buffer{})
-						return
-					}
-					writeDone()
-				})
-			}
-			if s.cfg.Pipelined {
-				buildAndGo(contrib)
-				write()
-			} else {
-				s.core.Exec(s.cfg.Costs.Xor(int(union.Len)), func() {
-					s.sendContribution(cmd, contrib, cmd.FwdOffset, cmd.FwdLength, union.Off, union.Len)
-					write()
-				})
-			}
-		})
-
-	case nvmeof.SubRWRead:
-		// Contribution = stored data over the union; nothing written, no
-		// host callback (the reducer's completion covers this bdev).
-		s.readVerified(union.Off, union.Len, func(oldB parity.Buffer, err error) {
-			if err != nil {
-				st, off, length := mediaStatus(err, union.Off, union.Len)
-				s.complete(m.From, cmd.NSID, cmd.ID, cmd.Epoch, st, off, length, parity.Buffer{})
-				return
-			}
-			s.core.Exec(s.cfg.Costs.PerIO, func() {
-				s.sendContribution(cmd, oldB, cmd.FwdOffset, cmd.FwdLength, union.Off, union.Len)
-			})
-		})
-
-	default:
-		panic(fmt.Sprintf("core: PartialWrite subtype %v", cmd.Subtype))
-	}
-}
-
 // stateFor finds or creates the reduce state for a command's (volume, ID).
-func (s *ServerController) stateFor(cmd nvmeof.Command, absOff, length int64) *reduceState {
+func (s *ServerController) stateFor(cmd *nvmeof.Command, absOff, length int64) *reduceState {
 	key := reduceKey{vol: cmd.NSID, id: cmd.ID}
 	st, ok := s.reduces[key]
 	if !ok {
@@ -757,8 +540,8 @@ func (s *ServerController) stateFor(cmd nvmeof.Command, absOff, length int64) *r
 // buffer if it is materialized, a size-only one if it is elided, so a
 // size-only run never allocates one.
 func (s *ServerController) reduceInto(st *reduceState, contrib parity.Buffer, fo, fl int64, dataIdx uint16) {
-	if st.dead {
-		return // over: the accumulator is no longer st's to write to
+	if st.dead || st.failed {
+		return // over, or its result will never be used: fold nothing more
 	}
 	if fo < st.absOff || fo+fl > st.absOff+st.length {
 		panic(fmt.Sprintf("core: contribution [%d,%d) outside union [%d,%d)", fo, fo+fl, st.absOff, st.absOff+st.length))
@@ -789,106 +572,39 @@ func (s *ServerController) reduceInto(st *reduceState, contrib parity.Buffer, fo
 	}
 }
 
-// handlePeer implements the Peer-arrival half of Algorithm 2
-// (handle_peer_partial_parity). Peers may arrive before the anchoring
-// Parity/Reconstruction command; state is created on demand.
-func (s *ServerController) handlePeer(m Message) {
-	cmd := m.Cmd
-	st := s.stateFor(cmd, cmd.Offset, cmd.Length)
-	apply := func() {
-		cost := s.cfg.Costs.Xor(int(cmd.FwdLength))
-		if cmd.DataIdx != NoScale {
-			cost = s.cfg.Costs.Gf(int(cmd.FwdLength))
-		}
-		s.core.Exec(cost, func() {
-			s.reduceInto(st, m.Payload, cmd.FwdOffset, cmd.FwdLength, cmd.DataIdx)
-			m.Payload.Release() // folded in: the contribution's last use
-			st.counter--
-			s.finish(st)
-		})
-	}
-	if s.cfg.BarrierReduce && !st.anchorArrived {
-		st.deferred = append(st.deferred, apply)
-		return
-	}
-	apply()
-}
-
-// handleParity implements the host-command half of Algorithm 2
-// (handle_host_parity). RMW preloads the stored parity chunk; reconstruct
-// writes skip the preload. A payload on the Parity command is the host's own
-// contribution (degraded writes where the host supplies the failed chunk's
-// new data).
-func (s *ServerController) handleParity(m Message) {
-	cmd := m.Cmd
-	st := s.stateFor(cmd, cmd.Offset, cmd.Length)
-	st.writeBack = true
-	st.replyTo = m.From
-
-	hostContrib := func() {
-		if m.Payload.Len() > 0 {
-			s.reduceInto(st, m.Payload, cmd.FwdOffset, cmd.FwdLength, cmd.DataIdx)
-		}
-	}
-
-	if cmd.Subtype == nvmeof.SubRMW {
-		st.preloadPending = true
-		s.readVerified(cmd.Offset, cmd.Length, func(oldB parity.Buffer, err error) {
-			if err != nil {
-				cst, off, length := mediaStatus(err, st.absOff, st.length)
-				s.complete(st.replyTo, st.vol, st.id, st.epoch, cst, off, length, parity.Buffer{})
-				s.sever(st)
-				return
-			}
-			s.core.Exec(s.cfg.Costs.Xor(int(cmd.Length)), func() {
-				s.reduceInto(st, oldB, cmd.Offset, cmd.Length, NoScale)
-				oldB.Release()
-				hostContrib()
-				st.preloadPending = false
-				st.counter += int(cmd.WaitNum)
-				st.anchorArrived = true
-				s.drainDeferred(st)
-				s.finish(st)
-			})
-		})
-		return
-	}
-	s.core.Exec(s.cfg.Costs.Xor(int(cmd.FwdLength)), func() {
-		hostContrib()
-		st.counter += int(cmd.WaitNum)
-		st.anchorArrived = true
-		s.drainDeferred(st)
-		s.finish(st)
-	})
-}
-
-// drainDeferred releases contributions buffered by the BarrierReduce
+// drainDeferred releases the Peer records buffered by the BarrierReduce
 // ablation once the anchor command has arrived.
 func (s *ServerController) drainDeferred(st *reduceState) {
 	pending := st.deferred
 	st.deferred = nil
-	for _, fn := range pending {
-		fn()
+	for _, r := range pending {
+		r.applyPeer()
+		r.done() // off the list
 	}
 }
 
 // sever kills a reduction that will never complete — cut by a fence or an
-// epoch bump, or failed by its parity preload — and recycles its accumulator.
-// In-flight closures that still hold st see dead and leave it alone; severing
-// a reduction that is already over (a duplicated anchor's second preload
-// failing, a preload failing after a fence cut it or after the first anchor
-// finished it) does nothing, so the accumulator goes back at most once and
-// never while the drive still borrows it.
+// epoch bump — or that finished failed, and recycles its accumulator and
+// the contributions still held back for it. Command records that still
+// hold st see dead and leave it alone; severing a reduction that is already
+// over (one a fence cut after it finished) does nothing, so the accumulator
+// goes back at most once and never while the drive still borrows it.
 func (s *ServerController) sever(st *reduceState) {
-	if s.closeReduce(st) {
-		s.pool.Put(st.acc)
+	if !s.closeReduce(st) {
+		return
 	}
+	s.pool.Put(st.acc)
+	for _, r := range st.deferred {
+		r.m.Payload.Release()
+		r.done()
+	}
+	st.deferred = nil
 }
 
-// closeReduce ends a reduction: out of the table, and dead to any closure
-// still holding it. It reports false, and changes nothing, when st is already
-// over — by then the table slot may belong to a newer reduction of the same
-// key.
+// closeReduce ends a reduction: out of the table, and dead to any command
+// record still holding it. It reports false, and changes nothing, when st is
+// already over — by then the table slot may belong to a newer reduction of
+// the same key.
 func (s *ServerController) closeReduce(st *reduceState) bool {
 	if st.dead {
 		return false
@@ -897,111 +613,4 @@ func (s *ServerController) closeReduce(st *reduceState) bool {
 	delete(s.reduces, reduceKey{vol: st.vol, id: st.id})
 	s.openReduces.Add(-1)
 	return true
-}
-
-// finish implements Algorithm 2's finish(): when every expected partial
-// result has been folded in (counter back to zero after the anchor's
-// WaitNum), persist or return the result.
-func (s *ServerController) finish(st *reduceState) {
-	if st.dead || s.fencedOut(st.vol, st.id) || s.superseded(st.vol, st.epoch) {
-		return // already finished, or severed by a fence or epoch bump: never persist or reply
-	}
-	if !st.anchorArrived || st.preloadPending || st.counter != 0 {
-		return
-	}
-	s.closeReduce(st)
-	if !st.folded {
-		st.acc = s.pool.Get(int(st.length)) // nothing folded: the result is zeros
-	}
-	if st.writeBack {
-		s.writeDrive(st.absOff, st.acc, func(err error) {
-			s.pool.Put(st.acc) // the drive borrowed it until now
-			st2 := nvmeof.StatusSuccess
-			if err != nil {
-				st2 = nvmeof.StatusError
-			}
-			s.core.Exec(s.cfg.Costs.PerIO, func() {
-				s.complete(st.replyTo, st.vol, st.id, st.epoch, st2, st.absOff, st.length, parity.Buffer{})
-			})
-		})
-		return
-	}
-	// Reconstruction: return the rebuilt segment to the host directly. It
-	// leaves this controller for good, so it leaves the pool too.
-	rebuilt := st.acc.Disown()
-	s.core.Exec(s.cfg.Costs.PerIO, func() {
-		s.completeSub(st.replyTo, st.vol, st.id, st.epoch, nvmeof.StatusSuccess, nvmeof.SubNoRead, st.absOff, st.length, rebuilt)
-	})
-}
-
-// handleReconstruction implements the §6.1 degraded-read participant logic.
-//
-// Capsule conventions (absolute offsets):
-//   - Offset/Length: this bdev's combined drive read (union of its own
-//     normal-read segment and the reconstruction segment, plus any gap)
-//   - FwdOffset/FwdLength: the reconstruction segment R
-//   - SGL[0] (AlsoRead only): this bdev's own normal-read segment, returned
-//     directly to the host on the decoupled path
-//   - NextDest: the reducer; WaitNum (reducer only): expected contributions
-//     including the reducer's own
-//   - DataIdx: GF scale for this bdev's contribution (NoScale for XOR)
-func (s *ServerController) handleReconstruction(m Message) {
-	cmd := m.Cmd
-	isReducer := NodeID(cmd.NextDest) == s.id
-	var st *reduceState
-	if isReducer {
-		st = s.stateFor(cmd, cmd.FwdOffset, cmd.FwdLength)
-		st.writeBack = false
-		st.replyTo = m.From
-		st.counter += int(cmd.WaitNum)
-		st.anchorArrived = true
-		s.drainDeferred(st)
-	}
-	s.readVerified(cmd.Offset, cmd.Length, func(b parity.Buffer, err error) {
-		if err != nil {
-			st, off, length := mediaStatus(err, cmd.Offset, cmd.Length)
-			s.complete(m.From, cmd.NSID, cmd.ID, cmd.Epoch, st, off, length, parity.Buffer{})
-			return
-		}
-		// Decoupled return path: normal-read data goes straight home, as its
-		// own copy — b stays here for the reduction.
-		if cmd.Subtype == nvmeof.SubAlsoRead {
-			own := cmd.SGL[0]
-			ownB := b.Slice(int(own.Off-cmd.Offset), int(own.Len)).Clone()
-			s.core.Exec(s.cfg.Costs.PerIO, func() {
-				s.completeSub(m.From, cmd.NSID, cmd.ID, cmd.Epoch, nvmeof.StatusSuccess, nvmeof.SubAlsoRead, own.Off, own.Len, ownB)
-			})
-		}
-		rPart := b.Slice(int(cmd.FwdOffset-cmd.Offset), int(cmd.FwdLength))
-		if isReducer {
-			// st as opened above, not looked up again: if a fence or an epoch
-			// bump severed it while the drive read was in flight, a second
-			// stateFor would open a reduction nobody ever finishes.
-			cost := s.cfg.Costs.Xor(int(cmd.FwdLength))
-			if cmd.DataIdx != NoScale {
-				cost = s.cfg.Costs.Gf(int(cmd.FwdLength))
-			}
-			s.core.Exec(cost, func() {
-				s.reduceInto(st, rPart, cmd.FwdOffset, cmd.FwdLength, cmd.DataIdx)
-				b.Release()
-				st.counter--
-				s.finish(st)
-			})
-			return
-		}
-		// The contribution is the drive-read buffer itself when the read
-		// covered exactly R; otherwise a copy of R's part of it.
-		contrib := b
-		if rPart.Len() != b.Len() {
-			contrib = rPart.Clone()
-			b.Release()
-		}
-		peer := nvmeof.Command{
-			ID: cmd.ID, Opcode: nvmeof.OpPeer, NSID: cmd.NSID, Epoch: cmd.Epoch,
-			Offset: cmd.FwdOffset, Length: cmd.FwdLength,
-			FwdOffset: cmd.FwdOffset, FwdLength: cmd.FwdLength,
-			DataIdx: cmd.DataIdx,
-		}
-		s.fab.Send(s.id, NodeID(cmd.NextDest), peer, contrib)
-	})
 }

@@ -59,6 +59,8 @@ type Drive struct {
 	inflight int
 	tracer   *trace.Collector
 	track    trace.Track
+	// free holds op records no operation is using.
+	free []*op
 }
 
 // SetTracer enables per-operation service spans on the given track and a
@@ -96,58 +98,124 @@ func (d *Drive) issue(size, rate int64, lat sim.Duration) (start, end sim.Time, 
 	return start, d.busy + sim.Time(lat) + sim.Time(slow.Stall), true
 }
 
+// opKind names what an op does when it completes.
+type opKind uint8
+
+const (
+	opRead opKind = iota
+	opWrite
+	opTrim
+)
+
+// op is one drive operation on its way to completion. Records are pooled by
+// the drive and runFn is bound once, so an op allocates no closure; the drive
+// makes the same Defer/At/After calls at the same times as it would for one.
+type op struct {
+	d          *Drive
+	kind       opKind
+	off, n     int64
+	start, end sim.Time      // service start and completion, for the trace span
+	b          parity.Buffer // a write's snapshot
+	err        error         // a range error, delivered as is
+	readCB     func(parity.Buffer, error)
+	doneCB     func(error)
+	runFn      func()
+}
+
+func (d *Drive) newOp(kind opKind, off, n int64) *op {
+	var o *op
+	if k := len(d.free); k > 0 {
+		o = d.free[k-1]
+		d.free = d.free[:k-1]
+	} else {
+		o = &op{d: d}
+		o.runFn = o.run
+	}
+	o.kind, o.off, o.n = kind, off, n
+	return o
+}
+
+// run completes o. The record is freed before the callback, which may well
+// issue the next op.
+func (o *op) run() {
+	d, kind, off, n, start, end, b, err, readCB, doneCB := o.d, o.kind, o.off, o.n, o.start, o.end, o.b, o.err, o.readCB, o.doneCB
+	*o = op{d: d, runFn: o.runFn}
+	d.free = append(d.free, o)
+	if err != nil {
+		if readCB != nil {
+			readCB(parity.Buffer{}, err)
+		} else {
+			doneCB(err)
+		}
+		return
+	}
+	d.inflight--
+	var ok bool
+	switch kind {
+	case opRead:
+		if b, ok, err = d.Medium.Read(off, n, nil); ok {
+			d.span("read", start, end, n)
+			readCB(b, err)
+		}
+	case opWrite:
+		if ok, err = d.Medium.Write(off, b); ok {
+			d.span("write", start, end, n)
+			doneCB(err)
+		}
+	default:
+		if ok, err = d.Medium.Trim(off, n); ok {
+			doneCB(err)
+		}
+	}
+}
+
+// span records one op's service span when tracing.
+func (d *Drive) span(name string, start, end sim.Time, n int64) {
+	if t := d.tracer; t.Enabled() {
+		t.Span(d.track, "drive", name, start, end, trace.I64("bytes", n))
+	}
+}
+
 // Read fetches n bytes at off. cb receives the payload (zeros for
 // never-written ranges; elided when StoreData is false).
 func (d *Drive) Read(off, n int64, cb func(parity.Buffer, error)) {
 	if err := d.Check(off, n); err != nil {
-		d.eng.Defer(func() { cb(parity.Buffer{}, err) })
+		o := d.newOp(opRead, off, n)
+		o.readCB, o.err = cb, err
+		d.eng.Defer(o.runFn)
 		return
 	}
 	start, end, ok := d.issue(n, d.spec.ReadBps, d.spec.ReadLatency)
 	if !ok {
 		return
 	}
-	d.eng.At(end, func() {
-		d.inflight--
-		b, ok, err := d.Medium.Read(off, n, nil)
-		if !ok {
-			return
-		}
-		if t := d.tracer; t.Enabled() {
-			t.Span(d.track, "drive", "read", start, end, trace.I64("bytes", n))
-		}
-		cb(b, err)
-	})
+	o := d.newOp(opRead, off, n)
+	o.readCB, o.start, o.end = cb, start, end
+	d.eng.At(end, o.runFn)
 }
 
 // Write persists b at off. cb receives nil on success.
 func (d *Drive) Write(off int64, b parity.Buffer, cb func(error)) {
 	n := int64(b.Len())
 	if err := d.Check(off, n); err != nil {
-		d.eng.Defer(func() { cb(err) })
+		o := d.newOp(opWrite, off, n)
+		o.doneCB, o.err = cb, err
+		d.eng.Defer(o.runFn)
 		return
 	}
 	start, end, ok := d.issue(n, d.spec.WriteBps, d.spec.WriteLatency)
 	if !ok {
 		return
 	}
+	o := d.newOp(opWrite, off, n)
+	o.doneCB, o.start, o.end = cb, start, end
 	// Capture payload bytes at submission time (DMA semantics): the caller
 	// may reuse its buffer immediately after Write returns.
-	snapshot := parity.Sized(int(n))
+	o.b = parity.Sized(int(n))
 	if d.StoresData() && !b.Elided() {
-		snapshot = parity.FromBytes(append([]byte(nil), b.Data()...))
+		o.b = parity.FromBytes(append([]byte(nil), b.Data()...))
 	}
-	d.eng.At(end, func() {
-		d.inflight--
-		ok, err := d.Medium.Write(off, snapshot)
-		if !ok {
-			return
-		}
-		if t := d.tracer; t.Enabled() {
-			t.Span(d.track, "drive", "write", start, end, trace.I64("bytes", n))
-		}
-		cb(err)
-	})
+	d.eng.At(end, o.runFn)
 }
 
 // Trim discards [off, off+n): subsequent reads return zeros. Modeled as a
@@ -156,19 +224,18 @@ func (d *Drive) Write(off int64, b parity.Buffer, cb func(error)) {
 // range.
 func (d *Drive) Trim(off, n int64, cb func(error)) {
 	if err := d.Check(off, n); err != nil {
-		d.eng.Defer(func() { cb(err) })
+		o := d.newOp(opTrim, off, n)
+		o.doneCB, o.err = cb, err
+		d.eng.Defer(o.runFn)
 		return
 	}
 	if d.Failed() {
 		return
 	}
 	d.inflight++
-	d.eng.After(d.spec.WriteLatency, func() {
-		d.inflight--
-		if ok, err := d.Medium.Trim(off, n); ok {
-			cb(err)
-		}
-	})
+	o := d.newOp(opTrim, off, n)
+	o.doneCB = cb
+	d.eng.After(d.spec.WriteLatency, o.runFn)
 }
 
 var _ backend.Drive = (*Drive)(nil)
