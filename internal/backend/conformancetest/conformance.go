@@ -7,7 +7,8 @@
 //
 // Every drive-fault scenario runs on every backend. The fabric faults are
 // the one exception: a transport without partition or duplication hooks
-// reports draid.ErrUnsupported, and the suite skips what needs them.
+// reports draid.ErrUnsupported, and the suite skips what needs them. Reads,
+// acknowledged writes and the closing leak check go through the oracle.
 package conformancetest
 
 import (
@@ -20,6 +21,8 @@ import (
 
 	"draid"
 	"draid/internal/backend"
+	"draid/internal/chaos"
+	"draid/internal/oracle"
 	"draid/internal/raid"
 )
 
@@ -50,19 +53,32 @@ func pattern(off int64, n int) []byte {
 	return out
 }
 
-// closeDrained ends a scenario that leaves its array idle: it drains the
-// runtime, asserts the quiescence leak check (every pooled buffer released or
-// handed off, no reduction left open), and closes the array. Scenarios that
-// deliberately abandon I/O in flight close their arrays directly instead.
-func closeDrained(t *testing.T, a *draid.Array) {
+// open builds a scenario's array and the oracle that checks it; a broken
+// promise fails t.
+func open(t *testing.T, f Factory, cfg draid.Config) (*draid.Array, *oracle.Oracle) {
+	a := f(t, cfg)
+	geo := a.Controller().Geometry()
+	o := oracle.New(chaos.Device(a), a.Size(), geo.StripeDataSize(), geo.Level.ParityCount())
+	o.Report = func(v oracle.Violation) { t.Fatal(v) }
+	return a, o
+}
+
+// put writes data at off under the oracle; the write must be acknowledged.
+func put(t *testing.T, o *oracle.Oracle, off int64, data []byte) {
 	t.Helper()
-	defer a.Close()
-	if t.Failed() {
-		return
+	if err := o.Write(off, data); err != nil {
+		t.Fatalf("write [%d,+%d): %v", off, len(data), err)
 	}
-	a.Run()
-	if err := a.Cluster().LeakCheck(); err != nil {
-		t.Errorf("after the scenario drained: %v", err)
+}
+
+// closeDrained ends a scenario that leaves its array idle: the oracle's
+// quiescence check (every pooled buffer released or handed off, no reduction
+// left open), then close. Scenarios that deliberately abandon I/O in flight
+// close their arrays directly instead.
+func closeDrained(t *testing.T, a *draid.Array, o *oracle.Oracle) {
+	defer a.Close()
+	if !t.Failed() {
+		o.Quiesce()
 	}
 }
 
@@ -113,12 +129,14 @@ func calm(t *testing.T, a *draid.Array) {
 // writeAndScribble writes want at off from a scratch buffer that the caller
 // overwrites the instant the write is acknowledged — inside the ack callback,
 // while duplicated or stalled capsules of the same write may still be alive.
-func writeAndScribble(t *testing.T, a *draid.Array, off int64, want []byte) {
+func writeAndScribble(t *testing.T, a *draid.Array, o *oracle.Oracle, off int64, want []byte) {
 	t.Helper()
 	buf := append([]byte(nil), want...)
+	end := o.BeginWrite(off, want)
 	var werr error
 	a.Write(off, buf, func(err error) {
 		werr = err
+		end(err)
 		for i := range buf {
 			buf[i] = 0xEE
 		}
@@ -127,19 +145,6 @@ func writeAndScribble(t *testing.T, a *draid.Array, off int64, want []byte) {
 	if werr != nil {
 		t.Fatalf("write [%d,+%d): %v", off, len(want), werr)
 	}
-}
-
-// expectRead reads [off, off+len(want)) and compares.
-func expectRead(t *testing.T, a *draid.Array, off int64, want []byte, what string) []byte {
-	t.Helper()
-	got, err := a.ReadSync(off, int64(len(want)))
-	if err != nil {
-		t.Fatalf("%s: read [%d,+%d): %v", what, off, len(want), err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("%s: read [%d,+%d): payload mismatch", what, off, len(want))
-	}
-	return got
 }
 
 // expectParityCoherent scrubs the array and fails if any stripe's parity had
@@ -159,25 +164,16 @@ func expectParityCoherent(t *testing.T, a *draid.Array, what string) {
 // Run executes the full conformance suite against one backend.
 func Run(t *testing.T, f Factory) {
 	t.Run("HealthyRoundTrip", func(t *testing.T) {
-		a := f(t, baseConfig())
-		defer closeDrained(t, a)
+		a, o := open(t, f, baseConfig())
+		defer closeDrained(t, a, o)
 		// Full-stripe, partial-stripe, and sub-chunk shapes.
 		for _, c := range []struct{ off, n int64 }{
 			{0, 64 << 10},        // full stripe
 			{64 << 10, 20 << 10}, // stripe-crossing partial
 			{200 << 10, 3000},    // sub-chunk, unaligned
 		} {
-			want := pattern(c.off, int(c.n))
-			if err := a.WriteSync(c.off, want); err != nil {
-				t.Fatalf("write [%d,%d): %v", c.off, c.off+c.n, err)
-			}
-			got, err := a.ReadSync(c.off, c.n)
-			if err != nil {
-				t.Fatalf("read [%d,%d): %v", c.off, c.off+c.n, err)
-			}
-			if !bytes.Equal(got, want) {
-				t.Fatalf("read [%d,%d): payload mismatch", c.off, c.off+c.n)
-			}
+			put(t, o, c.off, pattern(c.off, int(c.n)))
+			o.Read(c.off, c.n)
 		}
 	})
 
@@ -213,40 +209,19 @@ func Run(t *testing.T, f Factory) {
 	})
 
 	t.Run("DegradedReadAndWrite", func(t *testing.T) {
-		a := f(t, baseConfig())
-		defer closeDrained(t, a)
-		want := pattern(0, 128<<10)
-		if err := a.WriteSync(0, want); err != nil {
-			t.Fatalf("healthy write: %v", err)
-		}
+		a, o := open(t, f, baseConfig())
+		defer closeDrained(t, a, o)
+		put(t, o, 0, pattern(0, 128<<10))
 		a.FailDrive(1)
-		got, err := a.ReadSync(0, int64(len(want)))
-		if err != nil {
-			t.Fatalf("degraded read: %v", err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatal("degraded read: payload mismatch (reconstruction wrong)")
-		}
-		want2 := pattern(1<<20, 80<<10)
-		if err := a.WriteSync(1<<20, want2); err != nil {
-			t.Fatalf("degraded write: %v", err)
-		}
-		got2, err := a.ReadSync(1<<20, int64(len(want2)))
-		if err != nil {
-			t.Fatalf("degraded read-back: %v", err)
-		}
-		if !bytes.Equal(got2, want2) {
-			t.Fatal("degraded read-back: payload mismatch")
-		}
+		o.Read(0, 128<<10) // reconstructed
+		put(t, o, 1<<20, pattern(1<<20, 80<<10))
+		o.Read(1<<20, 80<<10)
 	})
 
 	t.Run("RebuildRestoresRedundancy", func(t *testing.T) {
-		a := f(t, baseConfig())
-		defer closeDrained(t, a)
-		want := pattern(4096, 96<<10)
-		if err := a.WriteSync(4096, want); err != nil {
-			t.Fatalf("write: %v", err)
-		}
+		a, o := open(t, f, baseConfig())
+		defer closeDrained(t, a, o)
+		put(t, o, 4096, pattern(4096, 96<<10))
 		a.FailDrive(2)
 		if err := a.RebuildDrive(2, 0); err != nil {
 			t.Fatalf("rebuild: %v", err)
@@ -257,21 +232,13 @@ func Run(t *testing.T, f Factory) {
 		// The rebuilt member must carry real redundancy: fail a different
 		// drive and reconstruct through the rebuilt one.
 		a.FailDrive(0)
-		got, err := a.ReadSync(4096, int64(len(want)))
-		if err != nil {
-			t.Fatalf("read after rebuild with another member failed: %v", err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatal("read through rebuilt member: payload mismatch")
-		}
+		o.Read(4096, 96<<10)
 	})
 
 	t.Run("DoubleFaultFails", func(t *testing.T) {
-		a := f(t, baseConfig())
-		defer closeDrained(t, a)
-		if err := a.WriteSync(0, pattern(0, 64<<10)); err != nil {
-			t.Fatalf("write: %v", err)
-		}
+		a, o := open(t, f, baseConfig())
+		defer closeDrained(t, a, o)
+		put(t, o, 0, pattern(0, 64<<10))
 		a.FailDrive(0)
 		a.FailDrive(1)
 		if _, err := a.ReadSync(0, 64<<10); !errors.Is(err, draid.ErrIO) {
@@ -286,12 +253,9 @@ func Run(t *testing.T, f Factory) {
 		cfg := baseConfig()
 		cfg.Level = draid.Raid6
 		cfg.Drives = 6 // 4 data chunks of 16 KiB per stripe
-		a := f(t, cfg)
-		defer closeDrained(t, a)
-		shadow := pattern(0, 256<<10) // four stripes
-		if err := a.WriteSync(0, shadow); err != nil {
-			t.Fatalf("priming write: %v", err)
-		}
+		a, o := open(t, f, cfg)
+		defer closeDrained(t, a, o)
+		put(t, o, 0, pattern(0, 256<<10)) // four stripes
 		a.FailDrive(1)
 		a.FailDrive(4)
 		for _, c := range []struct{ off, n int64 }{
@@ -302,19 +266,15 @@ func Run(t *testing.T, f Factory) {
 			{192<<10 - 8000, 24 << 10}, // crossing a stripe boundary
 			{192<<10 + 30000, 5 << 10}, // partial, second pass over a stripe
 		} {
-			p := pattern(c.off+3, int(c.n)) // +3: differs from the primer
-			if err := a.WriteSync(c.off, p); err != nil {
-				t.Fatalf("write [%d,+%d) with two members failed: %v", c.off, c.n, err)
-			}
-			copy(shadow[c.off:], p)
-			expectRead(t, a, c.off, p, "read-back with two members failed")
+			put(t, o, c.off, pattern(c.off+3, int(c.n))) // +3: differs from the primer
+			o.Read(c.off, c.n)
 		}
-		expectRead(t, a, 0, shadow, "whole range with two members failed")
+		o.Read(0, 256<<10)
 		// Stripe 1 keeps its P on drive 4 and data chunk 1 on drive 1: a read
 		// of that chunk is reconstructed on a peer through Q, not gathered to
 		// the host.
 		gathers := a.Status().Counters.HostFallbackReads
-		expectRead(t, a, 80<<10, shadow[80<<10:96<<10], "data chunk lost together with its P")
+		o.Read(80<<10, 16<<10) // a data chunk lost together with its P
 		if n := a.Status().Counters.HostFallbackReads - gathers; n != 0 {
 			t.Fatalf("data+P degraded read took %d host gathers, want the Q-scaled peer reduction", n)
 		}
@@ -327,64 +287,43 @@ func Run(t *testing.T, f Factory) {
 			t.Fatalf("members still failed after both rebuilds: %v", failed)
 		}
 		expectParityCoherent(t, a, "after both rebuilds")
-		expectRead(t, a, 0, shadow, "whole range after both rebuilds")
+		o.Read(0, 256<<10)
 	})
 
 	t.Run("MediaErrorRepairOnRead", func(t *testing.T) {
 		cfg := baseConfig()
 		cfg.Integrity = true
-		a := f(t, cfg)
-		defer closeDrained(t, a)
-		want := pattern(0, 128<<10)
-		if err := a.WriteSync(0, want); err != nil {
-			t.Fatalf("write: %v", err)
-		}
+		a, o := open(t, f, cfg)
+		defer closeDrained(t, a, o)
+		put(t, o, 0, pattern(0, 128<<10))
 		// Stay within one chunk: a range crossing members of one stripe
 		// would be a genuine double fault on every backend.
 		if err := a.Inject().MediaError(8<<10, 4<<10); err != nil {
 			t.Fatalf("inject media error: %v", err)
 		}
-		got, err := a.ReadSync(0, int64(len(want)))
-		if err != nil {
-			t.Fatalf("read over media error: %v", err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatal("read over media error: payload mismatch (reconstruction wrong)")
-		}
+		o.Read(0, 128<<10) // reconstructed
 	})
 
 	t.Run("BitRotCaughtByIntegrity", func(t *testing.T) {
 		cfg := baseConfig()
 		cfg.Integrity = true
-		a := f(t, cfg)
-		defer closeDrained(t, a)
-		want := pattern(0, 64<<10)
-		if err := a.WriteSync(0, want); err != nil {
-			t.Fatalf("write: %v", err)
-		}
+		a, o := open(t, f, cfg)
+		defer closeDrained(t, a, o)
+		put(t, o, 0, pattern(0, 64<<10))
 		if err := a.Inject().BitRot(4<<10, 8<<10); err != nil {
 			t.Fatalf("inject bit rot: %v", err)
 		}
-		got, err := a.ReadSync(0, int64(len(want)))
-		if err != nil {
-			t.Fatalf("read over bit rot: %v", err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatal("read over bit rot: checksums did not trigger reconstruction")
-		}
+		o.Read(0, 64<<10) // checksums trigger reconstruction
 	})
 
 	t.Run("SlowDriveHedgedRead", func(t *testing.T) {
 		cfg := baseConfig()
 		cfg.Hedge = draid.HedgeConfig{Policy: draid.HedgeFixedDelay, Delay: 10 * time.Millisecond}
-		a := f(t, cfg)
-		defer closeDrained(t, a)
+		a, o := open(t, f, cfg)
+		defer closeDrained(t, a, o)
 		// Four stripes, so member 1 serves data chunks in several of them no
 		// matter where the parity rotation places it.
-		want := pattern(0, 256<<10)
-		if err := a.WriteSync(0, want); err != nil {
-			t.Fatalf("priming write: %v", err)
-		}
+		put(t, o, 0, pattern(0, 256<<10))
 		// Member 1 now stalls for the full 2s of every 2s cycle: any chunk
 		// read it serves lands seconds late. The hedge must solve k-of-n
 		// through parity well inside the context budget instead of waiting
@@ -396,13 +335,7 @@ func Run(t *testing.T, f Factory) {
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), 500*time.Millisecond)
 		defer cancel()
-		got, err := a.ReadContext(ctx, 0, int64(len(want)))
-		if err != nil {
-			t.Fatalf("hedged read under slow drive: %v", err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatal("hedged read: payload mismatch (parity solve wrong)")
-		}
+		o.BeginRead(0, 256<<10)(a.ReadContext(ctx, 0, 256<<10))
 		if a.Status().Counters.HedgedReads == 0 {
 			t.Fatal("read completed without hedging; expected a hedged parity solve")
 		}
@@ -413,29 +346,20 @@ func Run(t *testing.T, f Factory) {
 		cfg.WriteBack = true
 		cfg.StageMB = 1
 		cfg.CacheMB = 1
-		a := f(t, cfg)
-		defer closeDrained(t, a)
-		base := pattern(0, 128<<10)
-		if err := a.WriteSync(0, base); err != nil {
-			t.Fatalf("priming write: %v", err)
-		}
+		a, o := open(t, f, cfg)
+		defer closeDrained(t, a, o)
+		put(t, o, 0, pattern(0, 128<<10))
 		if err := a.Flush(); err != nil {
 			t.Fatalf("priming flush: %v", err)
 		}
 		// Sub-stripe writes acknowledged from the staging buffer; some may
 		// still be staged (or mid-destage) when the controller dies.
-		staged := []struct{ off, n int64 }{
+		for _, c := range []struct{ off, n int64 }{
 			{4 << 10, 6 << 10},   // sub-chunk
 			{70 << 10, 9 << 10},  // chunk-crossing partial
 			{100 << 10, 2 << 10}, // second write into the same stripe
-		}
-		want := append([]byte(nil), base...)
-		for _, c := range staged {
-			p := pattern(c.off+1, int(c.n)) // +1: differs from the primer
-			if err := a.WriteSync(c.off, p); err != nil {
-				t.Fatalf("staged write [%d,%d): %v", c.off, c.off+c.n, err)
-			}
-			copy(want[c.off:], p)
+		} {
+			put(t, o, c.off, pattern(c.off+1, int(c.n))) // +1: differs from the primer
 		}
 		// Kill the controller; the replacement adopts the intent log, fences
 		// the dead session, and resyncs — zero acknowledged writes may be
@@ -443,24 +367,12 @@ func Run(t *testing.T, f Factory) {
 		if _, err := a.FailoverHost(); err != nil {
 			t.Fatalf("host failover: %v", err)
 		}
-		got, err := a.ReadSync(0, int64(len(want)))
-		if err != nil {
-			t.Fatalf("read after failover: %v", err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatal("read after failover: acknowledged staged writes lost")
-		}
+		o.Read(0, 128<<10)
 		// Destage everything and read back from the drives proper.
 		if err := a.Flush(); err != nil {
 			t.Fatalf("flush after failover: %v", err)
 		}
-		got, err = a.ReadSync(0, int64(len(want)))
-		if err != nil {
-			t.Fatalf("read after flush: %v", err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatal("read after flush: destaged bytes differ")
-		}
+		o.Read(0, 128<<10)
 	})
 
 	t.Run("DeclusteredCrashAndRebuild", func(t *testing.T) {
@@ -472,33 +384,18 @@ func Run(t *testing.T, f Factory) {
 		cfg.Drives = 3
 		cfg.Declustered = true
 		cfg.ClusterDrives = 5
-		a := f(t, cfg)
-		defer closeDrained(t, a)
-		want := pattern(0, 160<<10)
-		if err := a.WriteSync(0, want); err != nil {
-			t.Fatalf("write: %v", err)
-		}
+		a, o := open(t, f, cfg)
+		defer closeDrained(t, a, o)
+		put(t, o, 0, pattern(0, 160<<10))
 		a.FailDrive(2)
-		got, err := a.ReadSync(0, int64(len(want)))
-		if err != nil {
-			t.Fatalf("degraded read: %v", err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatal("degraded read: payload mismatch")
-		}
+		o.Read(0, 160<<10)
 		if err := a.RebuildDrive(2, 0); err != nil {
 			t.Fatalf("declustered rebuild: %v", err)
 		}
 		// Redundancy must be whole again: a second failure on a different
 		// drive reconstructs through the relocated chunks.
 		a.FailDrive(4)
-		got, err = a.ReadSync(0, int64(len(want)))
-		if err != nil {
-			t.Fatalf("read after rebuild with second drive failed: %v", err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatal("read after declustered rebuild: payload mismatch")
-		}
+		o.Read(0, 160<<10)
 	})
 
 	t.Run("PartitionedHostFailover", func(t *testing.T) {
@@ -512,12 +409,9 @@ func Run(t *testing.T, f Factory) {
 		cfg.WriteBack = true
 		cfg.StageMB = 1
 		cfg.OpDeadline = 50 * time.Millisecond
-		a := f(t, cfg)
-		defer closeDrained(t, a)
-		base := pattern(0, 128<<10)
-		if err := a.WriteSync(0, base); err != nil {
-			t.Fatalf("priming write: %v", err)
-		}
+		a, o := open(t, f, cfg)
+		defer closeDrained(t, a, o)
+		put(t, o, 0, pattern(0, 128<<10))
 		if err := a.Flush(); err != nil {
 			t.Fatalf("priming flush: %v", err)
 		}
@@ -527,19 +421,15 @@ func Run(t *testing.T, f Factory) {
 			}
 			t.Fatalf("isolate host: %v", err)
 		}
-		want := append([]byte(nil), base...)
 		// A sub-stripe write is acknowledged from the staging buffer even
 		// while the fabric is cut; its destages fail until takeover. Once
 		// acknowledged it must survive everything that follows.
-		ackd := pattern(5<<10, 6<<10)
-		if err := a.WriteSync(4<<10, ackd); err != nil {
-			t.Fatalf("staged write during partition: %v", err)
-		}
-		copy(want[4<<10:], ackd)
+		put(t, o, 4<<10, pattern(5<<10, 6<<10))
 		// A full-stripe write goes write-through into the cut fabric and must
-		// fail — never be silently dropped as acknowledged. (The exact error
-		// depends on what the partition starved first: a plain op timeout, or
-		// a degraded-path failure after timeouts struck members out.)
+		// fail — never be silently dropped as acknowledged, nor land: the
+		// oracle keeps the stripe's old bytes. (The exact error depends on
+		// what the partition starved first: a plain op timeout, or a
+		// degraded-path failure after timeouts struck members out.)
 		if err := a.WriteSync(64<<10, pattern(1, 64<<10)); err == nil {
 			t.Fatal("write-through during partition unexpectedly succeeded")
 		}
@@ -558,13 +448,7 @@ func Run(t *testing.T, f Factory) {
 		if err := a.Flush(); err != nil {
 			t.Fatalf("flush after takeover: %v", err)
 		}
-		got, err := a.ReadSync(0, int64(len(want)))
-		if err != nil {
-			t.Fatalf("read after takeover: %v", err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatal("read after takeover: acknowledged write lost or stale write applied")
-		}
+		o.Read(0, 128<<10)
 	})
 
 	t.Run("DeclusteredRaid6RebuildThroughQ", func(t *testing.T) {
@@ -577,21 +461,12 @@ func Run(t *testing.T, f Factory) {
 		cfg.Drives = 4
 		cfg.Declustered = true
 		cfg.ClusterDrives = 7
-		a := f(t, cfg)
-		defer closeDrained(t, a)
-		want := pattern(0, 160<<10)
-		if err := a.WriteSync(0, want); err != nil {
-			t.Fatalf("write: %v", err)
-		}
+		a, o := open(t, f, cfg)
+		defer closeDrained(t, a, o)
+		put(t, o, 0, pattern(0, 160<<10))
 		a.FailDrive(1)
 		a.FailDrive(3)
-		got, err := a.ReadSync(0, int64(len(want)))
-		if err != nil {
-			t.Fatalf("double-degraded read: %v", err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatal("double-degraded read: P+Q solve wrong")
-		}
+		o.Read(0, 160<<10) // solved through P+Q
 		if err := a.RebuildDrive(1, 0); err != nil {
 			t.Fatalf("rebuild first failed drive: %v", err)
 		}
@@ -602,13 +477,7 @@ func Run(t *testing.T, f Factory) {
 		// through the relocated chunks (Q among them).
 		a.FailDrive(0)
 		a.FailDrive(4)
-		got, err = a.ReadSync(0, int64(len(want)))
-		if err != nil {
-			t.Fatalf("read after rebuild with two more drives failed: %v", err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatal("read after RAID-6 declustered rebuild: payload mismatch")
-		}
+		o.Read(0, 160<<10)
 	})
 
 	t.Run("AckedWriteSurvivesBufferReuse", func(t *testing.T) {
@@ -617,22 +486,18 @@ func Run(t *testing.T, f Factory) {
 		// Write capsules, host-side parity) with every capsule duplicated and
 		// every drive stalling: the duplicate and the stalled original read
 		// their payload after the ack, and must not see the scribble.
-		a := f(t, baseConfig())
-		defer closeDrained(t, a)
-		base := pattern(0, 256<<10)
-		if err := a.WriteSync(0, base); err != nil {
-			t.Fatalf("priming write: %v", err)
-		}
+		a, o := open(t, f, baseConfig())
+		defer closeDrained(t, a, o)
+		put(t, o, 0, pattern(0, 256<<10))
 		stallDrives(t, a)
 		for i, n := 0, a.Status().Drives; i < n; i++ {
 			if err := a.Inject().DuplicateNext(i); err != nil {
 				t.Fatalf("arm duplicate on member %d: %v", i, err)
 			}
 		}
-		want := pattern(7, 128<<10)
-		writeAndScribble(t, a, 64<<10, want)
+		writeAndScribble(t, a, o, 64<<10, pattern(7, 128<<10))
 		calm(t, a)
-		expectRead(t, a, 64<<10, want, "after scribble")
+		o.Read(64<<10, 128<<10)
 		expectParityCoherent(t, a, "after scribble")
 	})
 
@@ -640,20 +505,14 @@ func Run(t *testing.T, f Factory) {
 		// Payload ownership, read side: the buffer a read returns belongs to
 		// the caller for good. Drive-read buffers are recycled underneath;
 		// a result that aliased one would change under the next reads.
-		a := f(t, baseConfig())
-		defer closeDrained(t, a)
+		a, o := open(t, f, baseConfig())
+		defer closeDrained(t, a, o)
 		want := pattern(0, 64<<10)
-		if err := a.WriteSync(0, want); err != nil {
-			t.Fatalf("write: %v", err)
-		}
-		held := expectRead(t, a, 0, want, "first read")
-		other := pattern(3, 64<<10)
-		if err := a.WriteSync(0, other); err != nil {
-			t.Fatalf("overwrite: %v", err)
-		}
+		put(t, o, 0, want)
+		held := o.Read(0, 64<<10)
+		put(t, o, 0, pattern(3, 64<<10))
 		for i := 0; i < 1000; i++ {
-			off := int64(i%4) * (16 << 10)
-			expectRead(t, a, off, other[off:off+(16<<10)], "later read")
+			o.Read(int64(i%4)*(16<<10), 16<<10)
 		}
 		if !bytes.Equal(held, want) {
 			t.Fatal("a buffer returned by Read changed under later reads")
@@ -666,21 +525,15 @@ func Run(t *testing.T, f Factory) {
 		// only sound if each such buffer has one owner. Same scribble-after-
 		// ack pattern, on the paths that fold.
 		geo := raid.Geometry{Level: raid.Raid5, Width: baseConfig().Drives, ChunkSize: baseConfig().ChunkSize}
-		scenario := func(name string, run func(t *testing.T, a *draid.Array, model []byte, put func(off int64, p []byte))) {
+		scenario := func(name string, run func(t *testing.T, a *draid.Array, o *oracle.Oracle)) {
 			t.Run(name, func(t *testing.T) {
-				a := f(t, baseConfig())
-				defer closeDrained(t, a)
-				model := pattern(0, 256<<10)
-				if err := a.WriteSync(0, model); err != nil {
-					t.Fatalf("priming write: %v", err)
-				}
-				run(t, a, model, func(off int64, p []byte) {
-					writeAndScribble(t, a, off, p)
-					copy(model[off:], p)
-				})
+				a, o := open(t, f, baseConfig())
+				defer closeDrained(t, a, o)
+				put(t, o, 0, pattern(0, 256<<10))
+				run(t, a, o)
 			})
 		}
-		scenario("RMW", func(t *testing.T, a *draid.Array, model []byte, put func(int64, []byte)) {
+		scenario("RMW", func(t *testing.T, a *draid.Array, o *oracle.Oracle) {
 			// The sub-chunk write lands in chunk 0 of stripe 1: duplicate the
 			// PartialWrite capsule to the bdev holding it, so the old data is
 			// read, folded in place and forwarded twice, the second time
@@ -690,22 +543,22 @@ func Run(t *testing.T, f Factory) {
 			for round := int64(0); round < 3; round++ {
 				stallDrives(t, a)
 				duplicateCommand(t, a, geo.DataDrive(1, 0))
-				put(70<<10, pattern(11+round, 3000))
+				writeAndScribble(t, a, o, 70<<10, pattern(11+round, 3000))
 				calm(t, a)
-				expectRead(t, a, 0, model, "after RMW")
+				o.Read(0, 256<<10)
 				expectParityCoherent(t, a, "after RMW")
 			}
 		})
-		scenario("Degraded", func(t *testing.T, a *draid.Array, model []byte, put func(int64, []byte)) {
+		scenario("Degraded", func(t *testing.T, a *draid.Array, o *oracle.Oracle) {
 			a.FailDrive(1)
 			stallDrives(t, a)
-			got := expectRead(t, a, 0, model, "degraded")
+			got := o.Read(0, 256<<10)
 			for i := range got {
 				got[i] = 0xEE // the result is the caller's: scribbling it must reach no one
 			}
-			put(20<<10, pattern(31, 5000)) // degraded read-modify-write
+			writeAndScribble(t, a, o, 20<<10, pattern(31, 5000)) // degraded read-modify-write
 			calm(t, a)
-			expectRead(t, a, 0, model, "degraded, after RMW")
+			o.Read(0, 256<<10)
 		})
 	})
 
@@ -720,20 +573,15 @@ func Run(t *testing.T, f Factory) {
 		// the server's counts negative, a missed one leave the reduction open.
 		cfg := baseConfig()
 		geo := raid.Geometry{Level: raid.Raid5, Width: cfg.Drives, ChunkSize: cfg.ChunkSize}
-		a := f(t, cfg)
-		defer closeDrained(t, a)
-		model := pattern(0, 256<<10)
-		if err := a.WriteSync(0, model); err != nil {
-			t.Fatalf("priming write: %v", err)
-		}
+		a, o := open(t, f, cfg)
+		defer closeDrained(t, a, o)
+		put(t, o, 0, pattern(0, 256<<10))
 		p := geo.PDrive(1)
 		a.Cluster().Drives[p].InjectMediaError(geo.DriveOffset(1), geo.ChunkSize)
 		duplicateCommand(t, a, p)
-		patch := pattern(41, 3000)
-		writeAndScribble(t, a, 70<<10, patch) // chunk 0 of stripe 1
-		copy(model[70<<10:], patch)
+		writeAndScribble(t, a, o, 70<<10, pattern(41, 3000)) // chunk 0 of stripe 1
 		calm(t, a)
-		expectRead(t, a, 0, model, "after the re-driven write")
+		o.Read(0, 256<<10)
 		expectParityCoherent(t, a, "after the re-driven write")
 	})
 
@@ -747,12 +595,9 @@ func Run(t *testing.T, f Factory) {
 		declustered.Drives, declustered.ClusterDrives, declustered.Declustered = 3, 5, true
 		for name, cfg := range map[string]draid.Config{"fixed": baseConfig(), "declustered": declustered} {
 			t.Run(name, func(t *testing.T) {
-				a := f(t, cfg)
-				defer closeDrained(t, a)
-				want := pattern(0, 160<<10)
-				if err := a.WriteSync(0, want); err != nil {
-					t.Fatalf("write: %v", err)
-				}
+				a, o := open(t, f, cfg)
+				defer closeDrained(t, a, o)
+				put(t, o, 0, pattern(0, 160<<10))
 				writes := func() (n int64) {
 					for _, d := range a.Cluster().Drives {
 						n += d.Stats().WriteOps
@@ -782,26 +627,24 @@ func Run(t *testing.T, f Factory) {
 				if n := a.Status().Counters.RebuiltStripes; n == 0 {
 					t.Fatal("rebuild after a real failure relocated no chunks")
 				}
-				expectRead(t, a, 0, want, "after the rebuild")
+				o.Read(0, 160<<10)
 			})
 			// The other cases start part-way through a supervised, throttled
 			// rebuild of drive 1, and end with it finished all the same.
-			rebuilding := func(t *testing.T) *draid.Array {
+			rebuilding := func(t *testing.T) (*draid.Array, *oracle.Oracle) {
 				cfg.Spares, cfg.RebuildRateMBps = 1, 20
-				a := f(t, cfg)
-				if err := a.WriteSync(0, pattern(0, 160<<10)); err != nil {
-					t.Fatalf("write: %v", err)
-				}
+				a, o := open(t, f, cfg)
+				put(t, o, 0, pattern(0, 160<<10))
 				a.FailDrive(1)
 				a.RunFor(2 * time.Millisecond)
 				if !a.Status().Rebuild.Active {
 					t.Fatal("test setup: the supervised rebuild is not in flight")
 				}
-				return a
+				return a, o
 			}
 			// The recovery log tells the same story on every backend: the
 			// failure, the rebuild's start and its end, in that order.
-			finished := func(t *testing.T, a *draid.Array, how string) {
+			finished := func(t *testing.T, a *draid.Array, o *oracle.Oracle, how string) {
 				a.Run()
 				st := a.Status()
 				if st.Rebuild.Active || st.Rebuild.Done != st.Rebuild.Total {
@@ -816,33 +659,33 @@ func Run(t *testing.T, f Factory) {
 				if len(want) > 0 {
 					t.Fatalf("recovery log after %s lacks %q in order:\n%v", how, want, st.Events)
 				}
-				expectRead(t, a, 0, pattern(0, 160<<10), "after "+how)
+				o.Read(0, 160<<10)
 			}
 			t.Run(name+"-already-rebuilding", func(t *testing.T) {
-				a := rebuilding(t)
-				defer closeDrained(t, a)
+				a, o := rebuilding(t)
+				defer closeDrained(t, a, o)
 				if err := a.RebuildDrive(1, 0); err == nil || !strings.Contains(err.Error(), "drive 1 is already rebuilding") {
 					t.Fatalf("RebuildDrive of a rebuilding drive = %v, want already-rebuilding", err)
 				}
-				finished(t, a, "the rejected call")
+				finished(t, a, o, "the rejected call")
 			})
 			t.Run(name+"-failover-mid-rebuild", func(t *testing.T) {
 				// The host crashes under the walk — between two chunks or in
 				// the middle of one — and the replacement that adopts the
 				// array carries the same rebuild to its end.
-				a := rebuilding(t)
-				defer closeDrained(t, a)
+				a, o := rebuilding(t)
+				defer closeDrained(t, a, o)
 				if _, err := a.FailoverHost(); err != nil {
 					t.Fatalf("failover: %v", err)
 				}
-				finished(t, a, "the host failover")
+				finished(t, a, o, "the host failover")
 			})
 		}
 	})
 
 	t.Run("OutOfRange", func(t *testing.T) {
-		a := f(t, baseConfig())
-		defer closeDrained(t, a)
+		a, o := open(t, f, baseConfig())
+		defer closeDrained(t, a, o)
 		if _, err := a.ReadSync(a.Size(), 4096); !errors.Is(err, draid.ErrOutOfRange) {
 			t.Fatalf("read past device: got %v, want ErrOutOfRange", err)
 		}

@@ -456,7 +456,8 @@ func (c *Cluster) RecoverTarget(i int) {
 // part is dropped) strands a reduction; only a partition does, or a duplicate
 // trailing its reduction's end by more than the server remembers, and those
 // are only severed by a fence or an epoch bump, so a harness that cut the
-// fabric fences before it checks.
+// fabric fences before it checks. A server whose node is down is skipped:
+// what it held went down with it.
 func (c *Cluster) LeakCheck() error {
 	var leaks []string
 	pool := func(what string, i int, x any) {
@@ -470,6 +471,9 @@ func (c *Cluster) LeakCheck() error {
 		pool("drive", i, d)
 	}
 	for i, s := range c.Servers {
+		if c.Fab.Down(core.NodeID(i)) {
+			continue
+		}
 		pool("server", i, s)
 		if n := s.OpenReductions(); n != 0 {
 			leaks = append(leaks, fmt.Sprintf("server %d: %d reductions still open", i, n))

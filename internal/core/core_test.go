@@ -3,6 +3,7 @@ package core_test
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -68,6 +69,14 @@ func randBytes(seed int64, n int) []byte {
 // verifyStripeParity checks P (and Q) on the raw drives for a stripe.
 func verifyStripeParity(t *testing.T, cl *cluster.Cluster, h *core.HostController, stripe int64) {
 	t.Helper()
+	if err := stripeParity(cl, h, stripe); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// stripeParity reports whether P (and Q) on the raw drives disagree with a
+// stripe's data.
+func stripeParity(cl *cluster.Cluster, h *core.HostController, stripe int64) error {
 	g := h.Geometry()
 	base := g.DriveOffset(stripe)
 	data := make([][]byte, g.DataChunks())
@@ -79,14 +88,12 @@ func verifyStripeParity(t *testing.T, cl *cluster.Cluster, h *core.HostControlle
 	gf256.SyndromePQ(wantP, wantQ, data)
 	gotP := cl.Drives[g.PDrive(stripe)].PeekSync(base, g.ChunkSize)
 	if !bytes.Equal(gotP, wantP) {
-		t.Fatalf("stripe %d: P chunk inconsistent with data", stripe)
+		return fmt.Errorf("stripe %d: P chunk inconsistent with data", stripe)
 	}
-	if g.Level == raid.Raid6 {
-		gotQ := cl.Drives[g.QDrive(stripe)].PeekSync(base, g.ChunkSize)
-		if !bytes.Equal(gotQ, wantQ) {
-			t.Fatalf("stripe %d: Q chunk inconsistent with data", stripe)
-		}
+	if g.Level == raid.Raid6 && !bytes.Equal(cl.Drives[g.QDrive(stripe)].PeekSync(base, g.ChunkSize), wantQ) {
+		return fmt.Errorf("stripe %d: Q chunk inconsistent with data", stripe)
 	}
+	return nil
 }
 
 func TestSizeAndBounds(t *testing.T) {

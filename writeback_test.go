@@ -214,7 +214,8 @@ func TestWritebackFailedDestageKeepsLentBufferStill(t *testing.T) {
 // host failovers fired while destages are in flight (drive writes abandoned
 // mid-stripe), drive failure + degraded service + rebuild racing the stage,
 // and background scrubbing under staged-but-not-destaged stripes. Every
-// acknowledged write must be readable at every point — zero lost writes.
+// acknowledged write must be readable at every point — zero lost writes —
+// and the drained array must hold nothing.
 func TestWritebackTortureCrashMidDestage(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
@@ -228,10 +229,8 @@ func TestWritebackTortureCrashMidDestage(t *testing.T) {
 				t.Fatal(err)
 			}
 			size := arr.Size()
-			model := randBytes(seed+40, int(size))
-			if err := arr.WriteSync(0, model); err != nil {
-				t.Fatal(err)
-			}
+			o := arrayOracle(t, arr)
+			mustPut(t, o, 0, randBytes(seed+40, int(size)))
 			rng := rand.New(rand.NewSource(seed * 101))
 			failed := -1
 			for iter := 0; iter < 60; iter++ {
@@ -241,22 +240,12 @@ func TestWritebackTortureCrashMidDestage(t *testing.T) {
 				wOff := rng.Int63n(size - wLen)
 				data := make([]byte, wLen)
 				rng.Read(data)
-				if err := arr.WriteSync(wOff, data); err != nil {
-					t.Fatalf("iter %d write: %v", iter, err)
-				}
-				copy(model[wOff:], data)
+				mustPut(t, o, wOff, data)
 
 				// Model-checked read (hedged/degraded/overlaid as the state
 				// dictates).
 				rLen := int64(1+rng.Intn(32)) << 10
-				rOff := rng.Int63n(size - rLen)
-				got, err := arr.ReadSync(rOff, rLen)
-				if err != nil {
-					t.Fatalf("iter %d read [%d,+%d): %v", iter, rOff, rLen, err)
-				}
-				if !bytes.Equal(got, model[rOff:rOff+rLen]) {
-					t.Fatalf("iter %d read [%d,+%d) diverged from model", iter, rOff, rLen)
-				}
+				o.Read(rng.Int63n(size-rLen), rLen)
 
 				switch {
 				case iter%9 == 4 && failed < 0:
@@ -298,24 +287,13 @@ func TestWritebackTortureCrashMidDestage(t *testing.T) {
 			if st.StagedWrites == 0 || st.DestageFullStripe+st.DestageRCW == 0 {
 				t.Fatalf("torture never exercised the stage: %+v", st)
 			}
-			got, err := arr.ReadSync(0, size)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got, model) {
-				t.Fatal("device diverged from model after flush — acknowledged writes lost")
-			}
+			o.Sweep()
 			// One last crash after the flush: an empty stage adopts cleanly.
 			if _, err := arr.FailoverHost(); err != nil {
 				t.Fatal(err)
 			}
-			got, err = arr.ReadSync(0, size)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got, model) {
-				t.Fatal("device diverged after post-flush failover")
-			}
+			o.Sweep()
+			o.Quiesce()
 		})
 	}
 }
