@@ -134,15 +134,13 @@ func main() {
 	var out, in int64
 	var arr *draid.Array
 	if sys != experiments.DRAID {
-		// The baselines are simulation models of host-centric RAID.
-		if kind != draid.BackendSim {
-			fmt.Fprintf(os.Stderr, "draid-fio: -system %s exists on the sim backend only (got -backend %s)\n", *system, kind)
-			os.Exit(2)
-		}
+		// The baselines: host-reduce profiles of the same host controller.
 		dev, cl := experiments.Build(experiments.Setup{
 			System: sys, Targets: *targets, Level: lvl, ChunkSize: *chunk,
 			FailedMembers: failed, Seed: *seed,
+			Backend: kind, Realtime: draid.RealtimeOptions{TCP: *rtTCP, Dir: *rtDir},
 		})
+		defer cl.Close()
 		job.Dev, job.Eng = dev, cl.Rt
 		res = fio.Run(job)
 		out, in = cl.TotalHostBytes()

@@ -119,8 +119,9 @@ func TestGoldenExperimentReports(t *testing.T) {
 	}{
 		{"fig09", 1, "golden_fig09_quick.txt"},
 		{"fig12", 7, "golden_fig12_quick_seed7.txt"},
-		// Host-side decode paths (HostParityOnly fallback writer, RAID-6
-		// degraded read and write figures), captured before the decoder merge.
+		// Host-side decode paths (the host-stripe-writes ablation through the
+		// fallback writer, RAID-6 degraded read and write figures), captured
+		// before the decoder merge.
 		{"ablation-hostparity", 1, "golden_ablation_hostparity_quick.txt"},
 		{"fig28", 1, "golden_fig28_quick.txt"},
 		{"fig30", 1, "golden_fig30_quick.txt"},

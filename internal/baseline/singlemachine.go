@@ -1,3 +1,9 @@
+// Package baseline holds the one comparison system that is not a host
+// controller on the fabric: SingleMachine, the RAID controller co-located
+// with its drives on one storage server (Table 1's first column): 1×
+// network overhead, but no server fault tolerance. The host-centric
+// baselines (SPDK, Linux MD) are reduce profiles of the dRAID host
+// controller (core.SPDK, core.Linux).
 package baseline
 
 import (
@@ -220,7 +226,7 @@ func (s *SingleMachine) localStripeWrite(stripe int64, exts []raid.Extent, data 
 	base := s.geo.DriveOffset(stripe)
 	pm := s.geo.PDrive(stripe)
 	pAlive := !s.failed[pm]
-	uLo, uHi := unionRange(exts)
+	uLo, uHi := raid.UnionRange(exts)
 	uLen := uHi - uLo
 
 	// Local RMW: read old data + old parity, apply deltas, write back.

@@ -754,28 +754,6 @@ func TestSerialPipelineStillCorrect(t *testing.T) {
 	verifyStripeParity(t, cl, h, 0)
 }
 
-func TestHostParityOnlyAblationCorrect(t *testing.T) {
-	spec := cluster.DefaultSpec()
-	spec.Targets = 5
-	drv := ssd.DefaultSpec()
-	drv.Capacity = 64 << 20
-	spec.Drive = &drv
-	cl := cluster.New(spec)
-	h := cl.NewDRAID(core.Config{
-		Geometry:       raid.Geometry{Level: raid.Raid5, Width: 5, ChunkSize: chunkSize},
-		HostParityOnly: true,
-	})
-	data := randBytes(36, 8<<10)
-	mustWrite(t, cl, h, 0, data)
-	if h.Stats().HostFallbackWrites == 0 {
-		t.Fatal("ablation should route through host fallback")
-	}
-	if !bytes.Equal(mustRead(t, cl, h, 0, int64(len(data))), data) {
-		t.Fatal("ablation round-trip mismatch")
-	}
-	verifyStripeParity(t, cl, h, 0)
-}
-
 func TestElidedModeFlowsSizes(t *testing.T) {
 	spec := cluster.DefaultSpec()
 	spec.Targets = 5

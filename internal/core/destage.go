@@ -287,7 +287,7 @@ func (st *stage) restoreSnap(stripe int64, s *stagedStripe, snap *destageSnap) {
 // parity); degraded or corner-case stripes fall back to the general
 // stripeWrite dispatch, which already encodes every degraded rule.
 func (h *HostController) destageWrite(stripe int64, exts []raid.Extent, data parity.Buffer, done func(error)) {
-	if h.geo.DecideWriteMode(exts) == raid.ModeFull || h.failedIn(stripe) > 0 || h.cfg.HostParityOnly {
+	if h.geo.DecideWriteMode(exts) == raid.ModeFull || h.failedIn(stripe) > 0 || h.cfg.Reduce.Writes != PeerWrites {
 		h.stripeWrite(stripe, exts, data, 0, done)
 		return
 	}

@@ -3,9 +3,9 @@
 // controller (the dRAID bdev that executes PartialWrite/Parity/
 // Reconstruction/Peer commands, Algorithms 1 and 2 of the paper).
 //
-// The same Fabric and ServerController are reused by the host-centric
-// baselines in internal/baseline, which speak only the standard NVMe-oF
-// subset (Read/Write) — exactly the paper's comparison setup.
+// The host controller also runs the paper's host-centric comparison systems
+// (Config.Reduce: SPDK, Linux): those speak only the standard NVMe-oF subset
+// (Read/Write) to the same servers — exactly the paper's comparison setup.
 package core
 
 import (

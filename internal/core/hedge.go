@@ -329,13 +329,13 @@ func (hr *hedgeRead) maybeResolve() {
 // without another round trip to the P member.
 func (hr *hedgeRead) prefetchParity() {
 	h := hr.h
-	lo, hi := unionRange(hr.exts)
+	lo, hi := raid.UnionRange(hr.exts)
 	pDrive := h.geo.PDrive(hr.stripe)
 	if h.memberFailed(hr.stripe, pDrive) {
 		return
 	}
 	hr.parityLo = lo
-	hr.parityOp = h.readMembers("hedge-parity", hr.stripe, lo, hi, []int{pDrive},
+	hr.parityOp = h.readMembers("hedge-parity", hr.stripe, lo, hi, []int{pDrive}, false,
 		func(got map[int]parity.Buffer) {
 			hr.parityOp, hr.parityBuf, hr.parityReady = nil, got[pDrive], true
 			hr.maybeResolve()
@@ -417,6 +417,6 @@ func (hr *hedgeRead) resolve(i int) {
 	// on a source (no media continuation: it fails the same way) just stands
 	// down: it never solves from partial sources, and the straggler's own
 	// read still owns correctness.
-	h.readMembers("hedge-read", hr.stripe, lo, hi, fetch, solve, nil,
+	h.readMembers("hedge-read", hr.stripe, lo, hi, fetch, false, solve, nil,
 		func([]NodeID) { hr.hedgeDead = true })
 }

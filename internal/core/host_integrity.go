@@ -270,7 +270,7 @@ func (h *HostController) salvageBlocks(stripe int64, member int, sLo, sHi int64,
 			pHi = sHi
 		}
 		pos = pHi
-		h.readMembers("salvage-read", stripe, pLo, pHi, []int{member},
+		h.readMembers("salvage-read", stripe, pLo, pHi, []int{member}, false,
 			func(got map[int]parity.Buffer) {
 				dst.CopyAt(int(pLo-uLo), got[member])
 				step()
@@ -312,7 +312,7 @@ func (h *HostController) repairChunkRange(stripe int64, member int, lo, hi int64
 			h.releaseStripe(stripe)
 			cb(err)
 		}
-		h.readMembers("repair-verify", stripe, lo, hi, []int{member},
+		h.readMembers("repair-verify", stripe, lo, hi, []int{member}, false,
 			func(map[int]parity.Buffer) { release(nil) }, // reads clean now; nothing to repair
 			func(int, nvmeof.Command) {
 				h.gatherSolveRange(stripe, lo, hi, map[int]bool{member: true},

@@ -246,7 +246,7 @@ func (h *HostController) ReconstructStripeChunk(stripe int64, member int, cb fun
 // readChunk reads the full current chunk image of stripe member m from its
 // healthy drive.
 func (h *HostController) readChunk(stripe int64, member int, cb func(parity.Buffer, error)) {
-	h.readMembers("migrate-read", stripe, 0, h.geo.ChunkSize, []int{member},
+	h.readMembers("migrate-read", stripe, 0, h.geo.ChunkSize, []int{member}, false,
 		func(got map[int]parity.Buffer) { cb(got[member], nil) }, nil,
 		func([]NodeID) {
 			cb(parity.Buffer{}, fmt.Errorf("core: stripe %d migrate read: %w", stripe, blockdev.ErrTimeout))

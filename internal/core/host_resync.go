@@ -79,7 +79,7 @@ func (h *HostController) resyncStripeLocked(stripe int64, cb func(error)) {
 		return
 	}
 
-	h.readMembers("resync-read", stripe, 0, cs, readers,
+	h.readMembers("resync-read", stripe, 0, cs, readers, false,
 		func(got map[int]parity.Buffer) {
 			for m, b := range got {
 				_, idx := h.geo.Role(stripe, m)

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"draid/internal/baseline"
 	"draid/internal/blockdev"
 	"draid/internal/cluster"
 	"draid/internal/core"
@@ -48,14 +47,7 @@ func hostDevice(t *testing.T, cl *cluster.Cluster, host func() tortureDevice) or
 			return got, err
 		},
 		State: func() (s oracle.State) {
-			cl.Rt.Call(func() {
-				s.Failed = len(host().FailedMembers())
-				if h, ok := host().(*core.HostController); ok {
-					for _, lr := range h.LostRegions() {
-						s.Lost = append(s.Lost, oracle.Span(lr))
-					}
-				}
-			})
+			cl.Rt.Call(func() { s = deviceState(host()) })
 			return s
 		},
 		MediaErr:  blockdev.ErrMediaError,
@@ -67,6 +59,17 @@ func hostDevice(t *testing.T, cl *cluster.Cluster, host func() tortureDevice) or
 			return err
 		},
 	}
+}
+
+// deviceState is the oracle's view of dev, read on the host's loop.
+func deviceState(dev tortureDevice) (s oracle.State) {
+	s.Failed = len(dev.FailedMembers())
+	if h, ok := dev.(*core.HostController); ok {
+		for _, lr := range h.LostRegions() {
+			s.Lost = append(s.Lost, oracle.Span(lr))
+		}
+	}
+	return s
 }
 
 // newOracle models the first size bytes of dev; a broken promise fails t.
@@ -98,6 +101,15 @@ func runTorture(t *testing.T, seed int64, level raid.Level, targets int, dev tor
 	size := geo.VirtualSize(2 << 20) // small working set → heavy stripe reuse
 	rng := rand.New(rand.NewSource(seed))
 	d := hostDevice(t, cl, func() tortureDevice { return dev })
+	// While the workload runs, reads complete — and the oracle asks for the
+	// device state — on the host's loop, where Call must not be used.
+	onLoop, offLoop := false, d.State
+	d.State = func() oracle.State {
+		if onLoop {
+			return deviceState(dev)
+		}
+		return offLoop()
+	}
 	if rec != nil {
 		state := d.State
 		d.State = func() oracle.State {
@@ -150,13 +162,24 @@ func runTorture(t *testing.T, seed int64, level raid.Level, targets int, dev tor
 			issue()
 		})
 	}
-	for i := 0; i < 8; i++ {
-		issue()
-	}
-	// Mid-run failure and (optionally) recovery of a random member.
-	victim := rng.Intn(targets)
-	if failDrive {
-		cl.Eng.After(2*sim.Millisecond, func() {
+	// Everything below runs on the host's loop until Run returns: on the
+	// realtime backend completions arrive there, so rng, pending and the
+	// oracle are touched from that goroutine alone, and a violation is
+	// reported with t.Error, which (unlike t.Fatal) may run off the test's
+	// goroutine.
+	o.Report = func(v oracle.Violation) { t.Error(v) }
+	victim := 0
+	onLoop = true
+	cl.Rt.Call(func() {
+		for i := 0; i < 8; i++ {
+			issue()
+		}
+		// Mid-run failure and (optionally) recovery of a random member.
+		victim = rng.Intn(targets)
+		if !failDrive {
+			return
+		}
+		cl.Rt.After(2*sim.Millisecond, func() {
 			cl.FailTarget(victim)
 			victimDown = true
 			if rec == nil {
@@ -172,8 +195,9 @@ func runTorture(t *testing.T, seed int64, level raid.Level, targets int, dev tor
 			o.TearInFlight()
 			o.Cut()
 		})
-	}
-	cl.Eng.Run()
+	})
+	cl.Rt.Run()
+	onLoop = false
 	if pending != 0 {
 		t.Fatalf("torture deadlock: %d ops pending", pending)
 	}
@@ -351,22 +375,33 @@ func TestTortureHostFailover(t *testing.T) {
 	}
 }
 
+// TestTortureBaselines runs the host-centric comparison systems — the same
+// engine under the SPDK and Linux reduce profiles — through the torture
+// workload on both backends, each ending on the oracle's leak check.
 func TestTortureBaselines(t *testing.T) {
-	for name, style := range map[string]baseline.Style{
-		"spdk":  baseline.SPDKStyle(),
-		"linux": baseline.LinuxStyle(),
+	geo := raid.Geometry{Level: raid.Raid5, Width: 5, ChunkSize: 16 << 10}
+	for _, tc := range []struct {
+		name    string
+		profile core.Reduce
+	}{
+		{"spdk", core.SPDK()},
+		{"linux", core.Linux()},
 	} {
-		for _, fail := range []bool{false, true} {
-			t.Run(fmt.Sprintf("%s-fail%v", name, fail), func(t *testing.T) {
-				cl := tortureCluster(t, 5, 7, 0)
-				h := baseline.NewHost(cl.Eng, cl.Fabric, cl.DriveCapacity(), baseline.Config{
-					Geometry: raid.Geometry{Level: raid.Raid5, Width: 5, ChunkSize: 16 << 10},
-					Costs:    cl.Costs,
-					Style:    style,
-					Deadline: 50 * sim.Millisecond,
+		for _, backend := range []string{"sim", "realtime"} {
+			for _, fail := range []bool{false, true} {
+				t.Run(fmt.Sprintf("%s-%s-fail%v", tc.name, backend, fail), func(t *testing.T) {
+					cl := tortureCluster(t, 5, 7, 0)
+					if backend == "realtime" {
+						var err error
+						if cl, err = cluster.NewRealtime(cluster.RealtimeSpec{Targets: 5, Seed: 7, DriveCapacity: 2 << 20}); err != nil {
+							t.Fatal(err)
+						}
+						t.Cleanup(func() { cl.Close() })
+					}
+					h := cl.NewDRAID(core.Config{Geometry: geo, Reduce: tc.profile, Deadline: 50 * sim.Millisecond})
+					runTorture(t, 7, raid.Raid5, 5, h, cl, fail, nil)
 				})
-				runTorture(t, 7, raid.Raid5, 5, h, cl, fail, nil)
-			})
+			}
 		}
 	}
 }

@@ -239,7 +239,7 @@ func appFigure(id, title string, store AppStore, failed []int) func(Options) (Fi
 		if o.Quick {
 			wls = []ycsb.Workload{ycsb.WorkloadA, ycsb.WorkloadC}
 		}
-		systems := o.systems(SPDK, DRAID)
+		systems := []System{SPDK, DRAID}
 		series, err := runGrid(o, systemNames(systems), len(wls), func(si, pi int) (Point, error) {
 			r, err := YCSB(store, systems[si], wls[pi], failed, o)
 			return Point{

@@ -46,8 +46,9 @@ func simShape(t *testing.T, id string) (series, rows []string, idle map[[2]strin
 }
 
 // checkOnRealtime runs one ID on the realtime backend and asserts the shape
-// of what comes back: the simulated report's series minus the baselines, its
-// row labels, and a positive bandwidth everywhere the simulated run has one.
+// of what comes back: the simulated report's series — the SPDK and Linux
+// baselines included — its row labels, and a positive bandwidth everywhere
+// the simulated run has one.
 // A point whose I/Os failed or whose cluster leaked at quiescence fails the
 // run itself (measure, YCSB, noisyPoint).
 func checkOnRealtime(t *testing.T, id string, o Options) Figure {
@@ -78,12 +79,6 @@ func checkOnRealtime(t *testing.T, id string, o Options) Figure {
 	for _, at := range stalled(fig) {
 		t.Errorf("%s: nonpositive bandwidth for %s", id, at)
 	}
-	var want []string
-	for _, s := range simSeries {
-		if s != string(Linux) && s != string(SPDK) {
-			want = append(want, s)
-		}
-	}
 	var got []string
 	for _, s := range fig.Series {
 		got = append(got, s.System)
@@ -95,8 +90,8 @@ func checkOnRealtime(t *testing.T, id string, o Options) Figure {
 			t.Errorf("%s/%s: rows %v, the sim run has %v", id, s.System, labels, rows)
 		}
 	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("%s: series %v, want %v (the sim run's, less the baselines)", id, got, want)
+	if !reflect.DeepEqual(got, simSeries) {
+		t.Errorf("%s: series %v, want the sim run's %v", id, got, simSeries)
 	}
 	return fig
 }
@@ -109,15 +104,16 @@ func TestEveryIDOnRealtimeBackend(t *testing.T) {
 		t.Skip("wall-clock sweeps")
 	}
 	rt := Options{Quick: true, Ramp: 5e6, Measure: 15e6, Backend: draid.BackendRealtime}
-	// Exactly the IDs that read a simulated quantity: a baseline, a NIC rate
-	// or queue, a shared simulated core, the simulated servers' barrier knob.
+	// Exactly the IDs that read a simulated quantity: the single-machine
+	// server, a NIC rate or queue, a shared simulated core, the simulated
+	// servers' barrier knob.
 	var simOnly []string
 	for _, id := range IDs() {
 		if Supported(id, rt) != nil {
 			simOnly = append(simOnly, id)
 		}
 	}
-	want := []string{"table1", "ablation-barrier", "ablation-colocate", "ablation-reducer", "fig17a", "fig17b"}
+	want := []string{"table1", "ablation-barrier", "ablation-colocate", "ablation-reducer", "fig17b"}
 	if !reflect.DeepEqual(simOnly, want) {
 		t.Errorf("simulation-only IDs %v, want %v", simOnly, want)
 	}
@@ -140,7 +136,7 @@ func TestEveryIDOnRealtimeBackend(t *testing.T) {
 	}
 	tcp := rt
 	tcp.Realtime.TCP = true
-	for _, id := range []string{"fig09", "fig15", "writeback", "fig20"} {
+	for _, id := range []string{"fig09", "fig10", "fig15", "fig16", "writeback", "fig20"} {
 		t.Run("tcp/"+id, func(t *testing.T) { checkOnRealtime(t, id, tcp) })
 	}
 }

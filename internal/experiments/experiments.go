@@ -10,7 +10,6 @@ import (
 	"strings"
 
 	"draid"
-	"draid/internal/baseline"
 	"draid/internal/blockdev"
 	"draid/internal/cluster"
 	"draid/internal/core"
@@ -52,25 +51,15 @@ type Options struct {
 	Parallel int
 	// Backend and Realtime name the substrate every point runs on, with the
 	// meaning they have on draid.Config (default: the simulation). On the
-	// realtime backend the windows are wall-clock, only the dRAID series
-	// exists — the baselines, NIC rates and CPU costs are simulation models —
-	// and points run serially whatever Parallel says; IDs that need
-	// simulation internals fail with draid.ErrUnsupported (see Supported).
+	// realtime backend the windows are wall-clock — NIC rates and CPU costs
+	// are simulation models — and points run serially whatever Parallel
+	// says; IDs that need simulation internals fail with
+	// draid.ErrUnsupported (see Supported).
 	Backend  draid.BackendKind
 	Realtime draid.RealtimeOptions
 }
 
 func (o Options) realtime() bool { return o.Backend == draid.BackendRealtime }
-
-// systems returns which of a figure's comparison systems exist on the
-// backend o names: all of them on the simulation, dRAID alone on realtime —
-// the baselines are simulation models.
-func (o Options) systems(all ...System) []System {
-	if o.realtime() {
-		return []System{DRAID}
-	}
-	return all
-}
 
 // parallel returns the effective worker count. A realtime point is a
 // wall-clock measurement and must not share the CPU with another.
@@ -184,23 +173,21 @@ type Setup struct {
 	BarrierReduce bool
 	// BdevsPerServer co-locates members on shared servers (§5.5).
 	BdevsPerServer int
-	// HostParityOnly enables the host-parity ablation for dRAID.
+	// HostParityOnly moves dRAID's partial-write parity to the host, through
+	// the consistency path (the ablation-hostparity arm).
 	HostParityOnly bool
 	Seed           int64
 	// Backend and Realtime select the substrate, as on draid.Config (default:
-	// the simulation). The realtime backend builds dRAID only, and only
-	// setups needsSim accepts.
+	// the simulation). The realtime backend builds only setups needsSim
+	// accepts.
 	Backend  draid.BackendKind
 	Realtime draid.RealtimeOptions
 }
 
 // needsSim says why a setup can only be built on the simulation ("" when the
-// realtime backend can build it too): everything but the dRAID protocol
-// itself is a simulation model.
+// realtime backend can build it too): a simulated link, core or server knob.
 func (s Setup) needsSim() string {
 	switch {
-	case s.System != DRAID:
-		return "the " + string(s.System) + " baseline is a simulation model"
 	case s.TargetGbpsList != nil || s.Selector == "bwaware":
 		return "NIC line rates and queue occupancy are simulation models"
 	case s.BdevsPerServer > 1:
@@ -235,32 +222,30 @@ func build(s Setup) (blockdev.Device, *cluster.Cluster, error) {
 	}
 	geo := raid.Geometry{Level: s.Level, Width: s.Targets, ChunkSize: s.ChunkSize}
 
-	var dev blockdev.Device
+	cfg := core.Config{Geometry: geo}
 	switch s.System {
 	case DRAID:
-		cfg := core.Config{Geometry: geo, HostParityOnly: s.HostParityOnly}
-		switch s.Selector {
-		case "", "random":
-			// default
-		case "fixed":
-			cfg.Selector = recon.FixedSelector{}
-		case "bwaware":
-			cfg.Selector = cl.BWAwareSelector(s.Targets)
-		default:
-			panic("experiments: unknown selector " + s.Selector)
+		if s.HostParityOnly {
+			cfg.Reduce.Writes = core.HostStripeWrites
 		}
-		dev = cl.NewDRAID(cfg)
-	case SPDK, Linux:
-		style := baseline.SPDKStyle()
-		if s.System == Linux {
-			style = baseline.LinuxStyle()
-		}
-		dev = baseline.NewHost(cl.Eng, cl.Fabric, cl.DriveCapacity(), baseline.Config{
-			Geometry: geo, Costs: cl.Costs, Style: style,
-		})
+	case SPDK:
+		cfg.Reduce = core.SPDK()
+	case Linux:
+		cfg.Reduce = core.Linux()
 	default:
 		panic("experiments: unknown system " + string(s.System))
 	}
+	switch s.Selector {
+	case "", "random":
+		// default
+	case "fixed":
+		cfg.Selector = recon.FixedSelector{}
+	case "bwaware":
+		cfg.Selector = cl.BWAwareSelector(s.Targets)
+	default:
+		panic("experiments: unknown selector " + s.Selector)
+	}
+	dev := cl.NewDRAID(cfg)
 	for _, m := range s.FailedMembers {
 		failMember(cl, dev, m)
 	}

@@ -191,9 +191,8 @@ func (sw sweep) series(o Options) []variant {
 	if sw.variants != nil {
 		return sw.variants
 	}
-	systems := o.systems(AllSystems...)
-	out := make([]variant, len(systems))
-	for i, sys := range systems {
+	out := make([]variant, len(AllSystems))
+	for i, sys := range AllSystems {
 		out[i] = variant{string(sys), sw.base}
 		out[i].setup.System = sys
 	}
@@ -256,13 +255,17 @@ func (sw sweep) run(o Options) (Figure, error) {
 
 // rebuildRate measures full-drive reconstruction throughput: qd rebuild
 // operations in flight, each reconstructing one chunk of the failed member.
-func rebuildRate(sys System, targets int, o Options, selector string, gbpsList []float64, seed int64, qd int) fio.Result {
-	s := Setup{System: sys, Targets: targets, FailedMembers: []int{0}, Selector: selector, TargetGbpsList: gbpsList, Seed: seed}
-	dev, cl := Build(s)
+func rebuildRate(sys System, targets int, o Options, selector string, gbpsList []float64, seed int64, qd int) (fio.Result, error) {
+	dev, cl, err := build(Setup{System: sys, Targets: targets, FailedMembers: []int{0}, Selector: selector,
+		TargetGbpsList: gbpsList, Seed: seed, Backend: o.Backend, Realtime: o.Realtime})
+	if err != nil {
+		return fio.Result{}, err
+	}
+	defer cl.Close()
 	geo := raid.Geometry{Level: raid.Raid5, Width: targets, ChunkSize: 512 << 10}
 
-	end := sim.Time(o.Ramp + o.Measure)
-	measureStart := sim.Time(o.Ramp)
+	measureStart := cl.Rt.Now() + sim.Time(o.Ramp)
+	end := measureStart + sim.Time(o.Measure)
 	res := fio.Result{Name: string(sys), Elapsed: o.Measure}
 	var stripe int64
 	if qd <= 0 {
@@ -270,50 +273,34 @@ func rebuildRate(sys System, targets int, o Options, selector string, gbpsList [
 	}
 	lat := hist.New()
 
-	// reconstruct rebuilds the failed member's chunk of stripe s, or reports
-	// that it has nothing to issue there.
-	var reconstruct func(s int64, cb func(parity.Buffer, error)) bool
-	if h, ok := dev.(*core.HostController); ok {
-		reconstruct = func(s int64, cb func(parity.Buffer, error)) bool {
-			h.ReconstructStripeChunk(s, 0, cb)
-			return true
-		}
-	} else {
-		// Host-centric rebuild: a degraded read of the virtual range that maps
-		// to the failed member's chunk (the host gathers survivors and XORs),
-		// where the member holds data in that stripe.
-		reconstruct = func(s int64, cb func(parity.Buffer, error)) bool {
-			kind, idx := geo.Role(s, 0)
-			if kind == raid.KindData {
-				dev.Read(s*geo.StripeDataSize()+int64(idx)*geo.ChunkSize, geo.ChunkSize, cb)
-			}
-			return kind == raid.KindData
-		}
-	}
+	// Each op rebuilds the failed member's chunk of the next stripe, reduced
+	// where the system reduces: on a peer for dRAID, on the host for SPDK.
+	h := dev.(*core.HostController)
 	var issue func()
 	issue = func() {
-		for cl.Rt.Now() < end {
-			s, issued := stripe, cl.Rt.Now()
-			stripe++
-			done := func(_ parity.Buffer, err error) {
-				if now := cl.Rt.Now(); err == nil && now > measureStart && now <= end {
-					res.ReadBytes += geo.ChunkSize
-					res.ReadOps++
-					lat.Record(int64(now - issued))
-				}
-				issue()
-			}
-			if reconstruct(s, done) {
-				return
-			}
+		if cl.Rt.Now() >= end {
+			return
 		}
+		s, issued := stripe%h.Layout().Stripes(), cl.Rt.Now()
+		stripe++
+		h.ReconstructStripeChunk(s, 0, func(_ parity.Buffer, err error) {
+			if now := cl.Rt.Now(); err == nil && now > measureStart && now <= end {
+				res.ReadBytes += geo.ChunkSize
+				res.ReadOps++
+				lat.Record(int64(now - issued))
+			}
+			issue()
+		})
 	}
-	for i := 0; i < qd; i++ {
-		issue()
-	}
+	cl.Rt.Call(func() {
+		for i := 0; i < qd; i++ {
+			issue()
+		}
+	})
 	cl.Rt.RunUntil(end)
-	res.ReadLat = lat.Summarize()
-	return res
+	cl.Rt.Run() // ops in flight at end finish unrecorded
+	cl.Rt.Call(func() { res.ReadLat = lat.Summarize() })
+	return res, cl.LeakCheck()
 }
 
 // fig17a — reconstruction scalability vs stripe width.
@@ -322,8 +309,8 @@ func fig17a(o Options) (Figure, error) {
 	ws := sizesKB(o.Quick, widths...)
 	series, err := runGrid(o, systemNames(systems), len(ws), func(si, pi int) (Point, error) {
 		w := int(ws[pi])
-		r := rebuildRate(systems[si], w, o, "", nil, o.Seed, 8)
-		return Point{X: float64(w), Label: fmt.Sprintf("%d", w), BW: r.ReadBandwidthMBps(), Lat: r.ReadLat.Mean / 1e3}, nil
+		r, err := rebuildRate(systems[si], w, o, "", nil, o.Seed, 8)
+		return Point{X: float64(w), Label: fmt.Sprintf("%d", w), BW: r.ReadBandwidthMBps(), Lat: r.ReadLat.Mean / 1e3}, err
 	})
 	return Figure{
 		ID: "fig17a", Title: "Drive reconstruction throughput vs stripe width",
@@ -344,8 +331,8 @@ func fig17b(o Options) (Figure, error) {
 	selectors := []string{"random", "bwaware"}
 	series, err := runGrid(o, []string{"Random", "BW-Aware"}, len(qds), func(si, pi int) (Point, error) {
 		qd := qds[pi]
-		r := rebuildRate(DRAID, 8, o, selectors[si], mixedNICs, o.Seed, qd)
-		return Point{X: r.ReadBandwidthMBps(), Label: fmt.Sprintf("qd%d", qd), BW: r.ReadBandwidthMBps(), Lat: r.ReadLat.Mean / 1e3}, nil
+		r, err := rebuildRate(DRAID, 8, o, selectors[si], mixedNICs, o.Seed, qd)
+		return Point{X: r.ReadBandwidthMBps(), Label: fmt.Sprintf("qd%d", qd), BW: r.ReadBandwidthMBps(), Lat: r.ReadLat.Mean / 1e3}, err
 	})
 	return Figure{
 		ID: "fig17b", Title: "Reconstruction with heterogeneous NICs (25/100G mix): reducer policies",

@@ -20,11 +20,10 @@ type experiment struct {
 // backend needs only: it is not a Figure, so it has no runner and Run
 // renders it itself.
 var registry = func() map[string]experiment {
-	const rebuild = "reconstruction against the SPDK baseline and simulated NIC rates"
 	r := map[string]experiment{
-		"table1": {nil, "host-NIC overheads are read off the simulated fabric, and two of three rows are baselines"},
-		"fig17a": {fig17a, rebuild},
-		"fig17b": {fig17b, rebuild},
+		"table1": {nil, "the single-machine row is a simulated storage server"},
+		"fig17a": {run: fig17a},
+		"fig17b": {fig17b, "NIC line rates and queue occupancy are simulation models"},
 		// §9.6: the LSM KV store (RocksDB stand-in) on BlobFS and the object
 		// store on the block layer, YCSB A-F, normal state and degraded.
 		"fig19a":         {run: appFigure("fig19a", "KV store (LSM on BlobFS) YCSB throughput, normal state", KVStore, nil)},
@@ -101,7 +100,7 @@ func RunFigure(id string, o Options) (Figure, error) {
 	}
 	if o.realtime() {
 		fig.Title += " [realtime backend]"
-		fig.Notes = append(fig.Notes, "realtime backend: wall-clock numbers from this machine, dRAID only — compare shapes, not magnitudes")
+		fig.Notes = append(fig.Notes, "realtime backend: wall-clock numbers from this machine — compare shapes, not magnitudes")
 	}
 	return fig, nil
 }

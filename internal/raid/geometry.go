@@ -166,6 +166,16 @@ func StripeExtents(exts []Extent) map[int64][]Extent {
 	return m
 }
 
+// UnionRange returns the chunk-relative union [lo,hi) of one stripe's
+// extents — the byte positions where a write changes parity.
+func UnionRange(exts []Extent) (lo, hi int64) {
+	lo, hi = exts[0].Off, exts[0].Off+exts[0].Len
+	for _, e := range exts[1:] {
+		lo, hi = min(lo, e.Off), max(hi, e.Off+e.Len)
+	}
+	return lo, hi
+}
+
 // StripeOrder returns the grouped stripes in ascending order. Issuing stripe
 // operations in map-iteration order would leak runtime randomness into NIC
 // FIFO reservations and trace span order, breaking same-seed determinism.

@@ -36,7 +36,7 @@ go test -race -run '^TestScrub' . -count=1
 go test -race -count=1 ./internal/backend/...
 go run ./cmd/draid-fio -backend realtime -iosize 131072 -qd 8 -ramp 10ms -measure 40ms
 go run ./cmd/draid-fio -backend realtime -rt-tcp -iosize 65536 -qd 8 -ramp 10ms -measure 40ms
-# The harness on the realtime backend, dRAID series only: a plain, a degraded
+# The harness on the realtime backend, all three systems: a plain, a degraded
 # and a RAID-6 row of the sweep table, the write-back point function, YCSB on
 # the object store, a Pool (decluster) and two volumes on one cluster.
 go run ./cmd/draid-bench -backend realtime -fig fig09,fig15,fig28,writeback,fig20,decluster,multivol-noisy -quick -ramp 5ms -measure 20ms

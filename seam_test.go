@@ -19,11 +19,11 @@ import (
 // so it runs on either backend (DESIGN.md "Backend architecture").
 var belowTheSeam = []string{
 	"internal/sim/", "internal/simnet/", "internal/ssd/", "internal/cpu/",
-	"internal/recon/", "internal/trace/", "internal/baseline/", "internal/cluster/",
+	"internal/recon/", "internal/trace/", "internal/cluster/",
+	"internal/baseline/singlemachine.go", // Table 1's co-located controller, a simulated server
 	"internal/backend/simadapter.go",
 	"internal/core/host.go", "internal/core/offload.go", "internal/core/fabric.go",
 	"draid.go:New", // the offload client (§7), a simulated node
-	"internal/experiments/experiments.go:build", // the SPDK/Linux baseline arm
 	"internal/experiments/table1.go",
 }
 
