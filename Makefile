@@ -39,14 +39,16 @@ bench:
 # Where the hot path's heap objects come from: each tier-1 alloc test — the
 # realtime datapath (128 KiB reads, full-stripe writes, random 4 KiB writes),
 # then the size-only simulation (128 KiB RMW writes, degraded reads) — under
-# a 4 KiB-rate heap profile, top 25 sites by objects allocated. The test
-# binary and the profiles go to a temp dir; nothing is written into the tree.
+# a 4 KiB-rate heap profile, top 25 sites by objects allocated, each table
+# headed by the test's own lines: heap bytes per user byte and objects per op
+# for every case it measures. The test binary and the profiles go to a temp
+# dir; nothing is written into the tree.
 # An object-count PR starts from these tables, not from a guess.
 allocs:
 	@d=$$(mktemp -d) && trap 'rm -rf "$$d"' EXIT && \
 	for t in TestRealtimeAllocBytesPerUserByte TestSizeOnlySimAllocBytesPerUserByte; do \
 		echo "== $$t" && \
-		$(GO) test -count=1 -run "^$$t\$$" -o "$$d/draid.test" \
+		$(GO) test -count=1 -v -run "^$$t\$$" -o "$$d/draid.test" \
 			-memprofile "$$d/$$t.prof" -memprofilerate 4096 . && \
 		$(GO) tool pprof -sample_index=alloc_objects -top -nodecount 25 "$$d/draid.test" "$$d/$$t.prof" || exit 1; \
 	done

@@ -25,6 +25,7 @@ import (
 	"io"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"draid/internal/backend"
@@ -39,6 +40,7 @@ import (
 	"draid/internal/repair"
 	"draid/internal/sim"
 	"draid/internal/simnet"
+	"draid/internal/slab"
 	"draid/internal/ssd"
 	"draid/internal/trace"
 )
@@ -634,6 +636,10 @@ type Array struct {
 	// realtime marks arrays on BackendRealtime: host state is then confined
 	// to the host event loop and accessed via call().
 	realtime bool
+	// reqs pools the records of Read, Write and the synchronous calls; any
+	// goroutine may issue, so a lock guards them.
+	reqMu sync.Mutex
+	reqs  slab.Slab[request]
 }
 
 // withDefaults returns cfg with zero fields filled in.
@@ -868,9 +874,6 @@ func open(cl *cluster.Cluster, cfg Config, name string, extent int64, qosWeight 
 	}
 	arr := &Array{cl: cl, host: vol.Host, dev: vol.Host, clientNode: cl.HostNode, hostCfg: vol.Cfg,
 		log: repair.NewLog(cl.Rt), scrubRate: cfg.ScrubRateMBps, seed: cfg.Seed, realtime: cfg.Backend == BackendRealtime}
-	if arr.realtime {
-		arr.dev = loopDev{rt: cl.Rt, dev: arr.host}
-	}
 	arr.attachSupervisor(cfg, shared)
 	return arr, nil
 }
@@ -924,23 +927,6 @@ func (a *Array) attachSupervisor(cfg Config, shared *repair.RateLimiter) {
 	}
 }
 
-// loopDev marshals device entry points onto the host's event loop — the
-// realtime equivalent of issuing I/O from the simulation's single thread.
-type loopDev struct {
-	rt  backend.Runner
-	dev blockdev.Device
-}
-
-func (d loopDev) Size() int64 { return d.dev.Size() }
-
-func (d loopDev) Read(off, n int64, cb func(parity.Buffer, error)) {
-	d.rt.Defer(func() { d.dev.Read(off, n, cb) })
-}
-
-func (d loopDev) Write(off int64, b parity.Buffer, cb func(error)) {
-	d.rt.Defer(func() { d.dev.Write(off, b, cb) })
-}
-
 // call runs fn with safe access to host-confined state: inline on the
 // simulation, marshalled onto the host loop on the realtime backend.
 func (a *Array) call(fn func()) { a.cl.Rt.Call(fn) }
@@ -968,22 +954,103 @@ func (a *Array) Close() error { return a.cl.Close() }
 // Write issues an asynchronous write; cb runs when the stripe operations
 // complete. Call Run (or a *Sync method) to advance time.
 func (a *Array) Write(off int64, data []byte, cb func(error)) {
-	a.dev.Write(off, parity.FromBytes(data), cb)
+	r := a.request()
+	r.off, r.data, r.write = off, parity.FromBytes(data), cb
+	a.submit(r)
 }
 
 // Read issues an asynchronous read.
 func (a *Array) Read(off, n int64, cb func([]byte, error)) {
-	a.dev.Read(off, n, func(b parity.Buffer, err error) {
-		if err != nil {
-			cb(nil, err)
-			return
-		}
-		if b.Elided() {
-			cb(make([]byte, b.Len()), nil)
-			return
-		}
-		cb(b.Data(), err)
-	})
+	r := a.request()
+	r.off, r.n, r.reading, r.read = off, n, true, cb
+	a.submit(r)
+}
+
+// request is one call on its way to the controller — on the realtime backend
+// also the task that carries it onto the host loop — and, for a synchronous
+// call, its rendezvous with the completion. Its steps are bound when the
+// record is first built, so a call allocates nothing of its own.
+type request struct {
+	a       *Array
+	off, n  int64
+	data    parity.Buffer
+	reading bool
+	read    func([]byte, error)
+	write   func(error)
+	issueFn func()
+	readFn  func(parity.Buffer, error)
+	writeFn func(error)
+	// A synchronous call has neither callback: the completion leaves its
+	// result here and signals ch, and the caller returns the record.
+	out []byte
+	err error
+	ch  chan struct{}
+}
+
+func (a *Array) request() *request {
+	a.reqMu.Lock()
+	r := a.reqs.Get()
+	a.reqMu.Unlock()
+	if r.a == nil {
+		r.a, r.ch = a, make(chan struct{}, 1)
+		r.issueFn, r.readFn, r.writeFn = r.issue, r.readDone, r.writeDone
+	}
+	return r
+}
+
+// submit issues r: inline on the simulation, on the host loop on the
+// realtime backend.
+func (a *Array) submit(r *request) {
+	if a.realtime {
+		a.cl.Rt.Defer(r.issueFn)
+		return
+	}
+	r.issue()
+}
+
+func (r *request) issue() {
+	if r.reading {
+		r.a.dev.Read(r.off, r.n, r.readFn)
+		return
+	}
+	r.a.dev.Write(r.off, r.data, r.writeFn)
+}
+
+func (r *request) readDone(b parity.Buffer, err error) {
+	var out []byte
+	switch {
+	case err != nil:
+	case b.Elided():
+		out = make([]byte, b.Len())
+	default:
+		out = b.Data()
+	}
+	if cb := r.read; cb != nil {
+		r.put()
+		cb(out, err)
+		return
+	}
+	r.out, r.err = out, err
+	r.ch <- struct{}{}
+}
+
+func (r *request) writeDone(err error) {
+	if cb := r.write; cb != nil {
+		r.put()
+		cb(err)
+		return
+	}
+	r.err = err
+	r.ch <- struct{}{}
+}
+
+// put returns r to the pool. A synchronous call whose context gave up leaves
+// its record to the completion that may still come.
+func (r *request) put() {
+	r.n, r.data, r.reading, r.read, r.write, r.out, r.err = 0, parity.Buffer{}, false, nil, nil, nil, nil
+	r.a.reqMu.Lock()
+	r.a.reqs.Put(r)
+	r.a.reqMu.Unlock()
 }
 
 // WriteContext writes and advances time until completion, honouring the
@@ -997,16 +1064,9 @@ func (a *Array) WriteContext(ctx context.Context, off int64, data []byte) error 
 	if err := ctx.Err(); err != nil {
 		return fmt.Errorf("draid: write: %w", err)
 	}
-	var err error
-	done := false
-	ch := make(chan struct{})
-	a.Write(off, data, func(e error) { err, done = e, true; close(ch) })
-	if werr := a.await(ctx, ch, &done); werr != nil {
-		return fmt.Errorf("draid: write: %w", werr)
-	}
-	if !done {
-		return fmt.Errorf("draid: write did not complete")
-	}
+	r := a.request()
+	r.off, r.data = off, parity.FromBytes(data)
+	_, err := a.await(ctx, r, "write")
 	return err
 }
 
@@ -1016,56 +1076,54 @@ func (a *Array) ReadContext(ctx context.Context, off, n int64) ([]byte, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("draid: read: %w", err)
 	}
-	var out []byte
-	var err error
-	done := false
-	ch := make(chan struct{})
-	a.Read(off, n, func(b []byte, e error) { out, err, done = b, e, true; close(ch) })
-	if rerr := a.await(ctx, ch, &done); rerr != nil {
-		return nil, fmt.Errorf("draid: read: %w", rerr)
-	}
-	if !done {
-		return nil, fmt.Errorf("draid: read did not complete")
-	}
-	return out, err
+	r := a.request()
+	r.off, r.n, r.reading = off, n, true
+	return a.await(ctx, r, "read")
 }
 
-// await blocks until the issued operation completes or ctx gives up.
-func (a *Array) await(ctx context.Context, ch chan struct{}, done *bool) error {
-	if !a.realtime {
-		dl, hasDL := ctx.Deadline()
-		if !hasDL {
-			// No deadline: drain the event queue as plain Run does. A
-			// cancellation-only context cannot interrupt the deterministic
-			// engine mid-run; it was checked at issue time.
-			a.cl.Rt.Run()
-			return nil
-		}
-		budget := time.Until(dl)
-		if budget <= 0 {
-			return context.DeadlineExceeded
-		}
-		// Spend the wall-clock budget as virtual time, so the op deadline
-		// and retry machinery run under it.
-		a.cl.Rt.RunUntil(a.cl.Rt.Now() + sim.Time(budget))
-		if !*done {
-			return context.DeadlineExceeded
-		}
-		return nil
-	}
-	if _, hasDL := ctx.Deadline(); !hasDL && ctx.Done() == nil {
-		// Background context: wait for quiescence like the simulation, so a
-		// dropped completion (crashed controller) surfaces as "did not
+// await issues the synchronous call r and blocks until it completes or ctx
+// gives up.
+func (a *Array) await(ctx context.Context, r *request, what string) ([]byte, error) {
+	a.submit(r)
+	dl, hasDL := ctx.Deadline()
+	switch {
+	case !hasDL && (!a.realtime || ctx.Done() == nil):
+		// Drain as plain Run does. A cancellation-only context cannot
+		// interrupt the deterministic engine mid-run (it was checked at issue
+		// time); on the realtime backend waiting for quiescence makes a
+		// dropped completion (crashed controller) surface as "did not
 		// complete" rather than a hang.
 		a.cl.Rt.Run()
-		return nil
+	case !a.realtime:
+		// Spend the wall-clock budget as virtual time, so the op deadline and
+		// retry machinery run under it.
+		if budget := time.Until(dl); budget > 0 {
+			a.cl.Rt.RunUntil(a.cl.Rt.Now() + sim.Time(budget))
+		}
+		if len(r.ch) == 0 {
+			return nil, fmt.Errorf("draid: %s: %w", what, context.DeadlineExceeded)
+		}
+	default:
+		select {
+		case <-r.ch:
+			return r.result()
+		case <-ctx.Done():
+			return nil, fmt.Errorf("draid: %s: %w", what, ctx.Err())
+		}
 	}
 	select {
-	case <-ch:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
+	case <-r.ch:
+		return r.result()
+	default:
+		return nil, fmt.Errorf("draid: %s did not complete", what)
 	}
+}
+
+// result takes a completed synchronous call's outcome and returns r.
+func (r *request) result() ([]byte, error) {
+	out, err := r.out, r.err
+	r.put()
+	return out, err
 }
 
 // WriteSync writes and advances time until completion.
@@ -1608,9 +1666,6 @@ func (a *Array) takeover(how string, crash bool) (int, error) {
 			a.sup.Rebind(h)
 		}
 		a.host, a.dev = h, h
-		if a.realtime {
-			a.dev = loopDev{rt: a.cl.Rt, dev: h}
-		}
 		repair.Failover(a.cl.Rt, h, dirty, func(err error) { ferr, done = err, true })
 	})
 	a.cl.Rt.Run()

@@ -68,6 +68,58 @@ type Timer interface {
 	Stop() bool
 }
 
+// Rearmable is a foreground timer its owner arms again and again instead of
+// scheduling a new one each time: Arm schedules the callback d from now,
+// replacing an arming still pending, and Stop cancels it. Once either
+// returns, no callback of an earlier arming runs.
+type Rearmable interface {
+	Timer
+	Arm(d sim.Duration)
+}
+
+// TimerSource is implemented by runtimes that build Rearmable timers
+// natively, at no cost per arming.
+type TimerSource interface {
+	NewTimer(fn func()) Rearmable
+}
+
+// NewTimer returns a Rearmable timer that runs fn on rt: rt's own, or one
+// After per arming where rt builds none.
+func NewTimer(rt Runtime, fn func()) Rearmable {
+	if s, ok := rt.(TimerSource); ok {
+		return s.NewTimer(fn)
+	}
+	return &afterTimer{rt: rt, fn: fn}
+}
+
+// afterTimer is Rearmable over After. An arming whose Stop lost the race
+// with its fire (realtime: the callback was already posted) still runs its
+// callback, which does nothing unless it is the current arming.
+type afterTimer struct {
+	rt  Runtime
+	fn  func()
+	t   Timer
+	gen uint64
+}
+
+func (a *afterTimer) Arm(d sim.Duration) {
+	a.Stop()
+	gen := a.gen
+	a.t = a.rt.After(d, func() {
+		if gen == a.gen {
+			a.t = nil
+			a.fn()
+		}
+	})
+}
+
+func (a *afterTimer) Stop() bool {
+	a.gen++
+	t := a.t
+	a.t = nil
+	return t != nil && t.Stop()
+}
+
 // Runtime is the event-scheduling surface a controller runs on. On the
 // simulation it is the discrete-event engine (virtual time, deterministic
 // ordering); on the real-time backend it is one node's event loop

@@ -211,51 +211,86 @@ func (b *Bed) postFG(l *loop, fn func()) {
 	b.post(l, task{fn: fn, fg: true})
 }
 
-// rtTimer is a wall-clock timer whose callback runs on its node's loop. The
-// done flag arbitrates the Stop-vs-fire race: exactly one side wins.
-type rtTimer struct {
-	bed *Bed
-	mu  sync.Mutex
-	t   *time.Timer
-	fg  bool
-	out bool // fired or stopped
+// loopTimer is a wall-clock timer whose callback runs on its node's loop,
+// armed once (After, AfterBG) or again and again (NewTimer): one time.Timer
+// and one record however often. A foreground arming holds a token until it
+// fires or is stopped. gen numbers the armings and Stops; a fire posts run
+// with the generation it fired at, and run calls fn only if no Arm or Stop
+// came after, so a fire that lost its race with either does nothing.
+type loopTimer struct {
+	bed   *Bed
+	loop  *loop
+	fn    func()
+	runFn func()
+	fg    bool
+	t     *time.Timer
+
+	mu         sync.Mutex
+	armed      bool      // neither fired nor stopped
+	due        time.Time // when the current arming is due
+	gen, fired uint64
 }
 
-func (b *Bed) newTimer(l *loop, d sim.Duration, fn func(), fg bool) backend.Timer {
-	if d < 0 {
-		d = 0
+func (b *Bed) newTimer(l *loop, fn func(), fg bool) *loopTimer {
+	lt := &loopTimer{bed: b, loop: l, fn: fn, fg: fg}
+	lt.runFn = lt.run
+	return lt
+}
+
+func (lt *loopTimer) Arm(d sim.Duration) {
+	dur := time.Duration(max(d, 0))
+	lt.mu.Lock()
+	if !lt.armed && lt.fg {
+		lt.bed.hold()
 	}
-	tm := &rtTimer{bed: b, fg: fg}
-	if fg {
-		b.hold()
+	lt.armed = true
+	lt.gen++
+	lt.due = time.Now().Add(dur)
+	lt.mu.Unlock()
+	if lt.t == nil {
+		lt.t = time.AfterFunc(dur, lt.fire)
+		return
 	}
-	tm.t = time.AfterFunc(time.Duration(d), func() {
-		tm.mu.Lock()
-		if tm.out {
-			tm.mu.Unlock()
-			return
+	lt.t.Reset(dur)
+}
+
+// fire runs on the time package's goroutine. An earlier arming's fire that
+// comes before the current one is due does nothing: the timer is set again.
+func (lt *loopTimer) fire() {
+	lt.mu.Lock()
+	if !lt.armed || time.Now().Before(lt.due) {
+		lt.mu.Unlock()
+		return
+	}
+	lt.armed, lt.fired = false, lt.gen
+	lt.mu.Unlock()
+	lt.bed.post(lt.loop, task{fn: lt.runFn, fg: lt.fg}) // the arming's token travels with it
+}
+
+func (lt *loopTimer) run() {
+	lt.mu.Lock()
+	current := lt.fired == lt.gen
+	lt.mu.Unlock()
+	if current {
+		lt.fn()
+	}
+}
+
+// Stop cancels the arming and reports whether it had not yet fired; once it
+// returns, fn does not run for it either way.
+func (lt *loopTimer) Stop() bool {
+	lt.mu.Lock()
+	lt.gen++
+	armed := lt.armed
+	lt.armed = false
+	lt.mu.Unlock()
+	if armed {
+		lt.t.Stop()
+		if lt.fg {
+			lt.bed.release(1)
 		}
-		tm.out = true
-		tm.mu.Unlock()
-		// The token transfers from "armed" to "queued task" without a gap.
-		b.post(l, task{fn: fn, fg: fg})
-	})
-	return tm
-}
-
-func (tm *rtTimer) Stop() bool {
-	tm.mu.Lock()
-	if tm.out {
-		tm.mu.Unlock()
-		return false
 	}
-	tm.out = true
-	tm.mu.Unlock()
-	tm.t.Stop()
-	if tm.fg {
-		tm.bed.release(1)
-	}
-	return true
+	return armed
 }
 
 // NodeRuntime is one node's backend.Runtime: scheduling lands on the node's
@@ -272,12 +307,20 @@ func (n *NodeRuntime) Defer(fn func())  { n.bed.postFG(n.loop, fn) }
 func (n *NodeRuntime) Rand() *rand.Rand { return n.rng }
 
 func (n *NodeRuntime) After(d sim.Duration, fn func()) backend.Timer {
-	return n.bed.newTimer(n.loop, d, fn, true)
+	t := n.bed.newTimer(n.loop, fn, true)
+	t.Arm(d)
+	return t
 }
 
 func (n *NodeRuntime) AfterBG(d sim.Duration, fn func()) backend.Timer {
-	return n.bed.newTimer(n.loop, d, fn, false)
+	t := n.bed.newTimer(n.loop, fn, false)
+	t.Arm(d)
+	return t
 }
+
+// NewTimer returns a foreground backend.Rearmable running fn on the node's
+// loop.
+func (n *NodeRuntime) NewTimer(fn func()) backend.Rearmable { return n.bed.newTimer(n.loop, fn, true) }
 
 func (n *NodeRuntime) Exec(d sim.Duration, fn func()) { n.bed.postFG(n.loop, fn) }
 
@@ -291,6 +334,7 @@ func (b *Bed) Rand() *rand.Rand { return b.host.rng }
 func (b *Bed) After(d sim.Duration, fn func()) backend.Timer   { return b.host.After(d, fn) }
 func (b *Bed) AfterBG(d sim.Duration, fn func()) backend.Timer { return b.host.AfterBG(d, fn) }
 func (b *Bed) Exec(d sim.Duration, fn func())                  { b.host.Exec(d, fn) }
+func (b *Bed) NewTimer(fn func()) backend.Rearmable            { return b.host.NewTimer(fn) }
 
 // Run blocks until no foreground work remains (or the bed is closed).
 func (b *Bed) Run() {

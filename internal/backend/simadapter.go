@@ -36,6 +36,23 @@ func (r simRunner) Run()                                    { r.eng.Run() }
 func (r simRunner) RunFor(d sim.Duration)                   { r.eng.RunFor(d) }
 func (r simRunner) RunUntil(t sim.Time)                     { r.eng.RunUntil(t) }
 
+// NewTimer builds a Rearmable on the engine: each arming is one engine
+// event, whose slot the engine recycles, and Stop is exact.
+func (r simRunner) NewTimer(fn func()) Rearmable { return &simTimer{eng: r.eng, fn: fn} }
+
+type simTimer struct {
+	eng *sim.Engine
+	fn  func()
+	t   sim.Timer
+}
+
+func (t *simTimer) Arm(d sim.Duration) {
+	t.t.Stop()
+	t.t = t.eng.After(d, t.fn)
+}
+
+func (t *simTimer) Stop() bool { return t.t.Stop() }
+
 // Call runs fn inline: the caller of a single-goroutine simulation is
 // already its execution domain.
 func (r simRunner) Call(fn func()) { fn() }

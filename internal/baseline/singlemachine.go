@@ -202,12 +202,17 @@ func (s *SingleMachine) reconstructLocal(stripe, absOff, length int64, lost int,
 
 // serveWrite handles a write locally with read-modify-write per stripe.
 func (s *SingleMachine) serveWrite(off int64, data parity.Buffer, cb func(error)) {
-	byStripe := raid.StripeExtents(s.geo.Split(off, int64(data.Len())))
-	pending := len(byStripe)
+	all := s.geo.Split(off, int64(data.Len()))
+	if len(all) == 0 {
+		s.eng.Defer(func() { cb(nil) })
+		return
+	}
+	pending := int(all[len(all)-1].Stripe-all[0].Stripe) + 1 // a contiguous range's stripes are too
 	var firstErr error
-	for _, stripe := range raid.StripeOrder(byStripe) {
-		exts := byStripe[stripe]
-		s.localStripeWrite(stripe, exts, data, func(err error) {
+	for rest := all; len(rest) > 0; {
+		exts := raid.StripeRun(rest)
+		rest = rest[len(exts):]
+		s.localStripeWrite(exts[0].Stripe, exts, data, func(err error) {
 			if err != nil && firstErr == nil {
 				firstErr = err
 			}
@@ -216,9 +221,6 @@ func (s *SingleMachine) serveWrite(off int64, data parity.Buffer, cb func(error)
 				cb(firstErr)
 			}
 		})
-	}
-	if len(byStripe) == 0 {
-		s.eng.Defer(func() { cb(nil) })
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 
 	"draid/internal/backend"
 	"draid/internal/sim"
-	"draid/internal/slab"
 )
 
 // deadlines is the host's §5.4 op-deadline machinery: every live stripe op
@@ -14,43 +13,15 @@ import (
 // once, so the heap holds live ops only; the timer is stopped when the heap
 // empties, so a drained host holds no foreground work and Run returns. It is
 // a heap, not a FIFO, because heartbeat probes carry shorter deadlines than
-// data ops.
+// data ops. The timer is built once and re-armed, so arming it — which at a
+// queue depth of one or two happens every op — allocates nothing.
 type deadlines struct {
-	heap []*stripeOp
-	// cur is the current arming of timer, which fires at at; nil while the
-	// timer is disarmed. Re-arming stops it first, so there is never more
-	// than one live timer.
-	cur   *arming
-	timer backend.Timer
+	heap  []*stripeOp
+	timer backend.Rearmable
+	// armed: the timer is set for at.
+	armed bool
 	at    sim.Time
-	// gen numbers the armings. A fire whose arming is not the current one
-	// lost a Stop race (realtime only: the timer had already posted its
-	// callback when Stop ran) and does nothing.
-	gen uint64
-	// armings pools the arming records; one goes back once its timer is
-	// stopped or has fired.
-	armings slab.Slab[arming]
-}
-
-// arming is one arming of the deadline timer. fireFn is bound once per
-// record, so arming the timer allocates nothing beyond what the runtime's
-// timer costs.
-type arming struct {
-	h      *HostController
-	gen    uint64
-	fireFn func()
-}
-
-// fire is the timer's callback: the current arming expires ops, a stale one
-// only returns its record.
-func (a *arming) fire() {
-	d := &a.h.deadlines
-	live := d.cur != nil && a.gen == d.gen
-	d.armings.Put(a)
-	if live {
-		d.cur, d.timer = nil, nil
-		a.h.expireOps()
-	}
+	arms  uint64 // armings so far
 }
 
 // deadlines is a heap.Interface over the live ops; each op keeps its index
@@ -82,41 +53,33 @@ func (d *deadlines) Pop() any {
 	return op
 }
 
-// stop disarms the timer. A stopped arming's record is free at once unless
-// its fire is already on its way.
+// stop disarms the timer.
 func (d *deadlines) stop() {
-	if d.cur == nil {
-		return
+	if d.armed {
+		d.timer.Stop()
+		d.armed = false
 	}
-	if d.timer.Stop() {
-		d.armings.Put(d.cur)
-	}
-	d.cur, d.timer = nil, nil
 }
 
 // arm points the one timer at instant at.
 func (h *HostController) arm(at sim.Time) {
 	d := &h.deadlines
-	d.stop()
-	a := d.armings.Get()
-	d.gen++
-	a.gen = d.gen
-	d.timer = h.rt.After(sim.Duration(at-h.rt.Now()), a.fireFn)
-	d.cur, d.at = a, at
+	d.timer.Arm(sim.Duration(at - h.rt.Now()))
+	d.armed, d.at = true, at
+	d.arms++
 }
 
-// makeArming builds an arming record, binding its fire once.
-func (h *HostController) makeArming() *arming {
-	a := &arming{h: h}
-	a.fireFn = a.fire
-	return a
+// deadlineFired is the timer's callback.
+func (h *HostController) deadlineFired() {
+	h.deadlines.armed = false
+	h.expireOps()
 }
 
 // watch starts op's deadline, expiring at op.expires.
 func (h *HostController) watch(op *stripeOp) {
 	d := &h.deadlines
 	heap.Push(d, op)
-	if d.cur == nil || op.expires < d.at {
+	if !d.armed || op.expires < d.at {
 		h.arm(op.expires)
 	}
 }
@@ -139,7 +102,7 @@ func (h *HostController) expireOps() {
 		h.timeout(d.heap[0])
 	}
 	// An op a failure continuation began has armed the timer already.
-	if len(d.heap) > 0 && d.cur == nil {
+	if len(d.heap) > 0 && !d.armed {
 		h.arm(d.heap[0].expires)
 	}
 }

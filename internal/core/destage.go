@@ -287,12 +287,13 @@ func (st *stage) restoreSnap(stripe int64, s *stagedStripe, snap *destageSnap) {
 // parity); degraded or corner-case stripes fall back to the general
 // stripeWrite dispatch, which already encodes every degraded rule.
 func (h *HostController) destageWrite(stripe int64, exts []raid.Extent, data parity.Buffer, done func(error)) {
+	g := h.groupWrite(0, stripe, exts, data, false, done)
 	if h.geo.DecideWriteMode(exts) == raid.ModeFull || h.failedIn(stripe) > 0 || h.cfg.Reduce.Writes != PeerWrites {
-		h.stripeWrite(stripe, exts, data, 0, done)
+		h.stripeWrite(g)
 		return
 	}
 	h.stats.RCWWrites++
-	h.rcwWrite(stripe, exts, data, nil, h.writeTimeoutHandler(stripe, exts, data, 0, done), done)
+	h.rcwWrite(g, nil)
 }
 
 // flush destages every staged stripe and reports when all the kicked

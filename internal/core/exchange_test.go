@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"draid/internal/cluster"
@@ -141,5 +142,68 @@ func BenchmarkServerExchange(b *testing.B) {
 			}
 			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "exchanges/s")
 		})
+	}
+}
+
+// TestHostIOAllocatesNothing is the host-side twin of
+// TestServerExchangeAllocatesNothing: after warm-up, a 4 KiB read-modify-write
+// through HostController.Write and a healthy read of two extents through
+// HostController.Read allocate nothing on the size-only simulation — the I/O
+// runs on pooled records and ops, its extents in the record's own slice, and
+// the deadline timer is re-armed, not rebuilt. With a closure per op step, a
+// map and sort per I/O and a runtime timer per arming they allocated 15 and
+// 26. The records are counted: one never returned fails LeakCheck.
+func TestHostIOAllocatesNothing(t *testing.T) {
+	spec := cluster.DefaultSpec()
+	spec.Targets = 5
+	spec.Elide = true
+	cl := cluster.New(spec)
+	h := cl.NewDRAID(core.Config{Geometry: raid.Geometry{Level: raid.Raid5, Width: 5, ChunkSize: chunkSize}})
+	data := parity.Sized(exchangeWrite)
+	writes, reads := 0, 0
+	onWrite := func(err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		writes++
+	}
+	onRead := func(b parity.Buffer, err error) {
+		if err != nil || b.Len() != exchangeWrite {
+			t.Fatalf("read: %d bytes, %v", b.Len(), err)
+		}
+		reads++
+	}
+	write := func() { h.Write(exchangeWrite, data, onWrite); cl.Eng.Run() }
+	read := func() { h.Read(chunkSize-exchangeWrite/2, exchangeWrite, onRead); cl.Eng.Run() } // chunks 0 and 1
+	for i := 0; i < 64; i++ {
+		write()
+		read()
+	}
+	for _, c := range []struct {
+		name string
+		run  func()
+		n    *int
+	}{
+		{"4 KiB RMW write", write, &writes},
+		{"two-extent read", read, &reads},
+	} {
+		before := *c.n
+		if allocs := testing.AllocsPerRun(200, c.run); allocs > 0 {
+			t.Errorf("%s allocates %.2f objects, want none", c.name, allocs)
+		}
+		if got := *c.n - before; got != 201 {
+			t.Errorf("%s: %d completions, want 201", c.name, got)
+		}
+	}
+	if st := h.Stats(); st.RMWWrites != 64+201 {
+		t.Errorf("%d RMW writes, want %d", st.RMWWrites, 64+201)
+	}
+	if err := cl.LeakCheck(); err != nil {
+		t.Fatal(err)
+	}
+	// A record taken and never returned is a leak LeakCheck reports.
+	core.LeakExtentRead(h)
+	if err := cl.LeakCheck(); err == nil || !strings.Contains(err.Error(), "1 extent read record(s) out") {
+		t.Fatalf("LeakCheck = %v, want the leaked extent read record", err)
 	}
 }

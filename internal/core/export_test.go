@@ -16,3 +16,7 @@ func LiveRecords(s *ServerController) (cmds, reductions int) {
 
 // EndedKeys is how many ended reductions a server remembers.
 const EndedKeys = endedKeys
+
+// LeakExtentRead takes an extent read record out of the host's slab and never
+// returns it.
+func LeakExtentRead(h *HostController) { h.extentReads.Get() }

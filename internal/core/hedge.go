@@ -176,12 +176,13 @@ func (h *HostController) observeSlow(drive int) {
 }
 
 // extentWatch is the hedging stage's view of one extent's plain read
-// (normalReadExtent / readFailurePath): the attempt in flight, so the stage
-// can cancel the loser, and who else has taken the extent over. The unhedged
-// read path passes a nil watch; every method is a no-op on nil.
+// (extentRead): the attempt in flight, so the stage can cancel the loser, and
+// who else has taken the extent over. The unhedged read path passes a nil
+// watch; every method is a no-op on nil.
 type extentWatch struct {
-	op    *stripeOp // plain-read attempt in flight
-	drive int       // the drive it reads, for the latency sample
+	op    opRef       // plain-read attempt in flight
+	read  *extentRead // its record, which a cancelled attempt leaves to us
+	drive int         // the drive it reads, for the latency sample
 	sent  sim.Time
 	// settled: the extent is served — by its read, by recovery or by the
 	// stage — so a retry still backing off must not reissue it.
@@ -192,9 +193,10 @@ type extentWatch struct {
 	recovering bool
 }
 
-func (w *extentWatch) issued(h *HostController, e raid.Extent, op *stripeOp) {
+func (w *extentWatch) issued(h *HostController, x *extentRead, op *stripeOp) {
 	if w != nil {
-		w.op, w.sent = op, h.rt.Now()
+		e := x.e
+		w.op, w.read, w.sent = op.ref(), x, h.rt.Now()
 		w.drive = h.layout.Drive(e.Stripe, h.geo.DataDrive(e.Stripe, e.Chunk))
 	}
 }
@@ -202,13 +204,23 @@ func (w *extentWatch) issued(h *HostController, e raid.Extent, op *stripeOp) {
 func (w *extentWatch) completed(h *HostController) {
 	if w != nil {
 		h.hedge.record(w.drive, sim.Duration(h.rt.Now()-w.sent))
-		w.op = nil
+		w.op = opRef{}
 	}
 }
 
 func (w *extentWatch) handOff() {
 	if w != nil {
-		w.op, w.recovering = nil, true
+		w.op, w.recovering = opRef{}, true
+	}
+}
+
+// cancelLoser retires the plain read the hedge beat, if it is still in
+// flight, and returns its record. The handle may name an attempt that has
+// already failed and whose op record now serves another op: that op is left
+// alone, and the read's own retry finds the extent settled.
+func (w *extentWatch) cancelLoser(h *HostController) {
+	if h.cancel(w.op, "hedged") {
+		w.read.end()
 	}
 }
 
@@ -233,7 +245,7 @@ type hedgeRead struct {
 	resolving bool
 
 	// Eager-parity prefetch state.
-	parityOp    *stripeOp
+	parityOp    opRef
 	parityBuf   parity.Buffer
 	parityReady bool
 	parityLo    int64 // intra-chunk offset the prefetch covers
@@ -244,12 +256,14 @@ type hedgeRead struct {
 // with *fail set).
 func (h *HostController) hedgedReadStripe(stripe int64, exts []raid.Extent, asm *assembler, fail *error, done func()) {
 	hr := &hedgeRead{
-		h: h, stripe: stripe, exts: exts, asm: asm, fail: fail, done: done,
+		// The group's extents live in the user read's record, which is
+		// reused once the read answers; hedge steps may still look after that.
+		h: h, stripe: stripe, exts: append([]raid.Extent(nil), exts...), asm: asm, fail: fail, done: done,
 		w:           make([]extentWatch, len(exts)),
 		outstanding: len(exts),
 	}
-	for i, e := range exts {
-		h.normalReadExtent(e, asm, fail, func() { hr.settle(i) }, 0, &hr.w[i])
+	for i, e := range hr.exts {
+		h.normalReadExtent(e, asm, fail, func() { hr.settle(i) }, &hr.w[i])
 	}
 	if h.hedge.cfg.Policy == HedgeEagerParity {
 		hr.triggered = true
@@ -285,10 +299,7 @@ func (hr *hedgeRead) finish() {
 	if hr.timer != nil {
 		hr.timer.Stop()
 	}
-	if hr.parityOp != nil {
-		hr.h.cancelOp(hr.parityOp, "hedge-unused")
-		hr.parityOp = nil
-	}
+	hr.h.cancel(hr.parityOp, "hedge-unused")
 	hr.done()
 }
 
@@ -317,7 +328,7 @@ func (hr *hedgeRead) maybeResolve() {
 	if i < 0 || hr.w[i].recovering {
 		return
 	}
-	if hr.parityOp != nil && !hr.parityReady {
+	if hr.parityOp.live() && !hr.parityReady {
 		return // parity prefetch still in flight; its completion re-checks
 	}
 	hr.resolving = true
@@ -337,11 +348,11 @@ func (hr *hedgeRead) prefetchParity() {
 	hr.parityLo = lo
 	hr.parityOp = h.readMembers("hedge-parity", hr.stripe, lo, hi, []int{pDrive}, false,
 		func(got map[int]parity.Buffer) {
-			hr.parityOp, hr.parityBuf, hr.parityReady = nil, got[pDrive], true
+			hr.parityBuf, hr.parityReady = got[pDrive], true
 			hr.maybeResolve()
 		},
 		nil, // a URE on P fails the prefetch like a timeout does
-		func([]NodeID) { hr.parityOp, hr.hedgeDead = nil, true })
+		func([]NodeID) { hr.hedgeDead = true }).ref()
 }
 
 // held returns member m's bytes over the chunk-relative range [lo,hi) when
@@ -399,10 +410,7 @@ func (hr *hedgeRead) resolve(i int) {
 				hr.hedgeDead = true
 				return
 			}
-			if w.op != nil {
-				h.cancelOp(w.op, "hedged")
-				w.op = nil
-			}
+			w.cancelLoser(h)
 			h.stats.HedgeWins++
 			h.observeSlow(h.layout.Drive(hr.stripe, straggler))
 			hr.asm.put(e.VOff, solved[straggler])

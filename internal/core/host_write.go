@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"draid/internal/blockdev"
 	"draid/internal/nvmeof"
@@ -63,23 +64,54 @@ func (h *HostController) writeIO(off int64, data parity.Buffer, cb func(error)) 
 		h.cores.Exec(h.cfg.Costs.PerUser, func() {})
 		return
 	}
-	data = data.Clone()
-	byStripe := raid.StripeExtents(h.geo.Split(off, n))
-	pending := len(byStripe)
-	var firstErr error
-	part := func(err error) {
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-		pending--
-		if pending == 0 {
-			cb(firstErr)
-		}
-	}
-	for _, stripe := range raid.StripeOrder(byStripe) {
-		h.writeStripeGroup(off, stripe, byStripe[stripe], data, part)
+	w := h.userIOs.Get()
+	w.writeCB, w.data = cb, data.Clone()
+	w.exts = h.geo.AppendSplit(w.exts[:0], off, n)
+	// The range is contiguous, so its stripes are too.
+	w.pending = int(w.exts[len(w.exts)-1].Stripe-w.exts[0].Stripe) + 1
+	for rest := w.exts; len(rest) > 0; {
+		group := raid.StripeRun(rest)
+		rest = rest[len(group):]
+		h.writeStripeGroup(off, group[0].Stripe, group, w.data, w.writePartFn)
 	}
 	h.cores.Exec(h.cfg.Costs.PerUser, func() {})
+}
+
+// groupWrite is one stripe's share of a write — a user write's stripe group
+// or a destage — from admission to its end: the extents, the data they index
+// into, the §5.4 attempt count, scratch for the member writes, and the op
+// steps, bound once per slab slot.
+type groupWrite struct {
+	h      *HostController
+	off    int64 // the user write's device offset; extents' VOff are relative to it
+	stripe int64
+	exts   []raid.Extent
+	data   parity.Buffer
+	// admitted: writeStripeGroup took the stripe lock and marked the stripe
+	// dirty, and end undoes both (a destage holds its own).
+	admitted bool
+	attempt  int
+	done     func(error)
+
+	pAlive, qAlive bool
+	chunks         []parity.Buffer
+	writes         []memberWrite
+
+	runFn, okFn, retryFn, fullFn func()
+	timeoutFn                    func([]NodeID)
+}
+
+func (h *HostController) makeGroupWrite() *groupWrite {
+	g := &groupWrite{h: h}
+	g.runFn, g.okFn, g.retryFn, g.fullFn = g.run, g.ok, g.retry, g.writeFull
+	g.timeoutFn = g.timeout
+	return g
+}
+
+func (h *HostController) groupWrite(off, stripe int64, exts []raid.Extent, data parity.Buffer, admitted bool, done func(error)) *groupWrite {
+	g := h.groupWrites.Get()
+	g.off, g.stripe, g.exts, g.data, g.admitted, g.attempt, g.done = off, stripe, exts, data, admitted, 0, done
+	return g
 }
 
 // writeStripeGroup admits one stripe's extent group through the per-stripe
@@ -88,29 +120,46 @@ func (h *HostController) writeIO(off int64, data parity.Buffer, cb func(error)) 
 // data for the written ranges (a destage snapshot cannot coexist — destages
 // hold the same lock), and it invalidates the clean-read cache.
 func (h *HostController) writeStripeGroup(off, stripe int64, group []raid.Extent, data parity.Buffer, done func(error)) {
-	h.acquireStripe(stripe, func() {
-		if h.stage != nil {
-			h.stage.drop(stripe, group)
+	h.acquireStripe(stripe, h.groupWrite(off, stripe, group, data, true, done).runFn)
+}
+
+func (g *groupWrite) run() {
+	h := g.h
+	if h.stage != nil {
+		h.stage.drop(g.stripe, g.exts)
+	}
+	if h.cache != nil {
+		for _, e := range g.exts {
+			h.cache.invalidate(g.off+e.VOff, e.Len)
 		}
-		if h.cache != nil {
-			for _, e := range group {
-				h.cache.invalidate(off+e.VOff, e.Len)
+	}
+	h.markDirty(g.stripe)
+	h.stripeWrite(g)
+}
+
+func (g *groupWrite) ok() { g.end(nil) }
+
+// end finishes the group: an admitted one brings back lost bytes it
+// overwrote — the new data is re-encoded into the stripe's redundancy —
+// clears its dirty mark and passes the stripe lock on. The record goes back
+// before done runs.
+func (g *groupWrite) end(err error) {
+	h := g.h
+	if g.admitted {
+		if err == nil && !h.lost.Empty() {
+			for _, e := range g.exts {
+				h.lost.Remove(g.off+e.VOff, e.Len)
 			}
 		}
-		h.markDirty(stripe)
-		h.stripeWrite(stripe, group, data, 0, func(err error) {
-			if err == nil && !h.lost.Empty() {
-				// Overwriting lost bytes brings them back: the new data
-				// is re-encoded into the stripe's redundancy.
-				for _, e := range group {
-					h.lost.Remove(off+e.VOff, e.Len)
-				}
-			}
-			h.clearDirty(stripe)
-			h.releaseStripe(stripe)
-			done(err)
-		})
-	})
+		h.clearDirty(g.stripe)
+		h.releaseStripe(g.stripe)
+	}
+	done := g.done
+	clear(g.chunks)
+	clear(g.writes)
+	g.exts, g.data, g.done, g.chunks, g.writes = nil, parity.Buffer{}, nil, g.chunks[:0], g.writes[:0]
+	h.groupWrites.Put(g)
+	done(err)
 }
 
 // stripeWrite executes the write for one stripe. Degraded rules:
@@ -130,62 +179,61 @@ func (h *HostController) writeStripeGroup(off, stripe int64, group []raid.Extent
 //
 // Reduce.Writes then says who reduces the RMW or RCW: the targets, peer to
 // peer, or the host writer; HostStripeWrites sends every partial write down
-// the fallback. attempt counts §5.4 timeout-driven retries; any retry goes
+// the fallback. g.attempt counts §5.4 timeout-driven retries; any retry goes
 // through the host fallback path, which never depends on the expired
 // operation's partial state.
-func (h *HostController) stripeWrite(stripe int64, exts []raid.Extent, data parity.Buffer, attempt int, done func(error)) {
-	onTimeout := h.writeTimeoutHandler(stripe, exts, data, attempt, done)
+func (h *HostController) stripeWrite(g *groupWrite) {
+	stripe, exts := g.stripe, g.exts
 	fallback := func() {
 		h.stats.HostFallbackWrites++
-		h.hostWrite(stripe, exts, data, h.dataMembers(stripe), onTimeout, done)
+		h.hostWrite(g, h.dataMembers(stripe))
 	}
-	if attempt > 0 {
+	if g.attempt > 0 {
 		fallback()
 		return
 	}
 
 	mode := h.geo.DecideWriteMode(exts)
-	pAlive, qAlive := h.parityAlive(stripe)
+	g.pAlive, g.qAlive = h.parityAlive(stripe)
 	if mode == raid.ModeFull && h.failedIn(stripe) <= h.geo.Level.ParityCount() {
 		// Every data chunk is in hand, so parity is computed here and nothing
 		// is read — whichever members inside the parity budget are lost.
 		h.stats.FullStripeWrites++
-		h.fullStripeWrite(stripe, data, exts, pAlive, qAlive, onTimeout, done)
+		h.fullStripeWrite(g)
 		return
 	}
 
-	var touchedFailed []raid.Extent
-	anyFailedDataUntouched := false
-	touchedSet := make(map[int]bool)
+	touchedFailed, fe := 0, raid.Extent{}
 	for _, e := range exts {
-		touchedSet[e.Chunk] = true
 		if h.memberFailed(stripe, h.geo.DataDrive(stripe, e.Chunk)) {
-			touchedFailed = append(touchedFailed, e)
+			if touchedFailed++; touchedFailed == 1 {
+				fe = e
+			}
 		}
 	}
+	anyFailedDataUntouched := false
 	for c := 0; c < h.geo.DataChunks(); c++ {
-		if !touchedSet[c] && h.memberFailed(stripe, h.geo.DataDrive(stripe, c)) {
+		if _, touched := chunkExtent(exts, c); !touched && h.memberFailed(stripe, h.geo.DataDrive(stripe, c)) {
 			anyFailedDataUntouched = true
 		}
 	}
 
 	var contrib *raid.Extent // the failed chunk whose new data the host contributes
 	switch {
-	case len(touchedFailed) == 0 && !anyFailedDataUntouched:
+	case touchedFailed == 0 && !anyFailedDataUntouched:
 		// All data chunks of this stripe are healthy.
-		if !pAlive && h.geo.Level == raid.Raid5 {
-			h.plainWrites(stripe, exts, data, onTimeout, done)
+		if !g.pAlive && h.geo.Level == raid.Raid5 {
+			h.plainWrites(g)
 			return
 		}
-	case len(touchedFailed) == 0:
+	case touchedFailed == 0:
 		// A failed data chunk exists but is untouched: RMW only.
-		if !pAlive && !qAlive {
-			h.plainWrites(stripe, exts, data, onTimeout, done)
+		if !g.pAlive && !g.qAlive {
+			h.plainWrites(g)
 			return
 		}
 		mode = raid.ModeRMW
-	case len(touchedFailed) == 1 && !anyFailedDataUntouched && (pAlive || qAlive):
-		fe := touchedFailed[0]
+	case touchedFailed == 1 && !anyFailedDataUntouched && (g.pAlive || g.qAlive):
 		if uLo, uHi := raid.UnionRange(exts); fe.Off != uLo || fe.Off+fe.Len != uHi {
 			fallback()
 			return
@@ -207,12 +255,22 @@ func (h *HostController) stripeWrite(stripe int64, exts []raid.Extent, data pari
 	}
 	switch {
 	case h.cfg.Reduce.Writes == HostWrites:
-		h.hostWrite(stripe, exts, data, h.preReads(stripe, exts, mode), onTimeout, done)
+		h.hostWrite(g, h.preReads(stripe, exts, mode))
 	case mode == raid.ModeRMW:
-		h.rmwWrite(stripe, exts, data, onTimeout, done)
+		h.rmwWrite(g)
 	default:
-		h.rcwWrite(stripe, exts, data, contrib, onTimeout, done)
+		h.rcwWrite(g, contrib)
 	}
+}
+
+// chunkExtent returns the extent of exts on data chunk c, if there is one.
+func chunkExtent(exts []raid.Extent, c int) (raid.Extent, bool) {
+	for _, e := range exts {
+		if e.Chunk == c {
+			return e, true
+		}
+	}
+	return raid.Extent{}, false
 }
 
 // parityAlive reports which of stripe's parity members are in service: P,
@@ -234,38 +292,35 @@ func (h *HostController) failedIn(stripe int64) int {
 	return n
 }
 
-// writeTimeoutHandler implements §5.4: after a timeout, the host waits for
-// terminal states (the op's deadline), marks truly-down targets failed, and
-// retries as a full-stripe-consistent host write until the per-op budget
+// timeout implements §5.4: after a timeout, the host waits for terminal
+// states (the op's deadline), marks truly-down targets failed, and retries as
+// a full-stripe-consistent host write until the per-op budget
 // (Config.MaxRetries) runs out. Transient failures (no node actually down —
 // network jitter, dropped messages) take the same retry, which is safe
 // because the retry never depends on the expired operation's partial state.
 // Faulting members also reach the health sink via the op deadline path.
-func (h *HostController) writeTimeoutHandler(stripe int64, exts []raid.Extent, data parity.Buffer, attempt int, done func(error)) func([]NodeID) {
-	return func(missing []NodeID) {
-		if h.fenced {
-			// Stood down mid-operation (a bdev answered StatusStaleEpoch, or
-			// the lease ran out): retrying would only collect more
-			// rejections. Surface the typed error.
-			done(h.fenceError(fmt.Sprintf("stripe %d write", stripe)))
-			return
-		}
-		if attempt >= h.maxRetries() {
-			for _, m := range missing {
-				h.failNode(m)
-			}
-			done(fmt.Errorf("core: stripe %d write: retries exhausted: %w", stripe, blockdev.ErrTimeout))
-			return
-		}
-		h.stats.Retries++
-		for _, m := range missing {
-			h.failNode(m)
-		}
-		h.retryAfter(attempt, func() {
-			h.stripeWrite(stripe, exts, data, attempt+1, done)
-		})
+func (g *groupWrite) timeout(missing []NodeID) {
+	h := g.h
+	if h.fenced {
+		// Stood down mid-operation (a bdev answered StatusStaleEpoch, or the
+		// lease ran out): retrying would only collect more rejections.
+		// Surface the typed error.
+		g.end(h.fenceError(fmt.Sprintf("stripe %d write", g.stripe)))
+		return
 	}
+	for _, m := range missing {
+		h.failNode(m)
+	}
+	if g.attempt >= h.maxRetries() {
+		g.end(fmt.Errorf("core: stripe %d write: retries exhausted: %w", g.stripe, blockdev.ErrTimeout))
+		return
+	}
+	h.stats.Retries++
+	g.attempt++
+	h.retryAfter(g.attempt-1, g.retryFn)
 }
+
+func (g *groupWrite) retry() { g.h.stripeWrite(g) }
 
 // memberWrite is one plain write to a stripe member, chunk-relative.
 type memberWrite struct {
@@ -291,10 +346,9 @@ func (h *HostController) writeMembers(kind string, stripe int64, writes []member
 	}
 }
 
-// extentWrites lists the data writes that put exts' bytes of data on their
-// members, leaving out the failed ones.
-func (h *HostController) extentWrites(stripe int64, exts []raid.Extent, data parity.Buffer) []memberWrite {
-	writes := make([]memberWrite, 0, h.geo.Width)
+// extentWrites appends the data writes that put exts' bytes of data on
+// their members, leaving out the failed ones.
+func (h *HostController) extentWrites(writes []memberWrite, stripe int64, exts []raid.Extent, data parity.Buffer) []memberWrite {
 	for _, e := range exts {
 		if m := h.geo.DataDrive(stripe, e.Chunk); !h.memberFailed(stripe, m) {
 			writes = append(writes, memberWrite{m, e.Off, data.Slice(int(e.VOff), int(e.Len))})
@@ -328,28 +382,33 @@ func (h *HostController) parityCost(n int64, withQ bool) sim.Duration {
 // fullStripeWrite computes parity on the host (§3: disaggregation gains
 // nothing for full-stripe writes) and issues plain writes to every healthy
 // member.
-func (h *HostController) fullStripeWrite(stripe int64, data parity.Buffer, exts []raid.Extent, pAlive, qAlive bool, onTimeout func([]NodeID), done func(error)) {
+func (h *HostController) fullStripeWrite(g *groupWrite) {
 	cs := h.geo.ChunkSize
-	chunks := make([]parity.Buffer, h.geo.DataChunks())
-	for _, e := range exts {
+	g.chunks = slices.Grow(g.chunks, h.geo.DataChunks())[:h.geo.DataChunks()] // end cleared it
+	for _, e := range g.exts {
 		if e.Off != 0 || e.Len != cs {
 			panic("core: full-stripe write with partial extent")
 		}
-		chunks[e.Chunk] = data.Slice(int(e.VOff), int(cs))
+		g.chunks[e.Chunk] = g.data.Slice(int(e.VOff), int(cs))
 	}
-	writes := h.extentWrites(stripe, exts, data)
-	h.worker.Exec(h.stripeCost()+h.parityCost(cs, qAlive), func() {
-		h.writeMembers("full-stripe-write", stripe, h.parityWrites(writes, stripe, 0, chunks, pAlive, qAlive),
-			func() { done(nil) }, onTimeout)
-	})
+	g.writes = h.extentWrites(g.writes[:0], g.stripe, g.exts, g.data)
+	h.worker.Exec(h.stripeCost()+h.parityCost(cs, g.qAlive), g.fullFn)
+}
+
+// writeFull is fullStripeWrite once the host has spent the parity's CPU time.
+func (g *groupWrite) writeFull() {
+	h := g.h
+	g.writes = h.parityWrites(g.writes, g.stripe, 0, g.chunks, g.pAlive, g.qAlive)
+	h.writeMembers("full-stripe-write", g.stripe, g.writes, g.okFn, g.timeoutFn)
 }
 
 // plainWrites issues bare data writes with no parity maintenance — the
 // degenerate degraded mode when no parity member of the stripe survives —
 // after the profile's stripe handling, if it has any.
-func (h *HostController) plainWrites(stripe int64, exts []raid.Extent, data parity.Buffer, onTimeout func([]NodeID), done func(error)) {
+func (h *HostController) plainWrites(g *groupWrite) {
 	write := func() {
-		h.writeMembers("plain-write", stripe, h.extentWrites(stripe, exts, data), func() { done(nil) }, onTimeout)
+		g.writes = h.extentWrites(g.writes[:0], g.stripe, g.exts, g.data)
+		h.writeMembers("plain-write", g.stripe, g.writes, g.okFn, g.timeoutFn)
 	}
 	if c := h.stripeCost(); c > 0 {
 		h.worker.Exec(c, write)
@@ -375,15 +434,16 @@ func (h *HostController) parityDests(stripe int64) (pDest, qDest uint16) {
 // rmwWrite runs the disaggregated read-modify-write of §5: PartialWrite to
 // each written data bdev, Parity to the reducer(s), peer-to-peer delta
 // forwarding, non-blocking reduce.
-func (h *HostController) rmwWrite(stripe int64, exts []raid.Extent, data parity.Buffer, onTimeout func([]NodeID), done func(error)) {
+func (h *HostController) rmwWrite(g *groupWrite) {
+	stripe, data := g.stripe, g.data
 	base := h.driveOff(stripe)
-	uLo, uHi := raid.UnionRange(exts)
+	uLo, uHi := raid.UnionRange(g.exts)
 	union := nvmeof.SGE{Off: base + uLo, Len: uHi - uLo}
 	pDest, qDest := h.parityDests(stripe)
-	op := h.beginOp("rmw-write", stripe, func() { done(nil) }, onTimeout)
+	op := h.beginOp("rmw-write", stripe, g.okFn, g.timeoutFn)
 
 	// One bdevD callback per written chunk, one per reducer.
-	for _, e := range exts {
+	for _, e := range g.exts {
 		t := h.nodeAt(stripe, h.geo.DataDrive(stripe, e.Chunk))
 		h.send(op, t, oneReply, nvmeof.Command{
 			Opcode:  nvmeof.OpPartialWrite,
@@ -392,14 +452,14 @@ func (h *HostController) rmwWrite(stripe int64, exts []raid.Extent, data parity.
 			FwdOffset: base + e.Off, FwdLength: e.Len,
 			NextDest: pDest, NextDest2: qDest,
 			DataIdx: uint16(e.Chunk),
-			SGL:     []nvmeof.SGE{union},
+			SGL:     h.sgl(union),
 		}, data.Slice(int(e.VOff), int(e.Len)))
 	}
 	parityCmd := nvmeof.Command{
 		Opcode:  nvmeof.OpParity,
 		Subtype: nvmeof.SubRMW,
 		Offset:  union.Off, Length: union.Len,
-		WaitNum: uint16(len(exts)),
+		WaitNum: uint16(len(g.exts)),
 		DataIdx: NoScale,
 	}
 	if pDest != NoDest {
@@ -415,60 +475,54 @@ func (h *HostController) rmwWrite(stripe int64, exts []raid.Extent, data parity.
 // parity is recomputed over the union with no old-parity preload.
 // hostContrib, when non-nil, is the failed chunk whose new data the host
 // contributes directly to the reducer(s) (degraded writes).
-func (h *HostController) rcwWrite(stripe int64, exts []raid.Extent, data parity.Buffer, hostContrib *raid.Extent, onTimeout func([]NodeID), done func(error)) {
+func (h *HostController) rcwWrite(g *groupWrite, hostContrib *raid.Extent) {
+	stripe, data := g.stripe, g.data
 	base := h.driveOff(stripe)
-	uLo, uHi := raid.UnionRange(exts)
+	uLo, uHi := raid.UnionRange(g.exts)
 	union := nvmeof.SGE{Off: base + uLo, Len: uHi - uLo}
 	pDest, qDest := h.parityDests(stripe)
+	op := h.beginOp("rcw-write", stripe, g.okFn, g.timeoutFn)
 
-	extByChunk := make(map[int]raid.Extent)
-	for _, e := range exts {
-		extByChunk[e.Chunk] = e
-	}
-
-	var written, readers []int // chunk indices of alive participants
-	for c := 0; c < h.geo.DataChunks(); c++ {
-		d := h.geo.DataDrive(stripe, c)
-		if h.memberFailed(stripe, d) {
-			continue
+	// Writers first, then readers, each in chunk order: alive participants
+	// only.
+	participants := 0
+	for _, writers := range [2]bool{true, false} {
+		for c := 0; c < h.geo.DataChunks(); c++ {
+			d := h.geo.DataDrive(stripe, c)
+			e, written := chunkExtent(g.exts, c)
+			if written != writers || h.memberFailed(stripe, d) {
+				continue
+			}
+			participants++
+			if written {
+				h.send(op, h.nodeAt(stripe, d), oneReply, nvmeof.Command{
+					Opcode:  nvmeof.OpPartialWrite,
+					Subtype: nvmeof.SubRWWrite,
+					Offset:  base + e.Off, Length: e.Len,
+					FwdOffset: union.Off, FwdLength: union.Len,
+					NextDest: pDest, NextDest2: qDest,
+					DataIdx: uint16(c),
+					SGL:     h.sgl(union),
+				}, data.Slice(int(e.VOff), int(e.Len)))
+				continue
+			}
+			// A reader answers the reducer(s) only; their completions cover it.
+			h.send(op, h.nodeAt(stripe, d), noReply, nvmeof.Command{
+				Opcode:  nvmeof.OpPartialWrite,
+				Subtype: nvmeof.SubRWRead,
+				Offset:  union.Off, Length: 0,
+				FwdOffset: union.Off, FwdLength: union.Len,
+				NextDest: pDest, NextDest2: qDest,
+				DataIdx: uint16(c),
+				SGL:     h.sgl(union),
+			}, parity.Buffer{})
 		}
-		if _, ok := extByChunk[c]; ok {
-			written = append(written, c)
-		} else {
-			readers = append(readers, c)
-		}
-	}
-	op := h.beginOp("rcw-write", stripe, func() { done(nil) }, onTimeout)
-
-	for _, c := range written {
-		e := extByChunk[c]
-		h.send(op, h.nodeAt(stripe, h.geo.DataDrive(stripe, c)), oneReply, nvmeof.Command{
-			Opcode:  nvmeof.OpPartialWrite,
-			Subtype: nvmeof.SubRWWrite,
-			Offset:  base + e.Off, Length: e.Len,
-			FwdOffset: union.Off, FwdLength: union.Len,
-			NextDest: pDest, NextDest2: qDest,
-			DataIdx: uint16(c),
-			SGL:     []nvmeof.SGE{union},
-		}, data.Slice(int(e.VOff), int(e.Len)))
-	}
-	for _, c := range readers {
-		// A reader answers the reducer(s) only; their completions cover it.
-		h.send(op, h.nodeAt(stripe, h.geo.DataDrive(stripe, c)), noReply, nvmeof.Command{
-			Opcode:  nvmeof.OpPartialWrite,
-			Subtype: nvmeof.SubRWRead,
-			Offset:  union.Off, Length: 0,
-			FwdOffset: union.Off, FwdLength: union.Len,
-			NextDest: pDest, NextDest2: qDest,
-			DataIdx: uint16(c),
-			SGL:     []nvmeof.SGE{union},
-		}, parity.Buffer{})
 	}
 	parityCmd := nvmeof.Command{
 		Opcode:  nvmeof.OpParity,
 		Subtype: nvmeof.SubNone,
 		Offset:  union.Off, Length: union.Len,
-		WaitNum: uint16(len(written) + len(readers)),
+		WaitNum: uint16(participants),
 		DataIdx: NoScale,
 	}
 	var contribPayload parity.Buffer
@@ -539,8 +593,9 @@ func (h *HostController) preReads(stripe int64, exts []raid.Extent, mode raid.Wr
 // recomputed; with the written chunks and old parity (RMW) it is updated by
 // their deltas. The fallback wants every data chunk: the §5.4 full-stripe
 // retry, the degraded corner cases and HostStripeWrites. Timeouts in either
-// phase route through onTimeout, which owns the retry budget.
-func (h *HostController) hostWrite(stripe int64, exts []raid.Extent, data parity.Buffer, wanted []int, onTimeout func([]NodeID), done func(error)) {
+// phase route through g.timeout, which owns the retry budget.
+func (h *HostController) hostWrite(g *groupWrite, wanted []int) {
+	stripe, exts, data := g.stripe, g.exts, g.data
 	uLo, uHi := raid.UnionRange(exts)
 	uLen := uHi - uLo
 	k := h.geo.DataChunks()
@@ -555,7 +610,7 @@ func (h *HostController) hostWrite(stripe int64, exts []raid.Extent, data parity
 	readers, lost, ok := h.planDecode(stripe, wanted, nil)
 	if !ok {
 		h.rt.Defer(func() {
-			done(fmt.Errorf("core: stripe %d host write: %w", stripe, blockdev.ErrDoubleFault))
+			g.end(fmt.Errorf("core: stripe %d host write: %w", stripe, blockdev.ErrDoubleFault))
 		})
 		return
 	}
@@ -604,18 +659,18 @@ func (h *HostController) hostWrite(stripe int64, exts []raid.Extent, data parity
 		}
 		h.worker.Exec(h.stripeCost()+cost, func() {
 			// Phase 3: write back touched alive chunks + parity.
-			writes := h.extentWrites(stripe, exts, data)
+			g.writes = h.extentWrites(g.writes[:0], stripe, exts, data)
 			if fold {
 				if pAlive {
-					writes = append(writes, memberWrite{h.geo.PDrive(stripe), uLo, newP})
+					g.writes = append(g.writes, memberWrite{h.geo.PDrive(stripe), uLo, newP})
 				}
 				if qAlive {
-					writes = append(writes, memberWrite{h.geo.QDrive(stripe), uLo, newQ})
+					g.writes = append(g.writes, memberWrite{h.geo.QDrive(stripe), uLo, newQ})
 				}
 			} else {
-				writes = h.parityWrites(writes, stripe, uLo, old, pAlive, qAlive)
+				g.writes = h.parityWrites(g.writes, stripe, uLo, old, pAlive, qAlive)
 			}
-			h.writeMembers("host-writeback", stripe, writes, func() { done(nil) }, onTimeout)
+			h.writeMembers("host-writeback", stripe, g.writes, g.okFn, g.timeoutFn)
 		})
 	}
 
@@ -625,7 +680,7 @@ func (h *HostController) hostWrite(stripe int64, exts []raid.Extent, data parity
 		func(got map[int]parity.Buffer) {
 			solved, err := h.solveLost(stripe, lost, got)
 			if err != nil {
-				done(fmt.Errorf("core: stripe %d host write: %w", stripe, err))
+				g.end(fmt.Errorf("core: stripe %d host write: %w", stripe, err))
 				return
 			}
 			old := make([]parity.Buffer, k)
@@ -656,14 +711,14 @@ func (h *HostController) hostWrite(stripe int64, exts []raid.Extent, data parity
 				func(old []parity.Buffer, err error) {
 					if err != nil {
 						h.recordShortfall(err)
-						done(fmt.Errorf("core: stripe %d host write: %w", stripe, err))
+						g.end(fmt.Errorf("core: stripe %d host write: %w", stripe, err))
 						return
 					}
 					h.repairChunkRange(stripe, member, uLo, uHi, nil)
 					finish(old, parity.Buffer{}, parity.Buffer{})
 				})
 		},
-		onTimeout)
+		g.timeoutFn)
 }
 
 // foldDelta folds chunk c's content b into the running RMW parities: P ^= b,

@@ -117,8 +117,8 @@ func stripeRel(g raid.Geometry, e raid.Extent) int64 {
 // (and supersede staged data); everything else is copied into the stage,
 // logged, and acknowledged without drive I/O.
 func (st *stage) write(off int64, data parity.Buffer, cb func(error)) {
-	byStripe := raid.StripeExtents(st.h.geo.Split(off, int64(data.Len())))
-	pending := len(byStripe)
+	exts := st.h.geo.Split(off, int64(data.Len()))
+	pending := int(exts[len(exts)-1].Stripe-exts[0].Stripe) + 1 // a contiguous range's stripes are too
 	var firstErr error
 	part := func(err error) {
 		if err != nil && firstErr == nil {
@@ -130,8 +130,10 @@ func (st *stage) write(off int64, data parity.Buffer, cb func(error)) {
 		}
 	}
 	var private parity.Buffer // write-through groups share one copy of the caller's bytes (writeIO)
-	for _, stripe := range raid.StripeOrder(byStripe) {
-		stripe, group := stripe, byStripe[stripe]
+	for rest := exts; len(rest) > 0; {
+		group := raid.StripeRun(rest)
+		rest = rest[len(group):]
+		stripe := group[0].Stripe
 		if st.h.geo.DecideWriteMode(group) == raid.ModeFull || st.limit < st.h.geo.StripeDataSize() {
 			// Nothing to coalesce (or the stage cannot hold even one
 			// stripe): write through the normal path.

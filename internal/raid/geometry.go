@@ -9,10 +9,7 @@
 // parity I/O spreads evenly across drives.
 package raid
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Level selects the RAID level.
 type Level int
@@ -132,38 +129,37 @@ type Extent struct {
 
 // Split decomposes the virtual-device range [off, off+length) into per-chunk
 // extents, ordered by virtual offset.
-func (g Geometry) Split(off, length int64) []Extent {
+func (g Geometry) Split(off, length int64) []Extent { return g.AppendSplit(nil, off, length) }
+
+// AppendSplit is Split appending to out, so a caller that keeps its extents
+// in a reused slice allocates nothing. Offset order means each stripe's
+// extents form one contiguous run (StripeRun).
+func (g Geometry) AppendSplit(out []Extent, off, length int64) []Extent {
 	if off < 0 || length < 0 {
 		panic(fmt.Sprintf("raid: negative range (%d,%d)", off, length))
 	}
-	var out []Extent
 	sds := g.StripeDataSize()
-	pos := off
-	end := off + length
-	for pos < end {
-		stripe := pos / sds
+	for pos, end := off, off+length; pos < end; {
 		inStripe := pos % sds
-		chunk := int(inStripe / g.ChunkSize)
 		chunkOff := inStripe % g.ChunkSize
-		n := g.ChunkSize - chunkOff
-		if n > end-pos {
-			n = end - pos
-		}
+		n := min(g.ChunkSize-chunkOff, end-pos)
 		out = append(out, Extent{
-			Stripe: stripe, Chunk: chunk, Off: chunkOff, Len: n, VOff: pos - off,
+			Stripe: pos / sds, Chunk: int(inStripe / g.ChunkSize), Off: chunkOff, Len: n, VOff: pos - off,
 		})
 		pos += n
 	}
 	return out
 }
 
-// StripeExtents groups extents by stripe, preserving order.
-func StripeExtents(exts []Extent) map[int64][]Extent {
-	m := make(map[int64][]Extent)
-	for _, e := range exts {
-		m[e.Stripe] = append(m[e.Stripe], e)
+// StripeRun returns the run of exts that lies in exts[0]'s stripe, capped so
+// that appending to it cannot overwrite the next run. exts must be in offset
+// order, as Split returns them.
+func StripeRun(exts []Extent) []Extent {
+	n := 1
+	for n < len(exts) && exts[n].Stripe == exts[0].Stripe {
+		n++
 	}
-	return m
+	return exts[:n:n]
 }
 
 // UnionRange returns the chunk-relative union [lo,hi) of one stripe's
@@ -174,18 +170,6 @@ func UnionRange(exts []Extent) (lo, hi int64) {
 		lo, hi = min(lo, e.Off), max(hi, e.Off+e.Len)
 	}
 	return lo, hi
-}
-
-// StripeOrder returns the grouped stripes in ascending order. Issuing stripe
-// operations in map-iteration order would leak runtime randomness into NIC
-// FIFO reservations and trace span order, breaking same-seed determinism.
-func StripeOrder(byStripe map[int64][]Extent) []int64 {
-	stripes := make([]int64, 0, len(byStripe))
-	for s := range byStripe {
-		stripes = append(stripes, s)
-	}
-	sort.Slice(stripes, func(i, j int) bool { return stripes[i] < stripes[j] })
-	return stripes
 }
 
 // WriteMode selects how a partial-or-full stripe write is executed.

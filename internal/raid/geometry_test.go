@@ -188,11 +188,25 @@ func TestPropertySplitPartitionsRange(t *testing.T) {
 	}
 }
 
-func TestStripeExtentsGroups(t *testing.T) {
+func TestStripeRunGroups(t *testing.T) {
 	g := Geometry{Level: Raid5, Width: 4, ChunkSize: 100}
-	m := StripeExtents(g.Split(250, 200))
-	if len(m) != 2 || len(m[0]) != 1 || len(m[1]) != 2 {
-		t.Fatalf("groups = %v", m)
+	exts := g.Split(250, 200)
+	first := StripeRun(exts)
+	if len(first) != 1 || first[0].Stripe != 0 {
+		t.Fatalf("first run = %v", first)
+	}
+	second := StripeRun(exts[len(first):])
+	if len(second) != 2 || second[0].Stripe != 1 || second[1].Stripe != 1 {
+		t.Fatalf("second run = %v", second)
+	}
+	// A run is capped: appending to it copies rather than overwriting the
+	// next stripe's extents.
+	_ = append(first, Extent{Stripe: 9})
+	if exts[1].Stripe != 1 {
+		t.Fatalf("append to a run overwrote the next one: %v", exts)
+	}
+	if got := g.AppendSplit(exts[:0], 250, 200); len(got) != 3 || &got[0] != &exts[0] {
+		t.Fatalf("AppendSplit did not reuse its scratch: %v", got)
 	}
 }
 
