@@ -10,6 +10,7 @@ import (
 	"draid/internal/backend"
 	"draid/internal/nvmeof"
 	"draid/internal/parity"
+	"draid/internal/sim"
 )
 
 // within fails the test unless done closes inside a generous deadline.
@@ -290,6 +291,88 @@ func TestTimers(t *testing.T) {
 	if fired.Load() != 1 {
 		t.Fatalf("stopped timers ran: %d callbacks", fired.Load())
 	}
+}
+
+// TestRearmableTimer pins the Rearmable contract on wall clocks: once Arm or
+// Stop returns, no earlier arming's callback runs — not one whose fire is
+// already queued on the loop behind the caller, and not one the time package
+// fires just as the timer is re-armed.
+func TestRearmableTimer(t *testing.T) {
+	bed := NewBed(1, 0)
+	defer bed.Close()
+	var runs []time.Time // touched on the host loop only
+	tm := bed.NewTimer(func() { runs = append(runs, time.Now()) })
+	lt := tm.(*loopTimer)
+	queued := func() bool {
+		lt.mu.Lock()
+		defer lt.mu.Unlock()
+		return !lt.armed
+	}
+	ranOnceSince := func(what string, due time.Time) {
+		t.Helper()
+		runReturns(t, bed, what)
+		bed.Call(func() {
+			if len(runs) != 1 || runs[0].Before(due) {
+				t.Errorf("%s: callback ran %d times, want once, not before the arming was due", what, len(runs))
+			}
+			runs = runs[:0]
+		})
+	}
+
+	// A fire queued behind this task, then Stop: it reports false, and the
+	// callback does not run.
+	bed.Call(func() {
+		tm.Arm(sim.Millisecond)
+		time.Sleep(20 * time.Millisecond)
+		if !queued() {
+			t.Error("the arming had not fired after 20 ms")
+		}
+		if tm.Stop() {
+			t.Error("Stop reported true after the arming fired")
+		}
+	})
+	runReturns(t, bed, "Run after a fired arming was stopped")
+	bed.Call(func() {
+		if len(runs) != 0 {
+			t.Errorf("a stopped arming's queued fire ran its callback %d times", len(runs))
+		}
+	})
+
+	// A fire queued behind this task, then a re-arm: the callback runs once,
+	// when the new arming is due.
+	var due time.Time
+	bed.Call(func() {
+		tm.Arm(sim.Millisecond)
+		time.Sleep(20 * time.Millisecond)
+		if !queued() {
+			t.Error("the arming had not fired after 20 ms")
+		}
+		due = time.Now().Add(30 * time.Millisecond)
+		tm.Arm((30 * time.Millisecond).Nanoseconds())
+	})
+	ranOnceSince("re-armed over a queued fire", due)
+
+	// The time package's fire of an earlier arming lands just after a
+	// re-arm (its goroutine had started, but not yet taken the lock): it
+	// must not stand in for the new arming.
+	bed.Call(func() {
+		due = time.Now().Add(30 * time.Millisecond)
+		tm.Arm((30 * time.Millisecond).Nanoseconds())
+		lt.fire()
+	})
+	ranOnceSince("a late fire after a re-arm", due)
+
+	// Re-armed again and again at delays the time package fires around.
+	bed.Call(func() {
+		for i := 0; i < 2000; i++ {
+			tm.Arm(sim.Duration(i%50) * sim.Microsecond)
+			for spin := time.Now(); time.Since(spin) < time.Duration(i%30)*time.Microsecond; {
+			}
+		}
+		due = time.Now().Add(5 * time.Millisecond)
+		tm.Arm(5 * sim.Millisecond)
+	})
+	ranOnceSince("re-armed 2000 times", due)
 }
 
 // TestDrainedSlotsRetainNothing: once a batch has run, the queue's buffers
