@@ -29,6 +29,7 @@ import (
 	"time"
 
 	"draid/internal/backend"
+	"draid/internal/backend/realtime"
 	"draid/internal/blockdev"
 	"draid/internal/cluster"
 	"draid/internal/core"
@@ -726,6 +727,10 @@ func (cfg Config) validate() error {
 		}
 		if cfg.DrivesPerServer > 1 {
 			return fmt.Errorf("draid: DrivesPerServer on the realtime backend: %w", ErrUnsupported)
+		}
+		if cfg.Realtime.TCP && cfg.ChunkSize > realtime.MaxFramePayload {
+			// A member's payload is at most one chunk.
+			return fmt.Errorf("draid: %d-byte chunks exceed the TCP transport's %d-byte frame payload", cfg.ChunkSize, realtime.MaxFramePayload)
 		}
 	default:
 		return fmt.Errorf("draid: unknown backend %q", cfg.Backend)

@@ -237,6 +237,10 @@ func TestInvalidGeometry(t *testing.T) {
 	if _, err := draid.New(draid.Config{Drives: 2}); err == nil {
 		t.Fatal("2-drive RAID-5 accepted")
 	}
+	tcp := draid.Config{Backend: draid.BackendRealtime, Realtime: draid.RealtimeOptions{TCP: true}, ChunkSize: 128 << 20}
+	if err := tcp.Validate(); err == nil {
+		t.Fatal("128 MiB chunks accepted over TCP, whose frames carry at most 64 MiB")
+	}
 }
 
 func TestHeterogeneousNICConfig(t *testing.T) {

@@ -436,6 +436,16 @@ type BufferAccounting interface {
 	BufferStats() parity.PoolStats
 }
 
+// EndpointBufferAccounting is BufferAccounting for a transport that draws
+// what each endpoint receives from that endpoint's own pool (realtime TCP):
+// EndpointBufferStats(id) counts the buffers delivered to id and not yet
+// released by it, so a leak check can skip an endpoint that went down with
+// what it held.
+type EndpointBufferAccounting interface {
+	BufferAccounting
+	EndpointBufferStats(id NodeID) parity.PoolStats
+}
+
 // ErrUnsupported reports an operation the active backend cannot perform —
 // a fabric fault on a transport without the hook, or bit rot on drives that
 // store no bytes.

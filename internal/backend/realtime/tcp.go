@@ -1,6 +1,7 @@
 package realtime
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -24,8 +25,16 @@ import (
 //
 // The socket is where a payload's bytes leave the sender: Send writes the
 // frame header and the payload straight from the sender's buffer with one
-// vectored write, then releases the payload as its last owner; the receiver
-// reads into a fresh buffer that its handler owns.
+// vectored write, then releases the payload as its last owner. Each
+// connection's receiver reads through one buffered reader, so a frame's
+// length word, capsule and tail cost no syscall of their own; it reads the
+// payload into a buffer from the receiving endpoint's pool, which the
+// handler owns and releases (a host once the bytes are copied out, a server
+// when the command record that took it is done), and decodes the capsule's
+// sg-lists from blocks its nvmeof.Decoder never reuses. A frame whose
+// capsule fails the checksum or does not decode is dropped, its payload put
+// back; a length past its bound ends the connection before anything is
+// allocated by it. Steady state, a frame allocates nothing.
 //
 // Quiescence across the wire: the sender takes a foreground token before the
 // socket write; the receiver hands it to the delivery record it queues, and
@@ -42,6 +51,8 @@ type TCPTransport struct {
 
 	connMu sync.Mutex // guards conns
 	conns  map[[2]backend.NodeID]*tcpConn
+
+	recv []*parity.Pool // each endpoint's receive pool, host first (recvPool)
 
 	corruptDrops int64
 	closed       atomic.Bool
@@ -71,6 +82,9 @@ func NewTCPTransport(bed *Bed, width int) (*TCPTransport, error) {
 	ids = append(ids, backend.HostID)
 	for i := 0; i < width; i++ {
 		ids = append(ids, backend.NodeID(i))
+	}
+	for range ids { // before any receiver starts
+		t.recv = append(t.recv, parity.NewPool())
 	}
 	for _, id := range ids {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -102,24 +116,43 @@ func (t *TCPTransport) acceptLoop(id backend.NodeID, ln net.Listener) {
 // u32 payloadLen | payload bytes (absent when elided).
 const frameTailBytes = 4 + 8 + 1 + 4 // checksum … payloadLen
 
+// The two lengths sit outside the checksum, so the receiver bounds each
+// before it allocates or reads anything by it: a frame claiming more is a
+// corrupt stream, and the connection is dropped.
+const maxFrameCmd = 1 << 20
+
+// MaxFramePayload bounds a frame's payload. The protocol sends at most one
+// member's part of a stripe, one chunk, so configurations with larger chunks
+// are rejected up front, and Send refuses a larger payload rather than have
+// the receiver drop the stream.
+const MaxFramePayload = 64 << 20
+
+// tcpReadBuffer is each connection's receive buffer: a frame's length word,
+// capsule and tail — and often the next frame's too — arrive in one read
+// syscall instead of one each.
+const tcpReadBuffer = 16 << 10
+
 func (t *TCPTransport) readLoop(id backend.NodeID, c net.Conn) {
 	defer t.wg.Done()
 	defer c.Close()
+	r := bufio.NewReaderSize(c, tcpReadBuffer)
+	pool := t.recvPool(id)
+	var dec nvmeof.Decoder
 	var hdr [4]byte
-	var scratch []byte // capsule + frame tail; nvmeof.Decode keeps no reference
+	var scratch []byte // capsule + frame tail; the Decoder keeps no reference
 	for {
-		if _, err := io.ReadFull(c, hdr[:]); err != nil {
+		if _, err := io.ReadFull(r, hdr[:]); err != nil {
 			return
 		}
 		cmdLen := binary.LittleEndian.Uint32(hdr[:])
-		if cmdLen > 1<<20 {
+		if cmdLen > maxFrameCmd {
 			return // stream corrupt beyond recovery
 		}
 		if need := int(cmdLen) + frameTailBytes; cap(scratch) < need {
 			scratch = make([]byte, need)
 		}
 		rest := scratch[:int(cmdLen)+frameTailBytes]
-		if _, err := io.ReadFull(c, rest); err != nil {
+		if _, err := io.ReadFull(r, rest); err != nil {
 			return
 		}
 		cmdBytes := rest[:cmdLen]
@@ -127,26 +160,27 @@ func (t *TCPTransport) readLoop(id backend.NodeID, c net.Conn) {
 		sum := binary.LittleEndian.Uint32(tail[0:])
 		from := backend.NodeID(int64(binary.LittleEndian.Uint64(tail[4:])))
 		elided := tail[12] != 0
-		payloadLen := int(binary.LittleEndian.Uint32(tail[13:]))
-		var payload parity.Buffer
-		if elided {
-			payload = parity.Sized(payloadLen)
-		} else {
-			data := make([]byte, payloadLen)
-			if _, err := io.ReadFull(c, data); err != nil {
+		payloadLen := binary.LittleEndian.Uint32(tail[13:])
+		if payloadLen > MaxFramePayload {
+			return // stream corrupt beyond recovery
+		}
+		payload := parity.Sized(int(payloadLen))
+		if !elided {
+			// Every byte is overwritten by the read; one that comes up short
+			// goes back unseen.
+			payload = pool.GetUncleared(int(payloadLen))
+			if _, err := io.ReadFull(r, payload.Data()); err != nil {
+				payload.Release()
 				return
 			}
-			payload = parity.FromBytes(data)
 		}
 		if integrity.Checksum(cmdBytes) != sum {
-			atomic.AddInt64(&t.corruptDrops, 1)
-			t.bed.release(1) // the sender's hold for this frame
+			t.drop(payload)
 			continue
 		}
-		cmd, err := nvmeof.Decode(cmdBytes)
+		cmd, err := dec.Decode(cmdBytes)
 		if err != nil {
-			atomic.AddInt64(&t.corruptDrops, 1)
-			t.bed.release(1)
+			t.drop(payload)
 			continue
 		}
 		// The sender's token travels on with the delivery record.
@@ -156,6 +190,15 @@ func (t *TCPTransport) readLoop(id backend.NodeID, c net.Conn) {
 			msg:  backend.Message{Cmd: cmd, Payload: payload, From: from},
 		})
 	}
+}
+
+// drop discards a received frame whose capsule failed its checksum or did
+// not decode: its payload goes back to the receive pool and the sender's
+// token is returned.
+func (t *TCPTransport) drop(payload parity.Buffer) {
+	atomic.AddInt64(&t.corruptDrops, 1)
+	payload.Release()
+	t.bed.release(1)
 }
 
 // dial returns (creating on demand) the from→to connection.
@@ -181,6 +224,9 @@ func (t *TCPTransport) Send(from, to backend.NodeID, cmd nvmeof.Command, payload
 		panic(fmt.Sprintf("realtime: send from %d to itself", from))
 	}
 	defer payload.Release() // on the wire (or dropped) by the time Send returns
+	if payload.Len() > MaxFramePayload {
+		panic(fmt.Sprintf("realtime: %d-byte payload exceeds the %d-byte TCP frame limit", payload.Len(), MaxFramePayload))
+	}
 	if t.closed.Load() {
 		return
 	}
@@ -196,19 +242,7 @@ func (t *TCPTransport) Send(from, to backend.NodeID, cmd nvmeof.Command, payload
 	}
 	tc.mu.Lock()
 	defer tc.mu.Unlock()
-	le := binary.LittleEndian
-	hdr := append(tc.hdr[:0], 0, 0, 0, 0)
-	hdr = cmd.AppendEncode(hdr)
-	cmdBytes := hdr[4:]
-	le.PutUint32(hdr, uint32(len(cmdBytes)))
-	hdr = le.AppendUint32(hdr, integrity.Checksum(cmdBytes))
-	hdr = le.AppendUint64(hdr, uint64(int64(from)))
-	if payload.Elided() {
-		hdr = append(hdr, 1)
-	} else {
-		hdr = append(hdr, 0)
-	}
-	hdr = le.AppendUint32(hdr, uint32(payload.Len()))
+	hdr := appendFrameHeader(tc.hdr[:0], &cmd, from, payload)
 	tc.hdr = hdr
 	for i := 0; i < copies; i++ {
 		t.bed.hold() // returned by the destination loop after delivery (or on error below)
@@ -220,9 +254,51 @@ func (t *TCPTransport) Send(from, to backend.NodeID, cmd nvmeof.Command, payload
 	}
 }
 
+// appendFrameHeader appends everything of a frame but its payload bytes:
+// the length word, the encoded capsule, its checksum and the frame tail.
+func appendFrameHeader(hdr []byte, cmd *nvmeof.Command, from backend.NodeID, payload parity.Buffer) []byte {
+	le := binary.LittleEndian
+	at := len(hdr)
+	hdr = cmd.AppendEncode(append(hdr, 0, 0, 0, 0))
+	cmdBytes := hdr[at+4:]
+	le.PutUint32(hdr[at:], uint32(len(cmdBytes)))
+	hdr = le.AppendUint32(hdr, integrity.Checksum(cmdBytes))
+	hdr = le.AppendUint64(hdr, uint64(int64(from)))
+	if payload.Elided() {
+		hdr = append(hdr, 1)
+	} else {
+		hdr = append(hdr, 0)
+	}
+	return le.AppendUint32(hdr, uint32(payload.Len()))
+}
+
 // CorruptDrops reports frames discarded after a receiver-side checksum
-// mismatch.
+// mismatch (or a capsule that failed to decode).
 func (t *TCPTransport) CorruptDrops() int64 { return atomic.LoadInt64(&t.corruptDrops) }
+
+// recvPool is the pool endpoint id's receiver reads payloads into.
+func (t *TCPTransport) recvPool(id backend.NodeID) *parity.Pool { return t.recv[id-backend.HostID] }
+
+// EndpointBufferStats implements backend.EndpointBufferAccounting: the
+// traffic of the pool endpoint id receives payloads into. Whoever a payload
+// is delivered to owns it and releases it there.
+func (t *TCPTransport) EndpointBufferStats(id backend.NodeID) parity.PoolStats {
+	return t.recvPool(id).Stats()
+}
+
+// BufferStats implements backend.BufferAccounting: every endpoint's receive
+// pool together.
+func (t *TCPTransport) BufferStats() parity.PoolStats {
+	var sum parity.PoolStats
+	for _, p := range t.recv {
+		st := p.Stats()
+		sum.Gets += st.Gets
+		sum.Hits += st.Hits
+		sum.Puts += st.Puts
+		sum.Disowned += st.Disowned
+	}
+	return sum
+}
 
 // Close shuts down listeners and connections and waits for the I/O
 // goroutines to exit.
@@ -247,4 +323,6 @@ var (
 	_ backend.Traffic           = (*TCPTransport)(nil)
 	_ backend.PartitionInjector = (*TCPTransport)(nil)
 	_ backend.DuplicateInjector = (*TCPTransport)(nil)
+
+	_ backend.EndpointBufferAccounting = (*TCPTransport)(nil)
 )

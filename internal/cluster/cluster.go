@@ -446,18 +446,19 @@ func (c *Cluster) RecoverTarget(i int) {
 }
 
 // LeakCheck reports what a drained cluster still holds that an idle one must
-// not: pooled buffers some owner never released (every drive's read free list
-// and every server's accumulator pool must balance: gets = releases + handed
-// off), reductions still open on a server, and anything a volume's host
-// controller still holds (HostController.Quiescent: ops in flight, stripe
-// locks, dirty marks, open rebuilds, reserved layout slots). Call it after
-// Run() has drained, with no background I/O in flight. Neither a media error
-// (the failing participant still reports in) nor a duplicated capsule (its
-// part is dropped) strands a reduction; only a partition does, or a duplicate
-// trailing its reduction's end by more than the server remembers, and those
-// are only severed by a fence or an epoch bump, so a harness that cut the
-// fabric fences before it checks. A server whose node is down is skipped:
-// what it held went down with it.
+// not: pooled buffers some owner never released (every drive's read free list,
+// every server's accumulator pool and, on a transport that pools what each
+// endpoint receives, every endpoint's receive pool must balance: gets =
+// releases + handed off), reductions still open on a server, and anything a
+// volume's host controller still holds (HostController.Quiescent: ops in
+// flight, stripe locks, dirty marks, open rebuilds, reserved layout slots).
+// Call it after Run() has drained, with no background I/O in flight. Neither a
+// media error (the failing participant still reports in) nor a duplicated
+// capsule (its part is dropped) strands a reduction; only a partition does, or
+// a duplicate trailing its reduction's end by more than the server remembers,
+// and those are only severed by a fence or an epoch bump, so a harness that cut
+// the fabric fences before it checks. A server whose node is down is skipped,
+// its receive pool too: what it held went down with it.
 func (c *Cluster) LeakCheck() error {
 	var leaks []string
 	pool := func(what string, i int, x any) {
@@ -470,11 +471,22 @@ func (c *Cluster) LeakCheck() error {
 	for i, d := range c.Drives {
 		pool("drive", i, d)
 	}
+	recv, _ := c.Fab.(backend.EndpointBufferAccounting)
+	received := func(id core.NodeID) {
+		if recv == nil {
+			return
+		}
+		if st := recv.EndpointBufferStats(id); st.Outstanding() != 0 {
+			leaks = append(leaks, fmt.Sprintf("endpoint %d: %d received payloads outstanding (%+v)", id, st.Outstanding(), st))
+		}
+	}
+	received(core.HostID)
 	for i, s := range c.Servers {
 		if c.Fab.Down(core.NodeID(i)) {
 			continue
 		}
 		pool("server", i, s)
+		received(core.NodeID(i))
 		if n := s.OpenReductions(); n != 0 {
 			leaks = append(leaks, fmt.Sprintf("server %d: %d reductions still open", i, n))
 		}

@@ -714,8 +714,7 @@ func (s *ServerController) sever(st *reduceState) {
 	s.pool.Put(st.acc)
 	for i, r := range st.deferred {
 		st.deferred[i] = nil
-		r.m.Payload.Release()
-		r.done()
+		r.done() // off the list: the record releases its payload
 	}
 	st.deferred = st.deferred[:0]
 	s.closeReduce(st)

@@ -20,7 +20,8 @@ import (
 // a drive callback, each Exec slot, a place on a reduction's deferred list.
 // The record goes back to its slab when the last has run. Pipelined RMW has
 // two after its drive read — the forward and the write. A record whose drive
-// failed under it never gets its callback and is simply never reused.
+// failed under it never gets its callback and is simply never reused, nor is
+// its payload released.
 type cmdRec struct {
 	s  *ServerController
 	m  Message
@@ -68,7 +69,10 @@ func (s *ServerController) newRec(m Message) *cmdRec {
 }
 
 // done retires one continuation; after the last the record lets go of its
-// reduction, is cleared — it must pin no payload — and goes back.
+// reduction, releases the capsule's payload — it has owned it since
+// dispatch, and any drive write it lent it to has landed — is cleared so it
+// pins nothing, and goes back. This is the one place a dispatched command's
+// payload is released.
 func (r *cmdRec) done() {
 	if r.pending--; r.pending > 0 {
 		return
@@ -76,6 +80,7 @@ func (r *cmdRec) done() {
 	if r.st != nil {
 		r.s.release(r.st)
 	}
+	r.m.Payload.Release()
 	r.m, r.st, r.buf, r.out, r.err = Message{}, nil, parity.Buffer{}, parity.Buffer{}, nil
 	r.writeNext = false
 	r.s.cmds.Put(r)
@@ -195,12 +200,11 @@ func (r *cmdRec) handlePartialWrite() {
 // failing status and no payload is a participant whose own read failed: it
 // counts like a contribution and fails the reduction. A Peer whose part the
 // reduction already holds, or whose reduction has ended, is a duplicate: it
-// is dropped with its payload.
+// is dropped (its record releases the payload).
 func (r *cmdRec) handlePeer() {
 	cmd := &r.m.Cmd
 	st := r.s.stateFor(cmd, cmd.Offset, cmd.Length)
 	if st == nil || !st.admit(r.m.From, cmd) {
-		r.m.Payload.Release()
 		return
 	}
 	r.join(st)
@@ -237,7 +241,6 @@ func (r *cmdRec) handleParity() {
 	cmd := &r.m.Cmd
 	st := r.s.stateFor(cmd, cmd.Offset, cmd.Length)
 	if st == nil || !st.anchor(cmd) {
-		r.m.Payload.Release()
 		return
 	}
 	st.writeBack = true
@@ -454,7 +457,6 @@ func (r *cmdRec) reduce() {
 		} else {
 			st.failed = true
 		}
-		r.m.Payload.Release() // folded in: the contribution's last use
 		st.counted++
 		r.finish()
 	case nvmeof.OpParity:

@@ -2,14 +2,17 @@ package nvmeof
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 )
 
 // FuzzDecode feeds the one parser that faces the wire arbitrary frames: it
 // must never panic, and whatever it accepts must be exactly what Encode
 // writes — Decode(b).Encode() == b — so no two distinct frames decode to the
-// same command and nothing rides along behind a capsule unparsed. The seeds
-// are valid capsules with and without sg-lists and the epoch extension, plus
+// same command and nothing rides along behind a capsule unparsed. One
+// Decoder, shared across the inputs as a stream receiver's is, must agree
+// with Decode on each: the same command or the same error. The seeds are
+// valid capsules with and without sg-lists and the epoch extension, plus
 // truncated, doubled, padded and bit-flipped copies of each.
 func FuzzDecode(f *testing.F) {
 	for _, c := range []Command{
@@ -32,10 +35,18 @@ func FuzzDecode(f *testing.F) {
 		flipped[55] ^= 0x01 // the SGL count
 		f.Add(flipped)
 	}
+	var dec Decoder
 	f.Fuzz(func(t *testing.T, b []byte) {
 		c, err := Decode(b)
+		dc, derr := dec.Decode(b)
+		if (err == nil) != (derr == nil) || err != nil && err.Error() != derr.Error() {
+			t.Fatalf("Decoder and Decode disagree on %x: %v vs %v", b, derr, err)
+		}
 		if err != nil {
 			return
+		}
+		if !reflect.DeepEqual(dc, c) {
+			t.Fatalf("Decoder decoded %x as %+v, Decode as %+v", b, dc, c)
 		}
 		if got := c.Encode(); !bytes.Equal(got, b) {
 			t.Fatalf("Decode accepted %d bytes that Encode writes as %d:\n in  %x\n out %x", len(b), len(got), b, got)

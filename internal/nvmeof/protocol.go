@@ -254,8 +254,40 @@ func (c *Command) Checksum() uint32 { return integrity.Checksum(c.Encode()) }
 // Decode parses exactly one capsule: b must be what Encode produced, so that
 // Decode(b).Encode() equals b byte for byte. Truncation is an error, and so
 // is anything after the SG lists other than the 8-byte extension holding a
-// non-zero epoch.
-func Decode(b []byte) (Command, error) {
+// non-zero epoch. Each sg-list is a fresh allocation; a receiver decoding a
+// stream uses a Decoder.
+func Decode(b []byte) (Command, error) { return (*Decoder)(nil).Decode(b) }
+
+// sgeBlock is how many sg-list entries a Decoder carves from one block.
+const sgeBlock = 256
+
+// Decoder decodes capsules as Decode does, but carves their sg-lists from
+// blocks it never reuses: a block is written once, entry by entry, and left
+// to the garbage collector with the last command that references it. So a
+// decoded command's SGL and SGL2 stay valid for as long as anyone holds it,
+// no two commands share an entry, and decoding a stream allocates one object
+// per sgeBlock entries rather than one per capsule. Each list is capped at
+// its own length, so an append copies instead of running into a neighbour.
+// A Decoder is for one goroutine; a nil *Decoder allocates each list exactly.
+type Decoder struct {
+	block []SGE
+}
+
+// carve returns n fresh entries.
+func (d *Decoder) carve(n int) []SGE {
+	if d == nil {
+		return make([]SGE, n)
+	}
+	if len(d.block) < n {
+		d.block = make([]SGE, max(n, sgeBlock))
+	}
+	s := d.block[:n:n]
+	d.block = d.block[n:]
+	return s
+}
+
+// Decode parses exactly one capsule, under Decode's rules.
+func (d *Decoder) Decode(b []byte) (Command, error) {
 	var c Command
 	if len(b) < fixedEncodedSize {
 		return c, fmt.Errorf("nvmeof: capsule truncated at %d bytes", len(b))
@@ -280,11 +312,17 @@ func Decode(b []byte) (Command, error) {
 	if len(rest) < 16*(n1+n2) {
 		return c, fmt.Errorf("nvmeof: sg-list truncated: have %d bytes, need %d", len(rest), 16*(n1+n2))
 	}
+	if trail := len(rest) - 16*(n1+n2); trail != 0 {
+		if trail != 8 || le.Uint64(rest[16*(n1+n2):]) == 0 {
+			return c, fmt.Errorf("nvmeof: %d bytes after the sg-lists, want none or a non-zero 8-byte epoch", trail)
+		}
+		c.Epoch = le.Uint64(rest[16*(n1+n2):])
+	}
 	read := func(n int) []SGE {
 		if n == 0 {
 			return nil
 		}
-		out := make([]SGE, n)
+		out := d.carve(n)
 		for i := range out {
 			out[i] = SGE{Off: int64(le.Uint64(rest[0:])), Len: int64(le.Uint64(rest[8:]))}
 			rest = rest[16:]
@@ -293,12 +331,6 @@ func Decode(b []byte) (Command, error) {
 	}
 	c.SGL = read(n1)
 	c.SGL2 = read(n2)
-	if len(rest) != 0 {
-		if len(rest) != 8 || le.Uint64(rest) == 0 {
-			return c, fmt.Errorf("nvmeof: %d bytes after the sg-lists, want none or a non-zero 8-byte epoch", len(rest))
-		}
-		c.Epoch = le.Uint64(rest)
-	}
 	return c, nil
 }
 

@@ -160,3 +160,43 @@ func TestCommandChecksumDetectsFieldChange(t *testing.T) {
 		t.Fatal("checksum blind to a field change")
 	}
 }
+
+// TestDecoderNeverSharesSGLStorage: capsules a Decoder decodes back to back
+// get disjoint sg-list entries, each list capped at its own length, so
+// neither writing into one command's lists nor appending to them can reach
+// another's — and the entries come from shared blocks, not one allocation
+// per capsule.
+func TestDecoderNeverSharesSGLStorage(t *testing.T) {
+	a := Command{ID: 1, Opcode: OpPartialWrite, SGL: []SGE{{Off: 1, Len: 2}}, SGL2: []SGE{{Off: 3, Len: 4}, {Off: 5, Len: 6}}}
+	b := Command{ID: 2, Opcode: OpReconstruction, Subtype: SubAlsoRead, SGL: []SGE{{Off: 7, Len: 8}}}
+	wa, wb := a.Encode(), b.Encode()
+	var dec Decoder
+	da, err := dec.Decode(wa)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := dec.Decode(wb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(da, a) || !reflect.DeepEqual(db, b) {
+		t.Fatalf("decoded %+v and %+v, want %+v and %+v", da, db, a, b)
+	}
+	for _, l := range [][]SGE{da.SGL, da.SGL2, db.SGL} {
+		if cap(l) != len(l) {
+			t.Fatalf("sg-list of length %d has capacity %d: an append would run into the next list", len(l), cap(l))
+		}
+	}
+	_ = append(da.SGL2, SGE{Off: 99, Len: 99})
+	da.SGL[0], da.SGL2[1] = SGE{Off: -1}, SGE{Off: -1}
+	if !reflect.DeepEqual(db, b) {
+		t.Fatalf("writing into the first command's lists changed the second: %+v", db)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if _, err := dec.Decode(wa); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs > 0.05 {
+		t.Fatalf("Decoder allocates %.2f objects per capsule with sg-lists, want one block per %d entries", allocs, sgeBlock)
+	}
+}

@@ -59,7 +59,15 @@ func (p *Pool) Stats() PoolStats {
 
 // Get returns a zeroed materialized buffer of n bytes, reusing a recycled
 // buffer of the same size when one is available.
-func (p *Pool) Get(n int) Buffer {
+func (p *Pool) Get(n int) Buffer { return p.get(n, true) }
+
+// GetUncleared is Get without the zeroing: a recycled buffer keeps whatever
+// its last owner left in it. It is for callers that overwrite every byte
+// before anyone reads one (a socket read with io.ReadFull), and that Put a
+// buffer they could not fill back unread.
+func (p *Pool) GetUncleared(n int) Buffer { return p.get(n, false) }
+
+func (p *Pool) get(n int, zero bool) Buffer {
 	if p == nil {
 		return Alloc(n)
 	}
@@ -75,7 +83,7 @@ func (p *Pool) Get(n int) Buffer {
 	p.mu.Unlock()
 	if data == nil {
 		data = make([]byte, n)
-	} else {
+	} else if zero {
 		clear(data)
 	}
 	return Buffer{size: n, data: data, home: p}

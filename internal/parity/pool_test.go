@@ -24,6 +24,30 @@ func TestPoolGetReturnsZeroedReuse(t *testing.T) {
 	}
 }
 
+// TestPoolGetUnclearedSkipsTheClear: the uncleared get reuses storage as it
+// was left and books the same traffic as Get; from a nil pool it allocates.
+func TestPoolGetUnclearedSkipsTheClear(t *testing.T) {
+	p := NewPool()
+	a := p.GetUncleared(16)
+	if len(a.Data()) != 16 {
+		t.Fatalf("got %d bytes, want 16", len(a.Data()))
+	}
+	a.Data()[3] = 0xAB
+	a.Release()
+	b := p.GetUncleared(16)
+	if &b.Data()[0] != &a.Data()[0] || b.Data()[3] != 0xAB {
+		t.Fatal("GetUncleared should hand back the released storage as it was left")
+	}
+	b.Release()
+	if st := p.Stats(); st.Gets != 2 || st.Hits != 1 || st.Puts != 2 || st.Outstanding() != 0 {
+		t.Fatalf("stats = %+v, want 2 gets / 1 hit / 2 puts / none outstanding", st)
+	}
+	var nilPool *Pool
+	if c := nilPool.GetUncleared(4); c.Elided() || c.Len() != 4 {
+		t.Fatal("nil pool GetUncleared should allocate")
+	}
+}
+
 func TestPoolSizesAreSegregated(t *testing.T) {
 	p := NewPool()
 	a := p.Get(8)
