@@ -27,9 +27,10 @@ benchcheck:
 verify: build test vet race benchcheck
 
 # Non-test vs test Go lines per package (benchmark/ and examples/ excluded):
-# the number a lattice-collapse PR reports before and after.
+# the number a lattice-collapse PR reports before and after. BASE=<git ref>
+# prints the ref's counts beside the working tree's, with the delta.
 loc:
-	sh scripts/loc.sh
+	sh scripts/loc.sh $(BASE)
 
 # The datapath benchmark: all six workloads, untraced (benchmark/README.md;
 # pass flags with ARGS, e.g. `make bench ARGS="--workload rt-read-128k"`).

@@ -40,7 +40,6 @@ import (
 	"draid/internal/recon"
 	"draid/internal/repair"
 	"draid/internal/sim"
-	"draid/internal/simnet"
 	"draid/internal/slab"
 	"draid/internal/ssd"
 	"draid/internal/trace"
@@ -522,9 +521,11 @@ type Config struct {
 	// SizeOnly runs the data plane without materializing payload bytes —
 	// benchmark mode. Data-bearing APIs then return zero-filled buffers.
 	SizeOnly bool
-	// OffloadController places the dRAID controller on a storage-class
-	// server (§7): the local node becomes a thin client one NVMe-oF hop
-	// away. Client NIC traffic is 1x in every state; latency gains one hop.
+	// OffloadController moves the dRAID controller onto the first storage
+	// server's node, beside that server's member drives (§7): the local
+	// node becomes a thin client one NVMe-oF hop away. Client NIC traffic is
+	// 1x in every state; latency gains one hop. With DrivesPerServer equal
+	// to Drives this is Table 1's single-machine array.
 	OffloadController bool
 	// Seed drives all randomness (default 1).
 	Seed int64
@@ -614,8 +615,6 @@ type Array struct {
 	// dev is the I/O entry point: the controller itself, or the thin
 	// client when the controller is offloaded (§7).
 	dev blockdev.Device
-	// clientNode is the traffic-accounting vantage point.
-	clientNode *simnet.Node
 	// hostCfg is kept so FailoverHost can build an identical replacement.
 	hostCfg core.Config
 	// sup is the fault-supervision stack (nil unless Spares, Health.Detect,
@@ -755,14 +754,7 @@ func New(cfg Config) (*Array, error) {
 		return nil, err
 	}
 	if cfg.OffloadController {
-		clientNode := cl.Net.NewNode("client")
-		gbps := cfg.HostNICGbps
-		if gbps == 0 {
-			gbps = 100
-		}
-		clientNode.AddNIC("nic0", gbps)
-		arr.dev = core.NewOffload(cl.Eng, cl.Net, clientNode, arr.host, cl.Costs)
-		arr.clientNode = clientNode
+		arr.dev = core.NewOffload(cl.Eng, cl.Net, cl.HostNode, arr.host, cl.Costs)
 	}
 	return arr, nil
 }
@@ -807,6 +799,7 @@ func (cfg Config) simSpec() cluster.Spec {
 	}
 	spec.TargetGbpsList = cfg.TargetNICGbpsList
 	spec.BdevsPerServer = cfg.DrivesPerServer
+	spec.OffloadController = cfg.OffloadController
 	spec.Observe = cfg.Observe.Trace
 	spec.SampleEvery = sim.Duration(cfg.Observe.SampleEvery)
 	if cfg.DriveCapacity != 0 {
@@ -877,7 +870,7 @@ func open(cl *cluster.Cluster, cfg Config, name string, extent int64, qosWeight 
 	if err != nil {
 		return nil, err
 	}
-	arr := &Array{cl: cl, host: vol.Host, dev: vol.Host, clientNode: cl.HostNode, hostCfg: vol.Cfg,
+	arr := &Array{cl: cl, host: vol.Host, dev: vol.Host, hostCfg: vol.Cfg,
 		log: repair.NewLog(cl.Rt), scrubRate: cfg.ScrubRateMBps, seed: cfg.Seed, realtime: cfg.Backend == BackendRealtime}
 	arr.attachSupervisor(cfg, shared)
 	return arr, nil
@@ -1193,11 +1186,14 @@ var (
 	_ io.WriterAt = (*Array)(nil)
 )
 
-// FailDrive takes member i offline (node and drive) and degrades the array.
-// When a supervisor is active (Spares or Health.Detect configured) it is
-// notified, so a hot-spare rebuild launches on the next Run.
+// FailDrive takes member i's drive offline and degrades the array. The
+// drive's storage server goes down with it only when nothing else lives
+// there; a server shared with another member (DrivesPerServer > 1) or with
+// the offloaded controller stays up. When a supervisor is active (Spares or
+// Health.Detect configured) it is notified, so a hot-spare rebuild launches
+// on the next Run.
 func (a *Array) FailDrive(i int) {
-	a.cl.FailTarget(i)
+	a.failDrive(i)
 	a.call(func() {
 		a.host.SetFailed(i, true)
 		if a.sup != nil {
@@ -1210,8 +1206,26 @@ func (a *Array) FailDrive(i int) {
 // paper's fail-stop scenario. The host must notice on its own: op timeouts
 // and missed heartbeats feed the failure detector (Config.Health), which
 // escalates the member to failed and, with a spare available, triggers
-// rebuild. Compare FailDrive, the administrative path.
+// rebuild. Compare FailDrive, the administrative path, which fails the same
+// parts.
 func (a *Array) CrashDrive(i int) {
+	a.failDrive(i)
+}
+
+// failDrive fails member i's drive, and its whole server (cluster.FailTarget)
+// when no other endpoint shares the server's node: a drive failure must not
+// take a co-located member or controller down with it.
+func (a *Array) failDrive(i int) {
+	if t := a.cl.Targets; t != nil {
+		shared := a.cl.Fabric.HostNode() == t[i]
+		for j := range t {
+			shared = shared || (j != i && t[j] == t[i])
+		}
+		if shared {
+			a.cl.Drives[i].Fail()
+			return
+		}
+	}
 	a.cl.FailTarget(i)
 }
 
@@ -1617,7 +1631,9 @@ func (a *Array) injectOnRange(off, n int64, needStore bool, fn func(backend.Driv
 // exactly the dirty stripes (§5.4 — never a full-array scan), and resumes
 // service. Outstanding I/O on the old controller is abandoned (its callbacks
 // never fire), exactly as a real controller crash loses in-flight requests.
-// Returns the number of stripes resynced.
+// Returns the number of stripes resynced. An offloaded controller
+// (OffloadController) cannot be replaced: the thin client's connection is
+// bound to its node, and both takeovers return ErrUnsupported.
 func (a *Array) FailoverHost() (int, error) { return a.takeover("crash failover", true) }
 
 // SeizeHost brings up a replacement controller WITHOUT crashing the current
@@ -1649,7 +1665,7 @@ func (a *Array) SeizeHost() (int, error) {
 // how it happened, the epoch granted and the dirty stripes inherited.
 func (a *Array) takeover(how string, crash bool) (int, error) {
 	if _, offloaded := a.dev.(*core.OffloadClient); offloaded {
-		return 0, fmt.Errorf("draid: %s with an offloaded controller is not supported", how)
+		return 0, fmt.Errorf("draid: %s with an offloaded controller: %w", how, ErrUnsupported)
 	}
 	var dirty []int64
 	var ferr error
@@ -1693,19 +1709,13 @@ func (a *Array) HostTraffic() (out, in int64) {
 	if a.vol != nil {
 		return a.cl.VolumeHostBytes(a.vol.ID)
 	}
-	if a.clientNode == nil { // realtime: transport-level accounting only
-		return a.cl.TotalHostBytes()
-	}
-	return a.clientNode.BytesOut(), a.clientNode.BytesIn()
+	return a.cl.TotalHostBytes()
 }
 
 // ResetTraffic zeroes the NIC counters. On a Pool volume this resets the
 // whole shared cluster's counters, co-tenant volumes included.
 func (a *Array) ResetTraffic() {
 	a.cl.ResetTraffic()
-	if a.clientNode != nil {
-		a.clientNode.ResetCounters()
-	}
 }
 
 // Flush destages every staged write to the drives and advances time until

@@ -2,6 +2,8 @@ package draid_test
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -250,47 +252,136 @@ func TestHeterogeneousNICConfig(t *testing.T) {
 	}
 }
 
+// A drive failure on a shared server fails that drive alone: its sibling
+// member keeps serving, so the array reads back and writes degraded.
 func TestDrivesPerServerConfig(t *testing.T) {
-	arr := smallArray(t, draid.Config{Drives: 6, DrivesPerServer: 2})
-	data := randBytes(9, 128<<10)
-	if err := arr.WriteSync(0, data); err != nil {
-		t.Fatal(err)
-	}
-	got, err := arr.ReadSync(0, int64(len(data)))
-	if err != nil || !bytes.Equal(got, data) {
-		t.Fatalf("co-located array round-trip failed: %v", err)
-	}
-	// 6 members over 3 physical servers.
-	servers := map[string]bool{}
-	for _, nd := range arr.Cluster().Targets {
-		servers[nd.Name()] = true
-	}
-	if len(servers) != 3 {
-		t.Fatalf("server count = %d, want 3", len(servers))
+	for _, failed := range []int{-1, 0} {
+		arr := smallArray(t, draid.Config{Drives: 6, DrivesPerServer: 2})
+		data := randBytes(9, 128<<10)
+		if err := arr.WriteSync(0, data); err != nil {
+			t.Fatal(err)
+		}
+		if failed >= 0 {
+			arr.FailDrive(failed)
+		}
+		got, err := arr.ReadSync(0, int64(len(data)))
+		if err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("failed drive %d: co-located array round-trip failed: %v", failed, err)
+		}
+		data = randBytes(19, 128<<10)
+		if err := arr.WriteSync(0, data); err != nil {
+			t.Fatalf("failed drive %d: co-located write: %v", failed, err)
+		}
+		if got, err := arr.ReadSync(0, int64(len(data))); err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("failed drive %d: read after co-located write: %v", failed, err)
+		}
+		// 6 members over 3 physical servers.
+		servers := map[string]bool{}
+		for _, nd := range arr.Cluster().Targets {
+			servers[nd.Name()] = true
+		}
+		if len(servers) != 3 {
+			t.Fatalf("server count = %d, want 3", len(servers))
+		}
 	}
 }
 
+// The offloaded controller runs on server 0, one hop from the client, whose
+// NIC carries 1x on writes and degraded reads alike. With every member on
+// that server too (Table 1's single machine) no member capsule crosses a
+// NIC: the server's NIC carries exactly the client's bytes.
 func TestOffloadedControllerMode(t *testing.T) {
-	arr := smallArray(t, draid.Config{Drives: 8, OffloadController: true})
-	data := randBytes(10, 64<<10)
-	if err := arr.WriteSync(0, data); err != nil {
-		t.Fatal(err)
+	const n = 64 << 10
+	for _, perServer := range []int{1, 8} {
+		t.Run(fmt.Sprintf("DrivesPerServer=%d", perServer), func(t *testing.T) {
+			arr := smallArray(t, draid.Config{Drives: 8, DrivesPerServer: perServer, OffloadController: true, EpochFencing: true})
+			// client checks the client's NIC bytes in one direction against 1x,
+			// and with every member on the controller's server, that server's
+			// NIC against the client's.
+			client := func(what string, inbound bool) {
+				t.Helper()
+				out, in := arr.HostTraffic()
+				b := out
+				if inbound {
+					b = in
+				}
+				if ratio := float64(b) / n; ratio < 1 || ratio > 1.05 {
+					t.Fatalf("offloaded client %s = %.2fx, want ~1x", what, ratio)
+				}
+				if server := arr.Cluster().Targets[0]; perServer == 8 && (server.BytesIn() != out || server.BytesOut() != in) {
+					t.Fatalf("%s: server NIC in/out = %d/%d bytes, client out/in = %d/%d: member traffic crossed a NIC",
+						what, server.BytesIn(), server.BytesOut(), out, in)
+				}
+			}
+			if err := arr.WriteSync(0, randBytes(10, n)); err != nil {
+				t.Fatal(err)
+			}
+			arr.ResetTraffic()
+			data := randBytes(11, n)
+			if err := arr.WriteSync(0, data); err != nil {
+				t.Fatal(err)
+			}
+			client("outbound on write", false)
+			// Degraded path still works through the thin client.
+			arr.FailDrive(arr.Controller().Geometry().DataDrive(0, 0))
+			arr.ResetTraffic()
+			got, err := arr.ReadSync(0, n)
+			if err != nil || !bytes.Equal(got, data) {
+				t.Fatalf("offloaded degraded read: %v", err)
+			}
+			client("inbound on degraded read", true)
+			if _, err := arr.SeizeHost(); !errors.Is(err, draid.ErrUnsupported) {
+				t.Fatalf("SeizeHost on an offloaded controller: %v, want ErrUnsupported", err)
+			}
+		})
 	}
-	arr.ResetTraffic()
-	if err := arr.WriteSync(0, randBytes(11, 64<<10)); err != nil {
-		t.Fatal(err)
-	}
-	out, _ := arr.HostTraffic()
-	if ratio := float64(out) / (64 << 10); ratio > 1.05 {
-		t.Fatalf("offloaded client outbound = %.2fx, want ~1x", ratio)
-	}
-	got, err := arr.ReadSync(0, 64<<10)
-	if err != nil || len(got) != 64<<10 {
-		t.Fatalf("offloaded read: %v", err)
-	}
-	// Degraded path still works through the thin client.
-	arr.FailDrive(arr.Controller().Geometry().DataDrive(0, 0))
-	if _, err := arr.ReadSync(0, 64<<10); err != nil {
-		t.Fatalf("offloaded degraded read: %v", err)
-	}
+}
+
+// Table 1's single machine: every member and the offloaded controller on one
+// server. Its I/O path is the array's own, so an unaligned write, a write
+// to a failed member and an access past the end behave as on any array.
+func TestOneServerArray(t *testing.T) {
+	const chunk = 64 << 10
+	cfg := draid.Config{Drives: 8, DrivesPerServer: 8, OffloadController: true}
+	stripe := int64(7 * chunk) // RAID-5 over 8 drives: 7 data chunks a stripe
+	t.Run("unaligned round trip", func(t *testing.T) {
+		arr := smallArray(t, cfg)
+		data := randBytes(30, 100<<10)
+		if err := arr.WriteSync(8<<10, data); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := arr.ReadSync(8<<10, int64(len(data))); err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("read back: err=%v match=%v", err, bytes.Equal(got, data))
+		}
+	})
+	t.Run("degraded write reads back", func(t *testing.T) {
+		arr := smallArray(t, cfg)
+		want := randBytes(31, int(2*stripe))
+		if err := arr.WriteSync(0, want); err != nil {
+			t.Fatal(err)
+		}
+		arr.FailDrive(arr.Controller().Geometry().DataDrive(0, 0))
+		// An unaligned write over the failed member's chunk and the next one:
+		// the failed chunk's new bytes live only in parity.
+		patch := randBytes(32, 100<<10)
+		if err := arr.WriteSync(8<<10, patch); err != nil {
+			t.Fatalf("degraded write: %v", err)
+		}
+		copy(want[8<<10:], patch)
+		if got, err := arr.ReadSync(0, int64(len(want))); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("read after degraded write: err=%v match=%v", err, bytes.Equal(got, want))
+		}
+	})
+	t.Run("out of range rejected", func(t *testing.T) {
+		arr := smallArray(t, cfg)
+		if arr.Size() <= 0 {
+			t.Fatalf("size = %d", arr.Size())
+		}
+		if _, err := arr.ReadSync(arr.Size(), 4); !errors.Is(err, draid.ErrOutOfRange) {
+			t.Fatalf("read past the end: %v, want ErrOutOfRange", err)
+		}
+		if err := arr.WriteSync(-1, make([]byte, 4)); !errors.Is(err, draid.ErrOutOfRange) {
+			t.Fatalf("write at -1: %v, want ErrOutOfRange", err)
+		}
+	})
 }

@@ -22,9 +22,9 @@
 // internal/core, internal/cluster, internal/repair, the application stacks,
 // Pool and the experiment harness speak only these interfaces; nothing above
 // this package may assume which substrate is underneath. The deliberate
-// exception is what reads a simulated quantity: the single-machine
-// baseline, and the five experiment IDs built on it or on simulated NICs,
-// cores and server knobs (table1, fig17b, ablation-barrier,
+// exception is what reads a simulated quantity: the offloaded controller and
+// co-located drives, and the five experiment IDs built on them or on
+// simulated NICs, cores and server knobs (table1, fig17b, ablation-barrier,
 // ablation-reducer, ablation-colocate).
 package backend
 

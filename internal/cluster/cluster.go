@@ -34,6 +34,10 @@ type Spec struct {
 	// storage server, sharing one controller core and NIC (§5.5 resource
 	// sharing). Default 1 (one drive per server, the paper's main setup).
 	BdevsPerServer int
+	// OffloadController runs the RAID controller on the first storage
+	// server's node (§7): the fabric's host endpoint shares that node with
+	// its members, and HostNode is a thin client one NVMe-oF hop away.
+	OffloadController bool
 	// Spares adds this many hot-spare bdevs beyond Targets, each on its own
 	// server with its own NIC, core, and drive. Spares are idle until a
 	// rebuild manager (internal/repair) promotes one to replace a failed
@@ -82,9 +86,13 @@ func DefaultSpec() Spec {
 // concrete simulation parts and are nil on the real-time backend — code that
 // needs them is simulation-only by construction.
 type Cluster struct {
-	Eng      *sim.Engine
-	Net      *simnet.Network
-	Fabric   *core.Fabric
+	Eng    *sim.Engine
+	Net    *simnet.Network
+	Fabric *core.Fabric
+	// HostNode is where user I/O enters the testbed, and whose NIC Table 1
+	// accounts: the host running the controller, or with the controller
+	// offloaded the thin client in front of it (Fabric.HostNode() is then
+	// Targets[0]).
 	HostNode *simnet.Node
 	Targets  []*simnet.Node
 	Drives   []backend.Drive
@@ -190,7 +198,11 @@ func New(spec Spec) *Cluster {
 		driveSpec.StoreData = false
 	}
 
-	hostNode := net.NewNode("host")
+	hostName := "host"
+	if spec.OffloadController {
+		hostName = "client"
+	}
+	hostNode := net.NewNode(hostName)
 	hostNode.AddNIC("nic0", spec.HostGbps)
 
 	perServer := spec.BdevsPerServer
@@ -244,7 +256,11 @@ func New(spec Spec) *Cluster {
 		c.Drives = append(c.Drives, drive)
 		c.Cores = append(c.Cores, spareCore)
 	}
-	c.Fabric = core.NewFabric(net, hostNode, c.Targets)
+	ctrlNode := hostNode
+	if spec.OffloadController {
+		ctrlNode = c.Targets[0]
+	}
+	c.Fabric = core.NewFabric(net, ctrlNode, c.Targets)
 	c.Fab = c.Fabric
 	for i := range c.Targets {
 		scfg := core.ServerConfig{
@@ -518,8 +534,9 @@ func (c *Cluster) TotalHostBytes() (out, in int64) {
 }
 
 // VolumeHostBytes reports the host NIC traffic (out, in) attributed to one
-// volume. Summed over Volumes() it equals TotalHostBytes (offload-client
-// traffic excepted, which bypasses the fabric attribution).
+// volume. Summed over Volumes() it equals TotalHostBytes, except with the
+// controller offloaded: HostNode is then the client, which the fabric's
+// attribution never sees.
 func (c *Cluster) VolumeHostBytes(id core.VolumeID) (out, in int64) {
 	if c.Fabric != nil {
 		return c.Fabric.HostVolumeBytes(id)

@@ -67,7 +67,7 @@ type Fabric struct {
 	net      *simnet.Network
 	hostNode *simnet.Node
 	targets  []*simnet.Node
-	hostConn []*simnet.Conn          // host ↔ target i (shared per node)
+	hostConn []*simnet.Conn          // host ↔ target i (shared per node, nil = co-located)
 	mesh     map[[2]int]*simnet.Conn // target i ↔ j, i < j (nil = co-located)
 	handlers map[NodeID]Handler
 	// volHandlers demultiplexes the shared host endpoint by volume: every
@@ -98,8 +98,9 @@ type volKey struct {
 type volTraffic struct{ out, in int64 }
 
 // NewFabric connects hostNode to every target server and servers pairwise.
-// Entries of targets may repeat (co-located bdevs): each distinct node pair
-// gets exactly one connection, and same-node pairs get none.
+// Entries of targets may repeat (co-located bdevs), and hostNode may be one of
+// them (a controller offloaded onto a storage server, §7): each distinct node
+// pair gets exactly one connection, and same-node pairs get none.
 func NewFabric(net *simnet.Network, hostNode *simnet.Node, targets []*simnet.Node) *Fabric {
 	f := &Fabric{
 		net: net, hostNode: hostNode, targets: targets,
@@ -112,7 +113,7 @@ func NewFabric(net *simnet.Network, hostNode *simnet.Node, targets []*simnet.Nod
 	hostByNode := make(map[*simnet.Node]*simnet.Conn)
 	for _, t := range targets {
 		c, ok := hostByNode[t]
-		if !ok {
+		if !ok && t != hostNode {
 			c = net.Connect(hostNode, t)
 			hostByNode[t] = c
 		}

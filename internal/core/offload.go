@@ -11,11 +11,13 @@ import (
 
 // This file implements the §7 discussion point: "the host-side controller
 // can also be offloaded to a storage server." The dRAID controller keeps
-// running on the fabric's coordinator node (now a storage-class server);
-// a thin client reaches it through one more NVMe-oF hop. The client's NIC
-// then carries exactly 1× the user bytes in every state — at the price of
-// the extra hop's latency and a new single point of failure, the trade-off
-// the paper calls out.
+// running on the fabric's coordinator node, which a cluster built with
+// Spec.OffloadController places on its first storage server, beside that
+// server's members; a thin client reaches it through one more NVMe-oF hop.
+// The client's NIC then carries exactly 1× the user bytes in every state — at
+// the price of the extra hop's latency and a new single point of failure,
+// the trade-off the paper calls out. With every member on that server, this
+// is Table 1's single-machine array.
 
 // OffloadGateway terminates client block I/O on the controller's node and
 // drives the local HostController.
@@ -56,9 +58,6 @@ func NewOffload(eng *sim.Engine, net *simnet.Network, clientNode *simnet.Node, h
 
 // Size implements blockdev.Device.
 func (c *OffloadClient) Size() int64 { return c.size }
-
-// Node returns the client's network node (for traffic accounting).
-func (c *OffloadClient) Node() *simnet.Node { return c.node }
 
 // Read implements blockdev.Device: request capsule over, payload back.
 func (c *OffloadClient) Read(off, n int64, cb func(parity.Buffer, error)) {

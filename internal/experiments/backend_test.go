@@ -105,8 +105,8 @@ func TestEveryIDOnRealtimeBackend(t *testing.T) {
 	}
 	rt := Options{Quick: true, Ramp: 5e6, Measure: 15e6, Backend: draid.BackendRealtime}
 	// Exactly the IDs that read a simulated quantity: the single-machine
-	// server, a NIC rate or queue, a shared simulated core, the simulated
-	// servers' barrier knob.
+	// row's offloaded controller and co-located drives, a NIC rate or queue,
+	// a shared simulated core, the simulated servers' barrier knob.
 	var simOnly []string
 	for _, id := range IDs() {
 		if Supported(id, rt) != nil {

@@ -21,7 +21,7 @@ type experiment struct {
 // renders it itself.
 var registry = func() map[string]experiment {
 	r := map[string]experiment{
-		"table1": {nil, "the single-machine row is a simulated storage server"},
+		"table1": {nil, "the single-machine row offloads its controller onto its drives' server (OffloadController, DrivesPerServer), both simulation-only"},
 		"fig17a": {run: fig17a},
 		"fig17b": {fig17b, "NIC line rates and queue occupancy are simulation models"},
 		// §9.6: the LSM KV store (RocksDB stand-in) on BlobFS and the object

@@ -5,14 +5,9 @@ import (
 	"fmt"
 	"strings"
 
-	"draid/internal/baseline"
-	"draid/internal/blockdev"
-	"draid/internal/cpu"
+	"draid"
 	"draid/internal/parity"
 	"draid/internal/raid"
-	"draid/internal/sim"
-	"draid/internal/simnet"
-	"draid/internal/ssd"
 )
 
 // Table1Row is one architecture's measured and qualitative properties.
@@ -51,16 +46,7 @@ func Table1(o Options) []Table1Row {
 	// The three architectures are independent simulations; measure them with
 	// the same bounded fan-out as figure grids.
 	measurers := []func() (float64, float64){
-		func() (float64, float64) { // single-machine
-			eng := sim.NewEngine(o.Seed)
-			net := simnet.New(eng, simnet.DefaultConfig())
-			drv := ssd.DefaultSpec()
-			drv.Capacity = 256 << 20
-			sm := baseline.NewSingleMachine(eng, net, geo, drv, cpu.DefaultCosts(), 100)
-			return measureOverheads(eng, sm, chunk, func(m int) { sm.SetFailed(m, true) },
-				func() (int64, int64) { return sm.Client().BytesOut(), sm.Client().BytesIn() },
-				func() { sm.Client().ResetCounters() }, geo)
-		},
+		func() (float64, float64) { return singleMachineOverheads(geo, o.Seed) },
 		func() (float64, float64) { return clusterOverheads(SPDK, geo, o.Seed) }, // distributed host-centric
 		func() (float64, float64) { return clusterOverheads(DRAID, geo, o.Seed) },
 	}
@@ -75,43 +61,81 @@ func Table1(o Options) []Table1Row {
 	return rows
 }
 
+// overheadProbe is one architecture as Table 1 measures it: single-chunk I/O
+// at offset 0, each run to completion, and the client's NIC counters.
+type overheadProbe struct {
+	write, read func() error
+	fail        func(member int)
+	traffic     func() (out, in int64)
+	reset       func()
+}
+
+// singleMachineOverheads measures the single-machine architecture: the
+// controller offloaded onto the one storage server that holds all of its
+// drives, its client one network hop away.
+func singleMachineOverheads(geo raid.Geometry, seed int64) (wOver, rOver float64) {
+	arr, err := draid.New(draid.Config{
+		Drives: geo.Width, ChunkSize: geo.ChunkSize, DrivesPerServer: geo.Width,
+		OffloadController: true, SizeOnly: true, Seed: seed,
+	})
+	if err != nil {
+		panic(fmt.Sprintf("experiments: table1 single machine: %v", err))
+	}
+	defer arr.Close()
+	return measureOverheads(overheadProbe{
+		write: func() error { return arr.WriteSync(0, make([]byte, geo.ChunkSize)) },
+		read: func() error {
+			_, err := arr.ReadSync(0, geo.ChunkSize)
+			return err
+		},
+		fail: arr.FailDrive, traffic: arr.HostTraffic, reset: arr.ResetTraffic,
+	}, geo)
+}
+
 // clusterOverheads measures one of the two fabric-attached architectures at
 // the simulated host NIC.
 func clusterOverheads(sys System, geo raid.Geometry, seed int64) (wOver, rOver float64) {
 	dev, cl := Build(Setup{System: sys, Targets: geo.Width, Level: geo.Level, ChunkSize: geo.ChunkSize, Seed: seed})
-	return measureOverheads(cl.Eng, dev, geo.ChunkSize, func(m int) { failMember(cl, dev, m) },
-		cl.TotalHostBytes, cl.ResetTraffic, geo)
+	run := func(issue func(done func(error))) error {
+		err := errors.New("pending")
+		cl.Rt.Call(func() { issue(func(e error) { err = e }) })
+		cl.Rt.Run()
+		return err
+	}
+	return measureOverheads(overheadProbe{
+		write: func() error {
+			return run(func(done func(error)) { dev.Write(0, parity.Sized(int(geo.ChunkSize)), done) })
+		},
+		read: func() error {
+			return run(func(done func(error)) { dev.Read(0, geo.ChunkSize, func(_ parity.Buffer, e error) { done(e) }) })
+		},
+		fail:    func(m int) { failMember(cl, dev, m) },
+		traffic: cl.TotalHostBytes, reset: cl.ResetTraffic,
+	}, geo)
 }
 
 // measureOverheads performs one single-chunk RMW write and one degraded
 // single-chunk read and reports client-side traffic per user byte.
-func measureOverheads(eng *sim.Engine, dev blockdev.Device, chunk int64,
-	fail func(member int), traffic func() (out, in int64), reset func(), geo raid.Geometry) (wOver, rOver float64) {
-
+func measureOverheads(p overheadProbe, geo raid.Geometry) (wOver, rOver float64) {
 	// Seed the stripe so RMW has old content, then measure one write.
-	werr := errors.New("pending")
-	dev.Write(0, parity.Sized(int(chunk)), func(e error) { werr = e })
-	eng.Run()
-	reset()
-	dev.Write(0, parity.Sized(int(chunk)), func(e error) { werr = e })
-	eng.Run()
-	if werr != nil {
-		panic(fmt.Sprintf("experiments: table1 write failed: %v", werr))
+	if err := p.write(); err != nil {
+		panic(fmt.Sprintf("experiments: table1 seeding write failed: %v", err))
 	}
-	out, _ := traffic()
-	wOver = float64(out) / float64(chunk)
+	p.reset()
+	if err := p.write(); err != nil {
+		panic(fmt.Sprintf("experiments: table1 write failed: %v", err))
+	}
+	out, _ := p.traffic()
+	wOver = float64(out) / float64(geo.ChunkSize)
 
 	// Fail the member holding chunk 0 of stripe 0 and read it back.
-	fail(geo.DataDrive(0, 0))
-	reset()
-	rerr := errors.New("pending")
-	dev.Read(0, chunk, func(_ parity.Buffer, e error) { rerr = e })
-	eng.Run()
-	if rerr != nil {
-		panic(fmt.Sprintf("experiments: table1 degraded read failed: %v", rerr))
+	p.fail(geo.DataDrive(0, 0))
+	p.reset()
+	if err := p.read(); err != nil {
+		panic(fmt.Sprintf("experiments: table1 degraded read failed: %v", err))
 	}
-	_, in := traffic()
-	rOver = float64(in) / float64(chunk)
+	_, in := p.traffic()
+	rOver = float64(in) / float64(geo.ChunkSize)
 	return wOver, rOver
 }
 

@@ -20,11 +20,9 @@ import (
 var belowTheSeam = []string{
 	"internal/sim/", "internal/simnet/", "internal/ssd/", "internal/cpu/",
 	"internal/recon/", "internal/trace/", "internal/cluster/",
-	"internal/baseline/singlemachine.go", // Table 1's co-located controller, a simulated server
 	"internal/backend/simadapter.go",
 	"internal/core/host.go", "internal/core/offload.go", "internal/core/fabric.go",
 	"draid.go:New", // the offload client (§7), a simulated node
-	"internal/experiments/table1.go",
 }
 
 // TestNothingAboveTheSeamNamesTheSimEngine walks every non-test Go file of
