@@ -12,8 +12,9 @@ import (
 
 // TestRealtimeAllocBytesPerUserByte guards the payload-ownership rule where
 // `go test ./...` can see it: on the realtime chan/MemDrive datapath a user
-// byte is allocated about once — the buffer a read returns, the private copy
-// a write takes — and every other hop hands buffers on or recycles them.
+// byte is allocated about once — the buffer ReadSync returns, which the caller
+// keeps, the private copy a write takes — and every other hop hands buffers on
+// or recycles them.
 // Clone a payload at one more hop and the ratio for that direction rises by
 // 1.0, well past these ceilings (steady state measures ≈1.00 and ≈1.14; the
 // stripe-write ceiling also covers the 1/7 parity chunk; random 4 KiB writes
@@ -37,6 +38,17 @@ import (
 // call in a closure and a channel, the tree measured 36.2 / 32.0 / 23.0 /
 // 39.0; before the servers ran each capsule as a pooled command record,
 // ≈46 / ≈73 / ≈52 / ≈101.
+//
+// A read whose caller does not keep the buffer allocates none: Array.Read
+// lends its callback a buffer the host recycles, and ReadAt copies out of
+// one. 128 KiB lent reads and ReadAts and 16 KiB lent reads over TCP measure
+// 0.004, 0.000 and 0.002 bytes per user byte and as many objects per op — the
+// one buffer a window takes after the ReadSync row before it emptied the free
+// list. Their ceilings, 0.05, are 5 % of the one buffer per op these reads
+// allocated while the host gave every read a fresh one: a ceiling 5 % over
+// ≈0 would fail on a single stray runtime object. A lent 64 KiB read rebuilt
+// on a peer measures 1.000–1.027 and 1.000–1.055: the rebuilt segment still
+// leaves the reducer's pool for good.
 //
 // Over loopback TCP, 16 KiB reads and random 16 KiB writes measure 1.001 and
 // 1.002 bytes per user byte, 1.00 and 1.03–1.04 objects per op (a write's
@@ -142,6 +154,35 @@ func TestRealtimeAllocBytesPerUserByte(t *testing.T) {
 		}
 	}
 	tcpReads, tcpWrites := tcpAll(13, false), tcpAll(14, true)
+
+	// lent issues count asynchronous reads of n bytes on a, one at a time:
+	// each borrows the array's buffer for its callback and hands it back.
+	// readAtAll reads the same 128 KiB ranges as readAll into one slice of
+	// ours.
+	done := make(chan error, 1)
+	lentCB := func(_ []byte, err error) { done <- err }
+	lent := func(a *draid.Array, count int, n int64, at func(i int) int64) func() {
+		return func() {
+			for i := 0; i < count; i++ {
+				a.Read(at(i), n, lentCB)
+				if err := <-done; err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	readOff := func(i int) int64 { return int64(i) * readLen % (stripes*stripe - readLen) }
+	lentReads := lent(arr, reads, readLen, readOff)
+	lentDegraded := lent(arr, reads, chunk, func(i int) int64 { return lost[i%len(lost)] })
+	tcpLent := lent(tcp, mids, mid, func(i int) int64 { return int64(i) * mid % (stripes * stripe) })
+	into := make([]byte, readLen)
+	readAtAll := func() {
+		for i := 0; i < reads; i++ {
+			if _, err := arr.ReadAt(into, readOff(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
 	for s := int64(0); s < stripes; s++ {
 		if err := tcp.WriteSync(s*stripe, data); err != nil {
 			t.Fatal(err)
@@ -163,8 +204,11 @@ func TestRealtimeAllocBytesPerUserByte(t *testing.T) {
 	// lists; steady state is what the rule is about.
 	writeAll()
 	readAll()
+	lentReads()
+	readAtAll()
 	smallAll()
 	tcpReads()
+	tcpLent()
 	tcpWrites()
 
 	for _, c := range []struct {
@@ -176,18 +220,22 @@ func TestRealtimeAllocBytesPerUserByte(t *testing.T) {
 		objects   float64 // heap objects per op
 	}{
 		{"128 KiB reads", reads * readLen, reads, readAll, false, 1.25, 1.06},
+		{"128 KiB reads, lent", reads * readLen, reads, lentReads, false, 0.05, 0.05},
+		{"128 KiB ReadAt", reads * readLen, reads, readAtAll, false, 0.05, 0.05},
 		{"full-stripe writes", stripes * stripe, stripes, writeAll, false, 1.40, 2.19},
 		{"random 4 KiB writes", smalls * small, smalls, smallAll, false, 2.60, 1.09},
 		{"16 KiB reads over TCP", mids * mid, mids, tcpReads, false, 1.05, 1.05},
+		{"16 KiB reads over TCP, lent", mids * mid, mids, tcpLent, false, 0.05, 0.05},
 		{"random 16 KiB writes over TCP", mids * mid, mids, tcpWrites, false, 1.05, 1.09},
 		{"64 KiB reads, one member failed", reads * chunk, reads, degradedAll, true, 2.40, 2.16},
+		{"64 KiB reads, one member failed, lent", reads * chunk, reads, lentDegraded, true, 1.08, 1.11},
 	} {
 		if c.fail {
 			arr.FailDrive(failed)
 			c.run() // warm up: the reconstruction path's free lists fill
 		}
 		got, objs := allocated(c.user, c.ops, c.run)
-		t.Logf("%s: %.3f heap bytes allocated per user byte, %.2f heap objects per op", c.what, got, objs)
+		t.Logf("%s: %.4f heap bytes allocated per user byte, %.3f heap objects per op", c.what, got, objs)
 		if got > c.ceiling {
 			t.Errorf("%s allocate %.2f heap bytes per user byte, want ≤ %.2f", c.what, got, c.ceiling)
 		}

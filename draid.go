@@ -957,7 +957,10 @@ func (a *Array) Write(off int64, data []byte, cb func(error)) {
 	a.submit(r)
 }
 
-// Read issues an asynchronous read.
+// Read issues an asynchronous read. The slice cb gets is lent: it is valid
+// until cb returns, after which the array reuses it for a later read. Copy it
+// to keep the bytes, or use ReadSync, ReadContext or ReadAt, whose bytes the
+// caller owns.
 func (a *Array) Read(off, n int64, cb func([]byte, error)) {
 	r := a.request()
 	r.off, r.n, r.reading, r.read = off, n, true, cb
@@ -979,10 +982,12 @@ type request struct {
 	readFn  func(parity.Buffer, error)
 	writeFn func(error)
 	// A synchronous call has neither callback: the completion leaves its
-	// result here and signals ch, and the caller returns the record.
-	out []byte
-	err error
-	ch  chan struct{}
+	// result here — in out, or copied into into for ReadAt — and signals ch,
+	// and the caller returns the record.
+	out  []byte
+	into []byte
+	err  error
+	ch   chan struct{}
 }
 
 func (a *Array) request() *request {
@@ -1014,22 +1019,41 @@ func (r *request) issue() {
 	r.a.dev.Write(r.off, r.data, r.writeFn)
 }
 
+// readDone answers a read. The controller lends b: an asynchronous caller
+// borrows it for the length of its callback, ReadAt's bytes are copied out of
+// it, and only a ReadSync or ReadContext caller keeps it, disowned.
 func (r *request) readDone(b parity.Buffer, err error) {
-	var out []byte
+	switch {
+	case r.read != nil:
+		cb := r.read
+		r.put()
+		cb(userBytes(b, err), err)
+		b.Release()
+		return
+	case r.into != nil:
+		if err == nil && b.Elided() {
+			clear(r.into) // a size-only read answers zeros
+		} else {
+			copy(r.into, b.Data()) // nothing on error
+		}
+		b.Release()
+	default:
+		r.out = userBytes(b.Disown(), err)
+	}
+	r.err = err
+	r.ch <- struct{}{}
+}
+
+// userBytes is what a read answers the caller: nothing on error, zeros for a
+// size-only read.
+func userBytes(b parity.Buffer, err error) []byte {
 	switch {
 	case err != nil:
+		return nil
 	case b.Elided():
-		out = make([]byte, b.Len())
-	default:
-		out = b.Data()
+		return make([]byte, b.Len())
 	}
-	if cb := r.read; cb != nil {
-		r.put()
-		cb(out, err)
-		return
-	}
-	r.out, r.err = out, err
-	r.ch <- struct{}{}
+	return b.Data()
 }
 
 func (r *request) writeDone(err error) {
@@ -1045,7 +1069,7 @@ func (r *request) writeDone(err error) {
 // put returns r to the pool. A synchronous call whose context gave up leaves
 // its record to the completion that may still come.
 func (r *request) put() {
-	r.n, r.data, r.reading, r.read, r.write, r.out, r.err = 0, parity.Buffer{}, false, nil, nil, nil, nil
+	r.n, r.data, r.reading, r.read, r.write, r.out, r.into, r.err = 0, parity.Buffer{}, false, nil, nil, nil, nil, nil
 	r.a.reqMu.Lock()
 	r.a.reqs.Put(r)
 	r.a.reqMu.Unlock()
@@ -1139,9 +1163,11 @@ func (a *Array) ReadSync(off, n int64) ([]byte, error) {
 // WriteFlame (plain-text summary); both are deterministic for a given seed.
 func (a *Array) Trace() *Tracer { return a.cl.Tracer }
 
-// ReadAt implements io.ReaderAt over ReadSync: reads ending past the device
-// return the available bytes plus io.EOF, and reads starting past it return
-// 0, io.EOF. Like every *Sync path, it advances virtual time.
+// ReadAt implements io.ReaderAt: reads ending past the device return the
+// available bytes plus io.EOF, and reads starting past it return 0, io.EOF.
+// The bytes are copied into p straight from the read's lent buffer, so a
+// steady-state ReadAt allocates nothing. Like every *Sync path, it advances
+// virtual time.
 func (a *Array) ReadAt(p []byte, off int64) (int, error) {
 	if off < 0 {
 		return 0, fmt.Errorf("draid: negative offset %d: %w", off, ErrOutOfRange)
@@ -1156,11 +1182,11 @@ func (a *Array) ReadAt(p []byte, off int64) (int, error) {
 		n = size - off
 		eof = true
 	}
-	b, err := a.ReadSync(off, n)
-	if err != nil {
+	r := a.request()
+	r.off, r.n, r.reading, r.into = off, n, true, p[:n]
+	if _, err := a.await(context.Background(), r, "read"); err != nil {
 		return 0, err
 	}
-	copy(p, b)
 	if eof {
 		return int(n), io.EOF
 	}

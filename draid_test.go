@@ -5,11 +5,21 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"os"
 	"testing"
 	"time"
 
 	"draid"
+	"draid/internal/parity"
 )
+
+// TestMain runs the package with released pooled buffers poisoned, so a
+// caller that keeps a lent read past its callback, or anything that touches a
+// payload after releasing it, reads the pattern and fails its check.
+func TestMain(m *testing.M) {
+	parity.SetPoison(true)
+	os.Exit(m.Run())
+}
 
 func smallArray(t *testing.T, cfg draid.Config) *draid.Array {
 	t.Helper()

@@ -1,10 +1,19 @@
 package conformancetest
 
 import (
+	"os"
 	"testing"
 
 	"draid"
+	"draid/internal/parity"
 )
+
+// TestMain poisons released pooled buffers, so a buffer kept past its
+// release — a lent read, a payload handed on — fails the oracle here.
+func TestMain(m *testing.M) {
+	parity.SetPoison(true)
+	os.Exit(m.Run())
+}
 
 func mustNew(t *testing.T, cfg draid.Config) *draid.Array {
 	t.Helper()

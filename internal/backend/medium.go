@@ -176,7 +176,7 @@ func (m *Medium) Read(off, n int64, bufs *parity.Pool) (b parity.Buffer, ok bool
 	if m.store == nil {
 		return parity.Sized(int(n)), true, nil
 	}
-	b = bufs.Get(int(n))
+	b = bufs.GetUncleared(int(n)) // load writes every byte
 	if err := m.store.load(b.Data(), off); err != nil {
 		b.Release()
 		return parity.Buffer{}, true, err
@@ -325,8 +325,9 @@ func (m *Medium) developLatent(off, n int64) {
 	m.media.Add(pos, end-pos)
 }
 
-// store is where a medium keeps its bytes. load fills out, which the caller
-// has zeroed, leaving never-written bytes as the zeros they read as.
+// store is where a medium keeps its bytes. load writes every byte of out,
+// whatever it held before — a recycled drive-read buffer is not zeroed first
+// — so never-written bytes come back as the zeros they read as.
 type store interface {
 	load(out []byte, off int64) error
 	save(off int64, data []byte) error
@@ -353,6 +354,8 @@ func (p pages) load(out []byte, off int64) error {
 	walk(off, int64(len(out)), func(no, at, pos, span int64) {
 		if page, ok := p[no]; ok {
 			copy(out[pos:pos+span], page[at:at+span])
+		} else {
+			clear(out[pos : pos+span])
 		}
 	})
 	return nil

@@ -134,6 +134,39 @@ func FuzzMedium(f *testing.F) {
 	})
 }
 
+// TestMediumReadFillsARecycledBuffer: a drive read lands in a pooled buffer
+// that is not zeroed first, so both stores must write every byte of it —
+// never-written pages, and the file store's bytes past the end of its file,
+// as zeros.
+func TestMediumReadFillsARecycledBuffer(t *testing.T) {
+	const size = 4 * pageSize
+	clock := func() sim.Time { return 0 }
+	fm, err := NewFileMedium(clock, filepath.Join(t.TempDir(), "m.img"), size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fm.Close()
+	for name, m := range map[string]*Medium{"pages": NewMedium(clock, size, true), "file": fm} {
+		data := bytes.Repeat([]byte{7}, 100)
+		m.Write(pageSize+10, parity.FromBytes(data))
+		want := make([]byte, size)
+		copy(want[pageSize+10:], data)
+		bufs := parity.NewPool()
+		dirty := bufs.Get(size)
+		for k := range dirty.Data() {
+			dirty.Data()[k] = 0xEE
+		}
+		dirty.Release()
+		b, ok, err := m.Read(0, size, bufs)
+		if !ok || err != nil || &b.Data()[0] != &dirty.Data()[0] {
+			t.Fatalf("%s: read did not land in the recycled buffer (ok %v, err %v)", name, ok, err)
+		}
+		if !bytes.Equal(b.Data(), want) {
+			t.Fatalf("%s: a read over unwritten bytes kept what the recycled buffer held", name)
+		}
+	}
+}
+
 // first returns the index of the first set flag, or -1.
 func first(flags []bool) int64 {
 	for i, f := range flags {

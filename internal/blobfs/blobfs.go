@@ -229,6 +229,7 @@ func (f *File) ReadAt(off, n int64, cb func(parity.Buffer, error)) {
 			} else if err == nil {
 				out.CopyAt(int(sp.outOff), b)
 			}
+			b.Release()
 			pending--
 			if pending == 0 {
 				switch {

@@ -59,7 +59,9 @@ var (
 type Device interface {
 	// Size returns the device's capacity in bytes.
 	Size() int64
-	// Read fetches n bytes at off.
+	// Read fetches n bytes at off. The buffer cb gets is cb's: it Releases
+	// it when done — a pooled one goes back for a later read — or Disowns it
+	// to keep it (DESIGN.md, "Payload ownership").
 	Read(off, n int64, cb func(parity.Buffer, error))
 	// Write persists data at off.
 	Write(off int64, data parity.Buffer, cb func(error))

@@ -1,11 +1,20 @@
 package chaos
 
 import (
+	"os"
 	"strings"
 	"testing"
 
 	"draid"
+	"draid/internal/parity"
 )
+
+// TestMain poisons released pooled buffers, so a buffer kept past its
+// release — a lent read, a payload handed on — fails the oracle here.
+func TestMain(m *testing.M) {
+	parity.SetPoison(true)
+	os.Exit(m.Run())
+}
 
 // TestSimPartitionSweep is the acceptance sweep: eight seeds, every
 // partition-shaped fault placed before every workload step, across fixed and

@@ -51,7 +51,7 @@ func mustRead(t *testing.T, cl *cluster.Cluster, h *core.HostController, off, n 
 	doneErr := errors.New("not done")
 	h.Read(off, n, func(b parity.Buffer, err error) {
 		doneErr = err
-		out = b.Data()
+		out = b.Disown().Data()
 	})
 	cl.Eng.Run()
 	if doneErr != nil {

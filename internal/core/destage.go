@@ -145,6 +145,7 @@ func (st *stage) destageStripe(stripe int64, done func(error)) {
 				if err == nil && !snap.elided && snap.data.Len() > 0 && b.Len() > 0 {
 					snap.data.CopyAt(int(g.Off), b)
 				}
+				b.Release()
 				fillDone(err)
 			})
 			// Backfills are internal traffic, not user I/O.

@@ -64,7 +64,7 @@ func TestCompletionQueuedAtCloseIsReleased(t *testing.T) {
 		cl.Close() // ...and the bed closes before the slot runs
 	})
 	done := make(chan error, 1)
-	cl.Rt.Call(func() { h.Read(0, chunkSize, func(_ parity.Buffer, err error) { done <- err }) })
+	cl.Rt.Call(func() { h.Read(0, chunkSize, func(b parity.Buffer, err error) { b.Release(); done <- err }) })
 	select {
 	case err := <-done:
 		if err != nil {

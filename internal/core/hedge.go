@@ -402,6 +402,9 @@ func (hr *hedgeRead) resolve(i int) {
 			got[m] = b
 		}
 		h.cores.Exec(h.cfg.Costs.Gf(int(e.Len)), func() {
+			// Once the group has finished, the read may have answered and
+			// its buffer — which got's held slices view and put writes —
+			// been lent out and recycled: a late solve touches neither.
 			if hr.finished || w.settled || w.recovering {
 				return
 			}

@@ -220,6 +220,11 @@ type HostController struct {
 	groupWrites slab.Slab[groupWrite]
 	sgles       []nvmeof.SGE // what sgl has left of its block
 
+	// results holds the buffers user reads are assembled in. Each one is
+	// lent to the read's callback, whose owner releases it (or disowns it
+	// to keep it); one still out when the host is drained is a leak.
+	results *parity.Pool
+
 	// inbox queues delivered completions for nextMsg (inbox.go), which is
 	// bound once so that dispatching one allocates nothing.
 	inbox   inbox
@@ -353,6 +358,7 @@ func NewHost(rt backend.Runtime, fab backend.Transport, driveCapacity int64, cfg
 		memberNode: make([]NodeID, cfg.Layout.Drives()),
 		rebuilds:   make(map[int]*rebuildState),
 		health:     cfg.Health,
+		results:    parity.NewPool(),
 	}
 	h.nextMsg = h.applyNext
 	h.ops.New = func() *stripeOp { return &stripeOp{sent: make([]capsule, 0, cfg.Geometry.Width)} }
@@ -618,10 +624,10 @@ func (h *HostController) Crashed() bool { return h.crashed }
 
 // Quiescent reports what a drained controller still holds that an idle one
 // must not: an operation in flight, a user I/O's record never returned to its
-// slab, a stripe write lock, a write-intent mark, a rebuild registered but
-// neither finished nor abandoned, a layout slot reserved by a relocation that
-// never committed or released it. An aborted repair must leave none of these
-// behind.
+// slab, a read's result buffer its owner never released, a stripe write
+// lock, a write-intent mark, a rebuild registered but neither finished nor
+// abandoned, a layout slot reserved by a relocation that never committed or
+// released it. An aborted repair must leave none of these behind.
 func (h *HostController) Quiescent() error {
 	var held []string
 	note := func(n int, what string) {
@@ -637,6 +643,7 @@ func (h *HostController) Quiescent() error {
 		note(h.extentReads.Live(), "extent read record(s) out")
 		note(h.reductions.Live(), "reduction record(s) out")
 		note(h.groupWrites.Live(), "stripe write record(s) out")
+		note(h.results.Stats().Outstanding(), "read result buffer(s) out")
 	}
 	note(len(h.stripeQ), "stripe lock(s) held")
 	note(len(h.dirty), "stripe(s) marked dirty")
@@ -758,6 +765,10 @@ func (h *HostController) Read(off, n int64, cb func(parity.Buffer, error)) {
 // readIO is the read path proper. Extents on healthy members are plain
 // NVMe-oF reads; extents on a failed member trigger the §6.1 disaggregated
 // reconstruction, co-designed with the normal reads of the same stripe.
+//
+// A successful read's buffer comes from h.results and is the callback's to
+// Release when done with it, or to Disown to keep it; an elided or empty
+// result is not pooled, and releasing it is a no-op.
 func (h *HostController) readIO(off, n int64, cb func(parity.Buffer, error)) {
 	if h.crashed {
 		return
@@ -794,7 +805,7 @@ func (h *HostController) readIO(off, n int64, cb func(parity.Buffer, error)) {
 		return
 	}
 	r := h.userIOs.Get()
-	r.readCB, r.asm = cb, assembler{n: n}
+	r.readCB, r.asm = cb, assembler{n: n, pool: h.results}
 	if h.stage != nil || h.cache != nil {
 		// Overlay staged bytes over every assembled result (newer than the
 		// drives) and feed completed reads into the clean cache. The capture
@@ -816,7 +827,7 @@ func (h *HostController) readIO(off, n int64, cb func(parity.Buffer, error)) {
 					h.stage.overlayInto(off, n, b)
 				}
 				if h.cache != nil {
-					h.cache.insert(off, n, b, off)
+					h.cache.insert(off, n, b, off) // a copy: b goes back to results after cb
 				}
 			}
 			cb(b, err)
@@ -877,11 +888,8 @@ func (r *userIO) part() {
 		return
 	}
 	cb, err := r.readCB, r.fail
-	var b parity.Buffer
-	if err == nil {
-		b = r.asm.result()
-	}
-	r.readCB, r.fail, r.asm = nil, nil, assembler{}
+	b := r.asm.take(err == nil)
+	r.readCB, r.fail = nil, nil
 	r.h.userIOs.Put(r)
 	cb(b, err)
 }
@@ -941,11 +949,13 @@ func (h *HostController) readStripeGroup(stripe int64, group []raid.Extent, asm 
 	}
 }
 
-// assembler collects read pieces into the user buffer. The buffer is
-// allocated by the first materialized piece, or by result if it is asked for
-// first, so a read whose pieces are all elided never allocates one.
+// assembler collects read pieces into the user buffer. The buffer is drawn
+// from pool — zeroed, so no byte of an earlier read can show through — by the
+// first materialized piece, or by result if it is asked for first, so a read
+// whose pieces are all elided never takes one.
 type assembler struct {
 	n      int64
+	pool   *parity.Pool
 	buf    parity.Buffer
 	elided bool
 }
@@ -970,9 +980,26 @@ func (a *assembler) result() parity.Buffer {
 
 func (a *assembler) materialize() parity.Buffer {
 	if a.buf.Elided() {
-		a.buf = parity.Alloc(int(a.n))
+		a.buf = a.pool.Get(int(a.n))
 	}
 	return a.buf
+}
+
+// take ends the assembly and empties the assembler. A read that succeeded
+// (ok) gets the assembled buffer, or an elided one if any piece was; the
+// storage nobody gets goes back to the pool.
+func (a *assembler) take(ok bool) (b parity.Buffer) {
+	switch {
+	case ok && !a.elided:
+		b = a.materialize()
+	case ok:
+		b = parity.Sized(int(a.n))
+		fallthrough
+	default:
+		a.buf.Release()
+	}
+	*a = assembler{}
+	return b
 }
 
 // extentRead serves one extent of a user read into asm: a plain NVMe-oF read

@@ -59,7 +59,8 @@ func NewOffload(eng *sim.Engine, net *simnet.Network, clientNode *simnet.Node, h
 // Size implements blockdev.Device.
 func (c *OffloadClient) Size() int64 { return c.size }
 
-// Read implements blockdev.Device: request capsule over, payload back.
+// Read implements blockdev.Device: request capsule over, payload back. The
+// gateway hands the host's result buffer on to cb, which owns it from then.
 func (c *OffloadClient) Read(off, n int64, cb func(parity.Buffer, error)) {
 	if err := blockdev.CheckRange(off, n, c.size); err != nil {
 		c.eng.Defer(func() { cb(parity.Buffer{}, err) })

@@ -468,7 +468,7 @@ func (h *HostController) tryMemRead(off, n int64, cb func(parity.Buffer, error))
 			return false
 		}
 	}
-	buf := parity.Alloc(int(n))
+	buf := h.results.Get(int(n))
 	elided := false
 	for _, g := range gaps {
 		if h.cache.readInto(g.Off, g.Len, buf, g.Off-off) {
@@ -483,6 +483,7 @@ func (h *HostController) tryMemRead(off, n int64, cb func(parity.Buffer, error))
 	}
 	out := buf
 	if elided {
+		buf.Release()
 		out = parity.Sized(int(n))
 	}
 	h.stats.CacheHits++

@@ -42,7 +42,7 @@ func hostDevice(t *testing.T, cl *cluster.Cluster, host func() tortureDevice) or
 		},
 		Read: func(off, n int64) (got []byte, err error) {
 			onLoop(func(done func()) {
-				host().Read(off, n, func(b parity.Buffer, e error) { got, err = b.Data(), e; done() })
+				host().Read(off, n, func(b parity.Buffer, e error) { got, err = b.Disown().Data(), e; done() })
 			})
 			return got, err
 		},
@@ -158,6 +158,7 @@ func runTorture(t *testing.T, seed int64, level raid.Level, targets int, dev tor
 		end := o.BeginRead(off, n)
 		dev.Read(off, n, func(b parity.Buffer, err error) {
 			end(b.Data(), err)
+			b.Release()
 			pending--
 			issue()
 		})

@@ -59,7 +59,10 @@ var ObjectStore = AppStore{
 		store := objstore.New(rt, dev, objSize)
 		return appOps{
 			get: func(key uint64, cb func(error)) {
-				store.Get(key, func(_ parity.Buffer, err error) { cb(err) })
+				store.Get(key, func(b parity.Buffer, err error) {
+					b.Release()
+					cb(err)
+				})
 			},
 			put: func(key uint64, cb func(error)) {
 				store.Put(key, parity.Sized(objSize), cb)

@@ -107,7 +107,12 @@ func clusterOverheads(sys System, geo raid.Geometry, seed int64) (wOver, rOver f
 			return run(func(done func(error)) { dev.Write(0, parity.Sized(int(geo.ChunkSize)), done) })
 		},
 		read: func() error {
-			return run(func(done func(error)) { dev.Read(0, geo.ChunkSize, func(_ parity.Buffer, e error) { done(e) }) })
+			return run(func(done func(error)) {
+				dev.Read(0, geo.ChunkSize, func(b parity.Buffer, e error) {
+					b.Release()
+					done(e)
+				})
+			})
 		},
 		fail:    func(m int) { failMember(cl, dev, m) },
 		traffic: cl.TotalHostBytes, reset: cl.ResetTraffic,

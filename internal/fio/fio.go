@@ -228,7 +228,10 @@ func Start(job Job) *Running {
 			issue()
 		}
 		if rng.Float64() < job.ReadRatio {
-			job.Dev.Read(off, job.IOSize, func(_ parity.Buffer, err error) { record(true, err) })
+			job.Dev.Read(off, job.IOSize, func(b parity.Buffer, err error) {
+				b.Release()
+				record(true, err)
+			})
 		} else {
 			job.Dev.Write(off, payload, func(err error) { record(false, err) })
 		}

@@ -113,7 +113,8 @@ func (s *Store) Put(key uint64, data parity.Buffer, cb func(error)) {
 	})
 }
 
-// Get fetches an object.
+// Get fetches an object. The buffer is the device's read result, handed on:
+// cb releases it when done, or disowns it to keep it (blockdev.Device).
 func (s *Store) Get(key uint64, cb func(parity.Buffer, error)) {
 	slot, ok := s.index[key]
 	if !ok {

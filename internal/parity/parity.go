@@ -70,14 +70,13 @@ func (b Buffer) Disown() Buffer {
 	return b
 }
 
-// Clone returns an independent, unpooled copy (elided stays elided).
+// Clone returns an independent, unpooled copy (elided stays elided). The
+// copy is allocated without a zeroing pass, since every byte is overwritten.
 func (b Buffer) Clone() Buffer {
 	if b.data == nil {
 		return Buffer{size: b.size}
 	}
-	cp := make([]byte, b.size)
-	copy(cp, b.data)
-	return Buffer{size: b.size, data: cp}
+	return Buffer{size: b.size, data: bytes.Clone(b.data)}
 }
 
 // Slice returns the sub-buffer [off, off+n). It panics on out-of-range

@@ -45,6 +45,9 @@ func TestCloneIndependence(t *testing.T) {
 	if !e.Elided() || e.Len() != 5 {
 		t.Fatal("Clone of elided buffer broken")
 	}
+	if z := FromBytes([]byte{}).Clone(); z.Elided() || z.Len() != 0 {
+		t.Fatal("Clone of an empty materialized buffer must stay materialized")
+	}
 }
 
 func TestSlice(t *testing.T) {

@@ -1,6 +1,9 @@
 package parity
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // poolLimit caps the bytes one Pool parks on its free lists. A workload with
 // many distinct buffer sizes would otherwise pin one list per size forever;
@@ -89,12 +92,33 @@ func (p *Pool) get(n int, zero bool) Buffer {
 	return Buffer{size: n, data: data, home: p}
 }
 
+// poisonByte is what every released buffer is filled with while poisoning
+// is on (SetPoison).
+const poisonByte = 0xDB
+
+// poison is the test-only switch behind SetPoison.
+var poison atomic.Bool
+
+// SetPoison turns poisoning of released buffers on or off, in every Pool,
+// and returns the previous setting. While it is on, Put overwrites each
+// buffer it takes back with a fixed byte, so an owner that keeps reading a
+// buffer after releasing it — or a borrower that keeps a lent one — reads
+// the pattern instead of plausible stale bytes, and a test comparing data
+// fails. It costs a pass over every released buffer: tests turn it on from
+// TestMain; nothing else should.
+func SetPoison(on bool) (was bool) { return poison.Swap(on) }
+
 // Put releases b, one of this pool's own buffers, for a future Get of the
 // same size. Anything else — elided, sliced, cloned or foreign buffers, or a
 // nil pool — is a no-op. The caller must not use b after.
 func (p *Pool) Put(b Buffer) {
 	if p == nil || b.home != p {
 		return
+	}
+	if poison.Load() {
+		for i := range b.data {
+			b.data[i] = poisonByte
+		}
 	}
 	p.mu.Lock()
 	p.stats.Puts++

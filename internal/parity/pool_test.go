@@ -1,6 +1,9 @@
 package parity
 
-import "testing"
+import (
+	"bytes"
+	"testing"
+)
 
 func TestPoolGetReturnsZeroedReuse(t *testing.T) {
 	p := NewPool()
@@ -26,7 +29,9 @@ func TestPoolGetReturnsZeroedReuse(t *testing.T) {
 
 // TestPoolGetUnclearedSkipsTheClear: the uncleared get reuses storage as it
 // was left and books the same traffic as Get; from a nil pool it allocates.
+// Poisoning would overwrite what it was left with, so it runs with it off.
 func TestPoolGetUnclearedSkipsTheClear(t *testing.T) {
+	defer SetPoison(SetPoison(false))
 	p := NewPool()
 	a := p.GetUncleared(16)
 	if len(a.Data()) != 16 {
@@ -45,6 +50,36 @@ func TestPoolGetUnclearedSkipsTheClear(t *testing.T) {
 	var nilPool *Pool
 	if c := nilPool.GetUncleared(4); c.Elided() || c.Len() != 4 {
 		t.Fatal("nil pool GetUncleared should allocate")
+	}
+}
+
+// TestPoolPoison: with poisoning on, a released pooled buffer reads as the
+// pattern — what a holder that kept it past its release would see — while
+// views, copies and foreign buffers are left alone; Get still zeroes.
+func TestPoolPoison(t *testing.T) {
+	defer SetPoison(SetPoison(true))
+	p := NewPool()
+	a := p.Get(8)
+	copy(a.Data(), "abcdefgh")
+	c := a.Clone()
+	foreign := FromBytes([]byte("ijkl"))
+	a.Slice(0, 4).Release()
+	c.Release()
+	p.Put(foreign)
+	if string(a.Data()) != "abcdefgh" || string(c.Data()) != "abcdefgh" || string(foreign.Data()) != "ijkl" {
+		t.Fatal("only the release of a pool's own whole buffer may poison")
+	}
+	a.Release()
+	for i, v := range a.Data() {
+		if v != poisonByte {
+			t.Fatalf("released buffer byte %d = %#x, want the poison %#x", i, v, poisonByte)
+		}
+	}
+	if b := p.Get(8); &b.Data()[0] != &a.Data()[0] || !bytes.Equal(b.Data(), make([]byte, 8)) {
+		t.Fatal("Get should hand back the poisoned storage, zeroed")
+	}
+	if SetPoison(true) != true {
+		t.Fatal("SetPoison should report the setting it replaced")
 	}
 }
 

@@ -53,7 +53,7 @@ func mustRead(t *testing.T, cl *cluster.Cluster, h *core.HostController, off, n 
 	doneErr := errors.New("not done")
 	h.Read(off, n, func(b parity.Buffer, err error) {
 		doneErr = err
-		out = b.Data()
+		out = b.Disown().Data()
 	})
 	cl.Rt.Run()
 	if doneErr != nil {
@@ -550,6 +550,7 @@ func TestForegroundServiceDuringRebuild(t *testing.T) {
 			} else if !bytes.Equal(b.Data(), ref[off:off+chunkSize]) {
 				t.Errorf("foreground read %d returned stale bytes", i)
 			}
+			b.Release()
 			completed++
 		})
 		cl.Rt.After(sim.Millisecond, func() { issue(i + 1) })
@@ -589,7 +590,7 @@ func TestFailoverFencesBeforeItServes(t *testing.T) {
 	repair.Failover(cl.Rt, h2, adopted, func(err error) { ferr = err })
 	var got []byte
 	rdErr := errors.New("not done")
-	h2.Read(0, 2*stripeBytes, func(b parity.Buffer, err error) { got, rdErr = b.Data(), err })
+	h2.Read(0, 2*stripeBytes, func(b parity.Buffer, err error) { got, rdErr = b.Disown().Data(), err })
 	cl.Rt.Run()
 	if ferr != nil {
 		t.Fatalf("failover: %v", ferr)
@@ -669,7 +670,7 @@ func TestHostFailoverResyncsDirtyStripes(t *testing.T) {
 	}
 	var got []byte
 	rdErr := errors.New("not done")
-	h2.Read(0, stripeBytes, func(b parity.Buffer, err error) { got, rdErr = b.Data(), err })
+	h2.Read(0, stripeBytes, func(b parity.Buffer, err error) { got, rdErr = b.Disown().Data(), err })
 	cl.Rt.Run()
 	if rdErr != nil {
 		t.Fatalf("post-failover read: %v", rdErr)

@@ -345,6 +345,54 @@ func TestWritebackReadCache(t *testing.T) {
 	}
 }
 
+// TestWritebackReadCacheKeepsItsOwnCopy: a read's buffer is lent to its
+// callback and then recycled for later reads, so the clean-read cache must
+// fill from a copy. A range read once, its buffer recycled by a read of
+// other bytes, must come back from the cache as it was.
+func TestWritebackReadCacheKeepsItsOwnCopy(t *testing.T) {
+	arr, err := draid.New(draid.Config{
+		Drives: 5, ChunkSize: 16 << 10, DriveCapacity: 1 << 20, Seed: 34,
+		WriteBack: true, StageMB: 1, CacheMB: 1, DestageIntervalMs: 10_000,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const stripe = 64 << 10
+	ref, other := randBytes(35, stripe), randBytes(36, stripe)
+	for off, data := range map[int64][]byte{0: ref, stripe: other} {
+		if err := arr.WriteSync(off, data); err != nil { // full stripes: write-through
+			t.Fatal(err)
+		}
+	}
+	lentRead := func(off int64, want []byte) {
+		var rerr error
+		arr.Read(off, stripe, func(b []byte, err error) {
+			if rerr = err; err == nil && !bytes.Equal(b, want) {
+				rerr = fmt.Errorf("read at %d returned wrong bytes", off)
+			}
+		})
+		arr.Run()
+		if rerr != nil {
+			t.Fatal(rerr)
+		}
+	}
+	lentRead(0, ref) // from the drives, into the cache
+	for i := 0; i < 3; i++ {
+		lentRead(stripe, other) // each takes the buffer the last one gave back
+	}
+	before := arr.Status().Counters.CacheHits
+	got, err := arr.ReadSync(0, stripe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if arr.Status().Counters.CacheHits == before {
+		t.Fatal("the repeat read missed the cache")
+	}
+	if !bytes.Equal(got, ref) {
+		t.Fatal("the cache served bytes of a recycled read buffer")
+	}
+}
+
 // TestGoldenWritebackDisabledByteIdentical pins the staging layer's
 // zero-cost-when-off promise: with WriteBack false (the default) the golden
 // workload produces a trace byte-identical to the pre-staging golden capture,
